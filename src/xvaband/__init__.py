@@ -26,7 +26,7 @@ from .market import (CreditParams, DegenerateRatesError, EquityParams,
                      MarketModel, ModelError, RateSet, ValidationReport,
                      accrual)
 from .pde import (NumericsError, PdeGrid, PdeSolution, convergence_study,
-                  solve, strategies, xva_at)
+                  solve, solve_batch, strategies, xva_at)
 
 __version__ = "0.1.0"
 
@@ -42,6 +42,6 @@ __all__ = [
     "CreditParams", "DegenerateRatesError", "EquityParams", "MarketModel",
     "ModelError", "RateSet", "ValidationReport", "accrual",
     "NumericsError", "PdeGrid", "PdeSolution", "convergence_study", "solve",
-    "strategies", "xva_at",
+    "solve_batch", "strategies", "xva_at",
     "__version__",
 ]

@@ -174,10 +174,13 @@ def _closed_point(model, claim) -> PointResult:
 
 
 def _pde_point(model, claim, nx, nt) -> PointResult:
-    s0 = model.equity.spot
     grid = pde.PdeGrid.default_for(model, claim, nx=nx, nt=nt)
-    sol = pde.solve(model, claim, grid)
-    mark = claims.agent_value(model, claim, 0.0, s0).value
+    return _pde_result(pde.solve(model, claim, grid))
+
+
+def _pde_result(sol: pde.PdeSolution) -> PointResult:
+    s0 = sol.model.equity.spot
+    mark = claims.agent_value(sol.model, sol.claim, 0.0, s0).value
     return PointResult("pde", mark,
                        pde.xva_at(sol, 0.0, s0, drivers.SELLER),
                        pde.xva_at(sol, 0.0, s0, drivers.BUYER),
@@ -274,13 +277,36 @@ def _run_parallel(tasks, worker, workers: int):
         return list(pool.map(worker, tasks))
 
 
-def _band_task(args):
-    model, claim, engine, nx, nt, steps, axis_value = args
-    res = evaluate_point(model, claim, engine, nx, nt, steps)[0]
-    st = res.strategy_seller
-    return (axis_value, res.xva_buyer, res.xva_seller, res.width,
-            st.stock_shares, st.bond_own_shares, st.bond_cpty_shares,
-            st.funding_dollars)
+def _point_task(args):
+    return evaluate_point(*args)[0]
+
+
+def _pde_sweep(models, claim, nx, nt) -> list[PointResult]:
+    """PDE valuations of many models; those that share a grid run as one batched march."""
+    groups: dict = {}
+    for i, model in enumerate(models):
+        grid = pde.PdeGrid.default_for(model, claim, nx=nx, nt=nt)
+        key = (grid, model.equity, model.rates.discount, model.credit is None)
+        groups.setdefault(key, []).append(i)
+    results: list = [None] * len(models)
+    for (grid, *_), idx in groups.items():
+        sols = pde.solve_batch([models[i] for i in idx], claim, grid)
+        for i, sol in zip(idx, sols):
+            results[i] = _pde_result(sol)
+    return results
+
+
+def _sweep(cfg: RunConfig, models) -> list[PointResult]:
+    """One valuation per model with the configured engine ("all" runs the PDE).
+
+    PDE sweeps go through the batched march; the other engines value one
+    model per task, in ``cfg.workers`` processes.
+    """
+    engine = cfg.engine if cfg.engine != "all" else "pde"
+    if engine == "pde":
+        return _pde_sweep(models, cfg.claim, cfg.nx, cfg.nt)
+    tasks = [(m, cfg.claim, engine, cfg.nx, cfg.nt, cfg.steps) for m in models]
+    return _run_parallel(tasks, _point_task, cfg.workers)
 
 
 # ---------------------------------------------------------------------------
@@ -327,14 +353,16 @@ def cmd_band(cfg: RunConfig) -> int:
                              "sweep_stop")
         start, stop = cfg.sweep_start, cfg.sweep_stop
     values = _sweep_values(start, stop, cfg.sweep_points)
-    engine = cfg.engine if cfg.engine != "all" else "pde"
-    tasks = [(_model_with(cfg.model, **{axis: v}), cfg.claim, engine,
-              cfg.nx, cfg.nt, cfg.steps, v) for v in values]
-    rows = _run_parallel(tasks, _band_task, cfg.workers)
+    results = _sweep(cfg, [_model_with(cfg.model, **{axis: v}) for v in values])
+    rows = []
+    for v, res in zip(values, results):
+        st = res.strategy_seller
+        rows.append([v, res.xva_buyer, res.xva_seller, res.width,
+                     st.stock_shares, st.bond_own_shares, st.bond_cpty_shares,
+                     st.funding_dollars])
     rows.sort(key=lambda r: r[0])
     write_csv([axis, "xva_buyer", "xva_seller", "width", "xi_stock",
-               "xi_I", "xi_C", "funding_dollars"],
-              [list(r) for r in rows], cfg.out)
+               "xi_I", "xi_C", "funding_dollars"], rows, cfg.out)
     return 0
 
 
@@ -343,12 +371,10 @@ _TABLE_CELLS = ([(a, rfm) for a in (0.0, 0.25, 0.75, 1.0) for rfm in (0.08, 0.15
 
 
 def cmd_table(cfg: RunConfig) -> int:
-    engine = cfg.engine if cfg.engine != "all" else "pde"
+    results = _sweep(cfg, [_model_with(cfg.model, alpha=alpha, fund_borrow=rfm)
+                           for alpha, rfm in _TABLE_CELLS])
     rows = []
-    for alpha, rfm in _TABLE_CELLS:
-        model = _model_with(cfg.model, alpha=alpha, fund_borrow=rfm)
-        res = evaluate_point(model, cfg.claim, engine, cfg.nx, cfg.nt,
-                             cfg.steps)[0]
+    for (alpha, rfm), res in zip(_TABLE_CELLS, results):
         rows.append([alpha, rfm, res.xva_seller, res.xva_buyer,
                      res.strategy_seller.funding_dollars,
                      res.strategy_buyer.funding_dollars])
@@ -495,12 +521,6 @@ def figure_config(figure_id: str, user_values: dict | None = None,
     return build_config(values, overrides)
 
 
-def _sweep_task(args):
-    model, claim, engine, nx, nt, steps, axis_value = args
-    res = evaluate_point(model, claim, engine, nx, nt, steps)[0]
-    return axis_value, res
-
-
 def cmd_figure(cfg: RunConfig, figure_id: str) -> int:
     sweep = _sweep_values(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_points)
     model, claim = cfg.model, cfg.claim
@@ -551,8 +571,6 @@ def cmd_figure(cfg: RunConfig, figure_id: str) -> int:
         write_csv(header, rows, cfg.out)
         return 0
 
-    engine = cfg.engine if cfg.engine != "all" else "pde"
-
     if figure_id == "band-vs-collateral":
         borrow_rates = (0.08, 0.15)
         header = ["alpha"]
@@ -560,10 +578,9 @@ def cmd_figure(cfg: RunConfig, figure_id: str) -> int:
             header += [f"xva_buyer_rb{rfm:g}", f"xva_seller_rb{rfm:g}",
                        f"width_rb{rfm:g}", f"stock_rb{rfm:g}",
                        f"bond_own_rb{rfm:g}", f"bond_cpty_rb{rfm:g}"]
-        tasks = [(_model_with(model, alpha=a, fund_borrow=rfm), claim, engine,
-                  cfg.nx, cfg.nt, cfg.steps, (a, rfm))
-                 for a in sweep for rfm in borrow_rates]
-        results = dict(_run_parallel(tasks, _sweep_task, cfg.workers))
+        keys = [(a, rfm) for a in sweep for rfm in borrow_rates]
+        results = dict(zip(keys, _sweep(cfg, [
+            _model_with(model, alpha=a, fund_borrow=rfm) for a, rfm in keys])))
         rows = []
         for a in sweep:
             row = [a]
@@ -583,14 +600,9 @@ def cmd_figure(cfg: RunConfig, figure_id: str) -> int:
         for rl in lend_rates:
             header += [f"xva_buyer_rl{rl:g}", f"xva_seller_rl{rl:g}",
                        f"stock_seller_rl{rl:g}", f"stock_buyer_rl{rl:g}"]
-        tasks = []
-        for rb in sweep:
-            for rl in lend_rates:
-                if rb < rl:
-                    continue
-                tasks.append((_model_with(model, repo_lend=rl, repo_borrow=rb),
-                              claim, engine, cfg.nx, cfg.nt, cfg.steps, (rb, rl)))
-        results = dict(_run_parallel(tasks, _sweep_task, cfg.workers))
+        keys = [(rb, rl) for rb in sweep for rl in lend_rates if rb >= rl]
+        results = dict(zip(keys, _sweep(cfg, [
+            _model_with(model, repo_lend=rl, repo_borrow=rb) for rb, rl in keys])))
         rows = []
         for rb in sweep:
             row = [rb]
@@ -611,10 +623,9 @@ def cmd_figure(cfg: RunConfig, figure_id: str) -> int:
         for a in _CPTY_ALPHAS:
             header += [f"xva_seller_a{a:g}", f"stock_a{a:g}",
                        f"bond_own_a{a:g}", f"bond_cpty_a{a:g}"]
-        tasks = [(_model_with(model, mu_cpty=mu, alpha=a), claim, engine,
-                  cfg.nx, cfg.nt, cfg.steps, (mu, a))
-                 for mu in sweep for a in _CPTY_ALPHAS]
-        results = dict(_run_parallel(tasks, _sweep_task, cfg.workers))
+        keys = [(mu, a) for mu in sweep for a in _CPTY_ALPHAS]
+        results = dict(zip(keys, _sweep(cfg, [
+            _model_with(model, mu_cpty=mu, alpha=a) for mu, a in keys])))
         rows = []
         for mu in sweep:
             row = [mu]
@@ -676,7 +687,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nt", type=int, default=None, help="PDE time steps")
     p.add_argument("--steps", type=int, default=None, help="lattice steps")
     p.add_argument("--workers", type=int, default=None,
-                   help="parallel workers for sweeps")
+                   help="parallel workers for lattice and closed-form sweeps "
+                        "(PDE sweeps run as one batched march)")
 
 
 def _load(args, require_config: bool = True) -> RunConfig:

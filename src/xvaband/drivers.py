@@ -3,6 +3,9 @@
 Everything downstream -- the PDE engine and the lattice cross-check -- consumes
 the functions defined here, so they are the single source of truth for the
 nonlinearity.  All functions accept scalars or numpy arrays of equal shape.
+The PDE engine also passes :func:`reduced_drift` a record shaped like a
+``MarketModel`` whose parameters may be arrays with one entry per column of
+an (nodes, columns) block; they broadcast like any other operand.
 
 Conventions
 -----------
@@ -22,7 +25,6 @@ Conventions
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,10 +224,8 @@ def jump_targets(model: MarketModel, side: str, mark):
 class ReplicationStrategy:
     """Portfolio replicating the valuation adjustment at one state.
 
-    Dollar positions are primary (share counts in the cash accounts depend on
-    the accrual path of the account and are reported assuming the current rate
-    branch prevailed from time zero; they are exact at t = 0 and whenever the
-    relevant rates are symmetric).  The wealth identity
+    Dollar positions are primary; share counts are given for the stock and
+    the two bonds, whose prices are known at the state.  The wealth identity
 
         stock + bond_own + bond_cpty + funding + repo - collateral_account
         == adjustment
@@ -269,19 +269,6 @@ class ReplicationStrategy:
         return (self.stock_dollars + self.bond_own_dollars
                 + self.bond_cpty_dollars + self.funding_dollars
                 + self.repo_dollars - self.collateral_account_dollars)
-
-    def account_shares(self, model: MarketModel) -> dict[str, float]:
-        """Share counts of the funding/repo/collateral accounts (see class note)."""
-        r = model.rates
-        t = self.t
-        return {
-            "funding": self.funding_dollars
-            / math.exp(r.funding_rate(self.funding_dollars) * t),
-            "repo": self.repo_dollars
-            / math.exp(r.repo_rate(self.repo_dollars) * t),
-            "collateral": self.collateral_account_dollars
-            / math.exp(r.collateral_rate(-self.collateral_account_dollars) * t),
-        }
 
 
 def build_strategy(model: MarketModel, claim, side: str, t: float, s: float,

@@ -203,10 +203,6 @@ class MarketModel:
                 msgs = "; ".join(c.name for c in report.failures)
                 raise ModelError(f"model violates necessary rate conditions: {msgs}")
 
-    @property
-    def has_defaults(self) -> bool:
-        return self.credit is not None
-
     def _credit(self) -> CreditParams:
         if self.credit is None:
             raise ModelError("operation requires credit parameters, but the "

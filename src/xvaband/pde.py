@@ -14,18 +14,35 @@ the implicit part; the drivers are globally Lipschitz, so the iteration
 contracts for any reasonable step size.  Boundary conditions impose
 linearity in the stock (payoffs and adjustments are asymptotically linear
 there), via second-order ghost-node elimination.
+
+The spatial operator depends only on the grid, sigma and the discount rate,
+and the agent surface only on those and the claim.  Scenarios that share
+them (and the presence of a credit block) are therefore marched together as
+the columns of one (nx, 2K) block: columns 0..K-1 are the seller sides of
+the K scenarios, columns K..2K-1 their buyer sides, in the same order.  Each
+backward step marches the agent once and evaluates the mark and delta once
+(the pair of one step is carried to the next); each Picard iteration makes
+one driver call for the whole block, with every parameter that differs
+between scenarios stacked into an array with one entry per column, and one
+banded solve with a 2-D right-hand side.  Picard runs per column: a column
+is frozen as soon as its own residual is below tolerance, so it takes
+exactly the iterations, and gets exactly the values, of its own
+single-scenario solve.  :func:`solve` is this march with K = 1 and keeps the
+full surfaces; :func:`solve_batch` keeps only the two time rows that
+valuation and hedging at t = 0 read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import solve_banded
 
 from . import claims, drivers
-from .market import MarketModel
+from .market import CreditParams, EquityParams, MarketModel, RateSet
 
 PICARD_TOL = 1e-10
 PICARD_MAX_ITER = 50
@@ -100,7 +117,11 @@ class PdeGrid:
 
 @dataclass
 class PdeSolution:
-    """Discrete fields indexed [time, space] with time ascending from 0 to T."""
+    """Discrete fields indexed [time, space] with time ascending from 0 to T.
+
+    A solution from :func:`solve_batch` keeps only the first two time rows
+    (t = 0 and t = dt); sampling it at a later time raises ValueError.
+    """
 
     model: MarketModel
     claim: claims.ClaimSpec
@@ -150,24 +171,33 @@ def _spatial_operator(grid: PdeGrid, model: MarketModel, zeroth: float):
 
 
 class _Stepper:
-    """One theta-step of (d/d tau) u = B u + source, via banded solves."""
+    """One theta-step of (d/d tau) u = B u + source, via banded solves.
+
+    ``u`` is one column of nodal values, shape (nx,), or a block of columns,
+    shape (nx, k); every column sees the same operator.
+    """
 
     def __init__(self, grid: PdeGrid, model: MarketModel, zeroth: float):
         self.lower, self.diag, self.upper = _spatial_operator(grid, model, zeroth)
         self.nx = grid.nx
+        self._ab: dict[float, np.ndarray] = {}
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        out = self.diag * u
-        out[:-1] += self.upper[:-1] * u[1:]
-        out[1:] += self.lower[1:] * u[:-1]
+        col = (slice(None),) + (None,) * (u.ndim - 1)
+        out = self.diag[col] * u
+        out[:-1] += self.upper[:-1][col] * u[1:]
+        out[1:] += self.lower[1:][col] * u[:-1]
         return out
 
     def ab_matrix(self, coef: float) -> np.ndarray:
         """Banded form of (I - coef * B) for scipy.linalg.solve_banded."""
-        ab = np.zeros((3, self.nx))
-        ab[0, 1:] = -coef * self.upper[:-1]
-        ab[1, :] = 1.0 - coef * self.diag
-        ab[2, :-1] = -coef * self.lower[1:]
+        ab = self._ab.get(coef)
+        if ab is None:
+            ab = np.zeros((3, self.nx))
+            ab[0, 1:] = -coef * self.upper[:-1]
+            ab[1, :] = 1.0 - coef * self.diag
+            ab[2, :-1] = -coef * self.lower[1:]
+            self._ab[coef] = ab
         return ab
 
     def step_linear(self, u: np.ndarray, dt: float, theta: float) -> np.ndarray:
@@ -175,131 +205,293 @@ class _Stepper:
         return solve_banded((1, 1), self.ab_matrix(theta * dt), rhs)
 
 
-def _gradient(u: np.ndarray, dx: float) -> np.ndarray:
-    return np.gradient(u, dx)
+class _ColumnModel:
+    """Driver parameters of a block of columns, in the shape of a MarketModel.
 
-
-def solve(model: MarketModel, claim: claims.ClaimSpec, grid: PdeGrid) -> PdeSolution:
-    """Backward-solve the agent surface and both adjustment surfaces.
-
-    Requires the model to pass the necessary-rate validator and the initial
-    log-spot to lie strictly inside the grid.
+    :func:`drivers.reduced_drift` reads ``rates``, ``equity.sigma``,
+    ``alpha``, ``credit.loss_*`` and ``default_intensity``.  A parameter equal
+    in every column is a float; one that differs is an array with an entry
+    per column, which broadcasts along the last axis of an (nx, columns)
+    block, so the driver code runs unchanged.
     """
-    report = model.validate_necessary()
-    if not report.passed:
-        raise ValueError("model fails necessary rate conditions: "
-                         + "; ".join(c.name for c in report.failures))
-    x0 = math.log(model.equity.spot)
+
+    def __init__(self, params: dict, equity: EquityParams, has_credit: bool):
+        self.params = params
+        self.equity = equity
+        self.rates = SimpleNamespace(**{f.name: params[f.name]
+                                        for f in fields(RateSet)})
+        self.credit = (SimpleNamespace(**{f.name: params[f.name]
+                                          for f in fields(CreditParams)})
+                       if has_credit else None)
+        self.alpha = params["alpha"]
+
+    def default_intensity(self, party: str):
+        return self.params["intensity_" + party]
+
+    def take(self, cols: np.ndarray) -> "_ColumnModel":
+        """The same parameters restricted to the given columns."""
+        params = {k: v[cols] if isinstance(v, np.ndarray) else v
+                  for k, v in self.params.items()}
+        return _ColumnModel(params, self.equity, self.credit is not None)
+
+
+def _driver_params(model: MarketModel) -> dict:
+    """The parameters of one scenario that may differ within a batch."""
+    params = {f.name: getattr(model.rates, f.name) for f in fields(RateSet)}
+    params["alpha"] = model.alpha
+    if model.credit is not None:
+        params.update({f.name: getattr(model.credit, f.name)
+                       for f in fields(CreditParams)})
+        params["intensity_own"] = model.default_intensity("own")
+        params["intensity_cpty"] = model.default_intensity("cpty")
+    return params
+
+
+class _Columns:
+    """The 2K adjustment columns of K scenarios: sellers 0..K-1, then buyers.
+
+    Buyer columns go through the reflection buyer(u, z, mark) =
+    -seller(-u, -z, -mark), applied with a per-column sign.
+    """
+
+    def __init__(self, models: list[MarketModel]):
+        self.count = len(models)
+        self.sign = np.repeat([1.0, -1.0], self.count)
+        per_model = [_driver_params(m) for m in models]
+        params, self.varied = {}, {}
+        for name in per_model[0]:
+            values = [p[name] for p in per_model]
+            if all(v == values[0] for v in values):
+                params[name] = values[0]
+            else:
+                params[name] = np.tile(np.asarray(values, dtype=float), 2)
+                if not name.startswith("intensity_"):
+                    self.varied[name] = values
+        self.model = _ColumnModel(params, models[0].equity,
+                                  models[0].credit is not None)
+
+    def label(self, col: int) -> str:
+        """Side and, in a batch, scenario index and varied parameters of a column."""
+        k = col % self.count
+        side = drivers.SELLER if col < self.count else drivers.BUYER
+        if self.count == 1:
+            return f"{side} side"
+        varied = ", ".join(f"{name}={values[k]:g}"
+                           for name, values in self.varied.items())
+        return f"{side} side of scenario {k}" + (f" ({varied})" if varied else "")
+
+    def drift(self, t: float, mark: np.ndarray, grad: np.ndarray, dx: float):
+        """The reduced driver at time t as a function of (u, active columns)."""
+        sigma = self.model.equity.sigma
+        signed_mark = self.sign * mark
+
+        def g(u: np.ndarray, cols: np.ndarray) -> np.ndarray:
+            if cols.size == self.sign.size:
+                model, sgn, smark = self.model, self.sign, signed_mark
+            else:
+                model, sgn = self.model.take(cols), self.sign[cols]
+                smark = signed_mark[:, cols]
+            z = np.gradient(u, dx, axis=0)
+            z += grad
+            z *= sigma
+            z *= sgn
+            out = drivers.reduced_drift(model, drivers.SELLER, t, sgn * u, z, smark)
+            out *= sgn
+            return out
+        return g
+
+
+def _check_batch(models: list[MarketModel], claim: claims.ClaimSpec,
+                 grid: PdeGrid) -> None:
+    if not models:
+        raise ValueError("a batch needs at least one model")
+    first = models[0]
+    for k, model in enumerate(models):
+        who = "model" if len(models) == 1 else f"scenario {k}"
+        report = model.validate_necessary()
+        if not report.passed:
+            raise ValueError(f"{who} fails necessary rate conditions: "
+                             + "; ".join(c.name for c in report.failures))
+        if model.equity != first.equity:
+            raise ValueError(f"{who}: a batch shares spot, sigma and drift")
+        if model.rates.discount != first.rates.discount:
+            raise ValueError(f"{who}: a batch shares the discount rate")
+        if (model.credit is None) != (first.credit is None):
+            raise ValueError(f"{who}: a batch needs a credit block in every "
+                             "scenario or in none")
+    x0 = math.log(first.equity.spot)
     if not grid.x_min < x0 < grid.x_max:
         raise ValueError("log-spot must lie strictly inside the grid")
     if abs(grid.maturity - claim.maturity) > 1e-12:
         raise ValueError("grid maturity must match the claim maturity")
 
+
+def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
+           keep: int):
+    """Backward march of the agent and the (nx, 2K) adjustment block.
+
+    Keeps the time rows with t-index below ``keep``.  Returns the agent rows
+    (keep, nx), the block rows (keep, nx, 2K), and per backward step and
+    column the Picard iterations and final residuals, each (nt, 2K).
+    """
+    _check_batch(models, claim, grid)
     nx, nt = grid.nx, grid.nt
     dx, dt = grid.dx, grid.dt
-    x = grid.x_nodes()
-    s = np.exp(x)
+    first = models[0]
+    s = np.exp(grid.x_nodes())
     vanilla = claim.kind in ("call", "put")
+    columns = _Columns(models)
+    ncol = columns.sign.size
 
-    agent = np.empty((nt + 1, nx))
-    seller = np.empty((nt + 1, nx))
-    buyer = np.empty((nt + 1, nx))
-    agent[nt] = claim.payoff(s)
-    seller[nt] = 0.0
-    buyer[nt] = 0.0
-    iters = np.zeros(nt, dtype=int)
-    resids = np.zeros(nt)
+    agent = np.empty((keep, nx))
+    block = np.empty((keep, nx, ncol))
+    iters = np.zeros((nt, ncol), dtype=int)
+    resids = np.zeros((nt, ncol))
 
-    agent_step = _Stepper(grid, model, zeroth=-model.rates.discount)
-    adj_step = _Stepper(grid, model, zeroth=0.0)
+    agent_step = _Stepper(grid, first, zeroth=-first.rates.discount)
+    adj_step = _Stepper(grid, first, zeroth=0.0)
 
     def mark_and_delta(t: float, agent_row: np.ndarray):
-        """Agent mark and log-space agent gradient feeding the driver."""
+        """Agent mark and log-space agent gradient feeding the driver, as columns."""
         if vanilla:
-            value, delta = claims.agent_value_grid(model, claim, t, s)
-            return value, s * delta
-        return agent_row, _gradient(agent_row, dx)
+            value, delta = claims.agent_value_grid(first, claim, t, s)
+            return value[:, None], (s * delta)[:, None]
+        return agent_row[:, None], np.gradient(agent_row, dx)[:, None]
 
-    def driver(side: str, t: float, u: np.ndarray, mark: np.ndarray,
-               mark_grad: np.ndarray) -> np.ndarray:
-        z = model.equity.sigma * (_gradient(u, dx) + mark_grad)
-        return drivers.reduced_drift(model, side, t, u, z, mark)
+    def picard(rhs_base, step, theta, u_start, t, marked, explicit_part):
+        it, res, u, failed = _picard(adj_step, rhs_base, step, theta, u_start,
+                                     columns.drift(t, *marked, dx), explicit_part)
+        if failed.size:
+            col = int(failed[0])
+            raise NumericsError(
+                f"Picard iteration failed to reach {PICARD_TOL:g} within "
+                f"{PICARD_MAX_ITER} iterations on the {columns.label(col)} at "
+                f"t={t:.6g} (last residual {res[col]:.3g}); refine the time grid")
+        return it, res, u
 
-    # march tau = T - t from 0 to T; store rows by t-index
+    # march tau = T - t from 0 to T; rows are stored by t-index
     t_levels = grid.t_nodes()
+    a_old = np.empty(nx)
+    a_old[:] = claim.payoff(s)
+    u_old = np.zeros((nx, ncol))
+    if nt < keep:
+        agent[nt] = a_old
+        block[nt] = u_old
+    marked_old = mark_and_delta(t_levels[nt], a_old)
     n_r = min(RANNACHER_STEPS, nt)
     for n in range(nt):
         i_new = nt - n - 1          # t-index being computed
         t_old = t_levels[i_new + 1]
         t_new = t_levels[i_new]
         rannacher = n < n_r
-
-        a_old = agent[i_new + 1]
         if rannacher:
             a_half = agent_step.step_linear(a_old, 0.5 * dt, 1.0)
             a_new = agent_step.step_linear(a_half, 0.5 * dt, 1.0)
         else:
-            a_half = None
             a_new = agent_step.step_linear(a_old, dt, 0.5)
-        agent[i_new] = a_new
+        marked_new = mark_and_delta(t_new, a_new)
 
-        mark_old, grad_old = mark_and_delta(t_old, a_old)
-        mark_new, grad_new = mark_and_delta(t_new, a_new)
+        if rannacher:
+            # two implicit-Euler half-steps
+            t_mid = 0.5 * (t_old + t_new)
+            marked_mid = mark_and_delta(t_mid, a_half)
+            it1, res1, u_mid = picard(u_old, 0.5 * dt, 1.0, u_old, t_mid,
+                                      marked_mid, 0.0)
+            it2, res2, u_new = picard(u_mid, 0.5 * dt, 1.0, u_mid, t_new,
+                                      marked_new, 0.0)
+            it, res = np.maximum(it1, it2), np.maximum(res1, res2)
+        else:
+            g_old = columns.drift(t_old, *marked_old, dx)(u_old, np.arange(ncol))
+            rhs_base = u_old + 0.5 * dt * adj_step.apply(u_old)
+            it, res, u_new = picard(rhs_base, dt, 0.5, u_old, t_new, marked_new,
+                                    0.5 * dt * g_old)
+        finite = np.all(np.isfinite(u_new), axis=0)
+        if not finite.all():
+            col = int(np.flatnonzero(~finite)[0])
+            raise NumericsError(
+                f"non-finite values in the {columns.label(col)} surface at "
+                f"t={t_new:.6g} (last residual {res[col]:.3g})")
+        if i_new < keep:
+            agent[i_new] = a_new
+            block[i_new] = u_new
+        iters[n] = it
+        resids[n] = res
+        a_old, u_old, marked_old = a_new, u_new, marked_new
+    return agent, block, iters, resids
 
-        worst_iters = 0
-        worst_resid = 0.0
-        for side, store in ((drivers.SELLER, seller), (drivers.BUYER, buyer)):
-            u_old = store[i_new + 1]
-            if rannacher:
-                # two implicit-Euler half-steps
-                t_mid = 0.5 * (t_old + t_new)
-                mark_mid, grad_mid = mark_and_delta(t_mid, a_half)
-                it1, res1, u_mid = _picard(
-                    adj_step, u_old, 0.5 * dt, 1.0, u_old,
-                    lambda v: driver(side, t_mid, v, mark_mid, grad_mid),
-                    0.0)
-                it2, res2, u_new = _picard(
-                    adj_step, u_mid, 0.5 * dt, 1.0, u_mid,
-                    lambda v: driver(side, t_new, v, mark_new, grad_new),
-                    0.0)
-                it, resid = max(it1, it2), max(res1, res2)
-            else:
-                g_old = driver(side, t_old, u_old, mark_old, grad_old)
-                rhs_base = u_old + 0.5 * dt * adj_step.apply(u_old)
-                it, resid, u_new = _picard(
-                    adj_step, rhs_base, dt, 0.5, u_old,
-                    lambda v: driver(side, t_new, v, mark_new, grad_new),
-                    0.5 * dt * g_old)
-            if not np.all(np.isfinite(u_new)):
-                raise NumericsError(
-                    f"non-finite values in the {side} surface at t={t_new:.6g}")
-            store[i_new] = u_new
-            worst_iters = max(worst_iters, it)
-            worst_resid = max(worst_resid, resid)
-        iters[n] = worst_iters
-        resids[n] = worst_resid
 
+def solve(model: MarketModel, claim: claims.ClaimSpec, grid: PdeGrid) -> PdeSolution:
+    """Backward-solve the agent surface and both adjustment surfaces.
+
+    Requires the model to pass the necessary-rate validator and the initial
+    log-spot to lie strictly inside the grid.  The march of one scenario
+    (K = 1); the solution keeps every time row.
+    """
+    agent, block, iters, resids = _march([model], claim, grid, grid.nt + 1)
     return PdeSolution(model=model, claim=claim, grid=grid, agent=agent,
-                       seller=seller, buyer=buyer, picard_iterations=iters,
-                       picard_residuals=resids)
+                       seller=np.ascontiguousarray(block[:, :, 0]),
+                       buyer=np.ascontiguousarray(block[:, :, 1]),
+                       picard_iterations=iters.max(axis=1),
+                       picard_residuals=resids.max(axis=1))
+
+
+def solve_batch(models: list[MarketModel], claim: claims.ClaimSpec,
+                grid: PdeGrid) -> list[PdeSolution]:
+    """Solve K scenarios on one grid in one march; one solution per model.
+
+    The models must share the equity parameters, the discount rate and the
+    presence of a credit block; they may differ in every other rate, credit
+    parameter and the collateralization level.  Each solution equals
+    :func:`solve` on its model alone, but keeps only the t = 0 and t = dt rows
+    of its surfaces, which is what :func:`xva_at` and :func:`strategies` read
+    at t = 0.  A Picard or finiteness failure names the side, the scenario's
+    index and varied parameters, t and the last residual.
+    """
+    agent, block, iters, resids = _march(list(models), claim, grid, 2)
+    count = len(models)
+    return [PdeSolution(model=model, claim=claim, grid=grid, agent=agent.copy(),
+                        seller=block[:, :, k].copy(),
+                        buyer=block[:, :, count + k].copy(),
+                        picard_iterations=np.maximum(iters[:, k],
+                                                     iters[:, count + k]),
+                        picard_residuals=np.maximum(resids[:, k],
+                                                    resids[:, count + k]))
+            for k, model in enumerate(models)]
 
 
 def _picard(stepper: _Stepper, rhs_base: np.ndarray, dt: float, theta: float,
-            u_start: np.ndarray, implicit_driver, explicit_part: np.ndarray):
-    """Fixed-point iteration for (I - theta dt B) u = rhs_base + explicit + theta dt g(u)."""
+            u_start: np.ndarray, implicit_driver, explicit_part):
+    """Per-column fixed point of (I - theta dt B) u = rhs_base + explicit + theta dt g(u).
+
+    ``implicit_driver(u, cols)`` evaluates g on the given columns.  A column
+    stops once its own sup-norm residual is below PICARD_TOL, so it takes the
+    same iterations as it would alone.  Returns per-column iteration counts
+    and last residuals, the solution, and the columns that did not converge.
+    """
     ab = stepper.ab_matrix(theta * dt)
+    fixed = rhs_base + explicit_part
+    ncol = u_start.shape[1]
+    iters = np.zeros(ncol, dtype=int)
+    resid = np.zeros(ncol)
+    active = np.arange(ncol)
     u = u_start
     for it in range(1, PICARD_MAX_ITER + 1):
-        rhs = rhs_base + explicit_part + theta * dt * implicit_driver(u)
+        whole = active.size == ncol
+        u_act = u if whole else u[:, active]
+        rhs = ((fixed if whole else fixed[:, active])
+               + theta * dt * implicit_driver(u_act, active))
         u_next = solve_banded((1, 1), ab, rhs)
-        resid = float(np.max(np.abs(u_next - u)))
-        u = u_next
-        if resid < PICARD_TOL:
-            return it, resid, u
-    raise NumericsError(
-        f"Picard iteration failed to reach {PICARD_TOL:g} within "
-        f"{PICARD_MAX_ITER} iterations (last residual {resid:.3g}); "
-        "refine the time grid")
+        res = np.max(np.abs(u_next - u_act), axis=0)
+        if whole:
+            u = u_next
+        else:
+            u[:, active] = u_next
+        iters[active] = it
+        resid[active] = res
+        active = active[~(res < PICARD_TOL)]
+        if not active.size:
+            break
+    return iters, resid, u, active
 
 
 def _bilinear(grid: PdeGrid, surf: np.ndarray, t: float, x: float) -> float:
@@ -310,6 +502,9 @@ def _bilinear(grid: PdeGrid, surf: np.ndarray, t: float, x: float) -> float:
     ti = min(max(t / grid.dt, 0.0), grid.nt)
     xi = min(max((x - grid.x_min) / grid.dx, 0.0), grid.nx - 1)
     i0 = min(int(ti), grid.nt - 1)
+    if i0 + 1 >= surf.shape[0]:
+        raise ValueError(f"t={t} lies beyond the {surf.shape[0]} time rows "
+                         "this solution keeps")
     j0 = min(int(xi), grid.nx - 2)
     ft = ti - i0
     fx = xi - j0
@@ -340,9 +535,7 @@ def strategies(solution: PdeSolution, t: float, s: float,
     grid = solution.grid
     surf = solution.surface(side)
     x = math.log(s)
-    grad = np.empty_like(surf)
-    for i in range(surf.shape[0]):
-        grad[i] = _gradient(surf[i], grid.dx)
+    grad = np.gradient(surf, grid.dx, axis=1)
     u = _bilinear(grid, surf, t, x)
     ux = _bilinear(grid, grad, t, x)
     mark = claims.agent_value(solution.model, solution.claim, t, s).value \

@@ -345,3 +345,87 @@ def test_convergence_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "abs error" in out
+
+
+def pointwise(model, claim):
+    return cli.evaluate_point(model, claim, "pde", nx=40, nt=40)[0]
+
+
+def expected_rows(command, cfg):
+    """The rows of a PDE sweep from one evaluate_point call per scenario."""
+    m, claim = cfg.model, cfg.claim
+    if command == "band":
+        sweep = cli._sweep_values(0.0, 1.0, 21)
+    elif command != "table":
+        sweep = cli._sweep_values(cfg.sweep_start, cfg.sweep_stop,
+                                  cfg.sweep_points)
+    rows = []
+    if command == "band":
+        for a in sweep:
+            r = pointwise(cli._model_with(m, alpha=a), claim)
+            st = r.strategy_seller
+            rows.append([a, r.xva_buyer, r.xva_seller, r.width, st.stock_shares,
+                         st.bond_own_shares, st.bond_cpty_shares,
+                         st.funding_dollars])
+    elif command == "table":
+        for a, rfm in cli._TABLE_CELLS:
+            r = pointwise(cli._model_with(m, alpha=a, fund_borrow=rfm), claim)
+            rows.append([a, rfm, r.xva_seller, r.xva_buyer,
+                         r.strategy_seller.funding_dollars,
+                         r.strategy_buyer.funding_dollars])
+    elif command == "band-vs-collateral":
+        for a in sweep:
+            row = [a]
+            for rfm in (0.08, 0.15):
+                r = pointwise(cli._model_with(m, alpha=a, fund_borrow=rfm), claim)
+                st = r.strategy_seller
+                row += [r.xva_buyer, r.xva_seller, r.width, st.stock_shares,
+                        st.bond_own_shares, st.bond_cpty_shares]
+            rows.append(row)
+    elif command == "xva-vs-repo":
+        for rb in sweep:
+            row = [rb]
+            for rl in (0.03, 0.05):
+                if rb < rl:
+                    row += [math.nan] * 4
+                    continue
+                r = pointwise(cli._model_with(m, repo_lend=rl, repo_borrow=rb),
+                              claim)
+                row += [r.xva_buyer, r.xva_seller, r.strategy_seller.stock_shares,
+                        r.strategy_buyer.stock_shares]
+            rows.append(row)
+    else:
+        for mu in sweep:
+            row = [mu]
+            for a in cli._CPTY_ALPHAS:
+                r = pointwise(cli._model_with(m, mu_cpty=mu, alpha=a), claim)
+                st = r.strategy_seller
+                row += [r.xva_seller, st.stock_shares, st.bond_own_shares,
+                        st.bond_cpty_shares]
+            rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("command", ["band", "table", "band-vs-collateral",
+                                     "xva-vs-repo", "xva-vs-cpty-return"])
+def test_batched_sweeps_match_pointwise_evaluation(tmp_path, bench_cfg_path,
+                                                   command):
+    out = tmp_path / "sweep.csv"
+    grid = ["--nx", "40", "--nt", "40", "--out", str(out)]
+    if command in ("band", "table"):
+        argv = [command, "--config", bench_cfg_path] + grid
+        cfg = build_config(parse_config_text(BENCH_TEXT))
+    else:
+        argv = ["figure", command] + grid
+        cfg = figure_config(command)
+    assert cli.main(argv) == 0
+    got = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    want = expected_rows(command, cfg)
+    assert [len(r) for r in got] == [len(r) for r in want]
+    for row_got, row_want in zip(got, want):
+        for cell, value in zip(row_got, row_want):
+            expected = float(cli._fmt(value))
+            if math.isnan(expected):
+                assert math.isnan(float(cell))
+            else:
+                assert abs(float(cell) - expected) <= 1e-12, (cell, value)

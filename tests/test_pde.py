@@ -2,14 +2,16 @@
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from xvaband import (BUYER, SELLER, ClaimSpec, CreditParams, NumericsError,
-                     PdeGrid, agent_value, piterbarg_defaults_strategies,
+from xvaband import (BUYER, SELLER, ClaimSpec, CreditParams, EquityParams,
+                     NumericsError, PdeGrid, agent_value,
+                     piterbarg_defaults_strategies,
                      piterbarg_defaults_xva, piterbarg_xva, solve,
-                     solve_reduced, strategies, xva_at)
+                     solve_batch, solve_reduced, strategies, xva_at)
 from xvaband.claims import agent_value_grid
 from xvaband.drivers import jump_targets
 from xvaband.pde import agent_at
@@ -276,3 +278,86 @@ def test_convergence_zero_claim_zero_error():
     rows = convergence_study(model, zero, [(40, 10), (80, 20)], SELLER,
                              lambda m, c: 0.0)
     assert all(r.error == 0.0 for r in rows)
+
+
+SPREAD = ClaimSpec(kind="custom", strike=1.0, maturity=1.0,
+                   payoff_fn=lambda s: (np.maximum(s - 0.9, 0.0)
+                                        - np.maximum(s - 1.2, 0.0)))
+
+
+def batch_stack():
+    """Scenarios on one grid varying alpha, funding, repo and mu_cpty."""
+    out = []
+    for alpha, rfm, mu_cpty in ((0.0, 0.08, 0.16), (0.35, 0.15, 0.16),
+                                (0.9, 0.08, 0.3), (1.0, 0.2, 0.25)):
+        out.append(make_benchmark(alpha=alpha, fund_borrow=rfm, mu_cpty=mu_cpty))
+    repo = make_benchmark(alpha=0.5)
+    out.append(replace(repo, rates=replace(repo.rates, repo_lend=0.03,
+                                           repo_borrow=0.07)))
+    return out
+
+
+def assert_batch_matches_solve(models, claim):
+    grid = PdeGrid.default_for(models[0], claim, nx=60, nt=60)
+    batch = solve_batch(models, claim, grid)
+    assert len(batch) == len(models)
+    for model, got in zip(models, batch):
+        want = solve(model, claim, grid)
+        assert got.model is model
+        for name in ("agent", "seller", "buyer"):
+            rows = getattr(got, name)
+            assert rows.shape == (2, grid.nx)  # t = 0 and t = dt
+            assert np.max(np.abs(rows - getattr(want, name)[:2])) <= 1e-12
+        assert np.array_equal(got.picard_iterations, want.picard_iterations)
+        assert np.max(np.abs(got.picard_residuals - want.picard_residuals)) <= 1e-12
+        for side in (SELLER, BUYER):
+            assert abs(xva_at(got, 0.0, 1.0, side)
+                       - xva_at(want, 0.0, 1.0, side)) <= 1e-12
+            a, b = strategies(got, 0.0, 1.0, side), strategies(want, 0.0, 1.0, side)
+            assert abs(a.stock_shares - b.stock_shares) <= 1e-12
+            assert abs(a.funding_dollars - b.funding_dollars) <= 1e-12
+
+
+def test_solve_batch_matches_solve_per_column():
+    """Each column of a batch equals solve() on its model alone; stacks that
+    differ in what the columns share are refused."""
+    put = ClaimSpec(kind="put", strike=1.1, maturity=1.0)
+    for claim in (CALL, put, SPREAD):
+        assert_batch_matches_solve(batch_stack(), claim)
+    no_credit = [replace(m, credit=None) for m in batch_stack()]
+    assert_batch_matches_solve(no_credit, CALL)
+
+    base = make_benchmark()
+    grid = PdeGrid.default_for(base, CALL, nx=40, nt=10)
+    others = [
+        (replace(base, equity=EquityParams(spot=1.0, sigma=0.25)), "sigma"),
+        (replace(base, rates=replace(base.rates, discount=0.02)), "discount"),
+        (replace(base, equity=EquityParams(spot=1.05, sigma=0.2)), "spot"),
+        (replace(base, credit=None), "credit block"),
+    ]
+    for other, what in others:
+        with pytest.raises(ValueError, match=f"scenario 1: .*{what}"):
+            solve_batch([base, other], CALL, grid)
+    with pytest.raises(ValueError):
+        solve_batch([], CALL, grid)
+
+
+def test_solve_batch_keeps_two_rows():
+    models = batch_stack()[:2]
+    grid = PdeGrid.default_for(models[0], CALL, nx=40, nt=20)
+    sol = solve_batch(models, CALL, grid)[0]
+    xva_at(sol, 0.5 * grid.dt, 1.0, SELLER)
+    with pytest.raises(ValueError, match="time rows"):
+        xva_at(sol, grid.dt, 1.0, SELLER)
+
+
+def test_batch_picard_failure_names_the_column():
+    models = [make_benchmark(), make_benchmark(mu_own=0.9, mu_cpty=0.9)]
+    grid = PdeGrid.default_for(models[0], CALL, nx=40, nt=1)
+    with pytest.raises(NumericsError) as info:
+        solve_batch(models, CALL, grid)
+    msg = str(info.value)
+    assert "side of scenario 1 (mu_own=0.9, mu_cpty=0.9)" in msg
+    assert "seller" in msg or "buyer" in msg
+    assert "t=" in msg and "last residual" in msg
+    solve_batch(models[:1], CALL, grid)  # the other column alone converges

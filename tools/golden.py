@@ -1,0 +1,147 @@
+"""Golden CSV output of every CLI subcommand and figure, and a cell-by-cell diff.
+
+    python3 tools/golden.py capture <dir>
+    python3 tools/golden.py compare <a> <b> [--tol 1e-9]
+
+``capture`` writes, at the CLI defaults (400 x 400 PDE grid, 2000-step
+lattice), the CSV of ``value --engine all``, ``band`` and ``table`` on the
+benchmark config, and of every ``figure`` id at its own defaults, one file
+each, to <dir>.  It imports xvaband from the ``src/`` next to this script,
+so a copy of the script placed in another checkout captures that checkout.
+
+``compare`` checks that both directories hold the same files and, per file,
+that headers and row shapes are equal and that every numeric cell agrees
+within ``--tol`` (absolute; two NaNs agree).  It prints one line per file
+and exits 1 if any file is missing or differs beyond the tolerance.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import math
+import sys
+import time
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+BENCHMARK_CONFIG = """\
+fund_lend = 0.05
+fund_borrow = 0.08
+repo_lend = 0.05
+repo_borrow = 0.05
+coll_earn = 0.01
+coll_pay = 0.01
+discount = 0.01
+mu_own = 0.21
+mu_cpty = 0.16
+loss_own = 0.5
+loss_cpty = 0.5
+alpha = 0.9
+spot = 1.0
+sigma = 0.2
+kind = call
+strike = 1.0
+maturity = 1.0
+"""
+
+
+def runs(cli, config: Path) -> dict[str, list[str]]:
+    """CSV file name -> cli.main arguments (without --out)."""
+    out = {"value-all.csv": ["value", "--config", str(config), "--engine", "all"],
+           "band.csv": ["band", "--config", str(config)],
+           "table.csv": ["table", "--config", str(config)]}
+    for figure_id in sorted(cli.FIGURES):
+        out[f"figure-{figure_id}.csv"] = ["figure", figure_id]
+    return out
+
+
+def capture(directory: Path) -> int:
+    sys.path.insert(0, str(SRC))
+    from xvaband import cli
+    directory.mkdir(parents=True, exist_ok=True)
+    config = directory / "benchmark.cfg"
+    config.write_text(BENCHMARK_CONFIG)
+    for name, argv in runs(cli, config).items():
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv + ["--out", str(directory / name)])
+        if code != 0:
+            print(f"{name}: cli.main returned {code}", file=sys.stderr)
+            return 1
+        print(f"{name}: {time.perf_counter() - start:.1f} s")
+    return 0
+
+
+def _cell_difference(a: str, b: str) -> float | None:
+    """Absolute difference of two cells, 0 if equal, None if not both numbers."""
+    if a == b:
+        return 0.0
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return None
+    if math.isnan(x) and math.isnan(y):
+        return 0.0
+    return abs(x - y)
+
+
+def compare_file(a: Path, b: Path, tol: float) -> tuple[bool, str]:
+    if a.read_bytes() == b.read_bytes():
+        return True, "identical"
+    rows_a = [line.split(",") for line in a.read_text().splitlines()]
+    rows_b = [line.split(",") for line in b.read_text().splitlines()]
+    if rows_a[:1] != rows_b[:1]:
+        return False, "headers differ"
+    if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
+        return False, "row counts or lengths differ"
+    worst, bad = 0.0, []
+    for i, (ra, rb) in enumerate(zip(rows_a[1:], rows_b[1:]), start=1):
+        for j, (ca, cb) in enumerate(zip(ra, rb)):
+            diff = _cell_difference(ca, cb)
+            if diff is None or not diff <= tol:
+                bad.append(f"row {i} {rows_a[0][j]}: {ca} vs {cb}")
+            else:
+                worst = max(worst, diff)
+    if bad:
+        return False, f"{len(bad)} cell(s) beyond {tol:g}: " + "; ".join(bad[:10])
+    return True, f"within {tol:g} (largest difference {worst:.3g})"
+
+
+def compare(a: Path, b: Path, tol: float) -> int:
+    names_a = {p.name for p in a.glob("*.csv")}
+    names_b = {p.name for p in b.glob("*.csv")}
+    ok = True
+    for name in sorted(names_a | names_b):
+        if name not in names_a or name not in names_b:
+            print(f"{name}: only in {a if name in names_a else b}")
+            ok = False
+            continue
+        same, note = compare_file(a / name, b / name, tol)
+        ok &= same
+        print(f"{name}: {note}")
+    if not names_a | names_b:
+        print("no CSV files to compare")
+        ok = False
+    return 0 if ok else 1
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    cap = sub.add_parser("capture", help="write the golden CSVs to a directory")
+    cap.add_argument("directory", type=Path)
+    cmp_ = sub.add_parser("compare", help="diff two captured directories")
+    cmp_.add_argument("a", type=Path)
+    cmp_.add_argument("b", type=Path)
+    cmp_.add_argument("--tol", type=float, default=1e-9)
+    args = parser.parse_args(argv)
+    if args.command == "capture":
+        return capture(args.directory)
+    return compare(args.a, args.b, args.tol)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
