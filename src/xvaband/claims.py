@@ -13,23 +13,16 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from .market import MarketModel
 
 _SQRT2 = math.sqrt(2.0)
 
 
-def _norm_cdf(x):
-    """Standard normal CDF, valid for scalars and numpy arrays."""
-    return 0.5 * (1.0 + _erf(x / _SQRT2))
-
-
-def _erf(x):
-    if isinstance(x, np.ndarray):
-        from scipy import special
-        return special.erf(x)
-    return math.erf(x)
+def _norm_cdf(x: np.ndarray) -> np.ndarray:
+    """Standard normal CDF of an array."""
+    return 0.5 * (1.0 + special.erf(x / _SQRT2))
 
 
 @dataclass(frozen=True)

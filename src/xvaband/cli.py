@@ -23,6 +23,8 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from operator import attrgetter
+from typing import Callable
 
 from . import claims, closed_form, drivers, lattice, pde
 from .market import (CreditParams, EquityParams, MarketModel, ModelError,
@@ -42,6 +44,8 @@ _FLOAT_KEYS = _RATE_KEYS + _CREDIT_KEYS + (
 _INT_KEYS = ("nx", "nt", "steps", "sweep_points", "workers")
 _STR_KEYS = ("kind", "engine", "out", "sweep_param")
 _ALL_KEYS = set(_FLOAT_KEYS) | set(_INT_KEYS) | set(_STR_KEYS) | {"allow_violations"}
+_BOOLEANS = {"1": True, "true": True, "yes": True,
+             "0": False, "false": False, "no": False}
 
 
 @dataclass(frozen=True)
@@ -56,7 +60,6 @@ class RunConfig:
     steps: int = DEFAULT_STEPS
     out: str | None = None
     workers: int = 1
-    allow_violations: bool = False
     sweep_param: str | None = None
     sweep_start: float | None = None
     sweep_stop: float | None = None
@@ -84,7 +87,10 @@ def parse_config_text(text: str) -> dict:
         elif key in _INT_KEYS:
             values[key] = int(val)
         elif key == "allow_violations":
-            values[key] = val.lower() in ("1", "true", "yes")
+            if val.lower() not in _BOOLEANS:
+                raise ValueError(f"config line {lineno}: allow_violations must be "
+                                 f"one of {', '.join(_BOOLEANS)}, got {val!r}")
+            values[key] = _BOOLEANS[val.lower()]
         else:
             values[key] = val
     return values
@@ -106,9 +112,9 @@ def build_config(values: dict, overrides: dict | None = None) -> RunConfig:
     credit = CreditParams(**{k: merged[k] for k in _CREDIT_KEYS}) if present else None
     equity = EquityParams(spot=merged.get("spot", 1.0),
                           sigma=merged.get("sigma", 0.2))
-    allow = bool(merged.get("allow_violations", False))
     model = MarketModel(rates=rates, equity=equity, credit=credit,
-                        alpha=merged.get("alpha", 0.0), allow_violations=allow)
+                        alpha=merged.get("alpha", 0.0),
+                        allow_violations=bool(merged.get("allow_violations", False)))
     claim = claims.ClaimSpec(kind=merged.get("kind", "call"),
                              strike=merged.get("strike", 1.0),
                              maturity=merged.get("maturity", 1.0))
@@ -120,13 +126,14 @@ def build_config(values: dict, overrides: dict | None = None) -> RunConfig:
                     nt=merged.get("nt", DEFAULT_NT),
                     steps=merged.get("steps", DEFAULT_STEPS),
                     out=merged.get("out"), workers=merged.get("workers", 1),
-                    allow_violations=allow,
                     sweep_param=merged.get("sweep_param"),
                     sweep_start=merged.get("sweep_start"),
                     sweep_stop=merged.get("sweep_stop"),
                     sweep_points=merged.get("sweep_points", 21))
     if cfg.sweep_points < 1 or cfg.nx < 3 or cfg.nt < 1 or cfg.steps < 1:
         raise ValueError("resolutions and sweep sizes must be positive")
+    if cfg.workers < 1:
+        raise ValueError(f"workers must be at least 1, got {cfg.workers}")
     return cfg
 
 
@@ -149,28 +156,20 @@ class PointResult:
 
 
 def _closed_point(model, claim) -> PointResult:
-    t = 0.0
     s0 = model.equity.spot
-    val = claims.agent_value(model, claim, t, s0)
+    mark = claims.agent_value(model, claim, 0.0, s0).value
     if model.credit is None:
-        adj = closed_form.piterbarg_xva(model, claim, t, val.value)
-        shares = closed_form.piterbarg_stock_strategy(model, claim, t, s0)
-        strat_s = drivers.build_strategy(model, claim, drivers.SELLER, t, s0,
-                                         adjustment=adj, mark=val.value,
-                                         stock_shares=shares)
-        strat_b = drivers.build_strategy(model, claim, drivers.BUYER, t, s0,
-                                         adjustment=adj, mark=val.value,
-                                         stock_shares=shares)
-        return PointResult("closed", val.value, adj, adj, strat_s, strat_b)
-    xva_s = closed_form.piterbarg_defaults_xva(model, claim, t, val.value,
-                                               drivers.SELLER).total
-    xva_b = closed_form.piterbarg_defaults_xva(model, claim, t, val.value,
-                                               drivers.BUYER).total
-    strat_s = closed_form.piterbarg_defaults_strategies(model, claim, t, s0,
-                                                        drivers.SELLER)
-    strat_b = closed_form.piterbarg_defaults_strategies(model, claim, t, s0,
-                                                        drivers.BUYER)
-    return PointResult("closed", val.value, xva_s, xva_b, strat_s, strat_b)
+        adj = closed_form.piterbarg_xva(model, claim, 0.0, mark)
+        shares = closed_form.piterbarg_stock_strategy(model, claim, 0.0, s0)
+        seller, buyer = (drivers.build_strategy(model, claim, side, 0.0, s0,
+                                                adjustment=adj, mark=mark,
+                                                stock_shares=shares)
+                         for side in drivers.SIDES)
+    else:
+        seller, buyer = (closed_form.piterbarg_defaults_strategies(
+            model, claim, 0.0, s0, side) for side in drivers.SIDES)
+    return PointResult("closed", mark, seller.adjustment, buyer.adjustment,
+                       seller, buyer)
 
 
 def _pde_point(model, claim, nx, nt) -> PointResult:
@@ -190,19 +189,17 @@ def _pde_result(sol: pde.PdeSolution) -> PointResult:
 
 def _lattice_point(model, claim, steps) -> PointResult:
     s0 = model.equity.spot
-    sigma = model.equity.sigma
     mark = claims.agent_value(model, claim, 0.0, s0).value
-    out = {}
+    strategies = []
     for side in drivers.SIDES:
         sol = lattice.solve_reduced(model, claim, steps, side=side)
-        shares = sol.root_gradient / (sigma * s0)
-        out[side] = (sol.adjustment,
-                     drivers.build_strategy(model, claim, side, 0.0, s0,
-                                            adjustment=sol.adjustment,
-                                            mark=mark, stock_shares=shares))
-    return PointResult("lattice", mark, out[drivers.SELLER][0],
-                       out[drivers.BUYER][0], out[drivers.SELLER][1],
-                       out[drivers.BUYER][1])
+        shares = sol.root_gradient / (model.equity.sigma * s0)
+        strategies.append(drivers.build_strategy(
+            model, claim, side, 0.0, s0, adjustment=sol.adjustment, mark=mark,
+            stock_shares=shares))
+    seller, buyer = strategies
+    return PointResult("lattice", mark, seller.adjustment, buyer.adjustment,
+                       seller, buyer)
 
 
 def evaluate_point(model: MarketModel, claim: claims.ClaimSpec, engine: str,
@@ -271,6 +268,7 @@ def _sweep_values(start: float, stop: float, points: int) -> list[float]:
 
 
 def _run_parallel(tasks, worker, workers: int):
+    workers = min(workers, len(tasks))
     if workers <= 1:
         return [worker(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -383,131 +381,119 @@ def cmd_table(cfg: RunConfig) -> int:
     return 0
 
 
-# figure ids -> (description, default config text)
-_BENCHMARK_CFG = """
-fund_lend = 0.05
-fund_borrow = 0.08
-repo_lend = 0.05
-repo_borrow = 0.05
-coll_earn = 0.01
-coll_pay = 0.01
-discount = 0.01
-mu_own = 0.21
-mu_cpty = 0.16
-loss_own = 0.5
-loss_cpty = 0.5
-alpha = 0.9
-spot = 1.0
-sigma = 0.2
-kind = call
-strike = 1.0
-maturity = 1.0
-"""
+@dataclass(frozen=True)
+class Figure:
+    """A comparative-statics figure as data.
 
-FIGURES = {
-    "xva-vs-funding-nodefault": "no-default symmetric regime: adjustment and "
-                                "stock hedge vs the funding rate, one series "
-                                "per collateralization level",
-    "decomposition-vs-funding": "default-risk symmetric regime: funding and "
-                                "own-default components of the relative "
-                                "adjustment vs the funding rate",
-    "xva-vs-funding-defaults": "default-risk symmetric regime: seller "
-                               "adjustment and share counts vs the funding rate",
-    "xva-vs-funding-riskier": "same as xva-vs-funding-defaults with riskier "
-                              "bond returns",
-    "band-vs-collateral": "asymmetric benchmark: buyer/seller adjustments vs "
-                          "collateralization, one pair per borrow rate",
-    "xva-vs-repo": "asymmetric benchmark: adjustments vs the repo borrow "
-                   "rate, one pair per repo lend rate",
-    "xva-vs-cpty-return": "asymmetric benchmark: seller adjustment vs the "
-                          "counterparty bond return, one series per "
-                          "collateralization level",
-}
+    Every cell of the sweep ``axis`` x ``series`` is one valuation of the
+    figure's model changed by ``changes(x, s)`` (``None`` leaves a NaN cell).
+    A row is the axis value followed, per series value, by the ``columns``,
+    each named ``name + suffix.format(s)`` and computed as
+    ``fn(result, model, claim)``.  ``engine`` fixes the engine; ``None`` uses
+    the configured one.
+    """
 
-_FIGURE_DEFAULTS = {
-    "xva-vs-funding-nodefault": """
-fund_lend = 0.08
-fund_borrow = 0.08
-repo_lend = 0.05
-repo_borrow = 0.05
-coll_earn = 0.01
-coll_pay = 0.01
-discount = 0.05
-spot = 1.0
-sigma = 0.2
-kind = call
-strike = 1.0
-maturity = 1.0
-sweep_start = 0.055
-sweep_stop = 0.15
-sweep_points = 20
-""",
-    "decomposition-vs-funding": """
-fund_lend = 0.08
-fund_borrow = 0.08
-repo_lend = 0.05
-repo_borrow = 0.05
-coll_earn = 0.01
-coll_pay = 0.01
-discount = 0.05
-mu_own = 0.2
-mu_cpty = 0.25
-loss_own = 0.5
-loss_cpty = 0.5
-alpha = 0.25
-spot = 1.0
-sigma = 0.2
-kind = call
-strike = 1.0
-maturity = 1.0
-sweep_start = 0.05
-sweep_stop = 0.15
-sweep_points = 21
-""",
-    "xva-vs-funding-defaults": """
-fund_lend = 0.08
-fund_borrow = 0.08
-repo_lend = 0.05
-repo_borrow = 0.05
-coll_earn = 0.01
-coll_pay = 0.01
-discount = 0.05
-mu_own = 0.16
-mu_cpty = 0.21
-loss_own = 0.5
-loss_cpty = 0.5
-spot = 1.0
-sigma = 0.2
-kind = call
-strike = 1.0
-maturity = 1.0
-sweep_start = 0.05
-sweep_stop = 0.15
-sweep_points = 21
-""",
-    "band-vs-collateral": _BENCHMARK_CFG + """
-sweep_start = 0.0
-sweep_stop = 1.0
-sweep_points = 21
-""",
-    "xva-vs-repo": _BENCHMARK_CFG + """
-sweep_start = 0.05
-sweep_stop = 0.12
-sweep_points = 15
-""",
-    "xva-vs-cpty-return": _BENCHMARK_CFG + """
-sweep_start = 0.10
-sweep_stop = 0.30
-sweep_points = 21
-""",
-}
-_FIGURE_DEFAULTS["xva-vs-funding-riskier"] = \
-    _FIGURE_DEFAULTS["xva-vs-funding-defaults"].replace(
-        "mu_own = 0.16", "mu_own = 0.51").replace("mu_cpty = 0.21",
-                                                  "mu_cpty = 0.51")
+    caption: str
+    defaults: dict
+    axis: str
+    changes: Callable[[float, float | None], dict | None]
+    columns: tuple
+    series: tuple = (None,)
+    suffix: str = ""
+    engine: str | None = None
 
+
+_SHAPE = dict(spot=1.0, sigma=0.2, kind="call", strike=1.0, maturity=1.0)
+_SYMMETRIC = dict(_SHAPE, fund_lend=0.08, fund_borrow=0.08, repo_lend=0.05,
+                  repo_borrow=0.05, coll_earn=0.01, coll_pay=0.01,
+                  discount=0.05)
+_BENCHMARK = dict(_SHAPE, fund_lend=0.05, fund_borrow=0.08, repo_lend=0.05,
+                  repo_borrow=0.05, coll_earn=0.01, coll_pay=0.01,
+                  discount=0.01, mu_own=0.21, mu_cpty=0.16, loss_own=0.5,
+                  loss_cpty=0.5, alpha=0.9)
+_FUNDING_SWEEP = dict(sweep_start=0.05, sweep_stop=0.15, sweep_points=21)
 _NODEF_ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 _CPTY_ALPHAS = (0.5, 0.75, 0.9, 1.0)
+
+
+def _funding(x, alpha):
+    return dict(fund_lend=x, fund_borrow=x, alpha=alpha)
+
+
+def _get(path):
+    """Column reading an attribute path of the point result."""
+    get = attrgetter(path)
+    return lambda res, model, claim: get(res)
+
+
+def _decomposition_pct(part):
+    def column(res, model, claim):
+        dec = closed_form.piterbarg_defaults_xva(model, claim, 0.0, res.mark)
+        return 100.0 * getattr(dec, part) / res.mark
+    return column
+
+
+_SHARES = (("stock", _get("strategy_seller.stock_shares")),
+           ("bond_own", _get("strategy_seller.bond_own_shares")),
+           ("bond_cpty", _get("strategy_seller.bond_cpty_shares")))
+_DEFAULTS_FIGURE = dict(axis="fund", changes=_funding, series=_NODEF_ALPHAS,
+                        columns=(("xva", _get("strategy_seller.adjustment")),)
+                        + _SHARES, suffix="_a{:g}", engine="closed")
+
+FIGURES = {
+    "xva-vs-funding-nodefault": Figure(
+        "no-default symmetric regime: adjustment and stock hedge vs the "
+        "funding rate, one series per collateralization level",
+        dict(_SYMMETRIC, sweep_start=0.055, sweep_stop=0.15, sweep_points=20),
+        "fund", _funding, (("xva", _get("xva_seller")),
+                           ("shares", _get("strategy_seller.stock_shares"))),
+        _NODEF_ALPHAS, "_a{:g}", "closed"),
+    "decomposition-vs-funding": Figure(
+        "default-risk symmetric regime: funding and own-default components of "
+        "the relative adjustment vs the funding rate",
+        dict(_SYMMETRIC, mu_own=0.2, mu_cpty=0.25, loss_own=0.5, loss_cpty=0.5,
+             alpha=0.25, **_FUNDING_SWEEP),
+        "fund", lambda x, s: dict(fund_lend=x, fund_borrow=x),
+        tuple((f"{part}_pct", _decomposition_pct(part))
+              for part in ("funding", "dva", "total")),
+        engine="closed"),
+    "xva-vs-funding-defaults": Figure(
+        "default-risk symmetric regime: seller adjustment and share counts vs "
+        "the funding rate",
+        dict(_SYMMETRIC, mu_own=0.16, mu_cpty=0.21, loss_own=0.5,
+             loss_cpty=0.5, **_FUNDING_SWEEP),
+        **_DEFAULTS_FIGURE),
+    "xva-vs-funding-riskier": Figure(
+        "same as xva-vs-funding-defaults with riskier bond returns",
+        dict(_SYMMETRIC, mu_own=0.51, mu_cpty=0.51, loss_own=0.5,
+             loss_cpty=0.5, **_FUNDING_SWEEP),
+        **_DEFAULTS_FIGURE),
+    "band-vs-collateral": Figure(
+        "asymmetric benchmark: buyer/seller adjustments vs collateralization, "
+        "one pair per borrow rate",
+        dict(_BENCHMARK, sweep_start=0.0, sweep_stop=1.0, sweep_points=21),
+        "alpha", lambda x, s: dict(alpha=x, fund_borrow=s),
+        (("xva_buyer", _get("xva_buyer")), ("xva_seller", _get("xva_seller")),
+         ("width", _get("width"))) + _SHARES,
+        (0.08, 0.15), "_rb{:g}"),
+    "xva-vs-repo": Figure(
+        "asymmetric benchmark: adjustments vs the repo borrow rate, one pair "
+        "per repo lend rate",
+        dict(_BENCHMARK, sweep_start=0.05, sweep_stop=0.12, sweep_points=15),
+        "repo_borrow",
+        lambda x, s: None if x < s else dict(repo_lend=s, repo_borrow=x),
+        (("xva_buyer", _get("xva_buyer")), ("xva_seller", _get("xva_seller")),
+         ("stock_seller", _get("strategy_seller.stock_shares")),
+         ("stock_buyer", _get("strategy_buyer.stock_shares"))),
+        (0.03, 0.05), "_rl{:g}"),
+    "xva-vs-cpty-return": Figure(
+        "asymmetric benchmark: seller adjustment vs the counterparty bond "
+        "return, one series per collateralization level",
+        dict(_BENCHMARK, sweep_start=0.10, sweep_stop=0.30, sweep_points=21),
+        "mu_cpty", lambda x, s: dict(mu_cpty=x, alpha=s),
+        (("xva_seller", _get("xva_seller")),) + _SHARES,
+        _CPTY_ALPHAS, "_a{:g}"),
+}
 
 
 def figure_config(figure_id: str, user_values: dict | None = None,
@@ -516,129 +502,36 @@ def figure_config(figure_id: str, user_values: dict | None = None,
     if figure_id not in FIGURES:
         raise ValueError(f"unknown figure id {figure_id!r}; "
                          f"known: {', '.join(sorted(FIGURES))}")
-    values = parse_config_text(_FIGURE_DEFAULTS[figure_id])
-    values.update(user_values or {})
-    return build_config(values, overrides)
+    return build_config({**FIGURES[figure_id].defaults, **(user_values or {})},
+                        overrides)
 
 
 def cmd_figure(cfg: RunConfig, figure_id: str) -> int:
+    fig = FIGURES[figure_id]
+    if fig.engine is not None:
+        cfg = replace(cfg, engine=fig.engine)
     sweep = _sweep_values(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_points)
-    model, claim = cfg.model, cfg.claim
-    t0, s0 = 0.0, model.equity.spot
-
-    if figure_id == "xva-vs-funding-nodefault":
-        header = ["fund"]
-        for a in _NODEF_ALPHAS:
-            header += [f"xva_a{a:g}", f"shares_a{a:g}"]
-        rows = []
-        for rf in sweep:
-            row = [rf]
-            for a in _NODEF_ALPHAS:
-                m = _model_with(model, fund_lend=rf, fund_borrow=rf, alpha=a)
-                mark = claims.agent_value(m, claim, t0, s0).value
-                row.append(closed_form.piterbarg_xva(m, claim, t0, mark))
-                row.append(closed_form.piterbarg_stock_strategy(m, claim, t0, s0))
-            rows.append(row)
-        write_csv(header, rows, cfg.out)
-        return 0
-
-    if figure_id == "decomposition-vs-funding":
-        header = ["fund", "funding_pct", "dva_pct", "total_pct"]
-        rows = []
-        for rf in sweep:
-            m = _model_with(model, fund_lend=rf, fund_borrow=rf)
-            mark = claims.agent_value(m, claim, t0, s0).value
-            dec = closed_form.piterbarg_defaults_xva(m, claim, t0, mark)
-            rows.append([rf, 100.0 * dec.funding / mark, 100.0 * dec.dva / mark,
-                         100.0 * dec.total / mark])
-        write_csv(header, rows, cfg.out)
-        return 0
-
-    if figure_id in ("xva-vs-funding-defaults", "xva-vs-funding-riskier"):
-        header = ["fund"]
-        for a in _NODEF_ALPHAS:
-            header += [f"xva_a{a:g}", f"stock_a{a:g}", f"bond_own_a{a:g}",
-                       f"bond_cpty_a{a:g}"]
-        rows = []
-        for rf in sweep:
-            row = [rf]
-            for a in _NODEF_ALPHAS:
-                m = _model_with(model, fund_lend=rf, fund_borrow=rf, alpha=a)
-                st = closed_form.piterbarg_defaults_strategies(m, claim, t0, s0)
-                row += [st.adjustment, st.stock_shares, st.bond_own_shares,
-                        st.bond_cpty_shares]
-            rows.append(row)
-        write_csv(header, rows, cfg.out)
-        return 0
-
-    if figure_id == "band-vs-collateral":
-        borrow_rates = (0.08, 0.15)
-        header = ["alpha"]
-        for rfm in borrow_rates:
-            header += [f"xva_buyer_rb{rfm:g}", f"xva_seller_rb{rfm:g}",
-                       f"width_rb{rfm:g}", f"stock_rb{rfm:g}",
-                       f"bond_own_rb{rfm:g}", f"bond_cpty_rb{rfm:g}"]
-        keys = [(a, rfm) for a in sweep for rfm in borrow_rates]
-        results = dict(zip(keys, _sweep(cfg, [
-            _model_with(model, alpha=a, fund_borrow=rfm) for a, rfm in keys])))
-        rows = []
-        for a in sweep:
-            row = [a]
-            for rfm in borrow_rates:
-                res = results[(a, rfm)]
-                st = res.strategy_seller
-                row += [res.xva_buyer, res.xva_seller, res.width,
-                        st.stock_shares, st.bond_own_shares,
-                        st.bond_cpty_shares]
-            rows.append(row)
-        write_csv(header, rows, cfg.out)
-        return 0
-
-    if figure_id == "xva-vs-repo":
-        lend_rates = (0.03, 0.05)
-        header = ["repo_borrow"]
-        for rl in lend_rates:
-            header += [f"xva_buyer_rl{rl:g}", f"xva_seller_rl{rl:g}",
-                       f"stock_seller_rl{rl:g}", f"stock_buyer_rl{rl:g}"]
-        keys = [(rb, rl) for rb in sweep for rl in lend_rates if rb >= rl]
-        results = dict(zip(keys, _sweep(cfg, [
-            _model_with(model, repo_lend=rl, repo_borrow=rb) for rb, rl in keys])))
-        rows = []
-        for rb in sweep:
-            row = [rb]
-            for rl in lend_rates:
-                res = results.get((rb, rl))
-                if res is None:
-                    row += [math.nan] * 4
-                else:
-                    row += [res.xva_buyer, res.xva_seller,
-                            res.strategy_seller.stock_shares,
-                            res.strategy_buyer.stock_shares]
-            rows.append(row)
-        write_csv(header, rows, cfg.out)
-        return 0
-
-    if figure_id == "xva-vs-cpty-return":
-        header = ["mu_cpty"]
-        for a in _CPTY_ALPHAS:
-            header += [f"xva_seller_a{a:g}", f"stock_a{a:g}",
-                       f"bond_own_a{a:g}", f"bond_cpty_a{a:g}"]
-        keys = [(mu, a) for mu in sweep for a in _CPTY_ALPHAS]
-        results = dict(zip(keys, _sweep(cfg, [
-            _model_with(model, mu_cpty=mu, alpha=a) for mu, a in keys])))
-        rows = []
-        for mu in sweep:
-            row = [mu]
-            for a in _CPTY_ALPHAS:
-                res = results[(mu, a)]
-                st = res.strategy_seller
-                row += [res.xva_seller, st.stock_shares, st.bond_own_shares,
-                        st.bond_cpty_shares]
-            rows.append(row)
-        write_csv(header, rows, cfg.out)
-        return 0
-
-    raise ValueError(f"unknown figure id {figure_id!r}")
+    cells = {}
+    for x in sweep:
+        for s in fig.series:
+            changes = fig.changes(x, s)
+            if changes is not None:
+                cells[(x, s)] = _model_with(cfg.model, **changes)
+    results = dict(zip(cells, _sweep(cfg, list(cells.values()))))
+    header = [fig.axis] + [name + fig.suffix.format(s)
+                           for s in fig.series for name, _ in fig.columns]
+    rows = []
+    for x in sweep:
+        row = [x]
+        for s in fig.series:
+            res = results.get((x, s))
+            if res is None:
+                row += [math.nan] * len(fig.columns)
+            else:
+                row += [fn(res, cells[(x, s)], cfg.claim) for _, fn in fig.columns]
+        rows.append(row)
+    write_csv(header, rows, cfg.out)
+    return 0
 
 
 def cmd_validate(cfg: RunConfig) -> int:
@@ -649,7 +542,7 @@ def cmd_validate(cfg: RunConfig) -> int:
         print("all rate conditions satisfied")
         return 0
     print(f"{len(report.failures)} condition(s) violated")
-    return 0 if cfg.allow_violations else 1
+    return 0 if cfg.model.allow_violations else 1
 
 
 def cmd_convergence(cfg: RunConfig) -> int:
@@ -691,17 +584,17 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                         "(PDE sweeps run as one batched march)")
 
 
-def _load(args, require_config: bool = True) -> RunConfig:
-    values: dict = {}
+def _load(args, defaults: dict | None = None) -> RunConfig:
+    """Config file over ``defaults`` (required when there are none), then flags."""
+    values = dict(defaults or {})
     if args.config:
         with open(args.config) as fh:
-            values = parse_config_text(fh.read())
-    elif require_config:
+            values.update(parse_config_text(fh.read()))
+    elif defaults is None:
         raise ValueError("--config is required for this command")
-    overrides = {"engine": args.engine, "out": args.out, "nx": args.nx,
-                 "nt": args.nt, "steps": args.steps, "workers": args.workers}
-    if args.allow_violations:
-        overrides["allow_violations"] = True
+    overrides = {key: getattr(args, key) for key in
+                 ("engine", "out", "nx", "nt", "steps", "workers",
+                  "allow_violations")}
     return build_config(values, overrides)
 
 
@@ -721,22 +614,13 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
         if name == "figure":
-            p.add_argument("figure_id", choices=sorted(FIGURES),
-                           help="which figure's data to emit")
+            p.add_argument("figure_id", choices=sorted(FIGURES), help="; ".join(
+                f"{k}: {f.caption}" for k, f in sorted(FIGURES.items())))
     args = parser.parse_args(argv)
 
     try:
         if args.command == "figure":
-            user_values = {}
-            if args.config:
-                with open(args.config) as fh:
-                    user_values = parse_config_text(fh.read())
-            overrides = {"engine": args.engine, "out": args.out, "nx": args.nx,
-                         "nt": args.nt, "steps": args.steps,
-                         "workers": args.workers}
-            if args.allow_violations:
-                overrides["allow_violations"] = True
-            cfg = figure_config(args.figure_id, user_values, overrides)
+            cfg = _load(args, FIGURES[args.figure_id].defaults)
             return cmd_figure(cfg, args.figure_id)
         cfg = _load(args)
         if args.command == "value":

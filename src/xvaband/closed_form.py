@@ -64,10 +64,6 @@ def _require_symmetric(model: MarketModel) -> tuple[float, float, float]:
     return r.fund_lend, r.repo_lend, r.coll_earn
 
 
-def _alpha(model: MarketModel) -> float:
-    return model.alpha
-
-
 # ---------------------------------------------------------------------------
 # No default risk
 # ---------------------------------------------------------------------------
@@ -84,7 +80,7 @@ def adjustment_multiplier(model: MarketModel, t: float, maturity: float) -> floa
             "no-default closed form requires fund != repo; "
             "the limiting multiplier is alpha*(fund-coll)*(T-t)")
     tau = maturity - t
-    alpha = _alpha(model)
+    alpha = model.alpha
     return (math.exp((repo - fund) * tau) - 1.0) * \
         (1.0 - alpha * (fund - coll) / (fund - repo))
 
@@ -92,7 +88,7 @@ def adjustment_multiplier(model: MarketModel, t: float, maturity: float) -> floa
 def adjustment_multiplier_limit(model: MarketModel, t: float, maturity: float) -> float:
     """Limit of :func:`adjustment_multiplier` as the funding rate approaches repo."""
     fund, _, coll = _require_symmetric(model)
-    return _alpha(model) * (fund - coll) * (maturity - t)
+    return model.alpha * (fund - coll) * (maturity - t)
 
 
 def piterbarg_xva(model: MarketModel, claim: claims.ClaimSpec, t: float,
@@ -118,7 +114,7 @@ def piterbarg_price(model: MarketModel, claim: claims.ClaimSpec, t: float,
     if fund == repo:
         raise DegenerateRatesError("price requires fund != repo")
     tau = claim.maturity - t
-    alpha = _alpha(model)
+    alpha = model.alpha
     decay = math.exp((repo - fund) * tau)
     return decay * mark + alpha * (fund - coll) * mark * (1.0 - decay) / (fund - repo)
 
@@ -164,6 +160,21 @@ def decay_kernel(model: MarketModel, t: float, maturity: float) -> tuple[float, 
     return eta, kernel
 
 
+def _credit_coefficients(model: MarketModel, t: float, maturity: float):
+    """(base, b_own, b_cpty, eta, kernel) of the default-risk closed form: the
+    funding and collateral rate per unit of mark, the loss-weighted bond
+    returns net of funding, and :func:`decay_kernel`."""
+    fund, repo, coll = _require_symmetric(model)
+    credit = model.credit
+    if credit is None:
+        raise ModelError("the default-risk closed form requires credit parameters")
+    eta, kernel = decay_kernel(model, t, maturity)
+    base = (repo - fund) + model.alpha * (fund - coll)
+    b_own = (credit.mu_own - fund) * credit.loss_own
+    b_cpty = (credit.mu_cpty - fund) * credit.loss_cpty
+    return base, b_own, b_cpty, eta, kernel
+
+
 def piterbarg_defaults_xva(model: MarketModel, claim: claims.ClaimSpec, t: float,
                            mark: float, side: str = drivers.SELLER) -> XvaDecomposition:
     """Adjustment with default risk, decomposed into funding, CVA and DVA terms.
@@ -174,60 +185,34 @@ def piterbarg_defaults_xva(model: MarketModel, claim: claims.ClaimSpec, t: float
     of the seller's at the negated mark.
     """
     drivers._check_side(side)
-    fund, repo, coll = _require_symmetric(model)
-    credit = model.credit
-    if credit is None:
-        raise ModelError("piterbarg_defaults_xva requires credit parameters")
-    eta, kernel = decay_kernel(model, t, claim.maturity)
-    alpha = model.alpha
-    funding = ((repo - fund) + alpha * (fund - coll)) * kernel * mark
-    residual = (1.0 - alpha) * mark
-    b_cpty = (credit.mu_cpty - fund) * credit.loss_cpty
-    b_own = (credit.mu_own - fund) * credit.loss_own
-    if side == drivers.SELLER:
-        cva = b_cpty * kernel * max(-residual, 0.0)
-        dva = -b_own * kernel * max(residual, 0.0)
-    else:
-        cva = -b_cpty * kernel * max(residual, 0.0)
-        dva = b_own * kernel * max(-residual, 0.0)
-    return XvaDecomposition(funding=funding, cva=cva, dva=dva, eta=eta,
-                            kernel=kernel)
+    if side == drivers.BUYER:
+        s = piterbarg_defaults_xva(model, claim, t, -mark)
+        return XvaDecomposition(funding=-s.funding, cva=-s.cva, dva=-s.dva,
+                                eta=s.eta, kernel=s.kernel)
+    base, b_own, b_cpty, eta, kernel = _credit_coefficients(model, t,
+                                                            claim.maturity)
+    residual = (1.0 - model.alpha) * mark
+    return XvaDecomposition(funding=base * kernel * mark,
+                            cva=b_cpty * kernel * max(-residual, 0.0),
+                            dva=-b_own * kernel * max(residual, 0.0),
+                            eta=eta, kernel=kernel)
 
 
 def relative_adjustment(model: MarketModel, claim: claims.ClaimSpec, t: float,
                         side: str = drivers.SELLER) -> float:
     """Adjustment per unit of (nonnegative) mark in the default-risk regime."""
     drivers._check_side(side)
-    fund, repo, coll = _require_symmetric(model)
-    credit = model.credit
-    _, kernel = decay_kernel(model, t, claim.maturity)
-    alpha = model.alpha
-    base = (repo - fund) + alpha * (fund - coll)
-    if side == drivers.SELLER:
-        loss = credit.loss_own * (1.0 - alpha) * (credit.mu_own - fund)
-    else:
-        loss = credit.loss_cpty * (1.0 - alpha) * (credit.mu_cpty - fund)
-    return (base - loss) * kernel
+    return _adjustment_slope(model, t, claim.maturity, side, mark=1.0)
 
 
 def _adjustment_slope(model: MarketModel, t: float, maturity: float,
                       side: str, mark: float) -> float:
     """d(adjustment)/d(mark) away from the mark's sign change."""
-    fund, repo, coll = _require_symmetric(model)
-    credit = model.credit
-    _, kernel = decay_kernel(model, t, maturity)
-    alpha = model.alpha
-    base = (repo - fund) + alpha * (fund - coll)
-    b_cpty = (credit.mu_cpty - fund) * credit.loss_cpty
-    b_own = (credit.mu_own - fund) * credit.loss_own
+    base, b_own, b_cpty, _, kernel = _credit_coefficients(model, t, maturity)
     m = mark if side == drivers.SELLER else -mark
     # d/dm of [b_cpty*((1-a)m)^- - b_own*((1-a)m)^+], right-derivative at 0
-    slope = base
-    if m < 0.0:
-        slope -= b_cpty * (1.0 - alpha)
-    else:
-        slope -= b_own * (1.0 - alpha)
-    return kernel * slope
+    loss = b_cpty if m < 0.0 else b_own
+    return kernel * (base - loss * (1.0 - model.alpha))
 
 
 def piterbarg_defaults_strategies(model: MarketModel, claim: claims.ClaimSpec,

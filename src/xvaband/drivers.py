@@ -9,9 +9,12 @@ an (nodes, columns) block; they broadcast like any other operand.
 
 Conventions
 -----------
+* One seller kernel, ``_accrual``, holds the rate accrual.  The four public
+  drivers differ only in the funding account they hand it; the two reduced
+  ones pin the jump exposures to the close-out targets in one shared routine.
 * ``side`` is "seller" (hedging a short position in the claim) or "buyer"
   (hedging a long position).  Buyer-side values are always produced through
-  the exact reflection ``buyer(u, z, mark) = -seller(-u, -z, -mark)``; they are
+  one reflection, ``buyer(args, mark) = -seller(-args, -mark)``; they are
   never coded independently, which makes the antisymmetry structural.
 * ``x⁺ = max(x, 0)`` and ``x⁻ = max(-x, 0)``, so ``x⁺ - x⁻ = x`` exactly and
   both vanish at 0.
@@ -26,6 +29,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -93,6 +97,65 @@ def closeout(model: MarketModel, mark: float) -> CloseoutValues:
     )
 
 
+def _accrual(model: MarketModel, funding, z, z_own, z_cpty, collateral):
+    """Seller's rate accrual on the funding, repo, bond and collateral accounts.
+
+    The funding rate accrues on ``funding`` (lend when positive, borrow when
+    negative); ``collateral`` is the posted margin.
+    """
+    r = model.rates
+    sigma = model.equity.sigma
+    return (r.fund_lend * pos(funding) - r.fund_borrow * neg(funding)
+            + (r.discount - r.repo_borrow) * pos(z) / sigma
+            - (r.discount - r.repo_lend) * neg(z) / sigma
+            - r.discount * z_own - r.discount * z_cpty
+            + r.coll_earn * pos(collateral) - r.coll_pay * neg(collateral))
+
+
+def _on_side(seller, model: MarketModel, side: str, t, *args):
+    """The seller's drift, or the buyer's by reflection: every argument after
+    ``t``, the mark included, is negated and so is the result."""
+    _check_side(side)
+    if side == SELLER:
+        return seller(model, t, *args)
+    return -seller(model, t, *(np.negative(a) for a in args))
+
+
+def _seller_wealth(model, t, v, z, z_own, z_cpty, mark):
+    collateral = model.alpha * np.asarray(mark, dtype=float)
+    return -_accrual(model, v + z_own + z_cpty - collateral, z, z_own, z_cpty,
+                     collateral)
+
+
+def _seller_adjustment(model, t, adj, z, z_own, z_cpty, mark):
+    mark = np.asarray(mark, dtype=float)
+    funding = adj + z_own + z_cpty + (1.0 - model.alpha) * mark
+    return (-_accrual(model, funding, z, z_own, z_cpty, model.alpha * mark)
+            + model.rates.discount * mark)
+
+
+def _seller_reduced(drift, at_value: bool, model, t, u, z, mark):
+    """Reduced seller driver: ``drift`` with its jump exposures pinned to the
+    close-out targets (the adjustments themselves, or mark plus adjustment
+    when ``at_value``), plus the intensity-weighted pull towards them."""
+    if model.credit is None:
+        zero = np.multiply(np.asarray(u, dtype=float), 0.0)
+        return drift(model, t, u, z, zero, zero, mark)
+    own, cpty = closeout_adjustments(model, mark)
+    if at_value:
+        mark = np.asarray(mark, dtype=float)
+        own, cpty = mark + own, mark + cpty
+    z_own = own - u
+    z_cpty = cpty - u
+    return (model.default_intensity("own") * z_own
+            + model.default_intensity("cpty") * z_cpty
+            + drift(model, t, u, z, z_own, z_cpty, mark))
+
+
+_seller_reduced_adjustment = partial(_seller_reduced, _seller_adjustment, False)
+_seller_reduced_value = partial(_seller_reduced, _seller_wealth, True)
+
+
 def wealth_drift(model: MarketModel, side: str, t, v, z, z_own, z_cpty, mark):
     """Drift of the replication wealth BSDE.
 
@@ -100,19 +163,7 @@ def wealth_drift(model: MarketModel, side: str, t, v, z, z_own, z_cpty, mark):
     ``z_cpty`` the own/counterparty default-jump exposures, and ``mark`` the
     agent's valuation of the claim (which fixes the collateral balance).
     """
-    _check_side(side)
-    if side == BUYER:
-        return -wealth_drift(model, SELLER, t, -v, -z, -z_own, -z_cpty,
-                             np.multiply(mark, -1.0))
-    r = model.rates
-    sigma = model.equity.sigma
-    collateral = model.alpha * np.asarray(mark, dtype=float)
-    funding = v + z_own + z_cpty - collateral
-    return -(r.fund_lend * pos(funding) - r.fund_borrow * neg(funding)
-             + (r.discount - r.repo_borrow) * pos(z) / sigma
-             - (r.discount - r.repo_lend) * neg(z) / sigma
-             - r.discount * z_own - r.discount * z_cpty
-             + r.coll_earn * pos(collateral) - r.coll_pay * neg(collateral))
+    return _on_side(_seller_wealth, model, side, t, v, z, z_own, z_cpty, mark)
 
 
 def adjustment_drift(model: MarketModel, side: str, t, adj, z, z_own, z_cpty, mark):
@@ -120,24 +171,10 @@ def adjustment_drift(model: MarketModel, side: str, t, adj, z, z_own, z_cpty, ma
 
     Identity with the wealth-level driver: shifting the value argument by the
     mark and adding the mark's own discount drift gives back this function,
-    for any z arguments.
+    for any z arguments, up to rounding.
     """
-    _check_side(side)
-    if side == BUYER:
-        return -adjustment_drift(model, SELLER, t, -adj, -z, -z_own, -z_cpty,
-                                 np.multiply(mark, -1.0))
-    r = model.rates
-    sigma = model.equity.sigma
-    alpha = model.alpha
-    mark = np.asarray(mark, dtype=float)
-    collateral = alpha * mark
-    funding = adj + z_own + z_cpty + (1.0 - alpha) * mark
-    return -(r.fund_lend * pos(funding) - r.fund_borrow * neg(funding)
-             + (r.discount - r.repo_borrow) * pos(z) / sigma
-             - (r.discount - r.repo_lend) * neg(z) / sigma
-             - r.discount * z_own - r.discount * z_cpty
-             + r.coll_earn * pos(collateral) - r.coll_pay * neg(collateral)) \
-        + r.discount * mark
+    return _on_side(_seller_adjustment, model, side, t, adj, z, z_own, z_cpty,
+                    mark)
 
 
 def reduced_drift(model: MarketModel, side: str, t, u, z, mark):
@@ -152,19 +189,7 @@ def reduced_drift(model: MarketModel, side: str, t, u, z, mark):
     ``z`` must carry the full-portfolio diffusion exposure (adjustment hedge
     plus the agent's delta hedge), in currency units.
     """
-    _check_side(side)
-    if side == BUYER:
-        return -reduced_drift(model, SELLER, t, -u, -z, np.multiply(mark, -1.0))
-    if model.credit is None:
-        zero = np.multiply(np.asarray(u, dtype=float), 0.0)
-        return adjustment_drift(model, SELLER, t, u, z, zero, zero, mark)
-    h_own = model.default_intensity("own")
-    h_cpty = model.default_intensity("cpty")
-    adj_own, adj_cpty = closeout_adjustments(model, mark)
-    z_own = adj_own - u
-    z_cpty = adj_cpty - u
-    return (h_own * z_own + h_cpty * z_cpty
-            + adjustment_drift(model, SELLER, t, u, z, z_own, z_cpty, mark))
+    return _on_side(_seller_reduced_adjustment, model, side, t, u, z, mark)
 
 
 def reduced_drift_value(model: MarketModel, side: str, t, u, z, mark):
@@ -175,21 +200,7 @@ def reduced_drift_value(model: MarketModel, side: str, t, u, z, mark):
     payoff itself.  Used by the lattice cross-check as a second, independent
     route to the same adjustment.
     """
-    _check_side(side)
-    if side == BUYER:
-        return -reduced_drift_value(model, SELLER, t, -u, -z,
-                                    np.multiply(mark, -1.0))
-    if model.credit is None:
-        zero = np.multiply(np.asarray(u, dtype=float), 0.0)
-        return wealth_drift(model, SELLER, t, u, z, zero, zero, mark)
-    h_own = model.default_intensity("own")
-    h_cpty = model.default_intensity("cpty")
-    adj_own, adj_cpty = closeout_adjustments(model, mark)
-    mark = np.asarray(mark, dtype=float)
-    z_own = (mark + adj_own) - u
-    z_cpty = (mark + adj_cpty) - u
-    return (h_own * z_own + h_cpty * z_cpty
-            + wealth_drift(model, SELLER, t, u, z, z_own, z_cpty, mark))
+    return _on_side(_seller_reduced_value, model, side, t, u, z, mark)
 
 
 def reduced_lipschitz_bound(model: MarketModel) -> float:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from xvaband import cli
+from xvaband import claims, cli, closed_form
 from xvaband.cli import build_config, figure_config, parse_config_text
 
 BENCH_TEXT = """
@@ -429,3 +429,108 @@ def test_batched_sweeps_match_pointwise_evaluation(tmp_path, bench_cfg_path,
                 assert math.isnan(float(cell))
             else:
                 assert abs(float(cell) - expected) <= 1e-12, (cell, value)
+
+
+def test_allow_violations_accepts_only_booleans():
+    for text, value in (("1", True), ("TRUE", True), ("Yes", True),
+                        ("0", False), ("false", False), ("NO", False)):
+        assert parse_config_text(f"allow_violations = {text}") == \
+            {"allow_violations": value}
+    with pytest.raises(ValueError, match="config line 2: allow_violations"):
+        parse_config_text("spot = 1.0\nallow_violations = ture")
+
+
+def test_workers_capped_by_task_count(monkeypatch):
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    assert cli._run_parallel([-1, -2, 3], abs, 64) == [1, 2, 3]
+    assert started == [3]
+    assert cli._run_parallel([-1], abs, 64) == [1]  # one task: no pool
+    assert started == [3]
+
+
+def test_workers_must_be_positive(bench_cfg_path, capsys):
+    with pytest.raises(ValueError, match="workers"):
+        build_config(parse_config_text(BENCH_TEXT), {"workers": 0})
+    assert cli.main(["band", "--config", bench_cfg_path, "--workers", "0"]) == 1
+    assert "workers" in capsys.readouterr().err
+
+
+FIGURE_HEADERS = {
+    "xva-vs-funding-nodefault":
+        "fund,xva_a0,shares_a0,xva_a0.25,shares_a0.25,xva_a0.5,"
+        "shares_a0.5,xva_a0.75,shares_a0.75,xva_a1,shares_a1",
+    "decomposition-vs-funding":
+        "fund,funding_pct,dva_pct,total_pct",
+    "xva-vs-funding-defaults":
+        "fund,xva_a0,stock_a0,bond_own_a0,bond_cpty_a0,xva_a0.25,"
+        "stock_a0.25,bond_own_a0.25,bond_cpty_a0.25,xva_a0.5,stock_a0.5,"
+        "bond_own_a0.5,bond_cpty_a0.5,xva_a0.75,stock_a0.75,"
+        "bond_own_a0.75,bond_cpty_a0.75,xva_a1,stock_a1,bond_own_a1,"
+        "bond_cpty_a1",
+    "xva-vs-funding-riskier":
+        "fund,xva_a0,stock_a0,bond_own_a0,bond_cpty_a0,xva_a0.25,"
+        "stock_a0.25,bond_own_a0.25,bond_cpty_a0.25,xva_a0.5,stock_a0.5,"
+        "bond_own_a0.5,bond_cpty_a0.5,xva_a0.75,stock_a0.75,"
+        "bond_own_a0.75,bond_cpty_a0.75,xva_a1,stock_a1,bond_own_a1,"
+        "bond_cpty_a1",
+    "band-vs-collateral":
+        "alpha,xva_buyer_rb0.08,xva_seller_rb0.08,width_rb0.08,"
+        "stock_rb0.08,bond_own_rb0.08,bond_cpty_rb0.08,xva_buyer_rb0.15,"
+        "xva_seller_rb0.15,width_rb0.15,stock_rb0.15,bond_own_rb0.15,"
+        "bond_cpty_rb0.15",
+    "xva-vs-repo":
+        "repo_borrow,xva_buyer_rl0.03,xva_seller_rl0.03,"
+        "stock_seller_rl0.03,stock_buyer_rl0.03,xva_buyer_rl0.05,"
+        "xva_seller_rl0.05,stock_seller_rl0.05,stock_buyer_rl0.05",
+    "xva-vs-cpty-return":
+        "mu_cpty,xva_seller_a0.5,stock_a0.5,bond_own_a0.5,bond_cpty_a0.5,"
+        "xva_seller_a0.75,stock_a0.75,bond_own_a0.75,bond_cpty_a0.75,"
+        "xva_seller_a0.9,stock_a0.9,bond_own_a0.9,bond_cpty_a0.9,"
+        "xva_seller_a1,stock_a1,bond_own_a1,bond_cpty_a1",
+}
+
+
+def test_figure_headers_pinned(tmp_path):
+    assert set(FIGURE_HEADERS) == set(cli.FIGURES)
+    p = tmp_path / "tiny.cfg"
+    p.write_text("sweep_points = 2\nnx = 20\nnt = 10\n")
+    for figure_id, header in FIGURE_HEADERS.items():
+        out = tmp_path / f"{figure_id}.csv"
+        assert cli.main(["figure", figure_id, "--config", str(p),
+                         "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == header, figure_id
+        assert [len(line.split(",")) for line in lines[1:]] == \
+            [header.count(",") + 1] * 2
+
+
+def test_figure_nodefault_honours_user_credit_block(tmp_path):
+    p = tmp_path / "credit.cfg"
+    p.write_text("mu_own = 0.16\nmu_cpty = 0.21\nloss_own = 0.5\nloss_cpty = 0.5\n"
+                 "sweep_points = 1\n")
+    out = tmp_path / "nodef.csv"
+    assert cli.main(["figure", "xva-vs-funding-nodefault", "--config", str(p),
+                     "--out", str(out)]) == 0
+    row = out.read_text().splitlines()[1].split(",")
+    cfg = figure_config("xva-vs-funding-nodefault",
+                        parse_config_text(p.read_text()))
+    m = cli._model_with(cfg.model, fund_lend=0.055, fund_borrow=0.055, alpha=0.0)
+    mark = claims.agent_value(m, cfg.claim, 0.0, 1.0).value
+    with_credit = closed_form.piterbarg_defaults_xva(m, cfg.claim, 0.0, mark).total
+    assert row[1] == cli._fmt(with_credit)
+    assert with_credit != closed_form.piterbarg_xva(m, cfg.claim, 0.0, mark)

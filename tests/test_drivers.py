@@ -251,6 +251,59 @@ def test_reduced_value_level_consistency(rng):
             assert adj == pytest.approx(val + r_d * mark, abs=1e-12)
 
 
+def hand_expanded_reduced(m, side, at_value, u, z, mark):
+    """Reduced driver expanded by hand per side and level, without reflection."""
+    r = m.rates
+    sigma = m.equity.sigma
+    coll = m.alpha * mark
+    residual = (1 - m.alpha) * mark
+    if m.credit is None:
+        h_own = h_cpty = z_own = z_cpty = 0.0
+    else:
+        h_own = m.default_intensity("own")
+        h_cpty = m.default_intensity("cpty")
+        c = m.credit
+        if side == SELLER:
+            own = -c.loss_own * pos(residual)
+            cpty = c.loss_cpty * neg(residual)
+        else:
+            own = c.loss_own * neg(residual)
+            cpty = -c.loss_cpty * pos(residual)
+        shift = mark if at_value else 0.0
+        z_own = shift + own - u
+        z_cpty = shift + cpty - u
+    if at_value:
+        funding = u + z_own + z_cpty - coll
+    else:
+        funding = u + z_own + z_cpty + residual
+    if side == SELLER:
+        accrual = -(r.fund_lend * pos(funding) - r.fund_borrow * neg(funding)
+                    + (r.discount - r.repo_borrow) * pos(z) / sigma
+                    - (r.discount - r.repo_lend) * neg(z) / sigma
+                    - r.discount * (z_own + z_cpty)
+                    + r.coll_earn * pos(coll) - r.coll_pay * neg(coll))
+    else:
+        accrual = (r.fund_lend * neg(funding) - r.fund_borrow * pos(funding)
+                   + (r.discount - r.repo_borrow) * neg(z) / sigma
+                   - (r.discount - r.repo_lend) * pos(z) / sigma
+                   + r.discount * (z_own + z_cpty)
+                   + r.coll_earn * neg(coll) - r.coll_pay * pos(coll))
+    carry = 0.0 if at_value else r.discount * mark
+    return h_own * z_own + h_cpty * z_cpty + accrual + carry
+
+
+def test_reduced_drivers_against_hand_expansion(rng):
+    credit = model_with(alpha=0.6, repo_borrow=0.07, coll_pay=0.03)
+    for m in (credit, dataclasses.replace(credit, credit=None)):
+        for side in (SELLER, BUYER):
+            for at_value, fn in ((False, reduced_drift), (True, reduced_drift_value)):
+                for u, z, mark in rng.uniform(-1, 1, size=(200, 3)):
+                    want = hand_expanded_reduced(m, side, at_value, u, z, mark)
+                    got = fn(m, side, 0.0, u, z, mark)
+                    assert got == pytest.approx(want, abs=1e-12), \
+                        (m.credit is None, side, at_value)
+
+
 def test_reduced_drift_vectorized(benchmark_model, rng):
     u = rng.uniform(-1, 1, size=32)
     z = rng.uniform(-1, 1, size=32)

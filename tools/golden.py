@@ -6,8 +6,13 @@
 ``capture`` writes, at the CLI defaults (400 x 400 PDE grid, 2000-step
 lattice), the CSV of ``value --engine all``, ``band`` and ``table`` on the
 benchmark config, and of every ``figure`` id at its own defaults, one file
-each, to <dir>.  It imports xvaband from the ``src/`` next to this script,
-so a copy of the script placed in another checkout captures that checkout.
+each, to <dir>.  It also writes ``points-pde.csv`` and
+``points-lattice.csv``: the seller and buyer values at ``repr`` precision,
+or the error class, of every draw of the benchmark's point pools
+(``bench/scenarios.py``, read only), so that ``compare --tol 0`` sees
+last-bit drift that the 10-digit CSVs round away.  It imports xvaband from
+the ``src/`` and the pools from the ``bench/`` next to this script, so a copy
+of the script placed in another checkout captures that checkout.
 
 ``compare`` checks that both directories hold the same files and, per file,
 that headers and row shapes are equal and that every numeric cell agrees
@@ -25,7 +30,9 @@ import sys
 import time
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+BENCH = ROOT / "bench"
 
 BENCHMARK_CONFIG = """\
 fund_lend = 0.05
@@ -72,7 +79,30 @@ def capture(directory: Path) -> int:
             print(f"{name}: cli.main returned {code}", file=sys.stderr)
             return 1
         print(f"{name}: {time.perf_counter() - start:.1f} s")
+    capture_points(directory)
     return 0
+
+
+def capture_points(directory: Path) -> None:
+    """One row per draw of each benchmark point pool: id, seller, buyer."""
+    sys.path.insert(0, str(BENCH))
+    import scenarios
+    from xvaband import ModelError, NumericsError, cli
+    pools = (("points-pde.csv", "pde", scenarios.PDE_POOL, False),
+             ("points-lattice.csv", "lattice", scenarios.LATTICE_POOL, True))
+    for name, engine, size, vanilla_only in pools:
+        start = time.perf_counter()
+        lines = ["id,seller,buyer"]
+        for draw in scenarios.draw_points(scenarios.POOL_SEED, size, vanilla_only):
+            model, claim = scenarios.build(draw)
+            try:
+                res = cli.evaluate_point(model, claim, engine)[0]
+                cells = [repr(float(res.xva_seller)), repr(float(res.xva_buyer))]
+            except (NumericsError, ModelError, ValueError) as exc:
+                cells = [type(exc).__name__] * 2
+            lines.append(",".join([str(draw["id"])] + cells))
+        (directory / name).write_text("\n".join(lines) + "\n")
+        print(f"{name}: {time.perf_counter() - start:.1f} s")
 
 
 def _cell_difference(a: str, b: str) -> float | None:
