@@ -21,7 +21,7 @@ from .closed_form import (SymmetricRates, XvaDecomposition,
                           relative_adjustment, symmetric_model)
 from .drivers import (BUYER, SELLER, CloseoutValues, ReplicationStrategy,
                       adjustment_drift, closeout, reduced_drift, wealth_drift)
-from .lattice import OracleSolution, band, solve_reduced
+from .lattice import OracleSolution, band, solve_reduced, solve_sides
 from .market import (CreditParams, DegenerateRatesError, EquityParams,
                      MarketModel, ModelError, RateSet, ValidationReport,
                      accrual)
@@ -38,7 +38,7 @@ __all__ = [
     "relative_adjustment", "symmetric_model",
     "BUYER", "SELLER", "CloseoutValues", "ReplicationStrategy",
     "adjustment_drift", "closeout", "reduced_drift", "wealth_drift",
-    "OracleSolution", "band", "solve_reduced",
+    "OracleSolution", "band", "solve_reduced", "solve_sides",
     "CreditParams", "DegenerateRatesError", "EquityParams", "MarketModel",
     "ModelError", "RateSet", "ValidationReport", "accrual",
     "NumericsError", "PdeGrid", "PdeSolution", "convergence_study", "solve",

@@ -118,8 +118,8 @@ def _vanilla_value(model, claim, t, s):
     d2 = d1 - st
     df = math.exp(-r * tau)
     if claim.kind == "call":
-        value = s * _norm_cdf(d1) - k * df * _norm_cdf(d2)
         delta = _norm_cdf(d1)
+        value = s * delta - k * df * _norm_cdf(d2)
     else:
         value = k * df * _norm_cdf(-d2) - s * _norm_cdf(-d1)
         delta = _norm_cdf(d1) - 1.0

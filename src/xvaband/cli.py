@@ -189,17 +189,13 @@ def _pde_result(sol: pde.PdeSolution) -> PointResult:
 
 def _lattice_point(model, claim, steps) -> PointResult:
     s0 = model.equity.spot
-    mark = claims.agent_value(model, claim, 0.0, s0).value
-    strategies = []
-    for side in drivers.SIDES:
-        sol = lattice.solve_reduced(model, claim, steps, side=side)
-        shares = sol.root_gradient / (model.equity.sigma * s0)
-        strategies.append(drivers.build_strategy(
-            model, claim, side, 0.0, s0, adjustment=sol.adjustment, mark=mark,
-            stock_shares=shares))
-    seller, buyer = strategies
-    return PointResult("lattice", mark, seller.adjustment, buyer.adjustment,
-                       seller, buyer)
+    seller, buyer = (drivers.build_strategy(
+        model, claim, sol.side, 0.0, s0, adjustment=sol.adjustment,
+        mark=sol.root_mark,
+        stock_shares=sol.root_gradient / (model.equity.sigma * s0))
+        for sol in lattice.solve_sides(model, claim, steps))
+    return PointResult("lattice", seller.mark, seller.adjustment,
+                       buyer.adjustment, seller, buyer)
 
 
 def evaluate_point(model: MarketModel, claim: claims.ClaimSpec, engine: str,

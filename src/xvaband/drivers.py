@@ -9,9 +9,14 @@ an (nodes, columns) block; they broadcast like any other operand.
 
 Conventions
 -----------
-* One seller kernel, ``_accrual``, holds the rate accrual.  The four public
-  drivers differ only in the funding account they hand it; the two reduced
-  ones pin the jump exposures to the close-out targets in one shared routine.
+* One seller kernel holds the rate accrual, in two parts: the terms fixed by
+  the mark and ``z`` (:class:`DriverTerms`: funding offset, repo and
+  collateral legs, carry, close-out targets) and the step in ``u`` that adds
+  them in the accrual's order.  The four public drivers differ only in the
+  funding offset; the two reduced ones pin the jump exposures to the
+  close-out targets in one shared step, :func:`reduced_step`.  A caller
+  whose mark and ``z`` stay fixed while ``u`` iterates (the lattice) computes
+  :func:`reduced_terms` once and calls the step alone.
 * ``side`` is "seller" (hedging a short position in the claim) or "buyer"
   (hedging a long position).  Buyer-side values are always produced through
   one reflection, ``buyer(args, mark) = -seller(-args, -mark)``; they are
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +50,8 @@ def pos(x):
     return np.maximum(x, 0.0)
 
 
-def neg(x):
-    return np.maximum(-x, 0.0)
+def neg(x, out=None):
+    return np.maximum(np.negative(x, out=out), 0.0, out=out)
 
 
 def _check_side(side: str) -> None:
@@ -97,19 +103,119 @@ def closeout(model: MarketModel, mark: float) -> CloseoutValues:
     )
 
 
-def _accrual(model: MarketModel, funding, z, z_own, z_cpty, collateral):
-    """Seller's rate accrual on the funding, repo, bond and collateral accounts.
+class DriverTerms(NamedTuple):
+    """The terms of the seller's drift that the mark and ``z`` fix.
 
-    The funding rate accrues on ``funding`` (lend when positive, borrow when
-    negative); ``collateral`` is the posted margin.
+    ``offset`` is the funding account less ``u + z_own + z_cpty``; the repo
+    legs accrue on the stock position ``z / sigma`` and the collateral legs
+    on the posted margin ``alpha * mark``; ``carry`` is the mark's own
+    discount drift, at the adjustment level only.  ``own`` and ``cpty`` are
+    the close-out targets of the reduced drivers, absent without a credit
+    block.  Each term is an array of its own, added by :func:`_seller_step`
+    in the accrual's order, so splitting the drift this way moves no bit.
     """
+
+    offset: np.ndarray
+    repo_long: np.ndarray
+    repo_short: np.ndarray
+    coll_earn: np.ndarray
+    coll_pay: np.ndarray
+    carry: np.ndarray | None
+    own: np.ndarray | None = None
+    cpty: np.ndarray | None = None
+
+    def take(self, index) -> "DriverTerms":
+        """The same terms at ``index`` of their leading axis."""
+        return DriverTerms(*(None if a is None else a[index] for a in self))
+
+
+def _account_terms(model: MarketModel, at_value: bool, z, mark, own=None,
+                   cpty=None) -> DriverTerms:
+    """The seller's accrual terms fixed by ``z`` and the mark, at the wealth
+    level (``at_value``) or at the adjustment level, with the given close-out
+    targets."""
     r = model.rates
     sigma = model.equity.sigma
-    return (r.fund_lend * pos(funding) - r.fund_borrow * neg(funding)
-            + (r.discount - r.repo_borrow) * pos(z) / sigma
-            - (r.discount - r.repo_lend) * neg(z) / sigma
-            - r.discount * z_own - r.discount * z_cpty
-            + r.coll_earn * pos(collateral) - r.coll_pay * neg(collateral))
+    mark = np.asarray(mark, dtype=float)
+    collateral = model.alpha * mark
+    return DriverTerms(
+        offset=-collateral if at_value else (1.0 - model.alpha) * mark,
+        repo_long=(r.discount - r.repo_borrow) * pos(z) / sigma,
+        repo_short=(r.discount - r.repo_lend) * neg(z) / sigma,
+        coll_earn=r.coll_earn * pos(collateral),
+        coll_pay=r.coll_pay * neg(collateral),
+        carry=None if at_value else r.discount * mark, own=own, cpty=cpty)
+
+
+def _seller_step(model: MarketModel, terms: DriverTerms, u, z_own, z_cpty):
+    """The seller's drift at value ``u`` and jump exposures ``z_own``, ``z_cpty``.
+
+    The funding rate accrues on ``u + z_own + z_cpty + offset`` (lend when
+    positive, borrow when negative); the accounts are summed left to right
+    in the order funding, repo, bonds, collateral, then negated and shifted
+    by the carry.
+    """
+    r = model.rates
+    funding = u + z_own
+    funding += z_cpty
+    funding += terms.offset
+    accrual = pos(funding)
+    accrual *= r.fund_lend
+    # the funding account is spent; its buffer takes the remaining products
+    spare = funding if isinstance(funding, np.ndarray) else None
+    borrow = neg(funding, out=spare)
+    borrow *= r.fund_borrow
+    accrual -= borrow
+    accrual += terms.repo_long
+    accrual -= terms.repo_short
+    accrual -= np.multiply(r.discount, z_own, out=spare)
+    accrual -= np.multiply(r.discount, z_cpty, out=spare)
+    accrual += terms.coll_earn
+    accrual -= terms.coll_pay
+    out = accrual if isinstance(accrual, np.ndarray) else None
+    if terms.carry is None:
+        return np.negative(accrual, out=out)
+    return np.subtract(terms.carry, accrual, out=out)
+
+
+def reduced_terms(model: MarketModel, z, mark,
+                  at_value: bool = False) -> DriverTerms:
+    """The seller's reduced-driver terms fixed by ``z`` and the mark.
+
+    The close-out targets are the close-out adjustments, or mark plus
+    adjustment when ``at_value``.  With :func:`reduced_step` this is the
+    seller's side of :func:`reduced_drift` (or :func:`reduced_drift_value`)
+    split in two, so a caller whose mark and ``z`` stay fixed across many
+    values of ``u`` computes these terms once.
+    """
+    own = cpty = None
+    if model.credit is not None:
+        own, cpty = closeout_adjustments(model, mark)
+        if at_value:
+            value = np.asarray(mark, dtype=float)
+            own, cpty = value + own, value + cpty
+    return _account_terms(model, at_value, z, mark, own, cpty)
+
+
+def reduced_step(model: MarketModel, terms: DriverTerms, u):
+    """The seller's reduced driver at ``u`` from its :func:`reduced_terms`.
+
+    The jump exposures are pinned to the close-out targets, and default risk
+    adds the intensity-weighted pull towards them; without a credit block
+    both exposures are zero.
+    """
+    if model.credit is None:
+        zero = np.multiply(u, 0.0)
+        return _seller_step(model, terms, u, zero, zero)
+    z_own = terms.own - u
+    z_cpty = terms.cpty - u
+    drift = _seller_step(model, terms, u, z_own, z_cpty)
+    # the exposures are spent; they take the intensity-weighted pull
+    z_own *= model.default_intensity("own")
+    z_cpty *= model.default_intensity("cpty")
+    z_own += z_cpty
+    drift += z_own
+    return drift
 
 
 def _on_side(seller, model: MarketModel, side: str, t, *args):
@@ -121,39 +227,19 @@ def _on_side(seller, model: MarketModel, side: str, t, *args):
     return -seller(model, t, *(np.negative(a) for a in args))
 
 
-def _seller_wealth(model, t, v, z, z_own, z_cpty, mark):
-    collateral = model.alpha * np.asarray(mark, dtype=float)
-    return -_accrual(model, v + z_own + z_cpty - collateral, z, z_own, z_cpty,
-                     collateral)
+def _seller_drift(at_value: bool, model, t, u, z, z_own, z_cpty, mark):
+    return _seller_step(model, _account_terms(model, at_value, z, mark), u,
+                        z_own, z_cpty)
 
 
-def _seller_adjustment(model, t, adj, z, z_own, z_cpty, mark):
-    mark = np.asarray(mark, dtype=float)
-    funding = adj + z_own + z_cpty + (1.0 - model.alpha) * mark
-    return (-_accrual(model, funding, z, z_own, z_cpty, model.alpha * mark)
-            + model.rates.discount * mark)
+def _seller_reduced(at_value: bool, model, t, u, z, mark):
+    return reduced_step(model, reduced_terms(model, z, mark, at_value), u)
 
 
-def _seller_reduced(drift, at_value: bool, model, t, u, z, mark):
-    """Reduced seller driver: ``drift`` with its jump exposures pinned to the
-    close-out targets (the adjustments themselves, or mark plus adjustment
-    when ``at_value``), plus the intensity-weighted pull towards them."""
-    if model.credit is None:
-        zero = np.multiply(np.asarray(u, dtype=float), 0.0)
-        return drift(model, t, u, z, zero, zero, mark)
-    own, cpty = closeout_adjustments(model, mark)
-    if at_value:
-        mark = np.asarray(mark, dtype=float)
-        own, cpty = mark + own, mark + cpty
-    z_own = own - u
-    z_cpty = cpty - u
-    return (model.default_intensity("own") * z_own
-            + model.default_intensity("cpty") * z_cpty
-            + drift(model, t, u, z, z_own, z_cpty, mark))
-
-
-_seller_reduced_adjustment = partial(_seller_reduced, _seller_adjustment, False)
-_seller_reduced_value = partial(_seller_reduced, _seller_wealth, True)
+_seller_wealth = partial(_seller_drift, True)
+_seller_adjustment = partial(_seller_drift, False)
+_seller_reduced_adjustment = partial(_seller_reduced, False)
+_seller_reduced_value = partial(_seller_reduced, True)
 
 
 def wealth_drift(model: MarketModel, side: str, t, v, z, z_own, z_cpty, mark):

@@ -304,6 +304,52 @@ def test_reduced_drivers_against_hand_expansion(rng):
                         (m.credit is None, side, at_value)
 
 
+def unsplit_seller_reduced(m, at_value, u, z, mark):
+    """The seller's reduced driver as one expression, in the accrual's order.
+
+    The reference that the split into per-level terms and a step in u must
+    match bit for bit.
+    """
+    r = m.rates
+    sigma = m.equity.sigma
+    collateral = m.alpha * mark
+    if m.credit is None:
+        z_own = z_cpty = u * 0.0
+    else:
+        own, cpty = closeout_adjustments(m, mark)
+        if at_value:
+            own, cpty = mark + own, mark + cpty
+        z_own, z_cpty = own - u, cpty - u
+    if at_value:
+        funding = u + z_own + z_cpty - collateral
+    else:
+        funding = u + z_own + z_cpty + (1.0 - m.alpha) * mark
+    drift = -(r.fund_lend * pos(funding) - r.fund_borrow * neg(funding)
+              + (r.discount - r.repo_borrow) * pos(z) / sigma
+              - (r.discount - r.repo_lend) * neg(z) / sigma
+              - r.discount * z_own - r.discount * z_cpty
+              + r.coll_earn * pos(collateral) - r.coll_pay * neg(collateral))
+    if not at_value:
+        drift = drift + r.discount * mark
+    if m.credit is None:
+        return drift
+    return (m.default_intensity("own") * z_own
+            + m.default_intensity("cpty") * z_cpty + drift)
+
+
+def test_split_driver_matches_unsplit_kernel(rng):
+    credit = model_with(alpha=0.6, repo_borrow=0.07, repo_lend=0.03,
+                        coll_pay=0.03)
+    scale = rng.choice([0.0, -0.0, 1.0, 1e8], size=(3, 64))
+    u, z, mark = rng.uniform(-1, 1, size=(3, 64)) * scale
+    for m in (credit, dataclasses.replace(credit, credit=None)):
+        for at_value, fn in ((False, reduced_drift), (True, reduced_drift_value)):
+            seller = unsplit_seller_reduced(m, at_value, u, z, mark)
+            buyer = -unsplit_seller_reduced(m, at_value, -u, -z, -mark)
+            assert fn(m, SELLER, 0.0, u, z, mark).tobytes() == seller.tobytes()
+            assert fn(m, BUYER, 0.0, u, z, mark).tobytes() == buyer.tobytes()
+
+
 def test_reduced_drift_vectorized(benchmark_model, rng):
     u = rng.uniform(-1, 1, size=32)
     z = rng.uniform(-1, 1, size=32)

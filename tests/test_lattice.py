@@ -1,11 +1,17 @@
 """Lattice cross-check: closed-form regimes, refinement behavior, route equality."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
-from xvaband import (BUYER, SELLER, ClaimSpec, CreditParams, NumericsError,
-                     agent_value, band, piterbarg_defaults_xva, piterbarg_xva,
-                     solve_reduced)
+from xvaband import (BUYER, SELLER, ClaimSpec, CreditParams, EquityParams,
+                     NumericsError, agent_value, band, piterbarg_defaults_xva,
+                     piterbarg_xva, solve_reduced, solve_sides)
+from xvaband import claims, drivers
+from xvaband.lattice import (FIXED_POINT_MAX_ITER, FIXED_POINT_TOL, LEVELS,
+                             OracleSolution)
 from conftest import make_benchmark, make_symmetric
 
 CALL = ClaimSpec(kind="call", strike=1.0, maturity=1.0)
@@ -131,3 +137,118 @@ def test_input_validation():
         solve_reduced(model, CALL, 100, level="price")
     with pytest.raises(ValueError):
         solve_reduced(model, CALL, 100, side="dealer")
+
+
+def reference_solve(model, claim, n_steps, level, side):
+    """One side's backward induction, one full driver call per iteration.
+
+    The plain single-side march that the shared pass must reproduce bit for
+    bit: stock levels, mark and exposure built for this side alone, and
+    :func:`drivers.reduced_drift` (or its value-level twin) called whole at
+    every fixed-point iteration.
+    """
+    dt = claim.maturity / n_steps
+    sdt = math.sqrt(dt)
+    sigma = model.equity.sigma
+    drift = model.rates.discount - 0.5 * sigma * sigma
+    s0 = model.equity.spot
+
+    def stock_levels(k):
+        w = (2.0 * np.arange(k + 1) - k) * sdt
+        return s0 * np.exp(drift * (k * dt) + sigma * w)
+
+    if level == "value":
+        u = np.asarray(claim.payoff(stock_levels(n_steps)), dtype=float)
+        drift_fn, shift_gradient = drivers.reduced_drift_value, False
+    else:
+        u = np.zeros(n_steps + 1)
+        drift_fn, shift_gradient = drivers.reduced_drift, True
+    iterations = np.zeros(n_steps, dtype=int)
+    for k in range(n_steps - 1, -1, -1):
+        t = k * dt
+        s = stock_levels(k)
+        expectation = 0.5 * (u[1:k + 2] + u[0:k + 1])
+        gradient = (u[1:k + 2] - u[0:k + 1]) / (2.0 * sdt)
+        mark, delta = claims.agent_value_grid(model, claim, t, s)
+        z = gradient + (sigma * s * delta if shift_gradient else 0.0)
+        new_u = expectation.copy()
+        for it in range(1, FIXED_POINT_MAX_ITER + 1):
+            candidate = expectation + dt * drift_fn(model, side, t, new_u, z, mark)
+            done = float(np.max(np.abs(candidate - new_u))) < FIXED_POINT_TOL
+            new_u = candidate
+            if done:
+                break
+        else:
+            raise NumericsError(f"{side} side did not converge at level {k}")
+        iterations[k] = it
+        if k == 0:
+            root_gradient = float(gradient[0])
+        u = new_u
+    mark0 = agent_value(model, claim, 0.0, s0).value
+    root = float(u[0])
+    adjustment = root - mark0 if level == "value" else root
+    return adjustment, root_gradient, mark0, iterations
+
+
+@pytest.mark.parametrize("credit", [True, False], ids=["credit", "nocredit"])
+@pytest.mark.parametrize("kind", ["call", "put"])
+def test_one_pass_matches_single_side_reference(credit, kind):
+    model = make_benchmark(alpha=0.4, fund_borrow=0.12)
+    if not credit:
+        model = dataclasses.replace(model, credit=None)
+    claim = ClaimSpec(kind=kind, strike=1.05, maturity=1.0)
+    for level in LEVELS:
+        sols = solve_sides(model, claim, 200, level=level)
+        assert [sol.side for sol in sols] == [SELLER, BUYER]
+        for sol in sols:
+            adjustment, gradient, mark, iterations = reference_solve(
+                model, claim, 200, level, sol.side)
+            assert sol.adjustment == adjustment
+            assert sol.root_gradient == gradient
+            assert sol.root_mark == mark
+            assert np.array_equal(sol.fixed_point_iterations, iterations)
+            assert solve_reduced(model, claim, 200, level=level,
+                                 side=sol.side) == sol
+
+
+def test_solution_reports_fixed_point_per_level():
+    model = make_benchmark()
+    seller, buyer = solve_sides(model, CALL, 300)
+    for sol in (seller, buyer):
+        assert sol.fixed_point_iterations.shape == (300,)
+        assert sol.fixed_point_residuals.shape == (300,)
+        assert np.all(sol.fixed_point_iterations >= 1)
+        assert np.all(sol.fixed_point_residuals < FIXED_POINT_TOL)
+    # the records are diagnostics: equality is decided by the values alone
+    assert dataclasses.replace(
+        seller, fixed_point_iterations=seller.fixed_point_iterations + 1) == seller
+    assert set(f.name for f in dataclasses.fields(OracleSolution)
+               if not f.compare) == {"fixed_point_iterations",
+                                     "fixed_point_residuals"}
+
+
+def test_fixed_point_failure_names_side_level_and_node():
+    # at spot = strike = 1e4 the far-edge values reach |u| ~ 2.6e4, whose
+    # spacing of doubles (3.6e-12) exceeds the absolute tolerance
+    base = make_benchmark()
+    model = dataclasses.replace(base, equity=EquityParams(spot=1e4, sigma=0.2))
+    claim = ClaimSpec(kind="call", strike=1e4, maturity=1.0)
+    with pytest.raises(NumericsError) as failure:
+        solve_sides(model, claim, 2000)
+    message = str(failure.value)
+    assert "seller side at level 1955 (t=0.9775)" in message
+    assert "worst node 1912 at s=4.22446e+07, |u|=2.65e+04" in message
+    assert "last residual 3.64e-12" in message
+    assert "n_steps" not in message
+
+
+def test_one_failing_side_fails_the_pass():
+    base = make_benchmark(alpha=0.0)
+    model = dataclasses.replace(base, credit=None,
+                                equity=EquityParams(spot=1e6, sigma=0.2))
+    claim = ClaimSpec(kind="call", strike=1e6, maturity=1.0)
+    solve_reduced(model, claim, 400, side=SELLER)
+    with pytest.raises(NumericsError, match="buyer side at level 358"):
+        solve_reduced(model, claim, 400, side=BUYER)
+    with pytest.raises(NumericsError, match="buyer side at level 358"):
+        solve_sides(model, claim, 400)
