@@ -3,7 +3,7 @@
 Everything downstream -- the PDE engine and the lattice cross-check -- consumes
 the functions defined here, so they are the single source of truth for the
 nonlinearity.  All functions accept scalars or numpy arrays of equal shape.
-The PDE engine also passes :func:`reduced_drift` a record shaped like a
+The PDE engine also passes the reduced driver's parts a record shaped like a
 ``MarketModel`` whose parameters may be arrays with one entry per column of
 an (nodes, columns) block; they broadcast like any other operand.
 
@@ -16,7 +16,10 @@ Conventions
   funding offset; the two reduced ones pin the jump exposures to the
   close-out targets in one shared step, :func:`reduced_step`.  A caller
   whose mark and ``z`` stay fixed while ``u`` iterates (the lattice) computes
-  :func:`reduced_terms` once and calls the step alone.
+  :func:`reduced_terms` once and calls the step alone.  A caller whose mark
+  stays fixed while ``z`` moves with ``u`` (the PDE, where ``z`` is the
+  gradient of ``u``) computes :func:`reduced_mark_terms` once and per ``u``
+  only the repo legs (:func:`with_repo_legs`) and the step.
 * ``side`` is "seller" (hedging a short position in the claim) or "buyer"
   (hedging a long position).  Buyer-side values are always produced through
   one reflection, ``buyer(args, mark) = -seller(-args, -mark)``; they are
@@ -111,13 +114,15 @@ class DriverTerms(NamedTuple):
     on the posted margin ``alpha * mark``; ``carry`` is the mark's own
     discount drift, at the adjustment level only.  ``own`` and ``cpty`` are
     the close-out targets of the reduced drivers, absent without a credit
-    block.  Each term is an array of its own, added by :func:`_seller_step`
-    in the accrual's order, so splitting the drift this way moves no bit.
+    block.  The repo legs are absent from the terms of the mark alone
+    (:func:`reduced_mark_terms`).  Each term is an array of its own, added by
+    :func:`_seller_step` in the accrual's order, so splitting the drift this
+    way moves no bit.
     """
 
     offset: np.ndarray
-    repo_long: np.ndarray
-    repo_short: np.ndarray
+    repo_long: np.ndarray | None
+    repo_short: np.ndarray | None
     coll_earn: np.ndarray
     coll_pay: np.ndarray
     carry: np.ndarray | None
@@ -125,26 +130,41 @@ class DriverTerms(NamedTuple):
     cpty: np.ndarray | None = None
 
     def take(self, index) -> "DriverTerms":
-        """The same terms at ``index`` of their leading axis."""
+        """Every present term indexed by ``index``: rows of the lattice,
+        or ``(slice(None), cols)`` for columns of a PDE block."""
         return DriverTerms(*(None if a is None else a[index] for a in self))
 
 
-def _account_terms(model: MarketModel, at_value: bool, z, mark, own=None,
-                   cpty=None) -> DriverTerms:
-    """The seller's accrual terms fixed by ``z`` and the mark, at the wealth
-    level (``at_value``) or at the adjustment level, with the given close-out
-    targets."""
+def repo_legs(model: MarketModel, z):
+    """The seller's two repo legs, fixed by ``z``: the stock position
+    ``z / sigma`` accrues the repo spread over the discount rate, borrowed
+    when long and lent when short."""
     r = model.rates
     sigma = model.equity.sigma
+    return ((r.discount - r.repo_borrow) * pos(z) / sigma,
+            (r.discount - r.repo_lend) * neg(z) / sigma)
+
+
+def _mark_terms(model: MarketModel, at_value: bool, mark, own=None,
+                cpty=None) -> DriverTerms:
+    """The seller's accrual terms fixed by the mark, at the wealth level
+    (``at_value``) or at the adjustment level, with the given close-out
+    targets; the repo legs are left to :func:`with_repo_legs`."""
+    r = model.rates
     mark = np.asarray(mark, dtype=float)
     collateral = model.alpha * mark
     return DriverTerms(
         offset=-collateral if at_value else (1.0 - model.alpha) * mark,
-        repo_long=(r.discount - r.repo_borrow) * pos(z) / sigma,
-        repo_short=(r.discount - r.repo_lend) * neg(z) / sigma,
+        repo_long=None, repo_short=None,
         coll_earn=r.coll_earn * pos(collateral),
         coll_pay=r.coll_pay * neg(collateral),
         carry=None if at_value else r.discount * mark, own=own, cpty=cpty)
+
+
+def with_repo_legs(model: MarketModel, terms: DriverTerms, z) -> DriverTerms:
+    """``terms`` with the repo legs that ``z`` fixes filled in."""
+    repo_long, repo_short = repo_legs(model, z)
+    return terms._replace(repo_long=repo_long, repo_short=repo_short)
 
 
 def _seller_step(model: MarketModel, terms: DriverTerms, u, z_own, z_cpty):
@@ -178,15 +198,14 @@ def _seller_step(model: MarketModel, terms: DriverTerms, u, z_own, z_cpty):
     return np.subtract(terms.carry, accrual, out=out)
 
 
-def reduced_terms(model: MarketModel, z, mark,
-                  at_value: bool = False) -> DriverTerms:
-    """The seller's reduced-driver terms fixed by ``z`` and the mark.
+def reduced_mark_terms(model: MarketModel, mark,
+                       at_value: bool = False) -> DriverTerms:
+    """The seller's reduced-driver terms fixed by the mark alone.
 
-    The close-out targets are the close-out adjustments, or mark plus
-    adjustment when ``at_value``.  With :func:`reduced_step` this is the
-    seller's side of :func:`reduced_drift` (or :func:`reduced_drift_value`)
-    split in two, so a caller whose mark and ``z`` stay fixed across many
-    values of ``u`` computes these terms once.
+    These are the funding offset, the collateral legs, the carry and the
+    close-out targets: the close-out adjustments, or mark plus adjustment
+    when ``at_value``.  The repo legs are left empty; :func:`with_repo_legs`
+    fills them in from ``z``.
     """
     own = cpty = None
     if model.credit is not None:
@@ -194,7 +213,21 @@ def reduced_terms(model: MarketModel, z, mark,
         if at_value:
             value = np.asarray(mark, dtype=float)
             own, cpty = value + own, value + cpty
-    return _account_terms(model, at_value, z, mark, own, cpty)
+    return _mark_terms(model, at_value, mark, own, cpty)
+
+
+def reduced_terms(model: MarketModel, z, mark,
+                  at_value: bool = False) -> DriverTerms:
+    """The seller's reduced-driver terms fixed by ``z`` and the mark.
+
+    With :func:`reduced_step` this is the seller's side of
+    :func:`reduced_drift` (or :func:`reduced_drift_value`) split in two, so a
+    caller whose mark and ``z`` stay fixed across many values of ``u``
+    computes these terms once.  A caller whose mark stays fixed while ``z``
+    moves with ``u`` (the PDE) keeps :func:`reduced_mark_terms` and adds the
+    repo legs per ``z``.
+    """
+    return with_repo_legs(model, reduced_mark_terms(model, mark, at_value), z)
 
 
 def reduced_step(model: MarketModel, terms: DriverTerms, u):
@@ -228,8 +261,8 @@ def _on_side(seller, model: MarketModel, side: str, t, *args):
 
 
 def _seller_drift(at_value: bool, model, t, u, z, z_own, z_cpty, mark):
-    return _seller_step(model, _account_terms(model, at_value, z, mark), u,
-                        z_own, z_cpty)
+    terms = with_repo_legs(model, _mark_terms(model, at_value, mark), z)
+    return _seller_step(model, terms, u, z_own, z_cpty)
 
 
 def _seller_reduced(at_value: bool, model, t, u, z, mark):

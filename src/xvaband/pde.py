@@ -11,7 +11,9 @@ to damp payoff-kink oscillations):
 
 The nonlinearity is resolved by per-step fixed-point (Picard) iteration on
 the implicit part; the drivers are globally Lipschitz, so the iteration
-contracts for any reasonable step size.  Boundary conditions impose
+contracts for any reasonable step size.  The matrix (I - theta dt B) of each
+implicit coefficient is LU-factored once (LAPACK ``dgttrf``), and every
+solve reuses the factors (``dgttrs``).  Boundary conditions impose
 linearity in the stock (payoffs and adjustments are asymptotically linear
 there), via second-order ghost-node elimination.
 
@@ -20,11 +22,14 @@ and the agent surface only on those and the claim.  Scenarios that share
 them (and the presence of a credit block) are therefore marched together as
 the columns of one (nx, 2K) block: columns 0..K-1 are the seller sides of
 the K scenarios, columns K..2K-1 their buyer sides, in the same order.  Each
-backward step marches the agent once and evaluates the mark and delta once
-(the pair of one step is carried to the next); each Picard iteration makes
-one driver call for the whole block, with every parameter that differs
-between scenarios stacked into an array with one entry per column, and one
-banded solve with a 2-D right-hand side.  Picard runs per column: a column
+backward step marches the agent once, evaluates the mark and delta once and
+builds from them the driver terms that the mark alone fixes (funding offset,
+collateral legs, carry, close-out targets); the driver of one time level is
+carried to the next step as its explicit part.  Each Picard iteration then
+makes one driver call for the whole block, which adds only the exposure z,
+the repo legs and the step in u, with every parameter that differs between
+scenarios stacked into an array with one entry per column, and one banded
+solve with a 2-D right-hand side.  Picard runs per column: a column
 is frozen as soon as its own residual is below tolerance, so it takes
 exactly the iterations, and gets exactly the values, of its own
 single-scenario solve.  :func:`solve` is this march with K = 1 and keeps the
@@ -39,7 +44,7 @@ from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from . import claims, drivers
 from .market import CreditParams, EquityParams, MarketModel, RateSet
@@ -51,6 +56,18 @@ RANNACHER_STEPS = 2  # leading full steps replaced by implicit-Euler half-steps
 
 class NumericsError(RuntimeError):
     """A solve failed to converge or produced non-finite values."""
+
+
+class _NonFiniteRhs(NumericsError):
+    """A banded solve refused a right-hand side holding NaN or inf.
+
+    ``column`` is the first such column of a block, None for one column.
+    """
+
+    def __init__(self, column: int | None):
+        where = "" if column is None else f" in column {column}"
+        super().__init__(f"non-finite right-hand side{where}")
+        self.column = column
 
 
 @dataclass(frozen=True)
@@ -174,13 +191,14 @@ class _Stepper:
     """One theta-step of (d/d tau) u = B u + source, via banded solves.
 
     ``u`` is one column of nodal values, shape (nx,), or a block of columns,
-    shape (nx, k); every column sees the same operator.
+    shape (nx, k); every column sees the same operator.  The matrix
+    (I - coef B) of each implicit coefficient is LU-factored once.
     """
 
     def __init__(self, grid: PdeGrid, model: MarketModel, zeroth: float):
         self.lower, self.diag, self.upper = _spatial_operator(grid, model, zeroth)
         self.nx = grid.nx
-        self._ab: dict[float, np.ndarray] = {}
+        self._factors: dict[float, tuple] = {}
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         col = (slice(None),) + (None,) * (u.ndim - 1)
@@ -190,19 +208,50 @@ class _Stepper:
         return out
 
     def ab_matrix(self, coef: float) -> np.ndarray:
-        """Banded form of (I - coef * B) for scipy.linalg.solve_banded."""
-        ab = self._ab.get(coef)
-        if ab is None:
-            ab = np.zeros((3, self.nx))
-            ab[0, 1:] = -coef * self.upper[:-1]
-            ab[1, :] = 1.0 - coef * self.diag
-            ab[2, :-1] = -coef * self.lower[1:]
-            self._ab[coef] = ab
+        """(I - coef * B) in the (3, nx) band layout of
+        ``scipy.linalg.solve_banded((1, 1), ...)``: upper, main and lower
+        diagonal as rows."""
+        ab = np.zeros((3, self.nx))
+        ab[0, 1:] = -coef * self.upper[:-1]
+        ab[1, :] = 1.0 - coef * self.diag
+        ab[2, :-1] = -coef * self.lower[1:]
         return ab
+
+    def factors(self, coef: float) -> tuple:
+        """LAPACK ``dgttrf`` LU factors of (I - coef * B), made once per coef."""
+        lu = self._factors.get(coef)
+        if lu is None:
+            ab = self.ab_matrix(coef)
+            *lu, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+            if info:
+                raise np.linalg.LinAlgError("singular matrix")
+            lu = self._factors[coef] = tuple(lu)
+        return lu
 
     def step_linear(self, u: np.ndarray, dt: float, theta: float) -> np.ndarray:
         rhs = u + (1.0 - theta) * dt * self.apply(u)
-        return solve_banded((1, 1), self.ab_matrix(theta * dt), rhs)
+        return solve_banded(self, theta * dt, rhs)
+
+
+def solve_banded(stepper: _Stepper, coef: float, b: np.ndarray) -> np.ndarray:
+    """Solve (I - coef * B) x = b with the stepper's LU factors of that matrix.
+
+    ``b`` is one column, shape (nx,), or a block, shape (nx, k).  A
+    right-hand side holding NaN or inf is refused with :class:`_NonFiniteRhs`
+    naming its first such column.  The factors come from partial pivoting as
+    in ``scipy.linalg.solve_banded``, whose tridiagonal path (LAPACK
+    ``dgtsv``) does the same arithmetic, so the two agree bit for bit.
+    """
+    finite = np.isfinite(b)
+    if not finite.all():
+        column = None
+        if b.ndim == 2:
+            column = int(np.flatnonzero(~finite.all(axis=0))[0])
+        raise _NonFiniteRhs(column)
+    x, info = dgttrs(*stepper.factors(coef), b)
+    if info:
+        raise ValueError(f"illegal value in argument {-info} of dgttrs")
+    return x
 
 
 class _ColumnModel:
@@ -254,9 +303,10 @@ class _Columns:
     -seller(-u, -z, -mark), applied with a per-column sign.
     """
 
-    def __init__(self, models: list[MarketModel]):
+    def __init__(self, models: list[MarketModel], nx: int):
         self.count = len(models)
         self.sign = np.repeat([1.0, -1.0], self.count)
+        self._z = np.empty(nx * self.sign.size)  # the exposure of one driver call
         per_model = [_driver_params(m) for m in models]
         params, self.varied = {}, {}
         for name in per_model[0]:
@@ -281,24 +331,42 @@ class _Columns:
         return f"{side} side of scenario {k}" + (f" ({varied})" if varied else "")
 
     def drift(self, t: float, mark: np.ndarray, grad: np.ndarray, dx: float):
-        """The reduced driver at time t as a function of (u, active columns)."""
+        """The reduced driver at time t as a function of (u, active columns).
+
+        The terms the mark fixes are built here, once per time level; each
+        call builds only the exposure z, the repo legs and the step in u.
+        """
         sigma = self.model.equity.sigma
-        signed_mark = self.sign * mark
+        level = drivers.reduced_mark_terms(self.model, self.sign * mark)
 
         def g(u: np.ndarray, cols: np.ndarray) -> np.ndarray:
             if cols.size == self.sign.size:
-                model, sgn, smark = self.model, self.sign, signed_mark
+                model, sgn, terms = self.model, self.sign, level
             else:
                 model, sgn = self.model.take(cols), self.sign[cols]
-                smark = signed_mark[:, cols]
-            z = np.gradient(u, dx, axis=0)
+                terms = level.take((slice(None), cols))
+            z = _gradient(u, dx, self._z[:u.size].reshape(u.shape))
             z += grad
             z *= sigma
             z *= sgn
-            out = drivers.reduced_drift(model, drivers.SELLER, t, sgn * u, z, smark)
+            terms = drivers.with_repo_legs(model, terms, z)
+            out = drivers.reduced_step(model, terms, sgn * u)
             out *= sgn
             return out
         return g
+
+
+def _gradient(u: np.ndarray, dx: float, out: np.ndarray) -> np.ndarray:
+    """``np.gradient(u, dx, axis=0)``, the same arithmetic written into ``out``:
+    central differences inside, one-sided ones at the two edges."""
+    inner, first, last = out[1:-1], out[:1], out[-1:]
+    np.subtract(u[2:], u[:-2], out=inner)
+    inner /= 2.0 * dx
+    np.subtract(u[1:2], u[:1], out=first)
+    first /= dx
+    np.subtract(u[-1:], u[-2:-1], out=last)
+    last /= dx
+    return out
 
 
 def _check_batch(models: list[MarketModel], claim: claims.ClaimSpec,
@@ -340,8 +408,9 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
     first = models[0]
     s = np.exp(grid.x_nodes())
     vanilla = claim.kind in ("call", "put")
-    columns = _Columns(models)
+    columns = _Columns(models, nx)
     ncol = columns.sign.size
+    every = np.arange(ncol)
 
     agent = np.empty((keep, nx))
     block = np.empty((keep, nx, ncol))
@@ -351,16 +420,19 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
     agent_step = _Stepper(grid, first, zeroth=-first.rates.discount)
     adj_step = _Stepper(grid, first, zeroth=0.0)
 
-    def mark_and_delta(t: float, agent_row: np.ndarray):
-        """Agent mark and log-space agent gradient feeding the driver, as columns."""
+    def drift_at(t: float, agent_row: np.ndarray):
+        """The driver closure of a time level, fed by the agent mark and the
+        log-space agent gradient there, as columns."""
         if vanilla:
             value, delta = claims.agent_value_grid(first, claim, t, s)
-            return value[:, None], (s * delta)[:, None]
-        return agent_row[:, None], np.gradient(agent_row, dx)[:, None]
+            mark, grad = value[:, None], (s * delta)[:, None]
+        else:
+            mark, grad = agent_row[:, None], np.gradient(agent_row, dx)[:, None]
+        return columns.drift(t, mark, grad, dx)
 
-    def picard(rhs_base, step, theta, u_start, t, marked, explicit_part):
+    def picard(rhs_base, step, theta, u_start, t, drift, explicit_part):
         it, res, u, failed = _picard(adj_step, rhs_base, step, theta, u_start,
-                                     columns.drift(t, *marked, dx), explicit_part)
+                                     drift, explicit_part)
         if failed.size:
             col = int(failed[0])
             raise NumericsError(
@@ -377,46 +449,50 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
     if nt < keep:
         agent[nt] = a_old
         block[nt] = u_old
-    marked_old = mark_and_delta(t_levels[nt], a_old)
+    drift_old = drift_at(t_levels[nt], a_old)
     n_r = min(RANNACHER_STEPS, nt)
-    for n in range(nt):
-        i_new = nt - n - 1          # t-index being computed
-        t_old = t_levels[i_new + 1]
-        t_new = t_levels[i_new]
-        rannacher = n < n_r
-        if rannacher:
-            a_half = agent_step.step_linear(a_old, 0.5 * dt, 1.0)
-            a_new = agent_step.step_linear(a_half, 0.5 * dt, 1.0)
-        else:
-            a_new = agent_step.step_linear(a_old, dt, 0.5)
-        marked_new = mark_and_delta(t_new, a_new)
+    try:
+        for n in range(nt):
+            i_new = nt - n - 1          # t-index being computed
+            t_old = t_levels[i_new + 1]
+            t_new = t_levels[i_new]
+            rannacher = n < n_r
+            if rannacher:
+                a_half = agent_step.step_linear(a_old, 0.5 * dt, 1.0)
+                a_new = agent_step.step_linear(a_half, 0.5 * dt, 1.0)
+            else:
+                a_new = agent_step.step_linear(a_old, dt, 0.5)
+            drift_new = drift_at(t_new, a_new)
 
-        if rannacher:
-            # two implicit-Euler half-steps
-            t_mid = 0.5 * (t_old + t_new)
-            marked_mid = mark_and_delta(t_mid, a_half)
-            it1, res1, u_mid = picard(u_old, 0.5 * dt, 1.0, u_old, t_mid,
-                                      marked_mid, 0.0)
-            it2, res2, u_new = picard(u_mid, 0.5 * dt, 1.0, u_mid, t_new,
-                                      marked_new, 0.0)
-            it, res = np.maximum(it1, it2), np.maximum(res1, res2)
-        else:
-            g_old = columns.drift(t_old, *marked_old, dx)(u_old, np.arange(ncol))
-            rhs_base = u_old + 0.5 * dt * adj_step.apply(u_old)
-            it, res, u_new = picard(rhs_base, dt, 0.5, u_old, t_new, marked_new,
-                                    0.5 * dt * g_old)
-        finite = np.all(np.isfinite(u_new), axis=0)
-        if not finite.all():
-            col = int(np.flatnonzero(~finite)[0])
-            raise NumericsError(
-                f"non-finite values in the {columns.label(col)} surface at "
-                f"t={t_new:.6g} (last residual {res[col]:.3g})")
-        if i_new < keep:
-            agent[i_new] = a_new
-            block[i_new] = u_new
-        iters[n] = it
-        resids[n] = res
-        a_old, u_old, marked_old = a_new, u_new, marked_new
+            if rannacher:
+                # two implicit-Euler half-steps
+                t_mid = 0.5 * (t_old + t_new)
+                it1, res1, u_mid = picard(u_old, 0.5 * dt, 1.0, u_old, t_mid,
+                                          drift_at(t_mid, a_half), 0.0)
+                it2, res2, u_new = picard(u_mid, 0.5 * dt, 1.0, u_mid, t_new,
+                                          drift_new, 0.0)
+                it, res = np.maximum(it1, it2), np.maximum(res1, res2)
+            else:
+                g_old = drift_old(u_old, every)
+                rhs_base = u_old + 0.5 * dt * adj_step.apply(u_old)
+                it, res, u_new = picard(rhs_base, dt, 0.5, u_old, t_new,
+                                        drift_new, 0.5 * dt * g_old)
+            finite = np.all(np.isfinite(u_new), axis=0)
+            if not finite.all():
+                col = int(np.flatnonzero(~finite)[0])
+                raise NumericsError(
+                    f"non-finite values in the {columns.label(col)} surface at "
+                    f"t={t_new:.6g} (last residual {res[col]:.3g})")
+            if i_new < keep:
+                agent[i_new] = a_new
+                block[i_new] = u_new
+            iters[n] = it
+            resids[n] = res
+            a_old, u_old, drift_old = a_new, u_new, drift_new
+    except _NonFiniteRhs as exc:
+        what = "agent" if exc.column is None else columns.label(exc.column)
+        raise NumericsError(f"non-finite values in the {what} surface at "
+                            f"t={t_new:.6g}") from exc
     return agent, block, iters, resids
 
 
@@ -465,10 +541,12 @@ def _picard(stepper: _Stepper, rhs_base: np.ndarray, dt: float, theta: float,
 
     ``implicit_driver(u, cols)`` evaluates g on the given columns.  A column
     stops once its own sup-norm residual is below PICARD_TOL, so it takes the
-    same iterations as it would alone.  Returns per-column iteration counts
-    and last residuals, the solution, and the columns that did not converge.
+    same iterations as it would alone.  ``u_start`` is read, never written.
+    Returns per-column iteration counts and last residuals, the solution, and
+    the columns that did not converge.  A non-finite right-hand side raises
+    :class:`_NonFiniteRhs` naming its column of ``u_start``.
     """
-    ab = stepper.ab_matrix(theta * dt)
+    coef = theta * dt
     fixed = rhs_base + explicit_part
     ncol = u_start.shape[1]
     iters = np.zeros(ncol, dtype=int)
@@ -479,10 +557,13 @@ def _picard(stepper: _Stepper, rhs_base: np.ndarray, dt: float, theta: float,
         whole = active.size == ncol
         u_act = u if whole else u[:, active]
         rhs = ((fixed if whole else fixed[:, active])
-               + theta * dt * implicit_driver(u_act, active))
-        u_next = solve_banded((1, 1), ab, rhs)
+               + coef * implicit_driver(u_act, active))
+        try:
+            u_next = solve_banded(stepper, coef, rhs)
+        except _NonFiniteRhs as exc:
+            raise _NonFiniteRhs(int(active[exc.column])) from None
         res = np.max(np.abs(u_next - u_act), axis=0)
-        if whole:
+        if whole:  # always so at it = 1: u_start is never written
             u = u_next
         else:
             u[:, active] = u_next

@@ -6,12 +6,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded as scipy_solve_banded
 
 from xvaband import (BUYER, SELLER, ClaimSpec, CreditParams, EquityParams,
                      NumericsError, PdeGrid, agent_value,
                      piterbarg_defaults_strategies,
                      piterbarg_defaults_xva, piterbarg_xva, solve,
                      solve_batch, solve_reduced, strategies, xva_at)
+from xvaband import drivers, pde
 from xvaband.claims import agent_value_grid
 from xvaband.drivers import jump_targets
 from xvaband.pde import agent_at
@@ -361,3 +363,165 @@ def test_batch_picard_failure_names_the_column():
     assert "seller" in msg or "buyer" in msg
     assert "t=" in msg and "last residual" in msg
     solve_batch(models[:1], CALL, grid)  # the other column alone converges
+
+
+# -- the march's parts against their references -------------------------------
+
+def operator_cases():
+    """Steppers over spots 1e-2..1e4, sigma 0.1..0.6 and T 0.25..5, both
+    operators (agent and adjustment), at the march's implicit coefficients."""
+    base = make_benchmark()
+    for spot in (1e-2, 1.0, 1e4):
+        for sigma in (0.1, 0.6):
+            for maturity in (0.25, 5.0):
+                model = replace(base, equity=EquityParams(spot=spot, sigma=sigma))
+                claim = ClaimSpec(kind="call", strike=spot, maturity=maturity)
+                grid = PdeGrid.default_for(model, claim, nx=400, nt=400)
+                for zeroth in (-model.rates.discount, 0.0):
+                    stepper = pde._Stepper(grid, model, zeroth)
+                    for coef in (0.5 * grid.dt, 0.25 * grid.dt):
+                        yield spot, stepper, coef
+
+
+def test_solve_banded_matches_scipy_byte_for_byte(rng):
+    """The prefactored solve gives the bits of scipy's banded solve, for one
+    column and for a block of 84."""
+    for spot, stepper, coef in operator_cases():
+        ab = stepper.ab_matrix(coef)
+        for shape in ((stepper.nx,), (stepper.nx, 84)):
+            b = spot * rng.standard_normal(shape)
+            got = pde.solve_banded(stepper, coef, b)
+            want = scipy_solve_banded((1, 1), ab, b)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def test_solve_banded_refuses_non_finite_rhs():
+    stepper = next(operator_cases())[1]
+    b = np.ones((stepper.nx, 3))
+    b[7, 1] = np.inf
+    with pytest.raises(NumericsError, match="column 1"):
+        pde.solve_banded(stepper, 0.01, b)
+    with pytest.raises(NumericsError, match="non-finite right-hand side"):
+        pde.solve_banded(stepper, 0.01, np.full(stepper.nx, np.nan))
+
+
+def test_gradient_buffer_matches_numpy(rng):
+    for shape in ((400,), (400, 2), (400, 84), (3, 5)):
+        for dx in (0.0123, 1e-3, 0.5):
+            u = np.exp(rng.standard_normal(shape)) * rng.choice([-1.0, 1.0], shape)
+            got = pde._gradient(u, dx, np.empty_like(u))
+            assert got.tobytes() == np.gradient(u, dx, axis=0).tobytes()
+
+
+def reference_drift(columns, t, mark, grad, dx, u, cols):
+    """The per-call driver the march evaluated before the mark terms were
+    cached: the full reduced drift of the seller, reflected per column."""
+    sgn = columns.sign[cols]
+    z = np.gradient(u, dx, axis=0)
+    z += grad
+    z *= columns.model.equity.sigma
+    z *= sgn
+    smark = (columns.sign * mark)[:, cols]
+    return sgn * drivers.reduced_drift(columns.model.take(cols), SELLER, t,
+                                       sgn * u, z, smark)
+
+
+@pytest.mark.parametrize("credit", [True, False])
+def test_level_drift_matches_reduced_drift(credit, rng):
+    """The driver closure of one time level, built once from the mark, gives
+    the bits of the full reduced drift on every column and on a subset, and
+    a later call leaves an earlier result alone."""
+    models = batch_stack()
+    if not credit:
+        models = [replace(m, credit=None) for m in models]
+    grid = PdeGrid.default_for(models[0], CALL, nx=120, nt=10)
+    s = np.exp(grid.x_nodes())
+    t = 0.37
+    value, delta = agent_value_grid(models[0], CALL, t, s)
+    mark, grad = value[:, None], (s * delta)[:, None]
+    columns = pde._Columns(models, grid.nx)
+    g = columns.drift(t, mark, grad, grid.dx)
+    ncol = columns.sign.size
+    for cols in (np.arange(ncol), np.array([1, 4, 5, 8])):
+        u = 0.05 * rng.standard_normal((grid.nx, cols.size))
+        got = g(u, cols)
+        want = reference_drift(columns, t, mark, grad, grid.dx, u, cols)
+        assert got.tobytes() == want.tobytes()
+        g(u[::-1].copy(), cols)  # reuses the exposure buffer
+        assert got.tobytes() == want.tobytes()
+
+
+def linear_driver(rates):
+    """g(u) = rates * u per column, so columns converge at different speeds."""
+    return lambda u, cols: rates[cols] * u
+
+
+def test_picard_leaves_u_start_unchanged():
+    model = make_benchmark()
+    grid = PdeGrid.default_for(model, CALL, nx=80, nt=10)
+    stepper = pde._Stepper(grid, model, 0.0)
+    x = grid.x_nodes()
+    u_start = np.stack([np.sin(3 * x), np.cos(x), x, 0.1 * x * x], axis=1)
+    before = u_start.copy()
+    rates = np.array([0.0, 0.5, 2.0, 8.0])
+    iters, resid, u, failed = pde._picard(stepper, u_start, grid.dt, 0.5,
+                                          u_start, linear_driver(rates), 0.0)
+    assert not failed.size
+    assert len(set(iters.tolist())) > 2  # columns froze at different iterations
+    assert np.array_equal(u_start, before)
+    assert u is not u_start
+
+
+def test_picard_names_a_non_finite_column_of_the_block():
+    """A column that turns non-finite after others froze is named by its index
+    in the block, not in the active subset."""
+    model = make_benchmark()
+    grid = PdeGrid.default_for(model, CALL, nx=80, nt=10)
+    stepper = pde._Stepper(grid, model, 0.0)
+    u_start = np.ones((grid.nx, 4))
+    rates = np.array([0.0, 0.5, 2.0, 8.0])
+
+    def driver(u, cols):
+        out = rates[cols] * u
+        if cols.size < 4:
+            out[:, cols == 3] = np.nan
+        return out
+
+    with pytest.raises(pde._NonFiniteRhs) as info:
+        pde._picard(stepper, u_start, grid.dt, 0.5, u_start, driver, 0.0)
+    assert info.value.column == 3
+
+
+def nan_at_one_node(s):
+    out = np.maximum(s - 1.0, 0.0)
+    out[len(out) // 2] = np.nan
+    return out
+
+
+def test_non_finite_payoff_names_the_agent_surface(benchmark_model):
+    claim = ClaimSpec(kind="custom", strike=1.0, maturity=1.0,
+                      payoff_fn=nan_at_one_node)
+    grid = PdeGrid.default_for(benchmark_model, claim, nx=60, nt=20)
+    with pytest.raises(NumericsError,
+                       match=r"non-finite values in the agent surface at t=0\.95$"):
+        solve(benchmark_model, claim, grid)
+
+
+def test_non_finite_driver_names_the_column(monkeypatch):
+    """A driver that turns non-finite on one scenario is reported on that
+    scenario's seller column, with its varied parameters and t."""
+    models = batch_stack()
+    step = drivers.reduced_step
+
+    def poisoned(model, terms, u):
+        out = step(model, terms, u)
+        out[:, np.broadcast_to(model.alpha, out.shape[1:]) == 0.35] = np.nan
+        return out
+
+    monkeypatch.setattr(drivers, "reduced_step", poisoned)
+    grid = PdeGrid.default_for(models[0], CALL, nx=40, nt=10)
+    with pytest.raises(NumericsError,
+                       match=r"non-finite values in the seller side of "
+                             r"scenario 1 \(.*alpha=0\.35.*\) surface at t=0\.9$"):
+        solve_batch(models, CALL, grid)
