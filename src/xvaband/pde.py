@@ -11,11 +11,13 @@ to damp payoff-kink oscillations):
 
 The nonlinearity is resolved by per-step fixed-point (Picard) iteration on
 the implicit part; the drivers are globally Lipschitz, so the iteration
-contracts for any reasonable step size.  The matrix (I - theta dt B) of each
-implicit coefficient is LU-factored once (LAPACK ``dgttrf``), and every
-solve reuses the factors (``dgttrs``).  Boundary conditions impose
-linearity in the stock (payoffs and adjustments are asymptotically linear
-there), via second-order ghost-node elimination.
+contracts for any reasonable step size.  Every Crank-Nicolson step after the
+implicit-Euler start begins the iteration at 2 u_old - u_older, the linear
+extrapolation of the last two time levels.  The matrix (I - theta dt B) of
+each implicit coefficient is LU-factored once (LAPACK ``dgttrf``), and every
+solve reuses the factors (``dgttrs``).  Boundary conditions impose linearity
+in the stock (payoffs and adjustments are asymptotically linear there), via
+second-order ghost-node elimination.
 
 The spatial operator depends only on the grid, sigma and the discount rate,
 and the agent surface only on those and the claim.  Scenarios that share
@@ -29,12 +31,12 @@ carried to the next step as its explicit part.  Each Picard iteration then
 makes one driver call for the whole block, which adds only the exposure z,
 the repo legs and the step in u, with every parameter that differs between
 scenarios stacked into an array with one entry per column, and one banded
-solve with a 2-D right-hand side.  Picard runs per column: a column
-is frozen as soon as its own residual is below tolerance, so it takes
-exactly the iterations, and gets exactly the values, of its own
-single-scenario solve.  :func:`solve` is this march with K = 1 and keeps the
-full surfaces; :func:`solve_batch` keeps only the two time rows that
-valuation and hedging at t = 0 read.
+solve with a 2-D right-hand side.  Picard runs per column, from a start
+computed per node: a column is frozen as soon as its own residual is below
+tolerance, so it takes exactly the iterations, and gets exactly the values,
+of its own single-scenario solve.  :func:`solve` is this march with K = 1 and
+keeps the full surfaces; :func:`solve_batch` keeps only the two time rows
+that valuation and hedging at t = 0 read.
 """
 
 from __future__ import annotations
@@ -446,6 +448,7 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
     a_old = np.empty(nx)
     a_old[:] = claim.payoff(s)
     u_old = np.zeros((nx, ncol))
+    u_older = None  # the level before u_old, once there is one
     if nt < keep:
         agent[nt] = a_old
         block[nt] = u_old
@@ -475,7 +478,9 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
             else:
                 g_old = drift_old(u_old, every)
                 rhs_base = u_old + 0.5 * dt * adj_step.apply(u_old)
-                it, res, u_new = picard(rhs_base, dt, 0.5, u_old, t_new,
+                # start from the linear extrapolation of the last two levels
+                u_start = u_old if u_older is None else 2.0 * u_old - u_older
+                it, res, u_new = picard(rhs_base, dt, 0.5, u_start, t_new,
                                         drift_new, 0.5 * dt * g_old)
             finite = np.all(np.isfinite(u_new), axis=0)
             if not finite.all():
@@ -488,7 +493,7 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
                 block[i_new] = u_new
             iters[n] = it
             resids[n] = res
-            a_old, u_old, drift_old = a_new, u_new, drift_new
+            a_old, u_older, u_old, drift_old = a_new, u_old, u_new, drift_new
     except _NonFiniteRhs as exc:
         what = "agent" if exc.column is None else columns.label(exc.column)
         raise NumericsError(f"non-finite values in the {what} surface at "
