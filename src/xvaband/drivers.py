@@ -135,16 +135,6 @@ class DriverTerms(NamedTuple):
         return DriverTerms(*(None if a is None else a[index] for a in self))
 
 
-def repo_legs(model: MarketModel, z):
-    """The seller's two repo legs, fixed by ``z``: the stock position
-    ``z / sigma`` accrues the repo spread over the discount rate, borrowed
-    when long and lent when short."""
-    r = model.rates
-    sigma = model.equity.sigma
-    return ((r.discount - r.repo_borrow) * pos(z) / sigma,
-            (r.discount - r.repo_lend) * neg(z) / sigma)
-
-
 def _mark_terms(model: MarketModel, at_value: bool, mark, own=None,
                 cpty=None) -> DriverTerms:
     """The seller's accrual terms fixed by the mark, at the wealth level
@@ -162,9 +152,14 @@ def _mark_terms(model: MarketModel, at_value: bool, mark, own=None,
 
 
 def with_repo_legs(model: MarketModel, terms: DriverTerms, z) -> DriverTerms:
-    """``terms`` with the repo legs that ``z`` fixes filled in."""
-    repo_long, repo_short = repo_legs(model, z)
-    return terms._replace(repo_long=repo_long, repo_short=repo_short)
+    """``terms`` with the repo legs that ``z`` fixes filled in: the stock
+    position ``z / sigma`` accrues the repo spread over the discount rate,
+    borrowed when long and lent when short."""
+    r = model.rates
+    sigma = model.equity.sigma
+    return terms._replace(
+        repo_long=(r.discount - r.repo_borrow) * pos(z) / sigma,
+        repo_short=(r.discount - r.repo_lend) * neg(z) / sigma)
 
 
 def _seller_step(model: MarketModel, terms: DriverTerms, u, z_own, z_cpty):

@@ -448,7 +448,7 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
     a_old = np.empty(nx)
     a_old[:] = claim.payoff(s)
     u_old = np.zeros((nx, ncol))
-    u_older = None  # the level before u_old, once there is one
+    u_older = u_old  # the level before u_old; the terminal one to start
     if nt < keep:
         agent[nt] = a_old
         block[nt] = u_old
@@ -479,9 +479,8 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
                 g_old = drift_old(u_old, every)
                 rhs_base = u_old + 0.5 * dt * adj_step.apply(u_old)
                 # start from the linear extrapolation of the last two levels
-                u_start = u_old if u_older is None else 2.0 * u_old - u_older
-                it, res, u_new = picard(rhs_base, dt, 0.5, u_start, t_new,
-                                        drift_new, 0.5 * dt * g_old)
+                it, res, u_new = picard(rhs_base, dt, 0.5, 2.0 * u_old - u_older,
+                                        t_new, drift_new, 0.5 * dt * g_old)
             finite = np.all(np.isfinite(u_new), axis=0)
             if not finite.all():
                 col = int(np.flatnonzero(~finite)[0])
