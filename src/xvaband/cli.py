@@ -22,7 +22,7 @@ import argparse
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from typing import Callable
 
@@ -35,9 +35,8 @@ DEFAULT_NT = 400
 DEFAULT_STEPS = 2000
 ENGINES = ("closed", "pde", "lattice", "all")
 
-_RATE_KEYS = ("fund_lend", "fund_borrow", "repo_lend", "repo_borrow",
-              "coll_earn", "coll_pay", "discount")
-_CREDIT_KEYS = ("mu_own", "mu_cpty", "loss_own", "loss_cpty")
+_RATE_KEYS = tuple(f.name for f in fields(RateSet))
+_CREDIT_KEYS = tuple(f.name for f in fields(CreditParams))
 _FLOAT_KEYS = _RATE_KEYS + _CREDIT_KEYS + (
     "alpha", "spot", "sigma", "strike", "maturity",
     "sweep_start", "sweep_stop")
@@ -82,10 +81,14 @@ def parse_config_text(text: str) -> dict:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         if key in values:
             raise ValueError(f"config line {lineno}: repeated key {key!r}")
-        if key in _FLOAT_KEYS:
-            values[key] = float(val)
-        elif key in _INT_KEYS:
-            values[key] = int(val)
+        if key in _FLOAT_KEYS or key in _INT_KEYS:
+            number = float if key in _FLOAT_KEYS else int
+            try:
+                values[key] = number(val)
+            except ValueError:
+                what = "a number" if number is float else "an integer"
+                raise ValueError(f"config line {lineno}: {key} must be {what}, "
+                                 f"got {val!r}") from None
         elif key == "allow_violations":
             if val.lower() not in _BOOLEANS:
                 raise ValueError(f"config line {lineno}: allow_violations must be "

@@ -3,9 +3,10 @@
 Everything downstream -- the PDE engine and the lattice cross-check -- consumes
 the functions defined here, so they are the single source of truth for the
 nonlinearity.  All functions accept scalars or numpy arrays of equal shape.
-The PDE engine also passes the reduced driver's parts a record shaped like a
-``MarketModel`` whose parameters may be arrays with one entry per column of
-an (nodes, columns) block; they broadcast like any other operand.
+The public drivers take a ``MarketModel``; the parts of the reduced driver
+read only :class:`DriverParams`, one record built once from a model and a
+side.  Its fields are floats, or arrays with one entry per column of a PDE
+block or per row of a lattice level.
 
 Conventions
 -----------
@@ -22,7 +23,8 @@ Conventions
   only the repo legs (:func:`with_repo_legs`) and the step.
 * ``side`` is "seller" (hedging a short position in the claim) or "buyer"
   (hedging a long position).  Buyer-side values are always produced through
-  one reflection, ``buyer(args, mark) = -seller(-args, -mark)``; they are
+  one reflection, ``buyer(args, mark) = -seller(-args, -mark)``, which the
+  driver parts apply themselves through the record's ``sign``; they are
   never coded independently, which makes the antisymmetry structural.
 * ``x⁺ = max(x, 0)`` and ``x⁻ = max(-x, 0)``, so ``x⁺ - x⁻ = x`` exactly and
   both vanish at 0.
@@ -37,7 +39,6 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -77,6 +78,108 @@ class CloseoutValues:
     adjustment_cpty_default: float
 
 
+class DriverTerms(NamedTuple):
+    """The terms of the seller's drift that the mark and ``z`` fix.
+
+    ``offset`` is the funding account less ``u + z_own + z_cpty``; the repo
+    legs accrue on the stock position ``z / sigma`` and the collateral legs
+    on the posted margin ``alpha * mark``; ``carry`` is the mark's own
+    discount drift, at the adjustment level only.  ``own`` and ``cpty`` are
+    the close-out targets of the reduced drivers, absent without a credit
+    block.  The repo legs are absent from the terms of the mark alone
+    (:func:`reduced_mark_terms`).  Each term is an array of its own, added by
+    :func:`_seller_step` in the accrual's order, so splitting the drift this
+    way moves no bit.  A buyer's terms are the seller's at the reflected
+    mark and ``z``.
+    """
+
+    offset: np.ndarray
+    repo_long: np.ndarray | None
+    repo_short: np.ndarray | None
+    coll_earn: np.ndarray
+    coll_pay: np.ndarray
+    carry: np.ndarray | None
+    own: np.ndarray | None = None
+    cpty: np.ndarray | None = None
+
+    def take(self, index):
+        """The record with every array field indexed by ``index``: lattice
+        rows, or PDE columns (``(slice(None), cols)`` for terms, whose
+        arrays hold nodes, and ``cols`` for :class:`DriverParams`)."""
+        return type(self)(*(v[index] if isinstance(v, np.ndarray) else v
+                            for v in self))
+
+
+class DriverParams(NamedTuple):
+    """The parameters the driver reads, of one side or of a block's columns or rows.
+
+    A field is a float, or an array with one entry per column of an (nodes,
+    columns) block or per row of a (rows, nodes) one.  ``sign`` is 1 on a
+    seller and -1 on a buyer: the driver parts take their arguments in the
+    side's own terms and reflect them through it.  The loss rates and the
+    default intensities are None without a credit block.
+    """
+
+    fund_lend: float | np.ndarray
+    fund_borrow: float | np.ndarray
+    repo_lend: float | np.ndarray
+    repo_borrow: float | np.ndarray
+    coll_earn: float | np.ndarray
+    coll_pay: float | np.ndarray
+    discount: float | np.ndarray
+    sigma: float | np.ndarray
+    alpha: float | np.ndarray
+    sign: float | np.ndarray
+    loss_own: float | np.ndarray | None = None
+    loss_cpty: float | np.ndarray | None = None
+    intensity_own: float | np.ndarray | None = None
+    intensity_cpty: float | np.ndarray | None = None
+
+    @classmethod
+    def of(cls, model: MarketModel,
+           side: str | tuple[str, ...]) -> "DriverParams":
+        """The record of ``model`` on ``side``, or, for a tuple of sides, of
+        the rows of a (rows, nodes) block, one side per row."""
+        sign = (_sign(side) if isinstance(side, str)
+                else np.array([[_sign(s)] for s in side]))
+        params = cls(**vars(model.rates), sigma=model.equity.sigma,
+                     alpha=model.alpha, sign=sign)
+        if model.credit is None:
+            return params
+        return params._replace(
+            loss_own=model.credit.loss_own, loss_cpty=model.credit.loss_cpty,
+            intensity_own=model.default_intensity("own"),
+            intensity_cpty=model.default_intensity("cpty"))
+
+    @classmethod
+    def stack(cls, models: list[MarketModel]) -> "DriverParams":
+        """The record of 2K columns: the sellers of the K models, then their
+        buyers.  A field equal in every column stays a float."""
+        columns = []
+        for values in zip(*(cls.of(m, SELLER) for m in models)):
+            if all(v == values[0] for v in values):
+                columns.append(values[0])
+            else:
+                columns.append(np.tile(np.asarray(values, dtype=float), 2))
+        return cls(*columns)._replace(sign=np.repeat([1.0, -1.0], len(models)))
+
+    take = DriverTerms.take
+
+
+def _sign(side: str) -> float:
+    _check_side(side)
+    return 1.0 if side == SELLER else -1.0
+
+
+def _closeouts(p: DriverParams, mark):
+    """The seller's close-out pair (own-default, cpty-default) at ``mark``."""
+    if p.loss_own is None:
+        zero = np.multiply(mark, 0.0)
+        return zero, zero
+    residual = (1.0 - p.alpha) * np.asarray(mark, dtype=float)
+    return -p.loss_own * pos(residual), p.loss_cpty * neg(residual)
+
+
 def closeout_adjustments(model: MarketModel, mark):
     """Adjustment-level close-out pair (own-default, cpty-default) for a given mark.
 
@@ -85,14 +188,7 @@ def closeout_adjustments(model: MarketModel, mark):
     hence <= 0 as a cost adjustment); counterparty default symmetrically hits
     the hedger's uncollateralized claim.
     """
-    c = model.credit
-    if c is None:
-        zero = np.multiply(mark, 0.0)
-        return zero, zero
-    residual = (1.0 - model.alpha) * np.asarray(mark, dtype=float)
-    own = -c.loss_own * pos(residual)
-    cpty = c.loss_cpty * neg(residual)
-    return own, cpty
+    return _closeouts(DriverParams.of(model, SELLER), mark)
 
 
 def closeout(model: MarketModel, mark: float) -> CloseoutValues:
@@ -106,63 +202,32 @@ def closeout(model: MarketModel, mark: float) -> CloseoutValues:
     )
 
 
-class DriverTerms(NamedTuple):
-    """The terms of the seller's drift that the mark and ``z`` fix.
-
-    ``offset`` is the funding account less ``u + z_own + z_cpty``; the repo
-    legs accrue on the stock position ``z / sigma`` and the collateral legs
-    on the posted margin ``alpha * mark``; ``carry`` is the mark's own
-    discount drift, at the adjustment level only.  ``own`` and ``cpty`` are
-    the close-out targets of the reduced drivers, absent without a credit
-    block.  The repo legs are absent from the terms of the mark alone
-    (:func:`reduced_mark_terms`).  Each term is an array of its own, added by
-    :func:`_seller_step` in the accrual's order, so splitting the drift this
-    way moves no bit.
-    """
-
-    offset: np.ndarray
-    repo_long: np.ndarray | None
-    repo_short: np.ndarray | None
-    coll_earn: np.ndarray
-    coll_pay: np.ndarray
-    carry: np.ndarray | None
-    own: np.ndarray | None = None
-    cpty: np.ndarray | None = None
-
-    def take(self, index) -> "DriverTerms":
-        """Every present term indexed by ``index``: rows of the lattice,
-        or ``(slice(None), cols)`` for columns of a PDE block."""
-        return DriverTerms(*(None if a is None else a[index] for a in self))
-
-
-def _mark_terms(model: MarketModel, at_value: bool, mark, own=None,
+def _mark_terms(p: DriverParams, at_value: bool, mark, own=None,
                 cpty=None) -> DriverTerms:
     """The seller's accrual terms fixed by the mark, at the wealth level
     (``at_value``) or at the adjustment level, with the given close-out
     targets; the repo legs are left to :func:`with_repo_legs`."""
-    r = model.rates
     mark = np.asarray(mark, dtype=float)
-    collateral = model.alpha * mark
+    collateral = p.alpha * mark
     return DriverTerms(
-        offset=-collateral if at_value else (1.0 - model.alpha) * mark,
+        offset=-collateral if at_value else (1.0 - p.alpha) * mark,
         repo_long=None, repo_short=None,
-        coll_earn=r.coll_earn * pos(collateral),
-        coll_pay=r.coll_pay * neg(collateral),
-        carry=None if at_value else r.discount * mark, own=own, cpty=cpty)
+        coll_earn=p.coll_earn * pos(collateral),
+        coll_pay=p.coll_pay * neg(collateral),
+        carry=None if at_value else p.discount * mark, own=own, cpty=cpty)
 
 
-def with_repo_legs(model: MarketModel, terms: DriverTerms, z) -> DriverTerms:
-    """``terms`` with the repo legs that ``z`` fixes filled in: the stock
-    position ``z / sigma`` accrues the repo spread over the discount rate,
-    borrowed when long and lent when short."""
-    r = model.rates
-    sigma = model.equity.sigma
+def with_repo_legs(p: DriverParams, terms: DriverTerms, z) -> DriverTerms:
+    """``terms`` with the repo legs that the side's ``z`` fixes filled in: the
+    stock position ``z / sigma`` accrues the repo spread over the discount
+    rate, borrowed when long and lent when short."""
+    z = p.sign * z
     return terms._replace(
-        repo_long=(r.discount - r.repo_borrow) * pos(z) / sigma,
-        repo_short=(r.discount - r.repo_lend) * neg(z) / sigma)
+        repo_long=(p.discount - p.repo_borrow) * pos(z) / p.sigma,
+        repo_short=(p.discount - p.repo_lend) * neg(z) / p.sigma)
 
 
-def _seller_step(model: MarketModel, terms: DriverTerms, u, z_own, z_cpty):
+def _seller_step(p: DriverParams, terms: DriverTerms, u, z_own, z_cpty):
     """The seller's drift at value ``u`` and jump exposures ``z_own``, ``z_cpty``.
 
     The funding rate accrues on ``u + z_own + z_cpty + offset`` (lend when
@@ -170,21 +235,20 @@ def _seller_step(model: MarketModel, terms: DriverTerms, u, z_own, z_cpty):
     in the order funding, repo, bonds, collateral, then negated and shifted
     by the carry.
     """
-    r = model.rates
     funding = u + z_own
     funding += z_cpty
     funding += terms.offset
     accrual = pos(funding)
-    accrual *= r.fund_lend
+    accrual *= p.fund_lend
     # the funding account is spent; its buffer takes the remaining products
     spare = funding if isinstance(funding, np.ndarray) else None
     borrow = neg(funding, out=spare)
-    borrow *= r.fund_borrow
+    borrow *= p.fund_borrow
     accrual -= borrow
     accrual += terms.repo_long
     accrual -= terms.repo_short
-    accrual -= np.multiply(r.discount, z_own, out=spare)
-    accrual -= np.multiply(r.discount, z_cpty, out=spare)
+    accrual -= np.multiply(p.discount, z_own, out=spare)
+    accrual -= np.multiply(p.discount, z_cpty, out=spare)
     accrual += terms.coll_earn
     accrual -= terms.coll_pay
     out = accrual if isinstance(accrual, np.ndarray) else None
@@ -193,81 +257,68 @@ def _seller_step(model: MarketModel, terms: DriverTerms, u, z_own, z_cpty):
     return np.subtract(terms.carry, accrual, out=out)
 
 
-def reduced_mark_terms(model: MarketModel, mark,
+def _drift(model: MarketModel, side: str, at_value: bool, u, z, z_own, z_cpty,
+           mark):
+    """The unreduced drift of ``side``, through the seller's accrual."""
+    p = DriverParams.of(model, side)
+    terms = with_repo_legs(p, _mark_terms(p, at_value, p.sign * mark), z)
+    drift = _seller_step(p, terms, p.sign * u, p.sign * z_own, p.sign * z_cpty)
+    drift *= p.sign
+    return drift
+
+
+def reduced_mark_terms(p: DriverParams, mark,
                        at_value: bool = False) -> DriverTerms:
-    """The seller's reduced-driver terms fixed by the mark alone.
+    """The reduced-driver terms that the side's mark alone fixes.
 
     These are the funding offset, the collateral legs, the carry and the
     close-out targets: the close-out adjustments, or mark plus adjustment
     when ``at_value``.  The repo legs are left empty; :func:`with_repo_legs`
     fills them in from ``z``.
     """
+    mark = p.sign * np.asarray(mark, dtype=float)
     own = cpty = None
-    if model.credit is not None:
-        own, cpty = closeout_adjustments(model, mark)
+    if p.loss_own is not None:
+        own, cpty = _closeouts(p, mark)
         if at_value:
-            value = np.asarray(mark, dtype=float)
-            own, cpty = value + own, value + cpty
-    return _mark_terms(model, at_value, mark, own, cpty)
+            own, cpty = mark + own, mark + cpty
+    return _mark_terms(p, at_value, mark, own, cpty)
 
 
-def reduced_terms(model: MarketModel, z, mark,
-                  at_value: bool = False) -> DriverTerms:
-    """The seller's reduced-driver terms fixed by ``z`` and the mark.
+def reduced_terms(p: DriverParams, z, mark, at_value: bool = False) -> DriverTerms:
+    """The reduced-driver terms that the side's ``z`` and mark fix.
 
-    With :func:`reduced_step` this is the seller's side of
-    :func:`reduced_drift` (or :func:`reduced_drift_value`) split in two, so a
-    caller whose mark and ``z`` stay fixed across many values of ``u``
-    computes these terms once.  A caller whose mark stays fixed while ``z``
-    moves with ``u`` (the PDE) keeps :func:`reduced_mark_terms` and adds the
-    repo legs per ``z``.
+    With :func:`reduced_step` this is :func:`reduced_drift` (or
+    :func:`reduced_drift_value`) split in two, so a caller whose mark and
+    ``z`` stay fixed across many values of ``u`` computes these terms once.
+    A caller whose mark stays fixed while ``z`` moves with ``u`` (the PDE)
+    keeps :func:`reduced_mark_terms` and adds the repo legs per ``z``.
     """
-    return with_repo_legs(model, reduced_mark_terms(model, mark, at_value), z)
+    return with_repo_legs(p, reduced_mark_terms(p, mark, at_value), z)
 
 
-def reduced_step(model: MarketModel, terms: DriverTerms, u):
-    """The seller's reduced driver at ``u`` from its :func:`reduced_terms`.
+def reduced_step(p: DriverParams, terms: DriverTerms, u):
+    """The side's reduced driver at ``u`` from its :func:`reduced_terms`.
 
     The jump exposures are pinned to the close-out targets, and default risk
     adds the intensity-weighted pull towards them; without a credit block
     both exposures are zero.
     """
-    if model.credit is None:
+    u = p.sign * u
+    if p.intensity_own is None:
         zero = np.multiply(u, 0.0)
-        return _seller_step(model, terms, u, zero, zero)
-    z_own = terms.own - u
-    z_cpty = terms.cpty - u
-    drift = _seller_step(model, terms, u, z_own, z_cpty)
-    # the exposures are spent; they take the intensity-weighted pull
-    z_own *= model.default_intensity("own")
-    z_cpty *= model.default_intensity("cpty")
-    z_own += z_cpty
-    drift += z_own
+        drift = _seller_step(p, terms, u, zero, zero)
+    else:
+        z_own = terms.own - u
+        z_cpty = terms.cpty - u
+        drift = _seller_step(p, terms, u, z_own, z_cpty)
+        # the exposures are spent; they take the intensity-weighted pull
+        z_own *= p.intensity_own
+        z_cpty *= p.intensity_cpty
+        z_own += z_cpty
+        drift += z_own
+    drift *= p.sign
     return drift
-
-
-def _on_side(seller, model: MarketModel, side: str, t, *args):
-    """The seller's drift, or the buyer's by reflection: every argument after
-    ``t``, the mark included, is negated and so is the result."""
-    _check_side(side)
-    if side == SELLER:
-        return seller(model, t, *args)
-    return -seller(model, t, *(np.negative(a) for a in args))
-
-
-def _seller_drift(at_value: bool, model, t, u, z, z_own, z_cpty, mark):
-    terms = with_repo_legs(model, _mark_terms(model, at_value, mark), z)
-    return _seller_step(model, terms, u, z_own, z_cpty)
-
-
-def _seller_reduced(at_value: bool, model, t, u, z, mark):
-    return reduced_step(model, reduced_terms(model, z, mark, at_value), u)
-
-
-_seller_wealth = partial(_seller_drift, True)
-_seller_adjustment = partial(_seller_drift, False)
-_seller_reduced_adjustment = partial(_seller_reduced, False)
-_seller_reduced_value = partial(_seller_reduced, True)
 
 
 def wealth_drift(model: MarketModel, side: str, t, v, z, z_own, z_cpty, mark):
@@ -277,7 +328,7 @@ def wealth_drift(model: MarketModel, side: str, t, v, z, z_own, z_cpty, mark):
     ``z_cpty`` the own/counterparty default-jump exposures, and ``mark`` the
     agent's valuation of the claim (which fixes the collateral balance).
     """
-    return _on_side(_seller_wealth, model, side, t, v, z, z_own, z_cpty, mark)
+    return _drift(model, side, True, v, z, z_own, z_cpty, mark)
 
 
 def adjustment_drift(model: MarketModel, side: str, t, adj, z, z_own, z_cpty, mark):
@@ -287,8 +338,7 @@ def adjustment_drift(model: MarketModel, side: str, t, adj, z, z_own, z_cpty, ma
     mark and adding the mark's own discount drift gives back this function,
     for any z arguments, up to rounding.
     """
-    return _on_side(_seller_adjustment, model, side, t, adj, z, z_own, z_cpty,
-                    mark)
+    return _drift(model, side, False, adj, z, z_own, z_cpty, mark)
 
 
 def reduced_drift(model: MarketModel, side: str, t, u, z, mark):
@@ -303,7 +353,8 @@ def reduced_drift(model: MarketModel, side: str, t, u, z, mark):
     ``z`` must carry the full-portfolio diffusion exposure (adjustment hedge
     plus the agent's delta hedge), in currency units.
     """
-    return _on_side(_seller_reduced_adjustment, model, side, t, u, z, mark)
+    p = DriverParams.of(model, side)
+    return reduced_step(p, reduced_terms(p, z, mark), u)
 
 
 def reduced_drift_value(model: MarketModel, side: str, t, u, z, mark):
@@ -314,7 +365,8 @@ def reduced_drift_value(model: MarketModel, side: str, t, u, z, mark):
     payoff itself.  Used by the lattice cross-check as a second, independent
     route to the same adjustment.
     """
-    return _on_side(_seller_reduced_value, model, side, t, u, z, mark)
+    p = DriverParams.of(model, side)
+    return reduced_step(p, reduced_terms(p, z, mark, at_value=True), u)
 
 
 def reduced_lipschitz_bound(model: MarketModel) -> float:
@@ -338,11 +390,9 @@ def jump_targets(model: MarketModel, side: str, mark):
     buyer the reflected ones (no own-default relief on a long position in a
     nonnegative claim, a counterparty-default loss instead).
     """
-    _check_side(side)
-    if side == SELLER:
-        return closeout_adjustments(model, mark)
-    own, cpty = closeout_adjustments(model, np.multiply(mark, -1.0))
-    return np.multiply(own, -1.0), np.multiply(cpty, -1.0)
+    p = DriverParams.of(model, side)
+    own, cpty = _closeouts(p, p.sign * mark)
+    return p.sign * own, p.sign * cpty
 
 
 @dataclass(frozen=True)

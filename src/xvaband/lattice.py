@@ -17,15 +17,15 @@ Two equivalent routes are provided:
   value net of the agent's mark.
 
 Both sides of a valuation march in one pass (:func:`solve_sides`) as the
-rows of one (2, k+1) array per level, seller first; the buyer row goes
-through the reflection ``buyer(u, z, mark) = -seller(-u, -z, -mark)`` with a
-row sign, as the PDE engine's columns do.  Each level builds the stock
-levels, the agent's mark and delta, the exposure z and the driver terms that
-the mark and z fix (:func:`drivers.reduced_terms`) once for both rows; each
-fixed-point iteration then calls only the step in u
-(:func:`drivers.reduced_step`).  Every row runs its own fixed point and is
-frozen once converged, so it gets bit for bit the values of a march of its
-side alone, which is what :func:`solve_reduced` runs.
+rows of one (2, k+1) array per level, seller first.  The driver reads one
+:class:`drivers.DriverParams` record of the rows and reflects the buyer row
+itself.  Each level builds the stock levels, the agent's mark and delta, the
+exposure z and the driver terms that the mark and z fix
+(:func:`drivers.reduced_terms`) once for both rows; each fixed-point
+iteration then calls only the step in u (:func:`drivers.reduced_step`).
+Every row runs its own fixed point and is frozen once converged, so it gets
+bit for bit the values of a march of its side alone, which is what
+:func:`solve_reduced` runs.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def _march(model: MarketModel, claim: claims.ClaimSpec, n_steps: int,
 
     at_value = level == "value"
     rows = len(sides)
-    sign = np.array([[1.0 if side == drivers.SELLER else -1.0] for side in sides])
+    params = drivers.DriverParams.of(model, sides)
     if at_value:
         terminal = np.asarray(claim.payoff(stock_levels(n_steps)), dtype=float)
         u = np.tile(terminal, (rows, 1))
@@ -132,8 +132,8 @@ def _march(model: MarketModel, claim: claims.ClaimSpec, n_steps: int,
         gradient = (u[:, 1:k + 2] - u[:, 0:k + 1]) / (2.0 * sdt)
         mark, delta = claims.agent_value_grid(model, claim, t, s)
         z = gradient + (0.0 if at_value else sigma * s * delta)
-        terms = drivers.reduced_terms(model, sign * z, sign * mark, at_value)
-        u, failed = _fixed_point(model, terms, expectation, sign, dt,
+        terms = drivers.reduced_terms(params, z, mark, at_value)
+        u, failed = _fixed_point(params, terms, expectation, dt,
                                  iterations[:, k], residuals[:, k])
         if failed is not None:
             row, j, res = failed
@@ -164,29 +164,30 @@ def _march(model: MarketModel, claim: claims.ClaimSpec, n_steps: int,
     return solutions
 
 
-def _fixed_point(model: MarketModel, terms: drivers.DriverTerms,
-                 expectation: np.ndarray, sign: np.ndarray, dt: float,
-                 iterations: np.ndarray, residuals: np.ndarray):
+def _fixed_point(params: drivers.DriverParams, terms: drivers.DriverTerms,
+                 expectation: np.ndarray, dt: float, iterations: np.ndarray,
+                 residuals: np.ndarray):
     """Per-row fixed point of u = expectation + dt * f(u) at one level.
 
-    Row r solves its side's equation through the reflection: f is the
-    seller's reduced driver at ``sign[r] * u``, times ``sign[r]``.  Each row
-    starts from its expectation and is frozen once its own sup-norm residual
-    is below FIXED_POINT_TOL, so it takes exactly the iterations, and gets
-    exactly the values, of a march of its side alone.  Fills ``iterations``
-    and ``residuals`` per row.  Returns the new values and, if a row did not
+    f is the reduced driver of each row's side.  Each row starts from its
+    expectation and is frozen once its own sup-norm residual is below
+    FIXED_POINT_TOL, so it takes exactly the iterations, and gets exactly
+    the values, of a march of its side alone.  Fills ``iterations`` and
+    ``residuals`` per row.  Returns the new values and, if a row did not
     converge, (row, node of its largest last change, last residual).
     """
     u = expectation.copy()
-    scale = sign * dt
     live = list(range(len(u)))
     for it in range(1, FIXED_POINT_MAX_ITER + 1):
         # the rows are one side or both, so the live rows are contiguous
         span = slice(live[0], live[-1] + 1)
         current = u[span]
-        candidate = drivers.reduced_step(model, terms.take(span),
-                                         sign[span] * current)
-        candidate *= scale[span]
+        if len(live) == len(u):
+            candidate = drivers.reduced_step(params, terms, current)
+        else:
+            candidate = drivers.reduced_step(params.take(span),
+                                             terms.take(span), current)
+        candidate *= dt
         candidate += expectation[span]
         change = np.abs(candidate - current)
         res = change.max(axis=1)

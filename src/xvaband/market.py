@@ -21,7 +21,7 @@ at zero; a zero position accrues nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 class ModelError(ValueError):
@@ -67,9 +67,8 @@ class RateSet:
     discount: float
 
     def __post_init__(self) -> None:
-        for name in ("fund_lend", "fund_borrow", "repo_lend", "repo_borrow",
-                     "coll_earn", "coll_pay", "discount"):
-            _require_finite_nonneg(name, getattr(self, name))
+        for f in fields(self):
+            _require_finite_nonneg(f.name, getattr(self, f.name))
 
     def funding_rate(self, position: float) -> float:
         """Treasury rate accruing on a funding-account position of the given sign."""

@@ -29,27 +29,27 @@ builds from them the driver terms that the mark alone fixes (funding offset,
 collateral legs, carry, close-out targets); the driver of one time level is
 carried to the next step as its explicit part.  Each Picard iteration then
 makes one driver call for the whole block, which adds only the exposure z,
-the repo legs and the step in u, with every parameter that differs between
-scenarios stacked into an array with one entry per column, and one banded
-solve with a 2-D right-hand side.  Picard runs per column, from a start
-computed per node: a column is frozen as soon as its own residual is below
-tolerance, so it takes exactly the iterations, and gets exactly the values,
-of its own single-scenario solve.  :func:`solve` is this march with K = 1 and
-keeps the full surfaces; :func:`solve_batch` keeps only the two time rows
-that valuation and hedging at t = 0 read.
+the repo legs and the step in u, and one banded solve with a 2-D right-hand
+side.  The driver reads one :class:`drivers.DriverParams` record of the
+block, in which a parameter that differs between scenarios has one entry
+per column, and reflects the buyer columns itself.  Picard runs per column,
+from a start computed per node: a column is frozen as soon as its own
+residual is below tolerance, so it takes exactly the iterations, and gets
+exactly the values, of its own single-scenario solve.  :func:`solve` is
+this march with K = 1 and keeps the full surfaces; :func:`solve_batch`
+keeps only the two time rows that valuation and hedging at t = 0 read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
-from types import SimpleNamespace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from . import claims, drivers
-from .market import CreditParams, EquityParams, MarketModel, RateSet
+from .market import MarketModel
 
 PICARD_TOL = 1e-10
 PICARD_MAX_ITER = 50
@@ -256,71 +256,20 @@ def solve_banded(stepper: _Stepper, coef: float, b: np.ndarray) -> np.ndarray:
     return x
 
 
-class _ColumnModel:
-    """Driver parameters of a block of columns, in the shape of a MarketModel.
-
-    :func:`drivers.reduced_drift` reads ``rates``, ``equity.sigma``,
-    ``alpha``, ``credit.loss_*`` and ``default_intensity``.  A parameter equal
-    in every column is a float; one that differs is an array with an entry
-    per column, which broadcasts along the last axis of an (nx, columns)
-    block, so the driver code runs unchanged.
-    """
-
-    def __init__(self, params: dict, equity: EquityParams, has_credit: bool):
-        self.params = params
-        self.equity = equity
-        self.rates = SimpleNamespace(**{f.name: params[f.name]
-                                        for f in fields(RateSet)})
-        self.credit = (SimpleNamespace(**{f.name: params[f.name]
-                                          for f in fields(CreditParams)})
-                       if has_credit else None)
-        self.alpha = params["alpha"]
-
-    def default_intensity(self, party: str):
-        return self.params["intensity_" + party]
-
-    def take(self, cols: np.ndarray) -> "_ColumnModel":
-        """The same parameters restricted to the given columns."""
-        params = {k: v[cols] if isinstance(v, np.ndarray) else v
-                  for k, v in self.params.items()}
-        return _ColumnModel(params, self.equity, self.credit is not None)
-
-
-def _driver_params(model: MarketModel) -> dict:
-    """The parameters of one scenario that may differ within a batch."""
-    params = {f.name: getattr(model.rates, f.name) for f in fields(RateSet)}
-    params["alpha"] = model.alpha
-    if model.credit is not None:
-        params.update({f.name: getattr(model.credit, f.name)
-                       for f in fields(CreditParams)})
-        params["intensity_own"] = model.default_intensity("own")
-        params["intensity_cpty"] = model.default_intensity("cpty")
-    return params
-
-
 class _Columns:
-    """The 2K adjustment columns of K scenarios: sellers 0..K-1, then buyers.
-
-    Buyer columns go through the reflection buyer(u, z, mark) =
-    -seller(-u, -z, -mark), applied with a per-column sign.
-    """
+    """The 2K adjustment columns of K scenarios: sellers 0..K-1, then buyers."""
 
     def __init__(self, models: list[MarketModel], nx: int):
         self.count = len(models)
-        self.sign = np.repeat([1.0, -1.0], self.count)
-        self._z = np.empty(nx * self.sign.size)  # the exposure of one driver call
-        per_model = [_driver_params(m) for m in models]
-        params, self.varied = {}, {}
-        for name in per_model[0]:
-            values = [p[name] for p in per_model]
-            if all(v == values[0] for v in values):
-                params[name] = values[0]
-            else:
-                params[name] = np.tile(np.asarray(values, dtype=float), 2)
-                if not name.startswith("intensity_"):
-                    self.varied[name] = values
-        self.model = _ColumnModel(params, models[0].equity,
-                                  models[0].credit is not None)
+        self.size = 2 * self.count
+        self.params = drivers.DriverParams.stack(models)
+        self._z = np.empty(nx * self.size)  # the exposure of one driver call
+        # the parameters a batch may vary, by name, for the labels
+        per_model = [{**vars(m.rates), "alpha": m.alpha,
+                      **(vars(m.credit) if m.credit else {})} for m in models]
+        self.varied = {name: [p[name] for p in per_model]
+                       for name, value in per_model[0].items()
+                       if any(p[name] != value for p in per_model)}
 
     def label(self, col: int) -> str:
         """Side and, in a batch, scenario index and varied parameters of a column."""
@@ -338,23 +287,19 @@ class _Columns:
         The terms the mark fixes are built here, once per time level; each
         call builds only the exposure z, the repo legs and the step in u.
         """
-        sigma = self.model.equity.sigma
-        level = drivers.reduced_mark_terms(self.model, self.sign * mark)
+        level = drivers.reduced_mark_terms(self.params, mark)
 
         def g(u: np.ndarray, cols: np.ndarray) -> np.ndarray:
-            if cols.size == self.sign.size:
-                model, sgn, terms = self.model, self.sign, level
+            if cols.size == self.size:
+                params, terms = self.params, level
             else:
-                model, sgn = self.model.take(cols), self.sign[cols]
+                params = self.params.take(cols)
                 terms = level.take((slice(None), cols))
             z = _gradient(u, dx, self._z[:u.size].reshape(u.shape))
             z += grad
-            z *= sigma
-            z *= sgn
-            terms = drivers.with_repo_legs(model, terms, z)
-            out = drivers.reduced_step(model, terms, sgn * u)
-            out *= sgn
-            return out
+            z *= params.sigma
+            terms = drivers.with_repo_legs(params, terms, z)
+            return drivers.reduced_step(params, terms, u)
         return g
 
 
@@ -411,7 +356,7 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
     s = np.exp(grid.x_nodes())
     vanilla = claim.kind in ("call", "put")
     columns = _Columns(models, nx)
-    ncol = columns.sign.size
+    ncol = columns.size
     every = np.arange(ncol)
 
     agent = np.empty((keep, nx))

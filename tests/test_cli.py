@@ -71,6 +71,15 @@ def test_parse_config_rejects_unknown_key():
         parse_config_text("volatility = 0.2")
 
 
+def test_parse_config_names_the_line_of_a_bad_number():
+    with pytest.raises(ValueError, match=r"^config line 3: fund_lend must be a "
+                                         r"number, got '0\.0x'$"):
+        parse_config_text("# rates\nspot = 1.0\nfund_lend = 0.0x")
+    with pytest.raises(ValueError, match=r"^config line 1: nx must be an "
+                                         r"integer, got '1e3'$"):
+        parse_config_text("nx = 1e3")
+
+
 def test_parse_config_rejects_repeat():
     with pytest.raises(ValueError, match="repeated"):
         parse_config_text("spot = 1.0\nspot = 2.0")

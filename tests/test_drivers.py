@@ -12,10 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 from xvaband import (BUYER, SELLER, ClaimSpec, CreditParams, MarketModel,
                      RateSet, closeout)
-from xvaband.drivers import (ReplicationStrategy, adjustment_drift,
-                             build_strategy, closeout_adjustments,
-                             jump_targets, neg, pos, reduced_drift,
-                             reduced_drift_value, wealth_drift)
+from xvaband.drivers import (DriverParams, ReplicationStrategy,
+                             adjustment_drift, build_strategy,
+                             closeout_adjustments, jump_targets, neg, pos,
+                             reduced_drift, reduced_drift_value, wealth_drift)
 from conftest import EQUITY, make_benchmark, make_symmetric
 
 
@@ -348,6 +348,32 @@ def test_split_driver_matches_unsplit_kernel(rng):
             buyer = -unsplit_seller_reduced(m, at_value, -u, -z, -mark)
             assert fn(m, SELLER, 0.0, u, z, mark).tobytes() == seller.tobytes()
             assert fn(m, BUYER, 0.0, u, z, mark).tobytes() == buyer.tobytes()
+
+
+def test_driver_params_stack_matches_per_model():
+    """Column j of the stacked record is the record of model j % K on its
+    side; a field equal in every model stays a float."""
+    models = [model_with(alpha=0.0), model_with(alpha=0.35, fund_borrow=0.15),
+              model_with(alpha=0.9, mu_cpty=0.3, repo_borrow=0.07),
+              model_with(alpha=0.9, loss_own=0.4)]
+    count = len(models)
+    stacked = DriverParams.stack(models)
+    for name in ("fund_lend", "discount", "sigma", "loss_cpty", "intensity_own"):
+        assert isinstance(getattr(stacked, name), float), name
+    for name in ("alpha", "fund_borrow", "repo_borrow", "loss_own",
+                 "intensity_cpty", "sign"):
+        assert getattr(stacked, name).shape == (2 * count,), name
+    for j in range(2 * count):
+        model = models[j % count]
+        one = DriverParams.of(model, SELLER if j < count else BUYER)
+        column = stacked.take(np.array([j]))
+        for name, got, want in zip(DriverParams._fields, column, one):
+            assert np.array_equal(np.broadcast_to(got, (1,)), [want]), (j, name)
+        assert one.intensity_own == model.default_intensity("own")
+        assert one.intensity_cpty == model.default_intensity("cpty")
+    no_credit = DriverParams.stack([dataclasses.replace(m, credit=None)
+                                    for m in models])
+    assert no_credit.loss_own is no_credit.intensity_cpty is None
 
 
 def test_reduced_drift_vectorized(benchmark_model, rng):

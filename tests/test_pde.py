@@ -414,24 +414,28 @@ def test_gradient_buffer_matches_numpy(rng):
             assert got.tobytes() == np.gradient(u, dx, axis=0).tobytes()
 
 
-def reference_drift(columns, t, mark, grad, dx, u, cols):
-    """The per-call driver the march evaluated before the mark terms were
-    cached: the full reduced drift of the seller, reflected per column."""
-    sgn = columns.sign[cols]
+def reference_drift(models, t, mark, grad, dx, u, cols):
+    """The driver the march evaluates, one public reduced drift per column:
+    column c is the seller of scenario c when c < K, else the buyer of
+    scenario c - K."""
+    count = len(models)
     z = np.gradient(u, dx, axis=0)
     z += grad
-    z *= columns.model.equity.sigma
-    z *= sgn
-    smark = (columns.sign * mark)[:, cols]
-    return sgn * drivers.reduced_drift(columns.model.take(cols), SELLER, t,
-                                       sgn * u, z, smark)
+    z *= models[0].equity.sigma
+    out = np.empty_like(u)
+    for j, c in enumerate(cols):
+        side = SELLER if c < count else BUYER
+        out[:, j] = drivers.reduced_drift(models[c % count], side, t, u[:, j],
+                                          z[:, j], mark[:, 0])
+    return out
 
 
 @pytest.mark.parametrize("credit", [True, False])
 def test_level_drift_matches_reduced_drift(credit, rng):
     """The driver closure of one time level, built once from the mark, gives
-    the bits of the full reduced drift on every column and on a subset, and
-    a later call leaves an earlier result alone."""
+    the bits of the public reduced drift of every column's model and side,
+    on every column and on a subset, and a later call leaves an earlier
+    result alone."""
     models = batch_stack()
     if not credit:
         models = [replace(m, credit=None) for m in models]
@@ -442,11 +446,10 @@ def test_level_drift_matches_reduced_drift(credit, rng):
     mark, grad = value[:, None], (s * delta)[:, None]
     columns = pde._Columns(models, grid.nx)
     g = columns.drift(t, mark, grad, grid.dx)
-    ncol = columns.sign.size
-    for cols in (np.arange(ncol), np.array([1, 4, 5, 8])):
+    for cols in (np.arange(columns.size), np.array([1, 4, 5, 8])):
         u = 0.05 * rng.standard_normal((grid.nx, cols.size))
         got = g(u, cols)
-        want = reference_drift(columns, t, mark, grad, grid.dx, u, cols)
+        want = reference_drift(models, t, mark, grad, grid.dx, u, cols)
         assert got.tobytes() == want.tobytes()
         g(u[::-1].copy(), cols)  # reuses the exposure buffer
         assert got.tobytes() == want.tobytes()
