@@ -99,7 +99,8 @@ def agent_value(model: MarketModel, claim: ClaimSpec, t: float, s: float) -> Age
 
 def agent_value_grid(model: MarketModel, claim: ClaimSpec, t: float,
                      s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized mark and delta over an array of stock levels (vanilla only)."""
+    """Mark and delta over an array of stock levels: vectorized closed forms
+    for a call or put, one quadrature per stock level for a custom claim."""
     if claim.kind == "custom":
         pairs = [_quadrature_value(model, claim, t, float(si)) for si in s]
         return (np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))

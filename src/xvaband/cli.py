@@ -533,15 +533,19 @@ def cmd_figure(cfg: RunConfig, figure_id: str) -> int:
     return 0
 
 
-def cmd_validate(cfg: RunConfig) -> int:
-    report = cfg.model.validate_arbitrage_free()
+def cmd_validate(values: dict) -> int:
+    """Print every rate check; exit 1 on a failure unless violations are
+    allowed.  The model is built without its own necessary-condition check,
+    which would refuse it before the report."""
+    model = build_config({**values, "allow_violations": True}).model
+    report = model.validate_arbitrage_free()
     for line in report.lines():
         print(line)
     if report.passed:
         print("all rate conditions satisfied")
         return 0
     print(f"{len(report.failures)} condition(s) violated")
-    return 0 if cfg.model.allow_violations else 1
+    return 0 if values.get("allow_violations") else 1
 
 
 def cmd_convergence(cfg: RunConfig) -> int:
@@ -583,7 +587,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                         "(PDE sweeps run as one batched march)")
 
 
-def _load(args, defaults: dict | None = None) -> RunConfig:
+def _values(args, defaults: dict | None = None) -> dict:
     """Config file over ``defaults`` (required when there are none), then flags."""
     values = dict(defaults or {})
     if args.config:
@@ -591,10 +595,11 @@ def _load(args, defaults: dict | None = None) -> RunConfig:
             values.update(parse_config_text(fh.read()))
     elif defaults is None:
         raise ValueError("--config is required for this command")
-    overrides = {key: getattr(args, key) for key in
-                 ("engine", "out", "nx", "nt", "steps", "workers",
-                  "allow_violations")}
-    return build_config(values, overrides)
+    for key in ("engine", "out", "nx", "nt", "steps", "workers",
+                "allow_violations"):
+        if getattr(args, key) is not None:
+            values[key] = getattr(args, key)
+    return values
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -619,17 +624,17 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "figure":
-            cfg = _load(args, FIGURES[args.figure_id].defaults)
+            cfg = build_config(_values(args, FIGURES[args.figure_id].defaults))
             return cmd_figure(cfg, args.figure_id)
-        cfg = _load(args)
+        if args.command == "validate":
+            return cmd_validate(_values(args))
+        cfg = build_config(_values(args))
         if args.command == "value":
             return cmd_value(cfg)
         if args.command == "band":
             return cmd_band(cfg)
         if args.command == "table":
             return cmd_table(cfg)
-        if args.command == "validate":
-            return cmd_validate(cfg)
         if args.command == "convergence":
             return cmd_convergence(cfg)
         raise ValueError(f"unhandled command {args.command!r}")

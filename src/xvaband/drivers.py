@@ -5,8 +5,8 @@ the functions defined here, so they are the single source of truth for the
 nonlinearity.  All functions accept scalars or numpy arrays of equal shape.
 The public drivers take a ``MarketModel``; the parts of the reduced driver
 read only :class:`DriverParams`, one record built once from a model and a
-side.  Its fields are floats, or arrays with one entry per column of a PDE
-block or per row of a lattice level.
+side.  Its fields are floats, or (rows, 1) arrays with one entry per row of
+a (rows, nodes) block: the sides of a PDE batch or of a lattice level.
 
 Conventions
 -----------
@@ -102,19 +102,21 @@ class DriverTerms(NamedTuple):
     own: np.ndarray | None = None
     cpty: np.ndarray | None = None
 
-    def take(self, index):
-        """The record with every array field indexed by ``index``: lattice
-        rows, or PDE columns (``(slice(None), cols)`` for terms, whose
-        arrays hold nodes, and ``cols`` for :class:`DriverParams`)."""
-        return type(self)(*(v[index] if isinstance(v, np.ndarray) else v
+    def take(self, rows):
+        """The record restricted to ``rows`` of a (rows, nodes) block, the
+        first axis of every array field; ``slice(None)`` returns the record
+        itself."""
+        if isinstance(rows, slice) and rows == slice(None):
+            return self
+        return type(self)(*(v[rows] if isinstance(v, np.ndarray) else v
                             for v in self))
 
 
 class DriverParams(NamedTuple):
-    """The parameters the driver reads, of one side or of a block's columns or rows.
+    """The parameters the driver reads, of one side or of the rows of a block.
 
-    A field is a float, or an array with one entry per column of an (nodes,
-    columns) block or per row of a (rows, nodes) one.  ``sign`` is 1 on a
+    A field is a float, or a (rows, 1) array with one entry per row of a
+    (rows, nodes) block.  ``sign`` is 1 on a
     seller and -1 on a buyer: the driver parts take their arguments in the
     side's own terms and reflect them through it.  The loss rates and the
     default intensities are None without a credit block.
@@ -136,14 +138,10 @@ class DriverParams(NamedTuple):
     intensity_cpty: float | np.ndarray | None = None
 
     @classmethod
-    def of(cls, model: MarketModel,
-           side: str | tuple[str, ...]) -> "DriverParams":
-        """The record of ``model`` on ``side``, or, for a tuple of sides, of
-        the rows of a (rows, nodes) block, one side per row."""
-        sign = (_sign(side) if isinstance(side, str)
-                else np.array([[_sign(s)] for s in side]))
+    def of(cls, model: MarketModel, side: str) -> "DriverParams":
+        """The record of ``model`` on ``side``."""
         params = cls(**vars(model.rates), sigma=model.equity.sigma,
-                     alpha=model.alpha, sign=sign)
+                     alpha=model.alpha, sign=_sign(side))
         if model.credit is None:
             return params
         return params._replace(
@@ -153,15 +151,16 @@ class DriverParams(NamedTuple):
 
     @classmethod
     def stack(cls, models: list[MarketModel]) -> "DriverParams":
-        """The record of 2K columns: the sellers of the K models, then their
-        buyers.  A field equal in every column stays a float."""
-        columns = []
+        """The record of 2K rows: the sellers of the K models, then their
+        buyers.  A field equal in every row stays a float."""
+        rows = []
         for values in zip(*(cls.of(m, SELLER) for m in models)):
             if all(v == values[0] for v in values):
-                columns.append(values[0])
+                rows.append(values[0])
             else:
-                columns.append(np.tile(np.asarray(values, dtype=float), 2))
-        return cls(*columns)._replace(sign=np.repeat([1.0, -1.0], len(models)))
+                rows.append(np.tile(np.asarray(values, dtype=float), 2)[:, None])
+        sign = np.repeat([1.0, -1.0], len(models))[:, None]
+        return cls(*rows)._replace(sign=sign)
 
     take = DriverTerms.take
 

@@ -4,7 +4,8 @@ A recombining two-branch lattice (equiprobable +-sqrt(dt) Brownian steps)
 discretizes the stock under the valuation measure; the adjustment is obtained
 by backward induction with an implicit-in-value, explicit-in-gradient step.
 The scheme shares no discretization code with the PDE engine, so agreement
-between the two is evidence rather than tautology.
+between the two is evidence rather than tautology; the two share only the
+driver and the per-row freezing of the fixed point (:func:`pde.settle`).
 
 Two equivalent routes are provided:
 
@@ -17,8 +18,9 @@ Two equivalent routes are provided:
   value net of the agent's mark.
 
 Both sides of a valuation march in one pass (:func:`solve_sides`) as the
-rows of one (2, k+1) array per level, seller first.  The driver reads one
-:class:`drivers.DriverParams` record of the rows and reflects the buyer row
+rows of one (2, k+1) array per level, seller first, the layout of the PDE's
+adjustment block.  The driver reads the :class:`drivers.DriverParams` record
+of the rows (``DriverParams.stack([model])``) and reflects the buyer row
 itself.  Each level builds the stock levels, the agent's mark and delta, the
 exposure z and the driver terms that the mark and z fix
 (:func:`drivers.reduced_terms`) once for both rows; each fixed-point
@@ -37,7 +39,7 @@ import numpy as np
 
 from . import claims, drivers
 from .market import MarketModel
-from .pde import NumericsError
+from .pde import NumericsError, not_converged, settle
 
 LEVELS = ("adjustment", "value")
 FIXED_POINT_TOL = 1e-12
@@ -115,15 +117,16 @@ def _march(model: MarketModel, claim: claims.ClaimSpec, n_steps: int,
         return s0 * np.exp(drift * (k * dt) + sigma * w)
 
     at_value = level == "value"
-    rows = len(sides)
-    params = drivers.DriverParams.of(model, sides)
+    params = drivers.DriverParams.stack([model])
+    if len(sides) == 1:
+        params = params.take([drivers.SIDES.index(sides[0])])
     if at_value:
         terminal = np.asarray(claim.payoff(stock_levels(n_steps)), dtype=float)
-        u = np.tile(terminal, (rows, 1))
+        u = np.tile(terminal, (len(sides), 1))
     else:
-        u = np.zeros((rows, n_steps + 1))
-    iterations = np.zeros((rows, n_steps), dtype=int)
-    residuals = np.zeros((rows, n_steps))
+        u = np.zeros((len(sides), n_steps + 1))
+    iterations = np.zeros((len(sides), n_steps), dtype=int)
+    residuals = np.zeros((len(sides), n_steps))
 
     for k in range(n_steps - 1, -1, -1):
         t = k * dt
@@ -133,16 +136,21 @@ def _march(model: MarketModel, claim: claims.ClaimSpec, n_steps: int,
         mark, delta = claims.agent_value_grid(model, claim, t, s)
         z = gradient + (0.0 if at_value else sigma * s * delta)
         terms = drivers.reduced_terms(params, z, mark, at_value)
-        u, failed = _fixed_point(params, terms, expectation, dt,
-                                 iterations[:, k], residuals[:, k])
-        if failed is not None:
-            row, j, res = failed
-            raise NumericsError(
-                f"implicit fixed point did not converge on the {sides[row]} "
-                f"side at level {k} (t={t:.6g}) within {FIXED_POINT_MAX_ITER} "
-                f"iterations: worst node {j} at s={s[j]:.6g}, "
-                f"|u|={abs(u[row, j]):.3g}, last residual {res:.3g} "
-                f"(tolerance {FIXED_POINT_TOL:g})")
+
+        def step(u, rows):  # expectation + dt * f(u), f each row's driver
+            out = drivers.reduced_step(params.take(rows), terms.take(rows), u)
+            out *= dt
+            out += expectation[rows]
+            return out
+
+        iterations[:, k], residuals[:, k], u, failed = settle(
+            step, expectation, FIXED_POINT_TOL, FIXED_POINT_MAX_ITER)
+        if failed:
+            row, j = failed[0]
+            raise not_converged("implicit fixed point", f"{sides[row]} side",
+                                f"level {k} (t={t:.6g})", FIXED_POINT_MAX_ITER,
+                                j, s[j], u[row, j], residuals[row, k],
+                                FIXED_POINT_TOL)
         finite = np.isfinite(u).all(axis=1)
         if not finite.all():
             side = sides[int(np.flatnonzero(~finite)[0])]
@@ -162,45 +170,6 @@ def _march(model: MarketModel, claim: claims.ClaimSpec, n_steps: int,
             fixed_point_iterations=iterations[r],
             fixed_point_residuals=residuals[r]))
     return solutions
-
-
-def _fixed_point(params: drivers.DriverParams, terms: drivers.DriverTerms,
-                 expectation: np.ndarray, dt: float, iterations: np.ndarray,
-                 residuals: np.ndarray):
-    """Per-row fixed point of u = expectation + dt * f(u) at one level.
-
-    f is the reduced driver of each row's side.  Each row starts from its
-    expectation and is frozen once its own sup-norm residual is below
-    FIXED_POINT_TOL, so it takes exactly the iterations, and gets exactly
-    the values, of a march of its side alone.  Fills ``iterations`` and
-    ``residuals`` per row.  Returns the new values and, if a row did not
-    converge, (row, node of its largest last change, last residual).
-    """
-    u = expectation.copy()
-    live = list(range(len(u)))
-    for it in range(1, FIXED_POINT_MAX_ITER + 1):
-        # the rows are one side or both, so the live rows are contiguous
-        span = slice(live[0], live[-1] + 1)
-        current = u[span]
-        if len(live) == len(u):
-            candidate = drivers.reduced_step(params, terms, current)
-        else:
-            candidate = drivers.reduced_step(params.take(span),
-                                             terms.take(span), current)
-        candidate *= dt
-        candidate += expectation[span]
-        change = np.abs(candidate - current)
-        res = change.max(axis=1)
-        u[span] = candidate
-        iterations[span] = it
-        residuals[span] = res
-        live = [row for row, row_res in zip(range(span.start, span.stop), res)
-                if not row_res < FIXED_POINT_TOL]
-        if not live:
-            return u, None
-    row = live[0]
-    return u, (row, int(np.argmax(change[row - span.start])),
-               float(res[row - span.start]))
 
 
 def band(model: MarketModel, claim: claims.ClaimSpec,

@@ -70,30 +70,6 @@ class RateSet:
         for f in fields(self):
             _require_finite_nonneg(f.name, getattr(self, f.name))
 
-    def funding_rate(self, position: float) -> float:
-        """Treasury rate accruing on a funding-account position of the given sign."""
-        if position > 0.0:
-            return self.fund_lend
-        if position < 0.0:
-            return self.fund_borrow
-        return 0.0
-
-    def repo_rate(self, position: float) -> float:
-        """Repo rate accruing on a repo-account position of the given sign."""
-        if position > 0.0:
-            return self.repo_lend
-        if position < 0.0:
-            return self.repo_borrow
-        return 0.0
-
-    def collateral_rate(self, collateral: float) -> float:
-        """Collateral rate for a posted (>0) or received (<0) collateral balance."""
-        if collateral > 0.0:
-            return self.coll_earn
-        if collateral < 0.0:
-            return self.coll_pay
-        return 0.0
-
     def symmetric(self) -> bool:
         """True iff lend/borrow spreads vanish and the repo rate equals the discount rate.
 

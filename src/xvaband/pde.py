@@ -22,22 +22,23 @@ second-order ghost-node elimination.
 The spatial operator depends only on the grid, sigma and the discount rate,
 and the agent surface only on those and the claim.  Scenarios that share
 them (and the presence of a credit block) are therefore marched together as
-the columns of one (nx, 2K) block: columns 0..K-1 are the seller sides of
-the K scenarios, columns K..2K-1 their buyer sides, in the same order.  Each
-backward step marches the agent once, evaluates the mark and delta once and
-builds from them the driver terms that the mark alone fixes (funding offset,
+the rows of one (2K, nx) block: rows 0..K-1 are the seller sides of the K
+scenarios, rows K..2K-1 their buyer sides, in the same order.  Each backward
+step marches the agent once, evaluates the mark and delta once and builds
+from them the driver terms that the mark alone fixes (funding offset,
 collateral legs, carry, close-out targets); the driver of one time level is
 carried to the next step as its explicit part.  Each Picard iteration then
-makes one driver call for the whole block, which adds only the exposure z,
-the repo legs and the step in u, and one banded solve with a 2-D right-hand
-side.  The driver reads one :class:`drivers.DriverParams` record of the
-block, in which a parameter that differs between scenarios has one entry
-per column, and reflects the buyer columns itself.  Picard runs per column,
-from a start computed per node: a column is frozen as soon as its own
-residual is below tolerance, so it takes exactly the iterations, and gets
-exactly the values, of its own single-scenario solve.  :func:`solve` is
-this march with K = 1 and keeps the full surfaces; :func:`solve_batch`
-keeps only the two time rows that valuation and hedging at t = 0 read.
+makes one driver call for the live rows, which adds only the exposure z,
+the repo legs and the step in u, and one banded solve of their transpose.
+The driver reads one :class:`drivers.DriverParams` record of the block, in
+which a parameter that differs between scenarios has one entry per row, and
+reflects the buyer rows itself.  Picard runs per row through
+:func:`settle`, the fixed point the lattice runs too, from a start computed
+per node: a row is frozen as soon as its own residual is below tolerance,
+so it takes exactly the iterations, and gets exactly the values, of its own
+single-scenario solve.  :func:`solve` is this march with K = 1 and keeps the
+full surfaces; :func:`solve_batch` keeps only the two time rows that
+valuation and hedging at t = 0 read.
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ class NumericsError(RuntimeError):
 class _NonFiniteRhs(NumericsError):
     """A banded solve refused a right-hand side holding NaN or inf.
 
-    ``column`` is the first such column of a block, None for one column.
+    ``column`` is the first such column of the right-hand side (a row of
+    the march's block, which is solved transposed), None for one column.
     """
 
     def __init__(self, column: int | None):
@@ -192,8 +194,8 @@ def _spatial_operator(grid: PdeGrid, model: MarketModel, zeroth: float):
 class _Stepper:
     """One theta-step of (d/d tau) u = B u + source, via banded solves.
 
-    ``u`` is one column of nodal values, shape (nx,), or a block of columns,
-    shape (nx, k); every column sees the same operator.  The matrix
+    ``u`` is one row of nodal values, shape (nx,), or a block of rows,
+    shape (k, nx); every row sees the same operator.  The matrix
     (I - coef B) of each implicit coefficient is LU-factored once.
     """
 
@@ -203,10 +205,9 @@ class _Stepper:
         self._factors: dict[float, tuple] = {}
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        col = (slice(None),) + (None,) * (u.ndim - 1)
-        out = self.diag[col] * u
-        out[:-1] += self.upper[:-1][col] * u[1:]
-        out[1:] += self.lower[1:][col] * u[:-1]
+        out = self.diag * u
+        out[..., :-1] += self.upper[:-1] * u[..., 1:]
+        out[..., 1:] += self.lower[1:] * u[..., :-1]
         return out
 
     def ab_matrix(self, coef: float) -> np.ndarray:
@@ -232,13 +233,14 @@ class _Stepper:
 
     def step_linear(self, u: np.ndarray, dt: float, theta: float) -> np.ndarray:
         rhs = u + (1.0 - theta) * dt * self.apply(u)
-        return solve_banded(self, theta * dt, rhs)
+        return solve_banded(self, theta * dt, rhs.T).T
 
 
 def solve_banded(stepper: _Stepper, coef: float, b: np.ndarray) -> np.ndarray:
     """Solve (I - coef * B) x = b with the stepper's LU factors of that matrix.
 
-    ``b`` is one column, shape (nx,), or a block, shape (nx, k).  A
+    ``b`` is one column, shape (nx,), or a block of columns, shape (nx, k),
+    such as the transpose of a (k, nx) block of rows.  A
     right-hand side holding NaN or inf is refused with :class:`_NonFiniteRhs`
     naming its first such column.  The factors come from partial pivoting as
     in ``scipy.linalg.solve_banded``, whose tridiagonal path (LAPACK
@@ -256,8 +258,8 @@ def solve_banded(stepper: _Stepper, coef: float, b: np.ndarray) -> np.ndarray:
     return x
 
 
-class _Columns:
-    """The 2K adjustment columns of K scenarios: sellers 0..K-1, then buyers."""
+class _Rows:
+    """The 2K adjustment rows of K scenarios: sellers 0..K-1, then buyers."""
 
     def __init__(self, models: list[MarketModel], nx: int):
         self.count = len(models)
@@ -271,10 +273,10 @@ class _Columns:
                        for name, value in per_model[0].items()
                        if any(p[name] != value for p in per_model)}
 
-    def label(self, col: int) -> str:
-        """Side and, in a batch, scenario index and varied parameters of a column."""
-        k = col % self.count
-        side = drivers.SELLER if col < self.count else drivers.BUYER
+    def label(self, row: int) -> str:
+        """Side and, in a batch, scenario index and varied parameters of a row."""
+        k = row % self.count
+        side = drivers.SELLER if row < self.count else drivers.BUYER
         if self.count == 1:
             return f"{side} side"
         varied = ", ".join(f"{name}={values[k]:g}"
@@ -282,36 +284,32 @@ class _Columns:
         return f"{side} side of scenario {k}" + (f" ({varied})" if varied else "")
 
     def drift(self, t: float, mark: np.ndarray, grad: np.ndarray, dx: float):
-        """The reduced driver at time t as a function of (u, active columns).
+        """The reduced driver at time t as a function of (u, rows).
 
         The terms the mark fixes are built here, once per time level; each
         call builds only the exposure z, the repo legs and the step in u.
         """
         level = drivers.reduced_mark_terms(self.params, mark)
 
-        def g(u: np.ndarray, cols: np.ndarray) -> np.ndarray:
-            if cols.size == self.size:
-                params, terms = self.params, level
-            else:
-                params = self.params.take(cols)
-                terms = level.take((slice(None), cols))
+        def g(u: np.ndarray, rows) -> np.ndarray:
+            params = self.params.take(rows)
             z = _gradient(u, dx, self._z[:u.size].reshape(u.shape))
             z += grad
             z *= params.sigma
-            terms = drivers.with_repo_legs(params, terms, z)
+            terms = drivers.with_repo_legs(params, level.take(rows), z)
             return drivers.reduced_step(params, terms, u)
         return g
 
 
 def _gradient(u: np.ndarray, dx: float, out: np.ndarray) -> np.ndarray:
-    """``np.gradient(u, dx, axis=0)``, the same arithmetic written into ``out``:
-    central differences inside, one-sided ones at the two edges."""
-    inner, first, last = out[1:-1], out[:1], out[-1:]
-    np.subtract(u[2:], u[:-2], out=inner)
+    """``np.gradient(u, dx, axis=-1)``, the same arithmetic written into
+    ``out``: central differences inside, one-sided ones at the two edges."""
+    inner, first, last = out[..., 1:-1], out[..., :1], out[..., -1:]
+    np.subtract(u[..., 2:], u[..., :-2], out=inner)
     inner /= 2.0 * dx
-    np.subtract(u[1:2], u[:1], out=first)
+    np.subtract(u[..., 1:2], u[..., :1], out=first)
     first /= dx
-    np.subtract(u[-1:], u[-2:-1], out=last)
+    np.subtract(u[..., -1:], u[..., -2:-1], out=last)
     last /= dx
     return out
 
@@ -343,11 +341,11 @@ def _check_batch(models: list[MarketModel], claim: claims.ClaimSpec,
 
 def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
            keep: int):
-    """Backward march of the agent and the (nx, 2K) adjustment block.
+    """Backward march of the agent and the (2K, nx) adjustment block.
 
-    Keeps the time rows with t-index below ``keep``.  Returns the agent rows
-    (keep, nx), the block rows (keep, nx, 2K), and per backward step and
-    column the Picard iterations and final residuals, each (nt, 2K).
+    Keeps the time levels with t-index below ``keep``.  Returns the agent
+    (keep, nx), the block (keep, 2K, nx), and per backward step and row the
+    Picard iterations and final residuals, each (nt, 2K).
     """
     _check_batch(models, claim, grid)
     nx, nt = grid.nx, grid.nt
@@ -355,44 +353,41 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
     first = models[0]
     s = np.exp(grid.x_nodes())
     vanilla = claim.kind in ("call", "put")
-    columns = _Columns(models, nx)
-    ncol = columns.size
-    every = np.arange(ncol)
+    rows = _Rows(models, nx)
 
     agent = np.empty((keep, nx))
-    block = np.empty((keep, nx, ncol))
-    iters = np.zeros((nt, ncol), dtype=int)
-    resids = np.zeros((nt, ncol))
+    block = np.empty((keep, rows.size, nx))
+    iters = np.zeros((nt, rows.size), dtype=int)
+    resids = np.zeros((nt, rows.size))
 
     agent_step = _Stepper(grid, first, zeroth=-first.rates.discount)
     adj_step = _Stepper(grid, first, zeroth=0.0)
 
     def drift_at(t: float, agent_row: np.ndarray):
         """The driver closure of a time level, fed by the agent mark and the
-        log-space agent gradient there, as columns."""
+        log-space agent gradient there."""
         if vanilla:
-            value, delta = claims.agent_value_grid(first, claim, t, s)
-            mark, grad = value[:, None], (s * delta)[:, None]
+            mark, delta = claims.agent_value_grid(first, claim, t, s)
+            grad = s * delta
         else:
-            mark, grad = agent_row[:, None], np.gradient(agent_row, dx)[:, None]
-        return columns.drift(t, mark, grad, dx)
+            mark, grad = agent_row, np.gradient(agent_row, dx)
+        return rows.drift(t, mark, grad, dx)
 
     def picard(rhs_base, step, theta, u_start, t, drift, explicit_part):
         it, res, u, failed = _picard(adj_step, rhs_base, step, theta, u_start,
                                      drift, explicit_part)
-        if failed.size:
-            col = int(failed[0])
-            raise NumericsError(
-                f"Picard iteration failed to reach {PICARD_TOL:g} within "
-                f"{PICARD_MAX_ITER} iterations on the {columns.label(col)} at "
-                f"t={t:.6g} (last residual {res[col]:.3g}); refine the time grid")
+        if failed:
+            row, j = failed[0]
+            raise not_converged("Picard iteration", rows.label(row),
+                                f"t={t:.6g}", PICARD_MAX_ITER, j, s[j],
+                                u[row, j], res[row], PICARD_TOL)
         return it, res, u
 
     # march tau = T - t from 0 to T; rows are stored by t-index
     t_levels = grid.t_nodes()
     a_old = np.empty(nx)
     a_old[:] = claim.payoff(s)
-    u_old = np.zeros((nx, ncol))
+    u_old = np.zeros((rows.size, nx))
     u_older = u_old  # the level before u_old; the terminal one to start
     if nt < keep:
         agent[nt] = a_old
@@ -421,17 +416,17 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
                                           drift_new, 0.0)
                 it, res = np.maximum(it1, it2), np.maximum(res1, res2)
             else:
-                g_old = drift_old(u_old, every)
+                g_old = drift_old(u_old, slice(None))
                 rhs_base = u_old + 0.5 * dt * adj_step.apply(u_old)
                 # start from the linear extrapolation of the last two levels
                 it, res, u_new = picard(rhs_base, dt, 0.5, 2.0 * u_old - u_older,
                                         t_new, drift_new, 0.5 * dt * g_old)
-            finite = np.all(np.isfinite(u_new), axis=0)
+            finite = np.all(np.isfinite(u_new), axis=1)
             if not finite.all():
-                col = int(np.flatnonzero(~finite)[0])
+                row = int(np.flatnonzero(~finite)[0])
                 raise NumericsError(
-                    f"non-finite values in the {columns.label(col)} surface at "
-                    f"t={t_new:.6g} (last residual {res[col]:.3g})")
+                    f"non-finite values in the {rows.label(row)} surface at "
+                    f"t={t_new:.6g} (last residual {res[row]:.3g})")
             if i_new < keep:
                 agent[i_new] = a_new
                 block[i_new] = u_new
@@ -439,7 +434,7 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
             resids[n] = res
             a_old, u_older, u_old, drift_old = a_new, u_old, u_new, drift_new
     except _NonFiniteRhs as exc:
-        what = "agent" if exc.column is None else columns.label(exc.column)
+        what = "agent" if exc.column is None else rows.label(exc.column)
         raise NumericsError(f"non-finite values in the {what} surface at "
                             f"t={t_new:.6g}") from exc
     return agent, block, iters, resids
@@ -454,8 +449,7 @@ def solve(model: MarketModel, claim: claims.ClaimSpec, grid: PdeGrid) -> PdeSolu
     """
     agent, block, iters, resids = _march([model], claim, grid, grid.nt + 1)
     return PdeSolution(model=model, claim=claim, grid=grid, agent=agent,
-                       seller=np.ascontiguousarray(block[:, :, 0]),
-                       buyer=np.ascontiguousarray(block[:, :, 1]),
+                       seller=block[:, 0], buyer=block[:, 1],
                        picard_iterations=iters.max(axis=1),
                        picard_residuals=resids.max(axis=1))
 
@@ -470,13 +464,14 @@ def solve_batch(models: list[MarketModel], claim: claims.ClaimSpec,
     :func:`solve` on its model alone, but keeps only the t = 0 and t = dt rows
     of its surfaces, which is what :func:`xva_at` and :func:`strategies` read
     at t = 0.  A Picard or finiteness failure names the side, the scenario's
-    index and varied parameters, t and the last residual.
+    index and varied parameters and t; a Picard failure also its worst node,
+    the stock level and value there, the last residual and the tolerance.
     """
     agent, block, iters, resids = _march(list(models), claim, grid, 2)
     count = len(models)
     return [PdeSolution(model=model, claim=claim, grid=grid, agent=agent.copy(),
-                        seller=block[:, :, k].copy(),
-                        buyer=block[:, :, count + k].copy(),
+                        seller=block[:, k].copy(),
+                        buyer=block[:, count + k].copy(),
                         picard_iterations=np.maximum(iters[:, k],
                                                      iters[:, count + k]),
                         picard_residuals=np.maximum(resids[:, k],
@@ -486,42 +481,78 @@ def solve_batch(models: list[MarketModel], claim: claims.ClaimSpec,
 
 def _picard(stepper: _Stepper, rhs_base: np.ndarray, dt: float, theta: float,
             u_start: np.ndarray, implicit_driver, explicit_part):
-    """Per-column fixed point of (I - theta dt B) u = rhs_base + explicit + theta dt g(u).
+    """Per-row fixed point of (I - theta dt B) u = rhs_base + explicit + theta dt g(u).
 
-    ``implicit_driver(u, cols)`` evaluates g on the given columns.  A column
-    stops once its own sup-norm residual is below PICARD_TOL, so it takes the
-    same iterations as it would alone.  ``u_start`` is read, never written.
-    Returns per-column iteration counts and last residuals, the solution, and
-    the columns that did not converge.  A non-finite right-hand side raises
-    :class:`_NonFiniteRhs` naming its column of ``u_start``.
+    ``implicit_driver(u, rows)`` evaluates g on the given rows of the block.
+    Runs :func:`settle` at PICARD_TOL; a non-finite right-hand side raises
+    :class:`_NonFiniteRhs` naming its row of ``u_start``.
     """
     coef = theta * dt
     fixed = rhs_base + explicit_part
-    ncol = u_start.shape[1]
-    iters = np.zeros(ncol, dtype=int)
-    resid = np.zeros(ncol)
-    active = np.arange(ncol)
-    u = u_start
-    for it in range(1, PICARD_MAX_ITER + 1):
-        whole = active.size == ncol
-        u_act = u if whole else u[:, active]
-        rhs = ((fixed if whole else fixed[:, active])
-               + coef * implicit_driver(u_act, active))
+
+    def step(u, rows):
+        rhs = fixed[rows] + coef * implicit_driver(u, rows)
         try:
-            u_next = solve_banded(stepper, coef, rhs)
+            return solve_banded(stepper, coef, rhs.T).T
         except _NonFiniteRhs as exc:
-            raise _NonFiniteRhs(int(active[exc.column])) from None
-        res = np.max(np.abs(u_next - u_act), axis=0)
-        if whole:  # always so at it = 1: u_start is never written
-            u = u_next
+            row = np.arange(len(fixed))[rows][exc.column]
+            raise _NonFiniteRhs(int(row)) from None
+    return settle(step, u_start, PICARD_TOL, PICARD_MAX_ITER)
+
+
+def settle(step, u_start: np.ndarray, tol: float, max_iter: int):
+    """Per-row fixed point of ``step`` on a (rows, nodes) block.
+
+    ``step(u, rows)`` maps the values ``u`` of ``rows`` to their next
+    iterate; ``rows`` is ``slice(None)`` while every row is live, then an
+    index array.  A row is frozen once its own sup-norm change is below
+    ``tol``, so it takes exactly the iterations, and gets exactly the
+    values, of its fixed point alone.  ``u_start`` is read, never written.
+    Returns per-row iteration counts and last changes, the solution, and a
+    (row, node of its largest last change) pair for each row that did not
+    converge within ``max_iter`` iterations.
+    """
+    iters = np.zeros(len(u_start), dtype=int)
+    resid = np.zeros(len(u_start))
+    rows = slice(None)
+    u = u_start
+    for it in range(1, max_iter + 1):
+        current = u[rows]
+        new = step(current, rows)
+        change = new - current
+        np.abs(change, out=change)
+        res = change.max(axis=1)
+        if isinstance(rows, slice):  # always so at it = 1: u_start stays
+            u = new
         else:
-            u[:, active] = u_next
-        iters[active] = it
-        resid[active] = res
-        active = active[~(res < PICARD_TOL)]
-        if not active.size:
-            break
-    return iters, resid, u, active
+            u[rows] = new
+        iters[rows] = it
+        resid[rows] = res
+        # a list, not an array: on a lattice's two rows numpy's any/all cost
+        # more per iteration than this loop
+        live = [not r < tol for r in res.tolist()]
+        if not any(live):
+            return iters, resid, u, []
+        if not all(live):
+            rows = np.flatnonzero(live) if isinstance(rows, slice) else rows[live]
+        if it < max_iter:
+            # freed before the next step: a block held across the step's
+            # temporaries makes the allocator trim and re-fault heap pages
+            del change
+    failed = np.arange(len(u))[rows]
+    return iters, resid, u, list(zip(failed.tolist(),
+                                     change[live].argmax(axis=1).tolist()))
+
+
+def not_converged(what: str, label: str, where: str, max_iter: int, node: int,
+                  s: float, u: float, residual: float,
+                  tol: float) -> NumericsError:
+    """The error of a fixed point whose ``label`` row did not settle at
+    ``where``, naming the worst node, the stock level and value there."""
+    return NumericsError(
+        f"{what} did not converge on the {label} at {where} within {max_iter} "
+        f"iterations: worst node {node} at s={s:.6g}, |u|={abs(u):.3g}, "
+        f"last residual {residual:.3g} (tolerance {tol:g})")
 
 
 def _bilinear(grid: PdeGrid, surf: np.ndarray, t: float, x: float) -> float:
@@ -547,11 +578,6 @@ def _bilinear(grid: PdeGrid, surf: np.ndarray, t: float, x: float) -> float:
 def xva_at(solution: PdeSolution, t: float, s: float, side: str) -> float:
     """Adjustment surface sampled at (t, s) by bilinear interpolation."""
     return _bilinear(solution.grid, solution.surface(side), t, math.log(s))
-
-
-def agent_at(solution: PdeSolution, t: float, s: float) -> float:
-    """Agent (mark) surface sampled at (t, s)."""
-    return _bilinear(solution.grid, solution.agent, t, math.log(s))
 
 
 def strategies(solution: PdeSolution, t: float, s: float,

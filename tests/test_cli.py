@@ -321,6 +321,18 @@ def test_validate_failure_exit_code(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_validate_reports_a_model_that_fails_a_necessary_condition(
+        tmp_path, capsys):
+    """A config the model itself refuses still gets the full report."""
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(BENCH_TEXT.replace("fund_lend = 0.05", "fund_lend = 0.09"))
+    rc = cli.main(["validate", "--config", str(bad)])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "[FAIL] (necessary) fund_lend <= fund_borrow" in out
+    assert "(market)" in out and "(valuation)" in out
+
+
 def test_missing_rate_keys():
     with pytest.raises(ValueError, match="missing rate keys"):
         build_config(parse_config_text("spot = 1.0"))

@@ -351,7 +351,7 @@ def test_split_driver_matches_unsplit_kernel(rng):
 
 
 def test_driver_params_stack_matches_per_model():
-    """Column j of the stacked record is the record of model j % K on its
+    """Row j of the stacked record is the record of model j % K on its
     side; a field equal in every model stays a float."""
     models = [model_with(alpha=0.0), model_with(alpha=0.35, fund_borrow=0.15),
               model_with(alpha=0.9, mu_cpty=0.3, repo_borrow=0.07),
@@ -362,18 +362,19 @@ def test_driver_params_stack_matches_per_model():
         assert isinstance(getattr(stacked, name), float), name
     for name in ("alpha", "fund_borrow", "repo_borrow", "loss_own",
                  "intensity_cpty", "sign"):
-        assert getattr(stacked, name).shape == (2 * count,), name
+        assert getattr(stacked, name).shape == (2 * count, 1), name
     for j in range(2 * count):
         model = models[j % count]
         one = DriverParams.of(model, SELLER if j < count else BUYER)
-        column = stacked.take(np.array([j]))
-        for name, got, want in zip(DriverParams._fields, column, one):
-            assert np.array_equal(np.broadcast_to(got, (1,)), [want]), (j, name)
+        row = stacked.take(np.array([j]))
+        for name, got, want in zip(DriverParams._fields, row, one):
+            assert np.array_equal(np.broadcast_to(got, (1, 1)), [[want]]), (j, name)
         assert one.intensity_own == model.default_intensity("own")
         assert one.intensity_cpty == model.default_intensity("cpty")
     no_credit = DriverParams.stack([dataclasses.replace(m, credit=None)
                                     for m in models])
     assert no_credit.loss_own is no_credit.intensity_cpty is None
+    assert stacked.take(slice(None)) is stacked
 
 
 def test_reduced_drift_vectorized(benchmark_model, rng):

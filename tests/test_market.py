@@ -8,43 +8,6 @@ from xvaband import (CreditParams, MarketModel, ModelError, RateSet,
 from conftest import BENCH_CREDIT, BENCH_RATES, EQUITY
 
 
-def test_repo_rate_piecewise():
-    r = BENCH_RATES
-    assert r.repo_rate(+1.0) == 0.05
-    assert r.repo_rate(0.0) == 0.0
-    rr = RateSet(fund_lend=0.05, fund_borrow=0.08, repo_lend=0.05,
-                 repo_borrow=0.06, coll_earn=0.01, coll_pay=0.01, discount=0.01)
-    assert rr.repo_rate(-1.0) == 0.06
-
-
-def test_funding_rate_piecewise():
-    r = BENCH_RATES
-    assert r.funding_rate(+1.0) == 0.05
-    assert r.funding_rate(0.0) == 0.0
-    assert r.funding_rate(-1.0) == 0.08
-
-
-def test_collateral_rate_piecewise():
-    r = BENCH_RATES
-    assert r.collateral_rate(+1.0) == 0.01
-    assert r.collateral_rate(0.0) == 0.0
-    rr = RateSet(fund_lend=0.05, fund_borrow=0.08, repo_lend=0.05,
-                 repo_borrow=0.05, coll_earn=0.01, coll_pay=0.02, discount=0.01)
-    assert rr.collateral_rate(-1.0) == 0.02
-
-
-@given(st.floats(min_value=-10, max_value=10, allow_nan=False))
-def test_rate_functions_single_breakpoint(x):
-    r = BENCH_RATES
-    for fn in (r.repo_rate, r.funding_rate, r.collateral_rate):
-        if x > 0:
-            assert fn(x) == fn(1.0)
-        elif x < 0:
-            assert fn(x) == fn(-1.0)
-        else:
-            assert fn(x) == 0.0
-
-
 def test_negative_rates_rejected():
     with pytest.raises(ModelError):
         RateSet(fund_lend=-0.01, fund_borrow=0.08, repo_lend=0.05,

@@ -9,14 +9,13 @@ import pytest
 from scipy.linalg import solve_banded as scipy_solve_banded
 
 from xvaband import (BUYER, SELLER, ClaimSpec, CreditParams, EquityParams,
-                     NumericsError, PdeGrid, agent_value,
+                     MarketModel, NumericsError, PdeGrid, RateSet, agent_value,
                      piterbarg_defaults_strategies,
                      piterbarg_defaults_xva, piterbarg_xva, solve,
                      solve_batch, solve_reduced, strategies, xva_at)
 from xvaband import drivers, pde
 from xvaband.claims import agent_value_grid
 from xvaband.drivers import jump_targets
-from xvaband.pde import agent_at
 from conftest import make_benchmark, make_symmetric
 
 CALL = ClaimSpec(kind="call", strike=1.0, maturity=1.0)
@@ -201,9 +200,10 @@ def test_boundary_flagged(benchmark_model):
 
 
 def test_agent_at(benchmark_model):
-    sol, _ = small_solution(benchmark_model, nx=300, nt=150)
+    sol, grid = small_solution(benchmark_model, nx=300, nt=150)
     exact = agent_value(benchmark_model, CALL, 0.0, 1.0).value
-    assert agent_at(sol, 0.0, 1.0) == pytest.approx(exact, abs=5e-5)
+    mark = np.interp(math.log(1.0), grid.x_nodes(), sol.agent[0])
+    assert mark == pytest.approx(exact, abs=5e-5)
 
 
 def test_solve_validations(benchmark_model):
@@ -362,7 +362,40 @@ def test_batch_picard_failure_names_the_column():
     assert "side of scenario 1 (mu_own=0.9, mu_cpty=0.9)" in msg
     assert "seller" in msg or "buyer" in msg
     assert "t=" in msg and "last residual" in msg
+    assert "worst node" in msg and "tolerance 1e-10" in msg
     solve_batch(models[:1], CALL, grid)  # the other column alone converges
+
+
+def test_far_edge_picard_failure_names_the_node():
+    """Draw 6 of the benchmark's point pool: the buyer residual stalls at two
+    ulps of |u| at the far edge of the grid, a float-resolution limit that a
+    finer time grid cannot lift.  The message names the node and the
+    tolerance and advises nothing."""
+    rates = RateSet(fund_lend=0.0545342574603374,
+                    fund_borrow=0.0545342574603374,
+                    repo_lend=0.0016836989256222123,
+                    repo_borrow=0.0016836989256222123,
+                    coll_earn=0.0009597072660530381,
+                    coll_pay=0.0009597072660530381,
+                    discount=0.0016836989256222123)
+    credit = CreditParams(mu_own=0.10051338208336599,
+                          mu_cpty=0.14014791822608963,
+                          loss_own=0.49397004489109364,
+                          loss_cpty=0.44271598581798227)
+    model = MarketModel(rates=rates, credit=credit, alpha=0.3460779190181549,
+                        equity=EquityParams(spot=1385.7815063059677,
+                                            sigma=0.5773231517008676))
+    claim = ClaimSpec(kind="call", strike=1393.5337741048634,
+                      maturity=4.707681203390592)
+    grid = PdeGrid.default_for(model, claim, nx=400, nt=400)
+    with pytest.raises(NumericsError) as info:
+        solve(model, claim, grid)
+    msg = str(info.value)
+    assert msg.startswith("Picard iteration did not converge on the buyer "
+                          "side at t=1.69477 within 50 iterations")
+    assert "worst node 392 at s=1.92445e+06, |u|=2.63e+05" in msg
+    assert "(tolerance 1e-10)" in msg
+    assert "refine" not in msg
 
 
 # -- the march's parts against their references -------------------------------
@@ -411,30 +444,30 @@ def test_gradient_buffer_matches_numpy(rng):
         for dx in (0.0123, 1e-3, 0.5):
             u = np.exp(rng.standard_normal(shape)) * rng.choice([-1.0, 1.0], shape)
             got = pde._gradient(u, dx, np.empty_like(u))
-            assert got.tobytes() == np.gradient(u, dx, axis=0).tobytes()
+            assert got.tobytes() == np.gradient(u, dx, axis=-1).tobytes()
 
 
-def reference_drift(models, t, mark, grad, dx, u, cols):
-    """The driver the march evaluates, one public reduced drift per column:
-    column c is the seller of scenario c when c < K, else the buyer of
-    scenario c - K."""
+def reference_drift(models, t, mark, grad, dx, u, rows):
+    """The driver the march evaluates, one public reduced drift per row:
+    row r is the seller of scenario r when r < K, else the buyer of
+    scenario r - K."""
     count = len(models)
-    z = np.gradient(u, dx, axis=0)
+    z = np.gradient(u, dx, axis=-1)
     z += grad
     z *= models[0].equity.sigma
     out = np.empty_like(u)
-    for j, c in enumerate(cols):
-        side = SELLER if c < count else BUYER
-        out[:, j] = drivers.reduced_drift(models[c % count], side, t, u[:, j],
-                                          z[:, j], mark[:, 0])
+    for j, r in enumerate(rows):
+        side = SELLER if r < count else BUYER
+        out[j] = drivers.reduced_drift(models[r % count], side, t, u[j], z[j],
+                                       mark)
     return out
 
 
 @pytest.mark.parametrize("credit", [True, False])
 def test_level_drift_matches_reduced_drift(credit, rng):
     """The driver closure of one time level, built once from the mark, gives
-    the bits of the public reduced drift of every column's model and side,
-    on every column and on a subset, and a later call leaves an earlier
+    the bits of the public reduced drift of every row's model and side,
+    on every row and on a subset, and a later call leaves an earlier
     result alone."""
     models = batch_stack()
     if not credit:
@@ -443,21 +476,56 @@ def test_level_drift_matches_reduced_drift(credit, rng):
     s = np.exp(grid.x_nodes())
     t = 0.37
     value, delta = agent_value_grid(models[0], CALL, t, s)
-    mark, grad = value[:, None], (s * delta)[:, None]
-    columns = pde._Columns(models, grid.nx)
-    g = columns.drift(t, mark, grad, grid.dx)
-    for cols in (np.arange(columns.size), np.array([1, 4, 5, 8])):
-        u = 0.05 * rng.standard_normal((grid.nx, cols.size))
-        got = g(u, cols)
-        want = reference_drift(models, t, mark, grad, grid.dx, u, cols)
+    mark, grad = value, s * delta
+    block = pde._Rows(models, grid.nx)
+    g = block.drift(t, mark, grad, grid.dx)
+    every = np.arange(block.size)
+    for rows in (slice(None), every, np.array([1, 4, 5, 8])):
+        u = 0.05 * rng.standard_normal((every[rows].size, grid.nx))
+        got = g(u, rows)
+        want = reference_drift(models, t, mark, grad, grid.dx, u, every[rows])
         assert got.tobytes() == want.tobytes()
-        g(u[::-1].copy(), cols)  # reuses the exposure buffer
+        g(u[:, ::-1].copy(), rows)  # reuses the exposure buffer
         assert got.tobytes() == want.tobytes()
 
 
 def linear_driver(rates):
-    """g(u) = rates * u per column, so columns converge at different speeds."""
-    return lambda u, cols: rates[cols] * u
+    """g(u) = rates * u per row, so rows converge at different speeds."""
+    return lambda u, rows: rates[rows, None] * u
+
+
+def test_settle_freezes_each_row_at_its_own_iteration():
+    """Rows contracting at different speeds take the iterations, and get the
+    values, of their own loop; a row that never settles is returned with the
+    node of its largest last change; u_start is left alone."""
+    target = np.linspace(-1.0, 1.0, 7)
+    factors = np.array([0.0, 0.5, 0.125, -1.0])  # -1 flips about the target
+    u_start = np.stack([np.zeros(7), np.ones(7), -np.ones(7),
+                        [0.0, 1.0, -2.0, 3.0, -5.0, 1.0, 0.0]])
+    before = u_start.copy()
+    tol, max_iter = 1e-9, 40
+    seen = []
+
+    def step(u, rows):
+        seen.append(rows)
+        return target + factors[rows, None] * (u - target)
+
+    iters, resid, u, failed = pde.settle(step, u_start, tol, max_iter)
+    for row in range(3):
+        v = u_start[row]
+        for it in range(1, max_iter + 1):
+            new = target + factors[row] * (v - target)
+            change = np.max(np.abs(new - v))
+            v = new
+            if change < tol:
+                break
+        assert iters[row] == it and resid[row] == change, row
+        assert u[row].tobytes() == v.tobytes(), row
+    assert len(set(iters[:3].tolist())) == 3
+    assert iters[3] == max_iter and resid[3] == 2 * (5.0 + 1.0 / 3.0)
+    assert failed == [(3, 4)]
+    assert seen[0] == slice(None) and seen[-1].tolist() == [3]
+    assert np.array_equal(u_start, before)
 
 
 def test_picard_leaves_u_start_unchanged():
@@ -465,30 +533,30 @@ def test_picard_leaves_u_start_unchanged():
     grid = PdeGrid.default_for(model, CALL, nx=80, nt=10)
     stepper = pde._Stepper(grid, model, 0.0)
     x = grid.x_nodes()
-    u_start = np.stack([np.sin(3 * x), np.cos(x), x, 0.1 * x * x], axis=1)
+    u_start = np.stack([np.sin(3 * x), np.cos(x), x, 0.1 * x * x])
     before = u_start.copy()
     rates = np.array([0.0, 0.5, 2.0, 8.0])
     iters, resid, u, failed = pde._picard(stepper, u_start, grid.dt, 0.5,
                                           u_start, linear_driver(rates), 0.0)
-    assert not failed.size
-    assert len(set(iters.tolist())) > 2  # columns froze at different iterations
+    assert not failed
+    assert len(set(iters.tolist())) > 2  # rows froze at different iterations
     assert np.array_equal(u_start, before)
     assert u is not u_start
 
 
 def test_picard_names_a_non_finite_column_of_the_block():
-    """A column that turns non-finite after others froze is named by its index
-    in the block, not in the active subset."""
+    """A row that turns non-finite after others froze is named by its index
+    in the block, not in the live subset."""
     model = make_benchmark()
     grid = PdeGrid.default_for(model, CALL, nx=80, nt=10)
     stepper = pde._Stepper(grid, model, 0.0)
-    u_start = np.ones((grid.nx, 4))
+    u_start = np.ones((4, grid.nx))
     rates = np.array([0.0, 0.5, 2.0, 8.0])
 
-    def driver(u, cols):
-        out = rates[cols] * u
-        if cols.size < 4:
-            out[:, cols == 3] = np.nan
+    def driver(u, rows):
+        out = rates[rows, None] * u
+        if not isinstance(rows, slice):
+            out[rows == 3] = np.nan
         return out
 
     with pytest.raises(pde._NonFiniteRhs) as info:
@@ -513,13 +581,13 @@ def test_non_finite_payoff_names_the_agent_surface(benchmark_model):
 
 def test_non_finite_driver_names_the_column(monkeypatch):
     """A driver that turns non-finite on one scenario is reported on that
-    scenario's seller column, with its varied parameters and t."""
+    scenario's seller row, with its varied parameters and t."""
     models = batch_stack()
     step = drivers.reduced_step
 
     def poisoned(model, terms, u):
         out = step(model, terms, u)
-        out[:, np.broadcast_to(model.alpha, out.shape[1:]) == 0.35] = np.nan
+        out[np.broadcast_to(model.alpha, (len(out), 1))[:, 0] == 0.35] = np.nan
         return out
 
     monkeypatch.setattr(drivers, "reduced_step", poisoned)

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from xvaband import claims, drivers, lattice, pde
+from conftest import make_benchmark
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -36,3 +37,23 @@ def test_every_boundary_exists(tracer):
 ])
 def test_arguments_read_by_position(fn, position, name):
     assert list(inspect.signature(fn).parameters)[position] == name
+
+
+def test_banded_solves_see_block_columns(monkeypatch):
+    """The tracer counts ``b.shape[1]`` as the columns of one banded solve:
+    a batch march hands it the (nx, k) transpose of its live rows."""
+    models = [make_benchmark(alpha=a) for a in (0.0, 0.5, 0.9)]
+    claim = claims.ClaimSpec(kind="call", strike=1.0, maturity=1.0)
+    grid = pde.PdeGrid.default_for(models[0], claim, nx=40, nt=10)
+    shapes = []
+    solve_banded = pde.solve_banded
+
+    def recording(stepper, coef, b):
+        shapes.append(b.shape)
+        return solve_banded(stepper, coef, b)
+
+    monkeypatch.setattr(pde, "solve_banded", recording)
+    pde.solve_batch(models, claim, grid)
+    blocks = [shape for shape in shapes if len(shape) == 2]
+    assert blocks
+    assert all(nx == grid.nx and 1 <= k <= 6 for nx, k in blocks)
