@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .market import MarketModel
 
@@ -118,16 +118,21 @@ def _vanilla_value(model, claim, t, s):
     d1 = (np.log(s / k) + (r + 0.5 * sigma * sigma) * tau) / st
     d2 = d1 - st
     df = math.exp(-r * tau)
+    # erf is odd to the bit, so N(-d1) = 0.5 * (1 - erf(d1 / sqrt 2)) exactly
+    e1 = special.erf(d1 / _SQRT2)
     if claim.kind == "call":
-        delta = _norm_cdf(d1)
+        delta = 0.5 * (1.0 + e1)
         value = s * delta - k * df * _norm_cdf(d2)
     else:
-        value = k * df * _norm_cdf(-d2) - s * _norm_cdf(-d1)
-        delta = _norm_cdf(d1) - 1.0
+        value = k * df * _norm_cdf(-d2) - s * (0.5 * (1.0 - e1))
+        delta = 0.5 * (1.0 + e1) - 1.0
     return value, delta
 
 
 def _quadrature_value(model, claim, t, s):
+    # imported here: only custom claims need it, and it is a large import
+    from scipy import integrate
+
     r = model.rates.discount
     sigma = model.equity.sigma
     tau = claim.maturity - t

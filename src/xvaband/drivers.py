@@ -320,6 +320,51 @@ def reduced_step(p: DriverParams, terms: DriverTerms, u):
     return drift
 
 
+def reduced_root(p: DriverParams, terms: DriverTerms, e, dt: float):
+    """The root ``u`` of ``u = e + dt * reduced_step(p, terms, u)``.
+
+    With the terms fixed, the step is affine in ``u`` on either side of the
+    kink where the funding account changes sign.  The sign of the account at
+    the root is the same on both branches, the sign of a quantity that needs
+    no branch (the kink test), so the branch and then the root have closed
+    forms: one policy-iteration solve per node (Forsyth & Labahn 2007) whose
+    policy is known in advance.  The root agrees with the step's fixed point
+    to rounding; a caller that needs the step's own fixed point takes steps
+    from here.  ``dt`` times :func:`reduced_lipschitz_bound` must be below 1,
+    which keeps both branches' denominators positive.
+    """
+    e = p.sign * e
+    # in the seller's terms the drift is base - rate * account - pull * u,
+    # with the funding account = at_zero + slope * u
+    base = terms.repo_short - terms.repo_long
+    base -= terms.coll_earn
+    base += terms.coll_pay
+    if terms.carry is not None:
+        base += terms.carry
+    if p.intensity_own is None:
+        at_zero, slope, pull = terms.offset, 1.0, 0.0
+    else:
+        base += (p.discount + p.intensity_own) * terms.own
+        base += (p.discount + p.intensity_cpty) * terms.cpty
+        at_zero = terms.own + terms.cpty
+        at_zero += terms.offset
+        slope = -1.0
+        pull = (2.0 * p.discount + p.intensity_own) + p.intensity_cpty
+    # the account at the root times its positive denominator
+    kink = dt * base
+    kink += e
+    kink *= slope
+    kink += at_zero * (1.0 + dt * pull)
+    rate = np.where(kink > 0.0, p.fund_lend, p.fund_borrow)
+    root = rate * at_zero
+    root -= base
+    root *= -dt
+    root += e
+    root /= 1.0 + dt * (slope * rate + pull)
+    root *= p.sign
+    return root
+
+
 def wealth_drift(model: MarketModel, side: str, t, v, z, z_own, z_cpty, mark):
     """Drift of the replication wealth BSDE.
 

@@ -23,11 +23,17 @@ adjustment block.  The driver reads the :class:`drivers.DriverParams` record
 of the rows (``DriverParams.stack([model])``) and reflects the buyer row
 itself.  Each level builds the stock levels, the agent's mark and delta, the
 exposure z and the driver terms that the mark and z fix
-(:func:`drivers.reduced_terms`) once for both rows; each fixed-point
-iteration then calls only the step in u (:func:`drivers.reduced_step`).
-Every row runs its own fixed point and is frozen once converged, so it gets
-bit for bit the values of a march of its side alone, which is what
-:func:`solve_reduced` runs.
+(:func:`drivers.reduced_terms`) once for both rows.  With those terms fixed
+each node's equation ``u = e + dt f(u)`` is piecewise linear in u, with one
+kink where the funding account changes sign, so its root has a closed form
+(:func:`drivers.reduced_root`).  The fixed point starts there, and each
+iteration calls only the step in u (:func:`drivers.reduced_step`): one step
+of it confirms the root to the 1e-12 tolerance at nearly every level, and a
+node where the step has no fixed point in floats fails as it would from any
+start.  Every row runs its own fixed point and is frozen once converged, so
+it gets bit for bit the values of a march of its side alone, which is what
+:func:`solve_reduced` runs.  Values that turn non-finite stop their row's
+fixed point at once and fail the valuation, naming the side and level.
 """
 
 from __future__ import annotations
@@ -143,8 +149,9 @@ def _march(model: MarketModel, claim: claims.ClaimSpec, n_steps: int,
             out += expectation[rows]
             return out
 
+        start = drivers.reduced_root(params, terms, expectation, dt)
         iterations[:, k], residuals[:, k], u, failed = settle(
-            step, expectation, FIXED_POINT_TOL, FIXED_POINT_MAX_ITER)
+            step, start, FIXED_POINT_TOL, FIXED_POINT_MAX_ITER)
         if failed:
             row, j = failed[0]
             raise not_converged("implicit fixed point", f"{sides[row]} side",

@@ -507,10 +507,11 @@ def settle(step, u_start: np.ndarray, tol: float, max_iter: int):
     iterate; ``rows`` is ``slice(None)`` while every row is live, then an
     index array.  A row is frozen once its own sup-norm change is below
     ``tol``, so it takes exactly the iterations, and gets exactly the
-    values, of its fixed point alone.  ``u_start`` is read, never written.
-    Returns per-row iteration counts and last changes, the solution, and a
-    (row, node of its largest last change) pair for each row that did not
-    converge within ``max_iter`` iterations.
+    values, of its fixed point alone.  A row whose change is not finite
+    stops at once, its values left for the caller to report.  ``u_start`` is
+    read, never written.  Returns per-row iteration counts and last changes,
+    the solution, and a (row, node of its largest last change) pair for each
+    finite row that did not converge within ``max_iter`` iterations.
     """
     iters = np.zeros(len(u_start), dtype=int)
     resid = np.zeros(len(u_start))
@@ -529,8 +530,8 @@ def settle(step, u_start: np.ndarray, tol: float, max_iter: int):
         iters[rows] = it
         resid[rows] = res
         # a list, not an array: on a lattice's two rows numpy's any/all cost
-        # more per iteration than this loop
-        live = [not r < tol for r in res.tolist()]
+        # more per iteration than this loop; nan and inf fail both tests
+        live = [tol <= r < math.inf for r in res.tolist()]
         if not any(live):
             return iters, resid, u, []
         if not all(live):

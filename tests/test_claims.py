@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from xvaband import ClaimSpec, EquityParams, MarketModel, RateSet, agent_value
 from xvaband.claims import agent_value_grid
@@ -119,6 +119,36 @@ def test_put_call_parity():
     forward = 0.9 - 1.2 * math.exp(-0.04 * 1.3)
     assert c.value - p.value == pytest.approx(forward, abs=1e-12)
     assert c.delta - p.delta == pytest.approx(1.0, abs=1e-12)
+
+
+def three_erf_marks(model, claim, t, s):
+    """Black-Scholes mark and delta with one erf per normal CDF, N(-d1) too."""
+    r, sigma, k = model.rates.discount, model.equity.sigma, claim.strike
+    tau = claim.maturity - t
+    st = sigma * math.sqrt(tau)
+    d1 = (np.log(s / k) + (r + 0.5 * sigma * sigma) * tau) / st
+    d2 = d1 - st
+    df = math.exp(-r * tau)
+
+    def cdf(x):
+        return 0.5 * (1.0 + special.erf(x / math.sqrt(2.0)))
+    if claim.kind == "call":
+        return s * cdf(d1) - k * df * cdf(d2), cdf(d1)
+    return k * df * cdf(-d2) - s * cdf(-d1), cdf(d1) - 1.0
+
+
+@pytest.mark.parametrize("kind", ["call", "put"])
+def test_vanilla_grid_matches_three_erf_expression_to_the_bit(kind, rng):
+    model = flat_model(0.03, 0.25)
+    claim = ClaimSpec(kind=kind, strike=1.1, maturity=2.0)
+    # log-moneyness to +-15 puts nodes deep in and out of the money, where
+    # erf sits in its tails or at +-1
+    s = claim.strike * np.exp(rng.uniform(-15.0, 15.0, 5000))
+    for t in (0.0, 1.0, 2.0 - 1e-6):
+        value, delta = agent_value_grid(model, claim, t, s)
+        ref_value, ref_delta = three_erf_marks(model, claim, t, s)
+        assert value.tobytes() == ref_value.tobytes()
+        assert delta.tobytes() == ref_delta.tobytes()
 
 
 def test_custom_payoff_matches_vanilla():

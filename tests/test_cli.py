@@ -1,6 +1,11 @@
 """CLI: config parsing, deterministic CSV output, figure/table properties."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -309,8 +314,13 @@ def test_validate_failure_exit_code(tmp_path, capsys):
     bad = tmp_path / "viol.cfg"
     bad.write_text(BENCH_TEXT.replace("coll_earn = 0.01", "coll_earn = 0.10")
                    + "\nallow_violations = true\n")
-    # allow_violations lets the model build; withdrawing the flag on the CLI
-    # is not possible, so craft one that builds but fails the full validator
+    # allowed violations are reported but do not fail the run
+    rc = cli.main(["validate", "--config", str(bad)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert ("[FAIL] (valuation) max(collateral rates) <= fund_borrow: "
+            "0.1 vs 0.08") in out.splitlines()
+    # a config that builds but fails the full validator fails the run
     text = BENCH_TEXT.replace("repo_lend = 0.05", "repo_lend = 0.03")
     ok_but_fails_market = tmp_path / "m.cfg"
     ok_but_fails_market.write_text(text.replace("fund_lend = 0.05",
@@ -319,6 +329,34 @@ def test_validate_failure_exit_code(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "FAIL" in out
+
+
+def test_vanilla_value_run_does_not_import_quadrature(tmp_path):
+    """scipy.integrate serves custom claims alone: a vanilla valuation
+    leaves it unimported, and a custom claim imports it when it prices."""
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(BENCH_TEXT)
+    script = textwrap.dedent(f"""
+        import sys
+        import numpy as np
+        from xvaband import ClaimSpec, agent_value, cli
+        assert cli.main(["value", "--config", {str(cfg)!r}, "--nx", "60",
+                         "--nt", "20"]) == 0
+        assert "scipy.integrate" not in sys.modules
+        model = cli.build_config(
+            cli.parse_config_text(open({str(cfg)!r}).read())).model
+        custom = ClaimSpec(kind="custom", strike=1.0, maturity=1.0,
+                           payoff_fn=lambda s: np.maximum(s - 1.0, 0.0))
+        vanilla = ClaimSpec(kind="call", strike=1.0, maturity=1.0)
+        got = agent_value(model, custom, 0.0, 1.0).value
+        assert abs(got - agent_value(model, vanilla, 0.0, 1.0).value) < 1e-8
+        assert "scipy.integrate" in sys.modules
+        """)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
 
 
 def test_validate_reports_a_model_that_fails_a_necessary_condition(

@@ -15,7 +15,8 @@ from xvaband import (BUYER, SELLER, ClaimSpec, CreditParams, MarketModel,
 from xvaband.drivers import (DriverParams, ReplicationStrategy,
                              adjustment_drift, build_strategy,
                              closeout_adjustments, jump_targets, neg, pos,
-                             reduced_drift, reduced_drift_value, wealth_drift)
+                             reduced_drift, reduced_drift_value, reduced_root,
+                             reduced_step, reduced_terms, wealth_drift)
 from conftest import EQUITY, make_benchmark, make_symmetric
 
 
@@ -456,3 +457,73 @@ def test_build_strategy_no_credit_has_no_bonds():
     assert st_.bond_cpty_dollars == 0.0
     # funding absorbs the adjustment net of posted collateral
     assert st_.funding_dollars == pytest.approx(0.01 - 0.05, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# exact root of the implicit step
+
+RATE = st.floats(min_value=0.0, max_value=0.2)
+NODE = st.one_of(st.sampled_from([0.0, -0.0]),
+                 st.floats(min_value=-1e8, max_value=1e8))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(lend=RATE, spread=st.floats(min_value=1e-4, max_value=0.2),
+       repo_lend=RATE, repo_borrow=RATE, coll_earn=RATE, coll_pay=RATE,
+       discount=st.floats(min_value=0.0, max_value=0.1),
+       mu_own=st.floats(min_value=0.11, max_value=0.6),
+       mu_cpty=st.floats(min_value=0.11, max_value=0.6),
+       loss_own=st.floats(min_value=0.0, max_value=1.0),
+       loss_cpty=st.floats(min_value=0.0, max_value=1.0),
+       alpha=st.floats(min_value=0.0, max_value=1.0),
+       credit=st.booleans(), side=st.sampled_from([SELLER, BUYER]),
+       at_value=st.booleans(), dt=st.floats(min_value=1e-6, max_value=0.1),
+       nodes=st.lists(st.tuples(NODE, NODE, NODE), min_size=1, max_size=12))
+def test_reduced_root_solves_the_implicit_step(
+        lend, spread, repo_lend, repo_borrow, coll_earn, coll_pay, discount,
+        mu_own, mu_cpty, loss_own, loss_cpty, alpha, credit, side, at_value,
+        dt, nodes):
+    m = model_with(alpha=alpha, fund_lend=lend, fund_borrow=lend + spread,
+                   repo_lend=repo_lend, repo_borrow=repo_borrow,
+                   coll_earn=coll_earn, coll_pay=coll_pay, discount=discount,
+                   mu_own=mu_own, mu_cpty=mu_cpty, loss_own=loss_own,
+                   loss_cpty=loss_cpty)
+    if not credit:
+        m = dataclasses.replace(m, credit=None)
+    p = DriverParams.of(m, side)
+    e, z, mark = np.array(nodes).T
+    terms = reduced_terms(p, z, mark, at_value)
+    x = reduced_root(p, terms, e, dt)
+    # the step rounds at the size of the largest addend of its drift, so a
+    # root to rounding solves the equation to a few ulps of that size times
+    # dt, where the addends cancel, as well as of |x| and |e|
+    top = p.fund_borrow
+    addends = [top * abs(terms.offset), top * abs(x), abs(terms.repo_long),
+               abs(terms.repo_short), abs(terms.coll_earn),
+               abs(terms.coll_pay), discount * abs(mark)]
+    if credit:
+        pull = 2 * p.discount + p.intensity_own + p.intensity_cpty
+        addends += [(top + p.discount + p.intensity_own) * abs(terms.own),
+                    (top + p.discount + p.intensity_cpty) * abs(terms.cpty),
+                    pull * abs(x)]
+    scale = np.maximum(np.maximum(abs(x), abs(e)),
+                       dt * np.max(addends, axis=0))
+    residual = x - e - dt * reduced_step(p, terms, x)
+    assert np.all(np.abs(residual) <= 4 * np.spacing(scale))
+    # the branch the root took: the root of the lend or the borrow rate alone
+    as_lend = x == reduced_root(p._replace(fund_borrow=p.fund_lend), terms,
+                                e, dt)
+    as_borrow = x == reduced_root(p._replace(fund_lend=p.fund_borrow), terms,
+                                  e, dt)
+    assert np.all(as_lend | as_borrow)
+    lend_only, borrow_only = as_lend & ~as_borrow, as_borrow & ~as_lend
+    # the funding account at the root has that branch's sign, to rounding
+    xs = p.sign * x
+    if credit:
+        parts = [terms.own, terms.cpty, terms.offset, -xs]
+    else:
+        parts = [xs, terms.offset]
+    account = sum(parts)
+    slack = 4 * np.spacing(np.maximum(np.max(np.abs(parts), axis=0), scale))
+    assert np.all(account[lend_only] >= -slack[lend_only])
+    assert np.all(account[borrow_only] <= slack[borrow_only])

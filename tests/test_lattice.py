@@ -143,7 +143,8 @@ def reference_solve(model, claim, n_steps, level, side):
     """One side's backward induction, one full driver call per iteration.
 
     The plain single-side march that the shared pass must reproduce bit for
-    bit: stock levels, mark and exposure built for this side alone, and
+    bit: stock levels, mark and exposure built for this side alone, each
+    level started at the root of this side's own terms, and
     :func:`drivers.reduced_drift` (or its value-level twin) called whole at
     every fixed-point iteration.
     """
@@ -157,6 +158,7 @@ def reference_solve(model, claim, n_steps, level, side):
         w = (2.0 * np.arange(k + 1) - k) * sdt
         return s0 * np.exp(drift * (k * dt) + sigma * w)
 
+    params = drivers.DriverParams.of(model, side)
     if level == "value":
         u = np.asarray(claim.payoff(stock_levels(n_steps)), dtype=float)
         drift_fn, shift_gradient = drivers.reduced_drift_value, False
@@ -171,7 +173,9 @@ def reference_solve(model, claim, n_steps, level, side):
         gradient = (u[1:k + 2] - u[0:k + 1]) / (2.0 * sdt)
         mark, delta = claims.agent_value_grid(model, claim, t, s)
         z = gradient + (sigma * s * delta if shift_gradient else 0.0)
-        new_u = expectation.copy()
+        terms = drivers.reduced_terms(params, z, mark,
+                                      at_value=not shift_gradient)
+        new_u = drivers.reduced_root(params, terms, expectation, dt)
         for it in range(1, FIXED_POINT_MAX_ITER + 1):
             candidate = expectation + dt * drift_fn(model, side, t, new_u, z, mark)
             done = float(np.max(np.abs(candidate - new_u))) < FIXED_POINT_TOL
@@ -252,3 +256,25 @@ def test_one_failing_side_fails_the_pass():
         solve_reduced(model, claim, 400, side=BUYER)
     with pytest.raises(NumericsError, match="buyer side at level 358"):
         solve_sides(model, claim, 400)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_non_finite_values_fail_at_once(monkeypatch):
+    # a payoff that is NaN on a band of nodes stops the first level's fixed
+    # point at its first step, and the error names the non-finite values
+    nan_band = ClaimSpec(
+        kind="custom", strike=1.0, maturity=1.0,
+        payoff_fn=lambda s: np.where((s > 1.1) & (s < 1.3), np.nan,
+                                     np.maximum(s - 1.0, 0.0)),
+        payoff_slope_fn=lambda s: np.where(s >= 1.0, 1.0, 0.0))
+    calls = []
+    step = drivers.reduced_step
+
+    def counted_step(*args):
+        calls.append(args)
+        return step(*args)
+    monkeypatch.setattr(drivers, "reduced_step", counted_step)
+    with pytest.raises(NumericsError, match="^non-finite lattice values on "
+                                            "the seller side at level 19$"):
+        solve_sides(make_benchmark(), nan_band, 20, level="value")
+    assert len(calls) == 1
