@@ -19,12 +19,11 @@ from .closed_form import (SymmetricRates, XvaDecomposition,
                           piterbarg_defaults_xva, piterbarg_price,
                           piterbarg_stock_strategy, piterbarg_xva,
                           relative_adjustment, symmetric_model)
-from .drivers import (BUYER, SELLER, CloseoutValues, ReplicationStrategy,
-                      adjustment_drift, closeout, reduced_drift, wealth_drift)
-from .lattice import OracleSolution, band, solve_reduced, solve_sides
+from .drivers import (BUYER, SELLER, ReplicationStrategy, adjustment_drift,
+                      reduced_drift, wealth_drift)
+from .lattice import OracleSolution, solve_reduced, solve_sides
 from .market import (CreditParams, DegenerateRatesError, EquityParams,
-                     MarketModel, ModelError, RateSet, ValidationReport,
-                     accrual)
+                     MarketModel, ModelError, RateSet, ValidationReport)
 from .pde import (NumericsError, PdeGrid, PdeSolution, convergence_study,
                   solve, solve_batch, strategies, xva_at)
 
@@ -36,11 +35,11 @@ __all__ = [
     "piterbarg_defaults_strategies", "piterbarg_defaults_xva",
     "piterbarg_price", "piterbarg_stock_strategy", "piterbarg_xva",
     "relative_adjustment", "symmetric_model",
-    "BUYER", "SELLER", "CloseoutValues", "ReplicationStrategy",
-    "adjustment_drift", "closeout", "reduced_drift", "wealth_drift",
-    "OracleSolution", "band", "solve_reduced", "solve_sides",
+    "BUYER", "SELLER", "ReplicationStrategy",
+    "adjustment_drift", "reduced_drift", "wealth_drift",
+    "OracleSolution", "solve_reduced", "solve_sides",
     "CreditParams", "DegenerateRatesError", "EquityParams", "MarketModel",
-    "ModelError", "RateSet", "ValidationReport", "accrual",
+    "ModelError", "RateSet", "ValidationReport",
     "NumericsError", "PdeGrid", "PdeSolution", "convergence_study", "solve",
     "solve_batch", "strategies", "xva_at",
     "__version__",

@@ -9,6 +9,11 @@ figure        CSV data behind the standard comparative-statics figures
 validate      rate-condition report with nonzero exit on failure
 convergence   refinement study against the symmetric-regime closed form
 
+Every PDE and lattice valuation, of one point or of a sweep, goes through
+one path: the models that share a march (:func:`pde.march_key`) are valued
+as one batch, with :func:`pde.solve_batch` or :func:`lattice.solve_batch`.
+Closed forms are evaluated one model at a time.
+
 Configuration is a flat ``key = value`` text file (``#`` comments allowed);
 every run is fully determined by the config plus documented numerical
 defaults (400x400 PDE grid, 2000-step lattice).  CSV output is deterministic
@@ -21,7 +26,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from typing import Callable
@@ -40,7 +44,7 @@ _CREDIT_KEYS = tuple(f.name for f in fields(CreditParams))
 _FLOAT_KEYS = _RATE_KEYS + _CREDIT_KEYS + (
     "alpha", "spot", "sigma", "strike", "maturity",
     "sweep_start", "sweep_stop")
-_INT_KEYS = ("nx", "nt", "steps", "sweep_points", "workers")
+_INT_KEYS = ("nx", "nt", "steps", "sweep_points")
 _STR_KEYS = ("kind", "engine", "out", "sweep_param")
 _ALL_KEYS = set(_FLOAT_KEYS) | set(_INT_KEYS) | set(_STR_KEYS) | {"allow_violations"}
 _BOOLEANS = {"1": True, "true": True, "yes": True,
@@ -58,7 +62,6 @@ class RunConfig:
     nt: int = DEFAULT_NT
     steps: int = DEFAULT_STEPS
     out: str | None = None
-    workers: int = 1
     sweep_param: str | None = None
     sweep_start: float | None = None
     sweep_stop: float | None = None
@@ -128,15 +131,13 @@ def build_config(values: dict, overrides: dict | None = None) -> RunConfig:
                     nx=merged.get("nx", DEFAULT_NX),
                     nt=merged.get("nt", DEFAULT_NT),
                     steps=merged.get("steps", DEFAULT_STEPS),
-                    out=merged.get("out"), workers=merged.get("workers", 1),
+                    out=merged.get("out"),
                     sweep_param=merged.get("sweep_param"),
                     sweep_start=merged.get("sweep_start"),
                     sweep_stop=merged.get("sweep_stop"),
                     sweep_points=merged.get("sweep_points", 21))
     if cfg.sweep_points < 1 or cfg.nx < 3 or cfg.nt < 1 or cfg.steps < 1:
         raise ValueError("resolutions and sweep sizes must be positive")
-    if cfg.workers < 1:
-        raise ValueError(f"workers must be at least 1, got {cfg.workers}")
     return cfg
 
 
@@ -175,11 +176,6 @@ def _closed_point(model, claim) -> PointResult:
                        seller, buyer)
 
 
-def _pde_point(model, claim, nx, nt) -> PointResult:
-    grid = pde.PdeGrid.default_for(model, claim, nx=nx, nt=nt)
-    return _pde_result(pde.solve(model, claim, grid))
-
-
 def _pde_result(sol: pde.PdeSolution) -> PointResult:
     s0 = sol.model.equity.spot
     mark = claims.agent_value(sol.model, sol.claim, 0.0, s0).value
@@ -190,15 +186,35 @@ def _pde_result(sol: pde.PdeSolution) -> PointResult:
                        pde.strategies(sol, 0.0, s0, drivers.BUYER))
 
 
-def _lattice_point(model, claim, steps) -> PointResult:
+def _lattice_result(model, claim, sides) -> PointResult:
     s0 = model.equity.spot
     seller, buyer = (drivers.build_strategy(
         model, claim, sol.side, 0.0, s0, adjustment=sol.adjustment,
         mark=sol.root_mark,
         stock_shares=sol.root_gradient / (model.equity.sigma * s0))
-        for sol in lattice.solve_sides(model, claim, steps))
+        for sol in sides)
     return PointResult("lattice", seller.mark, seller.adjustment,
                        buyer.adjustment, seller, buyer)
+
+
+def _batched(models, claim, engine, nx, nt, steps) -> list[PointResult]:
+    """PDE or lattice valuations, one per model; the models that share a
+    march (:func:`pde.march_key`) are valued as one batch."""
+    groups: dict = {}
+    for i, model in enumerate(models):
+        groups.setdefault(pde.march_key(model), []).append(i)
+    results: list = [None] * len(models)
+    for idx in groups.values():
+        batch = [models[i] for i in idx]
+        if engine == "pde":
+            grid = pde.PdeGrid.default_for(batch[0], claim, nx=nx, nt=nt)
+            values = map(_pde_result, pde.solve_batch(batch, claim, grid))
+        else:
+            values = (_lattice_result(model, claim, sides) for model, sides
+                      in zip(batch, lattice.solve_batch(batch, claim, steps)))
+        for i, result in zip(idx, values):
+            results[i] = result
+    return results
 
 
 def evaluate_point(model: MarketModel, claim: claims.ClaimSpec, engine: str,
@@ -211,10 +227,9 @@ def evaluate_point(model: MarketModel, claim: claims.ClaimSpec, engine: str,
             results.append(_closed_point(model, claim))
         elif engine == "closed":
             raise ModelError("the closed engine requires symmetric rates")
-    if engine in ("pde", "all"):
-        results.append(_pde_point(model, claim, nx, nt))
-    if engine in ("lattice", "all"):
-        results.append(_lattice_point(model, claim, steps))
+    for batched in ("pde", "lattice"):
+        if engine in (batched, "all"):
+            results += _batched([model], claim, batched, nx, nt, steps)
     return results
 
 
@@ -266,44 +281,16 @@ def _sweep_values(start: float, stop: float, points: int) -> list[float]:
     return [start + i * step for i in range(points)]
 
 
-def _run_parallel(tasks, worker, workers: int):
-    workers = min(workers, len(tasks))
-    if workers <= 1:
-        return [worker(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, tasks))
-
-
-def _point_task(args):
-    return evaluate_point(*args)[0]
-
-
-def _pde_sweep(models, claim, nx, nt) -> list[PointResult]:
-    """PDE valuations of many models; those that share a grid run as one batched march."""
-    groups: dict = {}
-    for i, model in enumerate(models):
-        grid = pde.PdeGrid.default_for(model, claim, nx=nx, nt=nt)
-        key = (grid, model.equity, model.rates.discount, model.credit is None)
-        groups.setdefault(key, []).append(i)
-    results: list = [None] * len(models)
-    for (grid, *_), idx in groups.items():
-        sols = pde.solve_batch([models[i] for i in idx], claim, grid)
-        for i, sol in zip(idx, sols):
-            results[i] = _pde_result(sol)
-    return results
-
-
 def _sweep(cfg: RunConfig, models) -> list[PointResult]:
     """One valuation per model with the configured engine ("all" runs the PDE).
 
-    PDE sweeps go through the batched march; the other engines value one
-    model per task, in ``cfg.workers`` processes.
+    PDE and lattice sweeps run as batched marches, closed forms one model at
+    a time.
     """
     engine = cfg.engine if cfg.engine != "all" else "pde"
-    if engine == "pde":
-        return _pde_sweep(models, cfg.claim, cfg.nx, cfg.nt)
-    tasks = [(m, cfg.claim, engine, cfg.nx, cfg.nt, cfg.steps) for m in models]
-    return _run_parallel(tasks, _point_task, cfg.workers)
+    if engine == "closed":
+        return [evaluate_point(m, cfg.claim, engine)[0] for m in models]
+    return _batched(models, cfg.claim, engine, cfg.nx, cfg.nt, cfg.steps)
 
 
 # ---------------------------------------------------------------------------
@@ -582,9 +569,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nx", type=int, default=None, help="PDE space nodes")
     p.add_argument("--nt", type=int, default=None, help="PDE time steps")
     p.add_argument("--steps", type=int, default=None, help="lattice steps")
-    p.add_argument("--workers", type=int, default=None,
-                   help="parallel workers for lattice and closed-form sweeps "
-                        "(PDE sweeps run as one batched march)")
 
 
 def _values(args, defaults: dict | None = None) -> dict:
@@ -595,8 +579,7 @@ def _values(args, defaults: dict | None = None) -> dict:
             values.update(parse_config_text(fh.read()))
     elif defaults is None:
         raise ValueError("--config is required for this command")
-    for key in ("engine", "out", "nx", "nt", "steps", "workers",
-                "allow_violations"):
+    for key in ("engine", "out", "nx", "nt", "steps", "allow_violations"):
         if getattr(args, key) is not None:
             values[key] = getattr(args, key)
     return values

@@ -63,21 +63,6 @@ def _check_side(side: str) -> None:
         raise ValueError(f"side must be 'seller' or 'buyer', got {side!r}")
 
 
-@dataclass(frozen=True)
-class CloseoutValues:
-    """Wealth the hedger must hold when the position is torn up at a default.
-
-    ``wealth_*`` are at the level of the full position value, ``adjustment_*``
-    net of the agent's mark (always <= 0 for own default, >= 0 for
-    counterparty default).
-    """
-
-    wealth_own_default: float
-    wealth_cpty_default: float
-    adjustment_own_default: float
-    adjustment_cpty_default: float
-
-
 class DriverTerms(NamedTuple):
     """The terms of the seller's drift that the mark and ``z`` fix.
 
@@ -171,34 +156,18 @@ def _sign(side: str) -> float:
 
 
 def _closeouts(p: DriverParams, mark):
-    """The seller's close-out pair (own-default, cpty-default) at ``mark``."""
-    if p.loss_own is None:
-        zero = np.multiply(mark, 0.0)
-        return zero, zero
-    residual = (1.0 - p.alpha) * np.asarray(mark, dtype=float)
-    return -p.loss_own * pos(residual), p.loss_cpty * neg(residual)
-
-
-def closeout_adjustments(model: MarketModel, mark):
-    """Adjustment-level close-out pair (own-default, cpty-default) for a given mark.
+    """The seller's close-out pair (own-default, cpty-default) at ``mark``.
 
     Own default wipes the uncollateralized in-the-money part of the
     counterparty's claim at the hedger's loss rate (a gain to the hedger,
     hence <= 0 as a cost adjustment); counterparty default symmetrically hits
     the hedger's uncollateralized claim.
     """
-    return _closeouts(DriverParams.of(model, SELLER), mark)
-
-
-def closeout(model: MarketModel, mark: float) -> CloseoutValues:
-    """Close-out values at both levels for a scalar mark."""
-    own, cpty = closeout_adjustments(model, mark)
-    return CloseoutValues(
-        wealth_own_default=mark + float(own),
-        wealth_cpty_default=mark + float(cpty),
-        adjustment_own_default=float(own),
-        adjustment_cpty_default=float(cpty),
-    )
+    if p.loss_own is None:
+        zero = np.multiply(mark, 0.0)
+        return zero, zero
+    residual = (1.0 - p.alpha) * np.asarray(mark, dtype=float)
+    return -p.loss_own * pos(residual), p.loss_cpty * neg(residual)
 
 
 def _mark_terms(p: DriverParams, at_value: bool, mark, own=None,

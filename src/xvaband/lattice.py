@@ -17,15 +17,18 @@ Two equivalent routes are provided:
   reduced driver, and the raw lattice gradient; the adjustment is the root
   value net of the agent's mark.
 
-Both sides of a valuation march in one pass (:func:`solve_sides`) as the
-rows of one (2, k+1) array per level, seller first, the layout of the PDE's
-adjustment block.  The driver reads the :class:`drivers.DriverParams` record
-of the rows (``DriverParams.stack([model])``) and reflects the buyer row
-itself.  Each level builds the stock levels, the agent's mark and delta, the
-exposure z and the driver terms that the mark and z fix
-(:func:`drivers.reduced_terms`) once for both rows.  With those terms fixed
-each node's equation ``u = e + dt f(u)`` is piecewise linear in u, with one
-kink where the funding account changes sign, so its root has a closed form
+K models that share a march (:func:`pde.march_key`) are valued in one pass
+(:func:`solve_batch`): their seller and buyer sides are the rows of one
+(2K, k+1) array per level, the layout of the PDE's adjustment block, with
+the K sellers first and their buyers after them in the same order.
+:func:`solve_sides` is the pass of one model.  The driver reads the
+:class:`drivers.DriverParams` record of the rows
+(``DriverParams.stack(models)``) and reflects the buyer rows itself.  Each
+level builds the stock levels, the agent's mark and delta, the exposure z
+and the driver terms that the mark and z fix (:func:`drivers.reduced_terms`)
+once for all rows.  With those terms fixed each node's equation
+``u = e + dt f(u)`` is piecewise linear in u, with one kink where the
+funding account changes sign, so its root has a closed form
 (:func:`drivers.reduced_root`).  The fixed point starts there, and each
 iteration calls only the step in u (:func:`drivers.reduced_step`): one step
 of it confirms the root to the 1e-12 tolerance at nearly every level, and a
@@ -33,7 +36,8 @@ node where the step has no fixed point in floats fails as it would from any
 start.  Every row runs its own fixed point and is frozen once converged, so
 it gets bit for bit the values of a march of its side alone, which is what
 :func:`solve_reduced` runs.  Values that turn non-finite stop their row's
-fixed point at once and fail the valuation, naming the side and level.
+fixed point at once and fail the valuation, naming the side, the level and,
+in a batch, the scenario (:meth:`pde.Rows.label`).
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ import numpy as np
 
 from . import claims, drivers
 from .market import MarketModel
-from .pde import NumericsError, not_converged, settle
+from .pde import NumericsError, Rows, not_converged, settle
 
 LEVELS = ("adjustment", "value")
 FIXED_POINT_TOL = 1e-12
@@ -81,7 +85,8 @@ def solve_reduced(model: MarketModel, claim: claims.ClaimSpec, n_steps: int,
                   side: str = drivers.SELLER) -> OracleSolution:
     """Backward induction for the reduced equation at the requested level."""
     drivers._check_side(side)
-    return _march(model, claim, n_steps, level, (side,))[0]
+    return _march([model], claim, n_steps, level,
+                  [drivers.SIDES.index(side)])[0]
 
 
 def solve_sides(model: MarketModel, claim: claims.ClaimSpec, n_steps: int,
@@ -91,31 +96,51 @@ def solve_sides(model: MarketModel, claim: claims.ClaimSpec, n_steps: int,
     Each equals :func:`solve_reduced` of its side, and the valuation fails
     with :class:`NumericsError` if either side does.
     """
-    seller, buyer = _march(model, claim, n_steps, level, drivers.SIDES)
-    return seller, buyer
+    return solve_batch([model], claim, n_steps, level)[0]
 
 
-def _march(model: MarketModel, claim: claims.ClaimSpec, n_steps: int,
-           level: str, sides: tuple[str, ...]) -> list[OracleSolution]:
-    """Backward induction of one or both sides as the rows of one array."""
+def solve_batch(models: list[MarketModel], claim: claims.ClaimSpec,
+                n_steps: int, level: str = "adjustment"
+                ) -> list[tuple[OracleSolution, OracleSolution]]:
+    """One (seller, buyer) pair per model, from one backward induction.
+
+    The models must share what :func:`pde.march_key` names: the equity
+    parameters, the discount rate and the presence of a credit block.  Each
+    pair equals :func:`solve_sides` of its model alone.  A failure of any
+    model fails the batch, and names the side, the scenario's index and
+    varied parameters and the level.
+    """
+    solutions = _march(list(models), claim, n_steps, level)
+    return list(zip(solutions[:len(models)], solutions[len(models):]))
+
+
+def _march(models: list[MarketModel], claim: claims.ClaimSpec, n_steps: int,
+           level: str, picked: list[int] | None = None) -> list[OracleSolution]:
+    """Backward induction of the 2K rows of K models as one array per level,
+    or of the ``picked`` rows alone; one solution per row marched."""
     if level not in LEVELS:
         raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    rows = Rows(models)
+    first = models[0]
 
     T = claim.maturity
     dt = T / n_steps
     sdt = math.sqrt(dt)
-    sigma = model.equity.sigma
-    drift = model.rates.discount - 0.5 * sigma * sigma
-    s0 = model.equity.spot
+    sigma = first.equity.sigma
+    drift = first.rates.discount - 0.5 * sigma * sigma
+    s0 = first.equity.spot
 
-    lip = drivers.reduced_lipschitz_bound(model)
-    if dt * lip >= 1.0:
-        raise NumericsError(
-            f"time step too large for the implicit fixed point "
-            f"(dt * Lipschitz = {dt * lip:.3g} >= 1); "
-            f"use n_steps >= {math.ceil(2.0 * lip * T)}")
+    for k, model in enumerate(models):
+        lip = drivers.reduced_lipschitz_bound(model)
+        if dt * lip >= 1.0:
+            scenario = rows.scenario(k)
+            raise NumericsError(
+                "time step too large for the implicit fixed point"
+                + (f" of {scenario}" if scenario else "")
+                + f" (dt * Lipschitz = {dt * lip:.3g} >= 1); "
+                f"use n_steps >= {math.ceil(2.0 * lip * T)}")
 
     def stock_levels(k: int) -> np.ndarray:
         j = np.arange(k + 1)
@@ -123,30 +148,29 @@ def _march(model: MarketModel, claim: claims.ClaimSpec, n_steps: int,
         return s0 * np.exp(drift * (k * dt) + sigma * w)
 
     at_value = level == "value"
-    params = drivers.DriverParams.stack([model])
-    if len(sides) == 1:
-        params = params.take([drivers.SIDES.index(sides[0])])
+    picked = list(range(rows.size)) if picked is None else picked
+    params = rows.params.take(picked)
     if at_value:
         terminal = np.asarray(claim.payoff(stock_levels(n_steps)), dtype=float)
-        u = np.tile(terminal, (len(sides), 1))
+        u = np.tile(terminal, (len(picked), 1))
     else:
-        u = np.zeros((len(sides), n_steps + 1))
-    iterations = np.zeros((len(sides), n_steps), dtype=int)
-    residuals = np.zeros((len(sides), n_steps))
+        u = np.zeros((len(picked), n_steps + 1))
+    iterations = np.zeros((len(picked), n_steps), dtype=int)
+    residuals = np.zeros((len(picked), n_steps))
 
     for k in range(n_steps - 1, -1, -1):
         t = k * dt
         s = stock_levels(k)
         expectation = 0.5 * (u[:, 1:k + 2] + u[:, 0:k + 1])
         gradient = (u[:, 1:k + 2] - u[:, 0:k + 1]) / (2.0 * sdt)
-        mark, delta = claims.agent_value_grid(model, claim, t, s)
+        mark, delta = claims.agent_value_grid(first, claim, t, s)
         z = gradient + (0.0 if at_value else sigma * s * delta)
         terms = drivers.reduced_terms(params, z, mark, at_value)
 
-        def step(u, rows):  # expectation + dt * f(u), f each row's driver
-            out = drivers.reduced_step(params.take(rows), terms.take(rows), u)
+        def step(u, live):  # expectation + dt * f(u), f each row's driver
+            out = drivers.reduced_step(params.take(live), terms.take(live), u)
             out *= dt
-            out += expectation[rows]
+            out += expectation[live]
             return out
 
         start = drivers.reduced_root(params, terms, expectation, dt)
@@ -154,37 +178,27 @@ def _march(model: MarketModel, claim: claims.ClaimSpec, n_steps: int,
             step, start, FIXED_POINT_TOL, FIXED_POINT_MAX_ITER)
         if failed:
             row, j = failed[0]
-            raise not_converged("implicit fixed point", f"{sides[row]} side",
+            raise not_converged("implicit fixed point", rows.label(picked[row]),
                                 f"level {k} (t={t:.6g})", FIXED_POINT_MAX_ITER,
                                 j, s[j], u[row, j], residuals[row, k],
                                 FIXED_POINT_TOL)
         finite = np.isfinite(u).all(axis=1)
         if not finite.all():
-            side = sides[int(np.flatnonzero(~finite)[0])]
+            row = picked[int(np.flatnonzero(~finite)[0])]
             raise NumericsError(
-                f"non-finite lattice values on the {side} side at level {k}")
+                f"non-finite lattice values on the {rows.label(row)} at level {k}")
         if k == 0:
             root_gradient = gradient[:, 0]
 
-    mark0 = claims.agent_value(model, claim, 0.0, s0).value
+    mark0 = claims.agent_value(first, claim, 0.0, s0).value
     solutions = []
-    for r, side in enumerate(sides):
+    for r, row in enumerate(picked):
         root = float(u[r, 0])
         solutions.append(OracleSolution(
-            side=side, level=level, n_steps=n_steps, root_value=root,
+            side=drivers.SIDES[row // rows.count], level=level,
+            n_steps=n_steps, root_value=root,
             root_gradient=float(root_gradient[r]), root_mark=mark0,
             adjustment=root - mark0 if at_value else root,
             fixed_point_iterations=iterations[r],
             fixed_point_residuals=residuals[r]))
     return solutions
-
-
-def band(model: MarketModel, claim: claims.ClaimSpec,
-         n_steps: int) -> tuple[float, float]:
-    """(buyer adjustment, seller adjustment) at time zero.
-
-    The spread between the two is the width of the candidate no-arbitrage
-    interval of prices for the claim.
-    """
-    seller, buyer = solve_sides(model, claim, n_steps)
-    return buyer.adjustment, seller.adjustment

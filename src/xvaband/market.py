@@ -252,10 +252,3 @@ class MarketModel:
             checks.append(RateCheck("fund_borrow <= min(bond returns)", "valuation",
                                     r.fund_borrow <= mmin, r.fund_borrow, mmin))
         return ValidationReport(tuple(checks))
-
-
-def accrual(rate: float, from_t: float, to_t: float) -> float:
-    """Deterministic growth factor exp(rate * (to_t - from_t)); requires to_t >= from_t."""
-    if to_t < from_t:
-        raise ValueError(f"to_t ({to_t}) must not precede from_t ({from_t})")
-    return math.exp(rate * (to_t - from_t))

@@ -21,13 +21,13 @@ second-order ghost-node elimination.
 
 The spatial operator depends only on the grid, sigma and the discount rate,
 and the agent surface only on those and the claim.  Scenarios that share
-them (and the presence of a credit block) are therefore marched together as
-the rows of one (2K, nx) block: rows 0..K-1 are the seller sides of the K
-scenarios, rows K..2K-1 their buyer sides, in the same order.  Each backward
-step marches the agent once, evaluates the mark and delta once and builds
-from them the driver terms that the mark alone fixes (funding offset,
-collateral legs, carry, close-out targets); the driver of one time level is
-carried to the next step as its explicit part.  Each Picard iteration then
+them and the presence of a credit block (:func:`march_key`) are therefore
+marched together as the rows of one (2K, nx) block: rows 0..K-1 are the
+seller sides of the K scenarios, rows K..2K-1 their buyer sides, in the same
+order.  Each backward step marches the agent once, evaluates the mark and
+delta once and builds from them the driver terms that the mark alone fixes
+(funding offset, collateral legs, carry, close-out targets); the driver of
+one time level is carried to the next step as its explicit part.  Each Picard iteration then
 makes one driver call for the live rows, which adds only the exposure z,
 the repo legs and the step in u, and one banded solve of their transpose.
 The driver reads one :class:`drivers.DriverParams` record of the block, in
@@ -110,7 +110,7 @@ class PdeGrid:
 
     @classmethod
     def default_for(cls, model: MarketModel, claim: claims.ClaimSpec,
-                    nx: int = 400, nt: int = 400) -> "PdeGrid":
+                    nx: int, nt: int) -> "PdeGrid":
         """Six-standard-deviation domain around the forward log-spot.
 
         Wide enough that truncation error is far below scheme error for
@@ -258,14 +258,37 @@ def solve_banded(stepper: _Stepper, coef: float, b: np.ndarray) -> np.ndarray:
     return x
 
 
-class _Rows:
-    """The 2K adjustment rows of K scenarios: sellers 0..K-1, then buyers."""
+def march_key(model: MarketModel) -> tuple:
+    """What the models of one batched march share, as (name, value) pairs.
 
-    def __init__(self, models: list[MarketModel], nx: int):
+    The stock levels, the agent's mark and the PDE operator read the equity
+    and the discount rate; the driver terms of a block take close-out
+    targets in every row or in none.  Models whose keys are equal may be
+    marched together, by either engine.
+    """
+    return (("spot, sigma and drift", model.equity),
+            ("discount rate", model.rates.discount),
+            ("presence of a credit block", model.credit is None))
+
+
+class Rows:
+    """The 2K rows of a march of K scenarios: sellers 0..K-1, then buyers.
+
+    Refuses an empty batch and one whose models differ in their
+    :func:`march_key`, naming the first scenario that does.
+    """
+
+    def __init__(self, models: list[MarketModel]):
+        if not models:
+            raise ValueError("a batch needs at least one model")
+        shared = march_key(models[0])
+        for k, model in enumerate(models):
+            for (what, value), (_, first) in zip(march_key(model), shared):
+                if value != first:
+                    raise ValueError(f"scenario {k}: a batch shares the {what}")
         self.count = len(models)
         self.size = 2 * self.count
         self.params = drivers.DriverParams.stack(models)
-        self._z = np.empty(nx * self.size)  # the exposure of one driver call
         # the parameters a batch may vary, by name, for the labels
         per_model = [{**vars(m.rates), "alpha": m.alpha,
                       **(vars(m.credit) if m.credit else {})} for m in models]
@@ -273,15 +296,27 @@ class _Rows:
                        for name, value in per_model[0].items()
                        if any(p[name] != value for p in per_model)}
 
-    def label(self, row: int) -> str:
-        """Side and, in a batch, scenario index and varied parameters of a row."""
-        k = row % self.count
-        side = drivers.SELLER if row < self.count else drivers.BUYER
+    def scenario(self, k: int) -> str:
+        """Index and varied parameters of scenario k of a batch; "" alone."""
         if self.count == 1:
-            return f"{side} side"
+            return ""
         varied = ", ".join(f"{name}={values[k]:g}"
                            for name, values in self.varied.items())
-        return f"{side} side of scenario {k}" + (f" ({varied})" if varied else "")
+        return f"scenario {k}" + (f" ({varied})" if varied else "")
+
+    def label(self, row: int) -> str:
+        """Side and, in a batch, scenario index and varied parameters of a row."""
+        side = drivers.SIDES[row // self.count]
+        scenario = self.scenario(row % self.count)
+        return f"{side} side" + (f" of {scenario}" if scenario else "")
+
+
+class _Rows(Rows):
+    """The adjustment rows of a PDE march and the driver of a time level."""
+
+    def __init__(self, models: list[MarketModel], nx: int):
+        super().__init__(models)
+        self._z = np.empty(nx * self.size)  # the exposure of one driver call
 
     def drift(self, t: float, mark: np.ndarray, grad: np.ndarray, dx: float):
         """The reduced driver at time t as a function of (u, rows).
@@ -316,23 +351,13 @@ def _gradient(u: np.ndarray, dx: float, out: np.ndarray) -> np.ndarray:
 
 def _check_batch(models: list[MarketModel], claim: claims.ClaimSpec,
                  grid: PdeGrid) -> None:
-    if not models:
-        raise ValueError("a batch needs at least one model")
-    first = models[0]
     for k, model in enumerate(models):
         who = "model" if len(models) == 1 else f"scenario {k}"
         report = model.validate_necessary()
         if not report.passed:
             raise ValueError(f"{who} fails necessary rate conditions: "
                              + "; ".join(c.name for c in report.failures))
-        if model.equity != first.equity:
-            raise ValueError(f"{who}: a batch shares spot, sigma and drift")
-        if model.rates.discount != first.rates.discount:
-            raise ValueError(f"{who}: a batch shares the discount rate")
-        if (model.credit is None) != (first.credit is None):
-            raise ValueError(f"{who}: a batch needs a credit block in every "
-                             "scenario or in none")
-    x0 = math.log(first.equity.spot)
+    x0 = math.log(models[0].equity.spot)
     if not grid.x_min < x0 < grid.x_max:
         raise ValueError("log-spot must lie strictly inside the grid")
     if abs(grid.maturity - claim.maturity) > 1e-12:
@@ -347,13 +372,13 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
     (keep, nx), the block (keep, 2K, nx), and per backward step and row the
     Picard iterations and final residuals, each (nt, 2K).
     """
+    rows = _Rows(models, grid.nx)
     _check_batch(models, claim, grid)
     nx, nt = grid.nx, grid.nt
     dx, dt = grid.dx, grid.dt
     first = models[0]
     s = np.exp(grid.x_nodes())
     vanilla = claim.kind in ("call", "put")
-    rows = _Rows(models, nx)
 
     agent = np.empty((keep, nx))
     block = np.empty((keep, rows.size, nx))
@@ -458,9 +483,10 @@ def solve_batch(models: list[MarketModel], claim: claims.ClaimSpec,
                 grid: PdeGrid) -> list[PdeSolution]:
     """Solve K scenarios on one grid in one march; one solution per model.
 
-    The models must share the equity parameters, the discount rate and the
-    presence of a credit block; they may differ in every other rate, credit
-    parameter and the collateralization level.  Each solution equals
+    The models must share what :func:`march_key` names: the equity
+    parameters, the discount rate and the presence of a credit block; they
+    may differ in every other rate, credit parameter and the
+    collateralization level.  Each solution equals
     :func:`solve` on its model alone, but keeps only the t = 0 and t = dt rows
     of its surfaces, which is what :func:`xva_at` and :func:`strategies` read
     at t = 0.  A Picard or finiteness failure names the side, the scenario's

@@ -33,10 +33,10 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 
 from xvaband import (BUYER, SELLER, ClaimSpec, CreditParams, EquityParams,
-                     MarketModel, PdeGrid, RateSet, agent_value, band,
+                     MarketModel, PdeGrid, RateSet, agent_value,
                      convergence_study, piterbarg_defaults_xva, piterbarg_xva,
-                     solve, solve_batch, solve_reduced, strategies,
-                     xva_at)
+                     solve, solve_batch, solve_reduced, solve_sides,
+                     strategies, xva_at)
 from xvaband.claims import agent_value_grid
 from xvaband.drivers import (adjustment_drift, jump_targets, reduced_drift,
                              wealth_drift)
@@ -242,7 +242,8 @@ def test_criterion_06_band_ordering_random_models():
     violations = 0
     for _ in range(50):
         model = random_admissible_model(rng)
-        buyer, seller = band(model, CALL, 400)
+        seller, buyer = (sol.adjustment
+                         for sol in solve_sides(model, CALL, 400))
         worst = min(worst, seller - buyer)
         if seller < buyer - 1e-6:
             violations += 1
@@ -267,7 +268,8 @@ def test_criterion_06b_counterexample_on_admissible_boundary():
     mark = agent_value(model, CALL, 0.0, 1.0).value
     exact_s = piterbarg_defaults_xva(model, CALL, 0.0, mark, SELLER).total
     exact_b = piterbarg_defaults_xva(model, CALL, 0.0, mark, BUYER).total
-    buyer, seller = band(model, CALL, 800)
+    seller, buyer = (sol.adjustment
+                     for sol in solve_sides(model, CALL, 800))
     assert seller == pytest.approx(exact_s, abs=1e-5)
     assert buyer == pytest.approx(exact_b, abs=1e-5)
     assert seller - buyer < -1e-2  # strictly inverted band

@@ -174,16 +174,6 @@ def test_band_custom_sweep_requires_range(bench_cfg_path, capsys):
     assert "sweep_start" in capsys.readouterr().err
 
 
-def test_band_workers_match_serial(tmp_path, bench_cfg_path):
-    serial = tmp_path / "serial.csv"
-    parallel = tmp_path / "parallel.csv"
-    base = ["band", "--config", bench_cfg_path, "--engine", "lattice",
-            "--steps", "100"]
-    assert cli.main(base + ["--out", str(serial)]) == 0
-    assert cli.main(base + ["--workers", "2", "--out", str(parallel)]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
-
-
 def test_symmetric_band_width_vanishes(tmp_path):
     p = tmp_path / "sym.cfg"
     # symmetric rates with symmetric credit: the two sides coincide
@@ -406,13 +396,17 @@ def test_convergence_command(tmp_path, capsys):
     assert "abs error" in out
 
 
-def pointwise(model, claim):
-    return cli.evaluate_point(model, claim, "pde", nx=40, nt=40)[0]
+SMALL_STEPS = 50
 
 
-def expected_rows(command, cfg):
-    """The rows of a PDE sweep from one evaluate_point call per scenario."""
+def expected_rows(command, cfg, engine):
+    """The rows of a sweep from one evaluate_point call per scenario."""
     m, claim = cfg.model, cfg.claim
+
+    def pointwise(model, claim):
+        return cli.evaluate_point(model, claim, engine, nx=40, nt=40,
+                                  steps=SMALL_STEPS)[0]
+
     if command == "band":
         sweep = cli._sweep_values(0.0, 1.0, 21)
     elif command != "table":
@@ -465,12 +459,19 @@ def expected_rows(command, cfg):
     return rows
 
 
-@pytest.mark.parametrize("command", ["band", "table", "band-vs-collateral",
-                                     "xva-vs-repo", "xva-vs-cpty-return"])
+SWEEPS = ("band", "table", "band-vs-collateral", "xva-vs-repo",
+          "xva-vs-cpty-return")
+
+
+@pytest.mark.parametrize("command, engine",
+                         [pytest.param(c, "pde", id=c) for c in SWEEPS]
+                         + [pytest.param(c, "lattice", id=f"{c}-lattice")
+                            for c in SWEEPS])
 def test_batched_sweeps_match_pointwise_evaluation(tmp_path, bench_cfg_path,
-                                                   command):
+                                                   command, engine):
     out = tmp_path / "sweep.csv"
-    grid = ["--nx", "40", "--nt", "40", "--out", str(out)]
+    grid = ["--engine", engine, "--nx", "40", "--nt", "40",
+            "--steps", str(SMALL_STEPS), "--out", str(out)]
     if command in ("band", "table"):
         argv = [command, "--config", bench_cfg_path] + grid
         cfg = build_config(parse_config_text(BENCH_TEXT))
@@ -479,7 +480,7 @@ def test_batched_sweeps_match_pointwise_evaluation(tmp_path, bench_cfg_path,
         cfg = figure_config(command)
     assert cli.main(argv) == 0
     got = [line.split(",") for line in out.read_text().splitlines()[1:]]
-    want = expected_rows(command, cfg)
+    want = expected_rows(command, cfg, engine)
     assert [len(r) for r in got] == [len(r) for r in want]
     for row_got, row_want in zip(got, want):
         for cell, value in zip(row_got, row_want):
@@ -497,36 +498,6 @@ def test_allow_violations_accepts_only_booleans():
             {"allow_violations": value}
     with pytest.raises(ValueError, match="config line 2: allow_violations"):
         parse_config_text("spot = 1.0\nallow_violations = ture")
-
-
-def test_workers_capped_by_task_count(monkeypatch):
-    started = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
-    assert cli._run_parallel([-1, -2, 3], abs, 64) == [1, 2, 3]
-    assert started == [3]
-    assert cli._run_parallel([-1], abs, 64) == [1]  # one task: no pool
-    assert started == [3]
-
-
-def test_workers_must_be_positive(bench_cfg_path, capsys):
-    with pytest.raises(ValueError, match="workers"):
-        build_config(parse_config_text(BENCH_TEXT), {"workers": 0})
-    assert cli.main(["band", "--config", bench_cfg_path, "--workers", "0"]) == 1
-    assert "workers" in capsys.readouterr().err
 
 
 FIGURE_HEADERS = {

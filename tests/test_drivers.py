@@ -11,12 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xvaband import (BUYER, SELLER, ClaimSpec, CreditParams, MarketModel,
-                     RateSet, closeout)
+                     RateSet)
 from xvaband.drivers import (DriverParams, ReplicationStrategy,
-                             adjustment_drift, build_strategy,
-                             closeout_adjustments, jump_targets, neg, pos,
-                             reduced_drift, reduced_drift_value, reduced_root,
-                             reduced_step, reduced_terms, wealth_drift)
+                             adjustment_drift, build_strategy, jump_targets,
+                             neg, pos, reduced_drift, reduced_drift_value,
+                             reduced_root, reduced_step, reduced_terms,
+                             wealth_drift)
 from conftest import EQUITY, make_benchmark, make_symmetric
 
 
@@ -42,27 +42,29 @@ def random_args(rng, n=1):
 # ---------------------------------------------------------------------------
 
 def test_closeout_hand_examples():
+    # the seller's jump targets are its close-out adjustments; the wealth
+    # held at a default is the mark plus the adjustment
     m = model_with(alpha=0.5, loss_cpty=0.5)
-    c = closeout(m, -2.0)
-    assert c.wealth_cpty_default == pytest.approx(-1.5)
+    own, cpty = jump_targets(m, SELLER, -2.0)
+    assert -2.0 + cpty == pytest.approx(-1.5)
 
     m = model_with(alpha=1.0)
-    c = closeout(m, 0.3)
-    assert c.wealth_own_default == pytest.approx(0.3)
-    assert c.wealth_cpty_default == pytest.approx(0.3)
+    own, cpty = jump_targets(m, SELLER, 0.3)
+    assert 0.3 + own == pytest.approx(0.3)
+    assert 0.3 + cpty == pytest.approx(0.3)
 
     m = model_with(alpha=0.0, loss_own=0.5)
-    c = closeout(m, 1.0)
-    assert c.wealth_own_default == pytest.approx(0.5)
-    assert c.adjustment_own_default == pytest.approx(-0.5)
+    own, cpty = jump_targets(m, SELLER, 1.0)
+    assert 1.0 + own == pytest.approx(0.5)
+    assert own == pytest.approx(-0.5)
 
 
 def test_closeout_signs(rng):
     m = model_with(alpha=0.3)
     for mark in rng.uniform(-2, 2, size=50):
-        c = closeout(m, mark)
-        assert c.adjustment_own_default <= 0.0
-        assert c.adjustment_cpty_default >= 0.0
+        own, cpty = jump_targets(m, SELLER, mark)
+        assert own <= 0.0
+        assert cpty >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +186,7 @@ def test_adjustment_drift_zero():
 
 def test_adjustment_matches_reduced_at_pinned_jumps(benchmark_model):
     mark = 0.104506
-    own, cpty = closeout_adjustments(benchmark_model, mark)
+    own, cpty = jump_targets(benchmark_model, SELLER, mark)
     u, z = 0.0, 0.0
     h_own = benchmark_model.default_intensity("own")
     h_cpty = benchmark_model.default_intensity("cpty")
@@ -317,7 +319,7 @@ def unsplit_seller_reduced(m, at_value, u, z, mark):
     if m.credit is None:
         z_own = z_cpty = u * 0.0
     else:
-        own, cpty = closeout_adjustments(m, mark)
+        own, cpty = jump_targets(m, SELLER, mark)
         if at_value:
             own, cpty = mark + own, mark + cpty
         z_own, z_cpty = own - u, cpty - u

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from xvaband import (BUYER, SELLER, ClaimSpec, CreditParams, EquityParams,
-                     NumericsError, agent_value, band, piterbarg_defaults_xva,
+                     NumericsError, agent_value, piterbarg_defaults_xva,
                      piterbarg_xva, solve_reduced, solve_sides)
-from xvaband import claims, drivers
+from xvaband import claims, drivers, lattice
 from xvaband.lattice import (FIXED_POINT_MAX_ITER, FIXED_POINT_TOL, LEVELS,
                              OracleSolution)
 from conftest import make_benchmark, make_symmetric
@@ -93,7 +93,8 @@ def test_benchmark_regression_anchor():
 
 def test_band_positive_at_high_borrow_rate():
     model = make_benchmark(alpha=0.9, fund_borrow=0.15)
-    buyer, seller = band(model, CALL, 1000)
+    seller, buyer = (sol.adjustment
+                     for sol in solve_sides(model, CALL, 1000))
     assert seller - buyer > 1e-4
 
 
@@ -102,7 +103,8 @@ def test_band_zero_under_full_symmetry():
     credit = CreditParams(mu_own=0.18, mu_cpty=0.18, loss_own=0.4, loss_cpty=0.4)
     model = make_symmetric(fund=0.08, repo=0.05, coll=0.01, alpha=0.3,
                            credit=credit)
-    buyer, seller = band(model, CALL, 400)
+    seller, buyer = (sol.adjustment
+                     for sol in solve_sides(model, CALL, 400))
     assert seller == pytest.approx(buyer, abs=1e-12)
 
 
@@ -113,7 +115,8 @@ def test_band_collapses_to_no_default_value_for_zero_loss():
                           loss_cpty=0.0)
     model = make_symmetric(fund=0.08, repo=0.05, coll=0.01, alpha=0.5,
                            credit=credit)
-    buyer, seller = band(model, CALL, 1000)
+    seller, buyer = (sol.adjustment
+                     for sol in solve_sides(model, CALL, 1000))
     assert seller == pytest.approx(buyer, abs=1e-12)
     mark = agent_value(model, CALL, 0.0, 1.0).value
     exact = piterbarg_defaults_xva(model, CALL, 0.0, mark).total
@@ -278,3 +281,76 @@ def test_non_finite_values_fail_at_once(monkeypatch):
                                             "the seller side at level 19$"):
         solve_sides(make_benchmark(), nan_band, 20, level="value")
     assert len(calls) == 1
+
+
+def lattice_stack(credit):
+    """Scenarios of one march varying alpha, funding, repo and mu_cpty."""
+    out = [make_benchmark(alpha=alpha, fund_borrow=rfm, mu_cpty=mu_cpty)
+           for alpha, rfm, mu_cpty in ((0.0, 0.08, 0.16), (0.35, 0.15, 0.16),
+                                       (0.9, 0.08, 0.3), (1.0, 0.2, 0.25))]
+    repo = make_benchmark(alpha=0.5)
+    out.append(dataclasses.replace(repo, rates=dataclasses.replace(
+        repo.rates, repo_lend=0.03, repo_borrow=0.07)))
+    if not credit:
+        out = [dataclasses.replace(m, credit=None) for m in out]
+    return out
+
+
+@pytest.mark.parametrize("credit", [True, False], ids=["credit", "nocredit"])
+@pytest.mark.parametrize("kind", ["call", "put"])
+def test_solve_batch_matches_solve_sides_bit_for_bit(credit, kind):
+    models = lattice_stack(credit)
+    claim = ClaimSpec(kind=kind, strike=1.05, maturity=1.0)
+    for level in LEVELS:
+        batch = lattice.solve_batch(models, claim, 150, level=level)
+        assert len(batch) == len(models)
+        for model, pair in zip(models, batch):
+            for got, want in zip(pair, solve_sides(model, claim, 150, level)):
+                assert got == want  # side, level, root value, gradient, mark
+                assert got.root_gradient == want.root_gradient
+                assert np.array_equal(got.fixed_point_iterations,
+                                      want.fixed_point_iterations)
+                assert np.array_equal(got.fixed_point_residuals,
+                                      want.fixed_point_residuals)
+
+
+def test_solve_batch_refuses_mixed_stacks():
+    base = make_benchmark()
+    others = [
+        (dataclasses.replace(base, equity=EquityParams(spot=1.0, sigma=0.25)),
+         "sigma"),
+        (dataclasses.replace(base, rates=dataclasses.replace(base.rates,
+                                                             discount=0.02)),
+         "discount"),
+        (dataclasses.replace(base, equity=EquityParams(spot=1.05, sigma=0.2)),
+         "spot"),
+        (dataclasses.replace(base, credit=None), "credit block"),
+    ]
+    for other, what in others:
+        with pytest.raises(ValueError, match=f"scenario 1: .*{what}"):
+            lattice.solve_batch([base, other], CALL, 20)
+    with pytest.raises(ValueError):
+        lattice.solve_batch([], CALL, 20)
+
+
+def test_batch_failure_names_the_scenario(monkeypatch):
+    models = lattice_stack(credit=True)
+    riskier = make_benchmark(mu_own=0.9, mu_cpty=0.9)
+    with pytest.raises(NumericsError, match=r"^time step too large for the "
+                       r"implicit fixed point of scenario 1 \(mu_own=0\.9, "
+                       r"mu_cpty=0\.9\) \(dt \* Lipschitz"):
+        lattice.solve_batch([make_benchmark(), riskier], CALL, 1)
+
+    step = drivers.reduced_step
+
+    def poisoned(params, terms, u):
+        out = step(params, terms, u)
+        alpha = np.broadcast_to(params.alpha, (len(out), 1))[:, 0]
+        out[(alpha == 0.35) & (params.sign[:, 0] < 0)] = np.nan
+        return out
+
+    monkeypatch.setattr(drivers, "reduced_step", poisoned)
+    with pytest.raises(NumericsError, match=(
+            r"^non-finite lattice values on the buyer side of scenario 1 "
+            r"\(.*alpha=0\.35.*\) at level 19$")):
+        lattice.solve_batch(models, CALL, 20)

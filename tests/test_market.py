@@ -1,10 +1,8 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
 
-from xvaband import (CreditParams, MarketModel, ModelError, RateSet,
-                     accrual)
+from xvaband import CreditParams, MarketModel, ModelError, RateSet
 from conftest import BENCH_CREDIT, BENCH_RATES, EQUITY
 
 
@@ -123,24 +121,6 @@ def test_bond_price(benchmark_model):
     p = benchmark_model.bond_price("own", 0.0, 1.0)
     assert p == pytest.approx(math.exp(-0.21), rel=1e-14)
     assert benchmark_model.bond_price("cpty", 1.0, 1.0) == 1.0
-
-
-def test_accrual_values():
-    assert accrual(0.05, 0.0, 1.0) == pytest.approx(1.0512710963760241, rel=1e-12)
-    assert accrual(0.07, 0.3, 0.3) == 1.0
-    assert accrual(0.0, 0.0, 5.0) == 1.0
-    with pytest.raises(ValueError):
-        accrual(0.05, 1.0, 0.0)
-
-
-@given(st.floats(min_value=0, max_value=0.2),
-       st.floats(min_value=0, max_value=3),
-       st.floats(min_value=0, max_value=3),
-       st.floats(min_value=0, max_value=3))
-def test_accrual_multiplicative(rate, a, d1, d2):
-    b, c = a + d1, a + d1 + d2
-    lhs = accrual(rate, a, b) * accrual(rate, b, c)
-    assert lhs == pytest.approx(accrual(rate, a, c), rel=1e-12)
 
 
 def test_model_is_frozen(benchmark_model):

@@ -4,9 +4,9 @@
     python3 tools/golden.py compare <a> <b> [--tol 1e-9]
 
 ``capture`` writes, at the CLI defaults (400 x 400 PDE grid, 2000-step
-lattice), the CSV of ``value --engine all``, ``band`` and ``table`` on the
-benchmark config, and of every ``figure`` id at its own defaults, one file
-each, to <dir>.  It also writes ``points-pde.csv`` and
+lattice), the CSV of ``value --engine all``, and of ``band`` and ``table``
+with the PDE and with the lattice, on the benchmark config, and of every
+``figure`` id at its own defaults, one file each, to <dir>.  It also writes ``points-pde.csv`` and
 ``points-lattice.csv``: the seller and buyer values at ``repr`` precision,
 or the error class, of every draw of the benchmark's point pools
 (``bench/scenarios.py``, read only), so that ``compare --tol 0`` sees
@@ -59,7 +59,11 @@ def runs(cli, config: Path) -> dict[str, list[str]]:
     """CSV file name -> cli.main arguments (without --out)."""
     out = {"value-all.csv": ["value", "--config", str(config), "--engine", "all"],
            "band.csv": ["band", "--config", str(config)],
-           "table.csv": ["table", "--config", str(config)]}
+           "table.csv": ["table", "--config", str(config)],
+           "band-lattice.csv": ["band", "--config", str(config),
+                                "--engine", "lattice"],
+           "table-lattice.csv": ["table", "--config", str(config),
+                                 "--engine", "lattice"]}
     for figure_id in sorted(cli.FIGURES):
         out[f"figure-{figure_id}.csv"] = ["figure", figure_id]
     return out
