@@ -11,12 +11,14 @@ convergence   refinement study against the symmetric-regime closed form
 
 Every PDE and lattice valuation, of one point or of a sweep, goes through
 one path: the models that share a march (:func:`pde.march_key`) are valued
-as one batch, with :func:`pde.solve_batch` or :func:`lattice.solve_batch`.
-Closed forms are evaluated one model at a time.
+as one batch, with :func:`pde.solve_batch` or
+:func:`lattice.solve_extrapolated`.  Closed forms are evaluated one model at
+a time.
 
 Configuration is a flat ``key = value`` text file (``#`` comments allowed);
 every run is fully determined by the config plus documented numerical
-defaults (400x400 PDE grid, 2000-step lattice).  CSV output is deterministic
+defaults (400x400 PDE grid; lattices of 1000 and 500 steps, extrapolated).
+``steps`` names the finer lattice.  CSV output is deterministic
 byte-for-byte: 10 significant digits, ``.`` decimal separator, ``\\n`` line
 endings, one header row.
 """
@@ -36,7 +38,7 @@ from .market import (CreditParams, EquityParams, MarketModel, ModelError,
 
 DEFAULT_NX = 400
 DEFAULT_NT = 400
-DEFAULT_STEPS = 2000
+DEFAULT_STEPS = 1000
 ENGINES = ("closed", "pde", "lattice", "all")
 
 _RATE_KEYS = tuple(f.name for f in fields(RateSet))
@@ -136,8 +138,11 @@ def build_config(values: dict, overrides: dict | None = None) -> RunConfig:
                     sweep_start=merged.get("sweep_start"),
                     sweep_stop=merged.get("sweep_stop"),
                     sweep_points=merged.get("sweep_points", 21))
-    if cfg.sweep_points < 1 or cfg.nx < 3 or cfg.nt < 1 or cfg.steps < 1:
+    if cfg.sweep_points < 1 or cfg.nx < 3 or cfg.nt < 1:
         raise ValueError("resolutions and sweep sizes must be positive")
+    if cfg.steps < 2:
+        raise ValueError(f"steps must be >= 2, got {cfg.steps}: the lattice "
+                         "extrapolates from steps and steps // 2")
     return cfg
 
 
@@ -210,8 +215,9 @@ def _batched(models, claim, engine, nx, nt, steps) -> list[PointResult]:
             grid = pde.PdeGrid.default_for(batch[0], claim, nx=nx, nt=nt)
             values = map(_pde_result, pde.solve_batch(batch, claim, grid))
         else:
-            values = (_lattice_result(model, claim, sides) for model, sides
-                      in zip(batch, lattice.solve_batch(batch, claim, steps)))
+            pairs = lattice.solve_extrapolated(batch, claim, steps)
+            values = (_lattice_result(model, claim, sides)
+                      for model, sides in zip(batch, pairs))
         for i, result in zip(idx, values):
             results[i] = result
     return results
@@ -568,7 +574,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="run despite failed rate validators")
     p.add_argument("--nx", type=int, default=None, help="PDE space nodes")
     p.add_argument("--nt", type=int, default=None, help="PDE time steps")
-    p.add_argument("--steps", type=int, default=None, help="lattice steps")
+    p.add_argument("--steps", type=int, default=None,
+                   help="lattice steps (the finer of two lattices)")
 
 
 def _values(args, defaults: dict | None = None) -> dict:

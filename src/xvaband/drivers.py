@@ -16,8 +16,9 @@ Conventions
   them in the accrual's order.  The four public drivers differ only in the
   funding offset; the two reduced ones pin the jump exposures to the
   close-out targets in one shared step, :func:`reduced_step`.  A caller
-  whose mark and ``z`` stay fixed while ``u`` iterates (the lattice) computes
-  :func:`reduced_terms` once and calls the step alone.  A caller whose mark
+  whose mark and ``z`` stay fixed (the lattice) computes :func:`reduced_terms`
+  once, solves its implicit step in closed form (:func:`reduced_root`) and
+  checks the root with one call of the step.  A caller whose mark
   stays fixed while ``z`` moves with ``u`` (the PDE, where ``z`` is the
   gradient of ``u``) computes :func:`reduced_mark_terms` once and per ``u``
   only the repo legs (:func:`with_repo_legs`) and the step.
@@ -38,6 +39,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -297,10 +299,10 @@ def reduced_root(p: DriverParams, terms: DriverTerms, e, dt: float):
     the root is the same on both branches, the sign of a quantity that needs
     no branch (the kink test), so the branch and then the root have closed
     forms: one policy-iteration solve per node (Forsyth & Labahn 2007) whose
-    policy is known in advance.  The root agrees with the step's fixed point
-    to rounding; a caller that needs the step's own fixed point takes steps
-    from here.  ``dt`` times :func:`reduced_lipschitz_bound` must be below 1,
-    which keeps both branches' denominators positive.
+    policy is known in advance.  The root solves the equation to a few ulps
+    of ``max(|u|, |e|, dt * reduced_step_scale(p, terms, u))``.  ``dt``
+    times :func:`reduced_lipschitz_bound` must be below 1, which keeps both
+    branches' denominators positive.
     """
     e = p.sign * e
     # in the seller's terms the drift is base - rate * account - pull * u,
@@ -332,6 +334,27 @@ def reduced_root(p: DriverParams, terms: DriverTerms, e, dt: float):
     root /= 1.0 + dt * (slope * rate + pull)
     root *= p.sign
     return root
+
+
+def reduced_step_scale(p: DriverParams, terms: DriverTerms, u):
+    """The largest addend of :func:`reduced_step` at ``u``, node by node.
+
+    The step rounds at this size, so where its addends cancel, a root of
+    ``u = e + dt * reduced_step(p, terms, u)`` that is exact to rounding
+    still misses the equation by a few ulps of ``dt`` times this scale.
+    """
+    top = np.maximum(p.fund_lend, p.fund_borrow)
+    addends = [top * np.abs(terms.offset), top * np.abs(u),
+               np.abs(terms.repo_long), np.abs(terms.repo_short),
+               np.abs(terms.coll_earn), np.abs(terms.coll_pay)]
+    if terms.carry is not None:
+        addends.append(np.abs(terms.carry))
+    if p.intensity_own is not None:
+        pull = (2.0 * p.discount + p.intensity_own) + p.intensity_cpty
+        addends += [(top + p.discount + p.intensity_own) * np.abs(terms.own),
+                    (top + p.discount + p.intensity_cpty) * np.abs(terms.cpty),
+                    pull * np.abs(u)]
+    return functools.reduce(np.maximum, addends)
 
 
 def wealth_drift(model: MarketModel, side: str, t, v, z, z_own, z_cpty, mark):

@@ -5,7 +5,7 @@ discretizes the stock under the valuation measure; the adjustment is obtained
 by backward induction with an implicit-in-value, explicit-in-gradient step.
 The scheme shares no discretization code with the PDE engine, so agreement
 between the two is evidence rather than tautology; the two share only the
-driver and the per-row freezing of the fixed point (:func:`pde.settle`).
+driver.
 
 Two equivalent routes are provided:
 
@@ -29,40 +29,48 @@ and the driver terms that the mark and z fix (:func:`drivers.reduced_terms`)
 once for all rows.  With those terms fixed each node's equation
 ``u = e + dt f(u)`` is piecewise linear in u, with one kink where the
 funding account changes sign, so its root has a closed form
-(:func:`drivers.reduced_root`).  The fixed point starts there, and each
-iteration calls only the step in u (:func:`drivers.reduced_step`): one step
-of it confirms the root to the 1e-12 tolerance at nearly every level, and a
-node where the step has no fixed point in floats fails as it would from any
-start.  Every row runs its own fixed point and is frozen once converged, so
-it gets bit for bit the values of a march of its side alone, which is what
-:func:`solve_reduced` runs.  Values that turn non-finite stop their row's
-fixed point at once and fail the valuation, naming the side, the level and,
-in a batch, the scenario (:meth:`pde.Rows.label`).
+(:func:`drivers.reduced_root`), and that root is the level's answer.  One
+call of the step in u (:func:`drivers.reduced_step`) checks it: a node whose
+residual ``|e + dt f(u) - u|`` exceeds ``ROOT_ULPS`` ulps of its scale,
+``max(|u|, |e|, dt * the largest addend of f)``
+(:func:`drivers.reduced_step_scale`), fails the valuation, naming the side,
+the level, the node and the residual.  The scale is relative, so the check
+holds at any size of the claim.  Rows share no arithmetic, so each row gets
+bit for bit the values of a march of its side alone, which is what
+:func:`solve_reduced` runs.  Values that turn non-finite fail the valuation,
+naming the side, the level and, in a batch, the scenario
+(:meth:`pde.Rows.label`).
+
+The lattice converges at first order in dt.  :func:`solve_extrapolated`, the
+valuation the CLI runs, removes that term by Richardson extrapolation from
+the lattices of n and n // 2 steps (Broadie & Detemple, Rev. Fin. Studies 9,
+1996).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import claims, drivers
 from .market import MarketModel
-from .pde import NumericsError, Rows, not_converged, settle
+from .pde import NumericsError, Rows
 
 LEVELS = ("adjustment", "value")
-FIXED_POINT_TOL = 1e-12
-FIXED_POINT_MAX_ITER = 200
+# the bound on a node's residual, in ulps of its scale: twice the 4 ulps
+# that the hypothesis test of drivers.reduced_root proves
+ROOT_ULPS = 8
 
 
 @dataclass(frozen=True)
 class OracleSolution:
     """Root-node outputs of one backward induction.
 
-    ``fixed_point_iterations`` and ``fixed_point_residuals`` hold, per level
-    k = 0 .. n_steps - 1 (time k * dt), the fixed-point iterations this side
-    took and its final sup-norm residual.
+    ``root_residuals`` holds, per level k = 0 .. n_steps - 1 (time k * dt),
+    this side's largest node residual ``|e + dt f(u) - u|`` in ulps of the
+    scale the node was checked against; none exceeds ``ROOT_ULPS``.
     """
 
     side: str
@@ -72,8 +80,7 @@ class OracleSolution:
     root_gradient: float    # Brownian-integrand estimate at the root
     root_mark: float        # agent's mark at the root
     adjustment: float       # valuation adjustment at time zero
-    fixed_point_iterations: np.ndarray = field(compare=False, repr=False)
-    fixed_point_residuals: np.ndarray = field(compare=False, repr=False)
+    root_residuals: np.ndarray = field(compare=False, repr=False)
 
     @property
     def xva(self) -> float:
@@ -114,10 +121,44 @@ def solve_batch(models: list[MarketModel], claim: claims.ClaimSpec,
     return list(zip(solutions[:len(models)], solutions[len(models):]))
 
 
+def solve_extrapolated(models: list[MarketModel], claim: claims.ClaimSpec,
+                       n_steps: int
+                       ) -> list[tuple[OracleSolution, OracleSolution]]:
+    """:func:`solve_batch` at the adjustment level, Richardson-extrapolated.
+
+    Marches the lattices of n = ``n_steps`` and m = n // 2 steps and, since
+    both converge at first order in dt, returns ``(n L(n) - m L(m)) / (n - m)``
+    of their adjustment, root value and root gradient, which cancels the
+    first-order term for odd n too.  The other fields, the per-level
+    residuals included, are the n-step lattice's.  The time-step guard
+    holds for the m-step lattice, and its advice names n.
+    """
+    if n_steps < 2:
+        raise ValueError(f"n_steps must be >= 2 to extrapolate, got {n_steps}")
+    m = n_steps // 2
+    coarse = _march(list(models), claim, m, "adjustment", refine=2)
+    fine = _march(list(models), claim, n_steps, "adjustment")
+
+    def extrapolate(a: float, b: float) -> float:
+        return (n_steps * a - m * b) / (n_steps - m)
+
+    solutions = [replace(
+        f, adjustment=extrapolate(f.adjustment, c.adjustment),
+        root_value=extrapolate(f.root_value, c.root_value),
+        root_gradient=extrapolate(f.root_gradient, c.root_gradient))
+        for f, c in zip(fine, coarse)]
+    return list(zip(solutions[:len(models)], solutions[len(models):]))
+
+
 def _march(models: list[MarketModel], claim: claims.ClaimSpec, n_steps: int,
-           level: str, picked: list[int] | None = None) -> list[OracleSolution]:
+           level: str, picked: list[int] | None = None,
+           refine: int = 1) -> list[OracleSolution]:
     """Backward induction of the 2K rows of K models as one array per level,
-    or of the ``picked`` rows alone; one solution per row marched."""
+    or of the ``picked`` rows alone; one solution per row marched.
+
+    The time-step guard advises ``refine`` times the steps this lattice
+    needs: the lattice of an extrapolation whose caller sets the finer.
+    """
     if level not in LEVELS:
         raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
     if n_steps < 1:
@@ -140,7 +181,7 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, n_steps: int,
                 "time step too large for the implicit fixed point"
                 + (f" of {scenario}" if scenario else "")
                 + f" (dt * Lipschitz = {dt * lip:.3g} >= 1); "
-                f"use n_steps >= {math.ceil(2.0 * lip * T)}")
+                f"use n_steps >= {refine * math.ceil(2.0 * lip * T)}")
 
     def stock_levels(k: int) -> np.ndarray:
         j = np.arange(k + 1)
@@ -155,7 +196,6 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, n_steps: int,
         u = np.tile(terminal, (len(picked), 1))
     else:
         u = np.zeros((len(picked), n_steps + 1))
-    iterations = np.zeros((len(picked), n_steps), dtype=int)
     residuals = np.zeros((len(picked), n_steps))
 
     for k in range(n_steps - 1, -1, -1):
@@ -166,27 +206,42 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, n_steps: int,
         mark, delta = claims.agent_value_grid(first, claim, t, s)
         z = gradient + (0.0 if at_value else sigma * s * delta)
         terms = drivers.reduced_terms(params, z, mark, at_value)
+        u = drivers.reduced_root(params, terms, expectation, dt)
 
-        def step(u, live):  # expectation + dt * f(u), f each row's driver
-            out = drivers.reduced_step(params.take(live), terms.take(live), u)
-            out *= dt
-            out += expectation[live]
-            return out
-
-        start = drivers.reduced_root(params, terms, expectation, dt)
-        iterations[:, k], residuals[:, k], u, failed = settle(
-            step, start, FIXED_POINT_TOL, FIXED_POINT_MAX_ITER)
-        if failed:
-            row, j = failed[0]
-            raise not_converged("implicit fixed point", rows.label(picked[row]),
-                                f"level {k} (t={t:.6g})", FIXED_POINT_MAX_ITER,
-                                j, s[j], u[row, j], residuals[row, k],
-                                FIXED_POINT_TOL)
-        finite = np.isfinite(u).all(axis=1)
-        if not finite.all():
-            row = picked[int(np.flatnonzero(~finite)[0])]
-            raise NumericsError(
-                f"non-finite lattice values on the {rows.label(row)} at level {k}")
+        miss = drivers.reduced_step(params, terms, u)
+        miss *= dt
+        miss += expectation
+        miss -= u
+        np.abs(miss, out=miss)
+        scale = np.abs(u)
+        np.maximum(scale, np.abs(expectation), out=scale)
+        ulps = miss / np.spacing(scale)
+        worst = ulps.max(axis=1)
+        if not worst.max() <= ROOT_ULPS:  # nan fails too
+            # where the drift's addends cancel, the step's own rounding is
+            # dt times the largest of them: widen the scale there alone
+            rr, jj = np.nonzero(~(ulps <= ROOT_ULPS))
+            finite = np.isfinite(miss[rr, jj])
+            if not finite.all():
+                row = picked[int(rr[np.argmin(finite)])]
+                raise NumericsError(f"non-finite lattice values on the "
+                                    f"{rows.label(row)} at level {k}")
+            at = (rr[:, None], jj[:, None])
+            wide = drivers.reduced_step_scale(params.take(rr), terms.take(at),
+                                              u[at])
+            wide *= dt
+            np.maximum(wide, scale[at], out=wide)
+            ulps[rr, jj] = miss[rr, jj] / np.spacing(wide[:, 0])
+            worst = ulps.max(axis=1)
+            if not worst.max() <= ROOT_ULPS:
+                r = int(np.argmax(~(worst <= ROOT_ULPS)))
+                j = int(np.argmax(ulps[r]))
+                raise NumericsError(
+                    f"implicit step not solved on the {rows.label(picked[r])} "
+                    f"at level {k} (t={t:.6g}): node {j} at s={s[j]:.6g}, "
+                    f"residual {ulps[r, j]:.3g} ulps of the node's scale "
+                    f"(bound {ROOT_ULPS})")
+        residuals[:, k] = worst
         if k == 0:
             root_gradient = gradient[:, 0]
 
@@ -199,6 +254,5 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, n_steps: int,
             n_steps=n_steps, root_value=root,
             root_gradient=float(root_gradient[r]), root_mark=mark0,
             adjustment=root - mark0 if at_value else root,
-            fixed_point_iterations=iterations[r],
-            fixed_point_residuals=residuals[r]))
+            root_residuals=residuals[r]))
     return solutions

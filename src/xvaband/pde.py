@@ -33,10 +33,9 @@ the repo legs and the step in u, and one banded solve of their transpose.
 The driver reads one :class:`drivers.DriverParams` record of the block, in
 which a parameter that differs between scenarios has one entry per row, and
 reflects the buyer rows itself.  Picard runs per row through
-:func:`settle`, the fixed point the lattice runs too, from a start computed
-per node: a row is frozen as soon as its own residual is below tolerance,
-so it takes exactly the iterations, and gets exactly the values, of its own
-single-scenario solve.  :func:`solve` is this march with K = 1 and keeps the
+:func:`settle` from a start computed per node: a row is frozen as soon as
+its own residual is below tolerance, so it takes exactly the iterations, and
+gets exactly the values, of its own single-scenario solve.  :func:`solve` is this march with K = 1 and keeps the
 full surfaces; :func:`solve_batch` keeps only the two time rows that
 valuation and hedging at t = 0 read.
 """
@@ -275,7 +274,9 @@ class Rows:
     """The 2K rows of a march of K scenarios: sellers 0..K-1, then buyers.
 
     Refuses an empty batch and one whose models differ in their
-    :func:`march_key`, naming the first scenario that does.
+    :func:`march_key`, naming the first scenario that does, and a model that
+    fails a necessary rate condition: ``allow_violations`` builds such a
+    model, but neither engine values it.
     """
 
     def __init__(self, models: list[MarketModel]):
@@ -295,6 +296,12 @@ class Rows:
         self.varied = {name: [p[name] for p in per_model]
                        for name, value in per_model[0].items()
                        if any(p[name] != value for p in per_model)}
+        for k, model in enumerate(models):
+            report = model.validate_necessary()
+            if not report.passed:
+                who = "model" if self.count == 1 else f"scenario {k}"
+                raise ValueError(f"{who} fails necessary rate conditions: "
+                                 + "; ".join(c.name for c in report.failures))
 
     def scenario(self, k: int) -> str:
         """Index and varied parameters of scenario k of a batch; "" alone."""
@@ -351,12 +358,6 @@ def _gradient(u: np.ndarray, dx: float, out: np.ndarray) -> np.ndarray:
 
 def _check_batch(models: list[MarketModel], claim: claims.ClaimSpec,
                  grid: PdeGrid) -> None:
-    for k, model in enumerate(models):
-        who = "model" if len(models) == 1 else f"scenario {k}"
-        report = model.validate_necessary()
-        if not report.passed:
-            raise ValueError(f"{who} fails necessary rate conditions: "
-                             + "; ".join(c.name for c in report.failures))
     x0 = math.log(models[0].equity.spot)
     if not grid.x_min < x0 < grid.x_max:
         raise ValueError("log-spot must lie strictly inside the grid")
@@ -403,9 +404,11 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
                                      drift, explicit_part)
         if failed:
             row, j = failed[0]
-            raise not_converged("Picard iteration", rows.label(row),
-                                f"t={t:.6g}", PICARD_MAX_ITER, j, s[j],
-                                u[row, j], res[row], PICARD_TOL)
+            raise NumericsError(
+                f"Picard iteration did not converge on the {rows.label(row)} "
+                f"at t={t:.6g} within {PICARD_MAX_ITER} iterations: worst node "
+                f"{j} at s={s[j]:.6g}, |u|={abs(u[row, j]):.3g}, last residual "
+                f"{res[row]:.3g} (tolerance {PICARD_TOL:g})")
         return it, res, u
 
     # march tau = T - t from 0 to T; rows are stored by t-index
@@ -555,8 +558,9 @@ def settle(step, u_start: np.ndarray, tol: float, max_iter: int):
             u[rows] = new
         iters[rows] = it
         resid[rows] = res
-        # a list, not an array: on a lattice's two rows numpy's any/all cost
-        # more per iteration than this loop; nan and inf fail both tests
+        # a list, not an array: on the two rows of a single point numpy's
+        # any/all cost more per iteration than this loop; nan and inf fail
+        # both tests
         live = [tol <= r < math.inf for r in res.tolist()]
         if not any(live):
             return iters, resid, u, []
@@ -569,17 +573,6 @@ def settle(step, u_start: np.ndarray, tol: float, max_iter: int):
     failed = np.arange(len(u))[rows]
     return iters, resid, u, list(zip(failed.tolist(),
                                      change[live].argmax(axis=1).tolist()))
-
-
-def not_converged(what: str, label: str, where: str, max_iter: int, node: int,
-                  s: float, u: float, residual: float,
-                  tol: float) -> NumericsError:
-    """The error of a fixed point whose ``label`` row did not settle at
-    ``where``, naming the worst node, the stock level and value there."""
-    return NumericsError(
-        f"{what} did not converge on the {label} at {where} within {max_iter} "
-        f"iterations: worst node {node} at s={s:.6g}, |u|={abs(u):.3g}, "
-        f"last residual {residual:.3g} (tolerance {tol:g})")
 
 
 def _bilinear(grid: PdeGrid, surf: np.ndarray, t: float, x: float) -> float:

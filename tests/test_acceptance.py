@@ -7,8 +7,9 @@ both sides, against an oracle that uses neither the PDE nor ``strategies``:
     funding = jump_own + jump_cpty - u - alpha * mark
 
 with the mark from ``agent_value``, the jump targets from ``jump_targets``,
-and the adjustment u from the 2000-step ``solve_reduced`` lattice or, at
-alpha = 1, from the exact integral of ``full_collateral_adjustment``.  The
+and the adjustment u from the lattice the CLI runs (``solve_extrapolated``
+from 1000 and 500 steps) or, at alpha = 1, from the exact integral of
+``full_collateral_adjustment``.  The
 account on which the funding rate accrues is this leg plus the mark.
 
 Earlier versions of the two criteria asserted constants instead, as
@@ -35,11 +36,13 @@ from scipy.special import ndtr
 from xvaband import (BUYER, SELLER, ClaimSpec, CreditParams, EquityParams,
                      MarketModel, PdeGrid, RateSet, agent_value,
                      convergence_study, piterbarg_defaults_xva, piterbarg_xva,
-                     solve, solve_batch, solve_reduced, solve_sides,
+                     solve, solve_batch, solve_sides,
                      strategies, xva_at)
 from xvaband.claims import agent_value_grid
+from xvaband.cli import DEFAULT_STEPS
 from xvaband.drivers import (adjustment_drift, jump_targets, reduced_drift,
                              wealth_drift)
+from xvaband.lattice import solve_extrapolated
 from xvaband.pde import RANNACHER_STEPS
 from conftest import make_benchmark, make_symmetric
 
@@ -91,7 +94,8 @@ def test_criterion_02_closed_form_pde_with_defaults():
 
 
 def test_criterion_03_triple_agreement():
-    label = "lattice (2000) vs PDE (400x400) vs closed form, symmetric regimes"
+    label = ("lattice (1000 + 500, extrapolated) vs PDE (400x400) vs closed "
+             "form, symmetric regimes")
     worst = 0.0
     cases = [
         make_symmetric(fund=0.08, repo=0.05, coll=0.01, alpha=0.5),
@@ -102,6 +106,7 @@ def test_criterion_03_triple_agreement():
     ]
     for model in cases:
         mark = agent_value(model, CALL, 0.0, 1.0).value
+        lattice = lattice_adjustments(model)
         for side in (SELLER, BUYER):
             if model.credit is None:
                 exact = piterbarg_xva(model, CALL, 0.0, mark)
@@ -109,11 +114,17 @@ def test_criterion_03_triple_agreement():
                 exact = piterbarg_defaults_xva(model, CALL, 0.0, mark,
                                                side).total
             fd = pde_point(model, side)
-            lat = solve_reduced(model, CALL, 2000, side=side).adjustment
+            lat = lattice[side]
             worst = max(worst, abs(fd - exact), abs(lat - exact),
                         abs(fd - lat))
     report(3, label, worst < 5e-4, f"worst pairwise {worst:.2e}")
     assert worst < 5e-4
+
+
+def lattice_adjustments(model):
+    """Both sides' adjustments from the lattice the CLI runs."""
+    sides = solve_extrapolated([model], CALL, DEFAULT_STEPS)[0]
+    return {sol.side: sol.adjustment for sol in sides}
 
 
 def funding_positions(alpha, fund_borrow):
@@ -166,16 +177,16 @@ def funding_oracle(alpha, fund_borrow, side):
     if alpha == 1.0:
         u = full_collateral_adjustment(model, side)
     else:
-        u = solve_reduced(model, CALL, 2000, side=side).adjustment
+        u = lattice_adjustments(model)[side]
     jump_own, jump_cpty = jump_targets(model, side, mark)
     return float(jump_own) + float(jump_cpty) - u - alpha * mark
 
 
-# PDE vs oracle differs by at most 2.2e-6 over the checked cells
+# PDE vs oracle differs by at most 9.1e-7 over the checked cells
 FUNDING_TOL = 1e-4
 RETIRED_NOTE = (
     "the oracle is jump_own + jump_cpty - u - alpha * mark with u from the "
-    "2000-step lattice, or from the exact integral at alpha = 1; the retired "
+    "extrapolated lattice, or from the exact integral at alpha = 1; the retired "
     "(seller, buyer) constants at borrow rate 0.08, (0.0039, 0.0403) at "
     "alpha = 0, (0.0249, 0.0257) at 0.25, (-0.0182, -0.0180) at 1 and "
     "(-0.0124, -0.0123) at 0.9, have no source in the repository, and at "

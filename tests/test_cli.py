@@ -63,7 +63,7 @@ def test_parse_config_roundtrip():
     assert cfg.model.alpha == 0.9
     assert cfg.model.credit.mu_own == 0.21
     assert cfg.claim.kind == "call"
-    assert cfg.nx == 400 and cfg.steps == 2000
+    assert cfg.nx == 400 and cfg.steps == 1000
 
 
 def test_parse_config_full_precision():
@@ -382,9 +382,33 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     p.write_text(BENCH_TEXT.replace("mu_own = 0.21", "mu_own = 0.9")
                  .replace("mu_cpty = 0.16", "mu_cpty = 0.9"))
     rc = cli.main(["value", "--config", str(p), "--engine", "lattice",
-                   "--steps", "1"])
+                   "--steps", "2"])
     assert rc == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_steps_below_two_are_refused(bench_cfg_path, capsys):
+    # the lattice extrapolates from steps and steps // 2
+    for steps in ("1", "0"):
+        rc = cli.main(["value", "--config", bench_cfg_path, "--engine",
+                       "lattice", "--steps", steps])
+        assert rc == 1
+        assert f"steps must be >= 2, got {steps}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("engine", ["pde", "lattice", "all"])
+def test_engines_refuse_a_model_failing_a_necessary_condition(
+        tmp_path, capsys, engine):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(BENCH_TEXT.replace("fund_lend = 0.05", "fund_lend = 0.09")
+                   + "\nallow_violations = true\n")
+    rc = cli.main(["value", "--config", str(bad), "--engine", engine,
+                   "--nx", "40", "--nt", "10", "--steps", "20"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == ("error: model fails necessary rate conditions: "
+                            "fund_lend <= fund_borrow\n")
 
 
 def test_convergence_command(tmp_path, capsys):

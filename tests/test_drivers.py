@@ -15,8 +15,9 @@ from xvaband import (BUYER, SELLER, ClaimSpec, CreditParams, MarketModel,
 from xvaband.drivers import (DriverParams, ReplicationStrategy,
                              adjustment_drift, build_strategy, jump_targets,
                              neg, pos, reduced_drift, reduced_drift_value,
-                             reduced_root, reduced_step, reduced_terms,
-                             wealth_drift)
+                             reduced_root, reduced_step, reduced_step_scale,
+                             reduced_terms, wealth_drift)
+from xvaband.lattice import ROOT_ULPS
 from conftest import EQUITY, make_benchmark, make_symmetric
 
 
@@ -512,6 +513,10 @@ def test_reduced_root_solves_the_implicit_step(
                        dt * np.max(addends, axis=0))
     residual = x - e - dt * reduced_step(p, terms, x)
     assert np.all(np.abs(residual) <= 4 * np.spacing(scale))
+    # the scale the lattice checks each root against
+    checked = np.maximum(np.maximum(abs(x), abs(e)),
+                         dt * reduced_step_scale(p, terms, x))
+    assert np.all(np.abs(residual) <= ROOT_ULPS * np.spacing(checked))
     # the branch the root took: the root of the lend or the borrow rate alone
     as_lend = x == reduced_root(p._replace(fund_borrow=p.fund_lend), terms,
                                 e, dt)

@@ -9,9 +9,8 @@ import pytest
 from xvaband import (BUYER, SELLER, ClaimSpec, CreditParams, EquityParams,
                      NumericsError, agent_value, piterbarg_defaults_xva,
                      piterbarg_xva, solve_reduced, solve_sides)
-from xvaband import claims, drivers, lattice
-from xvaband.lattice import (FIXED_POINT_MAX_ITER, FIXED_POINT_TOL, LEVELS,
-                             OracleSolution)
+from xvaband import claims, cli, drivers, lattice
+from xvaband.lattice import LEVELS, ROOT_ULPS, OracleSolution
 from conftest import make_benchmark, make_symmetric
 
 CALL = ClaimSpec(kind="call", strike=1.0, maturity=1.0)
@@ -143,13 +142,14 @@ def test_input_validation():
 
 
 def reference_solve(model, claim, n_steps, level, side):
-    """One side's backward induction, one full driver call per iteration.
+    """One side's backward induction, with a whole driver call per level.
 
     The plain single-side march that the shared pass must reproduce bit for
-    bit: stock levels, mark and exposure built for this side alone, each
-    level started at the root of this side's own terms, and
-    :func:`drivers.reduced_drift` (or its value-level twin) called whole at
-    every fixed-point iteration.
+    bit: stock levels, mark and exposure built for this side alone, and each
+    level solved by the root of this side's own terms.  The root is checked
+    against :func:`drivers.reduced_drift` (or its value-level twin), called
+    whole: it must solve the level's equation to ``ROOT_ULPS`` ulps of
+    ``max(|u|, |e|, dt * the largest addend of the drift)``.
     """
     dt = claim.maturity / n_steps
     sdt = math.sqrt(dt)
@@ -168,7 +168,6 @@ def reference_solve(model, claim, n_steps, level, side):
     else:
         u = np.zeros(n_steps + 1)
         drift_fn, shift_gradient = drivers.reduced_drift, True
-    iterations = np.zeros(n_steps, dtype=int)
     for k in range(n_steps - 1, -1, -1):
         t = k * dt
         s = stock_levels(k)
@@ -179,22 +178,17 @@ def reference_solve(model, claim, n_steps, level, side):
         terms = drivers.reduced_terms(params, z, mark,
                                       at_value=not shift_gradient)
         new_u = drivers.reduced_root(params, terms, expectation, dt)
-        for it in range(1, FIXED_POINT_MAX_ITER + 1):
-            candidate = expectation + dt * drift_fn(model, side, t, new_u, z, mark)
-            done = float(np.max(np.abs(candidate - new_u))) < FIXED_POINT_TOL
-            new_u = candidate
-            if done:
-                break
-        else:
-            raise NumericsError(f"{side} side did not converge at level {k}")
-        iterations[k] = it
+        miss = expectation + dt * drift_fn(model, side, t, new_u, z, mark) - new_u
+        scale = np.maximum(np.maximum(abs(new_u), abs(expectation)),
+                           dt * drivers.reduced_step_scale(params, terms, new_u))
+        assert np.all(abs(miss) <= ROOT_ULPS * np.spacing(scale))
         if k == 0:
             root_gradient = float(gradient[0])
         u = new_u
     mark0 = agent_value(model, claim, 0.0, s0).value
     root = float(u[0])
     adjustment = root - mark0 if level == "value" else root
-    return adjustment, root_gradient, mark0, iterations
+    return adjustment, root_gradient, mark0
 
 
 @pytest.mark.parametrize("credit", [True, False], ids=["credit", "nocredit"])
@@ -208,12 +202,11 @@ def test_one_pass_matches_single_side_reference(credit, kind):
         sols = solve_sides(model, claim, 200, level=level)
         assert [sol.side for sol in sols] == [SELLER, BUYER]
         for sol in sols:
-            adjustment, gradient, mark, iterations = reference_solve(
+            adjustment, gradient, mark = reference_solve(
                 model, claim, 200, level, sol.side)
             assert sol.adjustment == adjustment
             assert sol.root_gradient == gradient
             assert sol.root_mark == mark
-            assert np.array_equal(sol.fixed_point_iterations, iterations)
             assert solve_reduced(model, claim, 200, level=level,
                                  side=sol.side) == sol
 
@@ -222,49 +215,91 @@ def test_solution_reports_fixed_point_per_level():
     model = make_benchmark()
     seller, buyer = solve_sides(model, CALL, 300)
     for sol in (seller, buyer):
-        assert sol.fixed_point_iterations.shape == (300,)
-        assert sol.fixed_point_residuals.shape == (300,)
-        assert np.all(sol.fixed_point_iterations >= 1)
-        assert np.all(sol.fixed_point_residuals < FIXED_POINT_TOL)
+        assert sol.root_residuals.shape == (300,)
+        assert np.all(sol.root_residuals >= 0.0)
+        assert np.all(sol.root_residuals <= ROOT_ULPS)
     # the records are diagnostics: equality is decided by the values alone
     assert dataclasses.replace(
-        seller, fixed_point_iterations=seller.fixed_point_iterations + 1) == seller
+        seller, root_residuals=seller.root_residuals + 1) == seller
     assert set(f.name for f in dataclasses.fields(OracleSolution)
-               if not f.compare) == {"fixed_point_iterations",
-                                     "fixed_point_residuals"}
+               if not f.compare) == {"root_residuals"}
 
 
-def test_fixed_point_failure_names_side_level_and_node():
-    # at spot = strike = 1e4 the far-edge values reach |u| ~ 2.6e4, whose
-    # spacing of doubles (3.6e-12) exceeds the absolute tolerance
-    base = make_benchmark()
-    model = dataclasses.replace(base, equity=EquityParams(spot=1e4, sigma=0.2))
-    claim = ClaimSpec(kind="call", strike=1e4, maturity=1.0)
-    with pytest.raises(NumericsError) as failure:
-        solve_sides(model, claim, 2000)
-    message = str(failure.value)
-    assert "seller side at level 1955 (t=0.9775)" in message
-    assert "worst node 1912 at s=4.22446e+07, |u|=2.65e+04" in message
-    assert "last residual 3.64e-12" in message
-    assert "n_steps" not in message
+def unit_call_at(scale):
+    """The benchmark model and an at-the-money call, spot = strike = scale."""
+    model = dataclasses.replace(make_benchmark(),
+                                equity=EquityParams(spot=scale, sigma=0.2))
+    return model, ClaimSpec(kind="call", strike=scale, maturity=1.0)
 
 
-def test_one_failing_side_fails_the_pass():
+@pytest.fixture(scope="module")
+def unit_sides():
+    return solve_sides(*unit_call_at(1.0), 2000)
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -20, 1e-6, 1e4, 1e7, 2.0 ** 20])
+def test_solve_sides_is_homogeneous(unit_sides, scale):
+    # a residual check relative to each node's size holds at any scale; an
+    # absolute tolerance failed at the far edge from spot = strike = 1e4 on
+    sides = solve_sides(*unit_call_at(scale), 2000)
+    for got, unit in zip(sides, unit_sides):
+        assert np.all(got.root_residuals <= ROOT_ULPS)
+        if math.frexp(scale)[0] == 0.5:  # a power of two scales exactly
+            assert got.adjustment == scale * unit.adjustment
+            assert got.root_gradient == scale * unit.root_gradient
+        else:
+            assert got.adjustment == pytest.approx(scale * unit.adjustment,
+                                                   rel=1e-12, abs=0.0)
+
+
+def test_models_past_the_absolute_tolerance_complete():
+    # each failed the parent's 1e-12 absolute fixed-point test: the buyer
+    # at spot 1e6 (level 358 of 400), and sigma = 1.5 and T = 30 at 2000 steps
     base = make_benchmark(alpha=0.0)
-    model = dataclasses.replace(base, credit=None,
-                                equity=EquityParams(spot=1e6, sigma=0.2))
-    claim = ClaimSpec(kind="call", strike=1e6, maturity=1.0)
-    solve_reduced(model, claim, 400, side=SELLER)
-    with pytest.raises(NumericsError, match="buyer side at level 358"):
-        solve_reduced(model, claim, 400, side=BUYER)
-    with pytest.raises(NumericsError, match="buyer side at level 358"):
-        solve_sides(model, claim, 400)
+    far = dataclasses.replace(base, credit=None,
+                              equity=EquityParams(spot=1e6, sigma=0.2))
+    far_call = ClaimSpec(kind="call", strike=1e6, maturity=1.0)
+    sides = solve_sides(far, far_call, 400)
+    assert sides == tuple(solve_reduced(far, far_call, 400, side=side)
+                          for side in (SELLER, BUYER))
+    volatile = dataclasses.replace(make_benchmark(),
+                                   equity=EquityParams(spot=1.0, sigma=1.5))
+    long_call = ClaimSpec(kind="call", strike=1.0, maturity=30.0)
+    for model, claim, n in ((far, far_call, 400), (volatile, CALL, 2000),
+                            (make_benchmark(), long_call, 2000)):
+        for sol in solve_sides(model, claim, n):
+            assert math.isfinite(sol.adjustment)
+            assert np.all(sol.root_residuals <= ROOT_ULPS)
+
+
+def test_root_check_failure_names_side_level_and_node(monkeypatch):
+    root = drivers.reduced_root
+
+    def off_on(rows):
+        def shifted(params, terms, e, dt):
+            out = root(params, terms, e, dt)
+            out[rows(np.broadcast_to(params.sign, (len(out), 1))[:, 0])] += 1e-6
+            return out
+        return shifted
+
+    model = make_benchmark()
+    monkeypatch.setattr(drivers, "reduced_root", off_on(lambda sign: sign != 0))
+    with pytest.raises(NumericsError, match=(
+            r"^implicit step not solved on the seller side at level 19 "
+            r"\(t=0\.95\): node 0 at s=0\.\d+, residual \S+ ulps of the "
+            r"node's scale \(bound 8\)$")):
+        solve_sides(model, CALL, 20)
+    # one failing side fails the pass, and names that side
+    monkeypatch.setattr(drivers, "reduced_root", off_on(lambda sign: sign < 0))
+    solve_reduced(model, CALL, 20, side=SELLER)
+    with pytest.raises(NumericsError, match="on the buyer side at level 19"):
+        solve_sides(model, CALL, 20)
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_non_finite_values_fail_at_once(monkeypatch):
-    # a payoff that is NaN on a band of nodes stops the first level's fixed
-    # point at its first step, and the error names the non-finite values
+    # a payoff that is NaN on a band of nodes fails the first level's root
+    # check, and the error names the non-finite values
     nan_band = ClaimSpec(
         kind="custom", strike=1.0, maturity=1.0,
         payoff_fn=lambda s: np.where((s > 1.1) & (s < 1.3), np.nan,
@@ -308,10 +343,8 @@ def test_solve_batch_matches_solve_sides_bit_for_bit(credit, kind):
             for got, want in zip(pair, solve_sides(model, claim, 150, level)):
                 assert got == want  # side, level, root value, gradient, mark
                 assert got.root_gradient == want.root_gradient
-                assert np.array_equal(got.fixed_point_iterations,
-                                      want.fixed_point_iterations)
-                assert np.array_equal(got.fixed_point_residuals,
-                                      want.fixed_point_residuals)
+                assert np.array_equal(got.root_residuals,
+                                      want.root_residuals)
 
 
 def test_solve_batch_refuses_mixed_stacks():
@@ -354,3 +387,48 @@ def test_batch_failure_names_the_scenario(monkeypatch):
             r"^non-finite lattice values on the buyer side of scenario 1 "
             r"\(.*alpha=0\.35.*\) at level 19$")):
         lattice.solve_batch(models, CALL, 20)
+
+
+def extrapolated(fine, coarse, n):
+    m = n // 2
+    return (n * fine - m * coarse) / (n - m)
+
+
+@pytest.mark.parametrize("n", [40, 41])
+def test_cli_lattice_extrapolates_two_raw_lattices(n):
+    model = make_benchmark(alpha=0.4, fund_borrow=0.12)
+    point = cli.evaluate_point(model, CALL, "lattice", steps=n)[0]
+    fine, coarse = solve_sides(model, CALL, n), solve_sides(model, CALL, n // 2)
+    s0, sigma = model.equity.spot, model.equity.sigma
+    got = ((point.xva_seller, point.strategy_seller),
+           (point.xva_buyer, point.strategy_buyer))
+    for (xva, strategy), f, c in zip(got, fine, coarse):
+        assert xva == extrapolated(f.adjustment, c.adjustment, n)
+        gradient = extrapolated(f.root_gradient, c.root_gradient, n)
+        assert strategy.stock_shares == gradient / (sigma * s0)
+    (seller, buyer), = lattice.solve_extrapolated([model], CALL, n)
+    assert seller.root_value == seller.adjustment == point.xva_seller
+    assert np.array_equal(buyer.root_residuals, fine[1].root_residuals)
+
+
+def test_extrapolation_removes_the_first_order_error():
+    # raw lattices are off by 2.0e-6 at 2000 steps on this config
+    model = make_benchmark(alpha=0.9)
+    at_1000 = lattice.solve_extrapolated([model], CALL, 1000)[0]
+    at_4000 = lattice.solve_extrapolated([model], CALL, 4000)[0]
+    for coarse, fine in zip(at_1000, at_4000):
+        assert abs(coarse.adjustment - fine.adjustment) < 2e-8
+        assert abs(coarse.root_gradient - fine.root_gradient) < 1e-6
+
+
+def test_extrapolation_guard_names_the_finer_steps():
+    # dt * Lipschitz = 1.88 at one step and 0.63 at three: the 3-step
+    # lattice passes the guard, and its 1-step partner does not
+    riskier = make_benchmark(mu_own=0.9, mu_cpty=0.9)
+    solve_sides(riskier, CALL, 3)
+    need = math.ceil(2.0 * drivers.reduced_lipschitz_bound(riskier))
+    with pytest.raises(NumericsError, match=f"use n_steps >= {2 * need}$"):
+        lattice.solve_extrapolated([riskier], CALL, 3)
+    lattice.solve_extrapolated([riskier], CALL, 2 * need)
+    with pytest.raises(ValueError, match="n_steps must be >= 2"):
+        lattice.solve_extrapolated([riskier], CALL, 1)

@@ -3,14 +3,15 @@
     python3 tools/golden.py capture <dir>
     python3 tools/golden.py compare <a> <b> [--tol 1e-9]
 
-``capture`` writes, at the CLI defaults (400 x 400 PDE grid, 2000-step
-lattice), the CSV of ``value --engine all``, and of ``band`` and ``table``
-with the PDE and with the lattice, on the benchmark config, and of every
-``figure`` id at its own defaults, one file each, to <dir>.  It also writes ``points-pde.csv`` and
-``points-lattice.csv``: the seller and buyer values at ``repr`` precision,
-or the error class, of every draw of the benchmark's point pools
-(``bench/scenarios.py``, read only), so that ``compare --tol 0`` sees
-last-bit drift that the 10-digit CSVs round away.  It imports xvaband from
+``capture`` writes, at the CLI defaults (400 x 400 PDE grid; lattices of
+1000 and 500 steps, extrapolated), the CSV of ``value --engine all``, and of
+``band`` and ``table`` with the PDE and with the lattice, on the benchmark
+config, and of every ``figure`` id at its own defaults, one file each, to
+<dir>.  It also writes ``points-pde.csv`` and ``points-lattice.csv``: the
+seller and buyer values at ``repr`` precision, or the error class, of every
+draw of the benchmark's point pools (``bench/scenarios.py``, read only), so
+that ``compare --tol 0`` sees last-bit drift that the 10-digit CSVs round
+away.  It imports xvaband from
 the ``src/`` and the pools from the ``bench/`` next to this script, so a copy
 of the script placed in another checkout captures that checkout.
 
