@@ -17,7 +17,7 @@ a time.
 
 Configuration is a flat ``key = value`` text file (``#`` comments allowed);
 every run is fully determined by the config plus documented numerical
-defaults (400x400 PDE grid; lattices of 1000 and 500 steps, extrapolated).
+defaults (800x100 PDE grid; lattices of 1000 and 500 steps, extrapolated).
 ``steps`` names the finer lattice.  CSV output is deterministic
 byte-for-byte: 10 significant digits, ``.`` decimal separator, ``\\n`` line
 endings, one header row.
@@ -36,8 +36,8 @@ from . import claims, closed_form, drivers, lattice, pde
 from .market import (CreditParams, EquityParams, MarketModel, ModelError,
                      RateSet)
 
-DEFAULT_NX = 400
-DEFAULT_NT = 400
+DEFAULT_NX = 800
+DEFAULT_NT = 100
 DEFAULT_STEPS = 1000
 ENGINES = ("closed", "pde", "lattice", "all")
 

@@ -11,7 +11,10 @@ to damp payoff-kink oscillations):
 
 The nonlinearity is resolved by per-step fixed-point (Picard) iteration on
 the implicit part; the drivers are globally Lipschitz, so the iteration
-contracts for any reasonable step size.  Every Crank-Nicolson step after the
+contracts for any reasonable step size.  A row has converged when its
+sup-norm change is below ``PICARD_TOL`` times the claim's strike, a test in
+units of the strike, so scaling spot and strike scales the test with the
+values.  Every Crank-Nicolson step after the
 implicit-Euler start begins the iteration at 2 u_old - u_older, the linear
 extrapolation of the last two time levels.  The matrix (I - theta dt B) of
 each implicit coefficient is LU-factored once (LAPACK ``dgttrf``), and every
@@ -27,9 +30,11 @@ seller sides of the K scenarios, rows K..2K-1 their buyer sides, in the same
 order.  Each backward step marches the agent once, evaluates the mark and
 delta once and builds from them the driver terms that the mark alone fixes
 (funding offset, collateral legs, carry, close-out targets); the driver of
-one time level is carried to the next step as its explicit part.  Each Picard iteration then
-makes one driver call for the live rows, which adds only the exposure z,
-the repo legs and the step in u, and one banded solve of their transpose.
+one time level is spent on the next step's explicit part before that step
+builds its own terms, so one level of terms is alive at a time.  Each
+Picard iteration then makes one driver call for the live rows, which adds
+only the exposure z, the repo legs and the step in u, gathering the live
+rows' terms as it reads them, and one banded solve of their transpose.
 The driver reads one :class:`drivers.DriverParams` record of the block, in
 which a parameter that differs between scenarios has one entry per row, and
 reflects the buyer rows itself.  Picard runs per row through
@@ -235,7 +240,8 @@ class _Stepper:
         return solve_banded(self, theta * dt, rhs.T).T
 
 
-def solve_banded(stepper: _Stepper, coef: float, b: np.ndarray) -> np.ndarray:
+def solve_banded(stepper: _Stepper, coef: float, b: np.ndarray,
+                 overwrite: bool = False) -> np.ndarray:
     """Solve (I - coef * B) x = b with the stepper's LU factors of that matrix.
 
     ``b`` is one column, shape (nx,), or a block of columns, shape (nx, k),
@@ -244,6 +250,8 @@ def solve_banded(stepper: _Stepper, coef: float, b: np.ndarray) -> np.ndarray:
     naming its first such column.  The factors come from partial pivoting as
     in ``scipy.linalg.solve_banded``, whose tridiagonal path (LAPACK
     ``dgtsv``) does the same arithmetic, so the two agree bit for bit.
+    With ``overwrite``, a ``b`` in Fortran order holds the solution on
+    return, and no copy of it is made.
     """
     finite = np.isfinite(b)
     if not finite.all():
@@ -251,7 +259,7 @@ def solve_banded(stepper: _Stepper, coef: float, b: np.ndarray) -> np.ndarray:
         if b.ndim == 2:
             column = int(np.flatnonzero(~finite.all(axis=0))[0])
         raise _NonFiniteRhs(column)
-    x, info = dgttrs(*stepper.factors(coef), b)
+    x, info = dgttrs(*stepper.factors(coef), b, overwrite_b=overwrite)
     if info:
         raise ValueError(f"illegal value in argument {-info} of dgttrs")
     return x
@@ -338,7 +346,7 @@ class _Rows(Rows):
             z = _gradient(u, dx, self._z[:u.size].reshape(u.shape))
             z += grad
             z *= params.sigma
-            terms = drivers.with_repo_legs(params, level.take(rows), z)
+            terms = drivers.with_repo_legs(params, level.at(rows), z)
             return drivers.reduced_step(params, terms, u)
         return g
 
@@ -399,19 +407,23 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
             mark, grad = agent_row, np.gradient(agent_row, dx)
         return rows.drift(t, mark, grad, dx)
 
-    def picard(rhs_base, step, theta, u_start, t, drift, explicit_part):
-        it, res, u, failed = _picard(adj_step, rhs_base, step, theta, u_start,
-                                     drift, explicit_part)
+    tol = PICARD_TOL * claim.strike  # the test is in units of the strike
+
+    def picard(fixed, step, theta, u_start, t, drift):
+        it, res, u, failed = _picard(adj_step, fixed, step, theta, u_start,
+                                     drift, tol=tol)
         if failed:
             row, j = failed[0]
             raise NumericsError(
                 f"Picard iteration did not converge on the {rows.label(row)} "
                 f"at t={t:.6g} within {PICARD_MAX_ITER} iterations: worst node "
                 f"{j} at s={s[j]:.6g}, |u|={abs(u[row, j]):.3g}, last residual "
-                f"{res[row]:.3g} (tolerance {PICARD_TOL:g})")
+                f"{res[row]:.3g} (tolerance {tol:g})")
         return it, res, u
 
-    # march tau = T - t from 0 to T; rows are stored by t-index
+    # march tau = T - t from 0 to T; rows are stored by t-index.  One level
+    # of driver terms is alive at a time: the old level's driver is spent on
+    # the explicit part before the new level is built.
     t_levels = grid.t_nodes()
     a_old = np.empty(nx)
     a_old[:] = claim.payoff(s)
@@ -420,35 +432,47 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
     if nt < keep:
         agent[nt] = a_old
         block[nt] = u_old
-    drift_old = drift_at(t_levels[nt], a_old)
+    drift_old = None  # the driver at u_old's level, once a step has built it
     n_r = min(RANNACHER_STEPS, nt)
     try:
         for n in range(nt):
             i_new = nt - n - 1          # t-index being computed
             t_old = t_levels[i_new + 1]
             t_new = t_levels[i_new]
-            rannacher = n < n_r
-            if rannacher:
-                a_half = agent_step.step_linear(a_old, 0.5 * dt, 1.0)
-                a_new = agent_step.step_linear(a_half, 0.5 * dt, 1.0)
-            else:
-                a_new = agent_step.step_linear(a_old, dt, 0.5)
-            drift_new = drift_at(t_new, a_new)
-
-            if rannacher:
+            if n < n_r:
                 # two implicit-Euler half-steps
+                drift_old = None
                 t_mid = 0.5 * (t_old + t_new)
+                a_half = agent_step.step_linear(a_old, 0.5 * dt, 1.0)
                 it1, res1, u_mid = picard(u_old, 0.5 * dt, 1.0, u_old, t_mid,
-                                          drift_at(t_mid, a_half), 0.0)
+                                          drift_at(t_mid, a_half))
+                a_new = agent_step.step_linear(a_half, 0.5 * dt, 1.0)
+                drift_new = drift_at(t_new, a_new)
                 it2, res2, u_new = picard(u_mid, 0.5 * dt, 1.0, u_mid, t_new,
-                                          drift_new, 0.0)
+                                          drift_new)
+                del u_mid
                 it, res = np.maximum(it1, it2), np.maximum(res1, res2)
             else:
-                g_old = drift_old(u_old, slice(None))
-                rhs_base = u_old + 0.5 * dt * adj_step.apply(u_old)
+                # fixed = (u_old + dt/2 B u_old) + dt/2 g_old, summed in place
+                if drift_old is None:
+                    drift_old = drift_at(t_old, a_old)
+                explicit = drift_old(u_old, slice(None))
+                drift_old = None
+                explicit *= 0.5 * dt
+                fixed = adj_step.apply(u_old)
+                fixed *= 0.5 * dt
+                fixed += u_old
+                fixed += explicit
+                del explicit
                 # start from the linear extrapolation of the last two levels
-                it, res, u_new = picard(rhs_base, dt, 0.5, 2.0 * u_old - u_older,
-                                        t_new, drift_new, 0.5 * dt * g_old)
+                u_start = 2.0 * u_old
+                u_start -= u_older
+                u_older = None
+                a_new = agent_step.step_linear(a_old, dt, 0.5)
+                drift_new = drift_at(t_new, a_new)
+                it, res, u_new = picard(fixed, dt, 0.5, u_start, t_new,
+                                        drift_new)
+                del fixed, u_start
             finite = np.all(np.isfinite(u_new), axis=1)
             if not finite.all():
                 row = int(np.flatnonzero(~finite)[0])
@@ -461,6 +485,7 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
             iters[n] = it
             resids[n] = res
             a_old, u_older, u_old, drift_old = a_new, u_old, u_new, drift_new
+            del drift_new
     except _NonFiniteRhs as exc:
         what = "agent" if exc.column is None else rows.label(exc.column)
         raise NumericsError(f"non-finite values in the {what} surface at "
@@ -509,24 +534,30 @@ def solve_batch(models: list[MarketModel], claim: claims.ClaimSpec,
 
 
 def _picard(stepper: _Stepper, rhs_base: np.ndarray, dt: float, theta: float,
-            u_start: np.ndarray, implicit_driver, explicit_part):
+            u_start: np.ndarray, implicit_driver, explicit_part=None,
+            tol: float = PICARD_TOL):
     """Per-row fixed point of (I - theta dt B) u = rhs_base + explicit + theta dt g(u).
 
-    ``implicit_driver(u, rows)`` evaluates g on the given rows of the block.
-    Runs :func:`settle` at PICARD_TOL; a non-finite right-hand side raises
-    :class:`_NonFiniteRhs` naming its row of ``u_start``.
+    ``implicit_driver(u, rows)`` evaluates g on the given rows of the block
+    and returns a new array, which the step then overwrites.  Without an
+    ``explicit_part`` the right-hand side's fixed part is ``rhs_base``
+    itself, read and never written.  Runs :func:`settle` at ``tol``; a
+    non-finite right-hand side raises :class:`_NonFiniteRhs` naming its row
+    of ``u_start``.
     """
     coef = theta * dt
-    fixed = rhs_base + explicit_part
+    fixed = rhs_base if explicit_part is None else rhs_base + explicit_part
 
     def step(u, rows):
-        rhs = fixed[rows] + coef * implicit_driver(u, rows)
+        rhs = implicit_driver(u, rows)
+        rhs *= coef
+        rhs += fixed[rows]
         try:
-            return solve_banded(stepper, coef, rhs.T).T
+            return solve_banded(stepper, coef, rhs.T, overwrite=True).T
         except _NonFiniteRhs as exc:
             row = np.arange(len(fixed))[rows][exc.column]
             raise _NonFiniteRhs(int(row)) from None
-    return settle(step, u_start, PICARD_TOL, PICARD_MAX_ITER)
+    return settle(step, u_start, tol, PICARD_MAX_ITER)
 
 
 def settle(step, u_start: np.ndarray, tol: float, max_iter: int):

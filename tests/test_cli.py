@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from xvaband import claims, cli, closed_form
+from xvaband import claims, cli, closed_form, lattice
 from xvaband.cli import build_config, figure_config, parse_config_text
 
 BENCH_TEXT = """
@@ -63,7 +63,19 @@ def test_parse_config_roundtrip():
     assert cfg.model.alpha == 0.9
     assert cfg.model.credit.mu_own == 0.21
     assert cfg.claim.kind == "call"
-    assert cfg.nx == 400 and cfg.steps == 1000
+    assert cfg.nx == cli.DEFAULT_NX and cfg.steps == 1000
+
+
+def test_default_pde_grid_is_accurate_on_the_benchmark():
+    """At the default grid the PDE lies within 5e-7 of strike of the CLI's
+    lattice, extrapolated from 1000 and 500 steps (measured against a 1600²
+    PDE: 1.9e-7 at 800 x 100, 7e-8 at 400 x 400)."""
+    cfg = build_config(parse_config_text(BENCH_TEXT))
+    res = cli.evaluate_point(cfg.model, cfg.claim, "pde", nx=cli.DEFAULT_NX,
+                             nt=cli.DEFAULT_NT)[0]
+    seller, buyer = lattice.solve_extrapolated([cfg.model], cfg.claim, 1000)[0]
+    assert abs(res.xva_seller - seller.adjustment) <= 5e-7 * cfg.claim.strike
+    assert abs(res.xva_buyer - buyer.adjustment) <= 5e-7 * cfg.claim.strike
 
 
 def test_parse_config_full_precision():

@@ -13,7 +13,7 @@ from xvaband import (BUYER, SELLER, ClaimSpec, CreditParams, EquityParams,
                      piterbarg_defaults_strategies,
                      piterbarg_defaults_xva, piterbarg_xva, solve,
                      solve_batch, solve_reduced, strategies, xva_at)
-from xvaband import drivers, pde
+from xvaband import cli, drivers, pde
 from xvaband.claims import agent_value_grid
 from xvaband.drivers import jump_targets
 from conftest import make_benchmark, make_symmetric
@@ -366,11 +366,11 @@ def test_batch_picard_failure_names_the_column():
     solve_batch(models[:1], CALL, grid)  # the other column alone converges
 
 
-def test_far_edge_picard_failure_names_the_node():
-    """Draw 6 of the benchmark's point pool: the buyer residual stalls at two
-    ulps of |u| at the far edge of the grid, a float-resolution limit that a
-    finer time grid cannot lift.  The message names the node and the
-    tolerance and advises nothing."""
+def far_edge_draw():
+    """Draw 6 of the benchmark's point pool: a symmetric call at spot 1.4e3
+    whose buyer residual at the far edge of the grid (s = 1.9e6, |u| = 2.6e5)
+    stalls near two ulps of |u|, above 1e-10 but far below 1e-10 of the
+    strike."""
     rates = RateSet(fund_lend=0.0545342574603374,
                     fund_borrow=0.0545342574603374,
                     repo_lend=0.0016836989256222123,
@@ -387,15 +387,85 @@ def test_far_edge_picard_failure_names_the_node():
                                             sigma=0.5773231517008676))
     claim = ClaimSpec(kind="call", strike=1393.5337741048634,
                       maturity=4.707681203390592)
-    grid = PdeGrid.default_for(model, claim, nx=400, nt=400)
+    return model, claim
+
+
+@pytest.mark.parametrize("nx, nt, bound", [(400, 400, 3e-5),
+                                           (cli.DEFAULT_NX, cli.DEFAULT_NT, 5e-6)])
+def test_far_edge_draw_completes(nx, nt, bound):
+    """Picard tests convergence in units of the strike, so the far-edge draw
+    completes, within its grid's error of the closed form (2.36e-5 of
+    strike at 400 x 400, 3.3e-6 at the defaults)."""
+    model, claim = far_edge_draw()
+    grid = PdeGrid.default_for(model, claim, nx=nx, nt=nt)
+    sol = solve_batch([model], claim, grid)[0]
+    mark = agent_value(model, claim, 0.0, model.equity.spot).value
+    for side in (SELLER, BUYER):
+        want = piterbarg_defaults_xva(model, claim, 0.0, mark, side).total
+        got = xva_at(sol, 0.0, model.equity.spot, side)
+        assert abs(got - want) <= bound * claim.strike, side
+    assert np.all(sol.picard_residuals < pde.PICARD_TOL * claim.strike)
+
+
+def test_picard_failure_names_node_and_applied_tolerance(monkeypatch):
+    """A forced non-convergence names the side, t, the worst node, s, |u|,
+    the last residual and the tolerance applied, PICARD_TOL times the
+    strike; the first step's first half-step fails on the first row."""
+    monkeypatch.setattr(pde, "PICARD_MAX_ITER", 1)
+    model, claim = far_edge_draw()
+    grid = PdeGrid.default_for(model, claim, nx=cli.DEFAULT_NX,
+                               nt=cli.DEFAULT_NT)
     with pytest.raises(NumericsError) as info:
         solve(model, claim, grid)
     msg = str(info.value)
-    assert msg.startswith("Picard iteration did not converge on the buyer "
-                          "side at t=1.69477 within 50 iterations")
-    assert "worst node 392 at s=1.92445e+06, |u|=2.63e+05" in msg
-    assert "(tolerance 1e-10)" in msg
-    assert "refine" not in msg
+    assert msg == ("Picard iteration did not converge on the seller side at "
+                   "t=4.68414 within 1 iterations: worst node 799 at "
+                   "s=2.54078e+06, |u|=2.94e+03, last residual 2.94e+03 "
+                   "(tolerance 1.39353e-07)")
+    assert f"{pde.PICARD_TOL * claim.strike:g}" == "1.39353e-07"
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -20, 1e-6, 1e7, 2.0 ** 20])
+def test_adjustment_is_homogeneous_in_spot_and_strike(scale):
+    """Scaling spot and strike by lambda scales both adjustments by lambda:
+    at the default grid every scale completes and matches lambda = 1 to
+    1e-12 relative."""
+    base = make_benchmark()
+    grid_size = dict(nx=cli.DEFAULT_NX, nt=cli.DEFAULT_NT)
+
+    def adjustments(spot):
+        model = replace(base, equity=EquityParams(spot=spot, sigma=0.2))
+        claim = ClaimSpec(kind="call", strike=spot, maturity=1.0)
+        grid = PdeGrid.default_for(model, claim, **grid_size)
+        sol = solve_batch([model], claim, grid)[0]
+        return [xva_at(sol, 0.0, spot, side) for side in (SELLER, BUYER)]
+
+    for unit, scaled in zip(adjustments(1.0), adjustments(scale)):
+        assert abs(scaled / scale - unit) <= 1e-12 * abs(unit)
+
+
+def test_batched_march_peak_memory():
+    """One 42-scenario march (the band-vs-collateral models) at the default
+    grid peaks, under tracemalloc, below 24 blocks of (84, nx) floats: it
+    keeps one level of driver terms alive and gathers the live rows' terms
+    as the driver reads them (19.8 blocks measured at 800 x 100)."""
+    import tracemalloc
+    cfg = cli.figure_config("band-vs-collateral")
+    fig = cli.FIGURES["band-vs-collateral"]
+    models = [cli._model_with(cfg.model, **fig.changes(x, rb))
+              for x in cli._sweep_values(cfg.sweep_start, cfg.sweep_stop,
+                                         cfg.sweep_points)
+              for rb in fig.series]
+    assert len(models) == 42
+    grid = PdeGrid.default_for(models[0], cfg.claim, nx=cli.DEFAULT_NX,
+                               nt=cli.DEFAULT_NT)
+    tracemalloc.start()
+    try:
+        solve_batch(models, cfg.claim, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * (2 * len(models) * grid.nx * 8)
 
 
 # -- the march's parts against their references -------------------------------
@@ -427,6 +497,17 @@ def test_solve_banded_matches_scipy_byte_for_byte(rng):
             want = scipy_solve_banded((1, 1), ab, b)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+def test_solve_banded_in_place_gives_the_same_bits(rng):
+    """With ``overwrite`` the solution of the transpose of a (k, nx) block
+    lands in that block, with the bits of the copying solve."""
+    for spot, stepper, coef in operator_cases():
+        rows = spot * rng.standard_normal((84, stepper.nx))
+        want = pde.solve_banded(stepper, coef, rows.T)
+        got = pde.solve_banded(stepper, coef, rows.T, overwrite=True)
+        assert np.shares_memory(got, rows)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_solve_banded_refuses_non_finite_rhs():

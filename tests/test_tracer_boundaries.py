@@ -48,9 +48,9 @@ def test_banded_solves_see_block_columns(monkeypatch):
     shapes = []
     solve_banded = pde.solve_banded
 
-    def recording(stepper, coef, b):
+    def recording(stepper, coef, b, **options):
         shapes.append(b.shape)
-        return solve_banded(stepper, coef, b)
+        return solve_banded(stepper, coef, b, **options)
 
     monkeypatch.setattr(pde, "solve_banded", recording)
     pde.solve_batch(models, claim, grid)
