@@ -17,8 +17,8 @@ a time.
 
 Configuration is a flat ``key = value`` text file (``#`` comments allowed);
 every run is fully determined by the config plus documented numerical
-defaults (800x100 PDE grid; lattices of 1000 and 500 steps, extrapolated).
-``steps`` names the finer lattice.  CSV output is deterministic
+defaults (800x50 PDE grid, graded in time; lattices of 1000 and 500 steps,
+extrapolated).  ``steps`` names the finer lattice.  CSV output is deterministic
 byte-for-byte: 10 significant digits, ``.`` decimal separator, ``\\n`` line
 endings, one header row.
 """
@@ -37,7 +37,7 @@ from .market import (CreditParams, EquityParams, MarketModel, ModelError,
                      RateSet)
 
 DEFAULT_NX = 800
-DEFAULT_NT = 100
+DEFAULT_NT = 50
 DEFAULT_STEPS = 1000
 ENGINES = ("closed", "pde", "lattice", "all")
 

@@ -1,8 +1,8 @@
 """Finite-difference engine for the coupled semilinear valuation-adjustment PDEs.
 
-On a uniform log-price grid the engine marches three fields backward from
-maturity with a Crank-Nicolson scheme (implicit-Euler half-steps at start-up
-to damp payoff-kink oscillations):
+On a log-price grid, uniform in space and graded in time, the engine marches
+three fields backward from maturity with a Crank-Nicolson scheme
+(implicit-Euler half-steps at start-up to damp payoff-kink oscillations):
 
 * the agent surface (the public mark of the claim), a linear problem;
 * the seller and buyer adjustment surfaces, semilinear problems whose source
@@ -15,10 +15,15 @@ contracts for any reasonable step size.  A row has converged when its
 sup-norm change is below ``PICARD_TOL`` times the claim's strike, a test in
 units of the strike, so scaling spot and strike scales the test with the
 values.  Every Crank-Nicolson step after the
-implicit-Euler start begins the iteration at 2 u_old - u_older, the linear
-extrapolation of the last two time levels.  The matrix (I - theta dt B) of
-each implicit coefficient is LU-factored once (LAPACK ``dgttrf``), and every
-solve reuses the factors (``dgttrs``).  Boundary conditions impose linearity
+implicit-Euler start begins the iteration at u_old + r (u_old - u_older),
+r = dtau_new / dtau_old, the linear extrapolation of the last two time
+levels.  The time to maturity of level n of N is tau_n = T (n / N)^1.5
+(``TIME_GRADING``): the steps are small next to maturity, where the payoff
+and collateral kinks are, and grow toward t = 0.  The sequence depends only
+on T and N, so every scenario of a batch shares it.  The matrix
+(I - theta dt B) of a step's implicit coefficient is LU-factored once
+(LAPACK ``dgttrf``), and every solve of the step reuses the factors
+(``dgttrs``).  Boundary conditions impose linearity
 in the stock (payoffs and adjustments are asymptotically linear there), via
 second-order ghost-node elimination.
 
@@ -41,8 +46,8 @@ reflects the buyer rows itself.  Picard runs per row through
 :func:`settle` from a start computed per node: a row is frozen as soon as
 its own residual is below tolerance, so it takes exactly the iterations, and
 gets exactly the values, of its own single-scenario solve.  :func:`solve` is this march with K = 1 and keeps the
-full surfaces; :func:`solve_batch` keeps only the two time rows that
-valuation and hedging at t = 0 read.
+full surfaces; :func:`solve_batch` keeps only the first two time levels,
+which valuation and hedging at t = 0 read.
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ from .market import MarketModel
 PICARD_TOL = 1e-10
 PICARD_MAX_ITER = 50
 RANNACHER_STEPS = 2  # leading full steps replaced by implicit-Euler half-steps
+TIME_GRADING = 1.5   # tau_n = T (n / N)^TIME_GRADING: small steps near maturity
 
 
 class NumericsError(RuntimeError):
@@ -80,7 +86,7 @@ class _NonFiniteRhs(NumericsError):
 
 @dataclass(frozen=True)
 class PdeGrid:
-    """Uniform space-time mesh in log-price coordinates."""
+    """Log-price mesh, uniform in space and graded in time (:meth:`t_nodes`)."""
 
     x_min: float
     x_max: float
@@ -102,15 +108,17 @@ class PdeGrid:
     def dx(self) -> float:
         return (self.x_max - self.x_min) / (self.nx - 1)
 
-    @property
-    def dt(self) -> float:
-        return self.maturity / self.nt
-
     def x_nodes(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.nx)
 
     def t_nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.maturity, self.nt + 1)
+        """The nt + 1 time levels, ascending from 0 to the maturity exactly.
+
+        Level i lies at t = T - tau with tau = T ((nt - i) / nt)^TIME_GRADING,
+        so the steps shrink toward maturity.
+        """
+        n_left = np.arange(self.nt, -1, -1) / self.nt
+        return self.maturity - self.maturity * n_left ** TIME_GRADING
 
     @classmethod
     def default_for(cls, model: MarketModel, claim: claims.ClaimSpec,
@@ -144,8 +152,8 @@ class PdeGrid:
 class PdeSolution:
     """Discrete fields indexed [time, space] with time ascending from 0 to T.
 
-    A solution from :func:`solve_batch` keeps only the first two time rows
-    (t = 0 and t = dt); sampling it at a later time raises ValueError.
+    A solution from :func:`solve_batch` keeps only the first two time
+    levels; sampling it at a later time raises ValueError.
     """
 
     model: MarketModel
@@ -200,13 +208,15 @@ class _Stepper:
 
     ``u`` is one row of nodal values, shape (nx,), or a block of rows,
     shape (k, nx); every row sees the same operator.  The matrix
-    (I - coef B) of each implicit coefficient is LU-factored once.
+    (I - coef B) is LU-factored when coef changes, and only the last
+    coefficient's factors are kept: every step of a graded march has its own.
     """
 
     def __init__(self, grid: PdeGrid, model: MarketModel, zeroth: float):
         self.lower, self.diag, self.upper = _spatial_operator(grid, model, zeroth)
         self.nx = grid.nx
-        self._factors: dict[float, tuple] = {}
+        self._coef: float | None = None
+        self._lu: tuple = ()
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         out = self.diag * u
@@ -225,15 +235,14 @@ class _Stepper:
         return ab
 
     def factors(self, coef: float) -> tuple:
-        """LAPACK ``dgttrf`` LU factors of (I - coef * B), made once per coef."""
-        lu = self._factors.get(coef)
-        if lu is None:
+        """LAPACK ``dgttrf`` LU factors of (I - coef * B), kept for the last coef."""
+        if coef != self._coef:
             ab = self.ab_matrix(coef)
             *lu, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
             if info:
                 raise np.linalg.LinAlgError("singular matrix")
-            lu = self._factors[coef] = tuple(lu)
-        return lu
+            self._coef, self._lu = coef, tuple(lu)
+        return self._lu
 
     def step_linear(self, u: np.ndarray, dt: float, theta: float) -> np.ndarray:
         rhs = u + (1.0 - theta) * dt * self.apply(u)
@@ -384,7 +393,7 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
     rows = _Rows(models, grid.nx)
     _check_batch(models, claim, grid)
     nx, nt = grid.nx, grid.nt
-    dx, dt = grid.dx, grid.dt
+    dx = grid.dx
     first = models[0]
     s = np.exp(grid.x_nodes())
     vanilla = claim.kind in ("call", "put")
@@ -439,6 +448,7 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
             i_new = nt - n - 1          # t-index being computed
             t_old = t_levels[i_new + 1]
             t_new = t_levels[i_new]
+            dt = t_old - t_new
             if n < n_r:
                 # two implicit-Euler half-steps
                 drift_old = None
@@ -465,9 +475,10 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
                 fixed += explicit
                 del explicit
                 # start from the linear extrapolation of the last two levels
-                u_start = 2.0 * u_old
-                u_start -= u_older
+                u_start = u_old - u_older
                 u_older = None
+                u_start *= dt / dt_old
+                u_start += u_old
                 a_new = agent_step.step_linear(a_old, dt, 0.5)
                 drift_new = drift_at(t_new, a_new)
                 it, res, u_new = picard(fixed, dt, 0.5, u_start, t_new,
@@ -485,6 +496,7 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
             iters[n] = it
             resids[n] = res
             a_old, u_older, u_old, drift_old = a_new, u_old, u_new, drift_new
+            dt_old = dt
             del drift_new
     except _NonFiniteRhs as exc:
         what = "agent" if exc.column is None else rows.label(exc.column)
@@ -515,7 +527,7 @@ def solve_batch(models: list[MarketModel], claim: claims.ClaimSpec,
     parameters, the discount rate and the presence of a credit block; they
     may differ in every other rate, credit parameter and the
     collateralization level.  Each solution equals
-    :func:`solve` on its model alone, but keeps only the t = 0 and t = dt rows
+    :func:`solve` on its model alone, but keeps only the first two time levels
     of its surfaces, which is what :func:`xva_at` and :func:`strategies` read
     at t = 0.  A Picard or finiteness failure names the side, the scenario's
     index and varied parameters and t; a Picard failure also its worst node,
@@ -611,14 +623,14 @@ def _bilinear(grid: PdeGrid, surf: np.ndarray, t: float, x: float) -> float:
         raise ValueError(f"t={t} outside [0, {grid.maturity}]")
     if not (grid.x_min - 1e-12 <= x <= grid.x_max + 1e-12):
         raise ValueError(f"x={x} outside the grid")
-    ti = min(max(t / grid.dt, 0.0), grid.nt)
-    xi = min(max((x - grid.x_min) / grid.dx, 0.0), grid.nx - 1)
-    i0 = min(int(ti), grid.nt - 1)
+    levels = grid.t_nodes()
+    i0 = min(int(np.searchsorted(levels, t, side="right")) - 1, grid.nt - 1)
     if i0 + 1 >= surf.shape[0]:
         raise ValueError(f"t={t} lies beyond the {surf.shape[0]} time rows "
                          "this solution keeps")
+    xi = min(max((x - grid.x_min) / grid.dx, 0.0), grid.nx - 1)
     j0 = min(int(xi), grid.nx - 2)
-    ft = ti - i0
+    ft = min((t - levels[i0]) / (levels[i0 + 1] - levels[i0]), 1.0)
     fx = xi - j0
     return float((1 - ft) * (1 - fx) * surf[i0, j0]
                  + (1 - ft) * fx * surf[i0, j0 + 1]

@@ -69,7 +69,9 @@ def test_parse_config_roundtrip():
 def test_default_pde_grid_is_accurate_on_the_benchmark():
     """At the default grid the PDE lies within 5e-7 of strike of the CLI's
     lattice, extrapolated from 1000 and 500 steps (measured against a 1600²
-    PDE: 1.9e-7 at 800 x 100, 7e-8 at 400 x 400)."""
+    PDE: 1.9e-7 at 800 x 100 uniform in time, 7e-8 at 400 x 400; the
+    default 800 x 50, graded in time, lies 6e-9 and 1.5e-8 from the
+    lattice)."""
     cfg = build_config(parse_config_text(BENCH_TEXT))
     res = cli.evaluate_point(cfg.model, cfg.claim, "pde", nx=cli.DEFAULT_NX,
                              nt=cli.DEFAULT_NT)[0]

@@ -236,6 +236,38 @@ def test_grid_validation():
         PdeGrid(x_min=0.0, x_max=1.0, nx=10, nt=0, maturity=1.0)
 
 
+@pytest.mark.parametrize("nt, maturity", [(1, 1.0), (7, 0.3), (50, 4.7)])
+def test_time_levels_graded_toward_maturity(nt, maturity):
+    """The levels start at 0 and end at T exactly, increase, and their steps
+    grow toward t = 0: tau_n = T (n / N)^1.5 from maturity."""
+    grid = PdeGrid(x_min=0.0, x_max=1.0, nx=10, nt=nt, maturity=maturity)
+    levels = grid.t_nodes()
+    assert len(levels) == nt + 1
+    assert levels[0] == 0.0 and levels[-1] == maturity
+    steps = np.diff(levels)
+    assert np.all(steps > 0.0)
+    assert np.all(np.diff(steps) < 0.0)
+    tau = maturity - levels[::-1]
+    want = maturity * (np.arange(nt + 1) / nt) ** pde.TIME_GRADING
+    assert np.max(np.abs(tau - want)) <= 1e-15 * maturity
+
+
+def test_graded_time_error_falls_at_order_two():
+    """At nx = 800 on the band-vs-collateral base config, the differences
+    between the adjustments at N = 25, 50, 100 and 200 steps fall at an
+    observed order of at least 2 on both sides (2.7 to 3.3 measured)."""
+    cfg = cli.figure_config("band-vs-collateral")
+    spot = cfg.model.equity.spot
+    values = []
+    for nt in (25, 50, 100, 200):
+        grid = PdeGrid.default_for(cfg.model, cfg.claim, nx=800, nt=nt)
+        sol = solve_batch([cfg.model], cfg.claim, grid)[0]
+        values.append([xva_at(sol, 0.0, spot, side) for side in (SELLER, BUYER)])
+    diffs = np.abs(np.diff(np.array(values), axis=0))
+    orders = np.log2(diffs[:-1] / diffs[1:])
+    assert np.all(orders >= 2.0), orders
+
+
 def test_runtime_budget(benchmark_model):
     grid = PdeGrid.default_for(benchmark_model, CALL, nx=400, nt=400)
     start = time.monotonic()
@@ -308,7 +340,7 @@ def assert_batch_matches_solve(models, claim):
         assert got.model is model
         for name in ("agent", "seller", "buyer"):
             rows = getattr(got, name)
-            assert rows.shape == (2, grid.nx)  # t = 0 and t = dt
+            assert rows.shape == (2, grid.nx)  # the first two time levels
             assert np.max(np.abs(rows - getattr(want, name)[:2])) <= 1e-12
         assert np.array_equal(got.picard_iterations, want.picard_iterations)
         assert np.max(np.abs(got.picard_residuals - want.picard_residuals)) <= 1e-12
@@ -348,9 +380,10 @@ def test_solve_batch_keeps_two_rows():
     models = batch_stack()[:2]
     grid = PdeGrid.default_for(models[0], CALL, nx=40, nt=20)
     sol = solve_batch(models, CALL, grid)[0]
-    xva_at(sol, 0.5 * grid.dt, 1.0, SELLER)
+    t_first = grid.t_nodes()[1]
+    xva_at(sol, 0.5 * t_first, 1.0, SELLER)
     with pytest.raises(ValueError, match="time rows"):
-        xva_at(sol, grid.dt, 1.0, SELLER)
+        xva_at(sol, t_first, 1.0, SELLER)
 
 
 def test_batch_picard_failure_names_the_column():
@@ -390,12 +423,13 @@ def far_edge_draw():
     return model, claim
 
 
-@pytest.mark.parametrize("nx, nt, bound", [(400, 400, 3e-5),
-                                           (cli.DEFAULT_NX, cli.DEFAULT_NT, 5e-6)])
+@pytest.mark.parametrize("nx, nt, bound", [(400, 400, 3e-5), (800, 100, 5e-6),
+                                           (cli.DEFAULT_NX, cli.DEFAULT_NT, 2e-6)])
 def test_far_edge_draw_completes(nx, nt, bound):
     """Picard tests convergence in units of the strike, so the far-edge draw
     completes, within its grid's error of the closed form (2.36e-5 of
-    strike at 400 x 400, 3.3e-6 at the defaults)."""
+    strike at 400 x 400, 3.2e-6 at 800 x 100, 1.43e-6 at the default
+    800 x 50)."""
     model, claim = far_edge_draw()
     grid = PdeGrid.default_for(model, claim, nx=nx, nt=nt)
     sol = solve_batch([model], claim, grid)[0]
@@ -419,8 +453,8 @@ def test_picard_failure_names_node_and_applied_tolerance(monkeypatch):
         solve(model, claim, grid)
     msg = str(info.value)
     assert msg == ("Picard iteration did not converge on the seller side at "
-                   "t=4.68414 within 1 iterations: worst node 799 at "
-                   "s=2.54078e+06, |u|=2.94e+03, last residual 2.94e+03 "
+                   "t=4.70102 within 1 iterations: worst node 799 at "
+                   "s=2.54078e+06, |u|=831, last residual 831 "
                    "(tolerance 1.39353e-07)")
     assert f"{pde.PICARD_TOL * claim.strike:g}" == "1.39353e-07"
 
@@ -448,7 +482,7 @@ def test_batched_march_peak_memory():
     """One 42-scenario march (the band-vs-collateral models) at the default
     grid peaks, under tracemalloc, below 24 blocks of (84, nx) floats: it
     keeps one level of driver terms alive and gathers the live rows' terms
-    as the driver reads them (19.8 blocks measured at 800 x 100)."""
+    as the driver reads them (19.6 blocks measured at 800 x 50)."""
     import tracemalloc
     cfg = cli.figure_config("band-vs-collateral")
     fig = cli.FIGURES["band-vs-collateral"]
@@ -472,7 +506,8 @@ def test_batched_march_peak_memory():
 
 def operator_cases():
     """Steppers over spots 1e-2..1e4, sigma 0.1..0.6 and T 0.25..5, both
-    operators (agent and adjustment), at the march's implicit coefficients."""
+    operators (agent and adjustment), at the march's implicit coefficients
+    of its longest and shortest steps."""
     base = make_benchmark()
     for spot in (1e-2, 1.0, 1e4):
         for sigma in (0.1, 0.6):
@@ -480,9 +515,10 @@ def operator_cases():
                 model = replace(base, equity=EquityParams(spot=spot, sigma=sigma))
                 claim = ClaimSpec(kind="call", strike=spot, maturity=maturity)
                 grid = PdeGrid.default_for(model, claim, nx=400, nt=400)
+                steps = np.diff(grid.t_nodes())
                 for zeroth in (-model.rates.discount, 0.0):
                     stepper = pde._Stepper(grid, model, zeroth)
-                    for coef in (0.5 * grid.dt, 0.25 * grid.dt):
+                    for coef in (0.5 * steps[0], 0.5 * steps[-1]):
                         yield spot, stepper, coef
 
 
@@ -617,7 +653,8 @@ def test_picard_leaves_u_start_unchanged():
     u_start = np.stack([np.sin(3 * x), np.cos(x), x, 0.1 * x * x])
     before = u_start.copy()
     rates = np.array([0.0, 0.5, 2.0, 8.0])
-    iters, resid, u, failed = pde._picard(stepper, u_start, grid.dt, 0.5,
+    dt = grid.t_nodes()[1]
+    iters, resid, u, failed = pde._picard(stepper, u_start, dt, 0.5,
                                           u_start, linear_driver(rates), 0.0)
     assert not failed
     assert len(set(iters.tolist())) > 2  # rows froze at different iterations
@@ -641,7 +678,8 @@ def test_picard_names_a_non_finite_column_of_the_block():
         return out
 
     with pytest.raises(pde._NonFiniteRhs) as info:
-        pde._picard(stepper, u_start, grid.dt, 0.5, u_start, driver, 0.0)
+        pde._picard(stepper, u_start, grid.t_nodes()[1], 0.5, u_start, driver,
+                    0.0)
     assert info.value.column == 3
 
 
@@ -656,7 +694,7 @@ def test_non_finite_payoff_names_the_agent_surface(benchmark_model):
                       payoff_fn=nan_at_one_node)
     grid = PdeGrid.default_for(benchmark_model, claim, nx=60, nt=20)
     with pytest.raises(NumericsError,
-                       match=r"non-finite values in the agent surface at t=0\.95$"):
+                       match=r"non-finite values in the agent surface at t=0\.98882$"):
         solve(benchmark_model, claim, grid)
 
 
@@ -675,5 +713,5 @@ def test_non_finite_driver_names_the_column(monkeypatch):
     grid = PdeGrid.default_for(models[0], CALL, nx=40, nt=10)
     with pytest.raises(NumericsError,
                        match=r"non-finite values in the seller side of "
-                             r"scenario 1 \(.*alpha=0\.35.*\) surface at t=0\.9$"):
+                             r"scenario 1 \(.*alpha=0\.35.*\) surface at t=0\.968377$"):
         solve_batch(models, CALL, grid)

@@ -1,6 +1,6 @@
 """Error and time of the PDE at several grids, per benchmark draw: BENCH_grid.json.
 
-    python3 tools/grid_study.py [--grids 400x400,800x100] [--repeats 3]
+    python3 tools/grid_study.py [--grids 800x100,800x50] [--repeats 3]
                                 [--out BENCH_grid.json]
 
 For each grid, every draw of the benchmark's ``point-pde`` pool
@@ -12,9 +12,11 @@ sides per step) and the error against the benchmark's oracle (``oracle`` in
 PDE of ``bench/reference.json`` otherwise) as a share of the strike, or the
 error that stopped it.  The 42 scenarios of ``figure band-vs-collateral`` are
 marched the same way, as one ``pde.solve_batch``, against the stored sweep
-reference.  Per grid the file also holds the completed count, the worst and
-median errors and, per repeat, the time of all draws, with its median; the
-machine details come from ``bench/run.py``.  Repeats run the grids in turn,
+reference.  Per grid the file also holds the time grading of the march (the
+exponent p of tau_n = T (n / N)^p and its first and last steps, as shares of
+the maturity), the completed count, the worst and median errors and, per
+repeat, the time of all draws, with its median; the machine details come
+from ``bench/run.py``.  Repeats run the grids in turn,
 so drift in the machine's speed spreads over all of them.
 
 The script reads ``bench/`` and imports xvaband from the ``src/`` next to it;
@@ -27,6 +29,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import math
 import os
 import statistics
 import sys
@@ -124,6 +127,19 @@ def march_sweep(scenarios, reference, nx, nt) -> dict:
                                          for s in solutions))}
 
 
+def time_grading(nt: int) -> dict:
+    """The march's time steps on a unit maturity, read off ``t_nodes``: the
+    first step (next to maturity), the last (ending at t = 0) and the
+    exponent p of tau_n = T (n / N)^p that the first step implies (None for
+    one step)."""
+    from xvaband import pde
+    levels = pde.PdeGrid(x_min=0.0, x_max=1.0, nx=3, nt=nt,
+                         maturity=1.0).t_nodes()
+    first, last = float(levels[-1] - levels[-2]), float(levels[1] - levels[0])
+    exponent = round(math.log(first) / math.log(1.0 / nt), 6) if nt > 1 else None
+    return {"exponent": exponent, "first_step": first, "last_step": last}
+
+
 def summary(nx, nt, passes: list[list[dict]], sweeps: list[dict]) -> dict:
     first = passes[0]
     errors = [r["error"] for r in first if "error" in r]
@@ -134,7 +150,7 @@ def summary(nx, nt, passes: list[list[dict]], sweeps: list[dict]) -> dict:
     totals = [sum(r["time_s"] for r in p) for p in passes]
     sweep_times = [s["time_s"] for s in sweeps]
     return {
-        "nx": nx, "nt": nt,
+        "nx": nx, "nt": nt, "time_grading": time_grading(nt),
         "points": {
             "draws": len(first), "completed": len(errors),
             "worst_error": max(errors) if errors else None,
@@ -151,7 +167,7 @@ def summary(nx, nt, passes: list[list[dict]], sweeps: list[dict]) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--grids", type=parse_grids, default="400x400,800x100",
+    parser.add_argument("--grids", type=parse_grids, default="800x100,800x50",
                         help="comma-separated NXxNT grids")
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_grid.json")
