@@ -107,17 +107,48 @@ def agent_value_grid(model: MarketModel, claim: ClaimSpec, t: float,
     return _vanilla_value(model, claim, t, np.asarray(s, dtype=float))
 
 
+def agent_value_levels(model: MarketModel, claim: ClaimSpec,
+                       times: list[float], counts: np.ndarray,
+                       s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mark and delta over the stock levels of several times at once: ``s``
+    holds ``counts[i]`` levels at ``times[i]``, in order.
+
+    Before maturity a call or put takes the closed forms once over all the
+    levels, with each time's ``tau``, ``st`` and ``df`` repeated over its
+    own, so every level gets the bits that :func:`agent_value_grid` gives
+    it at its time.  Otherwise, and at a single time, each time goes
+    through :func:`agent_value_grid`.
+    """
+    taus = [claim.maturity - t for t in times]
+    if claim.kind == "custom" or len(taus) == 1 or min(taus) <= 0.0:
+        parts = [agent_value_grid(model, claim, t, piece) for t, piece in
+                 zip(times, np.split(s, np.cumsum(counts)[:-1]))]
+        return (np.concatenate([p[0] for p in parts]),
+                np.concatenate([p[1] for p in parts]))
+    r = model.rates.discount
+    sigma = model.equity.sigma
+    st = [sigma * math.sqrt(tau) for tau in taus]
+    df = [math.exp(-r * tau) for tau in taus]
+    return _vanilla_closed(claim, r, sigma, np.repeat(taus, counts),
+                           np.repeat(st, counts), np.repeat(df, counts), s)
+
+
 def _vanilla_value(model, claim, t, s):
     r = model.rates.discount
     sigma = model.equity.sigma
-    k = claim.strike
     tau = claim.maturity - t
     if tau <= 0.0:
         return claim.payoff(s).astype(float), claim.payoff_slope(s).astype(float)
-    st = sigma * math.sqrt(tau)
+    return _vanilla_closed(claim, r, sigma, tau, sigma * math.sqrt(tau),
+                           math.exp(-r * tau), s)
+
+
+def _vanilla_closed(claim, r, sigma, tau, st, df, s):
+    """The closed forms at times to maturity ``tau`` (a float, or an array
+    like ``s``), with ``st = sigma sqrt(tau)`` and ``df = exp(-r tau)``."""
+    k = claim.strike
     d1 = (np.log(s / k) + (r + 0.5 * sigma * sigma) * tau) / st
     d2 = d1 - st
-    df = math.exp(-r * tau)
     # erf is odd to the bit, so N(-d1) = 0.5 * (1 - erf(d1 / sqrt 2)) exactly
     e1 = special.erf(d1 / _SQRT2)
     if claim.kind == "call":

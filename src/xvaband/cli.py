@@ -2,7 +2,8 @@
 
 Subcommands
 -----------
-value         single-point valuation with one or all engines
+value         single-point valuation with one or all engines; warns on
+              stderr of an inverted band and of engines that disagree
 band          buyer/seller adjustment sweep over the collateralization level
 table         funding-account positions on an (alpha, borrow-rate) grid
 figure        CSV data behind the standard comparative-statics figures
@@ -40,6 +41,9 @@ DEFAULT_NX = 800
 DEFAULT_NT = 50
 DEFAULT_STEPS = 1000
 ENGINES = ("closed", "pde", "lattice", "all")
+# value warns when two engines' adjustments differ by more than this share
+# of the strike
+ENGINE_GAP = 1e-4
 
 _RATE_KEYS = tuple(f.name for f in fields(RateSet))
 _CREDIT_KEYS = tuple(f.name for f in fields(CreditParams))
@@ -329,7 +333,27 @@ def cmd_value(cfg: RunConfig) -> int:
                          st.stock_shares, st.bond_own_shares,
                          st.bond_cpty_shares, st.funding_dollars])
         write_csv(header, rows, cfg.out)
+    for line in _value_warnings(results, cfg.claim.strike):
+        print(line, file=sys.stderr)
     return 0
+
+
+def _value_warnings(results: list[PointResult], strike: float) -> list[str]:
+    """What a valuation's output shows without comment: a band inverted
+    (seller below buyer, which the model admits), and engines whose
+    adjustments differ by more than ``ENGINE_GAP`` of the strike."""
+    lines = [f"warning: inverted band from the {r.engine} engine: seller "
+             f"{_fmt(r.xva_seller)} < buyer {_fmt(r.xva_buyer)}"
+             for r in results if r.xva_seller < r.xva_buyer]
+    for i, a in enumerate(results):
+        for b in results[i + 1:]:
+            gap = max(abs(a.xva_seller - b.xva_seller),
+                      abs(a.xva_buyer - b.xva_buyer))
+            if gap > ENGINE_GAP * strike:
+                lines.append(f"warning: the {a.engine} and {b.engine} engines "
+                             f"differ by {_fmt(gap)}, more than {ENGINE_GAP:g} "
+                             "of the strike")
+    return lines
 
 
 def cmd_band(cfg: RunConfig) -> int:

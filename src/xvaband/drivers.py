@@ -6,7 +6,7 @@ nonlinearity.  All functions accept scalars or numpy arrays of equal shape.
 The public drivers take a ``MarketModel``; the parts of the reduced driver
 read only :class:`DriverParams`, one record built once from a model and a
 side.  Its fields are floats, or (rows, 1) arrays with one entry per row of
-a (rows, nodes) block: the sides of a PDE batch or of a lattice level.
+a (rows, nodes) block: the sides of a PDE batch or of a lattice block.
 
 Conventions
 -----------
@@ -16,12 +16,15 @@ Conventions
   them in the accrual's order.  The four public drivers differ only in the
   funding offset; the two reduced ones pin the jump exposures to the
   close-out targets in one shared step, :func:`reduced_step`.  A caller
-  whose mark and ``z`` stay fixed (the lattice) computes :func:`reduced_terms`
-  once, solves its implicit step in closed form (:func:`reduced_root`) and
-  checks the root with one call of the step.  A caller whose mark
+  whose mark and ``z`` stay fixed solves its implicit step in closed form
+  (:func:`reduced_root`) and checks the root with one call of the step.
+  The lattice, whose marks are known ahead of its march, computes
+  :func:`reduced_mark_terms` and the root's coefficients that they fix
+  (:func:`root_terms`) once per block of levels, and per level only the
+  repo legs (:func:`with_repo_legs`) and the root.  A caller whose mark
   stays fixed while ``z`` moves with ``u`` (the PDE, where ``z`` is the
   gradient of ``u``) computes :func:`reduced_mark_terms` once and per ``u``
-  only the repo legs (:func:`with_repo_legs`) and the step.
+  only the repo legs and the step.
 * ``side`` is "seller" (hedging a short position in the claim) or "buyer"
   (hedging a long position).  Buyer-side values are always produced through
   one reflection, ``buyer(args, mark) = -seller(-args, -mark)``, which the
@@ -52,8 +55,8 @@ BUYER = "buyer"
 SIDES = (SELLER, BUYER)
 
 
-def pos(x):
-    return np.maximum(x, 0.0)
+def pos(x, out=None):
+    return np.maximum(x, 0.0, out=out)
 
 
 def neg(x, out=None):
@@ -207,12 +210,19 @@ def _mark_terms(p: DriverParams, at_value: bool, mark, own=None,
         carry=None if at_value else p.discount * mark, own=own, cpty=cpty)
 
 
-def with_repo_legs(p: DriverParams, terms: DriverTerms, z) -> DriverTerms:
+def with_repo_legs(p: DriverParams, terms: DriverTerms, z,
+                   out: tuple | None = None) -> DriverTerms:
     """``terms`` with the repo legs that the side's ``z`` fixes filled in: the
     stock position ``z / sigma`` accrues the repo spread over the discount
-    rate, borrowed when long and lent when short."""
-    z = p.sign * z
-    repo_long = pos(z)
+    rate, borrowed when long and lent when short.  ``out``, a (long, short)
+    pair of arrays shaped like the legs, takes them; ``z`` may be its
+    second."""
+    if out is None:
+        z, long_out = p.sign * z, None
+    else:
+        long_out, short_out = out
+        z = np.multiply(p.sign, z, out=short_out)
+    repo_long = pos(z, out=long_out)
     repo_long *= p.discount - p.repo_borrow
     repo_long /= p.sigma
     repo_short = neg(z, out=z if isinstance(z, np.ndarray) else None)
@@ -318,7 +328,42 @@ def reduced_step(p: DriverParams, terms: DriverTerms, u):
     return drift
 
 
-def reduced_root(p: DriverParams, terms: DriverTerms, e, dt: float):
+class RootTerms(NamedTuple):
+    """The coefficients of :func:`reduced_root`'s closed form, in the
+    seller's terms.
+
+    In those terms the drift is ``base + repo_short - repo_long - rate *
+    account - pull * u``, with the funding account ``at_zero + slope * u``.
+    ``base`` (the collateral legs, the carry and the close-out targets'
+    share) and ``at_zero`` are fixed by the mark, and :func:`root_terms`
+    builds them once for every ``z`` the mark meets.  The repo legs are
+    ``z``'s: :func:`with_repo_legs` fills them in, as it does on
+    :class:`DriverTerms`.
+    """
+
+    base: np.ndarray
+    at_zero: np.ndarray
+    repo_long: np.ndarray | None = None
+    repo_short: np.ndarray | None = None
+
+
+def root_terms(p: DriverParams, terms: DriverTerms) -> RootTerms:
+    """The coefficients of the root that the mark terms in ``terms`` fix,
+    with the repo legs of ``terms``, if filled in."""
+    base = terms.coll_pay - terms.coll_earn
+    if terms.carry is not None:
+        base += terms.carry
+    if p.intensity_own is None:
+        return RootTerms(base, terms.offset, terms.repo_long, terms.repo_short)
+    base += (p.discount + p.intensity_own) * terms.own
+    base += (p.discount + p.intensity_cpty) * terms.cpty
+    at_zero = terms.own + terms.cpty
+    at_zero += terms.offset
+    return RootTerms(base, at_zero, terms.repo_long, terms.repo_short)
+
+
+def reduced_root(p: DriverParams, terms: DriverTerms | RootTerms, e,
+                 dt: float):
     """The root ``u`` of ``u = e + dt * reduced_step(p, terms, u)``.
 
     With the terms fixed, the step is affine in ``u`` on either side of the
@@ -330,35 +375,37 @@ def reduced_root(p: DriverParams, terms: DriverTerms, e, dt: float):
     of ``max(|u|, |e|, dt * reduced_step_scale(p, terms, u))``.  ``dt``
     times :func:`reduced_lipschitz_bound` must be below 1, which keeps both
     branches' denominators positive.
+
+    ``terms`` are the step's own, or the :func:`root_terms` of them, which a
+    caller whose mark is fixed across many ``z`` builds once; the root is
+    the same to the bit.
     """
+    if isinstance(terms, DriverTerms):
+        terms = root_terms(p, terms)
     e = p.sign * e
-    # in the seller's terms the drift is base - rate * account - pull * u,
-    # with the funding account = at_zero + slope * u
     base = terms.repo_short - terms.repo_long
-    base -= terms.coll_earn
-    base += terms.coll_pay
-    if terms.carry is not None:
-        base += terms.carry
+    base += terms.base
     if p.intensity_own is None:
-        at_zero, slope, pull = terms.offset, 1.0, 0.0
+        slope, pull = 1.0, 0.0
     else:
-        base += (p.discount + p.intensity_own) * terms.own
-        base += (p.discount + p.intensity_cpty) * terms.cpty
-        at_zero = terms.own + terms.cpty
-        at_zero += terms.offset
         slope = -1.0
         pull = (2.0 * p.discount + p.intensity_own) + p.intensity_cpty
-    # the account at the root times its positive denominator
+    # the account at the root times its positive denominator,
+    # at_zero (1 + dt pull) + slope (e + dt base)
     kink = dt * base
     kink += e
-    kink *= slope
-    kink += at_zero * (1.0 + dt * pull)
-    rate = np.where(kink > 0.0, p.fund_lend, p.fund_borrow)
-    root = rate * at_zero
+    if slope > 0.0:
+        kink += terms.at_zero
+    else:
+        np.subtract(terms.at_zero * (1.0 + dt * pull), kink, out=kink)
+    lend = kink > 0.0
+    root = np.where(lend, p.fund_lend, p.fund_borrow)
+    root *= terms.at_zero
     root -= base
     root *= -dt
     root += e
-    root /= 1.0 + dt * (slope * rate + pull)
+    root /= np.where(lend, 1.0 + dt * (slope * p.fund_lend + pull),
+                     1.0 + dt * (slope * p.fund_borrow + pull))
     root *= p.sign
     return root
 

@@ -23,20 +23,35 @@ K models that share a march (:func:`pde.march_key`) are valued in one pass
 the K sellers first and their buyers after them in the same order.
 :func:`solve_sides` is the pass of one model.  The driver reads the
 :class:`drivers.DriverParams` record of the rows
-(``DriverParams.stack(models)``) and reflects the buyer rows itself.  Each
-level builds the stock levels, the agent's mark and delta, the exposure z
-and the driver terms that the mark and z fix (:func:`drivers.reduced_terms`)
-once for all rows.  With those terms fixed each node's equation
-``u = e + dt f(u)`` is piecewise linear in u, with one kink where the
-funding account changes sign, so its root has a closed form
-(:func:`drivers.reduced_root`), and that root is the level's answer.  One
-call of the step in u (:func:`drivers.reduced_step`) checks it: a node whose
-residual ``|e + dt f(u) - u|`` exceeds ``ROOT_ULPS`` ulps of its scale,
-``max(|u|, |e|, dt * the largest addend of f)``
+(``DriverParams.stack(models)``) and reflects the buyer rows itself.
+
+The march walks the levels in blocks of consecutive levels, highest first,
+each of at most ``BLOCK_ROW_NODES`` row-nodes (rows times nodes, summed over
+its levels), or of one level when a level is larger: a 42-row batch of
+1000 steps marches one level per block near maturity.  Each block lays its
+levels side by side in one (2K, sum of k+1) array and builds once, for all
+its nodes and rows, what the march does not feed back: the stock levels, the
+agent's mark and delta (:func:`claims.agent_value_levels`), the driver terms
+that the mark fixes (:func:`drivers.reduced_mark_terms`) and the
+coefficients of the node's root that they fix (:func:`drivers.root_terms`).
+Each level then computes only what depends on the level above: the
+expectation e, the gradient and the exposure z, the repo legs that z fixes
+(:func:`drivers.with_repo_legs`) and the root.  With the terms fixed each
+node's equation ``u = e + dt f(u)`` is piecewise linear in u, with one kink
+where the funding account changes sign, so its root has a closed form
+(:func:`drivers.reduced_root`), and that root is the level's answer.
+
+Once a block's levels are marched, one call of the step in u
+(:func:`drivers.reduced_step`) over the whole block checks their roots: a
+node whose residual ``|e + dt f(u) - u|`` exceeds ``ROOT_ULPS`` ulps of its
+scale, ``max(|u|, |e|, dt * the largest addend of f)``
 (:func:`drivers.reduced_step_scale`), fails the valuation, naming the side,
 the level, the node and the residual.  The scale is relative, so the check
-holds at any size of the claim.  Rows share no arithmetic, so each row gets
-bit for bit the values of a march of its side alone, which is what
+holds at any size of the claim.  The failure named is that of the highest
+failing level of the block, the one a march level by level reaches first.
+Rows share no arithmetic, and neither do the levels of a block beyond what
+a level reads of the one above, so each row gets bit for bit the values of
+a march of its side alone, at any block size, which is what
 :func:`solve_reduced` runs.  Values that turn non-finite fail the valuation,
 naming the side, the level and, in a batch, the scenario
 (:meth:`pde.Rows.label`).
@@ -62,6 +77,9 @@ LEVELS = ("adjustment", "value")
 # the bound on a node's residual, in ulps of its scale: twice the 4 ulps
 # that the hypothesis test of drivers.reduced_root proves
 ROOT_ULPS = 8
+# the most row-nodes (rows times nodes, summed over its levels) that one
+# block of levels holds; a level larger than this is a block of its own
+BLOCK_ROW_NODES = 12288
 
 
 @dataclass(frozen=True)
@@ -153,8 +171,8 @@ def solve_extrapolated(models: list[MarketModel], claim: claims.ClaimSpec,
 def _march(models: list[MarketModel], claim: claims.ClaimSpec, n_steps: int,
            level: str, picked: list[int] | None = None,
            refine: int = 1) -> list[OracleSolution]:
-    """Backward induction of the 2K rows of K models as one array per level,
-    or of the ``picked`` rows alone; one solution per row marched.
+    """Backward induction of the 2K rows of K models, or of the ``picked``
+    rows alone, in blocks of levels; one solution per row marched.
 
     The time-step guard advises ``refine`` times the steps this lattice
     needs: the lattice of an extrapolation whose caller sets the finer.
@@ -183,8 +201,9 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, n_steps: int,
                 + f" (dt * Lipschitz = {dt * lip:.3g} >= 1); "
                 f"use n_steps >= {refine * math.ceil(2.0 * lip * T)}")
 
-    def stock_levels(k: int) -> np.ndarray:
-        j = np.arange(k + 1)
+    def stock_levels(levels: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        k = np.repeat(levels, sizes)
+        j = np.arange(len(k)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
         w = (2.0 * j - k) * sdt
         return s0 * np.exp(drift * (k * dt) + sigma * w)
 
@@ -192,58 +211,55 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, n_steps: int,
     picked = list(range(rows.size)) if picked is None else picked
     params = rows.params.take(picked)
     if at_value:
-        terminal = np.asarray(claim.payoff(stock_levels(n_steps)), dtype=float)
-        u = np.tile(terminal, (len(picked), 1))
+        terminal = claim.payoff(stock_levels(np.array([n_steps]),
+                                             np.array([n_steps + 1])))
+        u = np.tile(np.asarray(terminal, dtype=float), (len(picked), 1))
     else:
         u = np.zeros((len(picked), n_steps + 1))
     residuals = np.zeros((len(picked), n_steps))
 
-    for k in range(n_steps - 1, -1, -1):
-        t = k * dt
-        s = stock_levels(k)
-        expectation = 0.5 * (u[:, 1:k + 2] + u[:, 0:k + 1])
-        gradient = (u[:, 1:k + 2] - u[:, 0:k + 1]) / (2.0 * sdt)
-        mark, delta = claims.agent_value_grid(first, claim, t, s)
-        z = gradient + (0.0 if at_value else sigma * s * delta)
-        terms = drivers.reduced_terms(params, z, mark, at_value)
-        u = drivers.reduced_root(params, terms, expectation, dt)
-
-        miss = drivers.reduced_step(params, terms, u)
-        miss *= dt
-        miss += expectation
-        miss -= u
-        np.abs(miss, out=miss)
-        scale = np.abs(u)
-        np.maximum(scale, np.abs(expectation), out=scale)
-        ulps = miss / np.spacing(scale)
-        worst = ulps.max(axis=1)
-        if not worst.max() <= ROOT_ULPS:  # nan fails too
-            # where the drift's addends cancel, the step's own rounding is
-            # dt times the largest of them: widen the scale there alone
-            rr, jj = np.nonzero(~(ulps <= ROOT_ULPS))
-            finite = np.isfinite(miss[rr, jj])
-            if not finite.all():
-                row = picked[int(rr[np.argmin(finite)])]
-                raise NumericsError(f"non-finite lattice values on the "
-                                    f"{rows.label(row)} at level {k}")
-            at = (rr[:, None], jj[:, None])
-            wide = drivers.reduced_step_scale(params.take(rr), terms.take(at),
-                                              u[at])
-            wide *= dt
-            np.maximum(wide, scale[at], out=wide)
-            ulps[rr, jj] = miss[rr, jj] / np.spacing(wide[:, 0])
-            worst = ulps.max(axis=1)
-            if not worst.max() <= ROOT_ULPS:
-                r = int(np.argmax(~(worst <= ROOT_ULPS)))
-                j = int(np.argmax(ulps[r]))
-                raise NumericsError(
-                    f"implicit step not solved on the {rows.label(picked[r])} "
-                    f"at level {k} (t={t:.6g}): node {j} at s={s[j]:.6g}, "
-                    f"residual {ulps[r, j]:.3g} ulps of the node's scale "
-                    f"(bound {ROOT_ULPS})")
-        residuals[:, k] = worst
-        if k == 0:
-            root_gradient = gradient[:, 0]
+    for levels in _blocks(n_steps, len(picked)):
+        sizes = levels + 1
+        starts = np.cumsum(sizes) - sizes
+        s = stock_levels(levels, sizes)
+        mark, delta = claims.agent_value_levels(
+            first, claim, [k * dt for k in levels.tolist()], sizes, s)
+        if not at_value:
+            delta *= sigma * s
+        terms = drivers.reduced_mark_terms(params, mark, at_value)
+        roots = drivers.root_terms(params, terms)
+        e_block = np.empty(terms.offset.shape)
+        legs = (np.empty_like(e_block), np.empty_like(e_block))
+        u_levels = []
+        for k, start in zip(levels.tolist(), starts.tolist()):
+            at = slice(start, start + k + 1)
+            e = e_block[:, at]
+            np.add(u[:, 1:], u[:, :-1], out=e)
+            e *= 0.5
+            # z in the buffer of its short repo leg, which it becomes
+            z = legs[1][:, at]
+            np.subtract(u[:, 1:], u[:, :-1], out=z)
+            z /= 2.0 * sdt
+            if k == 0:
+                root_gradient = z[:, 0].copy()
+            if not at_value:
+                z += delta[at]  # sigma s delta
+            level_terms = drivers.with_repo_legs(
+                params, drivers.RootTerms(roots.base[:, at],
+                                          roots.at_zero[:, at]),
+                z, out=(legs[0][:, at], z))
+            u = drivers.reduced_root(params, level_terms, e, dt)
+            u_levels.append(u)
+        del mark, delta, roots, level_terms
+        u_block = (u_levels[0] if len(u_levels) == 1
+                   else np.concatenate(u_levels, axis=1))
+        del u_levels
+        terms = terms._replace(repo_long=legs[0], repo_short=legs[1])
+        residuals[:, levels] = _check_block(rows, picked, params, terms,
+                                            u_block, e_block, levels, starts,
+                                            s, dt)
+        # the block's arrays go as the next block's replace them: freed at
+        # once, they would let the heap shrink and fault back in
 
     mark0 = claims.agent_value(first, claim, 0.0, s0).value
     solutions = []
@@ -256,3 +272,74 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, n_steps: int,
             adjustment=root - mark0 if at_value else root,
             root_residuals=residuals[r]))
     return solutions
+
+
+def _blocks(n_steps: int, rows: int):
+    """The levels n_steps - 1 .. 0, highest first, in blocks of consecutive
+    levels of at most ``BLOCK_ROW_NODES`` row-nodes, or of one level."""
+    top = n_steps - 1
+    while top >= 0:
+        k, size = top - 1, rows * (top + 1)
+        while k >= 0 and size + rows * (k + 1) <= BLOCK_ROW_NODES:
+            size += rows * (k + 1)
+            k -= 1
+        yield np.arange(top, k, -1)
+        top = k
+
+
+def _check_block(rows: Rows, picked: list[int], params: drivers.DriverParams,
+                 terms: drivers.DriverTerms, u: np.ndarray, e: np.ndarray,
+                 levels: np.ndarray, starts: np.ndarray, s: np.ndarray,
+                 dt: float) -> np.ndarray:
+    """The largest residual per level of a block's roots ``u`` of
+    ``u = e + dt f(u)``, in ulps of the nodes' scales, from one call of the
+    step; a failure names the highest failing level, the one a march level
+    by level reaches first.  Level ``levels[i]`` starts at column
+    ``starts[i]``; ``e`` is spent."""
+    miss = drivers.reduced_step(params, terms, u)
+    miss *= dt
+    miss += e
+    miss -= u
+    np.abs(miss, out=miss)
+    np.abs(e, out=e)
+    scale = np.abs(u)
+    np.maximum(scale, e, out=scale)
+    ulps = np.divide(miss, np.spacing(scale, out=scale), out=scale)
+    if not ulps.max() <= ROOT_ULPS:  # nan fails too
+        # where the drift's addends cancel, the step's own rounding is
+        # dt times the largest of them: widen the scale there alone
+        rr, jj = np.nonzero(~(ulps <= ROOT_ULPS))
+        at = (rr[:, None], jj[:, None])
+        wide = drivers.reduced_step_scale(params.take(rr), terms.take(at),
+                                          u[at])
+        wide *= dt
+        np.maximum(wide, np.abs(u[at]), out=wide)
+        np.maximum(wide, e[at], out=wide)
+        ulps[rr, jj] = miss[rr, jj] / np.spacing(wide[:, 0])
+        failed = ~(ulps[rr, jj] <= ROOT_ULPS)
+        if failed.any():
+            i = np.searchsorted(starts, jj[failed].min(), "right") - 1
+            at = slice(starts[i], starts[i] + levels[i] + 1)
+            _fail(rows, picked, int(levels[i]), dt, s[at], miss[:, at],
+                  ulps[:, at])
+    return np.maximum.reduceat(ulps, starts, axis=1)
+
+
+def _fail(rows: Rows, picked: list[int], k: int, dt: float, s: np.ndarray,
+          miss: np.ndarray, ulps: np.ndarray):
+    """Raise the failure of level k's root check, from the level's stock
+    levels, residuals and residuals in ulps of the scales checked against."""
+    rr, jj = np.nonzero(~(ulps <= ROOT_ULPS))
+    finite = np.isfinite(miss[rr, jj])
+    if not finite.all():
+        row = picked[int(rr[np.argmin(finite)])]
+        raise NumericsError(f"non-finite lattice values on the "
+                            f"{rows.label(row)} at level {k}")
+    worst = ulps.max(axis=1)
+    r = int(np.argmax(~(worst <= ROOT_ULPS)))
+    j = int(np.argmax(ulps[r]))
+    raise NumericsError(
+        f"implicit step not solved on the {rows.label(picked[r])} "
+        f"at level {k} (t={k * dt:.6g}): node {j} at s={s[j]:.6g}, "
+        f"residual {ulps[r, j]:.3g} ulps of the node's scale "
+        f"(bound {ROOT_ULPS})")

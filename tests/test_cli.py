@@ -129,6 +129,34 @@ def test_value_command_all_engines(bench_cfg_path, capsys):
     assert "cross-engine deltas" in out
 
 
+def test_value_warns_on_an_inverted_band(tmp_path, bench_cfg_path, capsys):
+    # on the benchmark config the seller is below the buyer by about 2e-6
+    argv = ["value", "--engine", "lattice", "--steps", "50"]
+    assert cli.main(argv + ["--config", bench_cfg_path]) == 0
+    out, err = capsys.readouterr()
+    assert "warning" not in out and "width=-1.86346008e-06" in out
+    assert err == ("warning: inverted band from the lattice engine: seller "
+                   "0.02012196171 < buyer 0.02012382517\n")
+    wide = tmp_path / "wide.cfg"
+    wide.write_text(BENCH_TEXT.replace("fund_borrow = 0.08",
+                                       "fund_borrow = 0.15"))
+    assert cli.main(argv + ["--config", str(wide)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_value_warns_when_engines_disagree(bench_cfg_path, capsys):
+    argv = ["value", "--config", bench_cfg_path, "--engine", "all"]
+    assert cli.main(argv + ["--nx", "6", "--nt", "2", "--steps", "2"]) == 0
+    out, err = capsys.readouterr()
+    assert "|pde-lattice|: 0.000810683942 / 0.0009727399143" in out
+    assert "warning" not in out
+    assert ("warning: the pde and lattice engines differ by 0.0009727399143, "
+            "more than 0.0001 of the strike\n") in err
+    assert cli.main(argv + ["--nx", "120", "--nt", "60",
+                            "--steps", "150"]) == 0
+    assert "engines differ" not in capsys.readouterr().err
+
+
 def test_value_closed_engine_requires_symmetry(bench_cfg_path, capsys):
     rc = cli.main(["value", "--config", bench_cfg_path, "--engine", "closed"])
     assert rc == 1

@@ -10,7 +10,7 @@ from xvaband import (BUYER, SELLER, ClaimSpec, CreditParams, EquityParams,
                      NumericsError, agent_value, piterbarg_defaults_xva,
                      piterbarg_xva, solve_reduced, solve_sides)
 from xvaband import claims, cli, drivers, lattice
-from xvaband.lattice import LEVELS, ROOT_ULPS, OracleSolution
+from xvaband.lattice import BLOCK_ROW_NODES, LEVELS, ROOT_ULPS, OracleSolution
 from conftest import make_benchmark, make_symmetric
 
 CALL = ClaimSpec(kind="call", strike=1.0, maturity=1.0)
@@ -191,24 +191,37 @@ def reference_solve(model, claim, n_steps, level, side):
     return adjustment, root_gradient, mark0
 
 
+def block_sizes(rows, n):
+    """``BLOCK_ROW_NODES`` values for a march of ``rows`` rows and n steps:
+    the default, one level per block, three levels in the first block (which
+    divides no n used here), and the whole lattice in one block."""
+    return [BLOCK_ROW_NODES, 1, rows * (3 * n - 3), rows * n * (n + 1) // 2]
+
+
 @pytest.mark.parametrize("credit", [True, False], ids=["credit", "nocredit"])
 @pytest.mark.parametrize("kind", ["call", "put"])
-def test_one_pass_matches_single_side_reference(credit, kind):
+def test_one_pass_matches_single_side_reference(credit, kind, monkeypatch):
     model = make_benchmark(alpha=0.4, fund_borrow=0.12)
     if not credit:
         model = dataclasses.replace(model, credit=None)
     claim = ClaimSpec(kind=kind, strike=1.05, maturity=1.0)
-    for level in LEVELS:
-        sols = solve_sides(model, claim, 200, level=level)
-        assert [sol.side for sol in sols] == [SELLER, BUYER]
-        for sol in sols:
-            adjustment, gradient, mark = reference_solve(
-                model, claim, 200, level, sol.side)
-            assert sol.adjustment == adjustment
-            assert sol.root_gradient == gradient
-            assert sol.root_mark == mark
-            assert solve_reduced(model, claim, 200, level=level,
-                                 side=sol.side) == sol
+    for n in (1, 2, 200):
+        for level in LEVELS:
+            want = {side: reference_solve(model, claim, n, level, side)
+                    for side in (SELLER, BUYER)}
+            for size in block_sizes(2, n):
+                monkeypatch.setattr(lattice, "BLOCK_ROW_NODES", size)
+                sols = solve_sides(model, claim, n, level=level)
+                assert [sol.side for sol in sols] == [SELLER, BUYER]
+                for sol in sols:
+                    adjustment, gradient, mark = want[sol.side]
+                    assert sol.adjustment == adjustment
+                    assert sol.root_gradient == gradient
+                    assert sol.root_mark == mark
+                    assert sol.root_residuals.shape == (n,)
+                    assert np.all(sol.root_residuals <= ROOT_ULPS)
+                    assert solve_reduced(model, claim, n, level=level,
+                                         side=sol.side) == sol
 
 
 def test_solution_reports_fixed_point_per_level():
@@ -296,6 +309,32 @@ def test_root_check_failure_names_side_level_and_node(monkeypatch):
         solve_sides(model, CALL, 20)
 
 
+def test_root_failure_inside_a_block_names_its_own_level(monkeypatch):
+    # levels 19 .. 12 of a 20-step lattice share the first block, checked
+    # in one call; the root of level 13 alone is off, on the buyer's node 5
+    monkeypatch.setattr(lattice, "BLOCK_ROW_NODES", 2 * sum(range(13, 21)))
+    assert list(next(lattice._blocks(20, 2))) == list(range(19, 11, -1))
+    root = drivers.reduced_root
+
+    def off_at_level_13(params, terms, e, dt):
+        out = root(params, terms, e, dt)
+        if e.shape[1] == 14:
+            out[params.sign[:, 0] < 0, 5] += 1e-6
+        return out
+
+    monkeypatch.setattr(drivers, "reduced_root", off_at_level_13)
+    model = make_benchmark()
+    dt, sigma = 0.05, model.equity.sigma
+    s = math.exp((model.rates.discount - 0.5 * sigma * sigma) * (13 * dt)
+                 + sigma * (2 * 5 - 13) * math.sqrt(dt))
+    with pytest.raises(NumericsError, match=(
+            r"^implicit step not solved on the buyer side at level 13 "
+            rf"\(t=0\.65\): node 5 at s={s:.6g}, residual \S+ ulps of the "
+            r"node's scale \(bound 8\)$")):
+        solve_sides(model, CALL, 20)
+    solve_reduced(model, CALL, 20, side=SELLER)
+
+
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_non_finite_values_fail_at_once(monkeypatch):
     # a payoff that is NaN on a band of nodes fails the first level's root
@@ -333,18 +372,22 @@ def lattice_stack(credit):
 
 @pytest.mark.parametrize("credit", [True, False], ids=["credit", "nocredit"])
 @pytest.mark.parametrize("kind", ["call", "put"])
-def test_solve_batch_matches_solve_sides_bit_for_bit(credit, kind):
+def test_solve_batch_matches_solve_sides_bit_for_bit(credit, kind,
+                                                    monkeypatch):
     models = lattice_stack(credit)
     claim = ClaimSpec(kind=kind, strike=1.05, maturity=1.0)
     for level in LEVELS:
-        batch = lattice.solve_batch(models, claim, 150, level=level)
-        assert len(batch) == len(models)
-        for model, pair in zip(models, batch):
-            for got, want in zip(pair, solve_sides(model, claim, 150, level)):
-                assert got == want  # side, level, root value, gradient, mark
-                assert got.root_gradient == want.root_gradient
-                assert np.array_equal(got.root_residuals,
-                                      want.root_residuals)
+        sides = [solve_sides(model, claim, 150, level) for model in models]
+        for size in block_sizes(2 * len(models), 150):
+            monkeypatch.setattr(lattice, "BLOCK_ROW_NODES", size)
+            batch = lattice.solve_batch(models, claim, 150, level=level)
+            assert len(batch) == len(models)
+            for pair, wanted in zip(batch, sides):
+                for got, want in zip(pair, wanted):
+                    assert got == want  # side, level, root value, gradient, mark
+                    assert got.root_gradient == want.root_gradient
+                    assert np.array_equal(got.root_residuals,
+                                          want.root_residuals)
 
 
 def test_solve_batch_refuses_mixed_stacks():

@@ -1,0 +1,44 @@
+"""``tools/lattice_study.py``: the lattice's time, error and residuals per draw."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+from xvaband import lattice
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "lattice_study.py"
+_spec = importlib.util.spec_from_file_location("lattice_study", TOOL)
+study = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(study)
+
+
+def test_small_study_writes_every_draw(tmp_path, monkeypatch):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    out = tmp_path / "BENCH_lattice.json"
+    march = lattice._march
+    assert study.main(["--steps", "20", "--repeats", "2",
+                       "--fit-steps", "10,20,40", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert record["steps"] == [20, 10] and record["repeats"] == 2
+    assert record["block_row_nodes"] == lattice.BLOCK_ROW_NODES
+    assert {"python", "numpy", "blas_threads"} <= set(record["machine"])
+    points = record["points"]
+    assert points["draws"] == points["completed"] == len(points["rows"]) == 30
+    for row in points["rows"]:
+        assert len(row["times_s"]) == 2 and row["time_s"] > 0.0
+        assert 0.0 <= row["error"] <= points["worst_error"]
+        assert 0.0 <= row["worst_residual_ulps"] <= lattice.ROOT_ULPS
+    assert lattice._march is march  # the capture is undone
+    cost = record["cost_model"]
+    assert cost["steps"] == [10, 20, 40] and len(cost["times_s"]) == 3
+    valuation = cost["valuation"]
+    assert valuation["levels"] == 30 and valuation["nodes"] == 210 + 55
+    assert 0.0 <= valuation["pruning_saves"] < 1.0
+
+
+def test_pruned_nodes_keep_eight_deviations():
+    # every node of the first 65 levels lies within 8 sd (8 sqrt(k) >= k)
+    assert study.pruned_nodes(65) == 65 * 66 // 2
+    # level 100 keeps |2j - 100| <= 80: j = 10 .. 90
+    assert study.pruned_nodes(101) - study.pruned_nodes(100) == 81

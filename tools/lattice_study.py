@@ -1,0 +1,203 @@
+"""Time, error and root residuals of the CLI's lattice, per benchmark draw: BENCH_lattice.json.
+
+    python3 tools/lattice_study.py [--steps 1000] [--repeats 3]
+                                   [--fit-steps 250,500,1000,2000]
+                                   [--out BENCH_lattice.json]
+
+Every draw of the benchmark's ``point-lattice`` pool (``bench/scenarios.py``)
+is valued as ``cli.evaluate_point(engine="lattice")`` values it, the
+lattices of ``--steps`` and half as many steps extrapolated, ``--repeats``
+times.  Each draw's row holds the median time, the error against the
+benchmark's oracle (``oracle`` in ``bench/run.py``: the closed forms for
+symmetric draws, the stored 1600 x 1600 PDE of ``bench/reference.json``
+otherwise) as a share of the strike, or the error that stopped it, and the
+worst root residual of both lattices and both sides, in ulps of the node's
+scale (``lattice.ROOT_ULPS`` bounds it).  The file also holds the completed
+count, the worst and median errors, the time of all draws per repeat with
+its median, and the machine details from ``bench/run.py``.
+
+It also fits the time of one ``lattice.solve_sides`` of the benchmark config
+at each of ``--fit-steps`` (median of the repeats) as ``a * levels + b *
+nodes``, and from that fit prices the valuation with each level pruned to
+the nodes within 8 standard deviations of the spot: the time that pruning
+would save, which this study measures and the lattice does not do.
+
+The script reads ``bench/`` through ``tools/grid_study.py``'s loaders and
+imports xvaband from the ``src/`` next to it, so a copy placed in another
+checkout studies that checkout; it writes only the output file.  BLAS runs
+on one thread, as in the benchmark.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import statistics
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from grid_study import BENCH, ROOT, load_bench  # noqa: E402
+
+PRUNE_SD = 8.0
+
+
+class Residuals:
+    """The worst root residual of every lattice marched while active."""
+
+    def __init__(self, lattice):
+        self.lattice = lattice
+        self.real = lattice._march
+        self.worst = 0.0
+
+    def __enter__(self):
+        def capturing(*args, **kwargs):
+            solutions = self.real(*args, **kwargs)
+            self.worst = max([self.worst] + [float(s.root_residuals.max())
+                                             for s in solutions])
+            return solutions
+        self.lattice._march = capturing
+        return self
+
+    def __exit__(self, *exc):
+        self.lattice._march = self.real
+
+
+def value_points(run, draws, stored, steps, first: bool) -> list[dict]:
+    """One pass over the draws: per-draw times, and on the first pass the
+    errors and worst residuals."""
+    from xvaband import ModelError, NumericsError, cli, lattice
+    rows = []
+    for draw, (model, claim) in draws:
+        row = {"id": draw["id"]}
+        with Residuals(lattice) as residuals:
+            start = time.perf_counter()
+            try:
+                res = cli.evaluate_point(model, claim, "lattice", steps=steps)[0]
+            except (NumericsError, ModelError, ValueError) as exc:
+                res, row["failed"] = None, f"{type(exc).__name__}: {exc}"
+            row["time_s"] = time.perf_counter() - start
+        if res is not None and first:
+            seller, buyer = run.oracle(draw, model, claim, stored)
+            row["error"] = max(abs(res.xva_seller - seller),
+                               abs(res.xva_buyer - buyer)) / claim.strike
+            row["worst_residual_ulps"] = residuals.worst
+        rows.append(row)
+    return rows
+
+
+def pruned_nodes(n: int) -> int:
+    """Nodes of an n-step lattice's levels 0 .. n - 1 within ``PRUNE_SD``
+    standard deviations of the spot: |2j - k| <= PRUNE_SD sqrt(k)."""
+    kept = 0
+    for k in range(n):
+        half = math.floor(PRUNE_SD * math.sqrt(k))
+        lo, hi = max(0, math.ceil((k - half) / 2)), min(k, (k + half) // 2)
+        kept += hi - lo + 1
+    return kept
+
+
+def cost_model(fit_steps: list[int], repeats: int, steps: int) -> dict:
+    """Seconds per level and per node of ``solve_sides`` on the benchmark
+    config, and the valuation's time with and without pruning."""
+    import numpy as np
+    from xvaband import lattice
+    from xvaband.cli import build_config, parse_config_text
+    from golden import BENCHMARK_CONFIG
+    cfg = build_config(parse_config_text(BENCHMARK_CONFIG))
+    times = []
+    for n in fit_steps:
+        runs = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            lattice.solve_sides(cfg.model, cfg.claim, n)
+            runs.append(time.perf_counter() - start)
+        times.append(statistics.median(runs))
+    design = np.array([[n, n * (n + 1) / 2] for n in fit_steps])
+    (per_level, per_node), *_ = np.linalg.lstsq(design, np.array(times),
+                                                rcond=None)
+    pair = (steps, steps // 2)
+    levels = sum(pair)
+    nodes = sum(n * (n + 1) // 2 for n in pair)
+    kept = sum(pruned_nodes(n) for n in pair)
+    full = per_level * levels + per_node * nodes
+    pruned = per_level * levels + per_node * kept
+    return {"steps": fit_steps, "times_s": times,
+            "per_level_s": per_level, "per_node_s": per_node,
+            "valuation": {"levels": levels, "nodes": nodes,
+                          "pruned_nodes": kept, "prune_sd": PRUNE_SD,
+                          "time_s": full, "pruned_time_s": pruned,
+                          "pruning_saves": 1.0 - pruned / full}}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--steps", type=int, default=None,
+                        help="the finer lattice (default: cli.DEFAULT_STEPS)")
+    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--fit-steps", default="250,500,1000,2000",
+                        type=lambda text: [int(n) for n in text.split(",")])
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_lattice.json")
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"  # before numpy loads, as in the benchmark
+    run, scenarios = load_bench()
+    from xvaband import cli, lattice
+    steps = args.steps or cli.DEFAULT_STEPS
+    reference = json.loads((BENCH / "reference.json").read_text())
+    stored = {r["id"]: r for r in reference["point-lattice"]}
+    draws = [(d, scenarios.build(d)) for d in scenarios.draw_points(
+        scenarios.POOL_SEED, scenarios.LATTICE_POOL, True)]
+    model, claim = draws[0][1]
+    cli.evaluate_point(model, claim, "lattice", steps=20)  # warm up
+    passes = []
+    for repeat in range(args.repeats):
+        passes.append(value_points(run, draws, stored, steps, repeat == 0))
+        print(f"repeat {repeat + 1}/{args.repeats}: "
+              f"{sum(r['time_s'] for r in passes[-1]):.2f} s", file=sys.stderr)
+    first = passes[0]
+    errors = [r["error"] for r in first if "error" in r]
+    rows = [{**row, "time_s": statistics.median(p[k]["time_s"] for p in passes),
+             "times_s": [p[k]["time_s"] for p in passes]}
+            for k, row in enumerate(first)]
+    totals = [sum(r["time_s"] for r in p) for p in passes]
+    record = {
+        "command": "python3 tools/lattice_study.py "
+                   + " ".join(argv if argv is not None else sys.argv[1:]),
+        "machine": run.machine(), "repeats": args.repeats,
+        "steps": [steps, steps // 2],
+        # None in a checkout that marches level by level
+        "block_row_nodes": getattr(lattice, "BLOCK_ROW_NODES", None),
+        "error_unit": "share of the strike, worse of the two sides",
+        "oracle": "bench/run.py oracle: closed forms for symmetric draws, the "
+                  "stored 1600 x 1600 PDE (bench/reference.json) otherwise",
+        "residual_unit": "ulps of the node's scale, worst over both "
+                         "lattices and both sides",
+        "points": {
+            "draws": len(first), "completed": len(errors),
+            "worst_error": max(errors) if errors else None,
+            "median_error": statistics.median(errors) if errors else None,
+            "worst_residual_ulps": max((r.get("worst_residual_ulps", 0.0)
+                                        for r in first), default=None),
+            "time_s": statistics.median(totals), "times_s": totals,
+            "rows": rows},
+        "cost_model": cost_model(args.fit_steps, args.repeats, steps),
+    }
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
+    pts, cost = record["points"], record["cost_model"]
+    print(f"{pts['completed']}/{pts['draws']} completed, worst error "
+          f"{pts['worst_error']:.3g}, median {pts['median_error']:.3g}, worst "
+          f"residual {pts['worst_residual_ulps']:.3g} ulps, "
+          f"{pts['time_s']:.2f} s; per level {cost['per_level_s'] * 1e6:.1f} "
+          f"us, per node {cost['per_node_s'] * 1e9:.1f} ns, pruning at "
+          f"{PRUNE_SD:g} sd saves {cost['valuation']['pruning_saves']:.1%}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
