@@ -10,6 +10,10 @@ figure        CSV data behind the standard comparative-statics figures
 validate      rate-condition report with nonzero exit on failure
 convergence   refinement study against the symmetric-regime closed form
 
+``band``, ``table`` and every figure are :class:`Figure` records, run by one
+function, :func:`cmd_sweep`: it values the model variants of the record's
+keys and writes one CSV row per key; a swept axis comes out ascending.
+
 Every PDE and lattice valuation, of one point or of a sweep, goes through
 one path: the models that share a march (:func:`pde.march_key`) are valued
 as one batch, with :func:`pde.solve_batch` or
@@ -108,40 +112,37 @@ def parse_config_text(text: str) -> dict:
     return values
 
 
-def build_config(values: dict, overrides: dict | None = None) -> RunConfig:
-    merged = dict(values)
-    for k, v in (overrides or {}).items():
-        if v is not None:
-            merged[k] = v
-    missing = [k for k in _RATE_KEYS if k not in merged]
+def build_config(values: dict) -> RunConfig:
+    """The run that parsed config values describe, with the defaults filled in."""
+    missing = [k for k in _RATE_KEYS if k not in values]
     if missing:
         raise ValueError(f"config missing rate keys: {', '.join(missing)}")
-    rates = RateSet(**{k: merged[k] for k in _RATE_KEYS})
-    present = [k for k in _CREDIT_KEYS if k in merged]
+    rates = RateSet(**{k: values[k] for k in _RATE_KEYS})
+    present = [k for k in _CREDIT_KEYS if k in values]
     if present and len(present) != len(_CREDIT_KEYS):
         raise ValueError("credit keys must be given all together or not at all: "
                          f"got only {', '.join(present)}")
-    credit = CreditParams(**{k: merged[k] for k in _CREDIT_KEYS}) if present else None
-    equity = EquityParams(spot=merged.get("spot", 1.0),
-                          sigma=merged.get("sigma", 0.2))
+    credit = CreditParams(**{k: values[k] for k in _CREDIT_KEYS}) if present else None
+    equity = EquityParams(spot=values.get("spot", 1.0),
+                          sigma=values.get("sigma", 0.2))
     model = MarketModel(rates=rates, equity=equity, credit=credit,
-                        alpha=merged.get("alpha", 0.0),
-                        allow_violations=bool(merged.get("allow_violations", False)))
-    claim = claims.ClaimSpec(kind=merged.get("kind", "call"),
-                             strike=merged.get("strike", 1.0),
-                             maturity=merged.get("maturity", 1.0))
-    engine = merged.get("engine", "pde")
+                        alpha=values.get("alpha", 0.0),
+                        allow_violations=bool(values.get("allow_violations", False)))
+    claim = claims.ClaimSpec(kind=values.get("kind", "call"),
+                             strike=values.get("strike", 1.0),
+                             maturity=values.get("maturity", 1.0))
+    engine = values.get("engine", "pde")
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
     cfg = RunConfig(model=model, claim=claim, engine=engine,
-                    nx=merged.get("nx", DEFAULT_NX),
-                    nt=merged.get("nt", DEFAULT_NT),
-                    steps=merged.get("steps", DEFAULT_STEPS),
-                    out=merged.get("out"),
-                    sweep_param=merged.get("sweep_param"),
-                    sweep_start=merged.get("sweep_start"),
-                    sweep_stop=merged.get("sweep_stop"),
-                    sweep_points=merged.get("sweep_points", 21))
+                    nx=values.get("nx", DEFAULT_NX),
+                    nt=values.get("nt", DEFAULT_NT),
+                    steps=values.get("steps", DEFAULT_STEPS),
+                    out=values.get("out"),
+                    sweep_param=values.get("sweep_param"),
+                    sweep_start=values.get("sweep_start"),
+                    sweep_stop=values.get("sweep_stop"),
+                    sweep_points=values.get("sweep_points", 21))
     if cfg.sweep_points < 1 or cfg.nx < 3 or cfg.nt < 1:
         raise ValueError("resolutions and sweep sizes must be positive")
     if cfg.steps < 2:
@@ -291,18 +292,6 @@ def _sweep_values(start: float, stop: float, points: int) -> list[float]:
     return [start + i * step for i in range(points)]
 
 
-def _sweep(cfg: RunConfig, models) -> list[PointResult]:
-    """One valuation per model with the configured engine ("all" runs the PDE).
-
-    PDE and lattice sweeps run as batched marches, closed forms one model at
-    a time.
-    """
-    engine = cfg.engine if cfg.engine != "all" else "pde"
-    if engine == "closed":
-        return [evaluate_point(m, cfg.claim, engine)[0] for m in models]
-    return _batched(models, cfg.claim, engine, cfg.nx, cfg.nt, cfg.steps)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -356,67 +345,30 @@ def _value_warnings(results: list[PointResult], strike: float) -> list[str]:
     return lines
 
 
-def cmd_band(cfg: RunConfig) -> int:
-    axis = cfg.sweep_param or "alpha"
-    if axis == "alpha":
-        start = cfg.sweep_start if cfg.sweep_start is not None else 0.0
-        stop = cfg.sweep_stop if cfg.sweep_stop is not None else 1.0
-    else:
-        if cfg.sweep_start is None or cfg.sweep_stop is None:
-            raise ValueError(f"sweeping {axis!r} requires sweep_start and "
-                             "sweep_stop")
-        start, stop = cfg.sweep_start, cfg.sweep_stop
-    values = _sweep_values(start, stop, cfg.sweep_points)
-    results = _sweep(cfg, [_model_with(cfg.model, **{axis: v}) for v in values])
-    rows = []
-    for v, res in zip(values, results):
-        st = res.strategy_seller
-        rows.append([v, res.xva_buyer, res.xva_seller, res.width,
-                     st.stock_shares, st.bond_own_shares, st.bond_cpty_shares,
-                     st.funding_dollars])
-    rows.sort(key=lambda r: r[0])
-    write_csv([axis, "xva_buyer", "xva_seller", "width", "xi_stock",
-               "xi_I", "xi_C", "funding_dollars"], rows, cfg.out)
-    return 0
-
-
-_TABLE_CELLS = ([(a, rfm) for a in (0.0, 0.25, 0.75, 1.0) for rfm in (0.08, 0.15)]
-                + [(0.9, rfm) for rfm in (0.08, 0.10, 0.15, 0.20)])
-
-
-def cmd_table(cfg: RunConfig) -> int:
-    results = _sweep(cfg, [_model_with(cfg.model, alpha=alpha, fund_borrow=rfm)
-                           for alpha, rfm in _TABLE_CELLS])
-    rows = []
-    for (alpha, rfm), res in zip(_TABLE_CELLS, results):
-        rows.append([alpha, rfm, res.xva_seller, res.xva_buyer,
-                     res.strategy_seller.funding_dollars,
-                     res.strategy_buyer.funding_dollars])
-    write_csv(["alpha", "fund_borrow", "xva_seller", "xva_buyer",
-               "funding_seller", "funding_buyer"], rows, cfg.out)
-    return 0
-
-
 @dataclass(frozen=True)
 class Figure:
-    """A comparative-statics figure as data.
+    """A sweep as data: ``band``, ``table`` and every figure are records
+    run by :func:`cmd_sweep`.
 
-    Every cell of the sweep ``axis`` x ``series`` is one valuation of the
-    figure's model changed by ``changes(x, s)`` (``None`` leaves a NaN cell).
-    A row is the axis value followed, per series value, by the ``columns``,
-    each named ``name + suffix.format(s)`` and computed as
-    ``fn(result, model, claim)``.  ``engine`` fixes the engine; ``None`` uses
-    the configured one.
+    A row's key is a tuple with one value per column named in ``axis``: the
+    record's own ``cells``, or else the configured sweep, ascending.  Every
+    (key, series value) pair is one valuation of the model changed by
+    ``changes(*key, s)`` (``None`` leaves NaN cells).  A row is the key
+    followed, per series value, by the ``columns``, each named
+    ``name + suffix.format(s)`` and computed as ``fn(result, model, claim)``.
+    ``defaults`` is the config under the user's (``None``: ``--config`` is
+    required); ``engine`` fixes the engine, ``None`` uses the configured one.
     """
 
     caption: str
-    defaults: dict
-    axis: str
-    changes: Callable[[float, float | None], dict | None]
+    defaults: dict | None
+    axis: tuple
+    changes: Callable[..., dict | None]
     columns: tuple
     series: tuple = (None,)
     suffix: str = ""
     engine: str | None = None
+    cells: tuple | None = None
 
 
 _SHAPE = dict(spot=1.0, sigma=0.2, kind="call", strike=1.0, maturity=1.0)
@@ -449,10 +401,12 @@ def _decomposition_pct(part):
     return column
 
 
+_BAND_COLUMNS = (("xva_buyer", _get("xva_buyer")),
+                 ("xva_seller", _get("xva_seller")), ("width", _get("width")))
 _SHARES = (("stock", _get("strategy_seller.stock_shares")),
            ("bond_own", _get("strategy_seller.bond_own_shares")),
            ("bond_cpty", _get("strategy_seller.bond_cpty_shares")))
-_DEFAULTS_FIGURE = dict(axis="fund", changes=_funding, series=_NODEF_ALPHAS,
+_DEFAULTS_FIGURE = dict(axis=("fund",), changes=_funding, series=_NODEF_ALPHAS,
                         columns=(("xva", _get("strategy_seller.adjustment")),)
                         + _SHARES, suffix="_a{:g}", engine="closed")
 
@@ -461,7 +415,7 @@ FIGURES = {
         "no-default symmetric regime: adjustment and stock hedge vs the "
         "funding rate, one series per collateralization level",
         dict(_SYMMETRIC, sweep_start=0.055, sweep_stop=0.15, sweep_points=20),
-        "fund", _funding, (("xva", _get("xva_seller")),
+        ("fund",), _funding, (("xva", _get("xva_seller")),
                            ("shares", _get("strategy_seller.stock_shares"))),
         _NODEF_ALPHAS, "_a{:g}", "closed"),
     "decomposition-vs-funding": Figure(
@@ -469,7 +423,7 @@ FIGURES = {
         "the relative adjustment vs the funding rate",
         dict(_SYMMETRIC, mu_own=0.2, mu_cpty=0.25, loss_own=0.5, loss_cpty=0.5,
              alpha=0.25, **_FUNDING_SWEEP),
-        "fund", lambda x, s: dict(fund_lend=x, fund_borrow=x),
+        ("fund",), lambda x, s: dict(fund_lend=x, fund_borrow=x),
         tuple((f"{part}_pct", _decomposition_pct(part))
               for part in ("funding", "dva", "total")),
         engine="closed"),
@@ -488,15 +442,14 @@ FIGURES = {
         "asymmetric benchmark: buyer/seller adjustments vs collateralization, "
         "one pair per borrow rate",
         dict(_BENCHMARK, sweep_start=0.0, sweep_stop=1.0, sweep_points=21),
-        "alpha", lambda x, s: dict(alpha=x, fund_borrow=s),
-        (("xva_buyer", _get("xva_buyer")), ("xva_seller", _get("xva_seller")),
-         ("width", _get("width"))) + _SHARES,
+        ("alpha",), lambda x, s: dict(alpha=x, fund_borrow=s),
+        _BAND_COLUMNS + _SHARES,
         (0.08, 0.15), "_rb{:g}"),
     "xva-vs-repo": Figure(
         "asymmetric benchmark: adjustments vs the repo borrow rate, one pair "
         "per repo lend rate",
         dict(_BENCHMARK, sweep_start=0.05, sweep_stop=0.12, sweep_points=15),
-        "repo_borrow",
+        ("repo_borrow",),
         lambda x, s: None if x < s else dict(repo_lend=s, repo_borrow=x),
         (("xva_buyer", _get("xva_buyer")), ("xva_seller", _get("xva_seller")),
          ("stock_seller", _get("strategy_seller.stock_shares")),
@@ -506,45 +459,82 @@ FIGURES = {
         "asymmetric benchmark: seller adjustment vs the counterparty bond "
         "return, one series per collateralization level",
         dict(_BENCHMARK, sweep_start=0.10, sweep_stop=0.30, sweep_points=21),
-        "mu_cpty", lambda x, s: dict(mu_cpty=x, alpha=s),
+        ("mu_cpty",), lambda x, s: dict(mu_cpty=x, alpha=s),
         (("xva_seller", _get("xva_seller")),) + _SHARES,
         _CPTY_ALPHAS, "_a{:g}"),
 }
 
 
-def figure_config(figure_id: str, user_values: dict | None = None,
-                  overrides: dict | None = None) -> RunConfig:
-    """Defaults for the figure, overlaid with user config and CLI overrides."""
+# ``band`` and ``table`` run on the user's config; they are not figure ids
+BAND = Figure(
+    "buyer/seller adjustment sweep over collateralization", None,
+    ("alpha",), lambda x, s: dict(alpha=x),
+    _BAND_COLUMNS + (("xi_stock", _get("strategy_seller.stock_shares")),
+                     ("xi_I", _get("strategy_seller.bond_own_shares")),
+                     ("xi_C", _get("strategy_seller.bond_cpty_shares")),
+                     ("funding_dollars", _get("strategy_seller.funding_dollars"))))
+TABLE = Figure(
+    "funding-account positions on an (alpha, borrow-rate) grid", None,
+    ("alpha", "fund_borrow"), lambda a, rfm, s: dict(alpha=a, fund_borrow=rfm),
+    (("xva_seller", _get("xva_seller")), ("xva_buyer", _get("xva_buyer")),
+     ("funding_seller", _get("strategy_seller.funding_dollars")),
+     ("funding_buyer", _get("strategy_buyer.funding_dollars"))),
+    cells=tuple((a, rfm) for a in (0.0, 0.25, 0.75, 1.0) for rfm in (0.08, 0.15))
+    + tuple((0.9, rfm) for rfm in (0.08, 0.10, 0.15, 0.20)))
+
+
+def _band(cfg: RunConfig) -> tuple[Figure, RunConfig]:
+    """The band over the configured ``sweep_param``, and the config with its
+    range: ``alpha`` over [0, 1] unless the config says otherwise; any other
+    axis needs ``sweep_start`` and ``sweep_stop``."""
+    axis = cfg.sweep_param or "alpha"
+    if axis == "alpha":
+        start = 0.0 if cfg.sweep_start is None else cfg.sweep_start
+        stop = 1.0 if cfg.sweep_stop is None else cfg.sweep_stop
+        cfg = replace(cfg, sweep_start=start, sweep_stop=stop)
+    elif cfg.sweep_start is None or cfg.sweep_stop is None:
+        raise ValueError(f"sweeping {axis!r} requires sweep_start and "
+                         "sweep_stop")
+    return replace(BAND, axis=(axis,), changes=lambda x, s: {axis: x}), cfg
+
+
+def figure_config(figure_id: str, user_values: dict | None = None) -> RunConfig:
+    """Defaults for the figure, overlaid with the user's config."""
     if figure_id not in FIGURES:
         raise ValueError(f"unknown figure id {figure_id!r}; "
                          f"known: {', '.join(sorted(FIGURES))}")
-    return build_config({**FIGURES[figure_id].defaults, **(user_values or {})},
-                        overrides)
+    return build_config({**FIGURES[figure_id].defaults, **(user_values or {})})
 
 
-def cmd_figure(cfg: RunConfig, figure_id: str) -> int:
-    fig = FIGURES[figure_id]
-    if fig.engine is not None:
-        cfg = replace(cfg, engine=fig.engine)
-    sweep = _sweep_values(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_points)
+def cmd_sweep(cfg: RunConfig, fig: Figure) -> int:
+    """Write the CSV of one record: a row per key, a valuation per cell, with
+    the record's engine or else the configured one ("all" runs the PDE)."""
+    keys = fig.cells or [(x,) for x in sorted(_sweep_values(
+        cfg.sweep_start, cfg.sweep_stop, cfg.sweep_points))]
     cells = {}
-    for x in sweep:
+    for key in keys:
         for s in fig.series:
-            changes = fig.changes(x, s)
+            changes = fig.changes(*key, s)
             if changes is not None:
-                cells[(x, s)] = _model_with(cfg.model, **changes)
-    results = dict(zip(cells, _sweep(cfg, list(cells.values()))))
-    header = [fig.axis] + [name + fig.suffix.format(s)
-                           for s in fig.series for name, _ in fig.columns]
+                cells[key, s] = _model_with(cfg.model, **changes)
+    models = list(cells.values())
+    engine = fig.engine or (cfg.engine if cfg.engine != "all" else "pde")
+    if engine == "closed":
+        values = [evaluate_point(m, cfg.claim, engine)[0] for m in models]
+    else:
+        values = _batched(models, cfg.claim, engine, cfg.nx, cfg.nt, cfg.steps)
+    results = dict(zip(cells, values))
+    header = list(fig.axis) + [name + fig.suffix.format(s)
+                               for s in fig.series for name, _ in fig.columns]
     rows = []
-    for x in sweep:
-        row = [x]
+    for key in keys:
+        row = list(key)
         for s in fig.series:
-            res = results.get((x, s))
+            res = results.get((key, s))
             if res is None:
                 row += [math.nan] * len(fig.columns)
             else:
-                row += [fn(res, cells[(x, s)], cfg.claim) for _, fn in fig.columns]
+                row += [fn(res, cells[key, s], cfg.claim) for _, fn in fig.columns]
         rows.append(row)
     write_csv(header, rows, cfg.out)
     return 0
@@ -624,8 +614,8 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
             ("value", "single-point valuation"),
-            ("band", "buyer/seller adjustment sweep over collateralization"),
-            ("table", "funding-account positions on an (alpha, borrow-rate) grid"),
+            ("band", BAND.caption),
+            ("table", TABLE.caption),
             ("figure", "emit the data behind a comparative-statics figure"),
             ("validate", "check the rate conditions"),
             ("convergence", "refinement study against the closed form")):
@@ -637,18 +627,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        if args.command == "figure":
-            cfg = build_config(_values(args, FIGURES[args.figure_id].defaults))
-            return cmd_figure(cfg, args.figure_id)
+        if args.command in ("band", "table", "figure"):
+            fig = (FIGURES[args.figure_id] if args.command == "figure"
+                   else TABLE if args.command == "table" else BAND)
+            cfg = build_config(_values(args, fig.defaults))
+            if fig is BAND:
+                fig, cfg = _band(cfg)
+            return cmd_sweep(cfg, fig)
         if args.command == "validate":
             return cmd_validate(_values(args))
         cfg = build_config(_values(args))
         if args.command == "value":
             return cmd_value(cfg)
-        if args.command == "band":
-            return cmd_band(cfg)
-        if args.command == "table":
-            return cmd_table(cfg)
         if args.command == "convergence":
             return cmd_convergence(cfg)
         raise ValueError(f"unhandled command {args.command!r}")

@@ -100,10 +100,6 @@ class OracleSolution:
     adjustment: float       # valuation adjustment at time zero
     root_residuals: np.ndarray = field(compare=False, repr=False)
 
-    @property
-    def xva(self) -> float:
-        return self.adjustment
-
 
 def solve_reduced(model: MarketModel, claim: claims.ClaimSpec, n_steps: int,
                   level: str = "adjustment",

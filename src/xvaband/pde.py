@@ -546,28 +546,25 @@ def solve_batch(models: list[MarketModel], claim: claims.ClaimSpec,
 
 
 def _picard(stepper: _Stepper, rhs_base: np.ndarray, dt: float, theta: float,
-            u_start: np.ndarray, implicit_driver, explicit_part=None,
-            tol: float = PICARD_TOL):
-    """Per-row fixed point of (I - theta dt B) u = rhs_base + explicit + theta dt g(u).
+            u_start: np.ndarray, implicit_driver, tol: float = PICARD_TOL):
+    """Per-row fixed point of (I - theta dt B) u = rhs_base + theta dt g(u).
 
     ``implicit_driver(u, rows)`` evaluates g on the given rows of the block
-    and returns a new array, which the step then overwrites.  Without an
-    ``explicit_part`` the right-hand side's fixed part is ``rhs_base``
-    itself, read and never written.  Runs :func:`settle` at ``tol``; a
-    non-finite right-hand side raises :class:`_NonFiniteRhs` naming its row
-    of ``u_start``.
+    and returns a new array, which the step then overwrites; ``rhs_base`` is
+    read and never written.  Runs :func:`settle` at ``tol``; a non-finite
+    right-hand side raises :class:`_NonFiniteRhs` naming its row of
+    ``u_start``.
     """
     coef = theta * dt
-    fixed = rhs_base if explicit_part is None else rhs_base + explicit_part
 
     def step(u, rows):
         rhs = implicit_driver(u, rows)
         rhs *= coef
-        rhs += fixed[rows]
+        rhs += rhs_base[rows]
         try:
             return solve_banded(stepper, coef, rhs.T, overwrite=True).T
         except _NonFiniteRhs as exc:
-            row = np.arange(len(fixed))[rows][exc.column]
+            row = np.arange(len(rhs_base))[rows][exc.column]
             raise _NonFiniteRhs(int(row)) from None
     return settle(step, u_start, tol, PICARD_MAX_ITER)
 

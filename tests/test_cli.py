@@ -216,6 +216,29 @@ def test_band_custom_sweep_requires_range(bench_cfg_path, capsys):
     assert "sweep_start" in capsys.readouterr().err
 
 
+def test_band_reversed_range_comes_out_ascending(tmp_path, capsys):
+    p = tmp_path / "reversed.cfg"
+    p.write_text(BENCH_TEXT + "\nsweep_start = 1\nsweep_stop = 0\n")
+    rc = cli.main(["band", "--config", str(p), "--engine", "lattice",
+                   "--steps", "20"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("alpha,")
+    alphas = [float(line.split(",")[0]) for line in lines[1:]]
+    assert len(alphas) == 21
+    assert alphas == sorted(alphas) and alphas[0] == 0.0 and alphas[-1] == 1.0
+
+
+def test_figure_reversed_range_comes_out_ascending(tmp_path, capsys):
+    p = tmp_path / "reversed.cfg"
+    p.write_text("sweep_start = 0.15\nsweep_stop = 0.05\nsweep_points = 5\n")
+    rc = cli.main(["figure", "decomposition-vs-funding", "--config", str(p)])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    funds = [float(line.split(",")[0]) for line in lines[1:]]
+    assert funds == [0.05, 0.075, 0.1, 0.125, 0.15]
+
+
 def test_symmetric_band_width_vanishes(tmp_path):
     p = tmp_path / "sym.cfg"
     # symmetric rates with symmetric credit: the two sides coincide
@@ -463,6 +486,9 @@ def test_convergence_command(tmp_path, capsys):
 
 
 SMALL_STEPS = 50
+TABLE_CELLS = [(0.0, 0.08), (0.0, 0.15), (0.25, 0.08), (0.25, 0.15),
+               (0.75, 0.08), (0.75, 0.15), (1.0, 0.08), (1.0, 0.15),
+               (0.9, 0.08), (0.9, 0.10), (0.9, 0.15), (0.9, 0.20)]
 
 
 def expected_rows(command, cfg, engine):
@@ -487,7 +513,7 @@ def expected_rows(command, cfg, engine):
                          st.bond_own_shares, st.bond_cpty_shares,
                          st.funding_dollars])
     elif command == "table":
-        for a, rfm in cli._TABLE_CELLS:
+        for a, rfm in TABLE_CELLS:
             r = pointwise(cli._model_with(m, alpha=a, fund_borrow=rfm), claim)
             rows.append([a, rfm, r.xva_seller, r.xva_buyer,
                          r.strategy_seller.funding_dollars,

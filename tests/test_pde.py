@@ -655,7 +655,7 @@ def test_picard_leaves_u_start_unchanged():
     rates = np.array([0.0, 0.5, 2.0, 8.0])
     dt = grid.t_nodes()[1]
     iters, resid, u, failed = pde._picard(stepper, u_start, dt, 0.5,
-                                          u_start, linear_driver(rates), 0.0)
+                                          u_start, linear_driver(rates))
     assert not failed
     assert len(set(iters.tolist())) > 2  # rows froze at different iterations
     assert np.array_equal(u_start, before)
@@ -678,8 +678,7 @@ def test_picard_names_a_non_finite_column_of_the_block():
         return out
 
     with pytest.raises(pde._NonFiniteRhs) as info:
-        pde._picard(stepper, u_start, grid.t_nodes()[1], 0.5, u_start, driver,
-                    0.0)
+        pde._picard(stepper, u_start, grid.t_nodes()[1], 0.5, u_start, driver)
     assert info.value.column == 3
 
 
