@@ -17,21 +17,38 @@ Two equivalent routes are provided:
   reduced driver, and the raw lattice gradient; the adjustment is the root
   value net of the agent's mark.
 
+The tree is pruned, as Hull & White truncate theirs (J. Derivatives 2(1),
+1994): level k keeps only the nodes j whose walk ``w = (2j - k) sqrt(dt)``
+lies in ``[-PRUNE_SD sqrt(t), sigma t + PRUNE_SD sqrt(t)]`` at t = k dt
+(:func:`band`), the terminal level included; levels 0 .. 64 keep every
+node.  The walk passes PRUNE_SD = 8 standard deviations with a probability
+of about 1e-15, but what grows like s (a call's mark, the repo and funding
+legs) weighs it by s, which moves its mass to ``w = sigma t``, the walk
+under the share measure.  So the upper edge follows sigma t: cut
+symmetrically about ``w = 0``, the adjustment of sigma = 1.5, T = 30 at
+2000 steps moves by 2.25e-4 of the strike; cut so, by 2.2e-16 at most.  The
+band depends on (k, dt, sigma) alone, not on s, so scaled spots and strikes
+keep the same nodes.  A level whose band reaches one node past its
+children's on a side gets a ghost child there, ``2 u_edge - u_inner``, the
+line through the two outermost children; each edge moves by at most one
+node per level, so one ghost per side suffices.
+
 K models that share a march (:func:`pde.march_key`) are valued in one pass
 (:func:`solve_batch`): their seller and buyer sides are the rows of one
-(2K, k+1) array per level, the layout of the PDE's adjustment block, with
-the K sellers first and their buyers after them in the same order.
+(2K, kept nodes) array per level, the layout of the PDE's adjustment block,
+with the K sellers first and their buyers after them in the same order.
 :func:`solve_sides` is the pass of one model.  The driver reads the
 :class:`drivers.DriverParams` record of the rows
 (``DriverParams.stack(models)``) and reflects the buyer rows itself.
 
 The march walks the levels in blocks of consecutive levels, highest first,
-each of at most ``BLOCK_ROW_NODES`` row-nodes (rows times nodes, summed over
-its levels), or of one level when a level is larger: a 42-row batch of
-1000 steps marches one level per block near maturity.  Each block lays its
-levels side by side in one (2K, sum of k+1) array and builds once, for all
-its nodes and rows, what the march does not feed back: the stock levels, the
-agent's mark and delta (:func:`claims.agent_value_levels`), the driver terms
+each of at most ``BLOCK_ROW_NODES`` row-nodes (rows times kept nodes,
+summed over its levels), or of one level when a level is larger: a 42-row
+batch of 1000 steps marches one level per block near maturity.  Each block
+lays its levels side by side in one (2K, sum of kept nodes) array and
+builds once, for all its nodes and rows, what the march does not feed back:
+the stock levels, the agent's mark and delta
+(:func:`claims.agent_value_levels`), the driver terms
 that the mark fixes (:func:`drivers.reduced_mark_terms`) and the
 coefficients of the node's root that they fix (:func:`drivers.root_terms`).
 Each level then computes only what depends on the level above: the
@@ -46,7 +63,8 @@ Once a block's levels are marched, one call of the step in u
 node whose residual ``|e + dt f(u) - u|`` exceeds ``ROOT_ULPS`` ulps of its
 scale, ``max(|u|, |e|, dt * the largest addend of f)``
 (:func:`drivers.reduced_step_scale`), fails the valuation, naming the side,
-the level, the node and the residual.  The scale is relative, so the check
+the level, the node (its index in the whole tree and its stock level) and
+the residual.  The scale is relative, so the check
 holds at any size of the claim.  The failure named is that of the highest
 failing level of the block, the one a march level by level reaches first.
 Rows share no arithmetic, and neither do the levels of a block beyond what
@@ -77,9 +95,12 @@ LEVELS = ("adjustment", "value")
 # the bound on a node's residual, in ulps of its scale: twice the 4 ulps
 # that the hypothesis test of drivers.reduced_root proves
 ROOT_ULPS = 8
-# the most row-nodes (rows times nodes, summed over its levels) that one
+# the most row-nodes (rows times kept nodes, summed over its levels) that one
 # block of levels holds; a level larger than this is a block of its own
 BLOCK_ROW_NODES = 12288
+# the standard deviations of the walk, on either side of the band that
+# level k keeps (see band), beyond which the lattice prunes its nodes
+PRUNE_SD = 8
 
 
 @dataclass(frozen=True)
@@ -197,27 +218,32 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, n_steps: int,
                 + f" (dt * Lipschitz = {dt * lip:.3g} >= 1); "
                 f"use n_steps >= {refine * math.ceil(2.0 * lip * T)}")
 
-    def stock_levels(levels: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    lowest, highest = band(n_steps, dt, sigma)
+    widths = highest - lowest + 1
+
+    def stock_levels(levels: np.ndarray) -> np.ndarray:
+        sizes = widths[levels]
         k = np.repeat(levels, sizes)
-        j = np.arange(len(k)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        j = np.arange(len(k)) - np.repeat(np.cumsum(sizes) - sizes
+                                          - lowest[levels], sizes)
         w = (2.0 * j - k) * sdt
         return s0 * np.exp(drift * (k * dt) + sigma * w)
 
     at_value = level == "value"
     picked = list(range(rows.size)) if picked is None else picked
     params = rows.params.take(picked)
-    if at_value:
-        terminal = claim.payoff(stock_levels(np.array([n_steps]),
-                                             np.array([n_steps + 1])))
-        u = np.tile(np.asarray(terminal, dtype=float), (len(picked), 1))
-    else:
-        u = np.zeros((len(picked), n_steps + 1))
+    # the children of level k's nodes: level k + 1's kept nodes in columns
+    # 1 .. their count, and a ghost next to them where level k needs one
+    child = np.empty((len(picked), widths.max() + 2))
+    child[:, 1:widths[n_steps] + 1] = (
+        claim.payoff(stock_levels(np.array([n_steps]))) if at_value else 0.0)
     residuals = np.zeros((len(picked), n_steps))
+    lo, hi = lowest.tolist(), highest.tolist()
 
-    for levels in _blocks(n_steps, len(picked)):
-        sizes = levels + 1
+    for levels in _blocks(widths[:-1].tolist(), len(picked)):
+        sizes = widths[levels]
         starts = np.cumsum(sizes) - sizes
-        s = stock_levels(levels, sizes)
+        s = stock_levels(levels)
         mark, delta = claims.agent_value_levels(
             first, claim, [k * dt for k in levels.tolist()], sizes, s)
         if not at_value:
@@ -227,14 +253,24 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, n_steps: int,
         e_block = np.empty(terms.offset.shape)
         legs = (np.empty_like(e_block), np.empty_like(e_block))
         u_levels = []
-        for k, start in zip(levels.tolist(), starts.tolist()):
-            at = slice(start, start + k + 1)
+        for k, start, width in zip(levels.tolist(), starts.tolist(),
+                                   sizes.tolist()):
+            kids = hi[k + 1] - lo[k + 1] + 1
+            if lo[k] < lo[k + 1]:
+                np.subtract(2.0 * child[:, 1], child[:, 2], out=child[:, 0])
+            if hi[k] == hi[k + 1]:
+                np.subtract(2.0 * child[:, kids], child[:, kids - 1],
+                            out=child[:, kids + 1])
+            left = lo[k] - lo[k + 1] + 1
+            down = child[:, left:left + width]
+            up = child[:, left + 1:left + width + 1]
+            at = slice(start, start + width)
             e = e_block[:, at]
-            np.add(u[:, 1:], u[:, :-1], out=e)
+            np.add(up, down, out=e)
             e *= 0.5
             # z in the buffer of its short repo leg, which it becomes
             z = legs[1][:, at]
-            np.subtract(u[:, 1:], u[:, :-1], out=z)
+            np.subtract(up, down, out=z)
             z /= 2.0 * sdt
             if k == 0:
                 root_gradient = z[:, 0].copy()
@@ -245,6 +281,7 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, n_steps: int,
                                           roots.at_zero[:, at]),
                 z, out=(legs[0][:, at], z))
             u = drivers.reduced_root(params, level_terms, e, dt)
+            child[:, 1:width + 1] = u
             u_levels.append(u)
         del mark, delta, roots, level_terms
         u_block = (u_levels[0] if len(u_levels) == 1
@@ -253,7 +290,7 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, n_steps: int,
         terms = terms._replace(repo_long=legs[0], repo_short=legs[1])
         residuals[:, levels] = _check_block(rows, picked, params, terms,
                                             u_block, e_block, levels, starts,
-                                            s, dt)
+                                            lowest, s, dt)
         # the block's arrays go as the next block's replace them: freed at
         # once, they would let the heap shrink and fault back in
 
@@ -270,14 +307,30 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, n_steps: int,
     return solutions
 
 
-def _blocks(n_steps: int, rows: int):
-    """The levels n_steps - 1 .. 0, highest first, in blocks of consecutive
-    levels of at most ``BLOCK_ROW_NODES`` row-nodes, or of one level."""
-    top = n_steps - 1
+def band(n_steps: int, dt: float, sigma: float
+         ) -> tuple[np.ndarray, np.ndarray]:
+    """The lowest and highest node j that level k = 0 .. n_steps keeps: those
+    with ``-PRUNE_SD sqrt(k) <= 2j - k <= PRUNE_SD sqrt(k) + sigma k sqrt(dt)``,
+    or ``w`` in ``[-PRUNE_SD sqrt(t), sigma t + PRUNE_SD sqrt(t)]``."""
+    k = np.arange(n_steps + 1.0)
+    # level 0 reaches 0, also where PRUNE_SD is inf and inf * 0 is nan
+    reach = np.multiply(PRUNE_SD, np.sqrt(k), out=np.zeros_like(k),
+                        where=k > 0)
+    lowest = np.maximum(np.ceil((k - reach) / 2.0), 0.0)
+    highest = np.minimum(
+        np.floor((k + reach + sigma * math.sqrt(dt) * k) / 2.0), k)
+    return lowest.astype(int), highest.astype(int)
+
+
+def _blocks(widths: list[int], rows: int):
+    """The levels len(widths) - 1 .. 0, highest first, in blocks of
+    consecutive levels of at most ``BLOCK_ROW_NODES`` row-nodes, or of one
+    level; level k keeps ``widths[k]`` nodes."""
+    top = len(widths) - 1
     while top >= 0:
-        k, size = top - 1, rows * (top + 1)
-        while k >= 0 and size + rows * (k + 1) <= BLOCK_ROW_NODES:
-            size += rows * (k + 1)
+        k, size = top - 1, rows * widths[top]
+        while k >= 0 and size + rows * widths[k] <= BLOCK_ROW_NODES:
+            size += rows * widths[k]
             k -= 1
         yield np.arange(top, k, -1)
         top = k
@@ -285,13 +338,13 @@ def _blocks(n_steps: int, rows: int):
 
 def _check_block(rows: Rows, picked: list[int], params: drivers.DriverParams,
                  terms: drivers.DriverTerms, u: np.ndarray, e: np.ndarray,
-                 levels: np.ndarray, starts: np.ndarray, s: np.ndarray,
-                 dt: float) -> np.ndarray:
+                 levels: np.ndarray, starts: np.ndarray, lowest: np.ndarray,
+                 s: np.ndarray, dt: float) -> np.ndarray:
     """The largest residual per level of a block's roots ``u`` of
     ``u = e + dt f(u)``, in ulps of the nodes' scales, from one call of the
     step; a failure names the highest failing level, the one a march level
     by level reaches first.  Level ``levels[i]`` starts at column
-    ``starts[i]``; ``e`` is spent."""
+    ``starts[i]`` with its node ``lowest[levels[i]]``; ``e`` is spent."""
     miss = drivers.reduced_step(params, terms, u)
     miss *= dt
     miss += e
@@ -315,16 +368,19 @@ def _check_block(rows: Rows, picked: list[int], params: drivers.DriverParams,
         failed = ~(ulps[rr, jj] <= ROOT_ULPS)
         if failed.any():
             i = np.searchsorted(starts, jj[failed].min(), "right") - 1
-            at = slice(starts[i], starts[i] + levels[i] + 1)
-            _fail(rows, picked, int(levels[i]), dt, s[at], miss[:, at],
+            ends = np.append(starts[1:], u.shape[1])
+            at = slice(starts[i], ends[i])
+            k = int(levels[i])
+            _fail(rows, picked, k, int(lowest[k]), dt, s[at], miss[:, at],
                   ulps[:, at])
     return np.maximum.reduceat(ulps, starts, axis=1)
 
 
-def _fail(rows: Rows, picked: list[int], k: int, dt: float, s: np.ndarray,
-          miss: np.ndarray, ulps: np.ndarray):
-    """Raise the failure of level k's root check, from the level's stock
-    levels, residuals and residuals in ulps of the scales checked against."""
+def _fail(rows: Rows, picked: list[int], k: int, lowest: int, dt: float,
+          s: np.ndarray, miss: np.ndarray, ulps: np.ndarray):
+    """Raise the failure of level k's root check, from the stock levels,
+    residuals and residuals in ulps of the scales checked against of its
+    kept nodes, the first of which is node ``lowest``."""
     rr, jj = np.nonzero(~(ulps <= ROOT_ULPS))
     finite = np.isfinite(miss[rr, jj])
     if not finite.all():
@@ -336,6 +392,6 @@ def _fail(rows: Rows, picked: list[int], k: int, dt: float, s: np.ndarray,
     j = int(np.argmax(ulps[r]))
     raise NumericsError(
         f"implicit step not solved on the {rows.label(picked[r])} "
-        f"at level {k} (t={k * dt:.6g}): node {j} at s={s[j]:.6g}, "
+        f"at level {k} (t={k * dt:.6g}): node {lowest + j} at s={s[j]:.6g}, "
         f"residual {ulps[r, j]:.3g} ulps of the node's scale "
         f"(bound {ROOT_ULPS})")

@@ -311,9 +311,11 @@ def test_root_check_failure_names_side_level_and_node(monkeypatch):
 
 def test_root_failure_inside_a_block_names_its_own_level(monkeypatch):
     # levels 19 .. 12 of a 20-step lattice share the first block, checked
-    # in one call; the root of level 13 alone is off, on the buyer's node 5
+    # in one call; the root of level 13 alone is off, on the buyer's node 5;
+    # no level below 65 is pruned, so level k keeps its k + 1 nodes
     monkeypatch.setattr(lattice, "BLOCK_ROW_NODES", 2 * sum(range(13, 21)))
-    assert list(next(lattice._blocks(20, 2))) == list(range(19, 11, -1))
+    assert list(next(lattice._blocks(list(range(1, 21)), 2))) == list(
+        range(19, 11, -1))
     root = drivers.reduced_root
 
     def off_at_level_13(params, terms, e, dt):
@@ -333,6 +335,119 @@ def test_root_failure_inside_a_block_names_its_own_level(monkeypatch):
             r"node's scale \(bound 8\)$")):
         solve_sides(model, CALL, 20)
     solve_reduced(model, CALL, 20, side=SELLER)
+
+
+def test_root_failure_at_a_pruned_level_names_the_absolute_node(monkeypatch):
+    # level 150 of a 200-step lattice keeps nodes lowest .. highest, and the
+    # second of them is off: the failure names the level, the node's index
+    # in the whole tree and its own stock level
+    n, k = 200, 150
+    model = make_benchmark()
+    dt, sigma = 1.0 / n, model.equity.sigma
+    lowest, highest = lattice.band(n, dt, sigma)
+    assert 0 < lowest[k] and highest[k] < k  # pruned on both sides
+    j = int(lowest[k]) + 1
+    root, levels = drivers.reduced_root, iter(range(n - 1, -1, -1))
+
+    def off_at_level(params, terms, e, dt):
+        out = root(params, terms, e, dt)
+        if next(levels) == k:
+            out[:, 1] += 1e-6
+        return out
+
+    monkeypatch.setattr(drivers, "reduced_root", off_at_level)
+    s = math.exp((model.rates.discount - 0.5 * sigma * sigma) * (k * dt)
+                 + sigma * (2 * j - k) * math.sqrt(dt))
+    with pytest.raises(NumericsError, match=(
+            rf"^implicit step not solved on the seller side at level {k} "
+            rf"\(t=0\.75\): node {j} at s={s:.6g}, residual \S+ ulps of the "
+            r"node's scale \(bound 8\)$")):
+        solve_sides(model, CALL, n)
+
+
+def full_and_pruned(monkeypatch, model, claim, n, level):
+    """``solve_sides`` of the full tree and of the pruned one."""
+    with monkeypatch.context() as patch:
+        patch.setattr(lattice, "PRUNE_SD", math.inf)
+        full = solve_sides(model, claim, n, level)
+    return full, solve_sides(model, claim, n, level)
+
+
+@pytest.mark.parametrize("n", [1000, 2000])
+@pytest.mark.parametrize("kind", ["call", "put"])
+def test_pruned_tree_matches_the_full_tree(kind, n, monkeypatch):
+    model = make_benchmark()
+    claim = ClaimSpec(kind=kind, strike=1.0, maturity=1.0)
+    lowest, highest = lattice.band(n, 1.0 / n, model.equity.sigma)
+    assert np.sum(highest - lowest + 1) < (n + 1) * (n + 2) // 2 // 2
+    for level in LEVELS:
+        full, pruned = full_and_pruned(monkeypatch, model, claim, n, level)
+        for want, got in zip(full, pruned):
+            assert abs(got.adjustment - want.adjustment) <= 1e-12
+            assert np.all(got.root_residuals <= ROOT_ULPS)
+
+
+def test_pruned_tree_follows_the_share_measure(monkeypatch):
+    # sigma sqrt(T) = 8.2: what grows like s (a call's mark, the repo and
+    # funding legs) has its mass near w = sigma t, far above w = 0; a cut
+    # at +-8 sd about w = 0 moved this adjustment by 2.25e-4 of the strike
+    model = dataclasses.replace(make_benchmark(),
+                                equity=EquityParams(spot=1.0, sigma=1.5))
+    claim = ClaimSpec(kind="call", strike=1.0, maturity=30.0)
+    for level in LEVELS:
+        full, pruned = full_and_pruned(monkeypatch, model, claim, 2000, level)
+        for want, got in zip(full, pruned):
+            assert abs(got.adjustment - want.adjustment) <= 1e-12
+
+
+def test_band_keeps_every_node_of_the_first_65_levels():
+    # 8 sqrt(k) >= k up to k = 64
+    for dt, sigma in ((1e-3, 0.2), (0.015, 1.5), (1.0, 0.01)):
+        lowest, highest = lattice.band(65, dt, sigma)
+        assert lowest[:65].tolist() == [0] * 65
+        assert highest[:65].tolist() == list(range(65))
+    assert lattice.band(65, 1e-3, 0.2)[0][65] == 1
+
+
+def test_band_does_not_depend_on_the_spot(monkeypatch):
+    # the same nodes are kept at every spot, so the homogeneity of
+    # test_solve_sides_is_homogeneous holds by construction
+    seen = {}
+    levels = claims.agent_value_levels
+
+    def recording(model, claim, times, counts, s):
+        seen.setdefault(model.equity.spot, []).append((list(counts), s))
+        return levels(model, claim, times, counts, s)
+
+    monkeypatch.setattr(claims, "agent_value_levels", recording)
+    for scale in (1.0, 2.0 ** 10):
+        solve_sides(*unit_call_at(scale), 400)
+    unit, scaled = seen[1.0], seen[2.0 ** 10]
+    assert [c for c, _ in unit] == [c for c, _ in scaled]
+    assert sum(sum(c) for c, _ in unit) < 401 * 400 // 2
+    for (_, s), (_, t) in zip(unit, scaled):
+        assert np.array_equal(t, 2.0 ** 10 * s)
+
+
+@pytest.mark.parametrize("n, maturity, sigma",
+                         [(1000, 1.0, 0.2), (2000, 30.0, 1.5), (500, 4.7, 0.6)])
+def test_band_upper_edge_covers_the_share_measure(n, maturity, sigma):
+    # every node with w in [-8 sqrt(t), sigma t + 8 sqrt(t)] is kept, and
+    # the band ends at the last node inside, or at the edge of the tree
+    dt = maturity / n
+    sdt = math.sqrt(dt)
+    lowest, highest = lattice.band(n, dt, sigma)
+    k = np.arange(n + 1)
+    t = k * dt
+    reach = lattice.PRUNE_SD * np.sqrt(t)
+    top, bottom = sigma * t + reach, -reach
+    w_high, w_low = (2 * highest - k) * sdt, (2 * lowest - k) * sdt
+    slack = 1e-9 * sdt
+    assert np.all((w_high + 2 * sdt > top) & (w_high <= top + slack)
+                  | (highest == k))
+    assert np.all((w_low - 2 * sdt < bottom) & (w_low >= bottom - slack)
+                  | (lowest == 0))
+    assert np.any(highest < k) and np.any(lowest > 0)
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")

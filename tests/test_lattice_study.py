@@ -30,15 +30,19 @@ def test_small_study_writes_every_draw(tmp_path, monkeypatch):
         assert 0.0 <= row["error"] <= points["worst_error"]
         assert 0.0 <= row["worst_residual_ulps"] <= lattice.ROOT_ULPS
     assert lattice._march is march  # the capture is undone
+    # no level below 65 is pruned: each lattice keeps its whole tree
+    assert {row["nodes"] for row in points["rows"]} == {210 + 55}
+    assert points["nodes"] == 30 * (210 + 55) and points["kept_share"] == 1.0
+    assert record["prune_sd"] == lattice.PRUNE_SD
     cost = record["cost_model"]
     assert cost["steps"] == [10, 20, 40] and len(cost["times_s"]) == 3
-    valuation = cost["valuation"]
-    assert valuation["levels"] == 30 and valuation["nodes"] == 210 + 55
-    assert 0.0 <= valuation["pruning_saves"] < 1.0
+    assert cost["nodes"] == [55, 210, 820]
 
 
 def test_pruned_nodes_keep_eight_deviations():
     # every node of the first 65 levels lies within 8 sd (8 sqrt(k) >= k)
-    assert study.pruned_nodes(65) == 65 * 66 // 2
-    # level 100 keeps |2j - 100| <= 80: j = 10 .. 90
-    assert study.pruned_nodes(101) - study.pruned_nodes(100) == 81
+    assert study.kept_nodes(65, 1.0, 0.25) == 65 * 66 // 2
+    # level 100 at dt = 0.01 keeps -80 <= 2j - 100 <= 80 + 0.25 * 100 * 0.1:
+    # j = 10 .. 91, one node more above than a cut symmetric about the spot
+    assert study.kept_nodes(101, 1.01, 0.25) - study.kept_nodes(
+        100, 1.0, 0.25) == 82

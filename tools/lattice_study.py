@@ -10,17 +10,17 @@ lattices of ``--steps`` and half as many steps extrapolated, ``--repeats``
 times.  Each draw's row holds the median time, the error against the
 benchmark's oracle (``oracle`` in ``bench/run.py``: the closed forms for
 symmetric draws, the stored 1600 x 1600 PDE of ``bench/reference.json``
-otherwise) as a share of the strike, or the error that stopped it, and the
+otherwise) as a share of the strike, or the error that stopped it, the
 worst root residual of both lattices and both sides, in ulps of the node's
-scale (``lattice.ROOT_ULPS`` bounds it).  The file also holds the completed
-count, the worst and median errors, the time of all draws per repeat with
+scale (``lattice.ROOT_ULPS`` bounds it), and the nodes both lattices march
+within the band that ``lattice.band`` keeps.  The file also holds the
+completed count, the worst and median errors, the kept nodes of all draws
+and their share of the full trees, the time of all draws per repeat with
 its median, and the machine details from ``bench/run.py``.
 
 It also fits the time of one ``lattice.solve_sides`` of the benchmark config
 at each of ``--fit-steps`` (median of the repeats) as ``a * levels + b *
-nodes``, and from that fit prices the valuation with each level pruned to
-the nodes within 8 standard deviations of the spot: the time that pruning
-would save, which this study measures and the lattice does not do.
+nodes``, the nodes being those the lattice keeps.
 
 The script reads ``bench/`` through ``tools/grid_study.py``'s loaders and
 imports xvaband from the ``src/`` next to it, so a copy placed in another
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import statistics
 import sys
@@ -41,8 +40,6 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from grid_study import BENCH, ROOT, load_bench  # noqa: E402
-
-PRUNE_SD = 8.0
 
 
 class Residuals:
@@ -68,7 +65,7 @@ class Residuals:
 
 def value_points(run, draws, stored, steps, first: bool) -> list[dict]:
     """One pass over the draws: per-draw times, and on the first pass the
-    errors and worst residuals."""
+    kept nodes, errors and worst residuals."""
     from xvaband import ModelError, NumericsError, cli, lattice
     rows = []
     for draw, (model, claim) in draws:
@@ -80,6 +77,10 @@ def value_points(run, draws, stored, steps, first: bool) -> list[dict]:
             except (NumericsError, ModelError, ValueError) as exc:
                 res, row["failed"] = None, f"{type(exc).__name__}: {exc}"
             row["time_s"] = time.perf_counter() - start
+        if first:
+            row["nodes"] = sum(kept_nodes(n, claim.maturity,
+                                          model.equity.sigma)
+                               for n in (steps, steps // 2))
         if res is not None and first:
             seller, buyer = run.oracle(draw, model, claim, stored)
             row["error"] = max(abs(res.xva_seller - seller),
@@ -89,20 +90,17 @@ def value_points(run, draws, stored, steps, first: bool) -> list[dict]:
     return rows
 
 
-def pruned_nodes(n: int) -> int:
-    """Nodes of an n-step lattice's levels 0 .. n - 1 within ``PRUNE_SD``
-    standard deviations of the spot: |2j - k| <= PRUNE_SD sqrt(k)."""
-    kept = 0
-    for k in range(n):
-        half = math.floor(PRUNE_SD * math.sqrt(k))
-        lo, hi = max(0, math.ceil((k - half) / 2)), min(k, (k + half) // 2)
-        kept += hi - lo + 1
-    return kept
+def kept_nodes(n_steps: int, maturity: float, sigma: float) -> int:
+    """Nodes that the lattice of n steps marches, levels 0 .. n - 1, within
+    the band that ``lattice.band`` keeps."""
+    from xvaband import lattice
+    lowest, highest = lattice.band(n_steps, maturity / n_steps, sigma)
+    return int((highest[:-1] - lowest[:-1] + 1).sum())
 
 
-def cost_model(fit_steps: list[int], repeats: int, steps: int) -> dict:
-    """Seconds per level and per node of ``solve_sides`` on the benchmark
-    config, and the valuation's time with and without pruning."""
+def cost_model(fit_steps: list[int], repeats: int) -> dict:
+    """Seconds per level and per kept node of ``solve_sides`` on the
+    benchmark config."""
     import numpy as np
     from xvaband import lattice
     from xvaband.cli import build_config, parse_config_text
@@ -116,21 +114,12 @@ def cost_model(fit_steps: list[int], repeats: int, steps: int) -> dict:
             lattice.solve_sides(cfg.model, cfg.claim, n)
             runs.append(time.perf_counter() - start)
         times.append(statistics.median(runs))
-    design = np.array([[n, n * (n + 1) / 2] for n in fit_steps])
-    (per_level, per_node), *_ = np.linalg.lstsq(design, np.array(times),
-                                                rcond=None)
-    pair = (steps, steps // 2)
-    levels = sum(pair)
-    nodes = sum(n * (n + 1) // 2 for n in pair)
-    kept = sum(pruned_nodes(n) for n in pair)
-    full = per_level * levels + per_node * nodes
-    pruned = per_level * levels + per_node * kept
-    return {"steps": fit_steps, "times_s": times,
-            "per_level_s": per_level, "per_node_s": per_node,
-            "valuation": {"levels": levels, "nodes": nodes,
-                          "pruned_nodes": kept, "prune_sd": PRUNE_SD,
-                          "time_s": full, "pruned_time_s": pruned,
-                          "pruning_saves": 1.0 - pruned / full}}
+    nodes = [kept_nodes(n, cfg.claim.maturity, cfg.model.equity.sigma)
+             for n in fit_steps]
+    (per_level, per_node), *_ = np.linalg.lstsq(
+        np.column_stack([fit_steps, nodes]), np.array(times), rcond=None)
+    return {"steps": fit_steps, "nodes": nodes, "times_s": times,
+            "per_level_s": per_level, "per_node_s": per_node}
 
 
 def main(argv=None) -> int:
@@ -166,6 +155,8 @@ def main(argv=None) -> int:
              "times_s": [p[k]["time_s"] for p in passes]}
             for k, row in enumerate(first)]
     totals = [sum(r["time_s"] for r in p) for p in passes]
+    nodes = sum(r["nodes"] for r in first)
+    full = sum(n * (n + 1) // 2 for n in (steps, steps // 2))
     record = {
         "command": "python3 tools/lattice_study.py "
                    + " ".join(argv if argv is not None else sys.argv[1:]),
@@ -184,18 +175,20 @@ def main(argv=None) -> int:
             "median_error": statistics.median(errors) if errors else None,
             "worst_residual_ulps": max((r.get("worst_residual_ulps", 0.0)
                                         for r in first), default=None),
+            "nodes": nodes, "kept_share": nodes / (len(first) * full),
             "time_s": statistics.median(totals), "times_s": totals,
             "rows": rows},
-        "cost_model": cost_model(args.fit_steps, args.repeats, steps),
+        "prune_sd": lattice.PRUNE_SD,
+        "cost_model": cost_model(args.fit_steps, args.repeats),
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     pts, cost = record["points"], record["cost_model"]
     print(f"{pts['completed']}/{pts['draws']} completed, worst error "
           f"{pts['worst_error']:.3g}, median {pts['median_error']:.3g}, worst "
           f"residual {pts['worst_residual_ulps']:.3g} ulps, "
-          f"{pts['time_s']:.2f} s; per level {cost['per_level_s'] * 1e6:.1f} "
-          f"us, per node {cost['per_node_s'] * 1e9:.1f} ns, pruning at "
-          f"{PRUNE_SD:g} sd saves {cost['valuation']['pruning_saves']:.1%}")
+          f"{pts['kept_share']:.1%} of the nodes kept, {pts['time_s']:.2f} s; "
+          f"per level {cost['per_level_s'] * 1e6:.1f} us, per kept node "
+          f"{cost['per_node_s'] * 1e9:.1f} ns")
     return 0
 
 
