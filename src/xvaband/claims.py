@@ -31,7 +31,8 @@ class ClaimSpec:
 
     Custom payoffs must be piecewise continuously differentiable with at most
     polynomial growth; supply the payoff and, optionally, its derivative
-    (finite differences are used otherwise).
+    (central differences with a step of 1e-6 times the larger of s and the
+    strike are used otherwise).
     """
 
     kind: str  # "call" | "put" | "custom"
@@ -67,7 +68,7 @@ class ClaimSpec:
         if self.payoff_slope_fn is not None:
             return self.payoff_slope_fn(np.asarray(s, dtype=float))
         s = np.asarray(s, dtype=float)
-        h = 1e-6 * np.maximum(s, 1.0)
+        h = 1e-6 * np.maximum(s, self.strike)
         return (self.payoff_fn(s + h) - self.payoff_fn(s - h)) / (2.0 * h)
 
 
@@ -180,7 +181,9 @@ def _quadrature_value(model, claim, t, s):
         val, _ = integrate.quad(integrand, -12.0, 12.0, limit=200)
         return val
 
-    value = df * density_weighted(lambda sT: float(claim.payoff(sT)))
+    # in units of the strike, so quad's absolute tolerance scales with it
+    k = claim.strike
+    value = df * k * density_weighted(lambda sT: float(claim.payoff(sT)) / k)
     # pathwise differentiation: d S_T / d s = S_T / s
     delta = df * density_weighted(
         lambda sT: float(claim.payoff_slope(sT)) * sT / s)

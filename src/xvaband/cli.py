@@ -188,12 +188,10 @@ def _closed_point(model, claim) -> PointResult:
 
 def _pde_result(sol: pde.PdeSolution) -> PointResult:
     s0 = sol.model.equity.spot
-    mark = claims.agent_value(sol.model, sol.claim, 0.0, s0).value
-    return PointResult("pde", mark,
-                       pde.xva_at(sol, 0.0, s0, drivers.SELLER),
-                       pde.xva_at(sol, 0.0, s0, drivers.BUYER),
-                       pde.strategies(sol, 0.0, s0, drivers.SELLER),
-                       pde.strategies(sol, 0.0, s0, drivers.BUYER))
+    seller, buyer = (pde.strategies(sol, 0.0, s0, side)
+                     for side in drivers.SIDES)
+    return PointResult("pde", seller.mark, seller.adjustment,
+                       buyer.adjustment, seller, buyer)
 
 
 def _lattice_result(model, claim, sides) -> PointResult:

@@ -80,13 +80,8 @@ class DriverTerms(NamedTuple):
     (:func:`reduced_mark_terms`).  Each term is an array of its own, added by
     :func:`_seller_step` in the accrual's order, so splitting the drift this
     way moves no bit.  A buyer's terms are the seller's at the reflected
-    mark and ``z``.
-
-    A record made by :meth:`at` stands for ``rows`` of a block whose mark
-    terms it holds whole: the step reads each mark term through :meth:`get`,
-    which gathers it at ``rows``, so no copy outlives its use.  Its repo
-    legs are the rows' own.  Only :func:`with_repo_legs` and
-    :func:`reduced_step` take such a record.
+    mark and ``z``.  :meth:`take` gathers the record of some rows of a
+    block.
     """
 
     offset: np.ndarray
@@ -97,20 +92,6 @@ class DriverTerms(NamedTuple):
     carry: np.ndarray | None
     own: np.ndarray | None = None
     cpty: np.ndarray | None = None
-    rows: slice | np.ndarray | None = None
-
-    def at(self, rows):
-        """The record standing for ``rows`` of its block, without a copy."""
-        if isinstance(rows, slice) and rows == slice(None):
-            return self
-        return self._replace(rows=rows)
-
-    def get(self, name: str):
-        """The mark term ``name`` at the record's rows."""
-        value = getattr(self, name)
-        if self.rows is None or value is None:
-            return value
-        return value[self.rows]
 
     def take(self, rows):
         """The record restricted to ``rows`` of a (rows, nodes) block, the
@@ -243,7 +224,7 @@ def _seller_step(p: DriverParams, terms: DriverTerms, u, z_own, z_cpty):
     owned = isinstance(u, np.ndarray) and u.shape == np.shape(z_own)
     funding = np.add(u, z_own, out=u if owned else None)
     funding += z_cpty
-    funding += terms.get("offset")
+    funding += terms.offset
     accrual = pos(funding)
     accrual *= p.fund_lend
     # the funding account is spent; its buffer takes the remaining products
@@ -255,13 +236,12 @@ def _seller_step(p: DriverParams, terms: DriverTerms, u, z_own, z_cpty):
     accrual -= terms.repo_short
     accrual -= np.multiply(p.discount, z_own, out=spare)
     accrual -= np.multiply(p.discount, z_cpty, out=spare)
-    accrual += terms.get("coll_earn")
-    accrual -= terms.get("coll_pay")
+    accrual += terms.coll_earn
+    accrual -= terms.coll_pay
     out = accrual if isinstance(accrual, np.ndarray) else None
-    carry = terms.get("carry")
-    if carry is None:
+    if terms.carry is None:
         return np.negative(accrual, out=out)
-    return np.subtract(carry, accrual, out=out)
+    return np.subtract(terms.carry, accrual, out=out)
 
 
 def _drift(model: MarketModel, side: str, at_value: bool, u, z, z_own, z_cpty,
@@ -316,8 +296,8 @@ def reduced_step(p: DriverParams, terms: DriverTerms, u):
         zero = np.multiply(u, 0.0)
         drift = _seller_step(p, terms, u, zero, zero)
     else:
-        z_own = terms.get("own") - u
-        z_cpty = terms.get("cpty") - u
+        z_own = terms.own - u
+        z_cpty = terms.cpty - u
         drift = _seller_step(p, terms, u, z_own, z_cpty)
         # the exposures are spent; they take the intensity-weighted pull
         z_own *= p.intensity_own

@@ -68,11 +68,10 @@ the residual.  The scale is relative, so the check
 holds at any size of the claim.  The failure named is that of the highest
 failing level of the block, the one a march level by level reaches first.
 Rows share no arithmetic, and neither do the levels of a block beyond what
-a level reads of the one above, so each row gets bit for bit the values of
-a march of its side alone, at any block size, which is what
-:func:`solve_reduced` runs.  Values that turn non-finite fail the valuation,
-naming the side, the level and, in a batch, the scenario
-(:meth:`pde.Rows.label`).
+a level reads of the one above, so each row gets bit for bit the same
+values in any batch and at any block size.  Values that turn non-finite
+fail the valuation, naming the side, the level and, in a batch, the
+scenario (:meth:`pde.Rows.label`).
 
 The lattice converges at first order in dt.  :func:`solve_extrapolated`, the
 valuation the CLI runs, removes that term by Richardson extrapolation from
@@ -115,7 +114,6 @@ class OracleSolution:
     side: str
     level: str
     n_steps: int
-    root_value: float       # solved quantity at the root (level-dependent)
     root_gradient: float    # Brownian-integrand estimate at the root
     root_mark: float        # agent's mark at the root
     adjustment: float       # valuation adjustment at time zero
@@ -125,18 +123,17 @@ class OracleSolution:
 def solve_reduced(model: MarketModel, claim: claims.ClaimSpec, n_steps: int,
                   level: str = "adjustment",
                   side: str = drivers.SELLER) -> OracleSolution:
-    """Backward induction for the reduced equation at the requested level."""
+    """Backward induction for the reduced equation at the requested level:
+    ``side``'s solution of :func:`solve_sides`."""
     drivers._check_side(side)
-    return _march([model], claim, n_steps, level,
-                  [drivers.SIDES.index(side)])[0]
+    return solve_sides(model, claim, n_steps, level)[drivers.SIDES.index(side)]
 
 
 def solve_sides(model: MarketModel, claim: claims.ClaimSpec, n_steps: int,
                 level: str = "adjustment") -> tuple[OracleSolution, OracleSolution]:
     """(seller, buyer) solutions from one backward induction of both sides.
 
-    Each equals :func:`solve_reduced` of its side, and the valuation fails
-    with :class:`NumericsError` if either side does.
+    The valuation fails with :class:`NumericsError` if either side does.
     """
     return solve_batch([model], claim, n_steps, level)[0]
 
@@ -163,7 +160,7 @@ def solve_extrapolated(models: list[MarketModel], claim: claims.ClaimSpec,
 
     Marches the lattices of n = ``n_steps`` and m = n // 2 steps and, since
     both converge at first order in dt, returns ``(n L(n) - m L(m)) / (n - m)``
-    of their adjustment, root value and root gradient, which cancels the
+    of their adjustment and root gradient, which cancels the
     first-order term for odd n too.  The other fields, the per-level
     residuals included, are the n-step lattice's.  The time-step guard
     holds for the m-step lattice, and its advice names n.
@@ -179,17 +176,15 @@ def solve_extrapolated(models: list[MarketModel], claim: claims.ClaimSpec,
 
     solutions = [replace(
         f, adjustment=extrapolate(f.adjustment, c.adjustment),
-        root_value=extrapolate(f.root_value, c.root_value),
         root_gradient=extrapolate(f.root_gradient, c.root_gradient))
         for f, c in zip(fine, coarse)]
     return list(zip(solutions[:len(models)], solutions[len(models):]))
 
 
 def _march(models: list[MarketModel], claim: claims.ClaimSpec, n_steps: int,
-           level: str, picked: list[int] | None = None,
-           refine: int = 1) -> list[OracleSolution]:
-    """Backward induction of the 2K rows of K models, or of the ``picked``
-    rows alone, in blocks of levels; one solution per row marched.
+           level: str, refine: int = 1) -> list[OracleSolution]:
+    """Backward induction of the 2K rows of K models in blocks of levels;
+    one solution per row.
 
     The time-step guard advises ``refine`` times the steps this lattice
     needs: the lattice of an extrapolation whose caller sets the finer.
@@ -230,17 +225,16 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, n_steps: int,
         return s0 * np.exp(drift * (k * dt) + sigma * w)
 
     at_value = level == "value"
-    picked = list(range(rows.size)) if picked is None else picked
-    params = rows.params.take(picked)
+    params = rows.params
     # the children of level k's nodes: level k + 1's kept nodes in columns
     # 1 .. their count, and a ghost next to them where level k needs one
-    child = np.empty((len(picked), widths.max() + 2))
+    child = np.empty((rows.size, widths.max() + 2))
     child[:, 1:widths[n_steps] + 1] = (
         claim.payoff(stock_levels(np.array([n_steps]))) if at_value else 0.0)
-    residuals = np.zeros((len(picked), n_steps))
+    residuals = np.zeros((rows.size, n_steps))
     lo, hi = lowest.tolist(), highest.tolist()
 
-    for levels in _blocks(widths[:-1].tolist(), len(picked)):
+    for levels in _blocks(widths[:-1].tolist(), rows.size):
         sizes = widths[levels]
         starts = np.cumsum(sizes) - sizes
         s = stock_levels(levels)
@@ -288,22 +282,20 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, n_steps: int,
                    else np.concatenate(u_levels, axis=1))
         del u_levels
         terms = terms._replace(repo_long=legs[0], repo_short=legs[1])
-        residuals[:, levels] = _check_block(rows, picked, params, terms,
-                                            u_block, e_block, levels, starts,
-                                            lowest, s, dt)
+        residuals[:, levels] = _check_block(rows, terms, u_block, e_block,
+                                            levels, starts, lowest, s, dt)
         # the block's arrays go as the next block's replace them: freed at
         # once, they would let the heap shrink and fault back in
 
     mark0 = claims.agent_value(first, claim, 0.0, s0).value
     solutions = []
-    for r, row in enumerate(picked):
-        root = float(u[r, 0])
+    for row in range(rows.size):
+        root = float(u[row, 0])
         solutions.append(OracleSolution(
             side=drivers.SIDES[row // rows.count], level=level,
-            n_steps=n_steps, root_value=root,
-            root_gradient=float(root_gradient[r]), root_mark=mark0,
-            adjustment=root - mark0 if at_value else root,
-            root_residuals=residuals[r]))
+            n_steps=n_steps, root_gradient=float(root_gradient[row]),
+            root_mark=mark0, adjustment=root - mark0 if at_value else root,
+            root_residuals=residuals[row]))
     return solutions
 
 
@@ -336,16 +328,15 @@ def _blocks(widths: list[int], rows: int):
         top = k
 
 
-def _check_block(rows: Rows, picked: list[int], params: drivers.DriverParams,
-                 terms: drivers.DriverTerms, u: np.ndarray, e: np.ndarray,
-                 levels: np.ndarray, starts: np.ndarray, lowest: np.ndarray,
-                 s: np.ndarray, dt: float) -> np.ndarray:
+def _check_block(rows: Rows, terms: drivers.DriverTerms, u: np.ndarray,
+                 e: np.ndarray, levels: np.ndarray, starts: np.ndarray,
+                 lowest: np.ndarray, s: np.ndarray, dt: float) -> np.ndarray:
     """The largest residual per level of a block's roots ``u`` of
     ``u = e + dt f(u)``, in ulps of the nodes' scales, from one call of the
     step; a failure names the highest failing level, the one a march level
     by level reaches first.  Level ``levels[i]`` starts at column
     ``starts[i]`` with its node ``lowest[levels[i]]``; ``e`` is spent."""
-    miss = drivers.reduced_step(params, terms, u)
+    miss = drivers.reduced_step(rows.params, terms, u)
     miss *= dt
     miss += e
     miss -= u
@@ -359,8 +350,8 @@ def _check_block(rows: Rows, picked: list[int], params: drivers.DriverParams,
         # dt times the largest of them: widen the scale there alone
         rr, jj = np.nonzero(~(ulps <= ROOT_ULPS))
         at = (rr[:, None], jj[:, None])
-        wide = drivers.reduced_step_scale(params.take(rr), terms.take(at),
-                                          u[at])
+        wide = drivers.reduced_step_scale(rows.params.take(rr),
+                                          terms.take(at), u[at])
         wide *= dt
         np.maximum(wide, np.abs(u[at]), out=wide)
         np.maximum(wide, e[at], out=wide)
@@ -371,27 +362,26 @@ def _check_block(rows: Rows, picked: list[int], params: drivers.DriverParams,
             ends = np.append(starts[1:], u.shape[1])
             at = slice(starts[i], ends[i])
             k = int(levels[i])
-            _fail(rows, picked, k, int(lowest[k]), dt, s[at], miss[:, at],
-                  ulps[:, at])
+            _fail(rows, k, int(lowest[k]), dt, s[at], miss[:, at], ulps[:, at])
     return np.maximum.reduceat(ulps, starts, axis=1)
 
 
-def _fail(rows: Rows, picked: list[int], k: int, lowest: int, dt: float,
-          s: np.ndarray, miss: np.ndarray, ulps: np.ndarray):
+def _fail(rows: Rows, k: int, lowest: int, dt: float, s: np.ndarray,
+          miss: np.ndarray, ulps: np.ndarray):
     """Raise the failure of level k's root check, from the stock levels,
     residuals and residuals in ulps of the scales checked against of its
     kept nodes, the first of which is node ``lowest``."""
     rr, jj = np.nonzero(~(ulps <= ROOT_ULPS))
     finite = np.isfinite(miss[rr, jj])
     if not finite.all():
-        row = picked[int(rr[np.argmin(finite)])]
+        row = int(rr[np.argmin(finite)])
         raise NumericsError(f"non-finite lattice values on the "
                             f"{rows.label(row)} at level {k}")
     worst = ulps.max(axis=1)
     r = int(np.argmax(~(worst <= ROOT_ULPS)))
     j = int(np.argmax(ulps[r]))
     raise NumericsError(
-        f"implicit step not solved on the {rows.label(picked[r])} "
+        f"implicit step not solved on the {rows.label(r)} "
         f"at level {k} (t={k * dt:.6g}): node {lowest + j} at s={s[j]:.6g}, "
         f"residual {ulps[r, j]:.3g} ulps of the node's scale "
         f"(bound {ROOT_ULPS})")

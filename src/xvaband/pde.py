@@ -37,15 +37,19 @@ delta once and builds from them the driver terms that the mark alone fixes
 (funding offset, collateral legs, carry, close-out targets); the driver of
 one time level is spent on the next step's explicit part before that step
 builds its own terms, so one level of terms is alive at a time.  Each
-Picard iteration then makes one driver call for the live rows, which adds
-only the exposure z, the repo legs and the step in u, gathering the live
-rows' terms as it reads them, and one banded solve of their transpose.
+Picard iteration then makes one driver call for the live rows, which takes
+the live rows' terms of the level and adds only the exposure z, the repo
+legs and the step in u, and one banded solve of their transpose.
 The driver reads one :class:`drivers.DriverParams` record of the block, in
 which a parameter that differs between scenarios has one entry per row, and
 reflects the buyer rows itself.  Picard runs per row through
 :func:`settle` from a start computed per node: a row is frozen as soon as
 its own residual is below tolerance, so it takes exactly the iterations, and
-gets exactly the values, of its own single-scenario solve.  :func:`solve` is this march with K = 1 and keeps the
+gets exactly the values, of its own single-scenario solve.  The columns of
+a banded solve are independent, so a row that turns non-finite spoils only
+itself; :func:`settle` stops it, and the march checks the agent surface and
+every row once per time level, naming the surface and t of the first
+non-finite values.  :func:`solve` is this march with K = 1 and keeps the
 full surfaces; :func:`solve_batch` keeps only the first two time levels,
 which valuation and hedging at t = 0 read.
 """
@@ -69,19 +73,6 @@ TIME_GRADING = 1.5   # tau_n = T (n / N)^TIME_GRADING: small steps near maturity
 
 class NumericsError(RuntimeError):
     """A solve failed to converge or produced non-finite values."""
-
-
-class _NonFiniteRhs(NumericsError):
-    """A banded solve refused a right-hand side holding NaN or inf.
-
-    ``column`` is the first such column of the right-hand side (a row of
-    the march's block, which is solved transposed), None for one column.
-    """
-
-    def __init__(self, column: int | None):
-        where = "" if column is None else f" in column {column}"
-        super().__init__(f"non-finite right-hand side{where}")
-        self.column = column
 
 
 @dataclass(frozen=True)
@@ -254,20 +245,14 @@ def solve_banded(stepper: _Stepper, coef: float, b: np.ndarray,
     """Solve (I - coef * B) x = b with the stepper's LU factors of that matrix.
 
     ``b`` is one column, shape (nx,), or a block of columns, shape (nx, k),
-    such as the transpose of a (k, nx) block of rows.  A
-    right-hand side holding NaN or inf is refused with :class:`_NonFiniteRhs`
-    naming its first such column.  The factors come from partial pivoting as
-    in ``scipy.linalg.solve_banded``, whose tridiagonal path (LAPACK
-    ``dgtsv``) does the same arithmetic, so the two agree bit for bit.
-    With ``overwrite``, a ``b`` in Fortran order holds the solution on
+    such as the transpose of a (k, nx) block of rows.  The columns are
+    solved independently, so NaN or inf in one column spoils that column
+    alone; the caller checks what it keeps.  The factors come from partial
+    pivoting as in ``scipy.linalg.solve_banded``, whose tridiagonal path
+    (LAPACK ``dgtsv``) does the same arithmetic, so the two agree bit for
+    bit.  With ``overwrite``, a ``b`` in Fortran order holds the solution on
     return, and no copy of it is made.
     """
-    finite = np.isfinite(b)
-    if not finite.all():
-        column = None
-        if b.ndim == 2:
-            column = int(np.flatnonzero(~finite.all(axis=0))[0])
-        raise _NonFiniteRhs(column)
     x, info = dgttrs(*stepper.factors(coef), b, overwrite_b=overwrite)
     if info:
         raise ValueError(f"illegal value in argument {-info} of dgttrs")
@@ -355,7 +340,7 @@ class _Rows(Rows):
             z = _gradient(u, dx, self._z[:u.size].reshape(u.shape))
             z += grad
             z *= params.sigma
-            terms = drivers.with_repo_legs(params, level.at(rows), z)
+            terms = drivers.with_repo_legs(params, level.take(rows), z)
             return drivers.reduced_step(params, terms, u)
         return g
 
@@ -430,6 +415,12 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
                 f"{res[row]:.3g} (tolerance {tol:g})")
         return it, res, u
 
+    def finite_agent(a, t):
+        if not np.isfinite(a).all():
+            raise NumericsError(
+                f"non-finite values in the agent surface at t={t:.6g}")
+        return a
+
     # march tau = T - t from 0 to T; rows are stored by t-index.  One level
     # of driver terms is alive at a time: the old level's driver is spent on
     # the explicit part before the new level is built.
@@ -443,65 +434,59 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
         block[nt] = u_old
     drift_old = None  # the driver at u_old's level, once a step has built it
     n_r = min(RANNACHER_STEPS, nt)
-    try:
-        for n in range(nt):
-            i_new = nt - n - 1          # t-index being computed
-            t_old = t_levels[i_new + 1]
-            t_new = t_levels[i_new]
-            dt = t_old - t_new
-            if n < n_r:
-                # two implicit-Euler half-steps
-                drift_old = None
-                t_mid = 0.5 * (t_old + t_new)
-                a_half = agent_step.step_linear(a_old, 0.5 * dt, 1.0)
-                it1, res1, u_mid = picard(u_old, 0.5 * dt, 1.0, u_old, t_mid,
-                                          drift_at(t_mid, a_half))
-                a_new = agent_step.step_linear(a_half, 0.5 * dt, 1.0)
-                drift_new = drift_at(t_new, a_new)
-                it2, res2, u_new = picard(u_mid, 0.5 * dt, 1.0, u_mid, t_new,
-                                          drift_new)
-                del u_mid
-                it, res = np.maximum(it1, it2), np.maximum(res1, res2)
-            else:
-                # fixed = (u_old + dt/2 B u_old) + dt/2 g_old, summed in place
-                if drift_old is None:
-                    drift_old = drift_at(t_old, a_old)
-                explicit = drift_old(u_old, slice(None))
-                drift_old = None
-                explicit *= 0.5 * dt
-                fixed = adj_step.apply(u_old)
-                fixed *= 0.5 * dt
-                fixed += u_old
-                fixed += explicit
-                del explicit
-                # start from the linear extrapolation of the last two levels
-                u_start = u_old - u_older
-                u_older = None
-                u_start *= dt / dt_old
-                u_start += u_old
-                a_new = agent_step.step_linear(a_old, dt, 0.5)
-                drift_new = drift_at(t_new, a_new)
-                it, res, u_new = picard(fixed, dt, 0.5, u_start, t_new,
-                                        drift_new)
-                del fixed, u_start
-            finite = np.all(np.isfinite(u_new), axis=1)
-            if not finite.all():
-                row = int(np.flatnonzero(~finite)[0])
-                raise NumericsError(
-                    f"non-finite values in the {rows.label(row)} surface at "
-                    f"t={t_new:.6g} (last residual {res[row]:.3g})")
-            if i_new < keep:
-                agent[i_new] = a_new
-                block[i_new] = u_new
-            iters[n] = it
-            resids[n] = res
-            a_old, u_older, u_old, drift_old = a_new, u_old, u_new, drift_new
-            dt_old = dt
-            del drift_new
-    except _NonFiniteRhs as exc:
-        what = "agent" if exc.column is None else rows.label(exc.column)
-        raise NumericsError(f"non-finite values in the {what} surface at "
-                            f"t={t_new:.6g}") from exc
+    for n in range(nt):
+        i_new = nt - n - 1          # t-index being computed
+        t_old = t_levels[i_new + 1]
+        t_new = t_levels[i_new]
+        dt = t_old - t_new
+        if n < n_r:
+            # two implicit-Euler half-steps
+            drift_old = None
+            t_mid = 0.5 * (t_old + t_new)
+            a_half = agent_step.step_linear(a_old, 0.5 * dt, 1.0)
+            it1, res1, u_mid = picard(u_old, 0.5 * dt, 1.0, u_old, t_mid,
+                                      drift_at(t_mid, a_half))
+            a_new = finite_agent(agent_step.step_linear(a_half, 0.5 * dt, 1.0),
+                                 t_new)
+            drift_new = drift_at(t_new, a_new)
+            it2, res2, u_new = picard(u_mid, 0.5 * dt, 1.0, u_mid, t_new,
+                                      drift_new)
+            del u_mid
+            it, res = np.maximum(it1, it2), np.maximum(res1, res2)
+        else:
+            # fixed = (u_old + dt/2 B u_old) + dt/2 g_old, summed in place
+            if drift_old is None:
+                drift_old = drift_at(t_old, a_old)
+            explicit = drift_old(u_old, slice(None))
+            drift_old = None
+            explicit *= 0.5 * dt
+            fixed = adj_step.apply(u_old)
+            fixed *= 0.5 * dt
+            fixed += u_old
+            fixed += explicit
+            del explicit
+            # start from the linear extrapolation of the last two levels
+            u_start = u_old - u_older
+            u_older = None
+            u_start *= dt / dt_old
+            u_start += u_old
+            a_new = finite_agent(agent_step.step_linear(a_old, dt, 0.5), t_new)
+            drift_new = drift_at(t_new, a_new)
+            it, res, u_new = picard(fixed, dt, 0.5, u_start, t_new, drift_new)
+            del fixed, u_start
+        finite = np.all(np.isfinite(u_new), axis=1)
+        if not finite.all():
+            row = int(np.flatnonzero(~finite)[0])
+            raise NumericsError(f"non-finite values in the {rows.label(row)} "
+                                f"surface at t={t_new:.6g}")
+        if i_new < keep:
+            agent[i_new] = a_new
+            block[i_new] = u_new
+        iters[n] = it
+        resids[n] = res
+        a_old, u_older, u_old, drift_old = a_new, u_old, u_new, drift_new
+        dt_old = dt
+        del drift_new
     return agent, block, iters, resids
 
 
@@ -551,9 +536,8 @@ def _picard(stepper: _Stepper, rhs_base: np.ndarray, dt: float, theta: float,
 
     ``implicit_driver(u, rows)`` evaluates g on the given rows of the block
     and returns a new array, which the step then overwrites; ``rhs_base`` is
-    read and never written.  Runs :func:`settle` at ``tol``; a non-finite
-    right-hand side raises :class:`_NonFiniteRhs` naming its row of
-    ``u_start``.
+    read and never written.  Runs :func:`settle` at ``tol``: a row that
+    turns non-finite stops there, its values left for the caller to report.
     """
     coef = theta * dt
 
@@ -561,11 +545,7 @@ def _picard(stepper: _Stepper, rhs_base: np.ndarray, dt: float, theta: float,
         rhs = implicit_driver(u, rows)
         rhs *= coef
         rhs += rhs_base[rows]
-        try:
-            return solve_banded(stepper, coef, rhs.T, overwrite=True).T
-        except _NonFiniteRhs as exc:
-            row = np.arange(len(rhs_base))[rows][exc.column]
-            raise _NonFiniteRhs(int(row)) from None
+        return solve_banded(stepper, coef, rhs.T, overwrite=True).T
     return settle(step, u_start, tol, PICARD_MAX_ITER)
 
 

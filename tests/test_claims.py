@@ -163,6 +163,20 @@ def test_custom_payoff_matches_vanilla():
     assert got.delta == pytest.approx(ref.delta, abs=1e-7)
 
 
+@pytest.mark.parametrize("lam", [2.0**-20, 1e-6, 1e-3, 1.0, 1e4, 1e7, 2.0**20])
+def test_custom_mark_scales_with_the_strike(lam):
+    """A custom call at spot = strike = lam, with the finite-difference
+    slope, matches the vanilla call as closely at every scale as at 1."""
+    model = flat_model(0.05, 0.2)
+    custom = ClaimSpec(kind="custom", strike=lam, maturity=1.0,
+                       payoff_fn=lambda s: np.maximum(s - lam, 0.0))
+    vanilla = ClaimSpec(kind="call", strike=lam, maturity=1.0)
+    got = agent_value(model, custom, 0.0, lam)
+    ref = agent_value(model, vanilla, 0.0, lam)
+    assert got.value == pytest.approx(ref.value, rel=1e-9)
+    assert got.delta == pytest.approx(ref.delta, abs=1e-9)
+
+
 def test_validation():
     claim = ClaimSpec(kind="call", strike=1.0, maturity=1.0)
     model = flat_model(0.05, 0.2)

@@ -7,6 +7,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from xvaband import claims, cli, closed_form, lattice
@@ -78,6 +79,16 @@ def test_default_pde_grid_is_accurate_on_the_benchmark():
     seller, buyer = lattice.solve_extrapolated([cfg.model], cfg.claim, 1000)[0]
     assert abs(res.xva_seller - seller.adjustment) <= 5e-7 * cfg.claim.strike
     assert abs(res.xva_buyer - buyer.adjustment) <= 5e-7 * cfg.claim.strike
+
+
+def test_pde_point_marks_a_custom_claim_from_its_agent_surface():
+    """The mark of a PDE point is that of its two strategies, the PDE's
+    agent surface at (0, spot), also for a custom claim."""
+    cfg = build_config(parse_config_text(BENCH_TEXT))
+    spread = claims.ClaimSpec(kind="custom", strike=1.0, maturity=1.0,
+                              payoff_fn=lambda s: np.clip(s - 1.0, 0.0, 0.2))
+    res = cli.evaluate_point(cfg.model, spread, "pde")[0]
+    assert res.mark == res.strategy_seller.mark == res.strategy_buyer.mark
 
 
 def test_parse_config_full_precision():

@@ -63,7 +63,6 @@ def test_value_level_route_agrees_with_adjustment_level():
     for side in (SELLER, BUYER):
         adj = solve_reduced(model, CALL, 1000, level="adjustment", side=side)
         val = solve_reduced(model, CALL, 1000, level="value", side=side)
-        assert val.root_value == pytest.approx(val.adjustment + val.root_mark)
         assert abs(adj.adjustment - val.adjustment) < 5e-5
 
 
@@ -304,7 +303,6 @@ def test_root_check_failure_names_side_level_and_node(monkeypatch):
         solve_sides(model, CALL, 20)
     # one failing side fails the pass, and names that side
     monkeypatch.setattr(drivers, "reduced_root", off_on(lambda sign: sign < 0))
-    solve_reduced(model, CALL, 20, side=SELLER)
     with pytest.raises(NumericsError, match="on the buyer side at level 19"):
         solve_sides(model, CALL, 20)
 
@@ -334,7 +332,6 @@ def test_root_failure_inside_a_block_names_its_own_level(monkeypatch):
             rf"\(t=0\.65\): node 5 at s={s:.6g}, residual \S+ ulps of the "
             r"node's scale \(bound 8\)$")):
         solve_sides(model, CALL, 20)
-    solve_reduced(model, CALL, 20, side=SELLER)
 
 
 def test_root_failure_at_a_pruned_level_names_the_absolute_node(monkeypatch):
@@ -499,7 +496,7 @@ def test_solve_batch_matches_solve_sides_bit_for_bit(credit, kind,
             assert len(batch) == len(models)
             for pair, wanted in zip(batch, sides):
                 for got, want in zip(pair, wanted):
-                    assert got == want  # side, level, root value, gradient, mark
+                    assert got == want  # side, level, mark, adjustment
                     assert got.root_gradient == want.root_gradient
                     assert np.array_equal(got.root_residuals,
                                           want.root_residuals)
@@ -565,7 +562,7 @@ def test_cli_lattice_extrapolates_two_raw_lattices(n):
         gradient = extrapolated(f.root_gradient, c.root_gradient, n)
         assert strategy.stock_shares == gradient / (sigma * s0)
     (seller, buyer), = lattice.solve_extrapolated([model], CALL, n)
-    assert seller.root_value == seller.adjustment == point.xva_seller
+    assert seller.adjustment == point.xva_seller
     assert np.array_equal(buyer.root_residuals, fine[1].root_residuals)
 
 
