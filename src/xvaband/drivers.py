@@ -18,13 +18,14 @@ Conventions
   close-out targets in one shared step, :func:`reduced_step`.  A caller
   whose mark and ``z`` stay fixed solves its implicit step in closed form
   (:func:`reduced_root`) and checks the root with one call of the step.
-  The lattice, whose marks are known ahead of its march, computes
-  :func:`reduced_mark_terms` and the root's coefficients that they fix
-  (:func:`root_terms`) once per block of levels, and per level only the
-  repo legs (:func:`with_repo_legs`) and the root.  A caller whose mark
-  stays fixed while ``z`` moves with ``u`` (the PDE, where ``z`` is the
-  gradient of ``u``) computes :func:`reduced_mark_terms` once and per ``u``
-  only the repo legs and the step.
+  The lattice builds the root's constants once per march
+  (:func:`root_rates`); per block of levels, the mark's
+  :func:`reduced_mark_terms`, their root coefficients (:func:`root_terms`)
+  and the repo legs of the check (:func:`with_repo_legs`); per level only
+  ``e``, ``z`` and the root.  A caller whose mark stays fixed while ``z``
+  moves with ``u`` (the PDE, where ``z`` is the gradient of ``u``) computes
+  :func:`reduced_mark_terms` once and per ``u`` only the repo legs and the
+  step.
 * ``side`` is "seller" (hedging a short position in the claim) or "buyer"
   (hedging a long position).  Buyer-side values are always produced through
   one reflection, ``buyer(args, mark) = -seller(-args, -mark)``, which the
@@ -191,19 +192,12 @@ def _mark_terms(p: DriverParams, at_value: bool, mark, own=None,
         carry=None if at_value else p.discount * mark, own=own, cpty=cpty)
 
 
-def with_repo_legs(p: DriverParams, terms: DriverTerms, z,
-                   out: tuple | None = None) -> DriverTerms:
+def with_repo_legs(p: DriverParams, terms: DriverTerms, z) -> DriverTerms:
     """``terms`` with the repo legs that the side's ``z`` fixes filled in: the
     stock position ``z / sigma`` accrues the repo spread over the discount
-    rate, borrowed when long and lent when short.  ``out``, a (long, short)
-    pair of arrays shaped like the legs, takes them; ``z`` may be its
-    second."""
-    if out is None:
-        z, long_out = p.sign * z, None
-    else:
-        long_out, short_out = out
-        z = np.multiply(p.sign, z, out=short_out)
-    repo_long = pos(z, out=long_out)
+    rate, borrowed when long and lent when short."""
+    z = p.sign * z
+    repo_long = pos(z)
     repo_long *= p.discount - p.repo_borrow
     repo_long /= p.sigma
     repo_short = neg(z, out=z if isinstance(z, np.ndarray) else None)
@@ -308,85 +302,105 @@ def reduced_step(p: DriverParams, terms: DriverTerms, u):
     return drift
 
 
-class RootTerms(NamedTuple):
-    """The coefficients of :func:`reduced_root`'s closed form, in the
-    seller's terms.
+class RootRates(NamedTuple):
+    """The constants of :func:`reduced_root` at one ``dt``, per row.
 
-    In those terms the drift is ``base + repo_short - repo_long - rate *
-    account - pull * u``, with the funding account ``at_zero + slope * u``.
-    ``base`` (the collateral legs, the carry and the close-out targets'
-    share) and ``at_zero`` are fixed by the mark, and :func:`root_terms`
-    builds them once for every ``z`` the mark meets.  The repo legs are
-    ``z``'s: :func:`with_repo_legs` fills them in, as it does on
-    :class:`DriverTerms`.
+    ``repo_borrow`` and ``repo_lend`` are the repo rates less the discount
+    rate; ``lend`` and ``borrow`` are the branches' denominators ``1 + dt
+    (slope rate + pull)``, and ``pulled`` is ``1 + dt pull``.
     """
 
-    base: np.ndarray
-    at_zero: np.ndarray
-    repo_long: np.ndarray | None = None
-    repo_short: np.ndarray | None = None
+    dt: float
+    sigma: float | np.ndarray
+    repo_borrow: float | np.ndarray
+    repo_lend: float | np.ndarray
+    lend: float | np.ndarray
+    borrow: float | np.ndarray
+    pulled: float | np.ndarray
+    slope: float
 
 
-def root_terms(p: DriverParams, terms: DriverTerms) -> RootTerms:
-    """The coefficients of the root that the mark terms in ``terms`` fix,
-    with the repo legs of ``terms``, if filled in."""
-    base = terms.coll_pay - terms.coll_earn
-    if terms.carry is not None:
-        base += terms.carry
-    if p.intensity_own is None:
-        return RootTerms(base, terms.offset, terms.repo_long, terms.repo_short)
-    base += (p.discount + p.intensity_own) * terms.own
-    base += (p.discount + p.intensity_cpty) * terms.cpty
-    at_zero = terms.own + terms.cpty
-    at_zero += terms.offset
-    return RootTerms(base, at_zero, terms.repo_long, terms.repo_short)
-
-
-def reduced_root(p: DriverParams, terms: DriverTerms | RootTerms, e,
-                 dt: float):
-    """The root ``u`` of ``u = e + dt * reduced_step(p, terms, u)``.
-
-    With the terms fixed, the step is affine in ``u`` on either side of the
-    kink where the funding account changes sign.  The sign of the account at
-    the root is the same on both branches, the sign of a quantity that needs
-    no branch (the kink test), so the branch and then the root have closed
-    forms: one policy-iteration solve per node (Forsyth & Labahn 2007) whose
-    policy is known in advance.  The root solves the equation to a few ulps
-    of ``max(|u|, |e|, dt * reduced_step_scale(p, terms, u))``.  ``dt``
-    times :func:`reduced_lipschitz_bound` must be below 1, which keeps both
-    branches' denominators positive.
-
-    ``terms`` are the step's own, or the :func:`root_terms` of them, which a
-    caller whose mark is fixed across many ``z`` builds once; the root is
-    the same to the bit.
-    """
-    if isinstance(terms, DriverTerms):
-        terms = root_terms(p, terms)
-    e = p.sign * e
-    base = terms.repo_short - terms.repo_long
-    base += terms.base
+def root_rates(p: DriverParams, dt: float) -> RootRates:
+    """The :class:`RootRates` of the rows of ``p`` at ``dt``."""
     if p.intensity_own is None:
         slope, pull = 1.0, 0.0
     else:
         slope = -1.0
         pull = (2.0 * p.discount + p.intensity_own) + p.intensity_cpty
+    return RootRates(dt, p.sigma, p.repo_borrow - p.discount,
+                     p.repo_lend - p.discount,
+                     1.0 + dt * (slope * p.fund_lend + pull),
+                     1.0 + dt * (slope * p.fund_borrow + pull),
+                     1.0 + dt * pull, slope)
+
+
+class RootTerms(NamedTuple):
+    """The coefficients of :func:`reduced_root` that the mark fixes.
+
+    In the seller's terms the drift is ``base + repo_short - repo_long -
+    rate * (at_zero + slope * u) - pull * u``.  ``base`` holds the
+    collateral legs, the carry and the close-out targets' share; ``account``
+    is ``at_zero``, times ``pulled`` with a credit block; ``lend`` and
+    ``borrow`` are the funding rates times ``at_zero``.
+    """
+
+    base: np.ndarray
+    account: np.ndarray
+    lend: np.ndarray
+    borrow: np.ndarray
+
+
+def root_terms(p: DriverParams, rates: RootRates,
+               terms: DriverTerms) -> RootTerms:
+    """The :class:`RootTerms` that the mark terms in ``terms`` fix."""
+    base = terms.coll_pay - terms.coll_earn
+    if terms.carry is not None:
+        base += terms.carry
+    at_zero = account = terms.offset
+    if p.intensity_own is not None:
+        base += (p.discount + p.intensity_own) * terms.own
+        base += (p.discount + p.intensity_cpty) * terms.cpty
+        at_zero = terms.own + terms.cpty
+        at_zero += terms.offset
+        account = at_zero * rates.pulled
+    return RootTerms(base, account, p.fund_lend * at_zero,
+                     p.fund_borrow * at_zero)
+
+
+def reduced_root(rates: RootRates, terms: RootTerms, e, z):
+    """The root ``u`` of ``u = e + dt * reduced_step(p, legs, u)``, with
+    ``legs`` the mark terms of ``terms`` and the repo legs of ``z``.
+
+    ``e``, ``z`` and ``u`` are in the seller's terms, a side's values times
+    its ``sign``.  The step is affine in ``u`` on either side of the kink
+    where the funding account changes sign, and the account's sign at the
+    root is that of a quantity that needs no branch (the kink test), so the
+    branch and then the root have closed forms: one policy-iteration solve
+    per node (Forsyth & Labahn 2007) whose policy is known in advance.  The
+    root solves the equation to a few ulps of ``max(|u|, |e|, dt *
+    reduced_step_scale(p, legs, u))``.  ``dt`` times
+    :func:`reduced_lipschitz_bound` must be below 1, which keeps both
+    denominators positive.
+    """
+    # the repo legs' net, short less long, of the stock position z / sigma
+    base = np.where(z > 0.0, rates.repo_borrow, rates.repo_lend)
+    base *= z
+    base /= rates.sigma
+    base += terms.base
     # the account at the root times its positive denominator,
     # at_zero (1 + dt pull) + slope (e + dt base)
-    kink = dt * base
+    kink = rates.dt * base
     kink += e
-    if slope > 0.0:
-        kink += terms.at_zero
+    if rates.slope > 0.0:
+        kink += terms.account
     else:
-        np.subtract(terms.at_zero * (1.0 + dt * pull), kink, out=kink)
+        np.subtract(terms.account, kink, out=kink)
     lend = kink > 0.0
-    root = np.where(lend, p.fund_lend, p.fund_borrow)
-    root *= terms.at_zero
+    root = np.where(lend, terms.lend, terms.borrow)
     root -= base
-    root *= -dt
+    root *= -rates.dt
     root += e
-    root /= np.where(lend, 1.0 + dt * (slope * p.fund_lend + pull),
-                     1.0 + dt * (slope * p.fund_borrow + pull))
-    root *= p.sign
+    root /= np.where(lend, rates.lend, rates.borrow)
     return root
 
 

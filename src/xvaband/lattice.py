@@ -39,27 +39,30 @@ K models that share a march (:func:`pde.march_key`) are valued in one pass
 with the K sellers first and their buyers after them in the same order.
 :func:`solve_sides` is the pass of one model.  The driver reads the
 :class:`drivers.DriverParams` record of the rows
-(``DriverParams.stack(models)``) and reflects the buyer rows itself.
+(``DriverParams.stack(models)``).
 
 The march walks the levels in blocks of consecutive levels, highest first,
 each of at most ``BLOCK_ROW_NODES`` row-nodes (rows times kept nodes,
 summed over its levels), or of one level when a level is larger: a 42-row
-batch of 1000 steps marches one level per block near maturity.  Each block
-lays its levels side by side in one (2K, sum of kept nodes) array and
+batch of 1000 steps marches one level per block near maturity.  The march
+is in the seller's terms, each row's values times its ``sign``.  It builds
+the constants of the node's root once (:func:`drivers.root_rates`).  Each
+block lays its levels side by side in one (2K, sum of kept nodes) array and
 builds once, for all its nodes and rows, what the march does not feed back:
 the stock levels, the agent's mark and delta
-(:func:`claims.agent_value_levels`), the driver terms
-that the mark fixes (:func:`drivers.reduced_mark_terms`) and the
-coefficients of the node's root that they fix (:func:`drivers.root_terms`).
-Each level then computes only what depends on the level above: the
-expectation e, the gradient and the exposure z, the repo legs that z fixes
-(:func:`drivers.with_repo_legs`) and the root.  With the terms fixed each
+(:func:`claims.agent_value_levels`), the driver terms that the mark fixes
+(:func:`drivers.reduced_mark_terms`) and the root's coefficients that they
+fix (:func:`drivers.root_terms`).  Each level then computes, each into an
+array of its own, only what depends on the level above: the expectation e,
+the gradient and the exposure z, and the root.  With the terms fixed each
 node's equation ``u = e + dt f(u)`` is piecewise linear in u, with one kink
 where the funding account changes sign, so its root has a closed form
-(:func:`drivers.reduced_root`), and that root is the level's answer.
+(:func:`drivers.reduced_root`, which takes the repo legs' net from z), and
+that root is the level's answer.
 
 Once a block's levels are marched, one call of the step in u
-(:func:`drivers.reduced_step`) over the whole block checks their roots: a
+(:func:`drivers.reduced_step`) over the whole block, with the repo legs of
+its z (:func:`drivers.with_repo_legs`), checks their roots: a
 node whose residual ``|e + dt f(u) - u|`` exceeds ``ROOT_ULPS`` ulps of its
 scale, ``max(|u|, |e|, dt * the largest addend of f)``
 (:func:`drivers.reduced_step_scale`), fails the valuation, naming the side,
@@ -109,6 +112,8 @@ class OracleSolution:
     ``root_residuals`` holds, per level k = 0 .. n_steps - 1 (time k * dt),
     this side's largest node residual ``|e + dt f(u) - u|`` in ulps of the
     scale the node was checked against; none exceeds ``ROOT_ULPS``.
+    ``root_widened`` holds, per level, whether a node's scale was widened
+    by :func:`drivers.reduced_step_scale` beyond ``max(|u|, |e|)``.
     """
 
     side: str
@@ -118,6 +123,7 @@ class OracleSolution:
     root_mark: float        # agent's mark at the root
     adjustment: float       # valuation adjustment at time zero
     root_residuals: np.ndarray = field(compare=False, repr=False)
+    root_widened: np.ndarray = field(compare=False, repr=False)
 
 
 def solve_reduced(model: MarketModel, claim: claims.ClaimSpec, n_steps: int,
@@ -226,12 +232,16 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, n_steps: int,
 
     at_value = level == "value"
     params = rows.params
+    # the march is in the seller's terms, each row's values times its sign
+    sign = params.sign
+    rates = drivers.root_rates(params, dt)
     # the children of level k's nodes: level k + 1's kept nodes in columns
     # 1 .. their count, and a ghost next to them where level k needs one
     child = np.empty((rows.size, widths.max() + 2))
-    child[:, 1:widths[n_steps] + 1] = (
-        claim.payoff(stock_levels(np.array([n_steps]))) if at_value else 0.0)
+    np.multiply(sign, claim.payoff(stock_levels(np.array([n_steps])))
+                if at_value else 0.0, out=child[:, 1:widths[n_steps] + 1])
     residuals = np.zeros((rows.size, n_steps))
+    widened = np.zeros((rows.size, n_steps), dtype=bool)
     lo, hi = lowest.tolist(), highest.tolist()
 
     for levels in _blocks(widths[:-1].tolist(), rows.size):
@@ -242,11 +252,10 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, n_steps: int,
             first, claim, [k * dt for k in levels.tolist()], sizes, s)
         if not at_value:
             delta *= sigma * s
+            delta = sign * delta
         terms = drivers.reduced_mark_terms(params, mark, at_value)
-        roots = drivers.root_terms(params, terms)
-        e_block = np.empty(terms.offset.shape)
-        legs = (np.empty_like(e_block), np.empty_like(e_block))
-        u_levels = []
+        roots = drivers.root_terms(params, rates, terms)
+        e_levels, z_levels, u_levels = [], [], []
         for k, start, width in zip(levels.tolist(), starts.tolist(),
                                    sizes.tolist()):
             kids = hi[k + 1] - lo[k + 1] + 1
@@ -259,43 +268,38 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, n_steps: int,
             down = child[:, left:left + width]
             up = child[:, left + 1:left + width + 1]
             at = slice(start, start + width)
-            e = e_block[:, at]
-            np.add(up, down, out=e)
+            e = np.add(up, down)
             e *= 0.5
-            # z in the buffer of its short repo leg, which it becomes
-            z = legs[1][:, at]
-            np.subtract(up, down, out=z)
+            z = np.subtract(up, down)
             z /= 2.0 * sdt
             if k == 0:
-                root_gradient = z[:, 0].copy()
+                root_gradient = z[:, 0] * sign[:, 0]
             if not at_value:
-                z += delta[at]  # sigma s delta
-            level_terms = drivers.with_repo_legs(
-                params, drivers.RootTerms(roots.base[:, at],
-                                          roots.at_zero[:, at]),
-                z, out=(legs[0][:, at], z))
-            u = drivers.reduced_root(params, level_terms, e, dt)
+                z += delta[:, at]  # sigma s delta
+            u = drivers.reduced_root(
+                rates, drivers.RootTerms(*(v[:, at] for v in roots)), e, z)
             child[:, 1:width + 1] = u
+            e_levels.append(e)
+            z_levels.append(z)
             u_levels.append(u)
-        del mark, delta, roots, level_terms
-        u_block = (u_levels[0] if len(u_levels) == 1
-                   else np.concatenate(u_levels, axis=1))
-        del u_levels
-        terms = terms._replace(repo_long=legs[0], repo_short=legs[1])
-        residuals[:, levels] = _check_block(rows, terms, u_block, e_block,
-                                            levels, starts, lowest, s, dt)
+        del mark, delta, roots
+        e, z, u = (v[0] if len(v) == 1 else np.concatenate(v, axis=1)
+                   for v in (e_levels, z_levels, u_levels))
+        del e_levels, z_levels, u_levels
+        residuals[:, levels], widened[:, levels] = _check_block(
+            rows, terms, u, e, z, levels, starts, lowest, s, dt)
         # the block's arrays go as the next block's replace them: freed at
         # once, they would let the heap shrink and fault back in
 
     mark0 = claims.agent_value(first, claim, 0.0, s0).value
     solutions = []
     for row in range(rows.size):
-        root = float(u[row, 0])
+        root = float(sign[row, 0] * child[row, 1])
         solutions.append(OracleSolution(
             side=drivers.SIDES[row // rows.count], level=level,
             n_steps=n_steps, root_gradient=float(root_gradient[row]),
             root_mark=mark0, adjustment=root - mark0 if at_value else root,
-            root_residuals=residuals[row]))
+            root_residuals=residuals[row], root_widened=widened[row]))
     return solutions
 
 
@@ -329,14 +333,19 @@ def _blocks(widths: list[int], rows: int):
 
 
 def _check_block(rows: Rows, terms: drivers.DriverTerms, u: np.ndarray,
-                 e: np.ndarray, levels: np.ndarray, starts: np.ndarray,
-                 lowest: np.ndarray, s: np.ndarray, dt: float) -> np.ndarray:
+                 e: np.ndarray, z: np.ndarray, levels: np.ndarray,
+                 starts: np.ndarray, lowest: np.ndarray, s: np.ndarray,
+                 dt: float) -> tuple[np.ndarray, np.ndarray]:
     """The largest residual per level of a block's roots ``u`` of
     ``u = e + dt f(u)``, in ulps of the nodes' scales, from one call of the
-    step; a failure names the highest failing level, the one a march level
-    by level reaches first.  Level ``levels[i]`` starts at column
-    ``starts[i]`` with its node ``lowest[levels[i]]``; ``e`` is spent."""
-    miss = drivers.reduced_step(rows.params, terms, u)
+    step, and per level whether a node's scale was widened; a failure names
+    the highest failing level, the one a march level by level reaches first.
+    ``terms`` are the mark's; ``u``, ``e`` and ``z`` are in the seller's
+    terms, and ``e`` is spent.  Level ``levels[i]`` starts at column
+    ``starts[i]`` with its node ``lowest[levels[i]]``."""
+    params = rows.params._replace(sign=1.0)
+    terms = drivers.with_repo_legs(params, terms, z)
+    miss = drivers.reduced_step(params, terms, u)
     miss *= dt
     miss += e
     miss -= u
@@ -345,12 +354,14 @@ def _check_block(rows: Rows, terms: drivers.DriverTerms, u: np.ndarray,
     scale = np.abs(u)
     np.maximum(scale, e, out=scale)
     ulps = np.divide(miss, np.spacing(scale, out=scale), out=scale)
+    widened = np.zeros((u.shape[0], len(levels)), dtype=bool)
     if not ulps.max() <= ROOT_ULPS:  # nan fails too
         # where the drift's addends cancel, the step's own rounding is
         # dt times the largest of them: widen the scale there alone
         rr, jj = np.nonzero(~(ulps <= ROOT_ULPS))
+        widened[rr, np.searchsorted(starts, jj, "right") - 1] = True
         at = (rr[:, None], jj[:, None])
-        wide = drivers.reduced_step_scale(rows.params.take(rr),
+        wide = drivers.reduced_step_scale(params.take(rr),
                                           terms.take(at), u[at])
         wide *= dt
         np.maximum(wide, np.abs(u[at]), out=wide)
@@ -363,7 +374,7 @@ def _check_block(rows: Rows, terms: drivers.DriverTerms, u: np.ndarray,
             at = slice(starts[i], ends[i])
             k = int(levels[i])
             _fail(rows, k, int(lowest[k]), dt, s[at], miss[:, at], ulps[:, at])
-    return np.maximum.reduceat(ulps, starts, axis=1)
+    return np.maximum.reduceat(ulps, starts, axis=1), widened
 
 
 def _fail(rows: Rows, k: int, lowest: int, dt: float, s: np.ndarray,

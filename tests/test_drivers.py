@@ -15,8 +15,9 @@ from xvaband import (BUYER, SELLER, ClaimSpec, CreditParams, MarketModel,
 from xvaband.drivers import (DriverParams, ReplicationStrategy,
                              adjustment_drift, build_strategy, jump_targets,
                              neg, pos, reduced_drift, reduced_drift_value,
-                             reduced_root, reduced_step, reduced_step_scale,
-                             reduced_terms, wealth_drift)
+                             reduced_mark_terms, reduced_root, reduced_step,
+                             reduced_step_scale, reduced_terms, root_rates,
+                             root_terms, wealth_drift)
 from xvaband.lattice import ROOT_ULPS
 from conftest import EQUITY, make_benchmark, make_symmetric
 
@@ -468,42 +469,55 @@ def test_build_strategy_no_credit_has_no_bonds():
 RATE = st.floats(min_value=0.0, max_value=0.2)
 NODE = st.one_of(st.sampled_from([0.0, -0.0]),
                  st.floats(min_value=-1e8, max_value=1e8))
+MODEL = st.fixed_dictionaries(dict(
+    fund_lend=RATE, spread=st.floats(min_value=1e-4, max_value=0.2),
+    repo_lend=RATE, repo_borrow=RATE, coll_earn=RATE, coll_pay=RATE,
+    discount=st.floats(min_value=0.0, max_value=0.1),
+    mu_own=st.floats(min_value=0.11, max_value=0.6),
+    mu_cpty=st.floats(min_value=0.11, max_value=0.6),
+    loss_own=st.floats(min_value=0.0, max_value=1.0),
+    loss_cpty=st.floats(min_value=0.0, max_value=1.0),
+    alpha=st.floats(min_value=0.0, max_value=1.0)))
+
+
+def root_of(p, e, z, mark, at_value, dt):
+    """The root of ``u = e + dt * reduced_step`` in the side's own terms, as
+    the lattice takes it: constants per dt, coefficients per mark, and the
+    fused root in the seller's terms."""
+    rates = root_rates(p, dt)
+    roots = root_terms(p, rates, reduced_mark_terms(p, mark, at_value))
+    return p.sign * reduced_root(rates, roots, p.sign * e, p.sign * z)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
-@given(lend=RATE, spread=st.floats(min_value=1e-4, max_value=0.2),
-       repo_lend=RATE, repo_borrow=RATE, coll_earn=RATE, coll_pay=RATE,
-       discount=st.floats(min_value=0.0, max_value=0.1),
-       mu_own=st.floats(min_value=0.11, max_value=0.6),
-       mu_cpty=st.floats(min_value=0.11, max_value=0.6),
-       loss_own=st.floats(min_value=0.0, max_value=1.0),
-       loss_cpty=st.floats(min_value=0.0, max_value=1.0),
-       alpha=st.floats(min_value=0.0, max_value=1.0),
+@given(models=st.lists(MODEL, min_size=1, max_size=3), stacked=st.booleans(),
        credit=st.booleans(), side=st.sampled_from([SELLER, BUYER]),
        at_value=st.booleans(), dt=st.floats(min_value=1e-6, max_value=0.1),
        nodes=st.lists(st.tuples(NODE, NODE, NODE), min_size=1, max_size=12))
-def test_reduced_root_solves_the_implicit_step(
-        lend, spread, repo_lend, repo_borrow, coll_earn, coll_pay, discount,
-        mu_own, mu_cpty, loss_own, loss_cpty, alpha, credit, side, at_value,
-        dt, nodes):
-    m = model_with(alpha=alpha, fund_lend=lend, fund_borrow=lend + spread,
-                   repo_lend=repo_lend, repo_borrow=repo_borrow,
-                   coll_earn=coll_earn, coll_pay=coll_pay, discount=discount,
-                   mu_own=mu_own, mu_cpty=mu_cpty, loss_own=loss_own,
-                   loss_cpty=loss_cpty)
+def test_reduced_root_solves_the_implicit_step(models, stacked, credit, side,
+                                               at_value, dt, nodes):
+    models = [model_with(fund_borrow=m["fund_lend"] + m["spread"], **m)
+              for m in models]
     if not credit:
-        m = dataclasses.replace(m, credit=None)
-    p = DriverParams.of(m, side)
+        models = [dataclasses.replace(m, credit=None) for m in models]
     e, z, mark = np.array(nodes).T
+    if stacked:
+        # the batched path: (rows, 1) parameter arrays, the sellers of the
+        # models and then their buyers, each row on its own nodes
+        p = DriverParams.stack(models)
+        e, z, mark = (np.array([np.roll(v, r) for r in range(len(p.sign))])
+                      for v in (e, z, mark))
+    else:
+        p = DriverParams.of(models[0], side)
     terms = reduced_terms(p, z, mark, at_value)
-    x = reduced_root(p, terms, e, dt)
+    x = root_of(p, e, z, mark, at_value, dt)
     # the step rounds at the size of the largest addend of its drift, so a
     # root to rounding solves the equation to a few ulps of that size times
     # dt, where the addends cancel, as well as of |x| and |e|
     top = p.fund_borrow
     addends = [top * abs(terms.offset), top * abs(x), abs(terms.repo_long),
                abs(terms.repo_short), abs(terms.coll_earn),
-               abs(terms.coll_pay), discount * abs(mark)]
+               abs(terms.coll_pay), p.discount * abs(mark)]
     if credit:
         pull = 2 * p.discount + p.intensity_own + p.intensity_cpty
         addends += [(top + p.discount + p.intensity_own) * abs(terms.own),
@@ -518,10 +532,10 @@ def test_reduced_root_solves_the_implicit_step(
                          dt * reduced_step_scale(p, terms, x))
     assert np.all(np.abs(residual) <= ROOT_ULPS * np.spacing(checked))
     # the branch the root took: the root of the lend or the borrow rate alone
-    as_lend = x == reduced_root(p._replace(fund_borrow=p.fund_lend), terms,
-                                e, dt)
-    as_borrow = x == reduced_root(p._replace(fund_lend=p.fund_borrow), terms,
-                                  e, dt)
+    as_lend = x == root_of(p._replace(fund_borrow=p.fund_lend), e, z, mark,
+                           at_value, dt)
+    as_borrow = x == root_of(p._replace(fund_lend=p.fund_borrow), e, z, mark,
+                             at_value, dt)
     assert np.all(as_lend | as_borrow)
     lend_only, borrow_only = as_lend & ~as_borrow, as_borrow & ~as_lend
     # the funding account at the root has that branch's sign, to rounding

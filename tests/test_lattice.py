@@ -176,7 +176,11 @@ def reference_solve(model, claim, n_steps, level, side):
         z = gradient + (sigma * s * delta if shift_gradient else 0.0)
         terms = drivers.reduced_terms(params, z, mark,
                                       at_value=not shift_gradient)
-        new_u = drivers.reduced_root(params, terms, expectation, dt)
+        rates = drivers.root_rates(params, dt)
+        roots = drivers.root_terms(params, rates, drivers.reduced_mark_terms(
+            params, mark, at_value=not shift_gradient))
+        new_u = params.sign * drivers.reduced_root(
+            rates, roots, params.sign * expectation, params.sign * z)
         miss = expectation + dt * drift_fn(model, side, t, new_u, z, mark) - new_u
         scale = np.maximum(np.maximum(abs(new_u), abs(expectation)),
                            dt * drivers.reduced_step_scale(params, terms, new_u))
@@ -234,7 +238,31 @@ def test_solution_reports_fixed_point_per_level():
     assert dataclasses.replace(
         seller, root_residuals=seller.root_residuals + 1) == seller
     assert set(f.name for f in dataclasses.fields(OracleSolution)
-               if not f.compare) == {"root_residuals"}
+               if not f.compare) == {"root_residuals", "root_widened"}
+
+
+def test_solution_reports_which_levels_widen_their_scale(monkeypatch):
+    # at alpha = 0 some roots hold only on the scale widened by the step's
+    # largest addend; on the benchmark config none needs it
+    widening, plain = make_benchmark(alpha=0.0), make_benchmark()
+    sides = solve_sides(widening, CALL, 300)
+    want = solve_sides(plain, CALL, 300)
+    for sol in sides + want:
+        assert sol.root_widened.shape == (300,)
+        assert sol.root_widened.dtype == bool
+    assert any(sol.root_widened.any() for sol in sides)
+    assert not any(sol.root_widened.any() for sol in want)
+    # without the widening the highest level that widened fails first, and
+    # a lattice that widened none is unchanged
+    highest = max(np.flatnonzero(sol.root_widened).max(initial=-1)
+                  for sol in sides)
+    monkeypatch.setattr(drivers, "reduced_step_scale",
+                        lambda params, terms, u: np.zeros_like(u))
+    with pytest.raises(NumericsError, match=rf"^implicit step not solved on "
+                       rf"the \w+ side at level {highest} "):
+        solve_sides(widening, CALL, 300)
+    for got, sol in zip(solve_sides(plain, CALL, 300), want):
+        assert np.array_equal(got.root_residuals, sol.root_residuals)
 
 
 def unit_call_at(scale):
@@ -285,24 +313,26 @@ def test_models_past_the_absolute_tolerance_complete():
 
 
 def test_root_check_failure_names_side_level_and_node(monkeypatch):
+    # the march takes each level's root from drivers.reduced_root, in the
+    # seller's terms, on rows (seller, buyer)
     root = drivers.reduced_root
 
     def off_on(rows):
-        def shifted(params, terms, e, dt):
-            out = root(params, terms, e, dt)
-            out[rows(np.broadcast_to(params.sign, (len(out), 1))[:, 0])] += 1e-6
+        def shifted(rates, terms, e, z):
+            out = root(rates, terms, e, z)
+            out[rows] += 1e-6
             return out
         return shifted
 
     model = make_benchmark()
-    monkeypatch.setattr(drivers, "reduced_root", off_on(lambda sign: sign != 0))
+    monkeypatch.setattr(drivers, "reduced_root", off_on(slice(None)))
     with pytest.raises(NumericsError, match=(
             r"^implicit step not solved on the seller side at level 19 "
             r"\(t=0\.95\): node 0 at s=0\.\d+, residual \S+ ulps of the "
             r"node's scale \(bound 8\)$")):
         solve_sides(model, CALL, 20)
     # one failing side fails the pass, and names that side
-    monkeypatch.setattr(drivers, "reduced_root", off_on(lambda sign: sign < 0))
+    monkeypatch.setattr(drivers, "reduced_root", off_on(1))
     with pytest.raises(NumericsError, match="on the buyer side at level 19"):
         solve_sides(model, CALL, 20)
 
@@ -316,10 +346,10 @@ def test_root_failure_inside_a_block_names_its_own_level(monkeypatch):
         range(19, 11, -1))
     root = drivers.reduced_root
 
-    def off_at_level_13(params, terms, e, dt):
-        out = root(params, terms, e, dt)
+    def off_at_level_13(rates, terms, e, z):
+        out = root(rates, terms, e, z)
         if e.shape[1] == 14:
-            out[params.sign[:, 0] < 0, 5] += 1e-6
+            out[1, 5] += 1e-6  # the buyer's row
         return out
 
     monkeypatch.setattr(drivers, "reduced_root", off_at_level_13)
@@ -346,8 +376,8 @@ def test_root_failure_at_a_pruned_level_names_the_absolute_node(monkeypatch):
     j = int(lowest[k]) + 1
     root, levels = drivers.reduced_root, iter(range(n - 1, -1, -1))
 
-    def off_at_level(params, terms, e, dt):
-        out = root(params, terms, e, dt)
+    def off_at_level(rates, terms, e, z):
+        out = root(rates, terms, e, z)
         if next(levels) == k:
             out[:, 1] += 1e-6
         return out
@@ -534,7 +564,10 @@ def test_batch_failure_names_the_scenario(monkeypatch):
     def poisoned(params, terms, u):
         out = step(params, terms, u)
         alpha = np.broadcast_to(params.alpha, (len(out), 1))[:, 0]
-        out[(alpha == 0.35) & (params.sign[:, 0] < 0)] = np.nan
+        # the lattice checks its rows in the seller's terms, the K sellers
+        # and then their buyers
+        buyer = np.arange(len(out)) >= len(out) // 2
+        out[(alpha == 0.35) & buyer] = np.nan
         return out
 
     monkeypatch.setattr(drivers, "reduced_step", poisoned)

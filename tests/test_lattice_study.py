@@ -3,6 +3,9 @@
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
 
 from xvaband import lattice
 
@@ -29,6 +32,10 @@ def test_small_study_writes_every_draw(tmp_path, monkeypatch):
         assert len(row["times_s"]) == 2 and row["time_s"] > 0.0
         assert 0.0 <= row["error"] <= points["worst_error"]
         assert 0.0 <= row["worst_residual_ulps"] <= lattice.ROOT_ULPS
+        assert (0.0 <= row["worst_plain_residual_ulps"]
+                <= row["worst_residual_ulps"])
+    assert points["worst_plain_residual_ulps"] == max(
+        row["worst_plain_residual_ulps"] for row in points["rows"])
     assert lattice._march is march  # the capture is undone
     # no level below 65 is pruned: each lattice keeps its whole tree
     assert {row["nodes"] for row in points["rows"]} == {210 + 55}
@@ -46,3 +53,24 @@ def test_pruned_nodes_keep_eight_deviations():
     # j = 10 .. 91, one node more above than a cut symmetric about the spot
     assert study.kept_nodes(101, 1.01, 0.25) - study.kept_nodes(
         100, 1.0, 0.25) == 82
+
+
+def test_residuals_report_the_plain_scale_apart():
+    # levels checked on the widened scale count for the worst residual only
+    def solution(residuals, widened):
+        return SimpleNamespace(root_residuals=np.array(residuals),
+                               root_widened=np.array(widened))
+
+    solutions = [solution([8.0, 3.0, 5.0], [True, False, False]),
+                 solution([2.0, 8.0], [False, True]),
+                 solution([8.0], [True])]
+    fake = SimpleNamespace(_march=lambda: solutions)
+    with study.Residuals(fake) as residuals:
+        fake._march()
+    assert (residuals.worst, residuals.plain) == (8.0, 5.0)
+    # a checkout whose solutions do not record the scale reports no plain
+    # residual
+    fake._march = lambda: [SimpleNamespace(root_residuals=np.array([4.0]))]
+    with study.Residuals(fake) as residuals:
+        fake._march()
+    assert (residuals.worst, residuals.plain) == (4.0, None)

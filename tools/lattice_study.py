@@ -12,8 +12,9 @@ benchmark's oracle (``oracle`` in ``bench/run.py``: the closed forms for
 symmetric draws, the stored 1600 x 1600 PDE of ``bench/reference.json``
 otherwise) as a share of the strike, or the error that stopped it, the
 worst root residual of both lattices and both sides, in ulps of the node's
-scale (``lattice.ROOT_ULPS`` bounds it), and the nodes both lattices march
-within the band that ``lattice.band`` keeps.  The file also holds the
+scale (``lattice.ROOT_ULPS`` bounds it) and the worst over the levels whose
+scale was not widened, and the nodes both lattices march within the band
+that ``lattice.band`` keeps.  The file also holds the
 completed count, the worst and median errors, the kept nodes of all draws
 and their share of the full trees, the time of all draws per repeat with
 its median, and the machine details from ``bench/run.py``.
@@ -43,18 +44,28 @@ from grid_study import BENCH, ROOT, load_bench  # noqa: E402
 
 
 class Residuals:
-    """The worst root residual of every lattice marched while active."""
+    """The worst root residual of every lattice marched while active, and
+    the worst of the levels checked on the plain scale ``max(|u|, |e|)``
+    alone (``OracleSolution.root_widened``; None in a checkout that does
+    not record it)."""
 
     def __init__(self, lattice):
         self.lattice = lattice
         self.real = lattice._march
         self.worst = 0.0
+        self.plain = 0.0
 
     def __enter__(self):
         def capturing(*args, **kwargs):
             solutions = self.real(*args, **kwargs)
-            self.worst = max([self.worst] + [float(s.root_residuals.max())
-                                             for s in solutions])
+            for s in solutions:
+                self.worst = max(self.worst, float(s.root_residuals.max()))
+                widened = getattr(s, "root_widened", None)
+                if widened is None:
+                    self.plain = None
+                elif self.plain is not None and not widened.all():
+                    self.plain = max(self.plain, float(
+                        s.root_residuals[~widened].max()))
             return solutions
         self.lattice._march = capturing
         return self
@@ -86,6 +97,7 @@ def value_points(run, draws, stored, steps, first: bool) -> list[dict]:
             row["error"] = max(abs(res.xva_seller - seller),
                                abs(res.xva_buyer - buyer)) / claim.strike
             row["worst_residual_ulps"] = residuals.worst
+            row["worst_plain_residual_ulps"] = residuals.plain
         rows.append(row)
     return rows
 
@@ -168,13 +180,18 @@ def main(argv=None) -> int:
         "oracle": "bench/run.py oracle: closed forms for symmetric draws, the "
                   "stored 1600 x 1600 PDE (bench/reference.json) otherwise",
         "residual_unit": "ulps of the node's scale, worst over both "
-                         "lattices and both sides",
+                         "lattices and both sides; the plain residual over "
+                         "the levels checked on max(|u|, |e|) alone",
         "points": {
             "draws": len(first), "completed": len(errors),
             "worst_error": max(errors) if errors else None,
             "median_error": statistics.median(errors) if errors else None,
             "worst_residual_ulps": max((r.get("worst_residual_ulps", 0.0)
                                         for r in first), default=None),
+            "worst_plain_residual_ulps": max(
+                (r["worst_plain_residual_ulps"] for r in first
+                 if r.get("worst_plain_residual_ulps") is not None),
+                default=None),
             "nodes": nodes, "kept_share": nodes / (len(first) * full),
             "time_s": statistics.median(totals), "times_s": totals,
             "rows": rows},
@@ -185,7 +202,8 @@ def main(argv=None) -> int:
     pts, cost = record["points"], record["cost_model"]
     print(f"{pts['completed']}/{pts['draws']} completed, worst error "
           f"{pts['worst_error']:.3g}, median {pts['median_error']:.3g}, worst "
-          f"residual {pts['worst_residual_ulps']:.3g} ulps, "
+          f"residual {pts['worst_residual_ulps']:.3g} ulps "
+          f"({pts['worst_plain_residual_ulps']} on the plain scale), "
           f"{pts['kept_share']:.1%} of the nodes kept, {pts['time_s']:.2f} s; "
           f"per level {cost['per_level_s'] * 1e6:.1f} us, per kept node "
           f"{cost['per_node_s'] * 1e9:.1f} ns")
