@@ -87,8 +87,8 @@ def agent_value(model: MarketModel, claim: ClaimSpec, t: float, s: float) -> Age
     against the lognormal terminal density.  At maturity the payoff and its
     right-derivative are returned.
     """
-    if s <= 0.0:
-        raise ValueError(f"stock level must be positive, got {s!r}")
+    if not (math.isfinite(s) and s > 0.0):
+        raise ValueError(f"stock level must be positive and finite, got {s!r}")
     if not 0.0 <= t <= claim.maturity:
         raise ValueError(f"t={t!r} outside [0, {claim.maturity}]")
     if claim.kind == "custom":

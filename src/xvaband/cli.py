@@ -143,8 +143,10 @@ def build_config(values: dict) -> RunConfig:
                     sweep_start=values.get("sweep_start"),
                     sweep_stop=values.get("sweep_stop"),
                     sweep_points=values.get("sweep_points", 21))
-    if cfg.sweep_points < 1 or cfg.nx < 3 or cfg.nt < 1:
-        raise ValueError("resolutions and sweep sizes must be positive")
+    for key, least in (("nx", 3), ("nt", 1), ("sweep_points", 1)):
+        value = getattr(cfg, key)
+        if value < least:
+            raise ValueError(f"{key} must be >= {least}, got {value}")
     if cfg.steps < 2:
         raise ValueError(f"steps must be >= 2, got {cfg.steps}: the lattice "
                          "extrapolates from steps and steps // 2")

@@ -95,7 +95,8 @@ from .pde import NumericsError, Rows
 
 LEVELS = ("adjustment", "value")
 # the bound on a node's residual, in ulps of its scale: twice the 4 ulps
-# that the hypothesis test of drivers.reduced_root proves
+# that the hypothesis test of drivers.reduced_root measured; measured, not
+# proved: one known input reaches 5 ulps
 ROOT_ULPS = 8
 # the most row-nodes (rows times kept nodes, summed over its levels) that one
 # block of levels holds; a level larger than this is a block of its own

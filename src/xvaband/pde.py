@@ -9,15 +9,18 @@ three fields backward from maturity with a Crank-Nicolson scheme
   is the reduced driver evaluated at the full-portfolio diffusion exposure
   (adjustment gradient plus the agent's delta).
 
-The nonlinearity is resolved by per-step fixed-point (Picard) iteration on
-the implicit part; the drivers are globally Lipschitz, so the iteration
-contracts for any reasonable step size.  A row has converged when its
+Every step of the march is one theta step, of the agent and then of the
+block, (I - theta dt B) u = fixed + theta dt g(u), whose nonlinearity is
+resolved by fixed-point (Picard) iteration; the drivers are globally
+Lipschitz, so the iteration contracts for any reasonable step size.  Each of
+the first ``RANNACHER_STEPS`` steps is two half-steps with theta = 1 and
+fixed = u_start = the level the half-step starts from; every later step has
+theta = 1/2 and fixed = u_old + dt/2 (B u_old + g_old(u_old)), and starts
+at u_old + r (u_old - u_older), r = dtau_new / dtau_old, the linear
+extrapolation of the last two time levels.  A row has converged when its
 sup-norm change is below ``PICARD_TOL`` times the claim's strike, a test in
 units of the strike, so scaling spot and strike scales the test with the
-values.  Every Crank-Nicolson step after the
-implicit-Euler start begins the iteration at u_old + r (u_old - u_older),
-r = dtau_new / dtau_old, the linear extrapolation of the last two time
-levels.  The time to maturity of level n of N is tau_n = T (n / N)^1.5
+values.  The time to maturity of level n of N is tau_n = T (n / N)^1.5
 (``TIME_GRADING``): the steps are small next to maturity, where the payoff
 and collateral kinks are, and grow toward t = 0.  The sequence depends only
 on T and N, so every scenario of a batch shares it.  The matrix
@@ -32,26 +35,27 @@ and the agent surface only on those and the claim.  Scenarios that share
 them and the presence of a credit block (:func:`march_key`) are therefore
 marched together as the rows of one (2K, nx) block: rows 0..K-1 are the
 seller sides of the K scenarios, rows K..2K-1 their buyer sides, in the same
-order.  Each backward step marches the agent once, evaluates the mark and
+order.  Each theta step marches the agent once, evaluates the mark and
 delta once and builds from them the driver terms that the mark alone fixes
 (funding offset, collateral legs, carry, close-out targets); the driver of
-one time level is spent on the next step's explicit part before that step
-builds its own terms, so one level of terms is alive at a time.  Each
-Picard iteration then makes one driver call for the live rows, which takes
-the live rows' terms of the level and adds only the exposure z, the repo
-legs and the step in u, and one banded solve of their transpose.
-The driver reads one :class:`drivers.DriverParams` record of the block, in
-which a parameter that differs between scenarios has one entry per row, and
-reflects the buyer rows itself.  Picard runs per row through
-:func:`settle` from a start computed per node: a row is frozen as soon as
-its own residual is below tolerance, so it takes exactly the iterations, and
-gets exactly the values, of its own single-scenario solve.  The columns of
-a banded solve are independent, so a row that turns non-finite spoils only
-itself; :func:`settle` stops it, and the march checks the agent surface and
-every row once per time level, naming the surface and t of the first
-non-finite values.  :func:`solve` is this march with K = 1 and keeps the
-full surfaces; :func:`solve_batch` keeps only the first two time levels,
-which valuation and hedging at t = 0 read.
+one level is spent on the next step's explicit part, or dropped before a
+half-step, before the step builds its own, so one level of terms is alive
+at a time.  Each Picard iteration then makes one driver call for the live
+rows, which takes the live rows' terms of the level and adds only the
+exposure z, the repo legs and the step in u, and one banded solve of their
+transpose.  The driver reads one :class:`drivers.DriverParams` record of
+the block, in which a parameter that differs between scenarios has one
+entry per row, and reflects the buyer rows itself.  Picard runs per row
+through :func:`settle` from a start computed per node: a row is frozen as
+soon as its own residual is below tolerance, so it takes exactly the
+iterations, and gets exactly the values, of its own single-scenario solve.
+The columns of a banded solve are independent, so a row that turns
+non-finite spoils only itself, and :func:`settle` stops it without raising.
+After each time level the march checks the agent surface, then every row,
+naming the surface and t of the first non-finite values.
+:func:`solve` is this march with K = 1 and keeps the full surfaces;
+:func:`solve_batch` keeps only the first two time levels, which valuation
+and hedging at t = 0 read.
 """
 
 from __future__ import annotations
@@ -320,29 +324,23 @@ class Rows:
         return f"{side} side" + (f" of {scenario}" if scenario else "")
 
 
-class _Rows(Rows):
-    """The adjustment rows of a PDE march and the driver of a time level."""
+def _level_driver(params: drivers.DriverParams, mark: np.ndarray,
+                  grad: np.ndarray, dx: float, buffer: np.ndarray):
+    """The reduced driver of one time level as a function of (u, rows).
 
-    def __init__(self, models: list[MarketModel], nx: int):
-        super().__init__(models)
-        self._z = np.empty(nx * self.size)  # the exposure of one driver call
+    The terms the mark fixes are built here, once per time level; each call
+    builds only the exposure z (in ``buffer``), the repo legs and the step in u.
+    """
+    level = drivers.reduced_mark_terms(params, mark)
 
-    def drift(self, t: float, mark: np.ndarray, grad: np.ndarray, dx: float):
-        """The reduced driver at time t as a function of (u, rows).
-
-        The terms the mark fixes are built here, once per time level; each
-        call builds only the exposure z, the repo legs and the step in u.
-        """
-        level = drivers.reduced_mark_terms(self.params, mark)
-
-        def g(u: np.ndarray, rows) -> np.ndarray:
-            params = self.params.take(rows)
-            z = _gradient(u, dx, self._z[:u.size].reshape(u.shape))
-            z += grad
-            z *= params.sigma
-            terms = drivers.with_repo_legs(params, level.take(rows), z)
-            return drivers.reduced_step(params, terms, u)
-        return g
+    def g(u: np.ndarray, rows) -> np.ndarray:
+        taken = params.take(rows)
+        z = _gradient(u, dx, buffer[:u.size].reshape(u.shape))
+        z += grad
+        z *= taken.sigma
+        terms = drivers.with_repo_legs(taken, level.take(rows), z)
+        return drivers.reduced_step(taken, terms, u)
+    return g
 
 
 def _gradient(u: np.ndarray, dx: float, out: np.ndarray) -> np.ndarray:
@@ -375,7 +373,7 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
     (keep, nx), the block (keep, 2K, nx), and per backward step and row the
     Picard iterations and final residuals, each (nt, 2K).
     """
-    rows = _Rows(models, grid.nx)
+    rows = Rows(models)
     _check_batch(models, claim, grid)
     nx, nt = grid.nx, grid.nt
     dx = grid.dx
@@ -390,21 +388,20 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
 
     agent_step = _Stepper(grid, first, zeroth=-first.rates.discount)
     adj_step = _Stepper(grid, first, zeroth=0.0)
+    z_buffer = np.empty(nx * rows.size)  # the exposure of one driver call
+    tol = PICARD_TOL * claim.strike  # the test is in units of the strike
 
-    def drift_at(t: float, agent_row: np.ndarray):
-        """The driver closure of a time level, fed by the agent mark and the
-        log-space agent gradient there."""
+    def step(a_old, fixed, u_start, t, dt, theta):
+        """The theta step to t: the agent, the driver of level t, and
+        Picard's counts, residuals and block from u_start."""
+        a_new = agent_step.step_linear(a_old, dt, theta)
         if vanilla:
             mark, delta = claims.agent_value_grid(first, claim, t, s)
             grad = s * delta
         else:
-            mark, grad = agent_row, np.gradient(agent_row, dx)
-        return rows.drift(t, mark, grad, dx)
-
-    tol = PICARD_TOL * claim.strike  # the test is in units of the strike
-
-    def picard(fixed, step, theta, u_start, t, drift):
-        it, res, u, failed = _picard(adj_step, fixed, step, theta, u_start,
+            mark, grad = a_new, np.gradient(a_new, dx)
+        drift = _level_driver(rows.params, mark, grad, dx, z_buffer)
+        it, res, u, failed = _picard(adj_step, fixed, dt, theta, u_start,
                                      drift, tol=tol)
         if failed:
             row, j = failed[0]
@@ -413,17 +410,11 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
                 f"at t={t:.6g} within {PICARD_MAX_ITER} iterations: worst node "
                 f"{j} at s={s[j]:.6g}, |u|={abs(u[row, j]):.3g}, last residual "
                 f"{res[row]:.3g} (tolerance {tol:g})")
-        return it, res, u
-
-    def finite_agent(a, t):
-        if not np.isfinite(a).all():
-            raise NumericsError(
-                f"non-finite values in the agent surface at t={t:.6g}")
-        return a
+        return a_new, drift, it, res, u
 
     # march tau = T - t from 0 to T; rows are stored by t-index.  One level
     # of driver terms is alive at a time: the old level's driver is spent on
-    # the explicit part before the new level is built.
+    # the explicit part, or dropped, before the new level is built.
     t_levels = grid.t_nodes()
     a_old = np.empty(nx)
     a_old[:] = claim.payoff(s)
@@ -432,33 +423,24 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
     if nt < keep:
         agent[nt] = a_old
         block[nt] = u_old
-    drift_old = None  # the driver at u_old's level, once a step has built it
-    n_r = min(RANNACHER_STEPS, nt)
     for n in range(nt):
         i_new = nt - n - 1          # t-index being computed
         t_old = t_levels[i_new + 1]
         t_new = t_levels[i_new]
         dt = t_old - t_new
-        if n < n_r:
-            # two implicit-Euler half-steps
-            drift_old = None
-            t_mid = 0.5 * (t_old + t_new)
-            a_half = agent_step.step_linear(a_old, 0.5 * dt, 1.0)
-            it1, res1, u_mid = picard(u_old, 0.5 * dt, 1.0, u_old, t_mid,
-                                      drift_at(t_mid, a_half))
-            a_new = finite_agent(agent_step.step_linear(a_half, 0.5 * dt, 1.0),
-                                 t_new)
-            drift_new = drift_at(t_new, a_new)
-            it2, res2, u_new = picard(u_mid, 0.5 * dt, 1.0, u_mid, t_new,
-                                      drift_new)
-            del u_mid
-            it, res = np.maximum(it1, it2), np.maximum(res1, res2)
+        if n < RANNACHER_STEPS:
+            # two implicit-Euler half-steps, each started from its own level
+            drift = None
+            a_new, drift, it, res, u_new = step(
+                a_old, u_old, u_old, 0.5 * (t_old + t_new), 0.5 * dt, 1.0)
+            drift = None
+            a_new, drift, it2, res2, u_new = step(a_new, u_new, u_new, t_new,
+                                                  0.5 * dt, 1.0)
+            it, res = np.maximum(it, it2), np.maximum(res, res2)
         else:
             # fixed = (u_old + dt/2 B u_old) + dt/2 g_old, summed in place
-            if drift_old is None:
-                drift_old = drift_at(t_old, a_old)
-            explicit = drift_old(u_old, slice(None))
-            drift_old = None
+            explicit = drift(u_old, slice(None))
+            drift = None
             explicit *= 0.5 * dt
             fixed = adj_step.apply(u_old)
             fixed *= 0.5 * dt
@@ -470,10 +452,14 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
             u_older = None
             u_start *= dt / dt_old
             u_start += u_old
-            a_new = finite_agent(agent_step.step_linear(a_old, dt, 0.5), t_new)
-            drift_new = drift_at(t_new, a_new)
-            it, res, u_new = picard(fixed, dt, 0.5, u_start, t_new, drift_new)
+            a_new, drift, it, res, u_new = step(a_old, fixed, u_start, t_new,
+                                                dt, 0.5)
             del fixed, u_start
+        # a non-finite agent leaves only non-finite rows, which Picard stops
+        # without raising: the agent is named first
+        if not np.isfinite(a_new).all():
+            raise NumericsError(
+                f"non-finite values in the agent surface at t={t_new:.6g}")
         finite = np.all(np.isfinite(u_new), axis=1)
         if not finite.all():
             row = int(np.flatnonzero(~finite)[0])
@@ -484,9 +470,8 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
             block[i_new] = u_new
         iters[n] = it
         resids[n] = res
-        a_old, u_older, u_old, drift_old = a_new, u_old, u_new, drift_new
+        a_old, u_older, u_old = a_new, u_old, u_new
         dt_old = dt
-        del drift_new
     return agent, block, iters, resids
 
 

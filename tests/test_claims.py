@@ -180,8 +180,9 @@ def test_custom_mark_scales_with_the_strike(lam):
 def test_validation():
     claim = ClaimSpec(kind="call", strike=1.0, maturity=1.0)
     model = flat_model(0.05, 0.2)
-    with pytest.raises(ValueError):
-        agent_value(model, claim, 0.0, -1.0)
+    for s in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="stock level must be positive"):
+            agent_value(model, claim, 0.0, s)
     with pytest.raises(ValueError):
         agent_value(model, claim, 2.0, 1.0)
     with pytest.raises(ValueError):

@@ -463,6 +463,14 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, least",
+                         [("nx", 2, 3), ("nt", 0, 1), ("sweep_points", 0, 1)])
+def test_bad_sizes_name_the_key(key, value, least):
+    with pytest.raises(ValueError,
+                       match=rf"^{key} must be >= {least}, got {value}$"):
+        build_config(parse_config_text(BENCH_TEXT + f"{key} = {value}\n"))
+
+
 def test_steps_below_two_are_refused(bench_cfg_path, capsys):
     # the lattice extrapolates from steps and steps // 2
     for steps in ("1", "0"):

@@ -131,11 +131,18 @@ def test_picard_divergence_detected():
         solve(riskier, CALL, grid)
 
 
-def test_single_step_grid_smoke(benchmark_model):
-    grid = PdeGrid.default_for(benchmark_model, CALL, nx=50, nt=1)
-    sol = solve(benchmark_model, CALL, grid)
-    assert np.all(np.isfinite(sol.seller))
-    assert np.all(np.isfinite(sol.buyer))
+@pytest.mark.parametrize("nt", [1, 2, 3])
+def test_single_step_grid_smoke(nt, benchmark_model):
+    """Marches of the start-up alone and of the start-up and one
+    Crank-Nicolson step, of one model and of a batch."""
+    grid = PdeGrid.default_for(benchmark_model, CALL, nx=50, nt=nt)
+    models = [make_benchmark(alpha=a) for a in (0.0, 0.5, 0.9)]
+    for sol in [solve(benchmark_model, CALL, grid),
+                *solve_batch(models, CALL, grid)]:
+        assert np.all(np.isfinite(sol.agent))
+        assert np.all(np.isfinite(sol.seller))
+        assert np.all(np.isfinite(sol.buyer))
+        assert len(sol.picard_iterations) == nt
 
 
 def test_interpolation_behavior(benchmark_model):
@@ -584,9 +591,10 @@ def test_level_drift_matches_reduced_drift(credit, rng):
     t = 0.37
     value, delta = agent_value_grid(models[0], CALL, t, s)
     mark, grad = value, s * delta
-    block = pde._Rows(models, grid.nx)
-    g = block.drift(t, mark, grad, grid.dx)
-    every = np.arange(block.size)
+    params = drivers.DriverParams.stack(models)
+    every = np.arange(2 * len(models))
+    g = pde._level_driver(params, mark, grad, grid.dx,
+                          np.empty(every.size * grid.nx))
     for rows in (slice(None), every, np.array([1, 4, 5, 8])):
         u = 0.05 * rng.standard_normal((every[rows].size, grid.nx))
         got = g(u, rows)

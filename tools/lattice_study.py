@@ -1,7 +1,6 @@
 """Time, error and root residuals of the CLI's lattice, per benchmark draw: BENCH_lattice.json.
 
     python3 tools/lattice_study.py [--steps 1000] [--repeats 3]
-                                   [--fit-steps 250,500,1000,2000]
                                    [--out BENCH_lattice.json]
 
 Every draw of the benchmark's ``point-lattice`` pool (``bench/scenarios.py``)
@@ -18,10 +17,6 @@ that ``lattice.band`` keeps.  The file also holds the
 completed count, the worst and median errors, the kept nodes of all draws
 and their share of the full trees, the time of all draws per repeat with
 its median, and the machine details from ``bench/run.py``.
-
-It also fits the time of one ``lattice.solve_sides`` of the benchmark config
-at each of ``--fit-steps`` (median of the repeats) as ``a * levels + b *
-nodes``, the nodes being those the lattice keeps.
 
 The script reads ``bench/`` through ``tools/grid_study.py``'s loaders and
 imports xvaband from the ``src/`` next to it, so a copy placed in another
@@ -110,37 +105,11 @@ def kept_nodes(n_steps: int, maturity: float, sigma: float) -> int:
     return int((highest[:-1] - lowest[:-1] + 1).sum())
 
 
-def cost_model(fit_steps: list[int], repeats: int) -> dict:
-    """Seconds per level and per kept node of ``solve_sides`` on the
-    benchmark config."""
-    import numpy as np
-    from xvaband import lattice
-    from xvaband.cli import build_config, parse_config_text
-    from golden import BENCHMARK_CONFIG
-    cfg = build_config(parse_config_text(BENCHMARK_CONFIG))
-    times = []
-    for n in fit_steps:
-        runs = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            lattice.solve_sides(cfg.model, cfg.claim, n)
-            runs.append(time.perf_counter() - start)
-        times.append(statistics.median(runs))
-    nodes = [kept_nodes(n, cfg.claim.maturity, cfg.model.equity.sigma)
-             for n in fit_steps]
-    (per_level, per_node), *_ = np.linalg.lstsq(
-        np.column_stack([fit_steps, nodes]), np.array(times), rcond=None)
-    return {"steps": fit_steps, "nodes": nodes, "times_s": times,
-            "per_level_s": per_level, "per_node_s": per_node}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--steps", type=int, default=None,
                         help="the finer lattice (default: cli.DEFAULT_STEPS)")
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--fit-steps", default="250,500,1000,2000",
-                        type=lambda text: [int(n) for n in text.split(",")])
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_lattice.json")
     args = parser.parse_args(argv)
     if args.repeats < 1:
@@ -196,17 +165,14 @@ def main(argv=None) -> int:
             "time_s": statistics.median(totals), "times_s": totals,
             "rows": rows},
         "prune_sd": lattice.PRUNE_SD,
-        "cost_model": cost_model(args.fit_steps, args.repeats),
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
-    pts, cost = record["points"], record["cost_model"]
+    pts = record["points"]
     print(f"{pts['completed']}/{pts['draws']} completed, worst error "
           f"{pts['worst_error']:.3g}, median {pts['median_error']:.3g}, worst "
           f"residual {pts['worst_residual_ulps']:.3g} ulps "
           f"({pts['worst_plain_residual_ulps']} on the plain scale), "
-          f"{pts['kept_share']:.1%} of the nodes kept, {pts['time_s']:.2f} s; "
-          f"per level {cost['per_level_s'] * 1e6:.1f} us, per kept node "
-          f"{cost['per_node_s'] * 1e9:.1f} ns")
+          f"{pts['kept_share']:.1%} of the nodes kept, {pts['time_s']:.2f} s")
     return 0
 
 
