@@ -80,6 +80,11 @@ class AgentValuation:
     delta: float
 
 
+def _check_stock(s: float) -> None:
+    if not (math.isfinite(s) and s > 0.0):
+        raise ValueError(f"stock level must be positive and finite, got {s!r}")
+
+
 def agent_value(model: MarketModel, claim: ClaimSpec, t: float, s: float) -> AgentValuation:
     """Agent's mark and delta at time ``t`` and stock level ``s``.
 
@@ -87,8 +92,7 @@ def agent_value(model: MarketModel, claim: ClaimSpec, t: float, s: float) -> Age
     against the lognormal terminal density.  At maturity the payoff and its
     right-derivative are returned.
     """
-    if not (math.isfinite(s) and s > 0.0):
-        raise ValueError(f"stock level must be positive and finite, got {s!r}")
+    _check_stock(s)
     if not 0.0 <= t <= claim.maturity:
         raise ValueError(f"t={t!r} outside [0, {claim.maturity}]")
     if claim.kind == "custom":

@@ -81,8 +81,7 @@ class DriverTerms(NamedTuple):
     (:func:`reduced_mark_terms`).  Each term is an array of its own, added by
     :func:`_seller_step` in the accrual's order, so splitting the drift this
     way moves no bit.  A buyer's terms are the seller's at the reflected
-    mark and ``z``.  :meth:`take` gathers the record of some rows of a
-    block.
+    mark and ``z``.
     """
 
     offset: np.ndarray
@@ -93,15 +92,6 @@ class DriverTerms(NamedTuple):
     carry: np.ndarray | None
     own: np.ndarray | None = None
     cpty: np.ndarray | None = None
-
-    def take(self, rows):
-        """The record restricted to ``rows`` of a (rows, nodes) block, the
-        first axis of every array field; ``slice(None)`` returns the record
-        itself."""
-        if isinstance(rows, slice) and rows == slice(None):
-            return self
-        return type(self)(*(v[rows] if isinstance(v, np.ndarray) else v
-                            for v in self))
 
 
 class DriverParams(NamedTuple):
@@ -153,8 +143,6 @@ class DriverParams(NamedTuple):
                 rows.append(np.tile(np.asarray(values, dtype=float), 2)[:, None])
         sign = np.repeat([1.0, -1.0], len(models))[:, None]
         return cls(*rows)._replace(sign=sign)
-
-    take = DriverTerms.take
 
 
 def _sign(side: str) -> float:

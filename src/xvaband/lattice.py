@@ -172,8 +172,9 @@ def solve_extrapolated(models: list[MarketModel], claim: claims.ClaimSpec,
     residuals included, are the n-step lattice's.  The time-step guard
     holds for the m-step lattice, and its advice names n.
     """
-    if n_steps < 2:
-        raise ValueError(f"n_steps must be >= 2 to extrapolate, got {n_steps}")
+    if not isinstance(n_steps, (int, np.integer)) or n_steps < 2:
+        raise ValueError("n_steps must be >= 2 and an integer to "
+                         f"extrapolate, got {n_steps!r}")
     m = n_steps // 2
     coarse = _march(list(models), claim, m, "adjustment", refine=2)
     fine = _march(list(models), claim, n_steps, "adjustment")
@@ -198,8 +199,8 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, n_steps: int,
     """
     if level not in LEVELS:
         raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1 and an integer, got {n_steps!r}")
     rows = Rows(models)
     first = models[0]
 
@@ -362,8 +363,8 @@ def _check_block(rows: Rows, terms: drivers.DriverTerms, u: np.ndarray,
         rr, jj = np.nonzero(~(ulps <= ROOT_ULPS))
         widened[rr, np.searchsorted(starts, jj, "right") - 1] = True
         at = (rr[:, None], jj[:, None])
-        wide = drivers.reduced_step_scale(params.take(rr),
-                                          terms.take(at), u[at])
+        wide = drivers.reduced_step_scale(_gather(params, rr),
+                                          _gather(terms, at), u[at])
         wide *= dt
         np.maximum(wide, np.abs(u[at]), out=wide)
         np.maximum(wide, e[at], out=wide)
@@ -376,6 +377,12 @@ def _check_block(rows: Rows, terms: drivers.DriverTerms, u: np.ndarray,
             k = int(levels[i])
             _fail(rows, k, int(lowest[k]), dt, s[at], miss[:, at], ulps[:, at])
     return np.maximum.reduceat(ulps, starts, axis=1), widened
+
+
+def _gather(record, at):
+    """``record`` with every array field indexed by ``at``."""
+    return type(record)(*(v[at] if isinstance(v, np.ndarray) else v
+                          for v in record))
 
 
 def _fail(rows: Rows, k: int, lowest: int, dt: float, s: np.ndarray,

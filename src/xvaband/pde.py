@@ -40,15 +40,16 @@ delta once and builds from them the driver terms that the mark alone fixes
 (funding offset, collateral legs, carry, close-out targets); the driver of
 one level is spent on the next step's explicit part, or dropped before a
 half-step, before the step builds its own, so one level of terms is alive
-at a time.  Each Picard iteration then makes one driver call for the live
-rows, which takes the live rows' terms of the level and adds only the
-exposure z, the repo legs and the step in u, and one banded solve of their
-transpose.  The driver reads one :class:`drivers.DriverParams` record of
-the block, in which a parameter that differs between scenarios has one
-entry per row, and reflects the buyer rows itself.  Picard runs per row
-through :func:`settle` from a start computed per node: a row is frozen as
-soon as its own residual is below tolerance, so it takes exactly the
-iterations, and gets exactly the values, of its own single-scenario solve.
+at a time.  Each Picard iteration then makes one driver call on the whole
+block, which takes the level's terms and adds only the exposure z, the repo
+legs and the step in u, and one banded solve of its transpose.  The driver
+reads one :class:`drivers.DriverParams` record of the block, in which a
+parameter that differs between scenarios has one entry per row, and
+reflects the buyer rows itself.  Picard runs per row through :func:`settle`
+from a start computed per node: a row is frozen as soon as its own residual
+is below tolerance, and keeps its values while the others iterate, so it
+takes exactly the iterations, and gets exactly the values, of its own
+single-scenario solve.
 The columns of a banded solve are independent, so a row that turns
 non-finite spoils only itself, and :func:`settle` stops it without raising.
 After each time level the march checks the agent surface, then every row,
@@ -94,10 +95,12 @@ class PdeGrid:
             raise ValueError(f"nx must be >= 3, got {self.nx}")
         if self.nt < 1:
             raise ValueError(f"nt must be >= 1, got {self.nt}")
-        if not self.x_min < self.x_max:
-            raise ValueError("x_min must be below x_max")
-        if self.maturity <= 0.0:
-            raise ValueError("maturity must be positive")
+        if not -math.inf < self.x_min < self.x_max < math.inf:
+            raise ValueError("x_min must be below x_max, both finite, got "
+                             f"{self.x_min!r} and {self.x_max!r}")
+        if not 0.0 < self.maturity < math.inf:
+            raise ValueError("maturity must be positive and finite, got "
+                             f"{self.maturity!r}")
 
     @property
     def dx(self) -> float:
@@ -326,20 +329,19 @@ class Rows:
 
 def _level_driver(params: drivers.DriverParams, mark: np.ndarray,
                   grad: np.ndarray, dx: float, buffer: np.ndarray):
-    """The reduced driver of one time level as a function of (u, rows).
+    """The reduced driver of one time level as a function of the block u.
 
     The terms the mark fixes are built here, once per time level; each call
     builds only the exposure z (in ``buffer``), the repo legs and the step in u.
     """
     level = drivers.reduced_mark_terms(params, mark)
 
-    def g(u: np.ndarray, rows) -> np.ndarray:
-        taken = params.take(rows)
-        z = _gradient(u, dx, buffer[:u.size].reshape(u.shape))
+    def g(u: np.ndarray) -> np.ndarray:
+        z = _gradient(u, dx, buffer)
         z += grad
-        z *= taken.sigma
-        terms = drivers.with_repo_legs(taken, level.take(rows), z)
-        return drivers.reduced_step(taken, terms, u)
+        z *= params.sigma
+        return drivers.reduced_step(params,
+                                    drivers.with_repo_legs(params, level, z), u)
     return g
 
 
@@ -356,15 +358,6 @@ def _gradient(u: np.ndarray, dx: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_batch(models: list[MarketModel], claim: claims.ClaimSpec,
-                 grid: PdeGrid) -> None:
-    x0 = math.log(models[0].equity.spot)
-    if not grid.x_min < x0 < grid.x_max:
-        raise ValueError("log-spot must lie strictly inside the grid")
-    if abs(grid.maturity - claim.maturity) > 1e-12:
-        raise ValueError("grid maturity must match the claim maturity")
-
-
 def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
            keep: int):
     """Backward march of the agent and the (2K, nx) adjustment block.
@@ -374,10 +367,13 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
     Picard iterations and final residuals, each (nt, 2K).
     """
     rows = Rows(models)
-    _check_batch(models, claim, grid)
+    first = models[0]
+    if not grid.x_min < math.log(first.equity.spot) < grid.x_max:
+        raise ValueError("log-spot must lie strictly inside the grid")
+    if abs(grid.maturity - claim.maturity) > 1e-12:
+        raise ValueError("grid maturity must match the claim maturity")
     nx, nt = grid.nx, grid.nt
     dx = grid.dx
-    first = models[0]
     s = np.exp(grid.x_nodes())
     vanilla = claim.kind in ("call", "put")
 
@@ -388,7 +384,7 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
 
     agent_step = _Stepper(grid, first, zeroth=-first.rates.discount)
     adj_step = _Stepper(grid, first, zeroth=0.0)
-    z_buffer = np.empty(nx * rows.size)  # the exposure of one driver call
+    z_buffer = np.empty((rows.size, nx))  # the exposure of one driver call
     tol = PICARD_TOL * claim.strike  # the test is in units of the strike
 
     def step(a_old, fixed, u_start, t, dt, theta):
@@ -439,7 +435,7 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
             it, res = np.maximum(it, it2), np.maximum(res, res2)
         else:
             # fixed = (u_old + dt/2 B u_old) + dt/2 g_old, summed in place
-            explicit = drift(u_old, slice(None))
+            explicit = drift(u_old)
             drift = None
             explicit *= 0.5 * dt
             fixed = adj_step.apply(u_old)
@@ -519,17 +515,17 @@ def _picard(stepper: _Stepper, rhs_base: np.ndarray, dt: float, theta: float,
             u_start: np.ndarray, implicit_driver, tol: float = PICARD_TOL):
     """Per-row fixed point of (I - theta dt B) u = rhs_base + theta dt g(u).
 
-    ``implicit_driver(u, rows)`` evaluates g on the given rows of the block
-    and returns a new array, which the step then overwrites; ``rhs_base`` is
-    read and never written.  Runs :func:`settle` at ``tol``: a row that
-    turns non-finite stops there, its values left for the caller to report.
+    ``implicit_driver(u)`` evaluates g on the block and returns a new array,
+    which the step then overwrites; ``rhs_base`` is read and never written.
+    Runs :func:`settle` at ``tol``: a row that turns non-finite stops there,
+    its values left for the caller to report.
     """
     coef = theta * dt
 
-    def step(u, rows):
-        rhs = implicit_driver(u, rows)
+    def step(u):
+        rhs = implicit_driver(u)
         rhs *= coef
-        rhs += rhs_base[rows]
+        rhs += rhs_base
         return solve_banded(stepper, coef, rhs.T, overwrite=True).T
     return settle(step, u_start, tol, PICARD_MAX_ITER)
 
@@ -537,32 +533,30 @@ def _picard(stepper: _Stepper, rhs_base: np.ndarray, dt: float, theta: float,
 def settle(step, u_start: np.ndarray, tol: float, max_iter: int):
     """Per-row fixed point of ``step`` on a (rows, nodes) block.
 
-    ``step(u, rows)`` maps the values ``u`` of ``rows`` to their next
-    iterate; ``rows`` is ``slice(None)`` while every row is live, then an
-    index array.  A row is frozen once its own sup-norm change is below
-    ``tol``, so it takes exactly the iterations, and gets exactly the
-    values, of its fixed point alone.  A row whose change is not finite
-    stops at once, its values left for the caller to report.  ``u_start`` is
-    read, never written.  Returns per-row iteration counts and last changes,
-    the solution, and a (row, node of its largest last change) pair for each
-    finite row that did not converge within ``max_iter`` iterations.
+    ``step(u)`` maps the block ``u`` to its next iterate, each row from
+    that row alone.  A row is frozen once its own sup-norm change is below
+    ``tol``: every later iterate keeps its values, so it takes exactly the
+    iterations, and gets exactly the values, of its fixed point alone.  A
+    row whose change is not finite stops at once, its values left for the
+    caller to report.  ``u_start`` is read, never written.  Returns per-row
+    iteration counts and last changes, the solution, and a (row, node of its
+    largest last change) pair for each finite row that did not converge
+    within ``max_iter`` iterations.
     """
     iters = np.zeros(len(u_start), dtype=int)
     resid = np.zeros(len(u_start))
-    rows = slice(None)
+    rows = slice(None)  # the live rows: all, then an index array
     u = u_start
     for it in range(1, max_iter + 1):
-        current = u[rows]
-        new = step(current, rows)
-        change = new - current
+        new = step(u)[rows]
+        change = new - u[rows]
         np.abs(change, out=change)
-        res = change.max(axis=1)
+        resid[rows] = res = change.max(axis=1)
+        iters[rows] = it
         if isinstance(rows, slice):  # always so at it = 1: u_start stays
             u = new
         else:
             u[rows] = new
-        iters[rows] = it
-        resid[rows] = res
         # a list, not an array: on the two rows of a single point numpy's
         # any/all cost more per iteration than this loop; nan and inf fail
         # both tests
@@ -602,6 +596,7 @@ def _bilinear(grid: PdeGrid, surf: np.ndarray, t: float, x: float) -> float:
 
 def xva_at(solution: PdeSolution, t: float, s: float, side: str) -> float:
     """Adjustment surface sampled at (t, s) by bilinear interpolation."""
+    claims._check_stock(s)
     return _bilinear(solution.grid, solution.surface(side), t, math.log(s))
 
 
@@ -615,6 +610,7 @@ def strategies(solution: PdeSolution, t: float, s: float,
     """
     grid = solution.grid
     surf = solution.surface(side)
+    claims._check_stock(s)
     x = math.log(s)
     grad = np.gradient(surf, grid.dx, axis=1)
     u = _bilinear(grid, surf, t, x)

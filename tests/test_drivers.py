@@ -371,15 +371,14 @@ def test_driver_params_stack_matches_per_model():
     for j in range(2 * count):
         model = models[j % count]
         one = DriverParams.of(model, SELLER if j < count else BUYER)
-        row = stacked.take(np.array([j]))
-        for name, got, want in zip(DriverParams._fields, row, one):
-            assert np.array_equal(np.broadcast_to(got, (1, 1)), [[want]]), (j, name)
+        for name, field, want in zip(DriverParams._fields, stacked, one):
+            got = np.broadcast_to(field, (2 * count, 1))[j]
+            assert np.array_equal(got, [want]), (j, name)
         assert one.intensity_own == model.default_intensity("own")
         assert one.intensity_cpty == model.default_intensity("cpty")
     no_credit = DriverParams.stack([dataclasses.replace(m, credit=None)
                                     for m in models])
     assert no_credit.loss_own is no_credit.intensity_cpty is None
-    assert stacked.take(slice(None)) is stacked
 
 
 def test_reduced_drift_vectorized(benchmark_model, rng):

@@ -138,6 +138,12 @@ def test_input_validation():
         solve_reduced(model, CALL, 100, level="price")
     with pytest.raises(ValueError):
         solve_reduced(model, CALL, 100, side="dealer")
+    with pytest.raises(ValueError, match=r"an integer, got 10\.5$"):
+        lattice.solve_sides(model, CALL, 10.5)
+    for steps in (10.5, 10.0):
+        with pytest.raises(ValueError, match=f"an integer to extrapolate, "
+                           f"got {steps!r}$"):
+            lattice.solve_extrapolated([model], CALL, steps)
 
 
 def reference_solve(model, claim, n_steps, level, side):

@@ -234,6 +234,17 @@ def test_solve_validations(benchmark_model):
         solve(bad, CALL, grid)
 
 
+def test_stock_level_must_be_positive_and_finite():
+    """Sampling a solution names a stock level that has no log-price."""
+    model = make_benchmark()
+    sol = solve(model, CALL, PdeGrid.default_for(model, CALL, nx=40, nt=10))
+    for s in (-1.0, 0.0, math.nan, math.inf):
+        for sample in (xva_at, strategies):
+            with pytest.raises(ValueError, match="stock level must be positive "
+                               f"and finite, got {s!r}$"):
+                sample(sol, 0.0, s, SELLER)
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         PdeGrid(x_min=0.0, x_max=1.0, nx=2, nt=10, maturity=1.0)
@@ -241,6 +252,13 @@ def test_grid_validation():
         PdeGrid(x_min=1.0, x_max=0.0, nx=10, nt=10, maturity=1.0)
     with pytest.raises(ValueError):
         PdeGrid(x_min=0.0, x_max=1.0, nx=10, nt=0, maturity=1.0)
+    for bad in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match=f"maturity .* got {bad!r}$"):
+            PdeGrid(x_min=0.0, x_max=1.0, nx=10, nt=10, maturity=bad)
+    for lo, hi in ((-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0),
+                   (0.0, math.nan)):
+        with pytest.raises(ValueError, match=f"finite, got {lo!r} and {hi!r}$"):
+            PdeGrid(x_min=lo, x_max=hi, nx=10, nt=10, maturity=1.0)
 
 
 @pytest.mark.parametrize("nt, maturity", [(1, 1.0), (7, 0.3), (50, 4.7)])
@@ -348,9 +366,9 @@ def assert_batch_matches_solve(models, claim):
         for name in ("agent", "seller", "buyer"):
             rows = getattr(got, name)
             assert rows.shape == (2, grid.nx)  # the first two time levels
-            assert np.max(np.abs(rows - getattr(want, name)[:2])) <= 1e-12
+            assert rows.tobytes() == getattr(want, name)[:2].tobytes(), name
         assert np.array_equal(got.picard_iterations, want.picard_iterations)
-        assert np.max(np.abs(got.picard_residuals - want.picard_residuals)) <= 1e-12
+        assert got.picard_residuals.tobytes() == want.picard_residuals.tobytes()
         for side in (SELLER, BUYER):
             assert abs(xva_at(got, 0.0, 1.0, side)
                        - xva_at(want, 0.0, 1.0, side)) <= 1e-12
@@ -488,8 +506,8 @@ def test_adjustment_is_homogeneous_in_spot_and_strike(scale):
 def test_batched_march_peak_memory():
     """One 42-scenario march (the band-vs-collateral models) at the default
     grid peaks, under tracemalloc, below 24 blocks of (84, nx) floats: it
-    keeps one level of driver terms alive and takes the live rows' share of
-    them per iteration (19.6 blocks measured at 800 x 50)."""
+    keeps one level of driver terms alive, and each iteration evaluates the
+    driver on the whole block (19.6 blocks measured at 800 x 50)."""
     import tracemalloc
     cfg = cli.figure_config("band-vs-collateral")
     fig = cli.FIGURES["band-vs-collateral"]
@@ -561,7 +579,7 @@ def test_gradient_buffer_matches_numpy(rng):
             assert got.tobytes() == np.gradient(u, dx, axis=-1).tobytes()
 
 
-def reference_drift(models, t, mark, grad, dx, u, rows):
+def reference_drift(models, t, mark, grad, dx, u):
     """The driver the march evaluates, one public reduced drift per row:
     row r is the seller of scenario r when r < K, else the buyer of
     scenario r - K."""
@@ -570,9 +588,9 @@ def reference_drift(models, t, mark, grad, dx, u, rows):
     z += grad
     z *= models[0].equity.sigma
     out = np.empty_like(u)
-    for j, r in enumerate(rows):
+    for r in range(len(u)):
         side = SELLER if r < count else BUYER
-        out[j] = drivers.reduced_drift(models[r % count], side, t, u[j], z[j],
+        out[r] = drivers.reduced_drift(models[r % count], side, t, u[r], z[r],
                                        mark)
     return out
 
@@ -580,9 +598,8 @@ def reference_drift(models, t, mark, grad, dx, u, rows):
 @pytest.mark.parametrize("credit", [True, False])
 def test_level_drift_matches_reduced_drift(credit, rng):
     """The driver closure of one time level, built once from the mark, gives
-    the bits of the public reduced drift of every row's model and side,
-    on every row and on a subset, and a later call leaves an earlier
-    result alone."""
+    the bits of the public reduced drift of every row's model and side, and
+    a later call leaves an earlier result alone."""
     models = batch_stack()
     if not credit:
         models = [replace(m, credit=None) for m in models]
@@ -592,21 +609,19 @@ def test_level_drift_matches_reduced_drift(credit, rng):
     value, delta = agent_value_grid(models[0], CALL, t, s)
     mark, grad = value, s * delta
     params = drivers.DriverParams.stack(models)
-    every = np.arange(2 * len(models))
-    g = pde._level_driver(params, mark, grad, grid.dx,
-                          np.empty(every.size * grid.nx))
-    for rows in (slice(None), every, np.array([1, 4, 5, 8])):
-        u = 0.05 * rng.standard_normal((every[rows].size, grid.nx))
-        got = g(u, rows)
-        want = reference_drift(models, t, mark, grad, grid.dx, u, every[rows])
-        assert got.tobytes() == want.tobytes()
-        g(u[:, ::-1].copy(), rows)  # reuses the exposure buffer
-        assert got.tobytes() == want.tobytes()
+    shape = (2 * len(models), grid.nx)
+    g = pde._level_driver(params, mark, grad, grid.dx, np.empty(shape))
+    u = 0.05 * rng.standard_normal(shape)
+    got = g(u)
+    want = reference_drift(models, t, mark, grad, grid.dx, u)
+    assert got.tobytes() == want.tobytes()
+    g(u[:, ::-1].copy())  # reuses the exposure buffer
+    assert got.tobytes() == want.tobytes()
 
 
 def linear_driver(rates):
     """g(u) = rates * u per row, so rows converge at different speeds."""
-    return lambda u, rows: rates[rows, None] * u
+    return lambda u: rates[:, None] * u
 
 
 def test_settle_freezes_each_row_at_its_own_iteration():
@@ -621,9 +636,9 @@ def test_settle_freezes_each_row_at_its_own_iteration():
     tol, max_iter = 1e-9, 40
     seen = []
 
-    def step(u, rows):
-        seen.append(rows)
-        return target + factors[rows, None] * (u - target)
+    def step(u):
+        seen.append(u.shape)
+        return target + factors[:, None] * (u - target)
 
     iters, resid, u, failed = pde.settle(step, u_start, tol, max_iter)
     for row in range(3):
@@ -639,7 +654,7 @@ def test_settle_freezes_each_row_at_its_own_iteration():
     assert len(set(iters[:3].tolist())) == 3
     assert iters[3] == max_iter and resid[3] == 2 * (5.0 + 1.0 / 3.0)
     assert failed == [(3, 4)]
-    assert seen[0] == slice(None) and seen[-1].tolist() == [3]
+    assert seen == [(4, 7)] * max_iter  # every call takes the whole block
     assert np.array_equal(u_start, before)
 
 
@@ -668,11 +683,13 @@ def test_picard_leaves_a_non_finite_row_to_the_caller():
     stepper = pde._Stepper(grid, model, 0.0)
     u_start = np.ones((4, grid.nx))
     rates = np.array([0.0, 0.5, 2.0, 8.0])
+    calls = []
 
-    def driver(u, rows):
-        out = rates[rows, None] * u
-        if not isinstance(rows, slice):
-            out[rows == 3] = np.nan
+    def driver(u):
+        calls.append(None)
+        out = rates[:, None] * u
+        if len(calls) > 1:  # row 0 froze at the first call
+            out[3] = np.nan
         return out
 
     _, _, u, failed = pde._picard(stepper, u_start, grid.t_nodes()[1], 0.5,
