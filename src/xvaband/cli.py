@@ -508,7 +508,11 @@ def figure_config(figure_id: str, user_values: dict | None = None) -> RunConfig:
 
 def cmd_sweep(cfg: RunConfig, fig: Figure) -> int:
     """Write the CSV of one record: a row per key, a valuation per cell, with
-    the record's engine or else the configured one ("all" runs the PDE)."""
+    the record's engine or else the configured one ("all" runs the PDE).
+    A configured ``sweep_param`` must name a column of the record's axis."""
+    if cfg.sweep_param not in (None, *fig.axis):
+        raise ValueError(f"sweep_param {cfg.sweep_param!r} is not swept here: "
+                         f"the axis is {', '.join(fig.axis)}")
     keys = fig.cells or [(x,) for x in sorted(_sweep_values(
         cfg.sweep_start, cfg.sweep_stop, cfg.sweep_points))]
     cells = {}

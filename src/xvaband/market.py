@@ -11,8 +11,8 @@ The model carries three groups of flat (deterministic, constant) parameters:
   collateralization level.  A model without ``CreditParams`` is a pure
   funding/repo/collateral model with no default risk (and no bonds in the
   replication portfolio).
-* ``EquityParams`` -- spot, volatility and the (valuation-irrelevant)
-  physical drift of the underlying stock.
+* ``EquityParams`` -- spot and volatility of the underlying stock; the
+  valuation needs no physical drift.
 
 All position-dependent rates are piecewise constant with a single breakpoint
 at zero; a zero position accrues nothing.
@@ -108,11 +108,10 @@ class CreditParams:
 
 @dataclass(frozen=True)
 class EquityParams:
-    """Underlying stock: spot, volatility, physical drift (unused in valuation)."""
+    """Underlying stock: spot and volatility."""
 
     spot: float
     sigma: float
-    drift: float = 0.0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.spot) and self.spot > 0.0):

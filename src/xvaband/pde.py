@@ -91,10 +91,11 @@ class PdeGrid:
     maturity: float
 
     def __post_init__(self) -> None:
-        if self.nx < 3:
-            raise ValueError(f"nx must be >= 3, got {self.nx}")
-        if self.nt < 1:
-            raise ValueError(f"nt must be >= 1, got {self.nt}")
+        for name, least in (("nx", 3), ("nt", 1)):
+            size = getattr(self, name)
+            if not isinstance(size, (int, np.integer)) or size < least:
+                raise ValueError(f"{name} must be >= {least} and an integer, "
+                                 f"got {size!r}")
         if not -math.inf < self.x_min < self.x_max < math.inf:
             raise ValueError("x_min must be below x_max, both finite, got "
                              f"{self.x_min!r} and {self.x_max!r}")
@@ -274,7 +275,7 @@ def march_key(model: MarketModel) -> tuple:
     targets in every row or in none.  Models whose keys are equal may be
     marched together, by either engine.
     """
-    return (("spot, sigma and drift", model.equity),
+    return (("spot and sigma", model.equity),
             ("discount rate", model.rates.discount),
             ("presence of a credit block", model.credit is None))
 

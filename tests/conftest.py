@@ -1,4 +1,5 @@
-"""Shared fixtures: the asymmetric benchmark model and symmetric-regime models."""
+"""Shared fixtures: the asymmetric benchmark model and symmetric-regime
+models, and the environment and record checks of the studies in ``tools/``."""
 
 import numpy as np
 import pytest
@@ -44,3 +45,23 @@ def make_symmetric(fund=0.08, repo=0.05, coll=0.01, alpha=0.0, credit=None):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+# fields that only a timed study writes
+TIME_KEYS = {"time_s", "times_s", "repeats"}
+
+
+def record_keys(node) -> set:
+    """Every key of every dict in a JSON record."""
+    if isinstance(node, dict):
+        return set(node).union(*map(record_keys, node.values()))
+    if isinstance(node, list):
+        return set().union(*map(record_keys, node))
+    return set()
+
+
+@pytest.fixture
+def study_env(monkeypatch):
+    """A study pins BLAS to one thread in the environment; undo it after."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")

@@ -250,6 +250,29 @@ def test_figure_reversed_range_comes_out_ascending(tmp_path, capsys):
     assert funds == [0.05, 0.075, 0.1, 0.125, 0.15]
 
 
+def test_figure_and_table_refuse_a_sweep_param_off_their_axis(tmp_path,
+                                                              capsys):
+    sweep = "sweep_start = 0.08\nsweep_stop = 0.1\nsweep_points = 2\n"
+    p = tmp_path / "other.cfg"
+    p.write_text("sweep_param = fund_borrow\n" + sweep)
+    assert cli.main(["figure", "band-vs-collateral", "--config", str(p),
+                     "--engine", "lattice", "--steps", "20"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "sweep_param 'fund_borrow' is not swept here: the axis is alpha" \
+        in err
+    p.write_text(BENCH_TEXT + "sweep_param = mu_own\n")
+    assert cli.main(["table", "--config", str(p), "--engine", "lattice",
+                     "--steps", "20"]) == 1
+    assert "the axis is alpha, fund_borrow" in capsys.readouterr().err
+    # the figure's own axis stays accepted
+    p.write_text("sweep_param = alpha\n" + sweep)
+    assert cli.main(["figure", "band-vs-collateral", "--config", str(p),
+                     "--engine", "lattice", "--steps", "20"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(",")[0] for line in lines] == ["alpha", "0.08", "0.1"]
+
+
 def test_symmetric_band_width_vanishes(tmp_path):
     p = tmp_path / "sym.cfg"
     # symmetric rates with symmetric credit: the two sides coincide

@@ -1,0 +1,47 @@
+"""``tools/grid_study.py``: the PDE's errors and Picard iterations per draw."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+from conftest import TIME_KEYS, record_keys
+from xvaband import cli
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "grid_study.py"
+_spec = importlib.util.spec_from_file_location("grid_study", TOOL)
+study = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(study)
+
+
+def test_small_study_writes_every_draw_and_the_sweep(tmp_path, study_env):
+    out = tmp_path / "BENCH_grid.json"
+    assert study.main(["--grids", "40x10", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert not record_keys(record) & TIME_KEYS
+    assert {"python", "numpy", "blas_threads"} <= set(record["machine"])
+    grid, = record["grids"]
+    assert (grid["nx"], grid["nt"]) == (40, 10)
+    assert grid["time_grading"]["exponent"] == 1.5
+    points = grid["points"]
+    assert points["draws"] == points["completed"] == len(points["rows"]) == 48
+    for row in points["rows"]:
+        assert 0.0 <= row["error"] <= points["worst_error"]
+        assert row["picard_iterations"] >= 10  # one or more per step
+    assert points["picard_iterations"] == sum(
+        row["picard_iterations"] for row in points["rows"])
+    sweep = grid["sweep"]
+    assert sweep["scenarios"] == 42
+    assert 0.0 <= sweep["error"] < 1e-3 and sweep["picard_iterations"] >= 10
+
+
+def test_values_are_the_clis_bit_for_bit(study_env):
+    _, scenarios = study.load_bench()
+    draws = scenarios.draw_points(scenarios.POOL_SEED, scenarios.PDE_POOL,
+                                  False)
+    for draw in (draws[0], draws[4]):  # an asymmetric put and call spread
+        model, claim = scenarios.build(draw)
+        res, fields = study.value_pde(model, claim, 40, 10)
+        want, = cli.evaluate_point(model, claim, "pde", nx=40, nt=10)
+        assert (res.xva_seller.hex(), res.xva_buyer.hex()) == (
+            want.xva_seller.hex(), want.xva_buyer.hex())
+        assert fields["picard_iterations"] >= 10

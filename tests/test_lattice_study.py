@@ -1,4 +1,4 @@
-"""``tools/lattice_study.py``: the lattice's time, error and residuals per draw."""
+"""``tools/lattice_study.py``: the lattice's error, residuals and nodes per draw."""
 
 import importlib.util
 import json
@@ -7,7 +7,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from xvaband import lattice
+from conftest import TIME_KEYS, record_keys
+from xvaband import cli, lattice
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "lattice_study.py"
 _spec = importlib.util.spec_from_file_location("lattice_study", TOOL)
@@ -15,32 +16,40 @@ study = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(study)
 
 
-def test_small_study_writes_every_draw(tmp_path, monkeypatch):
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.setenv(var, "1")
+def test_small_study_writes_every_draw(tmp_path, study_env):
     out = tmp_path / "BENCH_lattice.json"
-    march = lattice._march
-    assert study.main(["--steps", "20", "--repeats", "2",
-                       "--out", str(out)]) == 0
+    assert study.main(["--steps", "20", "--out", str(out)]) == 0
     record = json.loads(out.read_text())
-    assert record["steps"] == [20, 10] and record["repeats"] == 2
+    assert record["steps"] == [20, 10]
+    assert not record_keys(record) & TIME_KEYS
     assert record["block_row_nodes"] == lattice.BLOCK_ROW_NODES
     assert {"python", "numpy", "blas_threads"} <= set(record["machine"])
     points = record["points"]
     assert points["draws"] == points["completed"] == len(points["rows"]) == 30
     for row in points["rows"]:
-        assert len(row["times_s"]) == 2 and row["time_s"] > 0.0
         assert 0.0 <= row["error"] <= points["worst_error"]
         assert 0.0 <= row["worst_residual_ulps"] <= lattice.ROOT_ULPS
         assert (0.0 <= row["worst_plain_residual_ulps"]
                 <= row["worst_residual_ulps"])
     assert points["worst_plain_residual_ulps"] == max(
         row["worst_plain_residual_ulps"] for row in points["rows"])
-    assert lattice._march is march  # the capture is undone
     # no level below 65 is pruned: each lattice keeps its whole tree
     assert {row["nodes"] for row in points["rows"]} == {210 + 55}
     assert points["nodes"] == 30 * (210 + 55) and points["kept_share"] == 1.0
     assert record["prune_sd"] == lattice.PRUNE_SD
+
+
+def test_values_are_the_clis_bit_for_bit(study_env):
+    _, scenarios = study.load_bench()
+    draws = scenarios.draw_points(scenarios.POOL_SEED, scenarios.LATTICE_POOL,
+                                  True)
+    for draw in (draws[0], draws[3]):  # an asymmetric put and call
+        model, claim = scenarios.build(draw)
+        res, fields = study.value_lattice(model, claim, 20)
+        want, = cli.evaluate_point(model, claim, "lattice", steps=20)
+        assert (res.xva_seller.hex(), res.xva_buyer.hex()) == (
+            want.xva_seller.hex(), want.xva_buyer.hex())
+        assert 0.0 <= fields["worst_residual_ulps"] <= lattice.ROOT_ULPS
 
 
 def test_pruned_nodes_keep_eight_deviations():
@@ -61,13 +70,4 @@ def test_residuals_report_the_plain_scale_apart():
     solutions = [solution([8.0, 3.0, 5.0], [True, False, False]),
                  solution([2.0, 8.0], [False, True]),
                  solution([8.0], [True])]
-    fake = SimpleNamespace(_march=lambda: solutions)
-    with study.Residuals(fake) as residuals:
-        fake._march()
-    assert (residuals.worst, residuals.plain) == (8.0, 5.0)
-    # a checkout whose solutions do not record the scale reports no plain
-    # residual
-    fake._march = lambda: [SimpleNamespace(root_residuals=np.array([4.0]))]
-    with study.Residuals(fake) as residuals:
-        fake._march()
-    assert (residuals.worst, residuals.plain) == (4.0, None)
+    assert study.residuals(solutions) == (8.0, 5.0)

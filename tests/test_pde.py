@@ -252,6 +252,12 @@ def test_grid_validation():
         PdeGrid(x_min=1.0, x_max=0.0, nx=10, nt=10, maturity=1.0)
     with pytest.raises(ValueError):
         PdeGrid(x_min=0.0, x_max=1.0, nx=10, nt=0, maturity=1.0)
+    with pytest.raises(ValueError,
+                       match=r"^nx must be >= 3 and an integer, got 40\.5$"):
+        PdeGrid(x_min=-1.0, x_max=1.0, nx=40.5, nt=10, maturity=1.0)
+    with pytest.raises(ValueError,
+                       match=r"^nt must be >= 1 and an integer, got 10\.5$"):
+        PdeGrid(x_min=-1.0, x_max=1.0, nx=40, nt=10.5, maturity=1.0)
     for bad in (math.nan, math.inf, 0.0, -1.0):
         with pytest.raises(ValueError, match=f"maturity .* got {bad!r}$"):
             PdeGrid(x_min=0.0, x_max=1.0, nx=10, nt=10, maturity=bad)
