@@ -15,9 +15,9 @@ repo and collateral rates with bilateral default risk:
 
 from .claims import AgentValuation, ClaimSpec, agent_value
 from .closed_form import (SymmetricRates, XvaDecomposition,
-                          adjustment_multiplier, piterbarg_defaults_strategies,
-                          piterbarg_defaults_xva, piterbarg_price,
-                          piterbarg_stock_strategy, piterbarg_xva,
+                          adjustment_multiplier, piterbarg_defaults_xva,
+                          piterbarg_price, piterbarg_stock_strategy,
+                          piterbarg_strategies, piterbarg_xva,
                           relative_adjustment, symmetric_model)
 from .drivers import (BUYER, SELLER, ReplicationStrategy, adjustment_drift,
                       reduced_drift, wealth_drift)
@@ -32,8 +32,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AgentValuation", "ClaimSpec", "agent_value",
     "SymmetricRates", "XvaDecomposition", "adjustment_multiplier",
-    "piterbarg_defaults_strategies", "piterbarg_defaults_xva",
-    "piterbarg_price", "piterbarg_stock_strategy", "piterbarg_xva",
+    "piterbarg_defaults_xva", "piterbarg_price", "piterbarg_stock_strategy",
+    "piterbarg_strategies", "piterbarg_xva",
     "relative_adjustment", "symmetric_model",
     "BUYER", "SELLER", "ReplicationStrategy",
     "adjustment_drift", "reduced_drift", "wealth_drift",

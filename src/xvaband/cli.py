@@ -14,11 +14,11 @@ convergence   refinement study against the symmetric-regime closed form
 function, :func:`cmd_sweep`: it values the model variants of the record's
 keys and writes one CSV row per key; a swept axis comes out ascending.
 
-Every PDE and lattice valuation, of one point or of a sweep, goes through
-one path: the models that share a march (:func:`pde.march_key`) are valued
-as one batch, with :func:`pde.solve_batch` or
-:func:`lattice.solve_extrapolated`.  Closed forms are evaluated one model at
-a time.
+Every valuation, of one point or of a sweep, goes through one function,
+:func:`_batched`, with one engine: closed forms one model at a time
+(:func:`closed_form.piterbarg_strategies`), and the models that share a
+march (:func:`pde.march_key`) as one batch of :func:`pde.solve_batch` or
+:func:`lattice.solve_extrapolated`.
 
 Configuration is a flat ``key = value`` text file (``#`` comments allowed);
 every run is fully determined by the config plus documented numerical
@@ -78,6 +78,10 @@ class RunConfig:
     sweep_points: int = 21
 
 
+# the run settings a config may give, each defaulting to RunConfig's
+_RUN_KEYS = tuple(f.name for f in fields(RunConfig))[2:]
+
+
 def parse_config_text(text: str) -> dict:
     """Parse the flat key = value format; rejects unknown or repeated keys."""
     values: dict = {}
@@ -128,21 +132,17 @@ def build_config(values: dict) -> RunConfig:
     model = MarketModel(rates=rates, equity=equity, credit=credit,
                         alpha=values.get("alpha", 0.0),
                         allow_violations=bool(values.get("allow_violations", False)))
-    claim = claims.ClaimSpec(kind=values.get("kind", "call"),
-                             strike=values.get("strike", 1.0),
+    kind = values.get("kind", "call")
+    if kind not in ("call", "put"):
+        raise ValueError(f"kind must be 'call' or 'put', got {kind!r}: custom "
+                         "payoffs are valued through the library, "
+                         "ClaimSpec(payoff_fn=...)")
+    claim = claims.ClaimSpec(kind=kind, strike=values.get("strike", 1.0),
                              maturity=values.get("maturity", 1.0))
-    engine = values.get("engine", "pde")
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    cfg = RunConfig(model=model, claim=claim, engine=engine,
-                    nx=values.get("nx", DEFAULT_NX),
-                    nt=values.get("nt", DEFAULT_NT),
-                    steps=values.get("steps", DEFAULT_STEPS),
-                    out=values.get("out"),
-                    sweep_param=values.get("sweep_param"),
-                    sweep_start=values.get("sweep_start"),
-                    sweep_stop=values.get("sweep_stop"),
-                    sweep_points=values.get("sweep_points", 21))
+    cfg = RunConfig(model=model, claim=claim,
+                    **{k: values[k] for k in _RUN_KEYS if k in values})
+    if cfg.engine not in ENGINES:
+        raise ValueError(f"engine must be one of {ENGINES}, got {cfg.engine!r}")
     for key, least in (("nx", 3), ("nt", 1), ("sweep_points", 1)):
         value = getattr(cfg, key)
         if value < least:
@@ -150,6 +150,13 @@ def build_config(values: dict) -> RunConfig:
     if cfg.steps < 2:
         raise ValueError(f"steps must be >= 2, got {cfg.steps}: the lattice "
                          "extrapolates from steps and steps // 2")
+    for key in ("sweep_start", "sweep_stop"):
+        value = getattr(cfg, key)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {value}")
+    if cfg.sweep_param not in (None, "alpha", *_RATE_KEYS, *_CREDIT_KEYS):
+        raise ValueError("sweep_param must name a rate, a credit parameter or "
+                         f"alpha, got {cfg.sweep_param!r}")
     return cfg
 
 
@@ -172,20 +179,10 @@ class PointResult:
 
 
 def _closed_point(model, claim) -> PointResult:
-    s0 = model.equity.spot
-    mark = claims.agent_value(model, claim, 0.0, s0).value
-    if model.credit is None:
-        adj = closed_form.piterbarg_xva(model, claim, 0.0, mark)
-        shares = closed_form.piterbarg_stock_strategy(model, claim, 0.0, s0)
-        seller, buyer = (drivers.build_strategy(model, claim, side, 0.0, s0,
-                                                adjustment=adj, mark=mark,
-                                                stock_shares=shares)
-                         for side in drivers.SIDES)
-    else:
-        seller, buyer = (closed_form.piterbarg_defaults_strategies(
-            model, claim, 0.0, s0, side) for side in drivers.SIDES)
-    return PointResult("closed", mark, seller.adjustment, buyer.adjustment,
-                       seller, buyer)
+    seller, buyer = (closed_form.piterbarg_strategies(
+        model, claim, 0.0, model.equity.spot, side) for side in drivers.SIDES)
+    return PointResult("closed", seller.mark, seller.adjustment,
+                       buyer.adjustment, seller, buyer)
 
 
 def _pde_result(sol: pde.PdeSolution) -> PointResult:
@@ -208,8 +205,11 @@ def _lattice_result(model, claim, sides) -> PointResult:
 
 
 def _batched(models, claim, engine, nx, nt, steps) -> list[PointResult]:
-    """PDE or lattice valuations, one per model; the models that share a
-    march (:func:`pde.march_key`) are valued as one batch."""
+    """One engine's valuations, one per model: closed forms one model at a
+    time; for the PDE and the lattice, the models that share a march
+    (:func:`pde.march_key`) are valued as one batch."""
+    if engine == "closed":
+        return [_closed_point(model, claim) for model in models]
     groups: dict = {}
     for i, model in enumerate(models):
         groups.setdefault(pde.march_key(model), []).append(i)
@@ -231,16 +231,13 @@ def _batched(models, claim, engine, nx, nt, steps) -> list[PointResult]:
 def evaluate_point(model: MarketModel, claim: claims.ClaimSpec, engine: str,
                    nx: int = DEFAULT_NX, nt: int = DEFAULT_NT,
                    steps: int = DEFAULT_STEPS) -> list[PointResult]:
-    """Run one valuation with the requested engine(s)."""
+    """Run one valuation with the requested engine, or with each engine for
+    "all", the closed forms only where the rates are symmetric."""
+    engines = ((engine,) if engine != "all" else
+               ENGINES[:-1] if model.rates.symmetric() else ENGINES[1:-1])
     results = []
-    if engine in ("closed", "all"):
-        if model.rates.symmetric():
-            results.append(_closed_point(model, claim))
-        elif engine == "closed":
-            raise ModelError("the closed engine requires symmetric rates")
-    for batched in ("pde", "lattice"):
-        if engine in (batched, "all"):
-            results += _batched([model], claim, batched, nx, nt, steps)
+    for name in engines:
+        results += _batched([model], claim, name, nx, nt, steps)
     return results
 
 
@@ -523,11 +520,8 @@ def cmd_sweep(cfg: RunConfig, fig: Figure) -> int:
                 cells[key, s] = _model_with(cfg.model, **changes)
     models = list(cells.values())
     engine = fig.engine or (cfg.engine if cfg.engine != "all" else "pde")
-    if engine == "closed":
-        values = [evaluate_point(m, cfg.claim, engine)[0] for m in models]
-    else:
-        values = _batched(models, cfg.claim, engine, cfg.nx, cfg.nt, cfg.steps)
-    results = dict(zip(cells, values))
+    results = dict(zip(cells, _batched(models, cfg.claim, engine, cfg.nx,
+                                       cfg.nt, cfg.steps)))
     header = list(fig.axis) + [name + fig.suffix.format(s)
                                for s in fig.series for name, _ in fig.columns]
     rows = []
@@ -566,10 +560,8 @@ def cmd_convergence(cfg: RunConfig) -> int:
                          "(the closed form is the reference)")
 
     def reference(m, c):
-        mark = claims.agent_value(m, c, 0.0, m.equity.spot).value
-        if m.credit is None:
-            return closed_form.piterbarg_xva(m, c, 0.0, mark)
-        return closed_form.piterbarg_defaults_xva(m, c, 0.0, mark).total
+        return closed_form.piterbarg_strategies(m, c, 0.0,
+                                                m.equity.spot).adjustment
 
     grids = [(50, 50), (100, 100), (200, 200), (400, 400)]
     rows = pde.convergence_study(model, claim, grids, drivers.SELLER, reference)

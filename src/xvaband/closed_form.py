@@ -215,15 +215,21 @@ def _adjustment_slope(model: MarketModel, t: float, maturity: float,
     return kernel * (base - loss * (1.0 - model.alpha))
 
 
-def piterbarg_defaults_strategies(model: MarketModel, claim: claims.ClaimSpec,
-                                  t: float, s: float,
-                                  side: str = drivers.SELLER) -> "drivers.ReplicationStrategy":
-    """Full replication portfolio of the default-risk adjustment at (t, s)."""
+def piterbarg_strategies(model: MarketModel, claim: claims.ClaimSpec,
+                         t: float, s: float,
+                         side: str = drivers.SELLER) -> "drivers.ReplicationStrategy":
+    """Full replication portfolio of the symmetric-regime adjustment at (t, s):
+    the default-risk closed form where the model has a credit block, else
+    :func:`adjustment_multiplier` times the mark, hedged by as many times
+    its delta."""
     drivers._check_side(side)
     val = claims.agent_value(model, claim, t, s)
-    adj = piterbarg_defaults_xva(model, claim, t, val.value, side).total
-    stock_shares = _adjustment_slope(model, t, claim.maturity, side,
-                                     val.value) * val.delta
+    if model.credit is None:
+        slope = adjustment_multiplier(model, t, claim.maturity)
+        adj = slope * val.value
+    else:
+        adj = piterbarg_defaults_xva(model, claim, t, val.value, side).total
+        slope = _adjustment_slope(model, t, claim.maturity, side, val.value)
     return drivers.build_strategy(model, claim, side, t, s,
                                   adjustment=adj, mark=val.value,
-                                  stock_shares=stock_shares)
+                                  stock_shares=slope * val.delta)

@@ -454,8 +454,8 @@ def reduced_drift_value(model: MarketModel, side: str, t, u, z, mark):
 
     Same structure as :func:`reduced_drift` but with wealth-level close-outs
     and the wealth-level drift; terminal data for this equation is the claim
-    payoff itself.  Used by the lattice cross-check as a second, independent
-    route to the same adjustment.
+    payoff itself.  The value route of the tests' reference lattice march,
+    which cross-checks the lattice's adjustment route against it.
     """
     p = DriverParams.of(model, side)
     return reduced_step(p, reduced_terms(p, z, mark, at_value=True), u)

@@ -1,4 +1,4 @@
-"""Binomial-lattice cross-check for the reduced valuation-adjustment equations.
+"""Binomial-lattice cross-check for the reduced valuation-adjustment equation.
 
 A recombining two-branch lattice (equiprobable +-sqrt(dt) Brownian steps)
 discretizes the stock under the valuation measure; the adjustment is obtained
@@ -7,15 +7,11 @@ The scheme shares no discretization code with the PDE engine, so agreement
 between the two is evidence rather than tautology; the two share only the
 driver.
 
-Two equivalent routes are provided:
-
-* ``level="adjustment"``: terminal data zero, the reduced adjustment driver,
-  and the diffusion-gradient slot fed with the lattice estimate plus the
-  agent's closed-form delta exposure (the driver prices repo/funding
-  asymmetries on physical positions, which include the mark's hedge);
-* ``level="value"``: terminal data equal to the payoff, the wealth-level
-  reduced driver, and the raw lattice gradient; the adjustment is the root
-  value net of the agent's mark.
+The lattice solves one equation, the reduced adjustment equation: terminal
+data zero, the reduced adjustment driver, and the diffusion-gradient slot fed
+with the lattice estimate plus the agent's closed-form delta exposure (the
+driver prices repo/funding asymmetries on physical positions, which include
+the mark's hedge).  The adjustment is the root's value.
 
 The tree is pruned, as Hull & White truncate theirs (J. Derivatives 2(1),
 1994): level k keeps only the nodes j whose walk ``w = (2j - k) sqrt(dt)``
@@ -93,7 +89,6 @@ from . import claims, drivers
 from .market import MarketModel
 from .pde import NumericsError, Rows
 
-LEVELS = ("adjustment", "value")
 # the bound on a node's residual, in ulps of its scale: twice the 4 ulps
 # that the hypothesis test of drivers.reduced_root measured; measured, not
 # proved: one known input reaches 5 ulps
@@ -118,7 +113,6 @@ class OracleSolution:
     """
 
     side: str
-    level: str
     n_steps: int
     root_gradient: float    # Brownian-integrand estimate at the root
     root_mark: float        # agent's mark at the root
@@ -128,26 +122,24 @@ class OracleSolution:
 
 
 def solve_reduced(model: MarketModel, claim: claims.ClaimSpec, n_steps: int,
-                  level: str = "adjustment",
                   side: str = drivers.SELLER) -> OracleSolution:
-    """Backward induction for the reduced equation at the requested level:
-    ``side``'s solution of :func:`solve_sides`."""
+    """Backward induction for the reduced equation: ``side``'s solution of
+    :func:`solve_sides`."""
     drivers._check_side(side)
-    return solve_sides(model, claim, n_steps, level)[drivers.SIDES.index(side)]
+    return solve_sides(model, claim, n_steps)[drivers.SIDES.index(side)]
 
 
-def solve_sides(model: MarketModel, claim: claims.ClaimSpec, n_steps: int,
-                level: str = "adjustment") -> tuple[OracleSolution, OracleSolution]:
+def solve_sides(model: MarketModel, claim: claims.ClaimSpec, n_steps: int
+                ) -> tuple[OracleSolution, OracleSolution]:
     """(seller, buyer) solutions from one backward induction of both sides.
 
     The valuation fails with :class:`NumericsError` if either side does.
     """
-    return solve_batch([model], claim, n_steps, level)[0]
+    return solve_batch([model], claim, n_steps)[0]
 
 
 def solve_batch(models: list[MarketModel], claim: claims.ClaimSpec,
-                n_steps: int, level: str = "adjustment"
-                ) -> list[tuple[OracleSolution, OracleSolution]]:
+                n_steps: int) -> list[tuple[OracleSolution, OracleSolution]]:
     """One (seller, buyer) pair per model, from one backward induction.
 
     The models must share what :func:`pde.march_key` names: the equity
@@ -156,14 +148,14 @@ def solve_batch(models: list[MarketModel], claim: claims.ClaimSpec,
     model fails the batch, and names the side, the scenario's index and
     varied parameters and the level.
     """
-    solutions = _march(list(models), claim, n_steps, level)
+    solutions = _march(list(models), claim, n_steps)
     return list(zip(solutions[:len(models)], solutions[len(models):]))
 
 
 def solve_extrapolated(models: list[MarketModel], claim: claims.ClaimSpec,
                        n_steps: int
                        ) -> list[tuple[OracleSolution, OracleSolution]]:
-    """:func:`solve_batch` at the adjustment level, Richardson-extrapolated.
+    """:func:`solve_batch`, Richardson-extrapolated.
 
     Marches the lattices of n = ``n_steps`` and m = n // 2 steps and, since
     both converge at first order in dt, returns ``(n L(n) - m L(m)) / (n - m)``
@@ -176,8 +168,8 @@ def solve_extrapolated(models: list[MarketModel], claim: claims.ClaimSpec,
         raise ValueError("n_steps must be >= 2 and an integer to "
                          f"extrapolate, got {n_steps!r}")
     m = n_steps // 2
-    coarse = _march(list(models), claim, m, "adjustment", refine=2)
-    fine = _march(list(models), claim, n_steps, "adjustment")
+    coarse = _march(list(models), claim, m, refine=2)
+    fine = _march(list(models), claim, n_steps)
 
     def extrapolate(a: float, b: float) -> float:
         return (n_steps * a - m * b) / (n_steps - m)
@@ -190,15 +182,13 @@ def solve_extrapolated(models: list[MarketModel], claim: claims.ClaimSpec,
 
 
 def _march(models: list[MarketModel], claim: claims.ClaimSpec, n_steps: int,
-           level: str, refine: int = 1) -> list[OracleSolution]:
+           refine: int = 1) -> list[OracleSolution]:
     """Backward induction of the 2K rows of K models in blocks of levels;
     one solution per row.
 
     The time-step guard advises ``refine`` times the steps this lattice
     needs: the lattice of an extrapolation whose caller sets the finer.
     """
-    if level not in LEVELS:
-        raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
     if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
         raise ValueError(f"n_steps must be >= 1 and an integer, got {n_steps!r}")
     rows = Rows(models)
@@ -232,16 +222,14 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, n_steps: int,
         w = (2.0 * j - k) * sdt
         return s0 * np.exp(drift * (k * dt) + sigma * w)
 
-    at_value = level == "value"
     params = rows.params
     # the march is in the seller's terms, each row's values times its sign
     sign = params.sign
     rates = drivers.root_rates(params, dt)
     # the children of level k's nodes: level k + 1's kept nodes in columns
-    # 1 .. their count, and a ghost next to them where level k needs one
-    child = np.empty((rows.size, widths.max() + 2))
-    np.multiply(sign, claim.payoff(stock_levels(np.array([n_steps])))
-                if at_value else 0.0, out=child[:, 1:widths[n_steps] + 1])
+    # 1 .. their count, and a ghost next to them where level k needs one;
+    # the terminal level's are zero
+    child = np.zeros((rows.size, widths.max() + 2))
     residuals = np.zeros((rows.size, n_steps))
     widened = np.zeros((rows.size, n_steps), dtype=bool)
     lo, hi = lowest.tolist(), highest.tolist()
@@ -252,10 +240,8 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, n_steps: int,
         s = stock_levels(levels)
         mark, delta = claims.agent_value_levels(
             first, claim, [k * dt for k in levels.tolist()], sizes, s)
-        if not at_value:
-            delta *= sigma * s
-            delta = sign * delta
-        terms = drivers.reduced_mark_terms(params, mark, at_value)
+        delta = sign * (delta * (sigma * s))
+        terms = drivers.reduced_mark_terms(params, mark)
         roots = drivers.root_terms(params, rates, terms)
         e_levels, z_levels, u_levels = [], [], []
         for k, start, width in zip(levels.tolist(), starts.tolist(),
@@ -276,8 +262,7 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, n_steps: int,
             z /= 2.0 * sdt
             if k == 0:
                 root_gradient = z[:, 0] * sign[:, 0]
-            if not at_value:
-                z += delta[:, at]  # sigma s delta
+            z += delta[:, at]  # sigma s delta
             u = drivers.reduced_root(
                 rates, drivers.RootTerms(*(v[:, at] for v in roots)), e, z)
             child[:, 1:width + 1] = u
@@ -294,15 +279,12 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, n_steps: int,
         # once, they would let the heap shrink and fault back in
 
     mark0 = claims.agent_value(first, claim, 0.0, s0).value
-    solutions = []
-    for row in range(rows.size):
-        root = float(sign[row, 0] * child[row, 1])
-        solutions.append(OracleSolution(
-            side=drivers.SIDES[row // rows.count], level=level,
-            n_steps=n_steps, root_gradient=float(root_gradient[row]),
-            root_mark=mark0, adjustment=root - mark0 if at_value else root,
-            root_residuals=residuals[row], root_widened=widened[row]))
-    return solutions
+    return [OracleSolution(
+        side=drivers.SIDES[row // rows.count], n_steps=n_steps,
+        root_gradient=float(root_gradient[row]), root_mark=mark0,
+        adjustment=float(sign[row, 0] * child[row, 1]),
+        root_residuals=residuals[row], root_widened=widened[row])
+        for row in range(rows.size)]
 
 
 def band(n_steps: int, dt: float, sigma: float

@@ -476,6 +476,21 @@ def test_value_symmetric_runs_three_engines(tmp_path, capsys):
         assert f"engine={name}" in out
 
 
+@pytest.mark.parametrize("text, engines",
+                         [(SYMMETRIC_TEXT, ("closed", "pde", "lattice")),
+                          (BENCH_TEXT, ("pde", "lattice"))],
+                         ids=["symmetric", "benchmark"])
+def test_all_engines_are_the_single_engine_valuations_in_turn(text, engines):
+    # the closed forms join only where the rates are symmetric
+    cfg = build_config(parse_config_text(text))
+    sizes = dict(nx=40, nt=10, steps=20)
+    got = cli.evaluate_point(cfg.model, cfg.claim, "all", **sizes)
+    want = [result for engine in engines for result in
+            cli.evaluate_point(cfg.model, cfg.claim, engine, **sizes)]
+    assert [r.engine for r in got] == list(engines)
+    assert repr(got) == repr(want)  # every field, bit for bit
+
+
 def test_numerical_failure_exit_code(tmp_path, capsys):
     p = tmp_path / "stiff.cfg"
     p.write_text(BENCH_TEXT.replace("mu_own = 0.21", "mu_own = 0.9")
@@ -492,6 +507,42 @@ def test_bad_sizes_name_the_key(key, value, least):
     with pytest.raises(ValueError,
                        match=rf"^{key} must be >= {least}, got {value}$"):
         build_config(parse_config_text(BENCH_TEXT + f"{key} = {value}\n"))
+
+
+def refusal(tmp_path, capsys, text):
+    """The exit code and stderr of ``band`` on a config of ``text``."""
+    p = tmp_path / "refused.cfg"
+    p.write_text(text)
+    rc = cli.main(["band", "--config", str(p), "--engine", "lattice",
+                   "--steps", "20"])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return rc, captured.err
+
+
+def test_a_custom_kind_is_refused_by_its_key(tmp_path, capsys):
+    # no config key can give a payoff function
+    text = BENCH_TEXT.replace("kind = call", "kind = custom")
+    assert refusal(tmp_path, capsys, text) == (
+        1, "error: kind must be 'call' or 'put', got 'custom': custom payoffs "
+        "are valued through the library, ClaimSpec(payoff_fn=...)\n")
+
+
+@pytest.mark.parametrize("key, value", [("sweep_start", "nan"),
+                                        ("sweep_stop", "inf")])
+def test_a_non_finite_sweep_bound_is_refused_by_its_key(tmp_path, capsys,
+                                                        key, value):
+    assert refusal(tmp_path, capsys, BENCH_TEXT + f"{key} = {value}\n") == (
+        1, f"error: {key} must be finite, got {value}\n")
+
+
+@pytest.mark.parametrize("param", ["spot", "sigma", "fund_borow"])
+def test_a_sweep_param_no_sweep_can_vary_is_refused(tmp_path, capsys, param):
+    text = BENCH_TEXT + (f"sweep_param = {param}\nsweep_start = 0.1\n"
+                         "sweep_stop = 0.2\n")
+    assert refusal(tmp_path, capsys, text) == (
+        1, "error: sweep_param must name a rate, a credit parameter or "
+        f"alpha, got {param!r}\n")
 
 
 def test_steps_below_two_are_refused(bench_cfg_path, capsys):

@@ -6,9 +6,9 @@ import pytest
 
 from xvaband import (BUYER, SELLER, ClaimSpec, CreditParams,
                      DegenerateRatesError, ModelError, agent_value,
-                     piterbarg_defaults_strategies, piterbarg_defaults_xva,
-                     piterbarg_price, piterbarg_stock_strategy, piterbarg_xva,
-                     relative_adjustment)
+                     piterbarg_defaults_xva, piterbarg_price,
+                     piterbarg_stock_strategy, piterbarg_strategies,
+                     piterbarg_xva, relative_adjustment)
 from xvaband.closed_form import (SymmetricRates, adjustment_multiplier,
                                  adjustment_multiplier_limit, decay_kernel)
 from conftest import make_symmetric
@@ -238,7 +238,7 @@ def test_strategies_self_financing_identity(rng):
         for _ in range(30):
             t = rng.uniform(0.0, 0.9)
             s = rng.uniform(0.6, 1.8)
-            st_ = piterbarg_defaults_strategies(model, CALL, t, s, side)
+            st_ = piterbarg_strategies(model, CALL, t, s, side)
             assert st_.wealth == pytest.approx(st_.adjustment, abs=1e-10)
 
 
@@ -247,7 +247,7 @@ def test_strategies_full_collateral_bond_positions(rng):
     model = defaults_model(fund=0.08, alpha=1.0)
     for _ in range(10):
         s = rng.uniform(0.6, 1.8)
-        st_ = piterbarg_defaults_strategies(model, CALL, 0.3, s, SELLER)
+        st_ = piterbarg_strategies(model, CALL, 0.3, s, SELLER)
         assert st_.bond_own_dollars == pytest.approx(st_.adjustment, abs=1e-14)
         assert st_.bond_cpty_dollars == pytest.approx(st_.adjustment, abs=1e-14)
         # posted collateral account balance is the full mark
@@ -261,7 +261,7 @@ def test_strategies_default_jump_targets(rng):
         for _ in range(30):
             t = rng.uniform(0.0, 0.9)
             s = rng.uniform(0.6, 1.8)
-            st_ = piterbarg_defaults_strategies(model, CALL, t, s, side)
+            st_ = piterbarg_strategies(model, CALL, t, s, side)
             jump_own, jump_cpty = jump_targets(model, side, st_.mark)
             after_own = (st_.bond_cpty_dollars + st_.funding_dollars
                          - st_.collateral_account_dollars)
@@ -282,8 +282,21 @@ def test_strategies_stock_matches_bumped_mark(rng):
         dn = piterbarg_defaults_xva(
             model, CALL, 0.2, agent_value(model, CALL, 0.2, s - h).value).total
         fd = (up - dn) / (2 * h)
-        st_ = piterbarg_defaults_strategies(model, CALL, 0.2, s, SELLER)
+        st_ = piterbarg_strategies(model, CALL, 0.2, s, SELLER)
         assert st_.stock_shares == pytest.approx(fd, rel=1e-5, abs=1e-9)
+
+
+def test_strategies_without_credit_hedge_a_multiple_of_the_mark():
+    model = make_symmetric(fund=0.08, repo=0.05, coll=0.01, alpha=0.75)
+    mark = agent_value(model, CALL, 0.2, 1.1).value
+    for side in (SELLER, BUYER):
+        st_ = piterbarg_strategies(model, CALL, 0.2, 1.1, side)
+        assert st_.mark == mark
+        assert st_.adjustment == piterbarg_xva(model, CALL, 0.2, mark)
+        assert st_.stock_shares == piterbarg_stock_strategy(model, CALL,
+                                                            0.2, 1.1)
+        assert st_.bond_own_shares == st_.bond_cpty_shares == 0.0
+        assert st_.wealth == pytest.approx(st_.adjustment, abs=1e-14)
 
 
 def test_strict_ordering_enforced():

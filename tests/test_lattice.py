@@ -10,7 +10,7 @@ from xvaband import (BUYER, SELLER, ClaimSpec, CreditParams, EquityParams,
                      NumericsError, agent_value, piterbarg_defaults_xva,
                      piterbarg_xva, solve_reduced, solve_sides)
 from xvaband import claims, cli, drivers, lattice
-from xvaband.lattice import BLOCK_ROW_NODES, LEVELS, ROOT_ULPS, OracleSolution
+from xvaband.lattice import BLOCK_ROW_NODES, ROOT_ULPS, OracleSolution
 from conftest import make_benchmark, make_symmetric
 
 CALL = ClaimSpec(kind="call", strike=1.0, maturity=1.0)
@@ -59,11 +59,13 @@ def test_put_claim_matches_closed_form():
 
 
 def test_value_level_route_agrees_with_adjustment_level():
+    # the reference march of the value-level equation, payoff terminal data
+    # and the wealth-level driver, lands on the library's adjustment
     model = make_benchmark(alpha=0.9)
     for side in (SELLER, BUYER):
-        adj = solve_reduced(model, CALL, 1000, level="adjustment", side=side)
-        val = solve_reduced(model, CALL, 1000, level="value", side=side)
-        assert abs(adj.adjustment - val.adjustment) < 5e-5
+        adj = solve_reduced(model, CALL, 1000, side=side)
+        val, _, _ = reference_solve(model, CALL, 1000, "value", side)
+        assert abs(adj.adjustment - val) < 5e-5
 
 
 def test_monotone_refinement():
@@ -134,8 +136,6 @@ def test_input_validation():
     model = make_benchmark()
     with pytest.raises(ValueError):
         solve_reduced(model, CALL, 0)
-    with pytest.raises(ValueError):
-        solve_reduced(model, CALL, 100, level="price")
     with pytest.raises(ValueError):
         solve_reduced(model, CALL, 100, side="dealer")
     with pytest.raises(ValueError, match=r"an integer, got 10\.5$"):
@@ -215,22 +215,20 @@ def test_one_pass_matches_single_side_reference(credit, kind, monkeypatch):
         model = dataclasses.replace(model, credit=None)
     claim = ClaimSpec(kind=kind, strike=1.05, maturity=1.0)
     for n in (1, 2, 200):
-        for level in LEVELS:
-            want = {side: reference_solve(model, claim, n, level, side)
-                    for side in (SELLER, BUYER)}
-            for size in block_sizes(2, n):
-                monkeypatch.setattr(lattice, "BLOCK_ROW_NODES", size)
-                sols = solve_sides(model, claim, n, level=level)
-                assert [sol.side for sol in sols] == [SELLER, BUYER]
-                for sol in sols:
-                    adjustment, gradient, mark = want[sol.side]
-                    assert sol.adjustment == adjustment
-                    assert sol.root_gradient == gradient
-                    assert sol.root_mark == mark
-                    assert sol.root_residuals.shape == (n,)
-                    assert np.all(sol.root_residuals <= ROOT_ULPS)
-                    assert solve_reduced(model, claim, n, level=level,
-                                         side=sol.side) == sol
+        want = {side: reference_solve(model, claim, n, "adjustment", side)
+                for side in (SELLER, BUYER)}
+        for size in block_sizes(2, n):
+            monkeypatch.setattr(lattice, "BLOCK_ROW_NODES", size)
+            sols = solve_sides(model, claim, n)
+            assert [sol.side for sol in sols] == [SELLER, BUYER]
+            for sol in sols:
+                adjustment, gradient, mark = want[sol.side]
+                assert sol.adjustment == adjustment
+                assert sol.root_gradient == gradient
+                assert sol.root_mark == mark
+                assert sol.root_residuals.shape == (n,)
+                assert np.all(sol.root_residuals <= ROOT_ULPS)
+                assert solve_reduced(model, claim, n, side=sol.side) == sol
 
 
 def test_solution_reports_fixed_point_per_level():
@@ -398,12 +396,12 @@ def test_root_failure_at_a_pruned_level_names_the_absolute_node(monkeypatch):
         solve_sides(model, CALL, n)
 
 
-def full_and_pruned(monkeypatch, model, claim, n, level):
+def full_and_pruned(monkeypatch, model, claim, n):
     """``solve_sides`` of the full tree and of the pruned one."""
     with monkeypatch.context() as patch:
         patch.setattr(lattice, "PRUNE_SD", math.inf)
-        full = solve_sides(model, claim, n, level)
-    return full, solve_sides(model, claim, n, level)
+        full = solve_sides(model, claim, n)
+    return full, solve_sides(model, claim, n)
 
 
 @pytest.mark.parametrize("n", [1000, 2000])
@@ -413,11 +411,10 @@ def test_pruned_tree_matches_the_full_tree(kind, n, monkeypatch):
     claim = ClaimSpec(kind=kind, strike=1.0, maturity=1.0)
     lowest, highest = lattice.band(n, 1.0 / n, model.equity.sigma)
     assert np.sum(highest - lowest + 1) < (n + 1) * (n + 2) // 2 // 2
-    for level in LEVELS:
-        full, pruned = full_and_pruned(monkeypatch, model, claim, n, level)
-        for want, got in zip(full, pruned):
-            assert abs(got.adjustment - want.adjustment) <= 1e-12
-            assert np.all(got.root_residuals <= ROOT_ULPS)
+    full, pruned = full_and_pruned(monkeypatch, model, claim, n)
+    for want, got in zip(full, pruned):
+        assert abs(got.adjustment - want.adjustment) <= 1e-12
+        assert np.all(got.root_residuals <= ROOT_ULPS)
 
 
 def test_pruned_tree_follows_the_share_measure(monkeypatch):
@@ -427,10 +424,9 @@ def test_pruned_tree_follows_the_share_measure(monkeypatch):
     model = dataclasses.replace(make_benchmark(),
                                 equity=EquityParams(spot=1.0, sigma=1.5))
     claim = ClaimSpec(kind="call", strike=1.0, maturity=30.0)
-    for level in LEVELS:
-        full, pruned = full_and_pruned(monkeypatch, model, claim, 2000, level)
-        for want, got in zip(full, pruned):
-            assert abs(got.adjustment - want.adjustment) <= 1e-12
+    full, pruned = full_and_pruned(monkeypatch, model, claim, 2000)
+    for want, got in zip(full, pruned):
+        assert abs(got.adjustment - want.adjustment) <= 1e-12
 
 
 def test_band_keeps_every_node_of_the_first_65_levels():
@@ -501,7 +497,7 @@ def test_non_finite_values_fail_at_once(monkeypatch):
     monkeypatch.setattr(drivers, "reduced_step", counted_step)
     with pytest.raises(NumericsError, match="^non-finite lattice values on "
                                             "the seller side at level 19$"):
-        solve_sides(make_benchmark(), nan_band, 20, level="value")
+        solve_sides(make_benchmark(), nan_band, 20)
     assert len(calls) == 1
 
 
@@ -524,18 +520,17 @@ def test_solve_batch_matches_solve_sides_bit_for_bit(credit, kind,
                                                     monkeypatch):
     models = lattice_stack(credit)
     claim = ClaimSpec(kind=kind, strike=1.05, maturity=1.0)
-    for level in LEVELS:
-        sides = [solve_sides(model, claim, 150, level) for model in models]
-        for size in block_sizes(2 * len(models), 150):
-            monkeypatch.setattr(lattice, "BLOCK_ROW_NODES", size)
-            batch = lattice.solve_batch(models, claim, 150, level=level)
-            assert len(batch) == len(models)
-            for pair, wanted in zip(batch, sides):
-                for got, want in zip(pair, wanted):
-                    assert got == want  # side, level, mark, adjustment
-                    assert got.root_gradient == want.root_gradient
-                    assert np.array_equal(got.root_residuals,
-                                          want.root_residuals)
+    sides = [solve_sides(model, claim, 150) for model in models]
+    for size in block_sizes(2 * len(models), 150):
+        monkeypatch.setattr(lattice, "BLOCK_ROW_NODES", size)
+        batch = lattice.solve_batch(models, claim, 150)
+        assert len(batch) == len(models)
+        for pair, wanted in zip(batch, sides):
+            for got, want in zip(pair, wanted):
+                assert got == want  # side, mark, adjustment
+                assert got.root_gradient == want.root_gradient
+                assert np.array_equal(got.root_residuals,
+                                      want.root_residuals)
 
 
 def test_solve_batch_refuses_mixed_stacks():

@@ -10,8 +10,8 @@ from scipy.linalg import solve_banded as scipy_solve_banded
 
 from xvaband import (BUYER, SELLER, ClaimSpec, CreditParams, EquityParams,
                      MarketModel, NumericsError, PdeGrid, RateSet, agent_value,
-                     piterbarg_defaults_strategies,
-                     piterbarg_defaults_xva, piterbarg_xva, solve,
+                     piterbarg_defaults_xva, piterbarg_strategies,
+                     piterbarg_xva, solve,
                      solve_batch, solve_reduced, strategies, xva_at)
 from xvaband import cli, drivers, pde
 from xvaband.claims import agent_value_grid
@@ -184,7 +184,7 @@ def test_strategies_match_closed_form_in_symmetric_regime(rng):
     for side in (SELLER, BUYER):
         for s in (0.85, 1.0, 1.2):
             got = strategies(sol, 0.0, s, side)
-            ref = piterbarg_defaults_strategies(model, CALL, 0.0, s, side)
+            ref = piterbarg_strategies(model, CALL, 0.0, s, side)
             assert got.stock_shares == pytest.approx(ref.stock_shares, abs=5e-4)
             assert got.bond_own_shares == pytest.approx(ref.bond_own_shares, abs=5e-4)
             assert got.bond_cpty_shares == pytest.approx(ref.bond_cpty_shares, abs=5e-4)
