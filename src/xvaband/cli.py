@@ -485,6 +485,9 @@ def _band(cfg: RunConfig) -> tuple[Figure, RunConfig]:
     range: ``alpha`` over [0, 1] unless the config says otherwise; any other
     axis needs ``sweep_start`` and ``sweep_stop``."""
     axis = cfg.sweep_param or "alpha"
+    if axis in _CREDIT_KEYS and cfg.model.credit is None:
+        raise ModelError(f"sweep_param {axis!r} is a credit parameter, and the "
+                         "model has no credit block")
     if axis == "alpha":
         start = 0.0 if cfg.sweep_start is None else cfg.sweep_start
         stop = 1.0 if cfg.sweep_stop is None else cfg.sweep_stop
@@ -506,10 +509,20 @@ def figure_config(figure_id: str, user_values: dict | None = None) -> RunConfig:
 def cmd_sweep(cfg: RunConfig, fig: Figure) -> int:
     """Write the CSV of one record: a row per key, a valuation per cell, with
     the record's engine or else the configured one ("all" runs the PDE).
-    A configured ``sweep_param`` must name a column of the record's axis."""
+    A configured ``sweep_param`` must name a column of the record's axis,
+    and a sweep bound that gives no model is refused by its key."""
     if cfg.sweep_param not in (None, *fig.axis):
         raise ValueError(f"sweep_param {cfg.sweep_param!r} is not swept here: "
                          f"the axis is {', '.join(fig.axis)}")
+    for key in () if fig.cells else ("sweep_start", "sweep_stop"):
+        bound = getattr(cfg, key)
+        try:
+            for s in fig.series:
+                changes = fig.changes(bound, s)
+                if changes is not None:
+                    _model_with(cfg.model, **changes)
+        except ModelError as exc:
+            raise ModelError(f"{key} = {bound:g}: {exc}") from None
     keys = fig.cells or [(x,) for x in sorted(_sweep_values(
         cfg.sweep_start, cfg.sweep_stop, cfg.sweep_points))]
     cells = {}

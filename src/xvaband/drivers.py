@@ -22,15 +22,21 @@ Conventions
   (:func:`root_rates`); per block of levels, the mark's
   :func:`reduced_mark_terms`, their root coefficients (:func:`root_terms`)
   and the repo legs of the check (:func:`with_repo_legs`); per level only
-  ``e``, ``z`` and the root.  A caller whose mark stays fixed while ``z``
-  moves with ``u`` (the PDE, where ``z`` is the gradient of ``u``) computes
-  :func:`reduced_mark_terms` once and per ``u`` only the repo legs and the
-  step.
+  ``e``, ``z`` and the root.  The root and a caller whose mark stays fixed
+  while ``z`` moves with ``u`` (the PDE, where ``z`` is the gradient of
+  ``u``) both read the step's affine form: :func:`affine_terms` builds
+  ``base`` and ``at_zero`` once from the mark's :func:`reduced_mark_terms`,
+  and each ``u`` adds only the repo legs of ``z``, the funding account
+  ``at_zero + slope u`` at its rate and the pull ``pull u``
+  (:func:`affine_rates`).  :func:`reduced_step` stays the public driver and
+  the lattice's independent check of its root.
 * ``side`` is "seller" (hedging a short position in the claim) or "buyer"
   (hedging a long position).  Buyer-side values are always produced through
   one reflection, ``buyer(args, mark) = -seller(-args, -mark)``, which the
   driver parts apply themselves through the record's ``sign``; they are
-  never coded independently, which makes the antisymmetry structural.
+  never coded independently, which makes the antisymmetry structural.  The
+  PDE folds the same reflection into its level's :func:`affine_terms`,
+  negated on the buyer rows, and its tests hold it to :func:`reduced_drift`.
 * ``x⁺ = max(x, 0)`` and ``x⁻ = max(-x, 0)``, so ``x⁺ - x⁻ = x`` exactly and
   both vanish at 0.
 * ``z`` in the wealth-level driver is the diffusion exposure of the full
@@ -308,13 +314,42 @@ class RootRates(NamedTuple):
     slope: float
 
 
+def affine_rates(p: DriverParams):
+    """The ``slope`` and ``pull`` of :func:`affine_terms`' form of the rows
+    of ``p``: 1 and 0 without a credit block, else -1 and the discount rate
+    twice plus both default intensities."""
+    if p.intensity_own is None:
+        return 1.0, 0.0
+    return -1.0, (2.0 * p.discount + p.intensity_own) + p.intensity_cpty
+
+
+def affine_terms(p: DriverParams, terms: DriverTerms):
+    """The ``base`` and ``at_zero`` that the mark terms in ``terms`` fix.
+
+    Once the mark is fixed, the reduced drift in the seller's terms is
+    ``base + repo_net(z) - rate(a) a - pull u``, with the funding account
+    ``a = at_zero + slope u`` (``slope`` and ``pull`` from
+    :func:`affine_rates`), ``rate(a) a = fund_lend a⁺ - fund_borrow a⁻`` and
+    ``repo_net(z) = ((repo_borrow - discount) z⁺ - (repo_lend - discount)
+    z⁻) / sigma``.  ``base`` holds the collateral legs, the carry and the
+    close-out targets' share.  Without a credit block ``at_zero`` is
+    ``terms.offset`` itself.
+    """
+    base = terms.coll_pay - terms.coll_earn
+    if terms.carry is not None:
+        base += terms.carry
+    at_zero = terms.offset
+    if p.intensity_own is not None:
+        base += (p.discount + p.intensity_own) * terms.own
+        base += (p.discount + p.intensity_cpty) * terms.cpty
+        at_zero = terms.own + terms.cpty
+        at_zero += terms.offset
+    return base, at_zero
+
+
 def root_rates(p: DriverParams, dt: float) -> RootRates:
     """The :class:`RootRates` of the rows of ``p`` at ``dt``."""
-    if p.intensity_own is None:
-        slope, pull = 1.0, 0.0
-    else:
-        slope = -1.0
-        pull = (2.0 * p.discount + p.intensity_own) + p.intensity_cpty
+    slope, pull = affine_rates(p)
     return RootRates(dt, p.sigma, p.repo_borrow - p.discount,
                      p.repo_lend - p.discount,
                      1.0 + dt * (slope * p.fund_lend + pull),
@@ -325,11 +360,9 @@ def root_rates(p: DriverParams, dt: float) -> RootRates:
 class RootTerms(NamedTuple):
     """The coefficients of :func:`reduced_root` that the mark fixes.
 
-    In the seller's terms the drift is ``base + repo_short - repo_long -
-    rate * (at_zero + slope * u) - pull * u``.  ``base`` holds the
-    collateral legs, the carry and the close-out targets' share; ``account``
-    is ``at_zero``, times ``pulled`` with a credit block; ``lend`` and
-    ``borrow`` are the funding rates times ``at_zero``.
+    ``base`` is :func:`affine_terms`' base; ``account`` is its ``at_zero``,
+    times ``pulled`` with a credit block; ``lend`` and ``borrow`` are the
+    funding rates times ``at_zero``.
     """
 
     base: np.ndarray
@@ -341,16 +374,8 @@ class RootTerms(NamedTuple):
 def root_terms(p: DriverParams, rates: RootRates,
                terms: DriverTerms) -> RootTerms:
     """The :class:`RootTerms` that the mark terms in ``terms`` fix."""
-    base = terms.coll_pay - terms.coll_earn
-    if terms.carry is not None:
-        base += terms.carry
-    at_zero = account = terms.offset
-    if p.intensity_own is not None:
-        base += (p.discount + p.intensity_own) * terms.own
-        base += (p.discount + p.intensity_cpty) * terms.cpty
-        at_zero = terms.own + terms.cpty
-        at_zero += terms.offset
-        account = at_zero * rates.pulled
+    base, at_zero = affine_terms(p, terms)
+    account = at_zero if p.intensity_own is None else at_zero * rates.pulled
     return RootTerms(base, account, p.fund_lend * at_zero,
                      p.fund_borrow * at_zero)
 

@@ -36,20 +36,23 @@ them and the presence of a credit block (:func:`march_key`) are therefore
 marched together as the rows of one (2K, nx) block: rows 0..K-1 are the
 seller sides of the K scenarios, rows K..2K-1 their buyer sides, in the same
 order.  Each theta step marches the agent once, evaluates the mark and
-delta once and builds from them the driver terms that the mark alone fixes
-(funding offset, collateral legs, carry, close-out targets); the driver of
-one level is spent on the next step's explicit part, or dropped before a
-half-step, before the step builds its own, so one level of terms is alive
-at a time.  Each Picard iteration then makes one driver call on the whole
-block, which takes the level's terms and adds only the exposure z, the repo
-legs and the step in u, and one banded solve of its transpose.  The driver
-reads one :class:`drivers.DriverParams` record of the block, in which a
-parameter that differs between scenarios has one entry per row, and
-reflects the buyer rows itself.  Picard runs per row through :func:`settle`
-from a start computed per node: a row is frozen as soon as its own residual
-is below tolerance, and keeps its values while the others iterate, so it
-takes exactly the iterations, and gets exactly the values, of its own
-single-scenario solve.
+delta once and builds from them the two fields of the driver that the mark
+alone fixes: ``base`` (collateral legs, carry, close-out targets) and
+``at_zero`` (the funding account at u = 0) of its affine form
+(:func:`drivers.affine_terms`), with the buyer half of each negated once.
+The driver of one level is spent on the next step's explicit part, or
+dropped before a half-step, before the step builds its own, so one level of
+terms is alive at a time.  Each Picard iteration then makes one driver call
+on the whole block, ``base + repo_net(z) - rate(a) a - pull u`` with ``a =
+at_zero + slope u``, from the two fields, the stock position and u, each
+lend/borrow leg at its own rate and a buyer row's branches reflected
+(``min(x, 0)`` for ``max(x, 0)``), and one banded solve of its transpose.
+The driver reads one :class:`drivers.DriverParams` record of the block, in
+which a parameter that differs between scenarios has one entry per row.
+Picard runs per row through :func:`settle` from a start computed per node: a
+row is frozen as soon as its own residual is below tolerance, and keeps its
+values while the others iterate, so it takes exactly the iterations, and
+gets exactly the values, of its own single-scenario solve.
 The columns of a banded solve are independent, so a row that turns
 non-finite spoils only itself, and :func:`settle` stops it without raising.
 After each time level the march checks the agent surface, then every row,
@@ -329,20 +332,57 @@ class Rows:
 
 
 def _level_driver(params: drivers.DriverParams, mark: np.ndarray,
-                  grad: np.ndarray, dx: float, buffer: np.ndarray):
+                  grad: np.ndarray, dx: float):
     """The reduced driver of one time level as a function of the block u.
 
-    The terms the mark fixes are built here, once per time level; each call
-    builds only the exposure z (in ``buffer``), the repo legs and the step in u.
+    In the seller's terms the driver is ``base + repo_net(z) - rate(a) a -
+    pull u`` with ``a = at_zero + slope u`` (:func:`drivers.affine_terms`).
+    ``base`` and ``at_zero`` are built once per level from the mark, with
+    the buyer half (rows K..2K-1) negated, so a buyer row takes ``min(x, 0)``
+    where a seller takes ``x⁺``.  Each call splits the stock position
+    z / sigma and the account a, in two buffers of the level, into their
+    legs and takes each at its own rate (``fund_lend a⁺ - fund_borrow a⁻``):
+    a node's other leg is exactly 0, so no two rates cancel as in
+    ``fund_borrow a + (fund_lend - fund_borrow) a⁺``.
     """
-    level = drivers.reduced_mark_terms(params, mark)
+    count = len(params.sign) // 2
+    base, at_zero = drivers.affine_terms(
+        params, drivers.reduced_mark_terms(params, mark))
+    for field in (base, at_zero):
+        np.negative(field[count:], out=field[count:])
+    slope, pull = drivers.affine_rates(params)
+    repo_long = params.repo_borrow - params.discount
+    repo_short = params.repo_lend - params.discount
+    # per level, not per march: freed with the fields, they leave room for
+    # the next level's temporaries, which would otherwise grow the heap and
+    # fault its pages anew at every level
+    other, part = np.empty_like(base), np.empty_like(base)
+
+    def split(x):
+        """(x⁺, -x⁻) on the seller rows, x⁺ in ``part`` and -x⁻ in x; on
+        the buyer rows the reflected pair (-x⁻, x⁺)."""
+        np.maximum(x[:count], 0.0, out=part[:count])
+        np.minimum(x[count:], 0.0, out=part[count:])
+        x -= part
+        return part, x
 
     def g(u: np.ndarray) -> np.ndarray:
-        z = _gradient(u, dx, buffer)
-        z += grad
-        z *= params.sigma
-        return drivers.reduced_step(params,
-                                    drivers.with_repo_legs(params, level, z), u)
+        y = _gradient(u, dx, other)
+        y += grad
+        long, short = split(y)
+        out = np.multiply(repo_short, short)
+        long *= repo_long
+        out += long
+        out += base
+        lend, borrow = split((np.add if slope > 0.0 else np.subtract)(
+            at_zero, u, out=other))
+        lend *= params.fund_lend
+        out -= lend
+        borrow *= params.fund_borrow
+        out -= borrow
+        if slope < 0.0:  # the pull toward the close-outs of a credit block
+            out -= np.multiply(pull, u, out=other)
+        return out
     return g
 
 
@@ -385,7 +425,6 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
 
     agent_step = _Stepper(grid, first, zeroth=-first.rates.discount)
     adj_step = _Stepper(grid, first, zeroth=0.0)
-    z_buffer = np.empty((rows.size, nx))  # the exposure of one driver call
     tol = PICARD_TOL * claim.strike  # the test is in units of the strike
 
     def step(a_old, fixed, u_start, t, dt, theta):
@@ -397,7 +436,7 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
             grad = s * delta
         else:
             mark, grad = a_new, np.gradient(a_new, dx)
-        drift = _level_driver(rows.params, mark, grad, dx, z_buffer)
+        drift = _level_driver(rows.params, mark, grad, dx)
         it, res, u, failed = _picard(adj_step, fixed, dt, theta, u_start,
                                      drift, tol=tol)
         if failed:

@@ -545,6 +545,25 @@ def test_a_sweep_param_no_sweep_can_vary_is_refused(tmp_path, capsys, param):
         f"alpha, got {param!r}\n")
 
 
+def test_a_credit_sweep_of_a_default_free_model_is_refused_by_its_key(
+        tmp_path, capsys):
+    text = "".join(line + "\n" for line in BENCH_TEXT.splitlines()
+                   if not line.startswith(("mu_", "loss_")))
+    text += "sweep_param = mu_own\nsweep_start = 0.1\nsweep_stop = 0.2\n"
+    assert refusal(tmp_path, capsys, text) == (
+        1, "error: sweep_param 'mu_own' is a credit parameter, and the model "
+        "has no credit block\n")
+
+
+@pytest.mark.parametrize("key, value", [("sweep_start", "-0.5"),
+                                        ("sweep_stop", "1.5")])
+def test_a_sweep_bound_outside_its_range_is_refused_by_its_key(
+        tmp_path, capsys, key, value):
+    text = BENCH_TEXT + f"sweep_param = alpha\n{key} = {value}\n"
+    assert refusal(tmp_path, capsys, text) == (
+        1, f"error: {key} = {value}: alpha must lie in [0, 1], got {value}\n")
+
+
 def test_steps_below_two_are_refused(bench_cfg_path, capsys):
     # the lattice extrapolates from steps and steps // 2
     for steps in ("1", "0"):

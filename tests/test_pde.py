@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import solve_banded as scipy_solve_banded
 
 from xvaband import (BUYER, SELLER, ClaimSpec, CreditParams, EquityParams,
@@ -16,7 +18,8 @@ from xvaband import (BUYER, SELLER, ClaimSpec, CreditParams, EquityParams,
 from xvaband import cli, drivers, pde
 from xvaband.claims import agent_value_grid
 from xvaband.drivers import jump_targets
-from conftest import make_benchmark, make_symmetric
+from xvaband.lattice import ROOT_ULPS
+from conftest import EQUITY, make_benchmark, make_symmetric
 
 CALL = ClaimSpec(kind="call", strike=1.0, maturity=1.0)
 FIG_CREDIT = CreditParams(mu_own=0.16, mu_cpty=0.21, loss_own=0.5, loss_cpty=0.5)
@@ -511,9 +514,10 @@ def test_adjustment_is_homogeneous_in_spot_and_strike(scale):
 
 def test_batched_march_peak_memory():
     """One 42-scenario march (the band-vs-collateral models) at the default
-    grid peaks, under tracemalloc, below 24 blocks of (84, nx) floats: it
-    keeps one level of driver terms alive, and each iteration evaluates the
-    driver on the whole block (19.6 blocks measured at 800 x 50)."""
+    grid peaks, under tracemalloc, below 18 blocks of (84, nx) floats: it
+    keeps one level of driver terms alive, two fields (base and at_zero)
+    and two buffers, and each iteration evaluates the driver on the whole
+    block (13.5 blocks measured at 800 x 50)."""
     import tracemalloc
     cfg = cli.figure_config("band-vs-collateral")
     fig = cli.FIGURES["band-vs-collateral"]
@@ -530,7 +534,7 @@ def test_batched_march_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24 * (2 * len(models) * grid.nx * 8)
+    assert peak < 18 * (2 * len(models) * grid.nx * 8)
 
 
 # -- the march's parts against their references -------------------------------
@@ -585,44 +589,126 @@ def test_gradient_buffer_matches_numpy(rng):
             assert got.tobytes() == np.gradient(u, dx, axis=-1).tobytes()
 
 
-def reference_drift(models, t, mark, grad, dx, u):
-    """The driver the march evaluates, one public reduced drift per row:
-    row r is the seller of scenario r when r < K, else the buyer of
-    scenario r - K."""
+def reference_drift(models, mark, grad, dx, u):
+    """The driver the march evaluates, one public reduced drift per row (row
+    r is the seller of scenario r when r < K, else the buyer of scenario
+    r - K), and the scale its step rounds at, node by node
+    (:func:`drivers.reduced_step_scale`, the lattice's root-check scale)."""
     count = len(models)
     z = np.gradient(u, dx, axis=-1)
     z += grad
     z *= models[0].equity.sigma
-    out = np.empty_like(u)
+    drift, scale = np.empty_like(u), np.empty_like(u)
     for r in range(len(u)):
         side = SELLER if r < count else BUYER
-        out[r] = drivers.reduced_drift(models[r % count], side, t, u[r], z[r],
-                                       mark)
-    return out
+        model = models[r % count]
+        drift[r] = drivers.reduced_drift(model, side, 0.0, u[r], z[r], mark)
+        p = drivers.DriverParams.of(model, side)
+        scale[r] = drivers.reduced_step_scale(
+            p, drivers.reduced_terms(p, z[r], mark), u[r])
+    return drift, scale
+
+
+def level_drift_ulps(models, mark, grad, dx, u):
+    """The level driver of the models' block at u, and its distance from
+    :func:`reference_drift` per node, in ulps of the step's scale there."""
+    g = pde._level_driver(drivers.DriverParams.stack(models), mark, grad, dx)
+    got = g(u)
+    want, scale = reference_drift(models, mark, grad, dx, u)
+    return g, got, np.abs(got - want) / np.spacing(scale)
 
 
 @pytest.mark.parametrize("credit", [True, False])
 def test_level_drift_matches_reduced_drift(credit, rng):
-    """The driver closure of one time level, built once from the mark, gives
-    the bits of the public reduced drift of every row's model and side, and
-    a later call leaves an earlier result alone."""
-    models = batch_stack()
+    """The driver of one time level, built once from the mark, gives the
+    public reduced drift of every row's model and side to ROOT_ULPS ulps of
+    the step's scale at each node: its affine form sums in another order,
+    so the last bits may differ (4 ulps measured).  The batch varies the
+    funding and repo borrow rates and, with credit, both default
+    intensities per row; each row's stock position and funding account are
+    exactly 0 at some nodes, the kinks of both branches.  A later call
+    leaves an earlier result alone."""
+    models = batch_stack() + [make_benchmark(alpha=0.6, fund_borrow=0.12,
+                                             mu_own=0.3)]
     if not credit:
         models = [replace(m, credit=None) for m in models]
+    params = drivers.DriverParams.stack(models)
+    varied = ("fund_borrow", "repo_borrow") + (
+        ("intensity_own", "intensity_cpty") if credit else ())
+    for name in varied:
+        assert np.shape(getattr(params, name)) == (2 * len(models), 1), name
     grid = PdeGrid.default_for(models[0], CALL, nx=120, nt=10)
     s = np.exp(grid.x_nodes())
-    t = 0.37
-    value, delta = agent_value_grid(models[0], CALL, t, s)
+    value, delta = agent_value_grid(models[0], CALL, 0.37, s)
     mark, grad = value, s * delta
-    params = drivers.DriverParams.stack(models)
-    shape = (2 * len(models), grid.nx)
-    g = pde._level_driver(params, mark, grad, grid.dx, np.empty(shape))
-    u = 0.05 * rng.standard_normal(shape)
-    got = g(u)
-    want = reference_drift(models, t, mark, grad, grid.dx, u)
-    assert got.tobytes() == want.tobytes()
-    g(u[:, ::-1].copy())  # reuses the exposure buffer
-    assert got.tobytes() == want.tobytes()
+    u = 0.05 * rng.standard_normal((2 * len(models), grid.nx))
+    # the stock position, gradient(u) + grad, is 0 at nodes 40..44
+    grad[40:45] = 0.0
+    u[:, 39:46] = u[:, 42:43]
+    # the funding account, at_zero + slope u in each side's terms, is 0 at
+    # every tenth node from 60
+    _, at_zero = drivers.affine_terms(params,
+                                      drivers.reduced_mark_terms(params, mark))
+    slope, _ = drivers.affine_rates(params)
+    u[:, 60:110:10] = -slope * params.sign * at_zero[:, 60:110:10]
+    g, got, ulps = level_drift_ulps(models, mark, grad, grid.dx, u)
+    assert ulps.max() <= ROOT_ULPS
+    before = got.copy()
+    g(u[:, ::-1].copy())  # reuses the level's buffers
+    assert got.tobytes() == before.tobytes()
+
+
+VALUE = st.one_of(st.sampled_from([0.0, -0.0]),
+                  st.floats(min_value=-1e3, max_value=1e3))
+RATE = st.floats(min_value=0.0, max_value=0.2)
+SCENARIO = st.fixed_dictionaries(dict(
+    fund_lend=RATE, spread=st.floats(min_value=0.0, max_value=0.2),
+    repo_lend=RATE, repo_borrow=RATE, coll_earn=RATE, coll_pay=RATE,
+    mu_own=st.floats(min_value=0.0, max_value=0.6),
+    mu_cpty=st.floats(min_value=0.0, max_value=0.6),
+    loss_own=st.floats(min_value=0.0, max_value=1.0),
+    loss_cpty=st.floats(min_value=0.0, max_value=1.0),
+    alpha=st.floats(min_value=0.0, max_value=1.0)))
+
+
+# repo_borrow below repo_lend: the repo legs as (repo_lend - discount) z +
+# (repo_borrow - repo_lend) z⁺ cancel, 12 ulps off at node 0 of the seller
+KINKED = np.full((8, 6), 266.6875)
+KINKED[[0, 2], 0] = 0.0
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@example(scenarios=[dict(fund_lend=0.125, spread=0.125,
+                         repo_lend=0.17891045784544315, repo_borrow=0.0,
+                         coll_earn=0.0, coll_pay=0.0, mu_own=0.0, mu_cpty=0.0,
+                         loss_own=0.0, loss_cpty=0.0, alpha=0.0)],
+         credit=False, discount=0.022407948971315136, dx=1.0, values=KINKED)
+@given(scenarios=st.lists(SCENARIO, min_size=1, max_size=3), credit=st.booleans(),
+       discount=st.floats(min_value=0.0, max_value=0.1),
+       dx=st.floats(min_value=1e-3, max_value=1.0),
+       values=arrays(np.float64, (8, 6), elements=VALUE))
+def test_level_drift_matches_reduced_drift_on_drawn_models(scenarios, credit,
+                                                           discount, dx, values):
+    """On one to three drawn models that pass the necessary rate conditions,
+    sharing the equity and the discount rate as a march's do, with or
+    without a credit block, the level driver on a (2K, 6) block is each
+    row's public reduced drift to ROOT_ULPS ulps of the step's scale."""
+    models = []
+    for sc in scenarios:
+        rates = RateSet(fund_lend=sc["fund_lend"],
+                        fund_borrow=sc["fund_lend"] + sc["spread"],
+                        repo_lend=sc["repo_lend"], repo_borrow=sc["repo_borrow"],
+                        coll_earn=sc["coll_earn"], coll_pay=sc["coll_pay"],
+                        discount=discount)
+        block = CreditParams(mu_own=sc["mu_own"], mu_cpty=sc["mu_cpty"],
+                             loss_own=sc["loss_own"], loss_cpty=sc["loss_cpty"])
+        models.append(MarketModel(rates=rates, equity=EQUITY,
+                                  credit=block if credit else None,
+                                  alpha=sc["alpha"], allow_violations=True))
+    assume(all(m.validate_necessary().passed for m in models))
+    mark, grad, u = values[0], values[1], values[2:2 + 2 * len(models)]
+    _, _, ulps = level_drift_ulps(models, mark, grad, dx, u)
+    assert ulps.max() <= ROOT_ULPS
 
 
 def linear_driver(rates):
@@ -752,14 +838,19 @@ def test_non_finite_driver_names_the_column(monkeypatch):
     """A driver that turns non-finite on one scenario is reported on that
     scenario's seller row, with its varied parameters and t."""
     models = batch_stack()
-    step = drivers.reduced_step
+    level_driver = pde._level_driver
 
-    def poisoned(model, terms, u):
-        out = step(model, terms, u)
-        out[np.broadcast_to(model.alpha, (len(out), 1))[:, 0] == 0.35] = np.nan
-        return out
+    def poisoned(params, mark, grad, dx):
+        g = level_driver(params, mark, grad, dx)
+        rows = np.broadcast_to(params.alpha, (len(params.sign), 1))[:, 0] == 0.35
 
-    monkeypatch.setattr(drivers, "reduced_step", poisoned)
+        def h(u):
+            out = g(u)
+            out[rows] = np.nan
+            return out
+        return h
+
+    monkeypatch.setattr(pde, "_level_driver", poisoned)
     grid = PdeGrid.default_for(models[0], CALL, nx=40, nt=10)
     with pytest.raises(NumericsError,
                        match=r"non-finite values in the seller side of "
