@@ -5,8 +5,9 @@ the functions defined here, so they are the single source of truth for the
 nonlinearity.  All functions accept scalars or numpy arrays of equal shape.
 The public drivers take a ``MarketModel``; the parts of the reduced driver
 read only :class:`DriverParams`, one record built once from a model and a
-side.  Its fields are floats, or (rows, 1) arrays with one entry per row of
-a (rows, nodes) block: the sides of a PDE batch or of a lattice block.
+side.  Its fields are floats, or arrays with one entry per row of a block
+of the sides of a batch: (rows, 1) for the PDE's (rows, nodes) block, and
+the transposed (1, rows) for the lattice's (nodes, rows) block.
 
 Conventions
 -----------
@@ -104,7 +105,8 @@ class DriverParams(NamedTuple):
     """The parameters the driver reads, of one side or of the rows of a block.
 
     A field is a float, or a (rows, 1) array with one entry per row of a
-    (rows, nodes) block.  ``sign`` is 1 on a
+    (rows, nodes) block, as :meth:`stack` builds it; its transpose, (1,
+    rows), serves a (nodes, rows) block.  ``sign`` is 1 on a
     seller and -1 on a buyer: the driver parts take their arguments in the
     side's own terms and reflect them through it.  The loss rates and the
     default intensities are None without a credit block.

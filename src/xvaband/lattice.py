@@ -30,12 +30,15 @@ line through the two outermost children; each edge moves by at most one
 node per level, so one ghost per side suffices.
 
 K models that share a march (:func:`pde.march_key`) are valued in one pass
-(:func:`solve_batch`): their seller and buyer sides are the rows of one
-(2K, kept nodes) array per level, the layout of the PDE's adjustment block,
-with the K sellers first and their buyers after them in the same order.
-:func:`solve_sides` is the pass of one model.  The driver reads the
+(:func:`solve_batch`): their seller and buyer sides are the 2K rows of the
+march, the K sellers first and their buyers after them in the same order.
+:func:`solve_sides` is the pass of one model.  The march stores its arrays
+nodes by rows, (kept nodes, 2K), the transpose of the PDE's (2K, nx)
+block, so the nodes of one level are one contiguous run of memory and each
+level's arithmetic runs on whole contiguous slices.  The driver reads the
 :class:`drivers.DriverParams` record of the rows
-(``DriverParams.stack(models)``).
+(``DriverParams.stack(models)``), each per-row field transposed once per
+march to (1, 2K).
 
 The march walks the levels in blocks of consecutive levels, highest first,
 each of at most ``BLOCK_ROW_NODES`` row-nodes (rows times kept nodes,
@@ -43,18 +46,19 @@ summed over its levels), or of one level when a level is larger: a 42-row
 batch of 1000 steps marches one level per block near maturity.  The march
 is in the seller's terms, each row's values times its ``sign``.  It builds
 the constants of the node's root once (:func:`drivers.root_rates`).  Each
-block lays its levels side by side in one (2K, sum of kept nodes) array and
-builds once, for all its nodes and rows, what the march does not feed back:
-the stock levels, the agent's mark and delta
-(:func:`claims.agent_value_levels`), the driver terms that the mark fixes
+block stacks its levels in one (sum of kept nodes, 2K) array and builds
+once, for all its nodes and rows, what the march does not feed back: the
+stock levels, the agent's mark and delta
+(:func:`claims.agent_value_levels`), reflected once into the seller's terms
+of each row, the driver terms that the mark fixes
 (:func:`drivers.reduced_mark_terms`) and the root's coefficients that they
-fix (:func:`drivers.root_terms`).  Each level then computes, each into an
-array of its own, only what depends on the level above: the expectation e,
-the gradient and the exposure z, and the root.  With the terms fixed each
-node's equation ``u = e + dt f(u)`` is piecewise linear in u, with one kink
-where the funding account changes sign, so its root has a closed form
-(:func:`drivers.reduced_root`, which takes the repo legs' net from z), and
-that root is the level's answer.
+fix (:func:`drivers.root_terms`).  Each level then computes, straight into
+its own slice of the block's arrays, only what depends on the level above:
+the expectation e, the gradient and the exposure z, and the root.  With the
+terms fixed each node's equation ``u = e + dt f(u)`` is piecewise linear in
+u, with one kink where the funding account changes sign, so its root has a
+closed form (:func:`drivers.reduced_root`, which takes the repo legs' net
+from z), and that root is the level's answer.
 
 Once a block's levels are marched, one call of the step in u
 (:func:`drivers.reduced_step`) over the whole block, with the repo legs of
@@ -222,14 +226,15 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, n_steps: int,
         w = (2.0 * j - k) * sdt
         return s0 * np.exp(drift * (k * dt) + sigma * w)
 
-    params = rows.params
-    # the march is in the seller's terms, each row's values times its sign
-    sign = params.sign
+    # the march is in the seller's terms, each row's values times its sign;
+    # its arrays are nodes by rows, so a row's parameters enter as (1, 2K)
+    sign = rows.params.sign[:, 0]
+    params = _each(rows.params, np.transpose)._replace(sign=1.0)
     rates = drivers.root_rates(params, dt)
-    # the children of level k's nodes: level k + 1's kept nodes in columns
+    # the children of level k's nodes: level k + 1's kept nodes at indices
     # 1 .. their count, and a ghost next to them where level k needs one;
     # the terminal level's are zero
-    child = np.zeros((rows.size, widths.max() + 2))
+    child = np.zeros((widths.max() + 2, rows.size))
     residuals = np.zeros((rows.size, n_steps))
     widened = np.zeros((rows.size, n_steps), dtype=bool)
     lo, hi = lowest.tolist(), highest.tolist()
@@ -240,41 +245,35 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, n_steps: int,
         s = stock_levels(levels)
         mark, delta = claims.agent_value_levels(
             first, claim, [k * dt for k in levels.tolist()], sizes, s)
-        delta = sign * (delta * (sigma * s))
-        terms = drivers.reduced_mark_terms(params, mark)
+        delta = _reflect(delta * (sigma * s), rows.count)
+        terms = drivers.reduced_mark_terms(params, _reflect(mark, rows.count))
         roots = drivers.root_terms(params, rates, terms)
-        e_levels, z_levels, u_levels = [], [], []
+        e, z, u = (np.empty_like(delta) for _ in range(3))
         for k, start, width in zip(levels.tolist(), starts.tolist(),
                                    sizes.tolist()):
             kids = hi[k + 1] - lo[k + 1] + 1
             if lo[k] < lo[k + 1]:
-                np.subtract(2.0 * child[:, 1], child[:, 2], out=child[:, 0])
+                np.subtract(2.0 * child[1], child[2], out=child[0])
             if hi[k] == hi[k + 1]:
-                np.subtract(2.0 * child[:, kids], child[:, kids - 1],
-                            out=child[:, kids + 1])
+                np.subtract(2.0 * child[kids], child[kids - 1],
+                            out=child[kids + 1])
             left = lo[k] - lo[k + 1] + 1
-            down = child[:, left:left + width]
-            up = child[:, left + 1:left + width + 1]
+            down = child[left:left + width]
+            up = child[left + 1:left + width + 1]
             at = slice(start, start + width)
-            e = np.add(up, down)
-            e *= 0.5
-            z = np.subtract(up, down)
-            z /= 2.0 * sdt
+            level_e = np.add(up, down, out=e[at])
+            level_e *= 0.5
+            level_z = np.subtract(up, down, out=z[at])
+            level_z /= 2.0 * sdt
             if k == 0:
-                root_gradient = z[:, 0] * sign[:, 0]
-            z += delta[:, at]  # sigma s delta
-            u = drivers.reduced_root(
-                rates, drivers.RootTerms(*(v[:, at] for v in roots)), e, z)
-            child[:, 1:width + 1] = u
-            e_levels.append(e)
-            z_levels.append(z)
-            u_levels.append(u)
+                root_gradient = level_z[0] * sign
+            level_z += delta[at]  # sigma s delta
+            u[at] = child[1:width + 1] = drivers.reduced_root(
+                rates, drivers.RootTerms(*(v[at] for v in roots)),
+                level_e, level_z)
         del mark, delta, roots
-        e, z, u = (v[0] if len(v) == 1 else np.concatenate(v, axis=1)
-                   for v in (e_levels, z_levels, u_levels))
-        del e_levels, z_levels, u_levels
         residuals[:, levels], widened[:, levels] = _check_block(
-            rows, terms, u, e, z, levels, starts, lowest, s, dt)
+            rows, params, terms, u, e, z, levels, starts, lowest, s, dt)
         # the block's arrays go as the next block's replace them: freed at
         # once, they would let the heap shrink and fault back in
 
@@ -282,7 +281,7 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, n_steps: int,
     return [OracleSolution(
         side=drivers.SIDES[row // rows.count], n_steps=n_steps,
         root_gradient=float(root_gradient[row]), root_mark=mark0,
-        adjustment=float(sign[row, 0] * child[row, 1]),
+        adjustment=float(sign[row] * child[1, row]),
         root_residuals=residuals[row], root_widened=widened[row])
         for row in range(rows.size)]
 
@@ -316,18 +315,28 @@ def _blocks(widths: list[int], rows: int):
         top = k
 
 
-def _check_block(rows: Rows, terms: drivers.DriverTerms, u: np.ndarray,
-                 e: np.ndarray, z: np.ndarray, levels: np.ndarray,
-                 starts: np.ndarray, lowest: np.ndarray, s: np.ndarray,
+def _reflect(x: np.ndarray, count: int) -> np.ndarray:
+    """The (len(x), 2 count) block of x in the seller's terms of each row:
+    x in the ``count`` seller columns, -x in the buyer columns after them."""
+    out = np.empty((len(x), 2 * count))
+    out[:, :count] = x[:, None]
+    np.negative(x[:, None], out=out[:, count:])
+    return out
+
+
+def _check_block(rows: Rows, params: drivers.DriverParams,
+                 terms: drivers.DriverTerms, u: np.ndarray, e: np.ndarray,
+                 z: np.ndarray, levels: np.ndarray, starts: np.ndarray,
+                 lowest: np.ndarray, s: np.ndarray,
                  dt: float) -> tuple[np.ndarray, np.ndarray]:
     """The largest residual per level of a block's roots ``u`` of
     ``u = e + dt f(u)``, in ulps of the nodes' scales, from one call of the
     step, and per level whether a node's scale was widened; a failure names
     the highest failing level, the one a march level by level reaches first.
-    ``terms`` are the mark's; ``u``, ``e`` and ``z`` are in the seller's
-    terms, and ``e`` is spent.  Level ``levels[i]`` starts at column
-    ``starts[i]`` with its node ``lowest[levels[i]]``."""
-    params = rows.params._replace(sign=1.0)
+    ``params`` are the march's, ``terms`` the mark's; ``u``, ``e`` and ``z``
+    are (nodes, rows) in the seller's terms, and ``e`` is spent.  Level
+    ``levels[i]`` starts at index ``starts[i]`` with its node
+    ``lowest[levels[i]]``.  Both results are (rows, levels)."""
     terms = drivers.with_repo_legs(params, terms, z)
     miss = drivers.reduced_step(params, terms, u)
     miss *= dt
@@ -338,51 +347,49 @@ def _check_block(rows: Rows, terms: drivers.DriverTerms, u: np.ndarray,
     scale = np.abs(u)
     np.maximum(scale, e, out=scale)
     ulps = np.divide(miss, np.spacing(scale, out=scale), out=scale)
-    widened = np.zeros((u.shape[0], len(levels)), dtype=bool)
+    widened = np.zeros((u.shape[1], len(levels)), dtype=bool)
     if not ulps.max() <= ROOT_ULPS:  # nan fails too
         # where the drift's addends cancel, the step's own rounding is
         # dt times the largest of them: widen the scale there alone
-        rr, jj = np.nonzero(~(ulps <= ROOT_ULPS))
+        at = jj, rr = np.nonzero(~(ulps <= ROOT_ULPS))
         widened[rr, np.searchsorted(starts, jj, "right") - 1] = True
-        at = (rr[:, None], jj[:, None])
-        wide = drivers.reduced_step_scale(_gather(params, rr),
-                                          _gather(terms, at), u[at])
+        wide = drivers.reduced_step_scale(_each(params, lambda v: v[0, rr]),
+                                          _each(terms, lambda v: v[at]), u[at])
         wide *= dt
         np.maximum(wide, np.abs(u[at]), out=wide)
         np.maximum(wide, e[at], out=wide)
-        ulps[rr, jj] = miss[rr, jj] / np.spacing(wide[:, 0])
-        failed = ~(ulps[rr, jj] <= ROOT_ULPS)
+        ulps[at] = miss[at] / np.spacing(wide)
+        failed = ~(ulps[at] <= ROOT_ULPS)
         if failed.any():
             i = np.searchsorted(starts, jj[failed].min(), "right") - 1
-            ends = np.append(starts[1:], u.shape[1])
+            ends = np.append(starts[1:], len(u))
             at = slice(starts[i], ends[i])
             k = int(levels[i])
-            _fail(rows, k, int(lowest[k]), dt, s[at], miss[:, at], ulps[:, at])
-    return np.maximum.reduceat(ulps, starts, axis=1), widened
+            _fail(rows, k, int(lowest[k]), dt, s[at], miss[at], ulps[at])
+    return np.maximum.reduceat(ulps, starts).T, widened
 
 
-def _gather(record, at):
-    """``record`` with every array field indexed by ``at``."""
-    return type(record)(*(v[at] if isinstance(v, np.ndarray) else v
+def _each(record, fn):
+    """``record`` with ``fn`` applied to every array field."""
+    return type(record)(*(fn(v) if isinstance(v, np.ndarray) else v
                           for v in record))
 
 
 def _fail(rows: Rows, k: int, lowest: int, dt: float, s: np.ndarray,
           miss: np.ndarray, ulps: np.ndarray):
-    """Raise the failure of level k's root check, from the stock levels,
-    residuals and residuals in ulps of the scales checked against of its
-    kept nodes, the first of which is node ``lowest``."""
-    rr, jj = np.nonzero(~(ulps <= ROOT_ULPS))
-    finite = np.isfinite(miss[rr, jj])
+    """Raise the failure of level k's root check, from the stock levels, and
+    the (nodes, rows) residuals and residuals in ulps of the scales checked
+    against, of its kept nodes, the first of which is node ``lowest``."""
+    finite = np.isfinite(miss).all(axis=0)
     if not finite.all():
-        row = int(rr[np.argmin(finite)])
+        row = int(np.argmin(finite))
         raise NumericsError(f"non-finite lattice values on the "
                             f"{rows.label(row)} at level {k}")
-    worst = ulps.max(axis=1)
+    worst = ulps.max(axis=0)
     r = int(np.argmax(~(worst <= ROOT_ULPS)))
-    j = int(np.argmax(ulps[r]))
+    j = int(np.argmax(ulps[:, r]))
     raise NumericsError(
         f"implicit step not solved on the {rows.label(r)} "
         f"at level {k} (t={k * dt:.6g}): node {lowest + j} at s={s[j]:.6g}, "
-        f"residual {ulps[r, j]:.3g} ulps of the node's scale "
+        f"residual {ulps[j, r]:.3g} ulps of the node's scale "
         f"(bound {ROOT_ULPS})")

@@ -388,10 +388,15 @@ def _level_driver(params: drivers.DriverParams, mark: np.ndarray,
 
 def _gradient(u: np.ndarray, dx: float, out: np.ndarray) -> np.ndarray:
     """``np.gradient(u, dx, axis=-1)``, the same arithmetic written into
-    ``out``: central differences inside, one-sided ones at the two edges."""
-    inner, first, last = out[..., 1:-1], out[..., :1], out[..., -1:]
-    np.subtract(u[..., 2:], u[..., :-2], out=inner)
+    ``out``: central differences inside, one-sided ones at the two edges.
+    ``out`` is C-contiguous, as ``np.empty_like`` makes it."""
+    # the central differences of the whole block in one pass over it read
+    # flat; across a row boundary they span two rows, and the edges below
+    # overwrite those cells
+    flat, inner = u.reshape(-1), out.reshape(-1)[1:-1]
+    np.subtract(flat[2:], flat[:-2], out=inner)
     inner /= 2.0 * dx
+    first, last = out[..., :1], out[..., -1:]
     np.subtract(u[..., 1:2], u[..., :1], out=first)
     first /= dx
     np.subtract(u[..., -1:], u[..., -2:-1], out=last)

@@ -318,13 +318,13 @@ def test_models_past_the_absolute_tolerance_complete():
 
 def test_root_check_failure_names_side_level_and_node(monkeypatch):
     # the march takes each level's root from drivers.reduced_root, in the
-    # seller's terms, on rows (seller, buyer)
+    # seller's terms, as (nodes, rows) with rows (seller, buyer)
     root = drivers.reduced_root
 
     def off_on(rows):
         def shifted(rates, terms, e, z):
             out = root(rates, terms, e, z)
-            out[rows] += 1e-6
+            out[:, rows] += 1e-6
             return out
         return shifted
 
@@ -352,8 +352,8 @@ def test_root_failure_inside_a_block_names_its_own_level(monkeypatch):
 
     def off_at_level_13(rates, terms, e, z):
         out = root(rates, terms, e, z)
-        if e.shape[1] == 14:
-            out[1, 5] += 1e-6  # the buyer's row
+        if e.shape[0] == 14:
+            out[5, 1] += 1e-6  # the buyer's row
         return out
 
     monkeypatch.setattr(drivers, "reduced_root", off_at_level_13)
@@ -383,7 +383,7 @@ def test_root_failure_at_a_pruned_level_names_the_absolute_node(monkeypatch):
     def off_at_level(rates, terms, e, z):
         out = root(rates, terms, e, z)
         if next(levels) == k:
-            out[:, 1] += 1e-6
+            out[1] += 1e-6
         return out
 
     monkeypatch.setattr(drivers, "reduced_root", off_at_level)
@@ -533,6 +533,47 @@ def test_solve_batch_matches_solve_sides_bit_for_bit(credit, kind,
                                       want.root_residuals)
 
 
+# adjustment, root gradient and worst root residual in ulps of each
+# (seller, buyer) pair of lattice_stack, for a call at 150 steps, captured
+# from the march in its earlier rows-by-nodes layout
+PINNED_BITS = {
+    True: [
+        [(0.010072747076283584, 0.006927260413838047, 8.0),
+         (0.010852193901376143, 0.00790755395296471, 8.0)],
+        [(0.012681499909916885, 0.010581146574690368, 8.0),
+         (0.012262885474649956, 0.009613698022409715, 8.0)],
+        [(0.015825575770532292, 0.01538997827764455, 5.0),
+         (0.015403718621813983, 0.014894870154434851, 4.0)],
+        [(0.0180548672036477, 0.01787847779875064, 3.0),
+         (0.016770869222259767, 0.01664127162463872, 2.0)],
+        [(0.023612109814043082, 0.020929220200947198, 7.0),
+         (0.005237829307384834, 0.004033275788139593, 8.0)]],
+    False: [
+        [(0.017232307249433726, 0.01584501935478334, 5.0),
+         (0.014862583271166007, 0.012666518345965723, 8.0)],
+        [(0.01823064122476814, 0.017239835048143137, 3.0),
+         (0.012921063782182104, 0.010250093965041866, 8.0)],
+        [(0.019799451757436515, 0.019431688280565736, 2.0),
+         (0.019285279817174966, 0.018847574721146322, 2.0)],
+        [(0.020084690036103487, 0.019830207050097085, 2.0),
+         (0.018605683811923002, 0.018408579159270515, 2.0)],
+        [(0.030104233886421333, 0.028105134733360883, 3.0),
+         (0.0071182144259795315, 0.006329834047801695, 8.0)]],
+}
+
+
+@pytest.mark.parametrize("credit", [True, False], ids=["credit", "nocredit"])
+def test_solve_batch_keeps_its_pinned_bits(credit):
+    # the batch is compared with itself above; this holds it to fixed bits,
+    # several of them at exactly ROOT_ULPS, so no reordering of the march's
+    # arithmetic passes unseen
+    claim = ClaimSpec(kind="call", strike=1.05, maturity=1.0)
+    batch = lattice.solve_batch(lattice_stack(credit), claim, 150)
+    got = [[(sol.adjustment, sol.root_gradient, float(sol.root_residuals.max()))
+            for sol in pair] for pair in batch]
+    assert got == PINNED_BITS[credit]
+
+
 def test_solve_batch_refuses_mixed_stacks():
     base = make_benchmark()
     others = [
@@ -564,11 +605,12 @@ def test_batch_failure_names_the_scenario(monkeypatch):
 
     def poisoned(params, terms, u):
         out = step(params, terms, u)
-        alpha = np.broadcast_to(params.alpha, (len(out), 1))[:, 0]
-        # the lattice checks its rows in the seller's terms, the K sellers
-        # and then their buyers
-        buyer = np.arange(len(out)) >= len(out) // 2
-        out[(alpha == 0.35) & buyer] = np.nan
+        rows = out.shape[1]
+        alpha = np.broadcast_to(params.alpha, (1, rows))[0]
+        # the lattice checks its (nodes, rows) block in the seller's terms,
+        # the K sellers and then their buyers
+        buyer = np.arange(rows) >= rows // 2
+        out[:, (alpha == 0.35) & buyer] = np.nan
         return out
 
     monkeypatch.setattr(drivers, "reduced_step", poisoned)
