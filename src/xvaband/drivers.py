@@ -25,19 +25,24 @@ Conventions
   and the repo legs of the check (:func:`with_repo_legs`); per level only
   ``e``, ``z`` and the root.  The root and a caller whose mark stays fixed
   while ``z`` moves with ``u`` (the PDE, where ``z`` is the gradient of
-  ``u``) both read the step's affine form: :func:`affine_terms` builds
-  ``base`` and ``at_zero`` once from the mark's :func:`reduced_mark_terms`,
-  and each ``u`` adds only the repo legs of ``z``, the funding account
-  ``at_zero + slope u`` at its rate and the pull ``pull u``
-  (:func:`affine_rates`).  :func:`reduced_step` stays the public driver and
+  ``u``) both read the step's affine form (:func:`affine_rates`): two
+  fields that the mark fixes, ``base`` and ``at_zero``, and per ``u`` only
+  the repo legs of ``z``, the funding account ``at_zero + slope u`` at its
+  rate and the pull ``pull u``.  The root builds the fields from the
+  block's :func:`reduced_mark_terms` (:func:`root_terms`).  The PDE builds
+  each row's coefficients of ``mark⁺`` and ``mark⁻`` once per march
+  (:func:`mark_coefficients`) and per level only the two fields
+  (:func:`mark_fields`).  :func:`reduced_step` stays the public driver and
   the lattice's independent check of its root.
 * ``side`` is "seller" (hedging a short position in the claim) or "buyer"
   (hedging a long position).  Buyer-side values are always produced through
   one reflection, ``buyer(args, mark) = -seller(-args, -mark)``, which the
   driver parts apply themselves through the record's ``sign``; they are
   never coded independently, which makes the antisymmetry structural.  The
-  PDE folds the same reflection into its level's :func:`affine_terms`,
-  negated on the buyer rows, and its tests hold it to :func:`reduced_drift`.
+  PDE folds the same reflection into a buyer row's
+  :func:`mark_coefficients`, and its tests hold the fields to the
+  lattice's :func:`root_terms` and its level driver to
+  :func:`reduced_drift`.
 * ``x⁺ = max(x, 0)`` and ``x⁻ = max(-x, 0)``, so ``x⁺ - x⁻ = x`` exactly and
   both vanish at 0.
 * ``z`` in the wealth-level driver is the diffusion exposure of the full
@@ -268,8 +273,6 @@ def reduced_terms(p: DriverParams, z, mark, at_value: bool = False) -> DriverTer
     With :func:`reduced_step` this is :func:`reduced_drift` (or
     :func:`reduced_drift_value`) split in two, so a caller whose mark and
     ``z`` stay fixed across many values of ``u`` computes these terms once.
-    A caller whose mark stays fixed while ``z`` moves with ``u`` (the PDE)
-    keeps :func:`reduced_mark_terms` and adds the repo legs per ``z``.
     """
     return with_repo_legs(p, reduced_mark_terms(p, mark, at_value), z)
 
@@ -317,36 +320,67 @@ class RootRates(NamedTuple):
 
 
 def affine_rates(p: DriverParams):
-    """The ``slope`` and ``pull`` of :func:`affine_terms`' form of the rows
-    of ``p``: 1 and 0 without a credit block, else -1 and the discount rate
-    twice plus both default intensities."""
+    """The ``slope`` and ``pull`` of the affine form of the rows of ``p``.
+
+    Once the mark is fixed, the reduced drift in the seller's terms is
+    ``base + repo_net(z) - rate(a) a - pull u``, with the funding account
+    ``a = at_zero + slope u``, ``rate(a) a = fund_lend a⁺ - fund_borrow a⁻``
+    and ``repo_net(z) = ((repo_borrow - discount) z⁺ - (repo_lend -
+    discount) z⁻) / sigma``.  ``base`` holds the collateral legs, the carry
+    and the close-out targets' share.  ``slope`` and ``pull`` are 1 and 0
+    without a credit block, else -1 and the discount rate twice plus both
+    default intensities.
+    """
     if p.intensity_own is None:
         return 1.0, 0.0
     return -1.0, (2.0 * p.discount + p.intensity_own) + p.intensity_cpty
 
 
-def affine_terms(p: DriverParams, terms: DriverTerms):
-    """The ``base`` and ``at_zero`` that the mark terms in ``terms`` fix.
+def mark_coefficients(p: DriverParams):
+    """The affine form's two fields of the rows of ``p`` as coefficients of
+    the mark's parts, once per march.
 
-    Once the mark is fixed, the reduced drift in the seller's terms is
-    ``base + repo_net(z) - rate(a) a - pull u``, with the funding account
-    ``a = at_zero + slope u`` (``slope`` and ``pull`` from
-    :func:`affine_rates`), ``rate(a) a = fund_lend a⁺ - fund_borrow a⁻`` and
-    ``repo_net(z) = ((repo_borrow - discount) z⁺ - (repo_lend - discount)
-    z⁻) / sigma``.  ``base`` holds the collateral legs, the carry and the
-    close-out targets' share.  Without a credit block ``at_zero`` is
-    ``terms.offset`` itself.
+    With alpha in [0, 1] the posted margin ``alpha mark`` and the
+    close-outs' residual ``(1 - alpha) mark`` split along the mark's parts,
+    so ``base`` and ``at_zero`` are each ``c⁺ mark⁺ + c⁻ mark⁻``; returns
+    their pairs ``(c⁺, c⁻)``, one entry per row, in each row's own terms.
+    A seller's ``base`` takes ``D - coll_earn alpha - (D + lambda_own) L_own
+    (1 - alpha)`` and ``coll_pay alpha - D + (D + lambda_cpty) L_cpty (1 -
+    alpha)`` (D the discount rate, lambda the default intensities, L the
+    loss rates), its ``at_zero`` ``(1 - alpha)(1 - L_own)`` and ``-(1 -
+    alpha)(1 - L_cpty)``; without a credit block the loss terms drop out.
+    A buyer row, the seller's at -mark negated, takes the seller's ``(-c⁻,
+    -c⁺)``.
     """
-    base = terms.coll_pay - terms.coll_earn
-    if terms.carry is not None:
-        base += terms.carry
-    at_zero = terms.offset
-    if p.intensity_own is not None:
-        base += (p.discount + p.intensity_own) * terms.own
-        base += (p.discount + p.intensity_cpty) * terms.cpty
-        at_zero = terms.own + terms.cpty
-        at_zero += terms.offset
-    return base, at_zero
+    kept = 1.0 - p.alpha
+    base = (p.discount - p.coll_earn * p.alpha, p.coll_pay * p.alpha - p.discount)
+    at_zero = (kept, -kept)
+    if p.loss_own is not None:
+        base = (base[0] - (p.discount + p.intensity_own) * p.loss_own * kept,
+                base[1] + (p.discount + p.intensity_cpty) * p.loss_cpty * kept)
+        at_zero = (kept * (1.0 - p.loss_own), -kept * (1.0 - p.loss_cpty))
+    buyer = np.less(p.sign, 0.0)
+
+    def folded(on_pos, on_neg):
+        return np.where(buyer, -on_neg, on_pos), np.where(buyer, -on_pos, on_neg)
+    return folded(*base), folded(*at_zero)
+
+
+def mark_fields(coefs, mark, spare=None):
+    """``base`` and ``at_zero`` of the rows of :func:`mark_coefficients`'
+    ``coefs`` at a mark that every row shares, one row of nodes each.
+
+    ``spare``, an array of the fields' shape, takes each field's second
+    product.  The products are elementwise, so a row's fields are the same
+    bits in a batch of any size.
+    """
+    mark_pos, mark_neg = pos(mark), neg(mark)
+    fields = []
+    for on_pos, on_neg in coefs:
+        field = np.multiply(on_pos, mark_pos)
+        field += np.multiply(on_neg, mark_neg, out=spare)
+        fields.append(field)
+    return fields
 
 
 def root_rates(p: DriverParams, dt: float) -> RootRates:
@@ -362,9 +396,9 @@ def root_rates(p: DriverParams, dt: float) -> RootRates:
 class RootTerms(NamedTuple):
     """The coefficients of :func:`reduced_root` that the mark fixes.
 
-    ``base`` is :func:`affine_terms`' base; ``account`` is its ``at_zero``,
-    times ``pulled`` with a credit block; ``lend`` and ``borrow`` are the
-    funding rates times ``at_zero``.
+    ``base`` is the field of that name of :func:`affine_rates`' form;
+    ``account`` is its ``at_zero``, times ``pulled`` with a credit block;
+    ``lend`` and ``borrow`` are the funding rates times ``at_zero``.
     """
 
     base: np.ndarray
@@ -376,8 +410,16 @@ class RootTerms(NamedTuple):
 def root_terms(p: DriverParams, rates: RootRates,
                terms: DriverTerms) -> RootTerms:
     """The :class:`RootTerms` that the mark terms in ``terms`` fix."""
-    base, at_zero = affine_terms(p, terms)
-    account = at_zero if p.intensity_own is None else at_zero * rates.pulled
+    base = terms.coll_pay - terms.coll_earn
+    if terms.carry is not None:
+        base += terms.carry
+    at_zero = account = terms.offset
+    if p.intensity_own is not None:
+        base += (p.discount + p.intensity_own) * terms.own
+        base += (p.discount + p.intensity_cpty) * terms.cpty
+        at_zero = terms.own + terms.cpty
+        at_zero += terms.offset
+        account = at_zero * rates.pulled
     return RootTerms(base, account, p.fund_lend * at_zero,
                      p.fund_borrow * at_zero)
 

@@ -39,7 +39,11 @@ order.  Each theta step marches the agent once, evaluates the mark and
 delta once and builds from them the two fields of the driver that the mark
 alone fixes: ``base`` (collateral legs, carry, close-out targets) and
 ``at_zero`` (the funding account at u = 0) of its affine form
-(:func:`drivers.affine_terms`), with the buyer half of each negated once.
+(:func:`drivers.affine_rates`).  Each field is a per-row coefficient times
+``mark⁺`` plus another times ``mark⁻``; the march builds the coefficients
+once (:func:`drivers.mark_coefficients`), with the buyer reflection folded
+into the buyer rows', and a level only the mark's two parts and the two
+elementwise sums (:func:`drivers.mark_fields`).
 The driver of one level is spent on the next step's explicit part, or
 dropped before a half-step, before the step builds its own, so one level of
 terms is alive at a time.  Each Picard iteration then makes one driver call
@@ -331,32 +335,31 @@ class Rows:
         return f"{side} side" + (f" of {scenario}" if scenario else "")
 
 
-def _level_driver(params: drivers.DriverParams, mark: np.ndarray,
+def _level_driver(params: drivers.DriverParams, coefs, mark: np.ndarray,
                   grad: np.ndarray, dx: float):
     """The reduced driver of one time level as a function of the block u.
 
     In the seller's terms the driver is ``base + repo_net(z) - rate(a) a -
-    pull u`` with ``a = at_zero + slope u`` (:func:`drivers.affine_terms`).
-    ``base`` and ``at_zero`` are built once per level from the mark, with
-    the buyer half (rows K..2K-1) negated, so a buyer row takes ``min(x, 0)``
-    where a seller takes ``x⁺``.  Each call splits the stock position
+    pull u`` with ``a = at_zero + slope u`` (:func:`drivers.affine_rates`).
+    ``base`` and ``at_zero`` are built once per level from the mark's parts
+    and the march's per-row ``coefs`` (:func:`drivers.mark_fields`), which
+    hold the buyer rows (K..2K-1) reflected, so a buyer row takes ``min(x,
+    0)`` where a seller takes ``x⁺``.  Each call splits the stock position
     z / sigma and the account a, in two buffers of the level, into their
     legs and takes each at its own rate (``fund_lend a⁺ - fund_borrow a⁻``):
     a node's other leg is exactly 0, so no two rates cancel as in
     ``fund_borrow a + (fund_lend - fund_borrow) a⁺``.
     """
     count = len(params.sign) // 2
-    base, at_zero = drivers.affine_terms(
-        params, drivers.reduced_mark_terms(params, mark))
-    for field in (base, at_zero):
-        np.negative(field[count:], out=field[count:])
-    slope, pull = drivers.affine_rates(params)
-    repo_long = params.repo_borrow - params.discount
-    repo_short = params.repo_lend - params.discount
     # per level, not per march: freed with the fields, they leave room for
     # the next level's temporaries, which would otherwise grow the heap and
     # fault its pages anew at every level
-    other, part = np.empty_like(base), np.empty_like(base)
+    other = np.empty((2 * count, len(mark)))
+    base, at_zero = drivers.mark_fields(coefs, mark, spare=other)
+    part = np.empty_like(base)
+    slope, pull = drivers.affine_rates(params)
+    repo_long = params.repo_borrow - params.discount
+    repo_short = params.repo_lend - params.discount
 
     def split(x):
         """(x⁺, -x⁻) on the seller rows, x⁺ in ``part`` and -x⁻ in x; on
@@ -431,6 +434,7 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
     agent_step = _Stepper(grid, first, zeroth=-first.rates.discount)
     adj_step = _Stepper(grid, first, zeroth=0.0)
     tol = PICARD_TOL * claim.strike  # the test is in units of the strike
+    coefs = drivers.mark_coefficients(rows.params)
 
     def step(a_old, fixed, u_start, t, dt, theta):
         """The theta step to t: the agent, the driver of level t, and
@@ -441,7 +445,7 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
             grad = s * delta
         else:
             mark, grad = a_new, np.gradient(a_new, dx)
-        drift = _level_driver(rows.params, mark, grad, dx)
+        drift = _level_driver(rows.params, coefs, mark, grad, dx)
         it, res, u, failed = _picard(adj_step, fixed, dt, theta, u_start,
                                      drift, tol=tol)
         if failed:

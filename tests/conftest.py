@@ -3,6 +3,7 @@ models, and the environment and record checks of the studies in ``tools/``."""
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from xvaband import (ClaimSpec, CreditParams, EquityParams, MarketModel,
                      RateSet, SymmetricRates, symmetric_model)
@@ -40,6 +41,38 @@ def make_benchmark(alpha=0.9, fund_borrow=0.08, **credit_overrides):
 def make_symmetric(fund=0.08, repo=0.05, coll=0.01, alpha=0.0, credit=None):
     return symmetric_model(SymmetricRates(fund=fund, repo=repo, coll=coll),
                            EQUITY, credit=credit, alpha=alpha)
+
+
+_RATE = st.floats(min_value=0.0, max_value=0.2)
+# one drawn scenario's rates, credit block and alpha; fund_borrow is
+# fund_lend plus the spread (:func:`drawn_models`)
+SCENARIO = st.fixed_dictionaries(dict(
+    fund_lend=_RATE, spread=st.floats(min_value=0.0, max_value=0.2),
+    repo_lend=_RATE, repo_borrow=_RATE, coll_earn=_RATE, coll_pay=_RATE,
+    mu_own=st.floats(min_value=0.0, max_value=0.6),
+    mu_cpty=st.floats(min_value=0.0, max_value=0.6),
+    loss_own=st.floats(min_value=0.0, max_value=1.0),
+    loss_cpty=st.floats(min_value=0.0, max_value=1.0),
+    alpha=st.floats(min_value=0.0, max_value=1.0)))
+
+
+def drawn_models(scenarios, credit, discount):
+    """The models of drawn :data:`SCENARIO` dicts, sharing the equity and
+    the discount rate as a march's do, with or without their credit
+    blocks; a model may fail the necessary rate conditions."""
+    models = []
+    for sc in scenarios:
+        rates = RateSet(fund_lend=sc["fund_lend"],
+                        fund_borrow=sc["fund_lend"] + sc["spread"],
+                        repo_lend=sc["repo_lend"], repo_borrow=sc["repo_borrow"],
+                        coll_earn=sc["coll_earn"], coll_pay=sc["coll_pay"],
+                        discount=discount)
+        block = CreditParams(mu_own=sc["mu_own"], mu_cpty=sc["mu_cpty"],
+                             loss_own=sc["loss_own"], loss_cpty=sc["loss_cpty"])
+        models.append(MarketModel(rates=rates, equity=EQUITY,
+                                  credit=block if credit else None,
+                                  alpha=sc["alpha"], allow_violations=True))
+    return models
 
 
 @pytest.fixture

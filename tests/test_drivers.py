@@ -8,18 +8,20 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from xvaband import (BUYER, SELLER, ClaimSpec, CreditParams, MarketModel,
                      RateSet)
 from xvaband.drivers import (DriverParams, ReplicationStrategy,
                              adjustment_drift, build_strategy, jump_targets,
-                             neg, pos, reduced_drift, reduced_drift_value,
+                             mark_coefficients, mark_fields, neg, pos,
+                             reduced_drift, reduced_drift_value,
                              reduced_mark_terms, reduced_root, reduced_step,
                              reduced_step_scale, reduced_terms, root_rates,
                              root_terms, wealth_drift)
 from xvaband.lattice import ROOT_ULPS
-from conftest import EQUITY, make_benchmark, make_symmetric
+from conftest import (EQUITY, SCENARIO, drawn_models, make_benchmark,
+                      make_symmetric)
 
 
 def model_with(alpha=0.0, **kw):
@@ -547,3 +549,107 @@ def test_reduced_root_solves_the_implicit_step(models, stacked, credit, side,
     slack = 4 * np.spacing(np.maximum(np.max(np.abs(parts), axis=0), scale))
     assert np.all(account[lend_only] >= -slack[lend_only])
     assert np.all(account[borrow_only] <= slack[borrow_only])
+
+
+# ---------------------------------------------------------------------------
+# the PDE's fields from per-row coefficients of the mark's parts
+# ---------------------------------------------------------------------------
+
+# the fields' distance from the reference, in ulps of a row's scale (1
+# measured on both scales below)
+FIELD_ULPS = 2
+
+
+def affine_reference(p, mark):
+    """``base`` and ``at_zero`` of the rows of ``p`` at ``mark``, in each
+    row's own terms, from the mark's reduced terms as the lattice's root
+    builds them: at dt = 0 its ``account`` is ``at_zero`` itself."""
+    roots = root_terms(p, root_rates(p, 0.0), reduced_mark_terms(p, mark))
+    return p.sign * roots.base, p.sign * roots.account
+
+
+def field_ulps(p, mark):
+    """The largest distance of :func:`mark_fields` from
+    :func:`affine_reference` over both fields, in ulps of the row's largest
+    |field|, and in ulps of the row's largest mark term, the largest
+    addend of the reference's sums."""
+    got = mark_fields(mark_coefficients(p), mark)
+    terms = [np.broadcast_to(np.abs(term), got[0].shape)
+             for term in reduced_mark_terms(p, mark) if term is not None]
+    addend = np.max(np.max(terms, axis=0), axis=-1, keepdims=True)
+    by_field = by_addend = 0.0
+    for field, want in zip(got, affine_reference(p, mark)):
+        assert field.shape == want.shape
+        miss = np.abs(field - want)
+        largest = np.max(np.abs(want), axis=-1, keepdims=True)
+        by_field = max(by_field, float(np.max(miss / np.spacing(largest))))
+        by_addend = max(by_addend, float(np.max(miss / np.spacing(addend))))
+    return by_field, by_addend
+
+
+SIGNED_MARK = np.array([0.0, -0.0, 1e-300, -1e-300, 0.37, -0.37, 2.5, -2.5,
+                        1234.5, -1234.5, 0.0, 7.1e-3, -0.0, -6.6e-2])
+
+
+@pytest.mark.parametrize("credit", [True, False])
+@pytest.mark.parametrize("alphas", [(0.0, 0.0, 0.0), (1.0, 1.0, 1.0),
+                                    (0.0, 0.35, 1.0)],
+                         ids=["alpha0", "alpha1", "varied"])
+def test_mark_fields_match_the_affine_reference(credit, alphas):
+    """On both sides of three models, with and without a credit block, the
+    fields from the coefficients are the reduced terms' affine fields,
+    negated on the buyer rows, to FIELD_ULPS ulps of the row's largest
+    |field|, on a mark that holds +0.0, -0.0, tiny values and both signs."""
+    models = [model_with(alpha=a, fund_borrow=fb, coll_pay=cp, mu_cpty=mu,
+                         loss_own=lo)
+              for a, fb, cp, mu, lo in zip(alphas, (0.08, 0.15, 0.12),
+                                           (0.01, 0.02, 0.005),
+                                           (0.16, 0.3, 0.25), (0.5, 0.4, 0.9))]
+    if not credit:
+        models = [dataclasses.replace(m, credit=None) for m in models]
+    p = DriverParams.stack(models)
+    assert field_ulps(p, SIGNED_MARK)[0] <= FIELD_ULPS
+    for side in (SELLER, BUYER):
+        one = DriverParams.of(models[1], side)
+        assert field_ulps(one, SIGNED_MARK)[0] <= FIELD_ULPS
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(scenarios=st.lists(SCENARIO, min_size=1, max_size=3), credit=st.booleans(),
+       discount=st.floats(min_value=0.0, max_value=0.1),
+       mark=st.lists(st.one_of(st.sampled_from([0.0, -0.0]),
+                               st.floats(min_value=-1e3, max_value=1e3)),
+                     min_size=1, max_size=8))
+def test_mark_fields_match_the_affine_reference_on_drawn_models(
+        scenarios, credit, discount, mark):
+    """On one to three drawn models that pass the necessary rate conditions,
+    both fields of every row are the reference's to FIELD_ULPS ulps of the
+    row's largest mark term.  Not of its largest |field|: where the
+    reference's addends cancel, it is itself off the exact field by more
+    (loss_cpty = 0.965 drew a reference 15.6 ulps of the field off, the
+    coefficients 0.42), and rates that underflow a coefficient leave a
+    subnormal field 85 ulps of itself off."""
+    models = drawn_models(scenarios, credit, discount)
+    assume(all(m.validate_necessary().passed for m in models))
+    p = DriverParams.stack(models)
+    assert field_ulps(p, np.array(mark))[1] <= FIELD_ULPS
+
+
+def test_mark_fields_are_the_same_bits_alone_and_in_a_batch():
+    """One model's ``base`` and ``at_zero`` rows are the same bits alone
+    (K = 1) and as the middle scenario of three that vary alpha and
+    fund_borrow: elementwise products, which no batch size reorders."""
+    mark = SIGNED_MARK * np.linspace(0.5, 1.5, len(SIGNED_MARK))
+    for credit in (True, False):
+        models = [model_with(alpha=a, fund_borrow=fb)
+                  for a, fb in ((0.2, 0.09), (0.65, 0.13), (1.0, 0.06))]
+        if not credit:
+            models = [dataclasses.replace(m, credit=None) for m in models]
+        alone = mark_fields(mark_coefficients(DriverParams.stack(models[1:2])),
+                            mark)
+        batch = mark_fields(mark_coefficients(DriverParams.stack(models)), mark)
+        for one, three in zip(alone, batch):
+            assert one.shape == (2, len(mark))
+            assert three.shape == (6, len(mark))
+            for side in (0, 1):
+                assert one[side].tobytes() == three[3 * side + 1].tobytes()

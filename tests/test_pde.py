@@ -19,7 +19,8 @@ from xvaband import cli, drivers, pde
 from xvaband.claims import agent_value_grid
 from xvaband.drivers import jump_targets
 from xvaband.lattice import ROOT_ULPS
-from conftest import EQUITY, make_benchmark, make_symmetric
+from conftest import (EQUITY, SCENARIO, drawn_models, make_benchmark,
+                      make_symmetric)
 
 CALL = ClaimSpec(kind="call", strike=1.0, maturity=1.0)
 FIG_CREDIT = CreditParams(mu_own=0.16, mu_cpty=0.21, loss_own=0.5, loss_cpty=0.5)
@@ -514,10 +515,13 @@ def test_adjustment_is_homogeneous_in_spot_and_strike(scale):
 
 def test_batched_march_peak_memory():
     """One 42-scenario march (the band-vs-collateral models) at the default
-    grid peaks, under tracemalloc, below 18 blocks of (84, nx) floats: it
+    grid peaks, under tracemalloc, below 13 blocks of (84, nx) floats: it
     keeps one level of driver terms alive, two fields (base and at_zero)
-    and two buffers, and each iteration evaluates the driver on the whole
-    block (13.5 blocks measured at 800 x 50)."""
+    and two buffers, builds the fields from the march's per-row
+    coefficients with no further block, and each iteration evaluates the
+    driver on the whole block (12.47 blocks measured at 800 x 50, half a
+    block below the bound; building the fields from the mark's reduced
+    terms peaked at 13.45)."""
     import tracemalloc
     cfg = cli.figure_config("band-vs-collateral")
     fig = cli.FIGURES["band-vs-collateral"]
@@ -534,7 +538,7 @@ def test_batched_march_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 18 * (2 * len(models) * grid.nx * 8)
+    assert peak < 13 * (2 * len(models) * grid.nx * 8)
 
 
 # -- the march's parts against their references -------------------------------
@@ -612,7 +616,9 @@ def reference_drift(models, mark, grad, dx, u):
 def level_drift_ulps(models, mark, grad, dx, u):
     """The level driver of the models' block at u, and its distance from
     :func:`reference_drift` per node, in ulps of the step's scale there."""
-    g = pde._level_driver(drivers.DriverParams.stack(models), mark, grad, dx)
+    params = drivers.DriverParams.stack(models)
+    g = pde._level_driver(params, drivers.mark_coefficients(params), mark,
+                          grad, dx)
     got = g(u)
     want, scale = reference_drift(models, mark, grad, dx, u)
     return g, got, np.abs(got - want) / np.spacing(scale)
@@ -645,12 +651,11 @@ def test_level_drift_matches_reduced_drift(credit, rng):
     # the stock position, gradient(u) + grad, is 0 at nodes 40..44
     grad[40:45] = 0.0
     u[:, 39:46] = u[:, 42:43]
-    # the funding account, at_zero + slope u in each side's terms, is 0 at
+    # the funding account, at_zero + slope u in each row's terms, is 0 at
     # every tenth node from 60
-    _, at_zero = drivers.affine_terms(params,
-                                      drivers.reduced_mark_terms(params, mark))
+    _, at_zero = drivers.mark_fields(drivers.mark_coefficients(params), mark)
     slope, _ = drivers.affine_rates(params)
-    u[:, 60:110:10] = -slope * params.sign * at_zero[:, 60:110:10]
+    u[:, 60:110:10] = -slope * at_zero[:, 60:110:10]
     g, got, ulps = level_drift_ulps(models, mark, grad, grid.dx, u)
     assert ulps.max() <= ROOT_ULPS
     before = got.copy()
@@ -660,15 +665,6 @@ def test_level_drift_matches_reduced_drift(credit, rng):
 
 VALUE = st.one_of(st.sampled_from([0.0, -0.0]),
                   st.floats(min_value=-1e3, max_value=1e3))
-RATE = st.floats(min_value=0.0, max_value=0.2)
-SCENARIO = st.fixed_dictionaries(dict(
-    fund_lend=RATE, spread=st.floats(min_value=0.0, max_value=0.2),
-    repo_lend=RATE, repo_borrow=RATE, coll_earn=RATE, coll_pay=RATE,
-    mu_own=st.floats(min_value=0.0, max_value=0.6),
-    mu_cpty=st.floats(min_value=0.0, max_value=0.6),
-    loss_own=st.floats(min_value=0.0, max_value=1.0),
-    loss_cpty=st.floats(min_value=0.0, max_value=1.0),
-    alpha=st.floats(min_value=0.0, max_value=1.0)))
 
 
 # repo_borrow below repo_lend: the repo legs as (repo_lend - discount) z +
@@ -693,18 +689,7 @@ def test_level_drift_matches_reduced_drift_on_drawn_models(scenarios, credit,
     sharing the equity and the discount rate as a march's do, with or
     without a credit block, the level driver on a (2K, 6) block is each
     row's public reduced drift to ROOT_ULPS ulps of the step's scale."""
-    models = []
-    for sc in scenarios:
-        rates = RateSet(fund_lend=sc["fund_lend"],
-                        fund_borrow=sc["fund_lend"] + sc["spread"],
-                        repo_lend=sc["repo_lend"], repo_borrow=sc["repo_borrow"],
-                        coll_earn=sc["coll_earn"], coll_pay=sc["coll_pay"],
-                        discount=discount)
-        block = CreditParams(mu_own=sc["mu_own"], mu_cpty=sc["mu_cpty"],
-                             loss_own=sc["loss_own"], loss_cpty=sc["loss_cpty"])
-        models.append(MarketModel(rates=rates, equity=EQUITY,
-                                  credit=block if credit else None,
-                                  alpha=sc["alpha"], allow_violations=True))
+    models = drawn_models(scenarios, credit, discount)
     assume(all(m.validate_necessary().passed for m in models))
     mark, grad, u = values[0], values[1], values[2:2 + 2 * len(models)]
     _, _, ulps = level_drift_ulps(models, mark, grad, dx, u)
@@ -840,8 +825,8 @@ def test_non_finite_driver_names_the_column(monkeypatch):
     models = batch_stack()
     level_driver = pde._level_driver
 
-    def poisoned(params, mark, grad, dx):
-        g = level_driver(params, mark, grad, dx)
+    def poisoned(params, coefs, mark, grad, dx):
+        g = level_driver(params, coefs, mark, grad, dx)
         rows = np.broadcast_to(params.alpha, (len(params.sign), 1))[:, 0] == 0.35
 
         def h(u):
