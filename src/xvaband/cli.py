@@ -22,10 +22,10 @@ march (:func:`pde.march_key`) as one batch of :func:`pde.solve_batch` or
 
 Configuration is a flat ``key = value`` text file (``#`` comments allowed);
 every run is fully determined by the config plus documented numerical
-defaults (800x50 PDE grid, graded in time; lattices of 1000 and 500 steps,
-extrapolated).  ``steps`` names the finer lattice.  CSV output is deterministic
-byte-for-byte: 10 significant digits, ``.`` decimal separator, ``\\n`` line
-endings, one header row.
+defaults (800x50 PDE grid, graded in time; lattices of 500, 250 and 125
+steps, extrapolated).  ``steps`` names the finest lattice.  CSV output is
+deterministic byte-for-byte: 10 significant digits, ``.`` decimal separator,
+``\\n`` line endings, one header row.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .market import (CreditParams, EquityParams, MarketModel, ModelError,
 
 DEFAULT_NX = 800
 DEFAULT_NT = 50
-DEFAULT_STEPS = 1000
+DEFAULT_STEPS = 500
 ENGINES = ("closed", "pde", "lattice", "all")
 # value warns when two engines' adjustments differ by more than this share
 # of the strike
@@ -147,9 +147,9 @@ def build_config(values: dict) -> RunConfig:
         value = getattr(cfg, key)
         if value < least:
             raise ValueError(f"{key} must be >= {least}, got {value}")
-    if cfg.steps < 2:
-        raise ValueError(f"steps must be >= 2, got {cfg.steps}: the lattice "
-                         "extrapolates from steps and steps // 2")
+    if cfg.steps < 4:
+        raise ValueError(f"steps must be >= 4, got {cfg.steps}: the lattice "
+                         "extrapolates from steps, steps // 2 and steps // 4")
     for key in ("sweep_start", "sweep_stop"):
         value = getattr(cfg, key)
         if value is not None and not math.isfinite(value):
@@ -598,7 +598,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nx", type=int, default=None, help="PDE space nodes")
     p.add_argument("--nt", type=int, default=None, help="PDE time steps")
     p.add_argument("--steps", type=int, default=None,
-                   help="lattice steps (the finer of two lattices)")
+                   help="lattice steps (the finest of three lattices)")
 
 
 def _values(args, defaults: dict | None = None) -> dict:

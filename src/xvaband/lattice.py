@@ -43,7 +43,7 @@ march to (1, 2K).
 The march walks the levels in blocks of consecutive levels, highest first,
 each of at most ``BLOCK_ROW_NODES`` row-nodes (rows times kept nodes,
 summed over its levels), or of one level when a level is larger: a 42-row
-batch of 1000 steps marches one level per block near maturity.  The march
+batch of 500 steps marches one level per block near maturity.  The march
 is in the seller's terms, each row's values times its ``sign``.  It builds
 the constants of the node's root once (:func:`drivers.root_rates`).  Each
 block stacks its levels in one (sum of kept nodes, 2K) array and builds
@@ -76,16 +76,18 @@ values in any batch and at any block size.  Values that turn non-finite
 fail the valuation, naming the side, the level and, in a batch, the
 scenario (:meth:`pde.Rows.label`).
 
-The lattice converges at first order in dt.  :func:`solve_extrapolated`, the
-valuation the CLI runs, removes that term by Richardson extrapolation from
-the lattices of n and n // 2 steps (Broadie & Detemple, Rev. Fin. Studies 9,
-1996).
+The lattice converges at first order in dt, with a second-order term
+behind it.  :func:`solve_extrapolated`, the valuation the CLI runs, removes
+both by repeated Richardson extrapolation from the lattices of n, n // 2 and
+n // 4 steps (Geske & Johnson, J. Finance 39, 1984; the two-level form is
+Broadie & Detemple's, Rev. Fin. Studies 9, 1996).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -159,30 +161,39 @@ def solve_batch(models: list[MarketModel], claim: claims.ClaimSpec,
 def solve_extrapolated(models: list[MarketModel], claim: claims.ClaimSpec,
                        n_steps: int
                        ) -> list[tuple[OracleSolution, OracleSolution]]:
-    """:func:`solve_batch`, Richardson-extrapolated.
+    """:func:`solve_batch`, extrapolated to dt = 0.
 
-    Marches the lattices of n = ``n_steps`` and m = n // 2 steps and, since
-    both converge at first order in dt, returns ``(n L(n) - m L(m)) / (n - m)``
-    of their adjustment and root gradient, which cancels the
-    first-order term for odd n too.  The other fields, the per-level
-    residuals included, are the n-step lattice's.  The time-step guard
-    holds for the m-step lattice, and its advice names n.
+    Marches the lattices of n = ``n_steps``, n // 2 and n // 4 steps,
+    coarsest first, and returns their adjustment and root gradient
+    extrapolated by :func:`extrapolate`, which cancels the terms in dt and
+    dt^2: repeated Richardson extrapolation (Geske & Johnson, J. Finance 39,
+    1984).  The weights are (8, -6, 1) / 3 when 4 divides n and follow the
+    actual step counts otherwise.  The other fields, the per-level residuals
+    included, are the n-step lattice's.  The time-step guard holds for the
+    coarsest lattice, and its advice names n.
     """
-    if not isinstance(n_steps, (int, np.integer)) or n_steps < 2:
-        raise ValueError("n_steps must be >= 2 and an integer to "
+    if not isinstance(n_steps, (int, np.integer)) or n_steps < 4:
+        raise ValueError("n_steps must be >= 4 and an integer to "
                          f"extrapolate, got {n_steps!r}")
-    m = n_steps // 2
-    coarse = _march(list(models), claim, m, refine=2)
-    fine = _march(list(models), claim, n_steps)
-
-    def extrapolate(a: float, b: float) -> float:
-        return (n_steps * a - m * b) / (n_steps - m)
-
-    solutions = [replace(
-        f, adjustment=extrapolate(f.adjustment, c.adjustment),
-        root_gradient=extrapolate(f.root_gradient, c.root_gradient))
-        for f, c in zip(fine, coarse)]
+    refines = (4, 2, 1)
+    counts = [n_steps // r for r in refines]
+    lattices = [_march(list(models), claim, n, refine=r)
+                for n, r in zip(counts, refines)]
+    solutions = [replace(row[-1], **{
+        name: extrapolate(counts, [getattr(s, name) for s in row])
+        for name in ("adjustment", "root_gradient")})
+        for row in zip(*lattices)]
     return list(zip(solutions[:len(models)], solutions[len(models):]))
+
+
+def extrapolate(counts, values) -> float:
+    """The value at dt = 0 of the polynomial in dt through the ``values`` of
+    lattices of ``counts`` steps: the sum of ``w_i values[i]`` with the
+    Lagrange weights ``w_i = prod_{j != i} x_j / (x_j - x_i)``, x = 1 /
+    count, taken exactly and rounded once."""
+    return float(sum(
+        math.prod(Fraction(n, n - m) for m in counts if m != n) * Fraction(v)
+        for n, v in zip(counts, values)))
 
 
 def _march(models: list[MarketModel], claim: claims.ClaimSpec, n_steps: int,
@@ -190,8 +201,9 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, n_steps: int,
     """Backward induction of the 2K rows of K models in blocks of levels;
     one solution per row.
 
-    The time-step guard advises ``refine`` times the steps this lattice
-    needs: the lattice of an extrapolation whose caller sets the finer.
+    The time-step guard advises ``refine`` times the fewest steps that this
+    lattice passes it with: a coarser lattice of an extrapolation whose
+    caller sets the finest.
     """
     if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
         raise ValueError(f"n_steps must be >= 1 and an integer, got {n_steps!r}")
@@ -207,13 +219,15 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, n_steps: int,
 
     for k, model in enumerate(models):
         lip = drivers.reduced_lipschitz_bound(model)
-        if dt * lip >= 1.0:
+        # dt * lip < 1 holds from the first count above lip * T
+        need = math.floor(lip * T) + 1
+        if n_steps < need:
             scenario = rows.scenario(k)
             raise NumericsError(
                 "time step too large for the implicit fixed point"
                 + (f" of {scenario}" if scenario else "")
                 + f" (dt * Lipschitz = {dt * lip:.3g} >= 1); "
-                f"use n_steps >= {refine * math.ceil(2.0 * lip * T)}")
+                f"use n_steps >= {refine * need}")
 
     lowest, highest = band(n_steps, dt, sigma)
     widths = highest - lowest + 1

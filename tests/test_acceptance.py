@@ -8,7 +8,7 @@ both sides, against an oracle that uses neither the PDE nor ``strategies``:
 
 with the mark from ``agent_value``, the jump targets from ``jump_targets``,
 and the adjustment u from the lattice the CLI runs (``solve_extrapolated``
-from 1000 and 500 steps) or, at alpha = 1, from the exact integral of
+from 500, 250 and 125 steps) or, at alpha = 1, from the exact integral of
 ``full_collateral_adjustment``.  The
 account on which the funding rate accrues is this leg plus the mark.
 
@@ -94,8 +94,8 @@ def test_criterion_02_closed_form_pde_with_defaults():
 
 
 def test_criterion_03_triple_agreement():
-    label = ("lattice (1000 + 500, extrapolated) vs PDE (400x400) vs closed "
-             "form, symmetric regimes")
+    label = ("lattice (500, 250, 125, extrapolated) vs PDE (400x400) vs "
+             "closed form, symmetric regimes")
     worst = 0.0
     cases = [
         make_symmetric(fund=0.08, repo=0.05, coll=0.01, alpha=0.5),

@@ -64,19 +64,21 @@ def test_parse_config_roundtrip():
     assert cfg.model.alpha == 0.9
     assert cfg.model.credit.mu_own == 0.21
     assert cfg.claim.kind == "call"
-    assert cfg.nx == cli.DEFAULT_NX and cfg.steps == 1000
+    assert cfg.nx == cli.DEFAULT_NX and cfg.steps == 500
 
 
 def test_default_pde_grid_is_accurate_on_the_benchmark():
     """At the default grid the PDE lies within 5e-7 of strike of the CLI's
-    lattice, extrapolated from 1000 and 500 steps (measured against a 1600²
-    PDE: 1.9e-7 at 800 x 100 uniform in time, 7e-8 at 400 x 400; the
-    default 800 x 50, graded in time, lies 6e-9 and 1.5e-8 from the
-    lattice)."""
+    lattice, extrapolated from 500, 250 and 125 steps (measured against a
+    1600² PDE: 1.9e-7 at 800 x 100 uniform in time, 7e-8 at 400 x 400; the
+    default 800 x 50, graded in time, lies 2.5e-8 and 1.6e-8 from the
+    lattice, seller and buyer, and 8.6e-9 and 1.7e-8 from the lattice
+    extrapolated from 16000, 8000 and 4000 steps)."""
     cfg = build_config(parse_config_text(BENCH_TEXT))
     res = cli.evaluate_point(cfg.model, cfg.claim, "pde", nx=cli.DEFAULT_NX,
                              nt=cli.DEFAULT_NT)[0]
-    seller, buyer = lattice.solve_extrapolated([cfg.model], cfg.claim, 1000)[0]
+    seller, buyer = lattice.solve_extrapolated([cfg.model], cfg.claim,
+                                               cli.DEFAULT_STEPS)[0]
     assert abs(res.xva_seller - seller.adjustment) <= 5e-7 * cfg.claim.strike
     assert abs(res.xva_buyer - buyer.adjustment) <= 5e-7 * cfg.claim.strike
 
@@ -145,9 +147,9 @@ def test_value_warns_on_an_inverted_band(tmp_path, bench_cfg_path, capsys):
     argv = ["value", "--engine", "lattice", "--steps", "50"]
     assert cli.main(argv + ["--config", bench_cfg_path]) == 0
     out, err = capsys.readouterr()
-    assert "warning" not in out and "width=-1.86346008e-06" in out
+    assert "warning" not in out and "width=-1.775063399e-06" in out
     assert err == ("warning: inverted band from the lattice engine: seller "
-                   "0.02012196171 < buyer 0.02012382517\n")
+                   "0.02012334784 < buyer 0.0201251229\n")
     wide = tmp_path / "wide.cfg"
     wide.write_text(BENCH_TEXT.replace("fund_borrow = 0.08",
                                        "fund_borrow = 0.15"))
@@ -157,11 +159,11 @@ def test_value_warns_on_an_inverted_band(tmp_path, bench_cfg_path, capsys):
 
 def test_value_warns_when_engines_disagree(bench_cfg_path, capsys):
     argv = ["value", "--config", bench_cfg_path, "--engine", "all"]
-    assert cli.main(argv + ["--nx", "6", "--nt", "2", "--steps", "2"]) == 0
+    assert cli.main(argv + ["--nx", "6", "--nt", "2", "--steps", "4"]) == 0
     out, err = capsys.readouterr()
-    assert "|pde-lattice|: 0.000810683942 / 0.0009727399143" in out
+    assert "|pde-lattice|: 0.001031837516 / 0.001182024217" in out
     assert "warning" not in out
-    assert ("warning: the pde and lattice engines differ by 0.0009727399143, "
+    assert ("warning: the pde and lattice engines differ by 0.001182024217, "
             "more than 0.0001 of the strike\n") in err
     assert cli.main(argv + ["--nx", "120", "--nt", "60",
                             "--steps", "150"]) == 0
@@ -496,7 +498,7 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     p.write_text(BENCH_TEXT.replace("mu_own = 0.21", "mu_own = 0.9")
                  .replace("mu_cpty = 0.16", "mu_cpty = 0.9"))
     rc = cli.main(["value", "--config", str(p), "--engine", "lattice",
-                   "--steps", "2"])
+                   "--steps", "4"])
     assert rc == 2
     assert "numerical failure" in capsys.readouterr().err
 
@@ -564,13 +566,15 @@ def test_a_sweep_bound_outside_its_range_is_refused_by_its_key(
         1, f"error: {key} = {value}: alpha must lie in [0, 1], got {value}\n")
 
 
-def test_steps_below_two_are_refused(bench_cfg_path, capsys):
-    # the lattice extrapolates from steps and steps // 2
-    for steps in ("1", "0"):
+def test_steps_below_four_are_refused(bench_cfg_path, capsys):
+    # the lattice extrapolates from steps, steps // 2 and steps // 4
+    for steps in ("3", "1", "0"):
         rc = cli.main(["value", "--config", bench_cfg_path, "--engine",
                        "lattice", "--steps", steps])
         assert rc == 1
-        assert f"steps must be >= 2, got {steps}" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: steps must be >= 4, got {steps}: the lattice "
+            "extrapolates from steps, steps // 2 and steps // 4\n")
 
 
 @pytest.mark.parametrize("engine", ["pde", "lattice", "all"])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -620,26 +621,58 @@ def test_batch_failure_names_the_scenario(monkeypatch):
         lattice.solve_batch(models, CALL, 20)
 
 
-def extrapolated(fine, coarse, n):
-    m = n // 2
-    return (n * fine - m * coarse) / (n - m)
+def lagrange_at_zero(counts, values):
+    """The values of lattices of ``counts`` steps extrapolated to
+    x = 1 / count = 0 with the Lagrange weights
+    ``prod_{j != i} x_j / (x_j - x_i)``, exactly, rounded once."""
+    xs = [Fraction(1, n) for n in counts]
+    total = Fraction(0)
+    for i, (x, value) in enumerate(zip(xs, values)):
+        weight = Fraction(1)
+        for j, other in enumerate(xs):
+            if j != i:
+                weight *= other / (other - x)
+        total += weight * Fraction(value)
+    return float(total)
 
 
-@pytest.mark.parametrize("n", [40, 41])
-def test_cli_lattice_extrapolates_two_raw_lattices(n):
+@pytest.mark.parametrize("n", [40, 41, 42, 43])
+def test_cli_lattice_extrapolates_three_raw_lattices(n):
+    # every residue of n mod 4: the weights follow the actual step counts
     model = make_benchmark(alpha=0.4, fund_borrow=0.12)
     point = cli.evaluate_point(model, CALL, "lattice", steps=n)[0]
-    fine, coarse = solve_sides(model, CALL, n), solve_sides(model, CALL, n // 2)
+    counts = (n, n // 2, n // 4)
+    raw = [solve_sides(model, CALL, m) for m in counts]
     s0, sigma = model.equity.spot, model.equity.sigma
     got = ((point.xva_seller, point.strategy_seller),
            (point.xva_buyer, point.strategy_buyer))
-    for (xva, strategy), f, c in zip(got, fine, coarse):
-        assert xva == extrapolated(f.adjustment, c.adjustment, n)
-        gradient = extrapolated(f.root_gradient, c.root_gradient, n)
+    for side, (xva, strategy) in enumerate(got):
+        lattices = [sides[side] for sides in raw]
+        assert xva == lagrange_at_zero(
+            counts, [s.adjustment for s in lattices])
+        gradient = lagrange_at_zero(counts,
+                                    [s.root_gradient for s in lattices])
         assert strategy.stock_shares == gradient / (sigma * s0)
     (seller, buyer), = lattice.solve_extrapolated([model], CALL, n)
     assert seller.adjustment == point.xva_seller
-    assert np.array_equal(buyer.root_residuals, fine[1].root_residuals)
+    assert np.array_equal(seller.root_residuals, raw[0][0].root_residuals)
+    assert np.array_equal(buyer.root_residuals, raw[0][1].root_residuals)
+
+
+@pytest.mark.parametrize("n", [4, 7, 40, 41, 42, 43, 500, 8001])
+def test_extrapolation_weights_cancel_dt_and_dt_squared(n):
+    # L(n) = a + b / n + c / n^2, each value rounded once, extrapolates to
+    # a within 1e-15 of the largest |L|
+    counts = (n, n // 2, n // 4)
+    for a, b, c in ((1.0, -0.3, 2.0), (0.02, 0.5, -0.7), (-3.0, 1e-3, 1e-4)):
+        values = [float(a + Fraction(b) / m + Fraction(c) / m ** 2)
+                  for m in counts]
+        assert abs(lattice.extrapolate(counts, values) - a) <= (
+            1e-15 * max(map(abs, values)))
+    if n % 4 == 0:
+        assert lattice.extrapolate(counts, [3.0, 0.0, 0.0]) == 8.0
+        assert lattice.extrapolate(counts, [0.0, 3.0, 0.0]) == -6.0
+        assert lattice.extrapolate(counts, [0.0, 0.0, 3.0]) == 1.0
 
 
 def test_extrapolation_removes_the_first_order_error():
@@ -653,13 +686,17 @@ def test_extrapolation_removes_the_first_order_error():
 
 
 def test_extrapolation_guard_names_the_finer_steps():
-    # dt * Lipschitz = 1.88 at one step and 0.63 at three: the 3-step
-    # lattice passes the guard, and its 1-step partner does not
+    # dt * Lipschitz = 1.88 at one step and 0.94 at two: the coarsest
+    # lattice of n steps has n // 4, so 4 * need passes and one fewer fails
     riskier = make_benchmark(mu_own=0.9, mu_cpty=0.9)
-    solve_sides(riskier, CALL, 3)
-    need = math.ceil(2.0 * drivers.reduced_lipschitz_bound(riskier))
-    with pytest.raises(NumericsError, match=f"use n_steps >= {2 * need}$"):
+    need = math.floor(drivers.reduced_lipschitz_bound(riskier)
+                      * CALL.maturity) + 1
+    assert need == 2
+    solve_sides(riskier, CALL, need)
+    with pytest.raises(NumericsError, match=r"use n_steps >= 2$"):
+        solve_sides(riskier, CALL, need - 1)
+    lattice.solve_extrapolated([riskier], CALL, 4 * need)
+    with pytest.raises(NumericsError, match=f"use n_steps >= {4 * need}$"):
+        lattice.solve_extrapolated([riskier], CALL, 4 * need - 1)
+    with pytest.raises(ValueError, match="n_steps must be >= 4"):
         lattice.solve_extrapolated([riskier], CALL, 3)
-    lattice.solve_extrapolated([riskier], CALL, 2 * need)
-    with pytest.raises(ValueError, match="n_steps must be >= 2"):
-        lattice.solve_extrapolated([riskier], CALL, 1)

@@ -20,7 +20,8 @@ def test_small_study_writes_every_draw(tmp_path, study_env):
     out = tmp_path / "BENCH_lattice.json"
     assert study.main(["--steps", "20", "--out", str(out)]) == 0
     record = json.loads(out.read_text())
-    assert record["steps"] == [20, 10]
+    assert record["steps"] == [20, 10, 5]
+    assert record["converged_steps"] == study.CONVERGED_REFINE * 20
     assert not record_keys(record) & TIME_KEYS
     assert record["block_row_nodes"] == lattice.BLOCK_ROW_NODES
     assert {"python", "numpy", "blas_threads"} <= set(record["machine"])
@@ -28,14 +29,18 @@ def test_small_study_writes_every_draw(tmp_path, study_env):
     assert points["draws"] == points["completed"] == len(points["rows"]) == 30
     for row in points["rows"]:
         assert 0.0 <= row["error"] <= points["worst_error"]
+        assert 0.0 <= row["converged_error"] <= points["worst_converged_error"]
         assert 0.0 <= row["worst_residual_ulps"] <= lattice.ROOT_ULPS
         assert (0.0 <= row["worst_plain_residual_ulps"]
                 <= row["worst_residual_ulps"])
     assert points["worst_plain_residual_ulps"] == max(
         row["worst_plain_residual_ulps"] for row in points["rows"])
+    assert points["median_converged_error"] == np.median(
+        [row["converged_error"] for row in points["rows"]])
     # no level below 65 is pruned: each lattice keeps its whole tree
-    assert {row["nodes"] for row in points["rows"]} == {210 + 55}
-    assert points["nodes"] == 30 * (210 + 55) and points["kept_share"] == 1.0
+    assert {row["nodes"] for row in points["rows"]} == {210 + 55 + 15}
+    assert points["nodes"] == 30 * (210 + 55 + 15)
+    assert points["kept_share"] == 1.0
     assert record["prune_sd"] == lattice.PRUNE_SD
 
 
@@ -45,11 +50,15 @@ def test_values_are_the_clis_bit_for_bit(study_env):
                                   True)
     for draw in (draws[0], draws[3]):  # an asymmetric put and call
         model, claim = scenarios.build(draw)
-        res, fields = study.value_lattice(model, claim, 20)
+        res, fields = study.value_lattice(model, claim, 20, 40)
         want, = cli.evaluate_point(model, claim, "lattice", steps=20)
         assert (res.xva_seller.hex(), res.xva_buyer.hex()) == (
             want.xva_seller.hex(), want.xva_buyer.hex())
         assert 0.0 <= fields["worst_residual_ulps"] <= lattice.ROOT_ULPS
+        converged, = lattice.solve_extrapolated([model], claim, 40)
+        assert fields["converged_error"] == max(
+            abs(res.xva_seller - converged[0].adjustment),
+            abs(res.xva_buyer - converged[1].adjustment)) / claim.strike
 
 
 def test_pruned_nodes_keep_eight_deviations():

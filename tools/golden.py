@@ -4,7 +4,7 @@
     python3 tools/golden.py compare <a> <b> [--tol 1e-9]
 
 ``capture`` writes, at the CLI defaults (800 x 50 PDE grid; lattices of
-1000 and 500 steps, extrapolated), the CSV of ``value --engine all``, and of
+500, 250 and 125 steps, extrapolated), the CSV of ``value --engine all``, and of
 ``band`` and ``table`` with the PDE and with the lattice, on the benchmark
 config, and of every ``figure`` id at its own defaults, one file each, to
 <dir>.  It also writes ``points-pde.csv`` and ``points-lattice.csv``: the
