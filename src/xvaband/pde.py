@@ -12,45 +12,52 @@ three fields backward from maturity with a Crank-Nicolson scheme
 Every step of the march is one theta step, of the agent and then of the
 block, (I - theta dt B) u = fixed + theta dt g(u), whose nonlinearity is
 resolved by fixed-point (Picard) iteration; the drivers are globally
-Lipschitz, so the iteration contracts for any reasonable step size.  Each of
-the first ``RANNACHER_STEPS`` steps is two half-steps with theta = 1 and
-fixed = u_start = the level the half-step starts from; every later step has
-theta = 1/2 and fixed = u_old + dt/2 (B u_old + g_old(u_old)), and starts
-at u_old + r (u_old - u_older), r = dtau_new / dtau_old, the linear
-extrapolation of the last two time levels.  A row has converged when its
-sup-norm change is below ``PICARD_TOL`` times the claim's strike, a test in
-units of the strike, so scaling spot and strike scales the test with the
-values.  The time to maturity of level n of N is tau_n = T (n / N)^1.5
-(``TIME_GRADING``): the steps are small next to maturity, where the payoff
-and collateral kinks are, and grow toward t = 0.  The sequence depends only
-on T and N, so every scenario of a batch shares it.  The matrix
-(I - theta dt B) of a step's implicit coefficient is LU-factored once
-(LAPACK ``dgttrf``), and every solve of the step reuses the factors
-(``dgttrs``).  Boundary conditions impose linearity
-in the stock (payoffs and adjustments are asymptotically linear there), via
+Lipschitz, so the iteration contracts for any reasonable step size.  The
+driver's linear part, -c u + kappa G u (:func:`_operator_split`), sits in
+the operator B' = B - c + kappa G, and Picard iterates on the remainder
+g(u) + c u - kappa G u: the same discrete equation, with a remainder that
+is zero, up to rounding, at equal lend and borrow rates.  Each of the first
+``RANNACHER_STEPS`` steps is two half-steps with theta = 1 and fixed =
+u_start = the level the half-step starts from; every later step has theta =
+1/2 and fixed = u_old + dt/2 (B' u_old + g_old(u_old)), the remainder at
+the old level, and starts at u_old + r (u_old - u_older), r = dtau_new /
+dtau_old, the linear extrapolation of the last two time levels.  A row has
+converged when its sup-norm change is below ``PICARD_TOL`` times the
+claim's strike, a test in units of the strike, so scaling spot and strike
+scales the test with the values.  The time to maturity of level n of N is
+tau_n = T (n / N)^1.5 (``TIME_GRADING``): the steps are small next to
+maturity, where the payoff and collateral kinks are, and grow toward t = 0.
+The sequence depends only on T and N, so every scenario of a batch shares
+it.  The matrix (I - theta dt B') of a step's implicit coefficient is
+LU-factored once (LAPACK ``dgttrf``), and every solve of the step reuses
+the factors (``dgttrs``).  Boundary conditions impose linearity in the
+stock (payoffs and adjustments are asymptotically linear there), via
 second-order ghost-node elimination.
 
 The spatial operator depends only on the grid, sigma and the discount rate,
 and the agent surface only on those and the claim.  Scenarios that share
 them and the presence of a credit block (:func:`march_key`) are therefore
 marched together as the rows of one (2K, nx) block: rows 0..K-1 are the
-seller sides of the K scenarios, rows K..2K-1 their buyer sides, in the same
-order.  Each theta step marches the agent once, evaluates the mark and
-delta once and builds from them the two fields of the driver that the mark
-alone fixes: ``base`` (collateral legs, carry, close-out targets) and
-``at_zero`` (the funding account at u = 0) of its affine form
-(:func:`drivers.affine_rates`).  Each field is a per-row coefficient times
-``mark⁺`` plus another times ``mark⁻``; the march builds the coefficients
-once (:func:`drivers.mark_coefficients`), with the buyer reflection folded
-into the buyer rows', and a level only the mark's two parts and the two
-elementwise sums (:func:`drivers.mark_fields`).
+seller sides of the K scenarios, rows K..2K-1 their buyer sides, in the
+same order, with the models of equal (c, kappa) next to each other
+(:func:`_row_groups`): each such group of rows has its own operator, and
+the results come back in the given order.  Each theta step marches the
+agent once, evaluates the mark and delta once and builds from them the two
+fields of the driver that the mark alone fixes: ``base`` (collateral legs,
+carry, close-out targets) and ``at_zero`` (the funding account at u = 0) of
+its affine form (:func:`drivers.affine_rates`).  Each field is a per-row
+coefficient times ``mark⁺`` plus another times ``mark⁻``; the march builds
+the coefficients once (:func:`drivers.mark_coefficients`), with the buyer
+reflection folded into the buyer rows', and a level only the mark's two
+parts and the two elementwise sums (:func:`drivers.mark_fields`).
 The driver of one level is spent on the next step's explicit part, or
 dropped before a half-step, before the step builds its own, so one level of
 terms is alive at a time.  Each Picard iteration then makes one driver call
 on the whole block, ``base + repo_net(z) - rate(a) a - pull u`` with ``a =
-at_zero + slope u``, from the two fields, the stock position and u, each
-lend/borrow leg at its own rate and a buyer row's branches reflected
-(``min(x, 0)`` for ``max(x, 0)``), and one banded solve of its transpose.
+at_zero + slope u`` less the operator's part, from the two fields, the
+stock position and u, each lend/borrow leg at its own rate and a buyer
+row's branches reflected (``min(x, 0)`` for ``max(x, 0)``), and one banded
+solve of its transpose, each group's range of columns in place.
 The driver reads one :class:`drivers.DriverParams` record of the block, in
 which a parameter that differs between scenarios has one entry per row.
 Picard runs per row through :func:`settle` from a start computed per node: a
@@ -176,14 +183,16 @@ class PdeSolution:
         return self.seller if side == drivers.SELLER else self.buyer
 
 
-def _spatial_operator(grid: PdeGrid, model: MarketModel, zeroth: float):
+def _spatial_operator(grid: PdeGrid, model: MarketModel, zeroth: float,
+                      kappa: float = 0.0):
     """Tridiagonal bands (lower, diag, upper) of the space operator.
 
     Interior rows discretize the diffusion/drift generator in log-space plus
     a zeroth-order coefficient.  Boundary rows impose linearity in the stock
     (vanishing second derivative in spot coordinates, u_xx = u_x in
     log-space) by eliminating a ghost node, which keeps the scheme
-    tridiagonal and second-order up to the edge.
+    tridiagonal and second-order up to the edge.  ``kappa`` times the
+    stencil of :func:`_gradient` is added to the bands.
     """
     nx = grid.nx
     dx = grid.dx
@@ -191,20 +200,21 @@ def _spatial_operator(grid: PdeGrid, model: MarketModel, zeroth: float):
     mu = model.rates.discount - 0.5 * sigma * sigma
     s2 = 0.5 * sigma * sigma / (dx * dx)
     s1 = 0.5 * mu / dx
-    lower = np.full(nx, s2 - s1)
+    half = kappa / (2.0 * dx)  # G's weight inside; twice that at the edges
+    lower = np.full(nx, s2 - s1 - half)
     diag = np.full(nx, -2.0 * s2 + zeroth)
-    upper = np.full(nx, s2 + s1)
+    upper = np.full(nx, s2 + s1 + half)
     # ghost below: u[-1] = (2 u0 - (1 - dx/2) u1) / (1 + dx/2)
     ga = 2.0 / (1.0 + 0.5 * dx)
     gb = -(1.0 - 0.5 * dx) / (1.0 + 0.5 * dx)
-    diag[0] = s2 * (ga - 2.0) - s1 * ga + zeroth
-    upper[0] = s2 * (1.0 + gb) + s1 * (1.0 - gb)
+    diag[0] = s2 * (ga - 2.0) - s1 * ga + zeroth - 2.0 * half
+    upper[0] = s2 * (1.0 + gb) + s1 * (1.0 - gb) + 2.0 * half
     lower[0] = 0.0
     # ghost above: u[n] = (2 u[n-1] - (1 + dx/2) u[n-2]) / (1 - dx/2)
     ha = 2.0 / (1.0 - 0.5 * dx)
     hb = -(1.0 + 0.5 * dx) / (1.0 - 0.5 * dx)
-    diag[-1] = s2 * (ha - 2.0) + s1 * ha + zeroth
-    lower[-1] = s2 * (1.0 + hb) + s1 * (hb - 1.0)
+    diag[-1] = s2 * (ha - 2.0) + s1 * ha + zeroth + 2.0 * half
+    lower[-1] = s2 * (1.0 + hb) + s1 * (hb - 1.0) - 2.0 * half
     upper[-1] = 0.0
     return lower, diag, upper
 
@@ -213,41 +223,54 @@ class _Stepper:
     """One theta-step of (d/d tau) u = B u + source, via banded solves.
 
     ``u`` is one row of nodal values, shape (nx,), or a block of rows,
-    shape (k, nx); every row sees the same operator.  The matrix
-    (I - coef B) is LU-factored when coef changes, and only the last
-    coefficient's factors are kept: every step of a graded march has its own.
+    shape (k, nx).  Each of ``groups``, ranges of rows and their (rate,
+    kappa), has its own operator B - rate + kappa G (by default one group of
+    every row with B itself), whose (I - coef B) is LU-factored when coef
+    changes; only the last coefficient's factors are kept: every step of a
+    graded march has its own.
     """
 
-    def __init__(self, grid: PdeGrid, model: MarketModel, zeroth: float):
-        self.lower, self.diag, self.upper = _spatial_operator(grid, model, zeroth)
+    def __init__(self, grid: PdeGrid, model: MarketModel, zeroth: float,
+                 groups=(((slice(None),), 0.0, 0.0),)):
+        self.groups = [(ranges, _spatial_operator(grid, model, zeroth - c, k))
+                       for ranges, c, k in groups]
         self.nx = grid.nx
         self._coef: float | None = None
-        self._lu: tuple = ()
+        self._lu: list = []
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        out = self.diag * u
-        out[..., :-1] += self.upper[:-1] * u[..., 1:]
-        out[..., 1:] += self.lower[1:] * u[..., :-1]
+        out = np.empty_like(u)
+        for ranges, (lower, diag, upper) in self.groups:
+            for rows in ranges:
+                v, w = u[rows], out[rows]
+                np.multiply(diag, v, out=w)
+                w[..., :-1] += upper[:-1] * v[..., 1:]
+                w[..., 1:] += lower[1:] * v[..., :-1]
         return out
 
-    def ab_matrix(self, coef: float) -> np.ndarray:
-        """(I - coef * B) in the (3, nx) band layout of
+    def ab_matrix(self, coef: float, group: int = 0) -> np.ndarray:
+        """(I - coef * B) of a group in the (3, nx) band layout of
         ``scipy.linalg.solve_banded((1, 1), ...)``: upper, main and lower
         diagonal as rows."""
+        lower, diag, upper = self.groups[group][1]
         ab = np.zeros((3, self.nx))
-        ab[0, 1:] = -coef * self.upper[:-1]
-        ab[1, :] = 1.0 - coef * self.diag
-        ab[2, :-1] = -coef * self.lower[1:]
+        ab[0, 1:] = -coef * upper[:-1]
+        ab[1, :] = 1.0 - coef * diag
+        ab[2, :-1] = -coef * lower[1:]
         return ab
 
-    def factors(self, coef: float) -> tuple:
-        """LAPACK ``dgttrf`` LU factors of (I - coef * B), kept for the last coef."""
+    def factors(self, coef: float) -> list:
+        """Per group, its ranges of rows and the LAPACK ``dgttrf`` LU
+        factors of its (I - coef * B), kept for the last coef."""
         if coef != self._coef:
-            ab = self.ab_matrix(coef)
-            *lu, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
-            if info:
-                raise np.linalg.LinAlgError("singular matrix")
-            self._coef, self._lu = coef, tuple(lu)
+            self._lu = []
+            for group, (ranges, _) in enumerate(self.groups):
+                ab = self.ab_matrix(coef, group)
+                *lu, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+                if info:
+                    raise np.linalg.LinAlgError("singular matrix")
+                self._lu.append((ranges, tuple(lu)))
+            self._coef = coef
         return self._lu
 
     def step_linear(self, u: np.ndarray, dt: float, theta: float) -> np.ndarray:
@@ -260,17 +283,21 @@ def solve_banded(stepper: _Stepper, coef: float, b: np.ndarray,
     """Solve (I - coef * B) x = b with the stepper's LU factors of that matrix.
 
     ``b`` is one column, shape (nx,), or a block of columns, shape (nx, k),
-    such as the transpose of a (k, nx) block of rows.  The columns are
-    solved independently, so NaN or inf in one column spoils that column
-    alone; the caller checks what it keeps.  The factors come from partial
-    pivoting as in ``scipy.linalg.solve_banded``, whose tridiagonal path
-    (LAPACK ``dgtsv``) does the same arithmetic, so the two agree bit for
-    bit.  With ``overwrite``, a ``b`` in Fortran order holds the solution on
-    return, and no copy of it is made.
+    such as the transpose of a (k, nx) block of rows; each group of the
+    stepper solves its ranges of columns in place, one LAPACK call each.  The
+    columns are solved independently, so NaN or inf in one column spoils
+    that column alone; the caller checks what it keeps.  The factors come
+    from partial pivoting as in ``scipy.linalg.solve_banded``, whose
+    tridiagonal path (LAPACK ``dgtsv``) does the same arithmetic, so the two
+    agree bit for bit.  With ``overwrite``, a ``b`` in Fortran order holds
+    the solution on return, and no copy of it is made.
     """
-    x, info = dgttrs(*stepper.factors(coef), b, overwrite_b=overwrite)
-    if info:
-        raise ValueError(f"illegal value in argument {-info} of dgttrs")
+    x = b if overwrite and b.flags.f_contiguous else np.array(b, order="F")
+    for ranges, lu in stepper.factors(coef):
+        for rows in ranges:
+            _, info = dgttrs(*lu, x[..., rows], overwrite_b=True)
+            if info:
+                raise ValueError(f"illegal value in argument {-info} of dgttrs")
     return x
 
 
@@ -335,6 +362,35 @@ class Rows:
         return f"{side} side" + (f" of {scenario}" if scenario else "")
 
 
+def _operator_split(p: drivers.DriverParams):
+    """``(rate, kappa)`` of the driver's linear part ``-rate u + kappa G u``,
+    its u-terms averaged over the lend/borrow branches, per model or row:
+    ``rate = slope (fund_lend + fund_borrow) / 2 + pull``
+    (:func:`drivers.affine_rates`), ``kappa = (repo_lend + repo_borrow) / 2 -
+    discount`` and G the stencil of :func:`_gradient`.  A buyer row shares
+    its seller's."""
+    slope, pull = drivers.affine_rates(p)
+    return (slope * (0.5 * (p.fund_lend + p.fund_borrow)) + pull,
+            0.5 * (p.repo_lend + p.repo_borrow) - p.discount)
+
+
+def _row_groups(models: list[MarketModel]):
+    """The order in which a march takes the models, models of equal
+    :func:`_operator_split` next to each other, and its groups of rows as
+    ``(ranges, rate, kappa)``: a range of sellers and one of buyers per
+    split, or every row when all the models share one."""
+    count = len(models)
+    splits = [_operator_split(drivers.DriverParams.of(m, drivers.SELLER))
+              for m in models]
+    kinds = list(dict.fromkeys(splits))
+    order = sorted(range(count), key=lambda k: kinds.index(splits[k]))
+    if len(kinds) == 1:
+        return order, [((slice(None),), *kinds[0])]
+    ends = np.cumsum([0] + [splits.count(kind) for kind in kinds]).tolist()
+    return order, [((slice(a, b), slice(count + a, count + b)), *kind)
+                   for a, b, kind in zip(ends, ends[1:], kinds)]
+
+
 def _level_driver(params: drivers.DriverParams, coefs, mark: np.ndarray,
                   grad: np.ndarray, dx: float):
     """The reduced driver of one time level as a function of the block u.
@@ -349,17 +405,28 @@ def _level_driver(params: drivers.DriverParams, coefs, mark: np.ndarray,
     legs and takes each at its own rate (``fund_lend a⁺ - fund_borrow a⁻``):
     a node's other leg is exactly 0, so no two rates cancel as in
     ``fund_borrow a + (fund_lend - fund_borrow) a⁺``.
+
+    A third entry of ``coefs``, the rows' :func:`_operator_split`, makes it
+    the remainder ``g(u) + rate u - kappa G u``: ``kappa grad`` joins
+    ``base``, the repo legs run at their rates less kappa and the pull is
+    ``pull - rate``.
     """
     count = len(params.sign) // 2
     # per level, not per march: freed with the fields, they leave room for
     # the next level's temporaries, which would otherwise grow the heap and
     # fault its pages anew at every level
     other = np.empty((2 * count, len(mark)))
-    base, at_zero = drivers.mark_fields(coefs, mark, spare=other)
+    base_coefs, zero_coefs, *linear = coefs
+    rate, kappa = linear[0] if linear else (0.0, 0.0)
+    base, at_zero = drivers.mark_fields((base_coefs, zero_coefs), mark,
+                                        spare=other)
+    if linear:
+        base += np.multiply(kappa, grad, out=other)
     part = np.empty_like(base)
     slope, pull = drivers.affine_rates(params)
-    repo_long = params.repo_borrow - params.discount
-    repo_short = params.repo_lend - params.discount
+    pull = pull - rate
+    repo_long = params.repo_borrow - params.discount - kappa
+    repo_short = params.repo_lend - params.discount - kappa
 
     def split(x):
         """(x⁺, -x⁻) on the seller rows, x⁺ in ``part`` and -x⁻ in x; on
@@ -383,8 +450,8 @@ def _level_driver(params: drivers.DriverParams, coefs, mark: np.ndarray,
         out -= lend
         borrow *= params.fund_borrow
         out -= borrow
-        if slope < 0.0:  # the pull toward the close-outs of a credit block
-            out -= np.multiply(pull, u, out=other)
+        if linear or slope < 0.0:  # the pull toward a credit block's
+            out -= np.multiply(pull, u, out=other)  # close-outs, less rate
         return out
     return g
 
@@ -416,6 +483,11 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
     Picard iterations and final residuals, each (nt, 2K).
     """
     rows = Rows(models)
+    order, groups = _row_groups(models)
+    # march row r is given row perm[r], and given row r march row inv[r]
+    perm = np.concatenate([order, np.add(order, len(models))])
+    inv = np.argsort(perm)
+    params = drivers.DriverParams.stack([models[k] for k in order])
     first = models[0]
     if not grid.x_min < math.log(first.equity.spot) < grid.x_max:
         raise ValueError("log-spot must lie strictly inside the grid")
@@ -432,9 +504,9 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
     resids = np.zeros((nt, rows.size))
 
     agent_step = _Stepper(grid, first, zeroth=-first.rates.discount)
-    adj_step = _Stepper(grid, first, zeroth=0.0)
+    adj_step = _Stepper(grid, first, zeroth=0.0, groups=groups)
     tol = PICARD_TOL * claim.strike  # the test is in units of the strike
-    coefs = drivers.mark_coefficients(rows.params)
+    coefs = (*drivers.mark_coefficients(params), _operator_split(params))
 
     def step(a_old, fixed, u_start, t, dt, theta):
         """The theta step to t: the agent, the driver of level t, and
@@ -445,13 +517,14 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
             grad = s * delta
         else:
             mark, grad = a_new, np.gradient(a_new, dx)
-        drift = _level_driver(rows.params, coefs, mark, grad, dx)
+        drift = _level_driver(params, coefs, mark, grad, dx)
         it, res, u, failed = _picard(adj_step, fixed, dt, theta, u_start,
                                      drift, tol=tol)
         if failed:
-            row, j = failed[0]
+            row, j = min(failed, key=lambda f: perm[f[0]])
             raise NumericsError(
-                f"Picard iteration did not converge on the {rows.label(row)} "
+                f"Picard iteration did not converge on the "
+                f"{rows.label(perm[row])} "
                 f"at t={t:.6g} within {PICARD_MAX_ITER} iterations: worst node "
                 f"{j} at s={s[j]:.6g}, |u|={abs(u[row, j]):.3g}, last residual "
                 f"{res[row]:.3g} (tolerance {tol:g})")
@@ -505,16 +578,16 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
         if not np.isfinite(a_new).all():
             raise NumericsError(
                 f"non-finite values in the agent surface at t={t_new:.6g}")
-        finite = np.all(np.isfinite(u_new), axis=1)
+        finite = np.all(np.isfinite(u_new), axis=1)[inv]
         if not finite.all():
             row = int(np.flatnonzero(~finite)[0])
             raise NumericsError(f"non-finite values in the {rows.label(row)} "
                                 f"surface at t={t_new:.6g}")
         if i_new < keep:
             agent[i_new] = a_new
-            block[i_new] = u_new
-        iters[n] = it
-        resids[n] = res
+            np.take(u_new, inv, axis=0, out=block[i_new], mode="clip")
+        iters[n] = it[inv]
+        resids[n] = res[inv]
         a_old, u_older, u_old = a_new, u_old, u_new
         dt_old = dt
     return agent, block, iters, resids

@@ -1,5 +1,6 @@
 """Finite-difference engine: terminal data, oracles, reflection, strategies."""
 
+import functools
 import math
 import time
 from dataclasses import replace
@@ -129,10 +130,25 @@ def test_picard_diagnostics(benchmark_model):
 
 
 def test_picard_divergence_detected():
-    riskier = make_benchmark(mu_own=0.9, mu_cpty=0.9)
+    """A borrow rate of 4 beside a lend rate of 0.05 leaves the Picard
+    remainder a Lipschitz constant of (4 - 0.05) / 2 in u: at nt = 1 it
+    does not contract (last residual 0.24 after 50 iterations measured)."""
+    riskier = make_benchmark(fund_borrow=4.0, mu_own=0.9, mu_cpty=0.9)
+    assert riskier.validate_necessary().passed
     grid = PdeGrid.default_for(riskier, CALL, nx=40, nt=1)
     with pytest.raises(NumericsError):
         solve(riskier, CALL, grid)
+
+
+def test_strong_pull_converges_in_the_implicit_operator():
+    """Default intensities of 0.9 pull hard toward the close-outs, but the
+    pull is linear, so the implicit operator takes it and Picard contracts
+    at nt = 1 (5 iterations measured)."""
+    riskier = make_benchmark(mu_own=0.9, mu_cpty=0.9)
+    grid = PdeGrid.default_for(riskier, CALL, nx=40, nt=1)
+    sol = solve(riskier, CALL, grid)
+    assert np.all(sol.picard_residuals < pde.PICARD_TOL)
+    assert np.isfinite(sol.seller).all() and np.isfinite(sol.buyer).all()
 
 
 @pytest.mark.parametrize("nt", [1, 2, 3])
@@ -366,8 +382,8 @@ def batch_stack():
     return out
 
 
-def assert_batch_matches_solve(models, claim):
-    grid = PdeGrid.default_for(models[0], claim, nx=60, nt=60)
+def assert_batch_matches_solve(models, claim, nx=60, nt=60):
+    grid = PdeGrid.default_for(models[0], claim, nx=nx, nt=nt)
     batch = solve_batch(models, claim, grid)
     assert len(batch) == len(models)
     for model, got in zip(models, batch):
@@ -422,12 +438,13 @@ def test_solve_batch_keeps_two_rows():
 
 
 def test_batch_picard_failure_names_the_column():
-    models = [make_benchmark(), make_benchmark(mu_own=0.9, mu_cpty=0.9)]
+    models = [make_benchmark(),
+              make_benchmark(fund_borrow=4.0, mu_own=0.9, mu_cpty=0.9)]
     grid = PdeGrid.default_for(models[0], CALL, nx=40, nt=1)
     with pytest.raises(NumericsError) as info:
         solve_batch(models, CALL, grid)
     msg = str(info.value)
-    assert "side of scenario 1 (mu_own=0.9, mu_cpty=0.9)" in msg
+    assert "side of scenario 1 (fund_borrow=4, mu_own=0.9, mu_cpty=0.9)" in msg
     assert "seller" in msg or "buyer" in msg
     assert "t=" in msg and "last residual" in msg
     assert "worst node" in msg and "tolerance 1e-10" in msg
@@ -489,7 +506,7 @@ def test_picard_failure_names_node_and_applied_tolerance(monkeypatch):
     msg = str(info.value)
     assert msg == ("Picard iteration did not converge on the seller side at "
                    "t=4.70102 within 1 iterations: worst node 799 at "
-                   "s=2.54078e+06, |u|=831, last residual 831 "
+                   "s=2.54078e+06, |u|=830, last residual 830 "
                    "(tolerance 1.39353e-07)")
     assert f"{pde.PICARD_TOL * claim.strike:g}" == "1.39353e-07"
 
@@ -519,9 +536,11 @@ def test_batched_march_peak_memory():
     keeps one level of driver terms alive, two fields (base and at_zero)
     and two buffers, builds the fields from the march's per-row
     coefficients with no further block, and each iteration evaluates the
-    driver on the whole block (12.47 blocks measured at 800 x 50, half a
-    block below the bound; building the fields from the mark's reduced
-    terms peaked at 13.45)."""
+    driver on the whole block (12.60 blocks measured at 800 x 50, where the
+    two funding borrow rates of the figure give the implicit operator two
+    groups of rows, each with its own bands and factors; 12.47 with one
+    operator for every row, and 13.45 building the fields from the mark's
+    reduced terms)."""
     import tracemalloc
     cfg = cli.figure_config("band-vs-collateral")
     fig = cli.FIGURES["band-vs-collateral"]
@@ -694,6 +713,114 @@ def test_level_drift_matches_reduced_drift_on_drawn_models(scenarios, credit,
     mark, grad, u = values[0], values[1], values[2:2 + 2 * len(models)]
     _, _, ulps = level_drift_ulps(models, mark, grad, dx, u)
     assert ulps.max() <= ROOT_ULPS
+
+
+# twice the 4 ulps measured at most over 6,000 randomly drawn examples
+SPLIT_ULPS = 8
+
+
+def band_addends(stepper, u):
+    """Per node, the largest of the three band products of ``stepper.apply(u)``."""
+    out = np.empty_like(u)
+    for ranges, bands in stepper.groups:
+        lower, diag, upper = map(np.abs, bands)
+        for rows in ranges:
+            v, w = np.abs(u[rows]), out[rows]
+            np.multiply(diag, v, out=w)
+            np.maximum(w[:, :-1], upper[:-1] * v[:, 1:], out=w[:, :-1])
+            np.maximum(w[:, 1:], lower[1:] * v[:, :-1], out=w[:, 1:])
+    return out
+
+
+def split_ulps(models, mark, grad, dx, u):
+    """``B' u + g~(u)``, the march's operator and remainder, against ``B u +
+    g(u)``, the spatial operator and the level driver itself, per node in
+    ulps of the largest addend of either: a band product, a term of the
+    reduced step (:func:`reference_drift`), ``kappa grad`` or ``rate u``.
+    The rows are in the march's order (:func:`pde._row_groups`)."""
+    order, groups = pde._row_groups(models)
+    models = [models[k] for k in order]
+    grid = PdeGrid(x_min=0.0, x_max=(u.shape[1] - 1) * dx, nx=u.shape[1], nt=1,
+                   maturity=1.0)
+    params = drivers.DriverParams.stack(models)
+    coefs = drivers.mark_coefficients(params)
+    rate, kappa = pde._operator_split(params)
+    plain = pde._Stepper(grid, models[0], 0.0)
+    split = pde._Stepper(grid, models[0], 0.0, groups=groups)
+    want = plain.apply(u) + pde._level_driver(params, coefs, mark, grad,
+                                              grid.dx)(u)
+    got = split.apply(u) + pde._level_driver(params, (*coefs, (rate, kappa)),
+                                             mark, grad, grid.dx)(u)
+    _, scale = reference_drift(models, mark, grad, grid.dx, u)
+    scale = functools.reduce(np.maximum, [
+        scale, band_addends(plain, u), band_addends(split, u),
+        np.abs(kappa * grad), np.abs(rate * u)])
+    return np.abs(got - want) / np.spacing(scale)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(scenarios=st.lists(SCENARIO, min_size=1, max_size=3), credit=st.booleans(),
+       discount=st.floats(min_value=0.0, max_value=0.1),
+       dx=st.floats(min_value=1e-3, max_value=1.0),
+       values=arrays(np.float64, (8, 6), elements=VALUE))
+def test_split_operator_evaluates_the_same_equation(scenarios, credit,
+                                                    discount, dx, values):
+    """The march moves the driver's linear part, ``-rate u + kappa G u``,
+    into the implicit operator and iterates on the rest: on drawn models,
+    ``B' u + g~(u)`` is ``B u + g(u)`` to SPLIT_ULPS ulps of the largest
+    addend at each node."""
+    models = drawn_models(scenarios, credit, discount)
+    assume(all(m.validate_necessary().passed for m in models))
+    mark, grad, u = values[0], values[1], values[2:2 + 2 * len(models)]
+    assert split_ulps(models, mark, grad, dx, u).max() <= SPLIT_ULPS
+
+
+@pytest.mark.parametrize("case", ["no credit", "credit", "far edge draw"])
+def test_symmetric_rates_take_two_picard_iterations(case):
+    """With equal lend and borrow rates the driver is linear in u, and the
+    implicit operator holds all of that: each step's Picard loop is one
+    solve and the check that the next one moves by rounding alone, so
+    exactly 2 iterations on every step of the default grid, the
+    implicit-Euler start-up included."""
+    if case == "far edge draw":
+        model, claim = far_edge_draw()
+    else:
+        model = make_symmetric(alpha=0.3,
+                               credit=FIG_CREDIT if case == "credit" else None)
+        claim = CALL
+    assert model.rates.fund_lend == model.rates.fund_borrow
+    assert model.rates.repo_lend == model.rates.repo_borrow
+    grid = PdeGrid.default_for(model, claim, nx=cli.DEFAULT_NX,
+                               nt=cli.DEFAULT_NT)
+    sol = solve(model, claim, grid)
+    assert sol.picard_iterations.tolist() == [2] * grid.nt
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@example(scenarios=[dict(fund_lend=0.05, spread=0.03, repo_lend=0.05,
+                         repo_borrow=0.05, coll_earn=0.01, coll_pay=0.01,
+                         mu_own=0.21, mu_cpty=0.16, loss_own=0.5,
+                         loss_cpty=0.5, alpha=0.9),
+                    dict(fund_lend=0.05, spread=0.1, repo_lend=0.03,
+                         repo_borrow=0.07, coll_earn=0.01, coll_pay=0.01,
+                         mu_own=0.21, mu_cpty=0.16, loss_own=0.5,
+                         loss_cpty=0.5, alpha=0.9)],
+         credit=True, discount=0.01, picks=[(0, 0.2), (1, 0.4), (0, 0.6),
+                                            (1, 0.8)])
+@given(scenarios=st.lists(SCENARIO, min_size=1, max_size=3), credit=st.booleans(),
+       discount=st.floats(min_value=0.0, max_value=0.1),
+       picks=st.lists(st.tuples(st.integers(0, 2),
+                                st.floats(min_value=0.0, max_value=1.0)),
+                      min_size=2, max_size=5))
+def test_batch_rows_match_solve_on_drawn_rates(scenarios, credit, discount,
+                                               picks):
+    """On drawn fund and repo rates, so a batch of several operator groups
+    whose models come interleaved, each scenario of ``solve_batch`` equals
+    ``solve`` on its model alone, bit for bit, Picard counts included."""
+    drawn = drawn_models(scenarios, credit, discount)
+    models = [replace(drawn[i % len(drawn)], alpha=alpha) for i, alpha in picks]
+    assume(all(m.validate_necessary().passed for m in models))
+    assert_batch_matches_solve(models, CALL, nx=30, nt=6)
 
 
 def linear_driver(rates):

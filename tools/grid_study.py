@@ -175,7 +175,8 @@ def main(argv=None) -> int:
         print(f"{grid['nx']}x{grid['nt']}: {pts['completed']}/{pts['draws']} "
               f"completed, worst {pts['worst_error']:.3g}, median "
               f"{pts['median_error']:.3g}, {pts['picard_iterations']} Picard "
-              f"iterations; sweep worst {sw['error']:.3g}")
+              f"iterations; sweep worst {sw['error']:.3g}, "
+              f"{sw['picard_iterations']} Picard iterations")
     return 0
 
 
