@@ -289,10 +289,12 @@ def solve_banded(stepper: _Stepper, coef: float, b: np.ndarray,
     that column alone; the caller checks what it keeps.  The factors come
     from partial pivoting as in ``scipy.linalg.solve_banded``, whose
     tridiagonal path (LAPACK ``dgtsv``) does the same arithmetic, so the two
-    agree bit for bit.  With ``overwrite``, a ``b`` in Fortran order holds
-    the solution on return, and no copy of it is made.
+    agree bit for bit.  With ``overwrite``, a float64 ``b`` in Fortran order
+    holds the solution on return, and no copy of it is made; any other ``b``
+    is copied to float64 and left as it is.
     """
-    x = b if overwrite and b.flags.f_contiguous else np.array(b, order="F")
+    x = (b if overwrite and b.dtype == np.float64 and b.flags.f_contiguous
+         else np.array(b, dtype=np.float64, order="F"))
     for ranges, lu in stepper.factors(coef):
         for rows in ranges:
             _, info = dgttrs(*lu, x[..., rows], overwrite_b=True)
@@ -315,7 +317,9 @@ def march_key(model: MarketModel) -> tuple:
 
 
 class Rows:
-    """The 2K rows of a march of K scenarios: sellers 0..K-1, then buyers.
+    """The 2K rows of a march of K scenarios: sellers 0..K-1, then buyers,
+    each in the march's ``order`` of the scenarios (by default as given), so
+    rows r and K + r are the sides of scenario ``order[r]``.
 
     Refuses an empty batch and one whose models differ in their
     :func:`march_key`, naming the first scenario that does, and a model that
@@ -323,7 +327,7 @@ class Rows:
     model, but neither engine values it.
     """
 
-    def __init__(self, models: list[MarketModel]):
+    def __init__(self, models: list[MarketModel], order=None):
         if not models:
             raise ValueError("a batch needs at least one model")
         shared = march_key(models[0])
@@ -333,7 +337,9 @@ class Rows:
                     raise ValueError(f"scenario {k}: a batch shares the {what}")
         self.count = len(models)
         self.size = 2 * self.count
-        self.params = drivers.DriverParams.stack(models)
+        self.order = list(range(self.count) if order is None else order)
+        self.params = drivers.DriverParams.stack([models[k]
+                                                  for k in self.order])
         # the parameters a batch may vary, by name, for the labels
         per_model = [{**vars(m.rates), "alpha": m.alpha,
                       **(vars(m.credit) if m.credit else {})} for m in models]
@@ -348,7 +354,7 @@ class Rows:
                                  + "; ".join(c.name for c in report.failures))
 
     def scenario(self, k: int) -> str:
-        """Index and varied parameters of scenario k of a batch; "" alone."""
+        """Index and varied parameters of given scenario k; "" alone."""
         if self.count == 1:
             return ""
         varied = ", ".join(f"{name}={values[k]:g}"
@@ -356,9 +362,10 @@ class Rows:
         return f"scenario {k}" + (f" ({varied})" if varied else "")
 
     def label(self, row: int) -> str:
-        """Side and, in a batch, scenario index and varied parameters of a row."""
+        """Side and, in a batch, given scenario index and varied parameters
+        of a row."""
         side = drivers.SIDES[row // self.count]
-        scenario = self.scenario(row % self.count)
+        scenario = self.scenario(self.order[row % self.count])
         return f"{side} side" + (f" of {scenario}" if scenario else "")
 
 
@@ -406,22 +413,20 @@ def _level_driver(params: drivers.DriverParams, coefs, mark: np.ndarray,
     a node's other leg is exactly 0, so no two rates cancel as in
     ``fund_borrow a + (fund_lend - fund_borrow) a⁺``.
 
-    A third entry of ``coefs``, the rows' :func:`_operator_split`, makes it
-    the remainder ``g(u) + rate u - kappa G u``: ``kappa grad`` joins
+    The third entry of ``coefs``, the rows' :func:`_operator_split`, makes
+    it the remainder ``g(u) + rate u - kappa G u``: ``kappa grad`` joins
     ``base``, the repo legs run at their rates less kappa and the pull is
-    ``pull - rate``.
+    ``pull - rate``.  With ``(0, 0)`` it is the driver g itself.
     """
     count = len(params.sign) // 2
     # per level, not per march: freed with the fields, they leave room for
     # the next level's temporaries, which would otherwise grow the heap and
     # fault its pages anew at every level
     other = np.empty((2 * count, len(mark)))
-    base_coefs, zero_coefs, *linear = coefs
-    rate, kappa = linear[0] if linear else (0.0, 0.0)
+    base_coefs, zero_coefs, (rate, kappa) = coefs
     base, at_zero = drivers.mark_fields((base_coefs, zero_coefs), mark,
                                         spare=other)
-    if linear:
-        base += np.multiply(kappa, grad, out=other)
+    base += np.multiply(kappa, grad, out=other)
     part = np.empty_like(base)
     slope, pull = drivers.affine_rates(params)
     pull = pull - rate
@@ -450,8 +455,8 @@ def _level_driver(params: drivers.DriverParams, coefs, mark: np.ndarray,
         out -= lend
         borrow *= params.fund_borrow
         out -= borrow
-        if linear or slope < 0.0:  # the pull toward a credit block's
-            out -= np.multiply(pull, u, out=other)  # close-outs, less rate
+        # the pull toward a credit block's close-outs, less rate
+        out -= np.multiply(pull, u, out=other)
         return out
     return g
 
@@ -479,15 +484,16 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
     """Backward march of the agent and the (2K, nx) adjustment block.
 
     Keeps the time levels with t-index below ``keep``.  Returns the agent
-    (keep, nx), the block (keep, 2K, nx), and per backward step and row the
-    Picard iterations and final residuals, each (nt, 2K).
+    (keep, nx), the block (keep, 2K, nx), per backward step and row the
+    Picard iterations and final residuals, each (nt, 2K), and the march's
+    order of the scenarios (:func:`_row_groups`), in which the block's rows
+    are (:class:`Rows`).
     """
-    rows = Rows(models)
     order, groups = _row_groups(models)
-    # march row r is given row perm[r], and given row r march row inv[r]
-    perm = np.concatenate([order, np.add(order, len(models))])
-    inv = np.argsort(perm)
-    params = drivers.DriverParams.stack([models[k] for k in order])
+    rows = Rows(models, order)
+    params = rows.params
+    # the given row of each row of the march, so a message names the first
+    given = np.concatenate([order, np.add(order, len(models))])
     first = models[0]
     if not grid.x_min < math.log(first.equity.spot) < grid.x_max:
         raise ValueError("log-spot must lie strictly inside the grid")
@@ -521,10 +527,9 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
         it, res, u, failed = _picard(adj_step, fixed, dt, theta, u_start,
                                      drift, tol=tol)
         if failed:
-            row, j = min(failed, key=lambda f: perm[f[0]])
+            row, j = min(failed, key=lambda f: given[f[0]])
             raise NumericsError(
-                f"Picard iteration did not converge on the "
-                f"{rows.label(perm[row])} "
+                f"Picard iteration did not converge on the {rows.label(row)} "
                 f"at t={t:.6g} within {PICARD_MAX_ITER} iterations: worst node "
                 f"{j} at s={s[j]:.6g}, |u|={abs(u[row, j]):.3g}, last residual "
                 f"{res[row]:.3g} (tolerance {tol:g})")
@@ -578,19 +583,19 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
         if not np.isfinite(a_new).all():
             raise NumericsError(
                 f"non-finite values in the agent surface at t={t_new:.6g}")
-        finite = np.all(np.isfinite(u_new), axis=1)[inv]
-        if not finite.all():
-            row = int(np.flatnonzero(~finite)[0])
+        bad = np.flatnonzero(~np.all(np.isfinite(u_new), axis=1))
+        if len(bad):
+            row = int(bad[given[bad].argmin()])
             raise NumericsError(f"non-finite values in the {rows.label(row)} "
                                 f"surface at t={t_new:.6g}")
         if i_new < keep:
             agent[i_new] = a_new
-            np.take(u_new, inv, axis=0, out=block[i_new], mode="clip")
-        iters[n] = it[inv]
-        resids[n] = res[inv]
+            block[i_new] = u_new
+        iters[n] = it
+        resids[n] = res
         a_old, u_older, u_old = a_new, u_old, u_new
         dt_old = dt
-    return agent, block, iters, resids
+    return agent, block, iters, resids, order
 
 
 def solve(model: MarketModel, claim: claims.ClaimSpec, grid: PdeGrid) -> PdeSolution:
@@ -600,7 +605,8 @@ def solve(model: MarketModel, claim: claims.ClaimSpec, grid: PdeGrid) -> PdeSolu
     log-spot to lie strictly inside the grid.  The march of one scenario
     (K = 1); the solution keeps every time row.
     """
-    agent, block, iters, resids = _march([model], claim, grid, grid.nt + 1)
+    agent, block, iters, resids, _ = _march([model], claim, grid,
+                                            grid.nt + 1)
     return PdeSolution(model=model, claim=claim, grid=grid, agent=agent,
                        seller=block[:, 0], buyer=block[:, 1],
                        picard_iterations=iters.max(axis=1),
@@ -621,8 +627,9 @@ def solve_batch(models: list[MarketModel], claim: claims.ClaimSpec,
     index and varied parameters and t; a Picard failure also its worst node,
     the stock level and value there, the last residual and the tolerance.
     """
-    agent, block, iters, resids = _march(list(models), claim, grid, 2)
+    agent, block, iters, resids, order = _march(list(models), claim, grid, 2)
     count = len(models)
+    # the march's row of each given scenario
     return [PdeSolution(model=model, claim=claim, grid=grid, agent=agent.copy(),
                         seller=block[:, k].copy(),
                         buyer=block[:, count + k].copy(),
@@ -630,7 +637,7 @@ def solve_batch(models: list[MarketModel], claim: claims.ClaimSpec,
                                                      iters[:, count + k]),
                         picard_residuals=np.maximum(resids[:, k],
                                                     resids[:, count + k]))
-            for k, model in enumerate(models)]
+            for model, k in zip(models, np.argsort(order).tolist())]
 
 
 def _picard(stepper: _Stepper, rhs_base: np.ndarray, dt: float, theta: float,

@@ -451,6 +451,46 @@ def test_batch_picard_failure_names_the_column():
     solve_batch(models[:1], CALL, grid)  # the other column alone converges
 
 
+def test_batch_failures_name_the_given_scenario_of_a_reordered_march(
+        monkeypatch):
+    """The march takes the models of one operator split next to each other,
+    so the model given second is marched third; a Picard failure and a
+    non-finite driver both name it by its given index, the driver's though
+    the third turns non-finite too and is marched before it."""
+    def batch(fund_borrow):
+        return [make_benchmark(alpha=0.0),
+                make_benchmark(fund_borrow=fund_borrow, alpha=0.5),
+                make_benchmark(alpha=0.5)]
+
+    assert pde._row_groups(batch(0.15))[0] == [0, 2, 1]
+    grid = PdeGrid.default_for(make_benchmark(), CALL, nx=40, nt=1)
+    diverging = batch(4.0)
+    diverging[1] = replace(diverging[1], credit=replace(
+        diverging[1].credit, mu_own=0.9, mu_cpty=0.9))
+    with pytest.raises(NumericsError, match=r"Picard iteration did not "
+                       r"converge on the \w+ side of scenario 1 \(fund_borrow=4, "
+                       r"alpha=0\.5, mu_own=0\.9, mu_cpty=0\.9\) at t="):
+        solve_batch(diverging, CALL, grid)
+
+    level_driver = pde._level_driver
+
+    def poisoned(params, coefs, mark, grad, dx):
+        g = level_driver(params, coefs, mark, grad, dx)
+        rows = np.broadcast_to(params.alpha, (len(params.sign), 1))[:, 0] == 0.5
+
+        def h(u):
+            out = g(u)
+            out[rows] = np.nan
+            return out
+        return h
+
+    monkeypatch.setattr(pde, "_level_driver", poisoned)
+    with pytest.raises(NumericsError, match=r"non-finite values in the seller "
+                       r"side of scenario 1 \(fund_borrow=0\.15, alpha=0\.5\) "
+                       r"surface at t="):
+        solve_batch(batch(0.15), CALL, grid)
+
+
 def far_edge_draw():
     """Draw 6 of the benchmark's point pool: a symmetric call at spot 1.4e3
     whose buyer residual at the far edge of the grid (s = 1.9e6, |u| = 2.6e5)
@@ -536,7 +576,7 @@ def test_batched_march_peak_memory():
     keeps one level of driver terms alive, two fields (base and at_zero)
     and two buffers, builds the fields from the march's per-row
     coefficients with no further block, and each iteration evaluates the
-    driver on the whole block (12.60 blocks measured at 800 x 50, where the
+    driver on the whole block (12.58 blocks measured at 800 x 50, where the
     two funding borrow rates of the figure give the implicit operator two
     groups of rows, each with its own bands and factors; 12.47 with one
     operator for every row, and 13.45 building the fields from the mark's
@@ -558,6 +598,32 @@ def test_batched_march_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 13 * (2 * len(models) * grid.nx * 8)
+
+
+def test_batched_march_peak_memory_with_many_operator_groups():
+    """Each group of rows of equal (rate, kappa) keeps its own bands and LU
+    factors, about 7.5 vectors of nx floats.  The 30-scenario xva-vs-repo
+    march, whose repo rates make 24 groups, peaks at the default grid below
+    16.25 blocks of (60, nx) floats (15.74 measured; 12.85 with one
+    operator for every row)."""
+    import tracemalloc
+    cfg = cli.figure_config("xva-vs-repo")
+    fig = cli.FIGURES["xva-vs-repo"]
+    changes = [fig.changes(x, s)
+               for x in cli._sweep_values(cfg.sweep_start, cfg.sweep_stop,
+                                          cfg.sweep_points)
+               for s in fig.series]
+    models = [cli._model_with(cfg.model, **c) for c in changes if c]
+    assert len(models) == 30 and len(pde._row_groups(models)[1]) == 24
+    grid = PdeGrid.default_for(models[0], cfg.claim, nx=cli.DEFAULT_NX,
+                               nt=cli.DEFAULT_NT)
+    tracemalloc.start()
+    try:
+        solve_batch(models, cfg.claim, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16.25 * (2 * len(models) * grid.nx * 8)
 
 
 # -- the march's parts against their references -------------------------------
@@ -604,6 +670,21 @@ def test_solve_banded_in_place_gives_the_same_bits(rng):
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.float32])
+def test_solve_banded_solves_a_block_of_another_dtype(dtype, rng):
+    """A right-hand side that is not float64 is solved in a float64 copy,
+    with or without ``overwrite``, and left as it is."""
+    _, stepper, coef = next(operator_cases())
+    rows = np.asarray(100.0 * rng.standard_normal((4, stepper.nx)), dtype=dtype)
+    kept = rows.copy()
+    want = pde.solve_banded(stepper, coef, rows.T.astype(np.float64))
+    for overwrite in (False, True):
+        got = pde.solve_banded(stepper, coef, rows.T, overwrite=overwrite)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        assert rows.tobytes() == kept.tobytes()
+
+
 def test_gradient_buffer_matches_numpy(rng):
     for shape in ((400,), (400, 2), (400, 84), (3, 5)):
         for dx in (0.0123, 1e-3, 0.5):
@@ -636,8 +717,8 @@ def level_drift_ulps(models, mark, grad, dx, u):
     """The level driver of the models' block at u, and its distance from
     :func:`reference_drift` per node, in ulps of the step's scale there."""
     params = drivers.DriverParams.stack(models)
-    g = pde._level_driver(params, drivers.mark_coefficients(params), mark,
-                          grad, dx)
+    g = pde._level_driver(params, (*drivers.mark_coefficients(params),
+                                   (0.0, 0.0)), mark, grad, dx)
     got = g(u)
     want, scale = reference_drift(models, mark, grad, dx, u)
     return g, got, np.abs(got - want) / np.spacing(scale)
@@ -747,8 +828,8 @@ def split_ulps(models, mark, grad, dx, u):
     rate, kappa = pde._operator_split(params)
     plain = pde._Stepper(grid, models[0], 0.0)
     split = pde._Stepper(grid, models[0], 0.0, groups=groups)
-    want = plain.apply(u) + pde._level_driver(params, coefs, mark, grad,
-                                              grid.dx)(u)
+    want = plain.apply(u) + pde._level_driver(params, (*coefs, (0.0, 0.0)),
+                                              mark, grad, grid.dx)(u)
     got = split.apply(u) + pde._level_driver(params, (*coefs, (rate, kappa)),
                                              mark, grad, grid.dx)(u)
     _, scale = reference_drift(models, mark, grad, grid.dx, u)
