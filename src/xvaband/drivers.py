@@ -32,8 +32,12 @@ Conventions
   block's :func:`reduced_mark_terms` (:func:`root_terms`).  The PDE builds
   each row's coefficients of ``mark⁺`` and ``mark⁻`` once per march
   (:func:`mark_coefficients`) and per level only the two fields
-  (:func:`mark_fields`).  :func:`reduced_step` stays the public driver and
-  the lattice's independent check of its root.
+  (:func:`mark_fields`).  Both read once per march which lend/borrow legs
+  are linear, their two rates equal in every row (:func:`linear_legs`), and
+  skip those legs' branches: the root's kink test and selections, the PDE's
+  splits of the stock position and the funding account.
+  :func:`reduced_step` stays the public driver and the lattice's
+  independent check of its root, and keeps every branch.
 * ``side`` is "seller" (hedging a short position in the claim) or "buyer"
   (hedging a long position).  Buyer-side values are always produced through
   one reflection, ``buyer(args, mark) = -seller(-args, -mark)``, which the
@@ -306,7 +310,8 @@ class RootRates(NamedTuple):
 
     ``repo_borrow`` and ``repo_lend`` are the repo rates less the discount
     rate; ``lend`` and ``borrow`` are the branches' denominators ``1 + dt
-    (slope rate + pull)``, and ``pulled`` is ``1 + dt pull``.
+    (slope rate + pull)``, and ``pulled`` is ``1 + dt pull``.  ``linear``
+    is the rows' :func:`linear_legs`.
     """
 
     dt: float
@@ -317,6 +322,21 @@ class RootRates(NamedTuple):
     borrow: float | np.ndarray
     pulled: float | np.ndarray
     slope: float
+    linear: tuple[bool, bool]
+
+
+def linear_legs(p: DriverParams) -> tuple[bool, bool]:
+    """Which lend/borrow legs of the rows of ``p`` are linear, as (repo,
+    funding): a leg is linear when its lend and borrow rates are equal,
+    exactly, in every row, so that it has no kink.
+
+    Both engines read this once per march and skip a linear leg's branch:
+    at equal rates either branch takes the same product, and the other leg
+    of a node is exactly 0, so skipping it moves no bit.  In a block where
+    some row's rates differ the leg keeps its branches in every row.
+    """
+    return (bool(np.all(np.equal(p.repo_lend, p.repo_borrow))),
+            bool(np.all(np.equal(p.fund_lend, p.fund_borrow))))
 
 
 def affine_rates(p: DriverParams):
@@ -390,7 +410,7 @@ def root_rates(p: DriverParams, dt: float) -> RootRates:
                      p.repo_lend - p.discount,
                      1.0 + dt * (slope * p.fund_lend + pull),
                      1.0 + dt * (slope * p.fund_borrow + pull),
-                     1.0 + dt * pull, slope)
+                     1.0 + dt * pull, slope, linear_legs(p))
 
 
 class RootTerms(NamedTuple):
@@ -438,12 +458,27 @@ def reduced_root(rates: RootRates, terms: RootTerms, e, z):
     reduced_step_scale(p, legs, u))``.  ``dt`` times
     :func:`reduced_lipschitz_bound` must be below 1, which keeps both
     denominators positive.
+
+    A linear leg (``rates.linear``) takes no branch: the repo legs are one
+    product, and a linear funding leg has no kink, so the root is the lend
+    branch's, ``(e - dt (terms.lend - base)) / rates.lend``, with no kink
+    test.  Its rates equal the borrow branch's, so the bits are the same.
     """
+    repo, funding = rates.linear
     # the repo legs' net, short less long, of the stock position z / sigma
-    base = np.where(z > 0.0, rates.repo_borrow, rates.repo_lend)
-    base *= z
+    if repo:
+        base = rates.repo_borrow * z
+    else:
+        base = np.where(z > 0.0, rates.repo_borrow, rates.repo_lend)
+        base *= z
     base /= rates.sigma
     base += terms.base
+    if funding:
+        root = terms.lend - base
+        root *= -rates.dt
+        root += e
+        root /= rates.lend
+        return root
     # the account at the root times its positive denominator,
     # at_zero (1 + dt pull) + slope (e + dt base)
     kink = rates.dt * base

@@ -58,7 +58,10 @@ the expectation e, the gradient and the exposure z, and the root.  With the
 terms fixed each node's equation ``u = e + dt f(u)`` is piecewise linear in
 u, with one kink where the funding account changes sign, so its root has a
 closed form (:func:`drivers.reduced_root`, which takes the repo legs' net
-from z), and that root is the level's answer.
+from z), and that root is the level's answer.  A leg whose lend and
+borrow rates are equal in every row (:func:`drivers.linear_legs`, held in
+the root's constants) has no kink: its repo net is one product, and a
+linear funding leg's root needs no kink test, the same bits either way.
 
 Once a block's levels are marched, one call of the step in u
 (:func:`drivers.reduced_step`) over the whole block, with the repo legs of

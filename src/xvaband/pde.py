@@ -57,7 +57,12 @@ on the whole block, ``base + repo_net(z) - rate(a) a - pull u`` with ``a =
 at_zero + slope u`` less the operator's part, from the two fields, the
 stock position and u, each lend/borrow leg at its own rate and a buyer
 row's branches reflected (``min(x, 0)`` for ``max(x, 0)``), and one banded
-solve of its transpose, each group's range of columns in place.
+solve of its transpose, each group's range of columns in place.  A leg
+whose lend and borrow rates are equal in every row of the march
+(:func:`drivers.linear_legs`, read once per march) has no branches to
+take: a linear repo leg adds exactly 0 once kappa is in the operator, so
+the call skips it and the gradient of u, and a linear funding leg is one
+product, with the same bits.
 The driver reads one :class:`drivers.DriverParams` record of the block, in
 which a parameter that differs between scenarios has one entry per row.
 Picard runs per row through :func:`settle` from a start computed per node: a
@@ -77,6 +82,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
@@ -398,6 +404,38 @@ def _row_groups(models: list[MarketModel]):
                    for a, b, kind in zip(ends, ends[1:], kinds)]
 
 
+class _Remainder(NamedTuple):
+    """The per-row constants of :func:`_level_driver` that no level
+    changes, built once per march by :func:`_remainder`.
+
+    ``kappa`` is the operator's share of the repo legs; ``pull`` is the
+    pull of :func:`drivers.affine_rates` less the operator's rate;
+    ``repo`` holds the repo rates less the discount rate and kappa, (long,
+    short), or is None where the repo leg is linear and kappa its rate less
+    the discount rate, so that both are exactly 0; ``funding`` is whether
+    the funding leg is linear (:func:`drivers.linear_legs`).
+    """
+
+    kappa: float | np.ndarray
+    slope: float
+    pull: float | np.ndarray
+    repo: tuple | None
+    funding: bool
+
+
+def _remainder(params: drivers.DriverParams, split: bool = True) -> _Remainder:
+    """The :class:`_Remainder` of the rows of ``params`` once the
+    :func:`_operator_split` sits in the implicit operator, or without
+    ``split`` of the driver g itself."""
+    rate, kappa = _operator_split(params) if split else (0.0, 0.0)
+    repo, funding = drivers.linear_legs(params)
+    slope, pull = drivers.affine_rates(params)
+    legs = None if repo and split else (
+        params.repo_borrow - params.discount - kappa,
+        params.repo_lend - params.discount - kappa)
+    return _Remainder(kappa, slope, pull - rate, legs, funding)
+
+
 def _level_driver(params: drivers.DriverParams, coefs, mark: np.ndarray,
                   grad: np.ndarray, dx: float):
     """The reduced driver of one time level as a function of the block u.
@@ -413,25 +451,26 @@ def _level_driver(params: drivers.DriverParams, coefs, mark: np.ndarray,
     a node's other leg is exactly 0, so no two rates cancel as in
     ``fund_borrow a + (fund_lend - fund_borrow) a⁺``.
 
-    The third entry of ``coefs``, the rows' :func:`_operator_split`, makes
-    it the remainder ``g(u) + rate u - kappa G u``: ``kappa grad`` joins
+    The third entry of ``coefs``, the march's :func:`_remainder`, makes it
+    the remainder ``g(u) + rate u - kappa G u``: ``kappa grad`` joins
     ``base``, the repo legs run at their rates less kappa and the pull is
-    ``pull - rate``.  With ``(0, 0)`` it is the driver g itself.
+    ``pull - rate``.  A linear leg (:func:`drivers.linear_legs`) is not
+    split.  A linear repo leg's rates less kappa are exactly 0, so its
+    legs, the gradient of u and the stock position are skipped: they add
+    +0.0, and ``out`` starts as ``base + 0.0``.  A linear funding leg is
+    one product, ``fund_lend a``, the same bits as its two legs.
     """
     count = len(params.sign) // 2
     # per level, not per march: freed with the fields, they leave room for
     # the next level's temporaries, which would otherwise grow the heap and
     # fault its pages anew at every level
     other = np.empty((2 * count, len(mark)))
-    base_coefs, zero_coefs, (rate, kappa) = coefs
+    base_coefs, zero_coefs, rest = coefs
     base, at_zero = drivers.mark_fields((base_coefs, zero_coefs), mark,
                                         spare=other)
-    base += np.multiply(kappa, grad, out=other)
+    base += np.multiply(rest.kappa, grad, out=other)
     part = np.empty_like(base)
-    slope, pull = drivers.affine_rates(params)
-    pull = pull - rate
-    repo_long = params.repo_borrow - params.discount - kappa
-    repo_short = params.repo_lend - params.discount - kappa
+    account = np.add if rest.slope > 0.0 else np.subtract
 
     def split(x):
         """(x⁺, -x⁻) on the seller rows, x⁺ in ``part`` and -x⁻ in x; on
@@ -442,21 +481,29 @@ def _level_driver(params: drivers.DriverParams, coefs, mark: np.ndarray,
         return part, x
 
     def g(u: np.ndarray) -> np.ndarray:
-        y = _gradient(u, dx, other)
-        y += grad
-        long, short = split(y)
-        out = np.multiply(repo_short, short)
-        long *= repo_long
-        out += long
-        out += base
-        lend, borrow = split((np.add if slope > 0.0 else np.subtract)(
-            at_zero, u, out=other))
-        lend *= params.fund_lend
-        out -= lend
-        borrow *= params.fund_borrow
-        out -= borrow
+        if rest.repo is None:
+            # the linear repo legs' sum is +0.0, which turns a -0.0 into +0.0
+            out = np.add(base, 0.0)
+        else:
+            repo_long, repo_short = rest.repo
+            y = _gradient(u, dx, other)
+            y += grad
+            long, short = split(y)
+            out = np.multiply(repo_short, short)
+            long *= repo_long
+            out += long
+            out += base
+        a = account(at_zero, u, out=other)
+        if rest.funding:
+            out -= np.multiply(params.fund_lend, a, out=a)
+        else:
+            lend, borrow = split(a)
+            lend *= params.fund_lend
+            out -= lend
+            borrow *= params.fund_borrow
+            out -= borrow
         # the pull toward a credit block's close-outs, less rate
-        out -= np.multiply(pull, u, out=other)
+        out -= np.multiply(rest.pull, u, out=other)
         return out
     return g
 
@@ -512,7 +559,7 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
     agent_step = _Stepper(grid, first, zeroth=-first.rates.discount)
     adj_step = _Stepper(grid, first, zeroth=0.0, groups=groups)
     tol = PICARD_TOL * claim.strike  # the test is in units of the strike
-    coefs = (*drivers.mark_coefficients(params), _operator_split(params))
+    coefs = (*drivers.mark_coefficients(params), _remainder(params))
 
     def step(a_old, fixed, u_start, t, dt, theta):
         """The theta step to t: the agent, the driver of level t, and

@@ -5,17 +5,18 @@ than the library's reflection, so the antisymmetry is tested and not assumed.
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from xvaband import (BUYER, SELLER, ClaimSpec, CreditParams, MarketModel,
-                     RateSet)
+                     RateSet, drivers)
 from xvaband.drivers import (DriverParams, ReplicationStrategy,
                              adjustment_drift, build_strategy, jump_targets,
-                             mark_coefficients, mark_fields, neg, pos,
-                             reduced_drift, reduced_drift_value,
+                             linear_legs, mark_coefficients, mark_fields, neg,
+                             pos, reduced_drift, reduced_drift_value,
                              reduced_mark_terms, reduced_root, reduced_step,
                              reduced_step_scale, reduced_terms, root_rates,
                              root_terms, wealth_drift)
@@ -549,6 +550,40 @@ def test_reduced_root_solves_the_implicit_step(models, stacked, credit, side,
     slack = 4 * np.spacing(np.maximum(np.max(np.abs(parts), axis=0), scale))
     assert np.all(account[lend_only] >= -slack[lend_only])
     assert np.all(account[borrow_only] <= slack[borrow_only])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(models=st.lists(MODEL, min_size=1, max_size=3), stacked=st.booleans(),
+       credit=st.booleans(), side=st.sampled_from([SELLER, BUYER]),
+       at_value=st.booleans(), dt=st.floats(min_value=1e-6, max_value=0.1),
+       nodes=st.lists(st.tuples(NODE, NODE, NODE), min_size=1, max_size=12),
+       legs=st.sampled_from([(True, True), (True, False), (False, True)]))
+def test_reduced_root_of_linear_legs_gives_the_bits_of_their_branches(
+        models, stacked, credit, side, at_value, dt, nodes, legs):
+    """On drawn models whose repo or funding rates, or both, are equal in
+    every row, the root that skips the linear legs' branches gives the
+    bytes of the one that takes them (:func:`linear_legs` forced to
+    (False, False)), alone and stacked, on nodes that hold +0.0 and -0.0."""
+    repo, funding = legs
+    models = [model_with(**m, fund_borrow=m["fund_lend"] + (
+        0.0 if funding else m["spread"])) for m in models]
+    if repo:
+        models = [dataclasses.replace(m, rates=dataclasses.replace(
+            m.rates, repo_borrow=m.rates.repo_lend)) for m in models]
+    if not credit:
+        models = [dataclasses.replace(m, credit=None) for m in models]
+    e, z, mark = np.array(nodes).T
+    if stacked:
+        p = DriverParams.stack(models)
+        e, z, mark = (np.array([np.roll(v, r) for r in range(len(p.sign))])
+                      for v in (e, z, mark))
+    else:
+        p = DriverParams.of(models[0], side)
+    assert all(np.greater_equal(linear_legs(p), legs))
+    skipped = root_of(p, e, z, mark, at_value, dt)
+    with mock.patch.object(drivers, "linear_legs", lambda p: (False, False)):
+        branched = root_of(p, e, z, mark, at_value, dt)
+    assert skipped.tobytes() == branched.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,19 @@ def test_small_study_writes_every_draw_and_the_sweep(tmp_path, study_env):
         assert row["picard_iterations"] >= 10  # one or more per step
     assert points["picard_iterations"] == sum(
         row["picard_iterations"] for row in points["rows"])
+    # the symmetric draws have both legs linear, the asymmetric ones neither
+    legs = [row["linear_legs"] for row in points["rows"]]
+    assert points["linear_legs"] == {
+        name: sum(leg[name] for leg in legs) for name in ("repo", "funding")
+    } | {"both": sum(leg["repo"] and leg["funding"] for leg in legs)}
+    assert 0 < points["linear_legs"]["both"] < 48
+    assert points["linear_legs"]["repo"] == points["linear_legs"]["both"]
+    assert points["linear_legs"]["funding"] == points["linear_legs"]["both"]
     sweep = grid["sweep"]
     assert sweep["scenarios"] == 42
     assert 0.0 <= sweep["error"] < 1e-3 and sweep["picard_iterations"] >= 10
+    # repo 0.05 / 0.05 in every scenario, two funding borrow rates
+    assert sweep["linear_legs"] == {"repo": True, "funding": False}
 
 
 def test_values_are_the_clis_bit_for_bit(study_env):

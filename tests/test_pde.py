@@ -4,6 +4,7 @@ import functools
 import math
 import time
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -718,7 +719,8 @@ def level_drift_ulps(models, mark, grad, dx, u):
     :func:`reference_drift` per node, in ulps of the step's scale there."""
     params = drivers.DriverParams.stack(models)
     g = pde._level_driver(params, (*drivers.mark_coefficients(params),
-                                   (0.0, 0.0)), mark, grad, dx)
+                                   pde._remainder(params, split=False)),
+                          mark, grad, dx)
     got = g(u)
     want, scale = reference_drift(models, mark, grad, dx, u)
     return g, got, np.abs(got - want) / np.spacing(scale)
@@ -767,6 +769,44 @@ VALUE = st.one_of(st.sampled_from([0.0, -0.0]),
                   st.floats(min_value=-1e3, max_value=1e3))
 
 
+def linear_scenario(fund_lend, spread, repo_lend, repo_borrow, alpha=0.4):
+    """A :data:`SCENARIO` dict of the given funding and repo rates."""
+    return dict(fund_lend=fund_lend, spread=spread, repo_lend=repo_lend,
+                repo_borrow=repo_borrow, coll_earn=0.01, coll_pay=0.02,
+                mu_own=0.2, mu_cpty=0.25, loss_own=0.5, loss_cpty=0.4,
+                alpha=alpha)
+
+
+# a block whose mark, delta and u hold +0.0 and -0.0 beside values of both
+# signs, each row shifted by one node
+SIGNED = np.array([np.roll([0.0, -0.0, 0.37, -1.25, -0.0, 2.5], r)
+                   for r in range(8)])
+# scenarios, discount rate and linear legs (drivers.linear_legs): both, the
+# repo leg alone, the funding leg alone, and rate pairs of signed zeros at
+# a zero discount rate
+LINEAR = [
+    ([linear_scenario(0.05, 0.0, 0.03, 0.03),
+      linear_scenario(0.02, 0.0, 0.01, 0.01, alpha=0.9)], 0.01, (True, True)),
+    ([linear_scenario(0.05, 0.03, 0.03, 0.03)], 0.01, (True, False)),
+    ([linear_scenario(0.05, 0.0, 0.02, 0.06)], 0.01, (False, True)),
+    ([linear_scenario(-0.0, -0.0, 0.0, -0.0)], 0.0, (True, True)),
+]
+
+
+def linear_examples(with_legs=False):
+    """Adds an ``@example`` of each :data:`LINEAR` case on the
+    :data:`SIGNED` block, with and without a credit block, and
+    ``with_legs`` its linear legs as ``legs``."""
+    def add(test):
+        for scenarios, discount, legs in LINEAR:
+            for credit in (True, False):
+                test = example(scenarios=scenarios, credit=credit,
+                               discount=discount, dx=0.25, values=SIGNED,
+                               **({"legs": legs} if with_legs else {}))(test)
+        return test
+    return add
+
+
 # repo_borrow below repo_lend: the repo legs as (repo_lend - discount) z +
 # (repo_borrow - repo_lend) z⁺ cancel, 12 ulps off at node 0 of the seller
 KINKED = np.full((8, 6), 266.6875)
@@ -779,6 +819,7 @@ KINKED[[0, 2], 0] = 0.0
                          coll_earn=0.0, coll_pay=0.0, mu_own=0.0, mu_cpty=0.0,
                          loss_own=0.0, loss_cpty=0.0, alpha=0.0)],
          credit=False, discount=0.022407948971315136, dx=1.0, values=KINKED)
+@linear_examples()
 @given(scenarios=st.lists(SCENARIO, min_size=1, max_size=3), credit=st.booleans(),
        discount=st.floats(min_value=0.0, max_value=0.1),
        dx=st.floats(min_value=1e-3, max_value=1.0),
@@ -828,10 +869,11 @@ def split_ulps(models, mark, grad, dx, u):
     rate, kappa = pde._operator_split(params)
     plain = pde._Stepper(grid, models[0], 0.0)
     split = pde._Stepper(grid, models[0], 0.0, groups=groups)
-    want = plain.apply(u) + pde._level_driver(params, (*coefs, (0.0, 0.0)),
-                                              mark, grad, grid.dx)(u)
-    got = split.apply(u) + pde._level_driver(params, (*coefs, (rate, kappa)),
-                                             mark, grad, grid.dx)(u)
+    want = plain.apply(u) + pde._level_driver(
+        params, (*coefs, pde._remainder(params, split=False)), mark, grad,
+        grid.dx)(u)
+    got = split.apply(u) + pde._level_driver(
+        params, (*coefs, pde._remainder(params)), mark, grad, grid.dx)(u)
     _, scale = reference_drift(models, mark, grad, grid.dx, u)
     scale = functools.reduce(np.maximum, [
         scale, band_addends(plain, u), band_addends(split, u),
@@ -840,6 +882,7 @@ def split_ulps(models, mark, grad, dx, u):
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
+@linear_examples()
 @given(scenarios=st.lists(SCENARIO, min_size=1, max_size=3), credit=st.booleans(),
        discount=st.floats(min_value=0.0, max_value=0.1),
        dx=st.floats(min_value=1e-3, max_value=1.0),
@@ -854,6 +897,69 @@ def test_split_operator_evaluates_the_same_equation(scenarios, credit,
     assume(all(m.validate_necessary().passed for m in models))
     mark, grad, u = values[0], values[1], values[2:2 + 2 * len(models)]
     assert split_ulps(models, mark, grad, dx, u).max() <= SPLIT_ULPS
+
+
+LEGS = st.sampled_from([(True, True), (True, False), (False, True)])
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@linear_examples(with_legs=True)
+# a seller's base of -0.0 where the mark, its delta and u are 0: repo below
+# the discount rate, no collateral and no loss at the counterparty's default
+@example(scenarios=[dict(fund_lend=0.05, spread=0.03, repo_lend=0.01,
+                         repo_borrow=0.01, coll_earn=0.0, coll_pay=0.0,
+                         mu_own=0.3, mu_cpty=0.3, loss_own=0.9, loss_cpty=0.0,
+                         alpha=0.0)],
+         credit=True, discount=0.05, dx=0.25, values=np.zeros((8, 6)),
+         legs=(True, False))
+@given(scenarios=st.lists(SCENARIO, min_size=1, max_size=3), credit=st.booleans(),
+       discount=st.floats(min_value=0.0, max_value=0.1),
+       dx=st.floats(min_value=1e-3, max_value=1.0),
+       values=arrays(np.float64, (8, 6), elements=VALUE), legs=LEGS)
+def test_linear_legs_give_the_bits_of_their_branches(scenarios, credit,
+                                                     discount, dx, values,
+                                                     legs):
+    """On drawn models that pass the necessary rate conditions and whose
+    repo or funding rates, or both, are equal in every row, the level
+    driver that skips the linear legs' branches gives the bytes of the one
+    that takes them (:func:`drivers.linear_legs` forced to (False, False)),
+    as the remainder of the march and as the driver g itself."""
+    repo, funding = legs
+    scenarios = [{**sc, **({"repo_borrow": sc["repo_lend"]} if repo else {}),
+                  **({"spread": 0.0} if funding else {})} for sc in scenarios]
+    models = drawn_models(scenarios, credit, discount)
+    assume(all(m.validate_necessary().passed for m in models))
+    mark, grad, u = values[0], values[1], values[2:2 + 2 * len(models)]
+    params = drivers.DriverParams.stack(models)
+    # a drawn leg of zero spread or equal repo rates is linear too
+    assert all(np.greater_equal(drivers.linear_legs(params), legs))
+
+    def drift(split):
+        coefs = (*drivers.mark_coefficients(params),
+                 pde._remainder(params, split))
+        return pde._level_driver(params, coefs, mark, grad, dx)(u)
+
+    for split in (True, False):
+        skipped = drift(split)
+        with mock.patch.object(drivers, "linear_legs",
+                               lambda p: (False, False)):
+            branched = drift(split)
+        assert skipped.tobytes() == branched.tobytes()
+
+
+def test_equal_repo_rates_skip_the_gradient(monkeypatch):
+    """With equal repo rates in every row the march's level driver never
+    takes the gradient of u; one row of unequal repo rates makes it."""
+    def refused(*args):
+        raise AssertionError("the gradient of u was taken")
+
+    monkeypatch.setattr(pde, "_gradient", refused)
+    models = batch_stack()[:4]  # repo 0.05 / 0.05, kinked funding
+    grid = PdeGrid.default_for(models[0], CALL, nx=40, nt=4)
+    solve_batch(models, CALL, grid)
+    solve_batch([make_symmetric()], CALL, grid)
+    with pytest.raises(AssertionError, match="the gradient of u was taken"):
+        solve_batch(batch_stack(), CALL, grid)  # one row of repo 0.03 / 0.07
 
 
 @pytest.mark.parametrize("case", ["no credit", "credit", "far edge draw"])
@@ -888,6 +994,10 @@ def test_symmetric_rates_take_two_picard_iterations(case):
                          loss_cpty=0.5, alpha=0.9)],
          credit=True, discount=0.01, picks=[(0, 0.2), (1, 0.4), (0, 0.6),
                                             (1, 0.8)])
+# a model of linear legs alone beside a kinked one
+@example(scenarios=[linear_scenario(0.05, 0.0, 0.03, 0.03),
+                    linear_scenario(0.04, 0.1, 0.02, 0.07)],
+         credit=True, discount=0.01, picks=[(0, 0.2), (1, 0.5), (0, 0.8)])
 @given(scenarios=st.lists(SCENARIO, min_size=1, max_size=3), credit=st.booleans(),
        discount=st.floats(min_value=0.0, max_value=0.1),
        picks=st.lists(st.tuples(st.integers(0, 2),

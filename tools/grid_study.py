@@ -10,13 +10,16 @@ benchmark's oracle (``oracle`` in ``bench/run.py``: the closed forms for
 symmetric draws, the stored 1600 x 1600 PDE of ``bench/reference.json``
 otherwise) as a share of the strike and the Picard iterations of its march
 (``PdeSolution.picard_iterations`` summed over the steps, the larger of the
-two sides per step), or the error that stopped it.  The 42 scenarios of
+two sides per step), or the error that stopped it, and which of its
+lend/borrow legs, repo and funding, are linear (``drivers.linear_legs``,
+read as the march reads it).  The 42 scenarios of
 ``figure band-vs-collateral`` are marched the same way, as one
 ``pde.solve_batch``, against the stored sweep reference.  Per grid the file
 also holds the time grading of the march (the exponent p of
 tau_n = T (n / N)^p and its first and last steps, as shares of the
-maturity), the completed count and the worst and median errors; the machine
-details come from ``bench/run.py``.  The file holds no times: those come
+maturity), the completed count, the worst and median errors and the count
+of draws with each leg linear, and both; the machine details come from
+``bench/run.py``.  The file holds no times: those come
 from the paced runs of ``bench/run.py``.
 
 The script reads ``bench/`` and imports xvaband from the ``src/`` next to it;
@@ -97,18 +100,36 @@ def parse_grids(text: str) -> list[tuple[int, int]]:
     return grids
 
 
+def linear_legs(models) -> dict:
+    """Which lend/borrow legs of the march of ``models`` are linear, by
+    ``drivers.linear_legs``."""
+    from xvaband import drivers
+    repo, funding = drivers.linear_legs(drivers.DriverParams.stack(models))
+    return {"repo": repo, "funding": funding}
+
+
+def leg_counts(rows: list[dict]) -> dict:
+    """The count of rows with each leg linear, and with both."""
+    legs = [r["linear_legs"] for r in rows if "linear_legs" in r]
+    return {"repo": sum(leg["repo"] for leg in legs),
+            "funding": sum(leg["funding"] for leg in legs),
+            "both": sum(leg["repo"] and leg["funding"] for leg in legs)}
+
+
 def value_pde(model, claim, nx: int, nt: int):
-    """The point result of ``cli.evaluate_point(engine="pde")`` and the
-    Picard iterations of its march."""
+    """The point result of ``cli.evaluate_point(engine="pde")``, the
+    Picard iterations of its march and its linear legs."""
     from xvaband import cli, pde
     grid = pde.PdeGrid.default_for(model, claim, nx=nx, nt=nt)
     sol, = pde.solve_batch([model], claim, grid)
     return cli._pde_result(sol), {
-        "picard_iterations": int(sol.picard_iterations.sum())}
+        "picard_iterations": int(sol.picard_iterations.sum()),
+        "linear_legs": linear_legs([model])}
 
 
 def march_sweep(scenarios, reference, nx, nt) -> dict:
-    """The 42 band-vs-collateral scenarios in one march: error, iterations."""
+    """The 42 band-vs-collateral scenarios in one march: error, iterations
+    and linear legs."""
     from xvaband import cli, drivers, pde
     base = cli.figure_config("band-vs-collateral")
     cells = scenarios.sweep_cells()
@@ -125,7 +146,8 @@ def march_sweep(scenarios, reference, nx, nt) -> dict:
             worst = max(worst, abs(got - want[side]) / base.claim.strike)
     return {"scenarios": len(models), "error": worst,
             "picard_iterations": int(sum(s.picard_iterations.sum()
-                                         for s in solutions))}
+                                         for s in solutions)),
+            "linear_legs": linear_legs(models)}
 
 
 def time_grading(nt: int) -> dict:
@@ -159,7 +181,8 @@ def main(argv=None) -> int:
         grids.append({
             "nx": nx, "nt": nt, "time_grading": time_grading(nt),
             "points": {**error_summary(rows), "picard_iterations": sum(
-                r.get("picard_iterations", 0) for r in rows), "rows": rows},
+                r.get("picard_iterations", 0) for r in rows),
+                "linear_legs": leg_counts(rows), "rows": rows},
             "sweep": march_sweep(scenarios, reference["sweep-collateral"],
                                  nx, nt)})
     record = {
@@ -172,11 +195,17 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     for grid in grids:
         pts, sw = grid["points"], grid["sweep"]
+        legs = pts["linear_legs"]
+        sweep_legs = [leg for leg, linear in sw["linear_legs"].items()
+                      if linear]
         print(f"{grid['nx']}x{grid['nt']}: {pts['completed']}/{pts['draws']} "
               f"completed, worst {pts['worst_error']:.3g}, median "
               f"{pts['median_error']:.3g}, {pts['picard_iterations']} Picard "
-              f"iterations; sweep worst {sw['error']:.3g}, "
-              f"{sw['picard_iterations']} Picard iterations")
+              f"iterations, linear repo/funding/both legs in "
+              f"{legs['repo']}/{legs['funding']}/{legs['both']} of "
+              f"{pts['draws']} draws; sweep worst {sw['error']:.3g}, "
+              f"{sw['picard_iterations']} Picard iterations, linear legs: "
+              f"{', '.join(sweep_legs) or 'none'}")
     return 0
 
 
