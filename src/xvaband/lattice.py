@@ -119,6 +119,9 @@ class OracleSolution:
     scale the node was checked against; none exceeds ``ROOT_ULPS``.
     ``root_widened`` holds, per level, whether a node's scale was widened
     by :func:`drivers.reduced_step_scale` beyond ``max(|u|, |e|)``.
+    ``lattices`` holds, for a solution of :func:`solve_extrapolated`, this
+    side's solutions of the lattices it extrapolates, finest first, each
+    with its own per-level records; it is empty for one lattice's solution.
     """
 
     side: str
@@ -128,6 +131,7 @@ class OracleSolution:
     adjustment: float       # valuation adjustment at time zero
     root_residuals: np.ndarray = field(compare=False, repr=False)
     root_widened: np.ndarray = field(compare=False, repr=False)
+    lattices: tuple = field(default=(), compare=False, repr=False)
 
 
 def solve_reduced(model: MarketModel, claim: claims.ClaimSpec, n_steps: int,
@@ -172,7 +176,8 @@ def solve_extrapolated(models: list[MarketModel], claim: claims.ClaimSpec,
     dt^2: repeated Richardson extrapolation (Geske & Johnson, J. Finance 39,
     1984).  The weights are (8, -6, 1) / 3 when 4 divides n and follow the
     actual step counts otherwise.  The other fields, the per-level residuals
-    included, are the n-step lattice's.  The time-step guard holds for the
+    included, are the n-step lattice's, and ``lattices`` holds the three
+    lattices' solutions, finest first.  The time-step guard holds for the
     coarsest lattice, and its advice names n.
     """
     if not isinstance(n_steps, (int, np.integer)) or n_steps < 4:
@@ -182,7 +187,7 @@ def solve_extrapolated(models: list[MarketModel], claim: claims.ClaimSpec,
     counts = [n_steps // r for r in refines]
     lattices = [_march(list(models), claim, n, refine=r)
                 for n, r in zip(counts, refines)]
-    solutions = [replace(row[-1], **{
+    solutions = [replace(row[-1], lattices=row[::-1], **{
         name: extrapolate(counts, [getattr(s, name) for s in row])
         for name in ("adjustment", "root_gradient")})
         for row in zip(*lattices)]

@@ -22,9 +22,16 @@ u_start = the level the half-step starts from; every later step has theta =
 1/2 and fixed = u_old + dt/2 (B' u_old + g_old(u_old)), the remainder at
 the old level, and starts at u_old + r (u_old - u_older), r = dtau_new /
 dtau_old, the linear extrapolation of the last two time levels.  A row has
-converged when its sup-norm change is below ``PICARD_TOL`` times the
-claim's strike, a test in units of the strike, so scaling spot and strike
-scales the test with the values.  The time to maturity of level n of N is
+converged when the estimated error of its iterate is below ``PICARD_TOL``
+times the claim's strike, a test in units of the strike, so scaling spot
+and strike scales the test with the values.  The estimate is rho / (1 -
+rho) times the row's sup-norm change, with rho the ratio of its last two
+changes, or the change itself where that is smaller or rho is not below 1
+(:func:`settle`); the remainder contracts fast, so a row stops without one
+more solve to confirm a fixed point that it already holds.  A row whose
+own lend/borrow legs are both linear has a remainder that does not depend
+on u but through rounding, so its first iterate is its fixed point, and
+it stops there.  The time to maturity of level n of N is
 tau_n = T (n / N)^1.5 (``TIME_GRADING``): the steps are small next to
 maturity, where the payoff and collateral kinks are, and grow toward t = 0.
 The sequence depends only on T and N, so every scenario of a batch shares
@@ -66,7 +73,7 @@ product, with the same bits.
 The driver reads one :class:`drivers.DriverParams` record of the block, in
 which a parameter that differs between scenarios has one entry per row.
 Picard runs per row through :func:`settle` from a start computed per node: a
-row is frozen as soon as its own residual is below tolerance, and keeps its
+row is frozen as soon as its own estimate is below tolerance, and keeps its
 values while the others iterate, so it takes exactly the iterations, and
 gets exactly the values, of its own single-scenario solve.
 The columns of a banded solve are independent, so a row that turns
@@ -182,7 +189,8 @@ class PdeSolution:
     seller: np.ndarray
     buyer: np.ndarray
     picard_iterations: np.ndarray  # per backward step, max over both sides
-    picard_residuals: np.ndarray   # final sup-norm residual per backward step
+    picard_residuals: np.ndarray   # per backward step, the max over both sides
+    # of the estimated error each row's Picard loop stopped on (pde.settle)
 
     def surface(self, side: str) -> np.ndarray:
         drivers._check_side(side)
@@ -281,7 +289,7 @@ class _Stepper:
 
     def step_linear(self, u: np.ndarray, dt: float, theta: float) -> np.ndarray:
         rhs = u + (1.0 - theta) * dt * self.apply(u)
-        return solve_banded(self, theta * dt, rhs.T).T
+        return solve_banded(self, theta * dt, rhs.T, overwrite=True).T
 
 
 def solve_banded(stepper: _Stepper, coef: float, b: np.ndarray,
@@ -436,6 +444,18 @@ def _remainder(params: drivers.DriverParams, split: bool = True) -> _Remainder:
     return _Remainder(kappa, slope, pull - rate, legs, funding)
 
 
+def _linear_rows(params: drivers.DriverParams, size: int) -> list[bool]:
+    """Per row of the block, whether both its own lend/borrow legs are
+    linear: equal rates, exactly, in that row.  Once the
+    :func:`_operator_split` sits in the operator, such a row's remainder
+    does not depend on u but through rounding, so Picard's map contracts
+    by 0 there (:func:`settle`); the flag is the row's own, so a row stops
+    alike in any batch."""
+    linear = (np.equal(params.repo_lend, params.repo_borrow)
+              & np.equal(params.fund_lend, params.fund_borrow))
+    return np.broadcast_to(linear, (size, 1))[:, 0].tolist()
+
+
 def _level_driver(params: drivers.DriverParams, coefs, mark: np.ndarray,
                   grad: np.ndarray, dx: float):
     """The reduced driver of one time level as a function of the block u.
@@ -560,6 +580,7 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
     adj_step = _Stepper(grid, first, zeroth=0.0, groups=groups)
     tol = PICARD_TOL * claim.strike  # the test is in units of the strike
     coefs = (*drivers.mark_coefficients(params), _remainder(params))
+    exact = _linear_rows(params, rows.size)
 
     def step(a_old, fixed, u_start, t, dt, theta):
         """The theta step to t: the agent, the driver of level t, and
@@ -572,7 +593,7 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
             mark, grad = a_new, np.gradient(a_new, dx)
         drift = _level_driver(params, coefs, mark, grad, dx)
         it, res, u, failed = _picard(adj_step, fixed, dt, theta, u_start,
-                                     drift, tol=tol)
+                                     drift, tol=tol, exact=exact)
         if failed:
             row, j = min(failed, key=lambda f: given[f[0]])
             raise NumericsError(
@@ -688,13 +709,15 @@ def solve_batch(models: list[MarketModel], claim: claims.ClaimSpec,
 
 
 def _picard(stepper: _Stepper, rhs_base: np.ndarray, dt: float, theta: float,
-            u_start: np.ndarray, implicit_driver, tol: float = PICARD_TOL):
+            u_start: np.ndarray, implicit_driver, tol: float = PICARD_TOL,
+            exact=()):
     """Per-row fixed point of (I - theta dt B) u = rhs_base + theta dt g(u).
 
     ``implicit_driver(u)`` evaluates g on the block and returns a new array,
     which the step then overwrites; ``rhs_base`` is read and never written.
-    Runs :func:`settle` at ``tol``: a row that turns non-finite stops there,
-    its values left for the caller to report.
+    Runs :func:`settle` at ``tol``, with the rows of ``exact`` taken as
+    maps of contraction 0: a row that turns non-finite stops there, its
+    values left for the caller to report.
     """
     coef = theta * dt
 
@@ -703,44 +726,63 @@ def _picard(stepper: _Stepper, rhs_base: np.ndarray, dt: float, theta: float,
         rhs *= coef
         rhs += rhs_base
         return solve_banded(stepper, coef, rhs.T, overwrite=True).T
-    return settle(step, u_start, tol, PICARD_MAX_ITER)
+    return settle(step, u_start, tol, PICARD_MAX_ITER, exact)
 
 
-def settle(step, u_start: np.ndarray, tol: float, max_iter: int):
+def settle(step, u_start: np.ndarray, tol: float, max_iter: int,
+           exact=()):
     """Per-row fixed point of ``step`` on a (rows, nodes) block.
 
     ``step(u)`` maps the block ``u`` to its next iterate, each row from
-    that row alone.  A row is frozen once its own sup-norm change is below
-    ``tol``: every later iterate keeps its values, so it takes exactly the
-    iterations, and gets exactly the values, of its fixed point alone.  A
-    row whose change is not finite stops at once, its values left for the
-    caller to report.  ``u_start`` is read, never written.  Returns per-row
-    iteration counts and last changes, the solution, and a (row, node of its
-    largest last change) pair for each finite row that did not converge
-    within ``max_iter`` iterations.
+    that row alone.  A row stops once the estimated error of its iterate is
+    below ``tol``, the stopping test of simplified-Newton loops (Hairer &
+    Wanner, Solving ODEs II, IV.8): with delta_k its sup-norm change at
+    iteration k and rho = delta_k / delta_{k-1}, the estimate is delta_1 at
+    k = 1, and at k >= 2 the smaller of delta_k and rho / (1 - rho)
+    delta_k, the distance to the fixed point of a map that contracts by
+    rho, where rho < 1, else delta_k.  A row of ``exact``, a
+    flag per row, is a map of contraction 0, so its first iterate is its
+    fixed point, with an estimate of 0.  A stopped row keeps its values
+    while the others iterate, so it takes exactly the iterations, and gets
+    exactly the values, of its fixed point alone.  A row whose change is
+    not finite stops at once, its values left for the caller to report.
+    ``u_start`` is read, never written.  Returns per-row iteration counts
+    and the estimates they stopped on, the solution, and a (row, node of
+    its largest last change) pair for each finite row that did not
+    converge within ``max_iter`` iterations.
     """
     iters = np.zeros(len(u_start), dtype=int)
     resid = np.zeros(len(u_start))
     rows = slice(None)  # the live rows: all, then an index array
+    # each live row's change before this iterate: at the first, inf on a row
+    # of contraction 0, so that rho = 0 and its estimate is 0, and nan
+    # elsewhere, which no test passes, so that the estimate is the change
+    before = ([math.inf if flag else math.nan for flag in exact]
+              or [math.nan] * len(u_start))
     u = u_start
     for it in range(1, max_iter + 1):
         new = step(u)[rows]
         change = new - u[rows]
         np.abs(change, out=change)
-        resid[rows] = res = change.max(axis=1)
+        deltas = change.max(axis=1).tolist()
         iters[rows] = it
         if isinstance(rows, slice):  # always so at it = 1: u_start stays
             u = new
         else:
             u[rows] = new
-        # a list, not an array: on the two rows of a single point numpy's
-        # any/all cost more per iteration than this loop; nan and inf fail
-        # both tests
-        live = [tol <= r < math.inf for r in res.tolist()]
+        # lists, not arrays: on the two rows of a single point numpy's
+        # any/all cost more per iteration than these loops; nan and inf
+        # pass neither test, so a non-finite change is its own estimate
+        est = [min(d, d / (b - d) * d) if d < b else d
+               for d, b in zip(deltas, before)]
+        resid[rows] = est
+        live = [tol <= e < math.inf for e in est]
         if not any(live):
             return iters, resid, u, []
         if not all(live):
             rows = np.flatnonzero(live) if isinstance(rows, slice) else rows[live]
+            deltas = [d for d, keep in zip(deltas, live) if keep]
+        before = deltas
         if it < max_iter:
             # freed before the next step: a block held across the step's
             # temporaries makes the allocator trim and re-fault heap pages

@@ -161,9 +161,9 @@ def test_value_warns_when_engines_disagree(bench_cfg_path, capsys):
     argv = ["value", "--config", bench_cfg_path, "--engine", "all"]
     assert cli.main(argv + ["--nx", "6", "--nt", "2", "--steps", "4"]) == 0
     out, err = capsys.readouterr()
-    assert "|pde-lattice|: 0.001031837517 / 0.00118202422" in out
+    assert "|pde-lattice|: 0.001031837512 / 0.001182024215" in out
     assert "warning" not in out
-    assert ("warning: the pde and lattice engines differ by 0.00118202422, "
+    assert ("warning: the pde and lattice engines differ by 0.001182024215, "
             "more than 0.0001 of the strike\n") in err
     assert cli.main(argv + ["--nx", "120", "--nt", "60",
                             "--steps", "150"]) == 0

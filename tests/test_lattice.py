@@ -243,7 +243,8 @@ def test_solution_reports_fixed_point_per_level():
     assert dataclasses.replace(
         seller, root_residuals=seller.root_residuals + 1) == seller
     assert set(f.name for f in dataclasses.fields(OracleSolution)
-               if not f.compare) == {"root_residuals", "root_widened"}
+               if not f.compare) == {"root_residuals", "root_widened",
+                                     "lattices"}
 
 
 def test_solution_reports_which_levels_widen_their_scale(monkeypatch):
@@ -657,6 +658,13 @@ def test_cli_lattice_extrapolates_three_raw_lattices(n):
     assert seller.adjustment == point.xva_seller
     assert np.array_equal(seller.root_residuals, raw[0][0].root_residuals)
     assert np.array_equal(buyer.root_residuals, raw[0][1].root_residuals)
+    # the records of all three lattices, finest first
+    for side, sol in enumerate((seller, buyer)):
+        assert sol.lattices == tuple(sides[side] for sides in raw)
+        for got, want in zip(sol.lattices, raw):
+            assert got.n_steps == want[side].n_steps and not got.lattices
+            assert np.array_equal(got.root_residuals, want[side].root_residuals)
+            assert np.array_equal(got.root_widened, want[side].root_widened)
 
 
 @pytest.mark.parametrize("n", [4, 7, 40, 41, 42, 43, 500, 8001])

@@ -537,9 +537,12 @@ def test_far_edge_draw_completes(nx, nt, bound):
 def test_picard_failure_names_node_and_applied_tolerance(monkeypatch):
     """A forced non-convergence names the side, t, the worst node, s, |u|,
     the last residual and the tolerance applied, PICARD_TOL times the
-    strike; the first step's first half-step fails on the first row."""
+    strike; the first step's first half-step fails on the first row.  The
+    far-edge draw is symmetric, so each step's first iterate is its fixed
+    point: its funding borrow rate is raised to make the rows iterate."""
     monkeypatch.setattr(pde, "PICARD_MAX_ITER", 1)
     model, claim = far_edge_draw()
+    model = replace(model, rates=replace(model.rates, fund_borrow=0.08))
     grid = PdeGrid.default_for(model, claim, nx=cli.DEFAULT_NX,
                                nt=cli.DEFAULT_NT)
     with pytest.raises(NumericsError) as info:
@@ -669,6 +672,21 @@ def test_solve_banded_in_place_gives_the_same_bits(rng):
         got = pde.solve_banded(stepper, coef, rows.T, overwrite=True)
         assert np.shares_memory(got, rows)
         assert got.tobytes() == want.tobytes()
+
+
+def test_linear_step_solves_in_place_with_the_same_bits(rng):
+    """The agent's theta step solves its fresh right-hand side in place:
+    the bits of the copying solve of that right-hand side, the step's
+    input left alone."""
+    for spot, stepper, coef in operator_cases():
+        for u in (spot * rng.standard_normal(stepper.nx),
+                  spot * rng.standard_normal((3, stepper.nx))):
+            kept = u.copy()
+            rhs = u + (1.0 - 0.5) * (2.0 * coef) * stepper.apply(u)
+            want = pde.solve_banded(stepper, coef, rhs.T).T
+            got = stepper.step_linear(u, 2.0 * coef, 0.5)
+            assert got.tobytes() == want.tobytes()
+            assert u.tobytes() == kept.tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.float32])
@@ -963,12 +981,12 @@ def test_equal_repo_rates_skip_the_gradient(monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["no credit", "credit", "far edge draw"])
-def test_symmetric_rates_take_two_picard_iterations(case):
+def test_symmetric_rates_take_one_picard_iteration(case):
     """With equal lend and borrow rates the driver is linear in u, and the
-    implicit operator holds all of that: each step's Picard loop is one
-    solve and the check that the next one moves by rounding alone, so
-    exactly 2 iterations on every step of the default grid, the
-    implicit-Euler start-up included."""
+    implicit operator holds all of that: the remainder does not depend on u
+    but through rounding, so each step's first iterate is its fixed point,
+    and the Picard loop stops there: exactly 1 iteration on every step of
+    the default grid, the implicit-Euler start-up included."""
     if case == "far edge draw":
         model, claim = far_edge_draw()
     else:
@@ -980,7 +998,72 @@ def test_symmetric_rates_take_two_picard_iterations(case):
     grid = PdeGrid.default_for(model, claim, nx=cli.DEFAULT_NX,
                                nt=cli.DEFAULT_NT)
     sol = solve(model, claim, grid)
-    assert sol.picard_iterations.tolist() == [2] * grid.nt
+    assert sol.picard_iterations.tolist() == [1] * grid.nt
+    assert np.all(sol.picard_residuals == 0.0)
+
+
+def drawn_asymmetric(seed):
+    """A model of drawn asymmetric funding and repo rates, with a credit
+    block, and an at-the-money call at a drawn spot of 1e-2 to 1e4."""
+    rng = np.random.default_rng(seed)
+    discount = rng.uniform(0.0, 0.03)
+    fund_lend = discount + rng.uniform(0.01, 0.05)
+    fund_borrow = fund_lend + rng.uniform(0.01, 0.08)
+    repo_lend = rng.uniform(discount, fund_lend)
+    rates = RateSet(fund_lend=fund_lend, fund_borrow=fund_borrow,
+                    repo_lend=repo_lend,
+                    repo_borrow=rng.uniform(repo_lend, fund_borrow),
+                    coll_earn=rng.uniform(0.0, fund_lend),
+                    coll_pay=rng.uniform(0.0, fund_lend), discount=discount)
+    credit = CreditParams(mu_own=fund_borrow + rng.uniform(0.02, 0.15),
+                          mu_cpty=fund_borrow + rng.uniform(0.02, 0.15),
+                          loss_own=rng.uniform(0.3, 0.7),
+                          loss_cpty=rng.uniform(0.3, 0.7))
+    spot = 10.0 ** rng.uniform(-2.0, 4.0)
+    model = MarketModel(rates=rates, credit=credit,
+                        alpha=rng.uniform(0.0, 1.0),
+                        equity=EquityParams(spot=spot,
+                                            sigma=rng.uniform(0.1, 0.6)))
+    return model, ClaimSpec(kind="call", strike=spot,
+                            maturity=rng.uniform(0.25, 5.0))
+
+
+@pytest.mark.parametrize("case", ["benchmark", 0, 1])
+def test_each_step_stops_within_tolerance_of_its_fixed_point(case,
+                                                             monkeypatch):
+    """Each step's Picard loop stops on its estimated error, not on one more
+    confirming solve; iterated on until its change is below 1e-3 of the
+    tolerance, each step's own map moves the returned block by less than
+    the tolerance, PICARD_TOL times the strike."""
+    if case == "benchmark":
+        model, claim = make_benchmark(), CALL
+    else:
+        model, claim = drawn_asymmetric(case)
+    assert model.rates.fund_lend != model.rates.fund_borrow
+    settle = pde.settle
+    moves = []
+
+    def checked(step, u_start, tol, max_iter, exact=()):
+        iters, resid, u, failed = settle(step, u_start, tol, max_iter, exact)
+        v = u
+        for _ in range(max_iter):
+            new = step(v)
+            change = np.abs(new - v).max()
+            v = new
+            if change < 1e-3 * tol:
+                break
+        else:
+            raise AssertionError("the step's map did not settle")
+        moves.append(np.abs(u - v).max() / tol)
+        return iters, resid, u, failed
+
+    monkeypatch.setattr(pde, "settle", checked)
+    grid = PdeGrid.default_for(model, claim, nx=cli.DEFAULT_NX,
+                               nt=cli.DEFAULT_NT)
+    sol = solve(model, claim, grid)
+    assert len(moves) == grid.nt + pde.RANNACHER_STEPS
+    assert max(moves) < 1.0
+    assert sol.picard_iterations.max() >= 2  # the rows do iterate
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
@@ -1019,6 +1102,24 @@ def linear_driver(rates):
     return lambda u: rates[:, None] * u
 
 
+def reference_settle(step, v, tol, max_iter):
+    """The loop of one row by the rule of :func:`pde.settle`: iterations,
+    estimate and values of the iterate that it stops on."""
+    before = None
+    for it in range(1, max_iter + 1):
+        new = step(v)
+        change = np.max(np.abs(new - v))
+        v = new
+        estimate = change
+        if before is not None and change < before:
+            rho = change / before
+            estimate = min(change, rho / (1.0 - rho) * change)
+        if estimate < tol:
+            break
+        before = change
+    return it, estimate, v
+
+
 def test_settle_freezes_each_row_at_its_own_iteration():
     """Rows contracting at different speeds take the iterations, and get the
     values, of their own loop; a row that never settles is returned with the
@@ -1037,20 +1138,48 @@ def test_settle_freezes_each_row_at_its_own_iteration():
 
     iters, resid, u, failed = pde.settle(step, u_start, tol, max_iter)
     for row in range(3):
-        v = u_start[row]
-        for it in range(1, max_iter + 1):
-            new = target + factors[row] * (v - target)
-            change = np.max(np.abs(new - v))
-            v = new
-            if change < tol:
-                break
-        assert iters[row] == it and resid[row] == change, row
+        it, estimate, v = reference_settle(
+            lambda v: target + factors[row] * (v - target), u_start[row],
+            tol, max_iter)
+        assert iters[row] == it and resid[row] == pytest.approx(
+            estimate, rel=1e-12, abs=0.0), row
         assert u[row].tobytes() == v.tobytes(), row
     assert len(set(iters[:3].tolist())) == 3
     assert iters[3] == max_iter and resid[3] == 2 * (5.0 + 1.0 / 3.0)
     assert failed == [(3, 4)]
     assert seen == [(4, 7)] * max_iter  # every call takes the whole block
     assert np.array_equal(u_start, before)
+
+
+def test_settle_stops_on_the_estimated_error_of_known_contractions():
+    """On linear maps u -> target + rho (u - target), whose iterate k lies
+    rho^k e_0 from the target, the estimate rho / (1 - rho) delta_k is that
+    distance: a row stops at the first k >= 2 with 3 rho^k < tol (e_0 = 3),
+    so 32, 11 and 4 iterations at rho = 0.5, 0.125 and 1e-3, within tol of
+    the target; a row declared exact stops after its first iterate, with an
+    estimate of 0, and one whose change is not finite stops there too; the
+    -1 flip never settles and fails at max_iter on its worst node."""
+    target = np.linspace(-1.0, 1.0, 7)
+    factors = np.array([0.5, 0.125, 1e-3, 0.0, 1.0, -1.0])
+    u_start = target + np.array([3.0, -3.0, 3.0, 3.0, 3.0, 0.0])[:, None]
+    u_start[5] = [0.0, 1.0, -2.0, 3.0, -5.0, 1.0, 0.0]
+    exact = [False, False, False, True, True, False]
+    tol, max_iter = 1e-9, 40
+
+    def step(u):
+        out = target + factors[:, None] * (u - target)
+        out[4] = np.inf
+        return out
+
+    iters, resid, u, failed = pde.settle(step, u_start, tol, max_iter, exact)
+    assert iters.tolist() == [32, 11, 4, 1, 1, max_iter]
+    for row, rho in enumerate(factors[:3]):
+        assert np.abs(u[row] - target).max() < tol
+        assert resid[row] == pytest.approx(3.0 * rho ** iters[row], rel=1e-6)
+    assert u[3].tobytes() == target.tobytes() and resid[3] == 0.0
+    assert resid[4] == np.inf and np.isinf(u[4]).all()
+    assert resid[5] == 2 * (5.0 + 1.0 / 3.0)
+    assert failed == [(5, 4)]
 
 
 def test_picard_leaves_u_start_unchanged():

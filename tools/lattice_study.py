@@ -14,9 +14,9 @@ the closed forms for symmetric draws, the stored 1600 x 1600 PDE of
 the default 500), or the error that stopped it; the worst root residual of
 the three lattices and both sides, in ulps of the node's scale
 (``lattice.ROOT_ULPS`` bounds it), and the worst over the levels whose
-scale was not widened, read off the solutions' ``root_residuals`` and
-``root_widened`` (the coarser lattices' from ``lattice.solve_batch``, which
-marches them again); and the nodes the three lattices march within the
+scale was not widened, read off the ``root_residuals`` and ``root_widened``
+of the three lattices that the extrapolated solutions keep (their
+``lattices``); and the nodes the three lattices march within the
 band that ``lattice.band`` keeps.  The file also holds the completed count,
 the worst and median errors of both kinds, the kept nodes of all draws and
 their share of the full trees, and the machine details from
@@ -60,9 +60,7 @@ def value_lattice(model, claim, steps: int, converged_steps: int):
     residuals of its three lattices and its converged error."""
     from xvaband import cli, lattice
     sides, = lattice.solve_extrapolated([model], claim, steps)
-    coarser = [s for n in (steps // 2, steps // 4)
-               for s in lattice.solve_batch([model], claim, n)[0]]
-    worst, plain = residuals([*sides, *coarser])
+    worst, plain = residuals([raw for s in sides for raw in s.lattices])
     converged, = lattice.solve_extrapolated([model], claim, converged_steps)
     error = max(abs(s.adjustment - c.adjustment)
                 for s, c in zip(sides, converged)) / claim.strike
