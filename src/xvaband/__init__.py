@@ -21,7 +21,7 @@ from .closed_form import (SymmetricRates, XvaDecomposition,
                           relative_adjustment, symmetric_model)
 from .drivers import (BUYER, SELLER, ReplicationStrategy, adjustment_drift,
                       reduced_drift, wealth_drift)
-from .lattice import OracleSolution, solve_reduced, solve_sides
+from .lattice import OracleSolution, solve_reduced
 from .market import (CreditParams, DegenerateRatesError, EquityParams,
                      MarketModel, ModelError, RateSet, ValidationReport)
 from .pde import (NumericsError, PdeGrid, PdeSolution, convergence_study,
@@ -37,7 +37,7 @@ __all__ = [
     "relative_adjustment", "symmetric_model",
     "BUYER", "SELLER", "ReplicationStrategy",
     "adjustment_drift", "reduced_drift", "wealth_drift",
-    "OracleSolution", "solve_reduced", "solve_sides",
+    "OracleSolution", "solve_reduced",
     "CreditParams", "DegenerateRatesError", "EquityParams", "MarketModel",
     "ModelError", "RateSet", "ValidationReport",
     "NumericsError", "PdeGrid", "PdeSolution", "convergence_study", "solve",

@@ -32,11 +32,10 @@ node per level, so one ghost per side suffices.
 K models that share a march (:func:`pde.march_key`) are valued in one pass
 (:func:`solve_batch`): their seller and buyer sides are the 2K rows of the
 march, the K sellers first and their buyers after them in the same order.
-:func:`solve_sides` is the pass of one model.  The march stores its arrays
-nodes by rows, (kept nodes, 2K), the transpose of the PDE's (2K, nx)
-block, so the nodes of one level are one contiguous run of memory and each
-level's arithmetic runs on whole contiguous slices.  The driver reads the
-:class:`drivers.DriverParams` record of the rows
+The march stores its arrays nodes by rows, (kept nodes, 2K), the transpose
+of the PDE's (2K, nx) block, so the nodes of one level are one contiguous
+run of memory and each level's arithmetic runs on whole contiguous slices.
+The driver reads the :class:`drivers.DriverParams` record of the rows
 (``DriverParams.stack(models)``), each per-row field transposed once per
 march to (1, 2K).
 
@@ -137,18 +136,9 @@ class OracleSolution:
 def solve_reduced(model: MarketModel, claim: claims.ClaimSpec, n_steps: int,
                   side: str = drivers.SELLER) -> OracleSolution:
     """Backward induction for the reduced equation: ``side``'s solution of
-    :func:`solve_sides`."""
+    :func:`solve_batch` of the model alone."""
     drivers._check_side(side)
-    return solve_sides(model, claim, n_steps)[drivers.SIDES.index(side)]
-
-
-def solve_sides(model: MarketModel, claim: claims.ClaimSpec, n_steps: int
-                ) -> tuple[OracleSolution, OracleSolution]:
-    """(seller, buyer) solutions from one backward induction of both sides.
-
-    The valuation fails with :class:`NumericsError` if either side does.
-    """
-    return solve_batch([model], claim, n_steps)[0]
+    return solve_batch([model], claim, n_steps)[0][drivers.SIDES.index(side)]
 
 
 def solve_batch(models: list[MarketModel], claim: claims.ClaimSpec,
@@ -157,7 +147,7 @@ def solve_batch(models: list[MarketModel], claim: claims.ClaimSpec,
 
     The models must share what :func:`pde.march_key` names: the equity
     parameters, the discount rate and the presence of a credit block.  Each
-    pair equals :func:`solve_sides` of its model alone.  A failure of any
+    pair equals the batch of its model alone.  A failure of any
     model fails the batch, and names the side, the scenario's index and
     varied parameters and the level.
     """

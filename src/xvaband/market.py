@@ -177,25 +177,13 @@ class MarketModel:
                 msgs = "; ".join(c.name for c in report.failures)
                 raise ModelError(f"model violates necessary rate conditions: {msgs}")
 
-    def _credit(self) -> CreditParams:
-        if self.credit is None:
-            raise ModelError("operation requires credit parameters, but the "
-                             "model has no default risk block")
-        return self.credit
-
     def default_intensity(self, party: str) -> float:
         """Default intensity of ``party`` ("own" | "cpty") under the valuation measure.
 
         Equals the bond return in excess of the agent's discount rate and must
         be strictly positive for the valuation measure to exist.
         """
-        credit = self._credit()
-        if party == "own":
-            mu = credit.mu_own
-        elif party == "cpty":
-            mu = credit.mu_cpty
-        else:
-            raise ValueError(f"party must be 'own' or 'cpty', got {party!r}")
+        mu = self._bond_return(party)
         h = mu - self.rates.discount
         if h <= 0.0:
             raise ModelError(
@@ -205,11 +193,16 @@ class MarketModel:
 
     def bond_price(self, party: str, t: float, maturity: float) -> float:
         """Pre-default price of the zero-recovery bond of ``party`` at time t."""
-        credit = self._credit()
-        mu = credit.mu_own if party == "own" else credit.mu_cpty
+        return math.exp(-self._bond_return(party) * (maturity - t))
+
+    def _bond_return(self, party: str) -> float:
+        """Bond return of ``party`` ("own" | "cpty") of the credit block."""
+        if self.credit is None:
+            raise ModelError("operation requires credit parameters, but the "
+                             "model has no default risk block")
         if party not in ("own", "cpty"):
             raise ValueError(f"party must be 'own' or 'cpty', got {party!r}")
-        return math.exp(-mu * (maturity - t))
+        return getattr(self.credit, f"mu_{party}")
 
     def validate_necessary(self) -> ValidationReport:
         """Minimal consistency conditions precluding outright money pumps."""

@@ -1,22 +1,25 @@
 """Finite-difference engine for the coupled semilinear valuation-adjustment PDEs.
 
 On a log-price grid, uniform in space and graded in time, the engine marches
-three fields backward from maturity with a Crank-Nicolson scheme
-(implicit-Euler half-steps at start-up to damp payoff-kink oscillations):
+backward from maturity with a Crank-Nicolson scheme (implicit-Euler
+half-steps at start-up to damp payoff-kink oscillations):
 
-* the agent surface (the public mark of the claim), a linear problem;
 * the seller and buyer adjustment surfaces, semilinear problems whose source
   is the reduced driver evaluated at the full-portfolio diffusion exposure
-  (adjustment gradient plus the agent's delta).
+  (adjustment gradient plus the agent's delta);
+* for a custom claim, the agent surface (the public mark of the claim), a
+  linear problem.  A call or put marches no agent surface: its mark and
+  delta are the closed forms (:func:`claims.agent_value_grid`).
 
-Every step of the march is one theta step, of the agent and then of the
-block, (I - theta dt B) u = fixed + theta dt g(u), whose nonlinearity is
-resolved by fixed-point (Picard) iteration; the drivers are globally
-Lipschitz, so the iteration contracts for any reasonable step size.  The
-driver's linear part, -c u + kappa G u (:func:`_operator_split`), sits in
-the operator B' = B - c + kappa G, and Picard iterates on the remainder
-g(u) + c u - kappa G u: the same discrete equation, with a remainder that
-is zero, up to rounding, at equal lend and borrow rates.  Each of the first
+Every step of the march is one theta step of the block (for a custom claim,
+after one of the agent), (I - theta dt B) u = fixed + theta dt g(u), whose
+nonlinearity is resolved by fixed-point (Picard) iteration; the drivers
+are globally Lipschitz, so the iteration contracts for any reasonable step
+size.  The driver's linear part, -c u + kappa G u
+(:func:`_operator_split`), sits in the operator B' = B - c + kappa G, and
+Picard iterates on the remainder g(u) + c u - kappa G u: the same discrete
+equation, with a remainder that is zero, up to rounding, at equal lend and
+borrow rates.  Each of the first
 ``RANNACHER_STEPS`` steps is two half-steps with theta = 1 and fixed =
 u_start = the level the half-step starts from; every later step has theta =
 1/2 and fixed = u_old + dt/2 (B' u_old + g_old(u_old)), the remainder at
@@ -48,9 +51,10 @@ marched together as the rows of one (2K, nx) block: rows 0..K-1 are the
 seller sides of the K scenarios, rows K..2K-1 their buyer sides, in the
 same order, with the models of equal (c, kappa) next to each other
 (:func:`_row_groups`): each such group of rows has its own operator, and
-the results come back in the given order.  Each theta step marches the
-agent once, evaluates the mark and delta once and builds from them the two
-fields of the driver that the mark alone fixes: ``base`` (collateral legs,
+the results come back in the given order.  Each theta step takes the mark
+and delta once, from the closed forms or the custom claim's agent step,
+and builds from them the two fields of the driver that the mark alone
+fixes: ``base`` (collateral legs,
 carry, close-out targets) and ``at_zero`` (the funding account at u = 0) of
 its affine form (:func:`drivers.affine_rates`).  Each field is a per-row
 coefficient times ``mark⁺`` plus another times ``mark⁻``; the march builds
@@ -78,8 +82,9 @@ values while the others iterate, so it takes exactly the iterations, and
 gets exactly the values, of its own single-scenario solve.
 The columns of a banded solve are independent, so a row that turns
 non-finite spoils only itself, and :func:`settle` stops it without raising.
-After each time level the march checks the agent surface, then every row,
-naming the surface and t of the first non-finite values.
+After each time level the march checks the agent row, the closed-form
+mark or the marched surface, then every row of the block, naming the
+surface and t of the first non-finite values.
 :func:`solve` is this march with K = 1 and keeps the full surfaces;
 :func:`solve_batch` keeps only the first two time levels, which valuation
 and hedging at t = 0 read.
@@ -178,8 +183,11 @@ class PdeGrid:
 class PdeSolution:
     """Discrete fields indexed [time, space] with time ascending from 0 to T.
 
-    A solution from :func:`solve_batch` keeps only the first two time
-    levels; sampling it at a later time raises ValueError.
+    ``agent`` holds, for a call or put, the closed-form mark at the kept
+    levels (:func:`claims.agent_value_grid`), and for a custom claim its
+    marched agent surface.  A solution from :func:`solve_batch` keeps only
+    the first two time levels; sampling it at a later time raises
+    ValueError.
     """
 
     model: MarketModel
@@ -262,25 +270,14 @@ class _Stepper:
                 w[..., 1:] += lower[1:] * v[..., :-1]
         return out
 
-    def ab_matrix(self, coef: float, group: int = 0) -> np.ndarray:
-        """(I - coef * B) of a group in the (3, nx) band layout of
-        ``scipy.linalg.solve_banded((1, 1), ...)``: upper, main and lower
-        diagonal as rows."""
-        lower, diag, upper = self.groups[group][1]
-        ab = np.zeros((3, self.nx))
-        ab[0, 1:] = -coef * upper[:-1]
-        ab[1, :] = 1.0 - coef * diag
-        ab[2, :-1] = -coef * lower[1:]
-        return ab
-
     def factors(self, coef: float) -> list:
         """Per group, its ranges of rows and the LAPACK ``dgttrf`` LU
         factors of its (I - coef * B), kept for the last coef."""
         if coef != self._coef:
             self._lu = []
-            for group, (ranges, _) in enumerate(self.groups):
-                ab = self.ab_matrix(coef, group)
-                *lu, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+            for ranges, (lower, diag, upper) in self.groups:
+                *lu, info = dgttrf(-coef * lower[1:], 1.0 - coef * diag,
+                                   -coef * upper[:-1])
                 if info:
                     raise np.linalg.LinAlgError("singular matrix")
                 self._lu.append((ranges, tuple(lu)))
@@ -548,7 +545,9 @@ def _gradient(u: np.ndarray, dx: float, out: np.ndarray) -> np.ndarray:
 
 def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
            keep: int):
-    """Backward march of the agent and the (2K, nx) adjustment block.
+    """Backward march of the (2K, nx) adjustment block and, for a custom
+    claim, of the agent surface; a call or put takes each level's agent row
+    from the closed-form mark and delta that its driver reads.
 
     Keeps the time levels with t-index below ``keep``.  Returns the agent
     (keep, nx), the block (keep, 2K, nx), per backward step and row the
@@ -576,7 +575,8 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
     iters = np.zeros((nt, rows.size), dtype=int)
     resids = np.zeros((nt, rows.size))
 
-    agent_step = _Stepper(grid, first, zeroth=-first.rates.discount)
+    if not vanilla:
+        agent_step = _Stepper(grid, first, zeroth=-first.rates.discount)
     adj_step = _Stepper(grid, first, zeroth=0.0, groups=groups)
     tol = PICARD_TOL * claim.strike  # the test is in units of the strike
     coefs = (*drivers.mark_coefficients(params), _remainder(params))
@@ -585,13 +585,13 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
     def step(a_old, fixed, u_start, t, dt, theta):
         """The theta step to t: the agent, the driver of level t, and
         Picard's counts, residuals and block from u_start."""
-        a_new = agent_step.step_linear(a_old, dt, theta)
         if vanilla:
-            mark, delta = claims.agent_value_grid(first, claim, t, s)
+            a_new, delta = claims.agent_value_grid(first, claim, t, s)
             grad = s * delta
         else:
-            mark, grad = a_new, np.gradient(a_new, dx)
-        drift = _level_driver(params, coefs, mark, grad, dx)
+            a_new = agent_step.step_linear(a_old, dt, theta)
+            grad = np.gradient(a_new, dx)
+        drift = _level_driver(params, coefs, a_new, grad, dx)
         it, res, u, failed = _picard(adj_step, fixed, dt, theta, u_start,
                                      drift, tol=tol, exact=exact)
         if failed:
@@ -667,7 +667,7 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
 
 
 def solve(model: MarketModel, claim: claims.ClaimSpec, grid: PdeGrid) -> PdeSolution:
-    """Backward-solve the agent surface and both adjustment surfaces.
+    """Backward-solve both adjustment surfaces (and a custom claim's agent).
 
     Requires the model to pass the necessary-rate validator and the initial
     log-spot to lie strictly inside the grid.  The march of one scenario

@@ -14,6 +14,10 @@ BENCH_RATES = RateSet(fund_lend=0.05, fund_borrow=0.08, repo_lend=0.05,
 BENCH_CREDIT = CreditParams(mu_own=0.21, mu_cpty=0.16, loss_own=0.5,
                             loss_cpty=0.5)
 EQUITY = EquityParams(spot=1.0, sigma=0.2)
+# a call's payoff as a custom claim: the PDE marches its agent surface, which
+# a call takes from the closed form instead
+CUSTOM_CALL = ClaimSpec(kind="custom", strike=1.0, maturity=1.0,
+                        payoff_fn=lambda s: np.maximum(s - 1.0, 0.0))
 
 
 @pytest.fixture

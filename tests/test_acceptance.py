@@ -36,15 +36,16 @@ from scipy.special import ndtr
 from xvaband import (BUYER, SELLER, ClaimSpec, CreditParams, EquityParams,
                      MarketModel, PdeGrid, RateSet, agent_value,
                      convergence_study, piterbarg_defaults_xva, piterbarg_xva,
-                     solve, solve_batch, solve_sides,
+                     solve, solve_batch,
                      strategies, xva_at)
 from xvaband.claims import agent_value_grid
 from xvaband.cli import DEFAULT_STEPS
 from xvaband.drivers import (adjustment_drift, jump_targets, reduced_drift,
                              wealth_drift)
+from xvaband import lattice
 from xvaband.lattice import solve_extrapolated
 from xvaband.pde import RANNACHER_STEPS
-from conftest import make_benchmark, make_symmetric
+from conftest import CUSTOM_CALL, make_benchmark, make_symmetric
 
 CALL = ClaimSpec(kind="call", strike=1.0, maturity=1.0)
 FIG_CREDIT = CreditParams(mu_own=0.16, mu_cpty=0.21, loss_own=0.5, loss_cpty=0.5)
@@ -254,7 +255,7 @@ def test_criterion_06_band_ordering_random_models():
     for _ in range(50):
         model = random_admissible_model(rng)
         seller, buyer = (sol.adjustment
-                         for sol in solve_sides(model, CALL, 400))
+                         for sol in lattice.solve_batch([model], CALL, 400)[0])
         worst = min(worst, seller - buyer)
         if seller < buyer - 1e-6:
             violations += 1
@@ -280,7 +281,7 @@ def test_criterion_06b_counterexample_on_admissible_boundary():
     exact_s = piterbarg_defaults_xva(model, CALL, 0.0, mark, SELLER).total
     exact_b = piterbarg_defaults_xva(model, CALL, 0.0, mark, BUYER).total
     seller, buyer = (sol.adjustment
-                     for sol in solve_sides(model, CALL, 800))
+                     for sol in lattice.solve_batch([model], CALL, 800)[0])
     assert seller == pytest.approx(exact_s, abs=1e-5)
     assert buyer == pytest.approx(exact_b, abs=1e-5)
     assert seller - buyer < -1e-2  # strictly inverted band
@@ -361,8 +362,9 @@ def test_criterion_09_driver_property_suite():
 def test_criterion_10_agent_surface_and_delta():
     label = "agent surface vs closed form; delta vs finite differences"
     model = make_benchmark(alpha=0.9)
-    grid = PdeGrid.default_for(model, CALL, nx=400, nt=400)
-    sol = solve(model, CALL, grid)
+    # a call marks by the closed form; a custom claim marches its agent
+    grid = PdeGrid.default_for(model, CUSTOM_CALL, nx=400, nt=400)
+    sol = solve(model, CUSTOM_CALL, grid)
     s = np.exp(grid.x_nodes())
     worst = 0.0
     # interior levels: past the implicit-Euler start-up next to the kink

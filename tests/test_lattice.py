@@ -9,7 +9,7 @@ import pytest
 
 from xvaband import (BUYER, SELLER, ClaimSpec, CreditParams, EquityParams,
                      NumericsError, agent_value, piterbarg_defaults_xva,
-                     piterbarg_xva, solve_reduced, solve_sides)
+                     piterbarg_xva, solve_reduced)
 from xvaband import claims, cli, drivers, lattice
 from xvaband.lattice import BLOCK_ROW_NODES, ROOT_ULPS, OracleSolution
 from conftest import make_benchmark, make_symmetric
@@ -95,7 +95,7 @@ def test_benchmark_regression_anchor():
 def test_band_positive_at_high_borrow_rate():
     model = make_benchmark(alpha=0.9, fund_borrow=0.15)
     seller, buyer = (sol.adjustment
-                     for sol in solve_sides(model, CALL, 1000))
+                     for sol in lattice.solve_batch([model], CALL, 1000)[0])
     assert seller - buyer > 1e-4
 
 
@@ -105,7 +105,7 @@ def test_band_zero_under_full_symmetry():
     model = make_symmetric(fund=0.08, repo=0.05, coll=0.01, alpha=0.3,
                            credit=credit)
     seller, buyer = (sol.adjustment
-                     for sol in solve_sides(model, CALL, 400))
+                     for sol in lattice.solve_batch([model], CALL, 400)[0])
     assert seller == pytest.approx(buyer, abs=1e-12)
 
 
@@ -117,7 +117,7 @@ def test_band_collapses_to_no_default_value_for_zero_loss():
     model = make_symmetric(fund=0.08, repo=0.05, coll=0.01, alpha=0.5,
                            credit=credit)
     seller, buyer = (sol.adjustment
-                     for sol in solve_sides(model, CALL, 1000))
+                     for sol in lattice.solve_batch([model], CALL, 1000)[0])
     assert seller == pytest.approx(buyer, abs=1e-12)
     mark = agent_value(model, CALL, 0.0, 1.0).value
     exact = piterbarg_defaults_xva(model, CALL, 0.0, mark).total
@@ -140,7 +140,7 @@ def test_input_validation():
     with pytest.raises(ValueError):
         solve_reduced(model, CALL, 100, side="dealer")
     with pytest.raises(ValueError, match=r"an integer, got 10\.5$"):
-        lattice.solve_sides(model, CALL, 10.5)
+        lattice.solve_batch([model], CALL, 10.5)
     for steps in (10.5, 10.0):
         with pytest.raises(ValueError, match=f"an integer to extrapolate, "
                            f"got {steps!r}$"):
@@ -220,7 +220,7 @@ def test_one_pass_matches_single_side_reference(credit, kind, monkeypatch):
                 for side in (SELLER, BUYER)}
         for size in block_sizes(2, n):
             monkeypatch.setattr(lattice, "BLOCK_ROW_NODES", size)
-            sols = solve_sides(model, claim, n)
+            sols = lattice.solve_batch([model], claim, n)[0]
             assert [sol.side for sol in sols] == [SELLER, BUYER]
             for sol in sols:
                 adjustment, gradient, mark = want[sol.side]
@@ -234,7 +234,7 @@ def test_one_pass_matches_single_side_reference(credit, kind, monkeypatch):
 
 def test_solution_reports_fixed_point_per_level():
     model = make_benchmark()
-    seller, buyer = solve_sides(model, CALL, 300)
+    seller, buyer = lattice.solve_batch([model], CALL, 300)[0]
     for sol in (seller, buyer):
         assert sol.root_residuals.shape == (300,)
         assert np.all(sol.root_residuals >= 0.0)
@@ -251,8 +251,8 @@ def test_solution_reports_which_levels_widen_their_scale(monkeypatch):
     # at alpha = 0 some roots hold only on the scale widened by the step's
     # largest addend; on the benchmark config none needs it
     widening, plain = make_benchmark(alpha=0.0), make_benchmark()
-    sides = solve_sides(widening, CALL, 300)
-    want = solve_sides(plain, CALL, 300)
+    sides = lattice.solve_batch([widening], CALL, 300)[0]
+    want = lattice.solve_batch([plain], CALL, 300)[0]
     for sol in sides + want:
         assert sol.root_widened.shape == (300,)
         assert sol.root_widened.dtype == bool
@@ -266,8 +266,8 @@ def test_solution_reports_which_levels_widen_their_scale(monkeypatch):
                         lambda params, terms, u: np.zeros_like(u))
     with pytest.raises(NumericsError, match=rf"^implicit step not solved on "
                        rf"the \w+ side at level {highest} "):
-        solve_sides(widening, CALL, 300)
-    for got, sol in zip(solve_sides(plain, CALL, 300), want):
+        lattice.solve_batch([widening], CALL, 300)
+    for got, sol in zip(lattice.solve_batch([plain], CALL, 300)[0], want):
         assert np.array_equal(got.root_residuals, sol.root_residuals)
 
 
@@ -280,14 +280,16 @@ def unit_call_at(scale):
 
 @pytest.fixture(scope="module")
 def unit_sides():
-    return solve_sides(*unit_call_at(1.0), 2000)
+    model, claim = unit_call_at(1.0)
+    return lattice.solve_batch([model], claim, 2000)[0]
 
 
 @pytest.mark.parametrize("scale", [2.0 ** -20, 1e-6, 1e4, 1e7, 2.0 ** 20])
 def test_solve_sides_is_homogeneous(unit_sides, scale):
     # a residual check relative to each node's size holds at any scale; an
     # absolute tolerance failed at the far edge from spot = strike = 1e4 on
-    sides = solve_sides(*unit_call_at(scale), 2000)
+    model, claim = unit_call_at(scale)
+    sides = lattice.solve_batch([model], claim, 2000)[0]
     for got, unit in zip(sides, unit_sides):
         assert np.all(got.root_residuals <= ROOT_ULPS)
         if math.frexp(scale)[0] == 0.5:  # a power of two scales exactly
@@ -305,7 +307,7 @@ def test_models_past_the_absolute_tolerance_complete():
     far = dataclasses.replace(base, credit=None,
                               equity=EquityParams(spot=1e6, sigma=0.2))
     far_call = ClaimSpec(kind="call", strike=1e6, maturity=1.0)
-    sides = solve_sides(far, far_call, 400)
+    sides = lattice.solve_batch([far], far_call, 400)[0]
     assert sides == tuple(solve_reduced(far, far_call, 400, side=side)
                           for side in (SELLER, BUYER))
     volatile = dataclasses.replace(make_benchmark(),
@@ -313,7 +315,7 @@ def test_models_past_the_absolute_tolerance_complete():
     long_call = ClaimSpec(kind="call", strike=1.0, maturity=30.0)
     for model, claim, n in ((far, far_call, 400), (volatile, CALL, 2000),
                             (make_benchmark(), long_call, 2000)):
-        for sol in solve_sides(model, claim, n):
+        for sol in lattice.solve_batch([model], claim, n)[0]:
             assert math.isfinite(sol.adjustment)
             assert np.all(sol.root_residuals <= ROOT_ULPS)
 
@@ -336,11 +338,11 @@ def test_root_check_failure_names_side_level_and_node(monkeypatch):
             r"^implicit step not solved on the seller side at level 19 "
             r"\(t=0\.95\): node 0 at s=0\.\d+, residual \S+ ulps of the "
             r"node's scale \(bound 8\)$")):
-        solve_sides(model, CALL, 20)
+        lattice.solve_batch([model], CALL, 20)
     # one failing side fails the pass, and names that side
     monkeypatch.setattr(drivers, "reduced_root", off_on(1))
     with pytest.raises(NumericsError, match="on the buyer side at level 19"):
-        solve_sides(model, CALL, 20)
+        lattice.solve_batch([model], CALL, 20)
 
 
 def test_root_failure_inside_a_block_names_its_own_level(monkeypatch):
@@ -367,7 +369,7 @@ def test_root_failure_inside_a_block_names_its_own_level(monkeypatch):
             r"^implicit step not solved on the buyer side at level 13 "
             rf"\(t=0\.65\): node 5 at s={s:.6g}, residual \S+ ulps of the "
             r"node's scale \(bound 8\)$")):
-        solve_sides(model, CALL, 20)
+        lattice.solve_batch([model], CALL, 20)
 
 
 def test_root_failure_at_a_pruned_level_names_the_absolute_node(monkeypatch):
@@ -395,15 +397,15 @@ def test_root_failure_at_a_pruned_level_names_the_absolute_node(monkeypatch):
             rf"^implicit step not solved on the seller side at level {k} "
             rf"\(t=0\.75\): node {j} at s={s:.6g}, residual \S+ ulps of the "
             r"node's scale \(bound 8\)$")):
-        solve_sides(model, CALL, n)
+        lattice.solve_batch([model], CALL, n)
 
 
 def full_and_pruned(monkeypatch, model, claim, n):
-    """``solve_sides`` of the full tree and of the pruned one."""
+    """The (seller, buyer) pair of the full tree and of the pruned one."""
     with monkeypatch.context() as patch:
         patch.setattr(lattice, "PRUNE_SD", math.inf)
-        full = solve_sides(model, claim, n)
-    return full, solve_sides(model, claim, n)
+        full = lattice.solve_batch([model], claim, n)[0]
+    return full, lattice.solve_batch([model], claim, n)[0]
 
 
 @pytest.mark.parametrize("n", [1000, 2000])
@@ -452,7 +454,8 @@ def test_band_does_not_depend_on_the_spot(monkeypatch):
 
     monkeypatch.setattr(claims, "agent_value_levels", recording)
     for scale in (1.0, 2.0 ** 10):
-        solve_sides(*unit_call_at(scale), 400)
+        model, claim = unit_call_at(scale)
+        lattice.solve_batch([model], claim, 400)
     unit, scaled = seen[1.0], seen[2.0 ** 10]
     assert [c for c, _ in unit] == [c for c, _ in scaled]
     assert sum(sum(c) for c, _ in unit) < 401 * 400 // 2
@@ -499,7 +502,7 @@ def test_non_finite_values_fail_at_once(monkeypatch):
     monkeypatch.setattr(drivers, "reduced_step", counted_step)
     with pytest.raises(NumericsError, match="^non-finite lattice values on "
                                             "the seller side at level 19$"):
-        solve_sides(make_benchmark(), nan_band, 20)
+        lattice.solve_batch([make_benchmark()], nan_band, 20)
     assert len(calls) == 1
 
 
@@ -522,7 +525,7 @@ def test_solve_batch_matches_solve_sides_bit_for_bit(credit, kind,
                                                     monkeypatch):
     models = lattice_stack(credit)
     claim = ClaimSpec(kind=kind, strike=1.05, maturity=1.0)
-    sides = [solve_sides(model, claim, 150) for model in models]
+    sides = [lattice.solve_batch([model], claim, 150)[0] for model in models]
     for size in block_sizes(2 * len(models), 150):
         monkeypatch.setattr(lattice, "BLOCK_ROW_NODES", size)
         batch = lattice.solve_batch(models, claim, 150)
@@ -643,7 +646,7 @@ def test_cli_lattice_extrapolates_three_raw_lattices(n):
     model = make_benchmark(alpha=0.4, fund_borrow=0.12)
     point = cli.evaluate_point(model, CALL, "lattice", steps=n)[0]
     counts = (n, n // 2, n // 4)
-    raw = [solve_sides(model, CALL, m) for m in counts]
+    raw = [lattice.solve_batch([model], CALL, m)[0] for m in counts]
     s0, sigma = model.equity.spot, model.equity.sigma
     got = ((point.xva_seller, point.strategy_seller),
            (point.xva_buyer, point.strategy_buyer))
@@ -700,9 +703,9 @@ def test_extrapolation_guard_names_the_finer_steps():
     need = math.floor(drivers.reduced_lipschitz_bound(riskier)
                       * CALL.maturity) + 1
     assert need == 2
-    solve_sides(riskier, CALL, need)
+    lattice.solve_batch([riskier], CALL, need)
     with pytest.raises(NumericsError, match=r"use n_steps >= 2$"):
-        solve_sides(riskier, CALL, need - 1)
+        lattice.solve_batch([riskier], CALL, need - 1)
     lattice.solve_extrapolated([riskier], CALL, 4 * need)
     with pytest.raises(NumericsError, match=f"use n_steps >= {4 * need}$"):
         lattice.solve_extrapolated([riskier], CALL, 4 * need - 1)

@@ -121,6 +121,9 @@ def test_bond_price(benchmark_model):
     p = benchmark_model.bond_price("own", 0.0, 1.0)
     assert p == pytest.approx(math.exp(-0.21), rel=1e-14)
     assert benchmark_model.bond_price("cpty", 1.0, 1.0) == 1.0
+    with pytest.raises(ValueError,
+                       match=r"^party must be 'own' or 'cpty', got 'bogus'$"):
+        benchmark_model.bond_price("bogus", 0.0, 1.0)
 
 
 def test_model_is_frozen(benchmark_model):

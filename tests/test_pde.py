@@ -21,8 +21,8 @@ from xvaband import cli, drivers, pde
 from xvaband.claims import agent_value_grid
 from xvaband.drivers import jump_targets
 from xvaband.lattice import ROOT_ULPS
-from conftest import (EQUITY, SCENARIO, drawn_models, make_benchmark,
-                      make_symmetric)
+from conftest import (CUSTOM_CALL, EQUITY, SCENARIO, drawn_models,
+                      make_benchmark, make_symmetric)
 
 CALL = ClaimSpec(kind="call", strike=1.0, maturity=1.0)
 FIG_CREDIT = CreditParams(mu_own=0.16, mu_cpty=0.21, loss_own=0.5, loss_cpty=0.5)
@@ -51,8 +51,9 @@ def test_zero_claim_all_zero(benchmark_model):
 
 
 def test_agent_surface_matches_closed_form(benchmark_model):
-    grid = PdeGrid.default_for(benchmark_model, CALL, nx=400, nt=400)
-    sol = solve(benchmark_model, CALL, grid)
+    """The agent march that a custom claim takes, on a call's payoff."""
+    grid = PdeGrid.default_for(benchmark_model, CUSTOM_CALL, nx=400, nt=400)
+    sol = solve(benchmark_model, CUSTOM_CALL, grid)
     s = np.exp(grid.x_nodes())
     worst = 0.0
     # skip the implicit-Euler start-up levels next to the payoff kink
@@ -228,7 +229,8 @@ def test_boundary_flagged(benchmark_model):
 
 
 def test_agent_at(benchmark_model):
-    sol, grid = small_solution(benchmark_model, nx=300, nt=150)
+    sol, grid = small_solution(benchmark_model, nx=300, nt=150,
+                               claim=CUSTOM_CALL)
     exact = agent_value(benchmark_model, CALL, 0.0, 1.0).value
     mark = np.interp(math.log(1.0), grid.x_nodes(), sol.agent[0])
     assert mark == pytest.approx(exact, abs=5e-5)
@@ -654,7 +656,13 @@ def test_solve_banded_matches_scipy_byte_for_byte(rng):
     """The prefactored solve gives the bits of scipy's banded solve, for one
     column and for a block of 84."""
     for spot, stepper, coef in operator_cases():
-        ab = stepper.ab_matrix(coef)
+        # (I - coef * B) in scipy's band layout: upper, main and lower
+        # diagonal as rows
+        lower, diag, upper = stepper.groups[0][1]
+        ab = np.zeros((3, stepper.nx))
+        ab[0, 1:] = -coef * upper[:-1]
+        ab[1, :] = 1.0 - coef * diag
+        ab[2, :-1] = -coef * lower[1:]
         for shape in ((stepper.nx,), (stepper.nx, 84)):
             b = spot * rng.standard_normal(shape)
             got = pde.solve_banded(stepper, coef, b)
@@ -1238,17 +1246,13 @@ def test_non_finite_payoff_names_the_agent_surface(benchmark_model):
         solve(benchmark_model, claim, grid)
 
 
-@pytest.mark.parametrize("claim", [
-    ClaimSpec(kind="custom", strike=1.0, maturity=1.0,
-              payoff_fn=lambda s: np.maximum(s - 1.0, 0.0)),
-    CALL])
+@pytest.mark.parametrize("claim", [CUSTOM_CALL])
 def test_non_finite_agent_step_names_the_agent_surface(claim, monkeypatch,
                                                        benchmark_model):
     """An agent step that turns non-finite is reported at its own level,
-    also at a Crank-Nicolson step and for a call, whose driver reads the
-    closed-form mark instead of the agent surface.  The 8th agent step is
-    the one to t=0.835683: two half-steps for each of the two
-    implicit-Euler steps, then one per step."""
+    also at a Crank-Nicolson step.  The 8th agent step is the one to
+    t=0.835683: two half-steps for each of the two implicit-Euler steps,
+    then one per step."""
     step_linear = pde._Stepper.step_linear
     calls = []
 
@@ -1264,6 +1268,25 @@ def test_non_finite_agent_step_names_the_agent_surface(claim, monkeypatch,
     with pytest.raises(NumericsError, match=r"^non-finite values in the agent "
                                             r"surface at t=0\.835683$"):
         solve(benchmark_model, claim, grid)
+
+
+def test_vanilla_march_makes_no_agent_step(monkeypatch, benchmark_model):
+    """A call or put marches no agent surface: each row of its ``agent`` is
+    the closed-form mark that its driver reads, to the bit."""
+    def no_step(self, u, dt, theta):
+        raise AssertionError("a vanilla march stepped the agent")
+
+    monkeypatch.setattr(pde._Stepper, "step_linear", no_step)
+    for kind in ("call", "put"):
+        claim = ClaimSpec(kind=kind, strike=1.0, maturity=1.0)
+        grid = PdeGrid.default_for(benchmark_model, claim, nx=60, nt=20)
+        s = np.exp(grid.x_nodes())
+        sol = solve(benchmark_model, claim, grid)
+        [batch] = solve_batch([benchmark_model], claim, grid)
+        assert batch.agent.tobytes() == sol.agent[:2].tobytes()
+        for i, t in enumerate(grid.t_nodes()):
+            mark, _ = agent_value_grid(benchmark_model, claim, t, s)
+            assert sol.agent[i].tobytes() == mark.tobytes()
 
 
 def test_non_finite_driver_names_the_column(monkeypatch):
