@@ -29,13 +29,14 @@ Conventions
   fields that the mark fixes, ``base`` and ``at_zero``, and per ``u`` only
   the repo legs of ``z``, the funding account ``at_zero + slope u`` at its
   rate and the pull ``pull u``.  The root builds the fields from the
-  block's :func:`reduced_mark_terms` (:func:`root_terms`).  The PDE builds
-  each row's coefficients of ``mark⁺`` and ``mark⁻`` once per march
-  (:func:`mark_coefficients`) and per level only the two fields
-  (:func:`mark_fields`).  Both read once per march which lend/borrow legs
-  are linear, their two rates equal in every row (:func:`linear_legs`), and
-  skip those legs' branches: the root's kink test and selections, the PDE's
-  splits of the stock position and the funding account.
+  block's :func:`reduced_mark_terms` (:func:`root_terms`).  The PDE takes
+  each kink, of the mark, the stock position and the funding account, as
+  one selection from a per-row rate pair (:func:`kinked`): it builds each
+  row's pairs of the two fields once per march (:func:`mark_coefficients`)
+  and per level only the fields (:func:`mark_fields`).  Both read once per
+  march which lend/borrow legs are linear, their two rates equal in every
+  row (:func:`linear_legs`), and skip those legs' branches: the root's
+  kink test and selections, and the PDE's repo leg.
   :func:`reduced_step` stays the public driver and the lattice's
   independent check of its root, and keeps every branch.
 * ``side`` is "seller" (hedging a short position in the claim) or "buyer"
@@ -43,10 +44,9 @@ Conventions
   one reflection, ``buyer(args, mark) = -seller(-args, -mark)``, which the
   driver parts apply themselves through the record's ``sign``; they are
   never coded independently, which makes the antisymmetry structural.  The
-  PDE folds the same reflection into a buyer row's
-  :func:`mark_coefficients`, and its tests hold the fields to the
-  lattice's :func:`root_terms` and its level driver to
-  :func:`reduced_drift`.
+  PDE folds the same reflection into a buyer row's rate pairs, which
+  :func:`sided` swaps, and its tests hold the fields to the lattice's
+  :func:`root_terms` and its level driver to :func:`reduced_drift`.
 * ``x⁺ = max(x, 0)`` and ``x⁻ = max(-x, 0)``, so ``x⁺ - x⁻ = x`` exactly and
   both vanish at 0.
 * ``z`` in the wealth-level driver is the diffusion exposure of the full
@@ -331,9 +331,11 @@ def linear_legs(p: DriverParams) -> tuple[bool, bool]:
     exactly, in every row, so that it has no kink.
 
     Both engines read this once per march and skip a linear leg's branch:
-    at equal rates either branch takes the same product, and the other leg
-    of a node is exactly 0, so skipping it moves no bit.  In a block where
-    some row's rates differ the leg keeps its branches in every row.
+    at equal rates either branch takes the same product, so skipping it
+    moves no bit.  The lattice's root reads both flags; the PDE reads only
+    the repo flag, since its funding leg is one selection either way.  In a
+    block where some row's rates differ the leg keeps its branches in every
+    row.
     """
     return (bool(np.all(np.equal(p.repo_lend, p.repo_borrow))),
             bool(np.all(np.equal(p.fund_lend, p.fund_borrow))))
@@ -356,51 +358,60 @@ def affine_rates(p: DriverParams):
     return -1.0, (2.0 * p.discount + p.intensity_own) + p.intensity_cpty
 
 
+def sided(p: DriverParams, on_pos, on_neg):
+    """A seller's rates on either side of a kink at zero, ``(on_pos,
+    on_neg)``, as the pair of each row of ``p`` in its own terms: a buyer
+    row, which takes the seller's branches at the reflected argument,
+    swaps them.  :func:`kinked` takes the pair."""
+    buyer = np.less(p.sign, 0.0)
+    return np.where(buyer, on_neg, on_pos), np.where(buyer, on_pos, on_neg)
+
+
+def kinked(pair, x):
+    """``x`` at the rate of its side of zero, ``np.where(x > 0.0, *pair) *
+    x``, with ``pair`` a row's (rate where x > 0, rate where x <= 0), as
+    :func:`sided` builds it.  At a nonzero node this is the one product of
+    its branch."""
+    out = np.where(x > 0.0, *pair)
+    out *= x
+    return out
+
+
 def mark_coefficients(p: DriverParams):
-    """The affine form's two fields of the rows of ``p`` as coefficients of
-    the mark's parts, once per march.
+    """The affine form's two fields of the rows of ``p`` as rate pairs on
+    either side of the mark's kink, once per march.
 
     With alpha in [0, 1] the posted margin ``alpha mark`` and the
-    close-outs' residual ``(1 - alpha) mark`` split along the mark's parts,
-    so ``base`` and ``at_zero`` are each ``c⁺ mark⁺ + c⁻ mark⁻``; returns
-    their pairs ``(c⁺, c⁻)``, one entry per row, in each row's own terms.
-    A seller's ``base`` takes ``D - coll_earn alpha - (D + lambda_own) L_own
-    (1 - alpha)`` and ``coll_pay alpha - D + (D + lambda_cpty) L_cpty (1 -
-    alpha)`` (D the discount rate, lambda the default intensities, L the
-    loss rates), its ``at_zero`` ``(1 - alpha)(1 - L_own)`` and ``-(1 -
-    alpha)(1 - L_cpty)``; without a credit block the loss terms drop out.
-    A buyer row, the seller's at -mark negated, takes the seller's ``(-c⁻,
-    -c⁺)``.
+    close-outs' residual ``(1 - alpha) mark`` change rate where the mark
+    changes sign, so ``base`` and ``at_zero`` are each a rate of the mark's
+    side of zero times the mark; returns their :func:`sided` pairs, one
+    entry per row.  A seller's ``base`` takes ``D - coll_earn alpha - (D +
+    lambda_own) L_own (1 - alpha)`` where the mark is positive and ``D -
+    coll_pay alpha - (D + lambda_cpty) L_cpty (1 - alpha)`` elsewhere (D
+    the discount rate, lambda the default intensities, L the loss rates),
+    its ``at_zero`` ``(1 - alpha)(1 - L_own)`` and ``(1 - alpha)(1 -
+    L_cpty)``; without a credit block the loss terms drop out, so ``base``
+    is ``(D - coll_earn alpha, D - coll_pay alpha)`` and ``at_zero`` ``1 -
+    alpha`` on both sides.
     """
     kept = 1.0 - p.alpha
-    base = (p.discount - p.coll_earn * p.alpha, p.coll_pay * p.alpha - p.discount)
-    at_zero = (kept, -kept)
+    base = (p.discount - p.coll_earn * p.alpha, p.discount - p.coll_pay * p.alpha)
+    at_zero = (kept, kept)
     if p.loss_own is not None:
         base = (base[0] - (p.discount + p.intensity_own) * p.loss_own * kept,
-                base[1] + (p.discount + p.intensity_cpty) * p.loss_cpty * kept)
-        at_zero = (kept * (1.0 - p.loss_own), -kept * (1.0 - p.loss_cpty))
-    buyer = np.less(p.sign, 0.0)
-
-    def folded(on_pos, on_neg):
-        return np.where(buyer, -on_neg, on_pos), np.where(buyer, -on_pos, on_neg)
-    return folded(*base), folded(*at_zero)
+                base[1] - (p.discount + p.intensity_cpty) * p.loss_cpty * kept)
+        at_zero = (kept * (1.0 - p.loss_own), kept * (1.0 - p.loss_cpty))
+    return sided(p, *base), sided(p, *at_zero)
 
 
-def mark_fields(coefs, mark, spare=None):
+def mark_fields(coefs, mark):
     """``base`` and ``at_zero`` of the rows of :func:`mark_coefficients`'
-    ``coefs`` at a mark that every row shares, one row of nodes each.
-
-    ``spare``, an array of the fields' shape, takes each field's second
-    product.  The products are elementwise, so a row's fields are the same
-    bits in a batch of any size.
+    ``coefs`` at a mark that every row shares, one row of nodes each: each
+    the :func:`kinked` of its pair at the mark.  The products are
+    elementwise, so a row's fields are the same bits in a batch of any
+    size.
     """
-    mark_pos, mark_neg = pos(mark), neg(mark)
-    fields = []
-    for on_pos, on_neg in coefs:
-        field = np.multiply(on_pos, mark_pos)
-        field += np.multiply(on_neg, mark_neg, out=spare)
-        fields.append(field)
-    return fields
+    return [kinked(pair, mark) for pair in coefs]
 
 
 def root_rates(p: DriverParams, dt: float) -> RootRates:

@@ -5,7 +5,8 @@ discretizes the stock under the valuation measure; the adjustment is obtained
 by backward induction with an implicit-in-value, explicit-in-gradient step.
 The scheme shares no discretization code with the PDE engine, so agreement
 between the two is evidence rather than tautology; the two share only the
-driver.
+driver and the batch's rows (:class:`pde.Rows`, and the error
+:class:`pde.NumericsError` they both raise).
 
 The lattice solves one equation, the reduced adjustment equation: terminal
 data zero, the reduced adjustment driver, and the diffusion-gradient slot fed

@@ -56,26 +56,27 @@ and delta once, from the closed forms or the custom claim's agent step,
 and builds from them the two fields of the driver that the mark alone
 fixes: ``base`` (collateral legs,
 carry, close-out targets) and ``at_zero`` (the funding account at u = 0) of
-its affine form (:func:`drivers.affine_rates`).  Each field is a per-row
-coefficient times ``mark⁺`` plus another times ``mark⁻``; the march builds
-the coefficients once (:func:`drivers.mark_coefficients`), with the buyer
-reflection folded into the buyer rows', and a level only the mark's two
-parts and the two elementwise sums (:func:`drivers.mark_fields`).
+its affine form (:func:`drivers.affine_rates`).  Each kink of the driver
+is a per-row pair of rates chosen by the sign of one quantity,
+``np.where(x > 0, *pair) * x`` (:func:`drivers.kinked`): the mark for the two
+fields, the stock position for the repo leg and the funding account for
+its leg.  The march builds every pair once (:func:`_remainder`), a buyer
+row's swapped (:func:`drivers.sided`), since it takes the seller's branches
+at the reflected argument, and a level only the two fields
+(:func:`drivers.mark_fields`).
 The driver of one level is spent on the next step's explicit part, or
 dropped before a half-step, before the step builds its own, so one level of
 terms is alive at a time.  Each Picard iteration then makes one driver call
 on the whole block, ``base + repo_net(z) - rate(a) a - pull u`` with ``a =
 at_zero + slope u`` less the operator's part, from the two fields, the
-stock position and u, each lend/borrow leg at its own rate and a buyer
-row's branches reflected (``min(x, 0)`` for ``max(x, 0)``), and one banded
-solve of its transpose, each group's range of columns in place.  A leg
-whose lend and borrow rates are equal in every row of the march
-(:func:`drivers.linear_legs`, read once per march) has no branches to
-take: a linear repo leg adds exactly 0 once kappa is in the operator, so
-the call skips it and the gradient of u, and a linear funding leg is one
-product, with the same bits.
-The driver reads one :class:`drivers.DriverParams` record of the block, in
-which a parameter that differs between scenarios has one entry per row.
+stock position and u, one selection per kink, and one banded solve of its
+transpose, each group's range of columns in place.  A repo leg whose lend
+and borrow rates are equal in every row of the march
+(:func:`drivers.linear_legs`, read once per march) adds exactly 0 once
+kappa is in the operator, so the call skips it and the gradient of u.
+The driver reads one per-march record of the block's rates
+(:class:`_Remainder`), in which a rate that differs between scenarios has
+one entry per row.
 Picard runs per row through :func:`settle` from a start computed per node: a
 row is frozen as soon as its own estimate is below tolerance, and keeps its
 values while the others iterate, so it takes exactly the iterations, and
@@ -413,19 +414,24 @@ class _Remainder(NamedTuple):
     """The per-row constants of :func:`_level_driver` that no level
     changes, built once per march by :func:`_remainder`.
 
-    ``kappa`` is the operator's share of the repo legs; ``pull`` is the
-    pull of :func:`drivers.affine_rates` less the operator's rate;
-    ``repo`` holds the repo rates less the discount rate and kappa, (long,
-    short), or is None where the repo leg is linear and kappa its rate less
-    the discount rate, so that both are exactly 0; ``funding`` is whether
-    the funding leg is linear (:func:`drivers.linear_legs`).
+    ``base`` and ``at_zero`` are the rate pairs of the affine form's fields
+    (:func:`drivers.mark_coefficients`); ``kappa`` is the operator's share
+    of the repo legs; ``pull`` is the pull of :func:`drivers.affine_rates`
+    less the operator's rate; ``repo`` is the rate pair of the stock
+    position, the repo rates less the discount rate and kappa, or None
+    where the repo leg is linear and kappa its rate less the discount rate,
+    so that both are exactly 0; ``funding`` is the rate pair of the funding
+    account.  Each pair is :func:`drivers.sided`, so a buyer row's is
+    swapped.
     """
 
+    base: tuple
+    at_zero: tuple
     kappa: float | np.ndarray
     slope: float
     pull: float | np.ndarray
     repo: tuple | None
-    funding: bool
+    funding: tuple
 
 
 def _remainder(params: drivers.DriverParams, split: bool = True) -> _Remainder:
@@ -433,12 +439,13 @@ def _remainder(params: drivers.DriverParams, split: bool = True) -> _Remainder:
     :func:`_operator_split` sits in the implicit operator, or without
     ``split`` of the driver g itself."""
     rate, kappa = _operator_split(params) if split else (0.0, 0.0)
-    repo, funding = drivers.linear_legs(params)
     slope, pull = drivers.affine_rates(params)
-    legs = None if repo and split else (
-        params.repo_borrow - params.discount - kappa,
+    repo = None if split and drivers.linear_legs(params)[0] else drivers.sided(
+        params, params.repo_borrow - params.discount - kappa,
         params.repo_lend - params.discount - kappa)
-    return _Remainder(kappa, slope, pull - rate, legs, funding)
+    return _Remainder(*drivers.mark_coefficients(params), kappa, slope,
+                      pull - rate, repo,
+                      drivers.sided(params, params.fund_lend, params.fund_borrow))
 
 
 def _linear_rows(params: drivers.DriverParams, size: int) -> list[bool]:
@@ -453,72 +460,44 @@ def _linear_rows(params: drivers.DriverParams, size: int) -> list[bool]:
     return np.broadcast_to(linear, (size, 1))[:, 0].tolist()
 
 
-def _level_driver(params: drivers.DriverParams, coefs, mark: np.ndarray,
-                  grad: np.ndarray, dx: float):
+def _level_driver(rest: _Remainder, mark: np.ndarray, grad: np.ndarray,
+                  dx: float):
     """The reduced driver of one time level as a function of the block u.
 
     In the seller's terms the driver is ``base + repo_net(z) - rate(a) a -
     pull u`` with ``a = at_zero + slope u`` (:func:`drivers.affine_rates`).
-    ``base`` and ``at_zero`` are built once per level from the mark's parts
-    and the march's per-row ``coefs`` (:func:`drivers.mark_fields`), which
-    hold the buyer rows (K..2K-1) reflected, so a buyer row takes ``min(x,
-    0)`` where a seller takes ``x⁺``.  Each call splits the stock position
-    z / sigma and the account a, in two buffers of the level, into their
-    legs and takes each at its own rate (``fund_lend a⁺ - fund_borrow a⁻``):
-    a node's other leg is exactly 0, so no two rates cancel as in
-    ``fund_borrow a + (fund_lend - fund_borrow) a⁺``.
+    ``base`` and ``at_zero`` are built once per level from the mark and the
+    march's per-row pairs (:func:`drivers.mark_fields`).  Each call takes
+    the stock position z / sigma and the account a each at the rate of its
+    side of zero, one :func:`drivers.kinked` of the row's pair: a buyer row's
+    pair is swapped, since it takes the seller's branches at the reflected
+    argument, and a node's product is its branch's alone, so no two rates
+    cancel as in ``fund_borrow a + (fund_lend - fund_borrow) a⁺``.
 
-    The third entry of ``coefs``, the march's :func:`_remainder`, makes it
-    the remainder ``g(u) + rate u - kappa G u``: ``kappa grad`` joins
-    ``base``, the repo legs run at their rates less kappa and the pull is
-    ``pull - rate``.  A linear leg (:func:`drivers.linear_legs`) is not
-    split.  A linear repo leg's rates less kappa are exactly 0, so its
-    legs, the gradient of u and the stock position are skipped: they add
-    +0.0, and ``out`` starts as ``base + 0.0``.  A linear funding leg is
-    one product, ``fund_lend a``, the same bits as its two legs.
+    ``rest``, the march's :func:`_remainder`, makes it the remainder ``g(u)
+    + rate u - kappa G u``: ``kappa grad`` joins ``base``, the repo legs run
+    at their rates less kappa and the pull is ``pull - rate``.  A linear
+    repo leg's rates less kappa are exactly 0, so its kink, the gradient of
+    u and the stock position are skipped: ``out`` starts as ``base + 0.0``,
+    and the kink, where taken, is added to that.
     """
-    count = len(params.sign) // 2
-    # per level, not per march: freed with the fields, they leave room for
+    base, at_zero = drivers.mark_fields((rest.base, rest.at_zero), mark)
+    # per level, not per march: freed with the fields, it leaves room for
     # the next level's temporaries, which would otherwise grow the heap and
     # fault its pages anew at every level
-    other = np.empty((2 * count, len(mark)))
-    base_coefs, zero_coefs, rest = coefs
-    base, at_zero = drivers.mark_fields((base_coefs, zero_coefs), mark,
-                                        spare=other)
+    other = np.empty_like(base)
     base += np.multiply(rest.kappa, grad, out=other)
-    part = np.empty_like(base)
     account = np.add if rest.slope > 0.0 else np.subtract
 
-    def split(x):
-        """(x⁺, -x⁻) on the seller rows, x⁺ in ``part`` and -x⁻ in x; on
-        the buyer rows the reflected pair (-x⁻, x⁺)."""
-        np.maximum(x[:count], 0.0, out=part[:count])
-        np.minimum(x[count:], 0.0, out=part[count:])
-        x -= part
-        return part, x
-
     def g(u: np.ndarray) -> np.ndarray:
-        if rest.repo is None:
-            # the linear repo legs' sum is +0.0, which turns a -0.0 into +0.0
-            out = np.add(base, 0.0)
-        else:
-            repo_long, repo_short = rest.repo
+        # + 0.0 turns a -0.0 into +0.0, so a skipped linear repo leg, whose
+        # product is 0.0 or -0.0 by the sign of z, moves no bit
+        out = np.add(base, 0.0)
+        if rest.repo is not None:
             y = _gradient(u, dx, other)
             y += grad
-            long, short = split(y)
-            out = np.multiply(repo_short, short)
-            long *= repo_long
-            out += long
-            out += base
-        a = account(at_zero, u, out=other)
-        if rest.funding:
-            out -= np.multiply(params.fund_lend, a, out=a)
-        else:
-            lend, borrow = split(a)
-            lend *= params.fund_lend
-            out -= lend
-            borrow *= params.fund_borrow
-            out -= borrow
+            out += drivers.kinked(rest.repo, y)
+        out -= drivers.kinked(rest.funding, account(at_zero, u, out=other))
         # the pull toward a credit block's close-outs, less rate
         out -= np.multiply(rest.pull, u, out=other)
         return out
@@ -579,7 +558,7 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
         agent_step = _Stepper(grid, first, zeroth=-first.rates.discount)
     adj_step = _Stepper(grid, first, zeroth=0.0, groups=groups)
     tol = PICARD_TOL * claim.strike  # the test is in units of the strike
-    coefs = (*drivers.mark_coefficients(params), _remainder(params))
+    rest = _remainder(params)
     exact = _linear_rows(params, rows.size)
 
     def step(a_old, fixed, u_start, t, dt, theta):
@@ -591,7 +570,7 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
         else:
             a_new = agent_step.step_linear(a_old, dt, theta)
             grad = np.gradient(a_new, dx)
-        drift = _level_driver(params, coefs, a_new, grad, dx)
+        drift = _level_driver(rest, a_new, grad, dx)
         it, res, u, failed = _picard(adj_step, fixed, dt, theta, u_start,
                                      drift, tol=tol, exact=exact)
         if failed:

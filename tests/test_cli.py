@@ -142,6 +142,30 @@ def test_value_command_all_engines(bench_cfg_path, capsys):
     assert "cross-engine deltas" in out
 
 
+def test_value_out_writes_one_row_per_engine(tmp_path, bench_cfg_path, capsys):
+    """``value --out`` writes the header and one row per engine, each the
+    engine's :func:`cli.evaluate_point` result at 10 digits."""
+    out = tmp_path / "value.csv"
+    rc = cli.main(["value", "--config", bench_cfg_path, "--engine", "all",
+                   "--nx", "120", "--nt", "60", "--steps", "150",
+                   "--out", str(out)])
+    assert rc == 0
+    assert f"wrote 2 rows to {out}\n" in capsys.readouterr().out
+    cfg = build_config(parse_config_text(BENCH_TEXT))
+    results = cli.evaluate_point(cfg.model, cfg.claim, "all", nx=120, nt=60,
+                                 steps=150)
+    assert [r.engine for r in results] == ["pde", "lattice"]
+    lines = out.read_text().splitlines()
+    assert lines[0] == ("engine_idx,xva_seller,xva_buyer,width,xi_stock,xi_I,"
+                        "xi_C,funding_dollars")
+    assert len(lines) == 1 + len(results)
+    for idx, (line, r) in enumerate(zip(lines[1:], results)):
+        st = r.strategy_seller
+        want = [idx, r.xva_seller, r.xva_buyer, r.width, st.stock_shares,
+                st.bond_own_shares, st.bond_cpty_shares, st.funding_dollars]
+        assert line == ",".join(cli._fmt(v) for v in want)
+
+
 def test_value_warns_on_an_inverted_band(tmp_path, bench_cfg_path, capsys):
     # on the benchmark config the seller is below the buyer by about 2e-6
     argv = ["value", "--engine", "lattice", "--steps", "50"]
@@ -174,6 +198,27 @@ def test_value_closed_engine_requires_symmetry(bench_cfg_path, capsys):
     rc = cli.main(["value", "--config", bench_cfg_path, "--engine", "closed"])
     assert rc == 1
     assert "symmetric" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("value", BENCH_TEXT.replace("fund_lend = 0.05", "fund_lend 0.05"),
+     "config line 3: expected 'key = value', got 'fund_lend 0.05'"),
+    ("value", BENCH_TEXT + "engine = bogus\n",
+     f"engine must be one of {cli.ENGINES}, got 'bogus'"),
+    ("convergence", BENCH_TEXT, "convergence study requires symmetric rates "
+     "(the closed form is the reference)"),
+    ("value", None, "--config is required for this command"),
+], ids=["line-without-equals", "bogus-engine", "asymmetric-convergence",
+        "value-without-config"])
+def test_refusals_exit_1_with_their_message(tmp_path, capsys, command, text,
+                                            message):
+    argv = [command]
+    if text is not None:
+        p = tmp_path / "refused.cfg"
+        p.write_text(text)
+        argv += ["--config", str(p)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_band_csv_deterministic(tmp_path, bench_cfg_path):
@@ -352,6 +397,26 @@ def test_figure_repo_buyer_flat(tmp_path):
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     buyer_at_05 = [float(r[5]) for r in rows]  # repo_lend = 0.05 series
     assert max(buyer_at_05) - min(buyer_at_05) < 1e-9
+
+
+def test_figure_leaves_nan_where_a_series_has_no_model(tmp_path):
+    """``xva-vs-repo`` values no model whose repo borrow rate is below the
+    series' lend rate: swept from 0.03, its ``_rl0.05`` cells are NaN below
+    0.05 and every other cell is finite."""
+    p = tmp_path / "repo.cfg"
+    p.write_text("sweep_start = 0.03\nsweep_stop = 0.06\nsweep_points = 4\n"
+                 "nx = 40\nnt = 10\n")
+    out = tmp_path / "repo.csv"
+    assert cli.main(["figure", "xva-vs-repo", "--config", str(p),
+                     "--out", str(out)]) == 0
+    header, *lines = out.read_text().splitlines()
+    header = header.split(",")
+    rows = [[float(cell) for cell in line.split(",")] for line in lines]
+    assert [row[0] for row in rows] == [0.03, 0.04, 0.05, 0.06]
+    for row in rows:
+        for name, cell in zip(header[1:], row[1:]):
+            missing = name.endswith("_rl0.05") and row[0] < 0.05
+            assert math.isnan(cell) == missing, (row[0], name)
 
 
 def test_figure_nodefault_stock_hedge_monotonicity(tmp_path):

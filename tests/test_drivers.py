@@ -72,6 +72,20 @@ def test_closeout_signs(rng):
         assert cpty >= 0.0
 
 
+def test_jump_targets_without_a_credit_block_are_zeros_of_the_marks_shape():
+    """A default-free model has no close-outs: both targets, on both sides,
+    are zeros of the mark's shape, for a scalar mark and for an array that
+    holds signed zeros and both signs."""
+    m = dataclasses.replace(model_with(alpha=0.4), credit=None)
+    for mark in (0.7, -1.25, np.array([[-1.5, 0.0], [2.0, -0.0], [3e-300, 4.0]])):
+        for side in (SELLER, BUYER):
+            targets = jump_targets(m, side, mark)
+            assert len(targets) == 2
+            for target in targets:
+                assert np.shape(target) == np.shape(mark)
+                assert not np.any(target)
+
+
 # ---------------------------------------------------------------------------
 # wealth-level driver
 # ---------------------------------------------------------------------------

@@ -476,10 +476,11 @@ def test_batch_failures_name_the_given_scenario_of_a_reordered_march(
         solve_batch(diverging, CALL, grid)
 
     level_driver = pde._level_driver
+    march = pde.Rows(batch(0.15), pde._row_groups(batch(0.15))[0])
+    rows = np.broadcast_to(march.params.alpha, (march.size, 1))[:, 0] == 0.5
 
-    def poisoned(params, coefs, mark, grad, dx):
-        g = level_driver(params, coefs, mark, grad, dx)
-        rows = np.broadcast_to(params.alpha, (len(params.sign), 1))[:, 0] == 0.5
+    def poisoned(rest, mark, grad, dx):
+        g = level_driver(rest, mark, grad, dx)
 
         def h(u):
             out = g(u)
@@ -744,9 +745,7 @@ def level_drift_ulps(models, mark, grad, dx, u):
     """The level driver of the models' block at u, and its distance from
     :func:`reference_drift` per node, in ulps of the step's scale there."""
     params = drivers.DriverParams.stack(models)
-    g = pde._level_driver(params, (*drivers.mark_coefficients(params),
-                                   pde._remainder(params, split=False)),
-                          mark, grad, dx)
+    g = pde._level_driver(pde._remainder(params, split=False), mark, grad, dx)
     got = g(u)
     want, scale = reference_drift(models, mark, grad, dx, u)
     return g, got, np.abs(got - want) / np.spacing(scale)
@@ -891,15 +890,13 @@ def split_ulps(models, mark, grad, dx, u):
     grid = PdeGrid(x_min=0.0, x_max=(u.shape[1] - 1) * dx, nx=u.shape[1], nt=1,
                    maturity=1.0)
     params = drivers.DriverParams.stack(models)
-    coefs = drivers.mark_coefficients(params)
     rate, kappa = pde._operator_split(params)
     plain = pde._Stepper(grid, models[0], 0.0)
     split = pde._Stepper(grid, models[0], 0.0, groups=groups)
     want = plain.apply(u) + pde._level_driver(
-        params, (*coefs, pde._remainder(params, split=False)), mark, grad,
-        grid.dx)(u)
+        pde._remainder(params, split=False), mark, grad, grid.dx)(u)
     got = split.apply(u) + pde._level_driver(
-        params, (*coefs, pde._remainder(params)), mark, grad, grid.dx)(u)
+        pde._remainder(params), mark, grad, grid.dx)(u)
     _, scale = reference_drift(models, mark, grad, grid.dx, u)
     scale = functools.reduce(np.maximum, [
         scale, band_addends(plain, u), band_addends(split, u),
@@ -947,9 +944,11 @@ def test_linear_legs_give_the_bits_of_their_branches(scenarios, credit,
                                                      legs):
     """On drawn models that pass the necessary rate conditions and whose
     repo or funding rates, or both, are equal in every row, the level
-    driver that skips the linear legs' branches gives the bytes of the one
-    that takes them (:func:`drivers.linear_legs` forced to (False, False)),
-    as the remainder of the march and as the driver g itself."""
+    driver that skips a linear repo leg gives the bytes of the one that
+    takes its kink (:func:`drivers.linear_legs` forced to (False, False)),
+    as the remainder of the march and as the driver g itself.  The funding
+    leg is one selection either way, so the funding cases check that a
+    linear funding leg leaves the repo leg's bits alone."""
     repo, funding = legs
     scenarios = [{**sc, **({"repo_borrow": sc["repo_lend"]} if repo else {}),
                   **({"spread": 0.0} if funding else {})} for sc in scenarios]
@@ -961,9 +960,8 @@ def test_linear_legs_give_the_bits_of_their_branches(scenarios, credit,
     assert all(np.greater_equal(drivers.linear_legs(params), legs))
 
     def drift(split):
-        coefs = (*drivers.mark_coefficients(params),
-                 pde._remainder(params, split))
-        return pde._level_driver(params, coefs, mark, grad, dx)(u)
+        return pde._level_driver(pde._remainder(params, split), mark, grad,
+                                 dx)(u)
 
     for split in (True, False):
         skipped = drift(split)
@@ -1294,10 +1292,11 @@ def test_non_finite_driver_names_the_column(monkeypatch):
     scenario's seller row, with its varied parameters and t."""
     models = batch_stack()
     level_driver = pde._level_driver
+    march = pde.Rows(models, pde._row_groups(models)[0])
+    rows = np.broadcast_to(march.params.alpha, (march.size, 1))[:, 0] == 0.35
 
-    def poisoned(params, coefs, mark, grad, dx):
-        g = level_driver(params, coefs, mark, grad, dx)
-        rows = np.broadcast_to(params.alpha, (len(params.sign), 1))[:, 0] == 0.35
+    def poisoned(rest, mark, grad, dx):
+        g = level_driver(rest, mark, grad, dx)
 
         def h(u):
             out = g(u)
