@@ -85,6 +85,12 @@ def _check_stock(s: float) -> None:
         raise ValueError(f"stock level must be positive and finite, got {s!r}")
 
 
+def _check_time(claim: ClaimSpec, t: float) -> None:
+    """Refuse a time outside [0, T], NaN included."""
+    if not 0.0 <= t <= claim.maturity:
+        raise ValueError(f"t={t!r} outside [0, {claim.maturity}]")
+
+
 def agent_value(model: MarketModel, claim: ClaimSpec, t: float, s: float) -> AgentValuation:
     """Agent's mark and delta at time ``t`` and stock level ``s``.
 
@@ -93,8 +99,7 @@ def agent_value(model: MarketModel, claim: ClaimSpec, t: float, s: float) -> Age
     right-derivative are returned.
     """
     _check_stock(s)
-    if not 0.0 <= t <= claim.maturity:
-        raise ValueError(f"t={t!r} outside [0, {claim.maturity}]")
+    _check_time(claim, t)
     if claim.kind == "custom":
         v, d = _quadrature_value(model, claim, t, s)
         return AgentValuation(v, d)
@@ -105,7 +110,9 @@ def agent_value(model: MarketModel, claim: ClaimSpec, t: float, s: float) -> Age
 def agent_value_grid(model: MarketModel, claim: ClaimSpec, t: float,
                      s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mark and delta over an array of stock levels: vectorized closed forms
-    for a call or put, one quadrature per stock level for a custom claim."""
+    for a call or put, one quadrature per stock level for a custom claim.
+    Refuses a time outside [0, T] as :func:`agent_value` does."""
+    _check_time(claim, t)
     if claim.kind == "custom":
         pairs = [_quadrature_value(model, claim, t, float(si)) for si in s]
         return (np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
@@ -122,8 +129,11 @@ def agent_value_levels(model: MarketModel, claim: ClaimSpec,
     levels, with each time's ``tau``, ``st`` and ``df`` repeated over its
     own, so every level gets the bits that :func:`agent_value_grid` gives
     it at its time.  Otherwise, and at a single time, each time goes
-    through :func:`agent_value_grid`.
+    through :func:`agent_value_grid`.  Refuses a time outside [0, T] as
+    :func:`agent_value` does.
     """
+    for t in times:
+        _check_time(claim, t)
     taus = [claim.maturity - t for t in times]
     if claim.kind == "custom" or len(taus) == 1 or min(taus) <= 0.0:
         parts = [agent_value_grid(model, claim, t, piece) for t, piece in

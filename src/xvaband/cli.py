@@ -33,7 +33,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 from typing import Callable
 
@@ -166,12 +166,20 @@ def build_config(values: dict) -> RunConfig:
 
 @dataclass(frozen=True)
 class PointResult:
+    """One engine's valuation of a claim at t = 0 and the spot: both sides'
+    replication strategies, which hold the mark and the adjustments, and
+    the solution they were read from: the :class:`pde.PdeSolution`, the
+    lattice's (seller, buyer) :class:`lattice.OracleSolution` pair, or None
+    for the closed forms."""
+
     engine: str
-    mark: float
-    xva_seller: float
-    xva_buyer: float
     strategy_seller: drivers.ReplicationStrategy
     strategy_buyer: drivers.ReplicationStrategy
+    solution: object = field(default=None, compare=False, repr=False)
+
+    mark = property(attrgetter("strategy_seller.mark"))
+    xva_seller = property(attrgetter("strategy_seller.adjustment"))
+    xva_buyer = property(attrgetter("strategy_buyer.adjustment"))
 
     @property
     def width(self) -> float:
@@ -179,29 +187,23 @@ class PointResult:
 
 
 def _closed_point(model, claim) -> PointResult:
-    seller, buyer = (closed_form.piterbarg_strategies(
-        model, claim, 0.0, model.equity.spot, side) for side in drivers.SIDES)
-    return PointResult("closed", seller.mark, seller.adjustment,
-                       buyer.adjustment, seller, buyer)
+    return PointResult("closed", *(closed_form.piterbarg_strategies(
+        model, claim, 0.0, model.equity.spot, side) for side in drivers.SIDES))
 
 
 def _pde_result(sol: pde.PdeSolution) -> PointResult:
     s0 = sol.model.equity.spot
-    seller, buyer = (pde.strategies(sol, 0.0, s0, side)
-                     for side in drivers.SIDES)
-    return PointResult("pde", seller.mark, seller.adjustment,
-                       buyer.adjustment, seller, buyer)
+    return PointResult("pde", *(pde.strategies(sol, 0.0, s0, side)
+                                for side in drivers.SIDES), sol)
 
 
 def _lattice_result(model, claim, sides) -> PointResult:
     s0 = model.equity.spot
-    seller, buyer = (drivers.build_strategy(
+    return PointResult("lattice", *(drivers.build_strategy(
         model, claim, sol.side, 0.0, s0, adjustment=sol.adjustment,
         mark=sol.root_mark,
         stock_shares=sol.root_gradient / (model.equity.sigma * s0))
-        for sol in sides)
-    return PointResult("lattice", seller.mark, seller.adjustment,
-                       buyer.adjustment, seller, buyer)
+        for sol in sides), sides)
 
 
 def _batched(models, claim, engine, nx, nt, steps) -> list[PointResult]:
@@ -232,7 +234,9 @@ def evaluate_point(model: MarketModel, claim: claims.ClaimSpec, engine: str,
                    nx: int = DEFAULT_NX, nt: int = DEFAULT_NT,
                    steps: int = DEFAULT_STEPS) -> list[PointResult]:
     """Run one valuation with the requested engine, or with each engine for
-    "all", the closed forms only where the rates are symmetric."""
+    "all", the closed forms only where the rates are symmetric.  Each
+    result keeps the engine's solution, so what the march did (a PDE's
+    Picard counts, a lattice's root residuals) is read off ``solution``."""
     engines = ((engine,) if engine != "all" else
                ENGINES[:-1] if model.rates.symmetric() else ENGINES[1:-1])
     results = []

@@ -645,6 +645,24 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
     return agent, block, iters, resids, order
 
 
+def _solutions(models: list[MarketModel], claim: claims.ClaimSpec,
+               grid: PdeGrid, keep: int) -> list[PdeSolution]:
+    """One solution per model of one march that keeps the time levels with
+    t-index below ``keep``: the model's two rows of the block, and per step
+    the larger of their Picard counts and residuals."""
+    agent, block, iters, resids, order = _march(models, claim, grid, keep)
+    count = len(models)
+    # the march's row of each given scenario
+    return [PdeSolution(model=model, claim=claim, grid=grid, agent=agent.copy(),
+                        seller=block[:, k].copy(),
+                        buyer=block[:, count + k].copy(),
+                        picard_iterations=np.maximum(iters[:, k],
+                                                     iters[:, count + k]),
+                        picard_residuals=np.maximum(resids[:, k],
+                                                    resids[:, count + k]))
+            for model, k in zip(models, np.argsort(order).tolist())]
+
+
 def solve(model: MarketModel, claim: claims.ClaimSpec, grid: PdeGrid) -> PdeSolution:
     """Backward-solve both adjustment surfaces (and a custom claim's agent).
 
@@ -652,12 +670,7 @@ def solve(model: MarketModel, claim: claims.ClaimSpec, grid: PdeGrid) -> PdeSolu
     log-spot to lie strictly inside the grid.  The march of one scenario
     (K = 1); the solution keeps every time row.
     """
-    agent, block, iters, resids, _ = _march([model], claim, grid,
-                                            grid.nt + 1)
-    return PdeSolution(model=model, claim=claim, grid=grid, agent=agent,
-                       seller=block[:, 0], buyer=block[:, 1],
-                       picard_iterations=iters.max(axis=1),
-                       picard_residuals=resids.max(axis=1))
+    return _solutions([model], claim, grid, grid.nt + 1)[0]
 
 
 def solve_batch(models: list[MarketModel], claim: claims.ClaimSpec,
@@ -674,17 +687,7 @@ def solve_batch(models: list[MarketModel], claim: claims.ClaimSpec,
     index and varied parameters and t; a Picard failure also its worst node,
     the stock level and value there, the last residual and the tolerance.
     """
-    agent, block, iters, resids, order = _march(list(models), claim, grid, 2)
-    count = len(models)
-    # the march's row of each given scenario
-    return [PdeSolution(model=model, claim=claim, grid=grid, agent=agent.copy(),
-                        seller=block[:, k].copy(),
-                        buyer=block[:, count + k].copy(),
-                        picard_iterations=np.maximum(iters[:, k],
-                                                     iters[:, count + k]),
-                        picard_residuals=np.maximum(resids[:, k],
-                                                    resids[:, count + k]))
-            for model, k in zip(models, np.argsort(order).tolist())]
+    return _solutions(list(models), claim, grid, 2)
 
 
 def _picard(stepper: _Stepper, rhs_base: np.ndarray, dt: float, theta: float,

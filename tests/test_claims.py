@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate, special
 
 from xvaband import ClaimSpec, EquityParams, MarketModel, RateSet, agent_value
-from xvaband.claims import agent_value_grid
+from xvaband.claims import agent_value_grid, agent_value_levels
 
 
 def flat_model(discount, sigma):
@@ -149,6 +149,57 @@ def test_vanilla_grid_matches_three_erf_expression_to_the_bit(kind, rng):
         ref_value, ref_delta = three_erf_marks(model, claim, t, s)
         assert value.tobytes() == ref_value.tobytes()
         assert delta.tobytes() == ref_delta.tobytes()
+
+
+def _split_marks(model, claim, times, counts, s):
+    """Each time's marks and deltas from ``agent_value_levels`` and from
+    ``agent_value_grid`` at that time, as bytes."""
+    value, delta = agent_value_levels(model, claim, times, np.array(counts), s)
+    pieces = np.cumsum(counts)[:-1]
+    got = [(v.tobytes(), d.tobytes()) for v, d in
+           zip(np.split(value, pieces), np.split(delta, pieces))]
+    want = [tuple(a.tobytes() for a in agent_value_grid(model, claim, t, part))
+            for t, part in zip(times, np.split(s, pieces))]
+    return got, want
+
+
+@pytest.mark.parametrize("kind", ["call", "put"])
+def test_each_level_has_the_bits_of_the_grid_at_its_time(kind, rng):
+    model = flat_model(0.03, 0.25)
+    claim = ClaimSpec(kind=kind, strike=1.1, maturity=2.0)
+    counts = [7, 1, 12, 4]
+    s = claim.strike * np.exp(rng.uniform(-3.0, 3.0, sum(counts)))
+    got, want = _split_marks(model, claim, [0.0, 0.37, 0.9, 1.29], counts, s)
+    assert got == want
+    got, want = _split_marks(model, claim, [0.9], [5], s[:5])
+    assert got == want
+
+
+def test_each_level_of_a_custom_claim_has_the_bits_of_the_grid():
+    model = flat_model(0.03, 0.25)
+    claim = ClaimSpec(kind="custom", strike=1.1, maturity=2.0,
+                      payoff_fn=lambda s: np.clip(s - 1.1, 0.0, 0.3))
+    got, want = _split_marks(model, claim, [0.0, 1.29],
+                             [2, 1], np.array([0.8, 1.2, 1.5]))
+    assert got == want
+
+
+def test_marks_over_many_levels_refuse_a_time_outside_the_claim():
+    model = flat_model(0.03, 0.25)
+    claim = ClaimSpec(kind="call", strike=1.0, maturity=1.0)
+    s = np.array([0.9, 1.1])
+    for t in (2.0, -0.1, math.nan):
+        message = f"^t={t!r} outside \\[0, 1.0\\]$"
+        for mark in (lambda: agent_value(model, claim, t, 1.0),
+                     lambda: agent_value_grid(model, claim, t, s),
+                     lambda: agent_value_levels(model, claim, [0.5, t],
+                                                np.array([1, 1]), s)):
+            with pytest.raises(ValueError, match=message):
+                mark()
+    for t in (0.0, 1.0):
+        agent_value(model, claim, t, 1.0)
+        agent_value_grid(model, claim, t, s)
+        agent_value_levels(model, claim, [t, 0.5], np.array([1, 1]), s)
 
 
 def test_custom_payoff_matches_vanilla():

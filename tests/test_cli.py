@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xvaband import claims, cli, closed_form, lattice
+from xvaband import claims, cli, closed_form, drivers, lattice, pde
 from xvaband.cli import build_config, figure_config, parse_config_text
 
 BENCH_TEXT = """
@@ -556,6 +556,25 @@ def test_all_engines_are_the_single_engine_valuations_in_turn(text, engines):
             cli.evaluate_point(cfg.model, cfg.claim, engine, **sizes)]
     assert [r.engine for r in got] == list(engines)
     assert repr(got) == repr(want)  # every field, bit for bit
+
+
+def test_a_result_keeps_the_solution_it_was_read_from():
+    """The adjustments of a result are its solution's at (0, spot), bit for
+    bit: the PDE's surfaces, the lattice's (seller, buyer) pair; the closed
+    forms keep none.  Both strategies hold the same mark."""
+    cfg = build_config(parse_config_text(SYMMETRIC_TEXT))
+    spot = cfg.model.equity.spot
+    closed, pde_res, lat = cli.evaluate_point(cfg.model, cfg.claim, "all",
+                                              nx=40, nt=10, steps=20)
+    assert closed.solution is None
+    assert [pde.xva_at(pde_res.solution, 0.0, spot, side).hex()
+            for side in drivers.SIDES] == [pde_res.xva_seller.hex(),
+                                           pde_res.xva_buyer.hex()]
+    assert [sol.adjustment for sol in lat.solution] == [lat.xva_seller,
+                                                        lat.xva_buyer]
+    assert [sol.side for sol in lat.solution] == list(drivers.SIDES)
+    for res in (closed, pde_res, lat):
+        assert res.mark.hex() == res.strategy_buyer.mark.hex()
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):

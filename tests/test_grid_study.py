@@ -5,7 +5,6 @@ import json
 from pathlib import Path
 
 from conftest import TIME_KEYS, record_keys
-from xvaband import cli
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "grid_study.py"
 _spec = importlib.util.spec_from_file_location("grid_study", TOOL)
@@ -43,15 +42,3 @@ def test_small_study_writes_every_draw_and_the_sweep(tmp_path, study_env):
     # repo 0.05 / 0.05 in every scenario, two funding borrow rates
     assert sweep["linear_legs"] == {"repo": True, "funding": False}
 
-
-def test_values_are_the_clis_bit_for_bit(study_env):
-    _, scenarios = study.load_bench()
-    draws = scenarios.draw_points(scenarios.POOL_SEED, scenarios.PDE_POOL,
-                                  False)
-    for draw in (draws[0], draws[4]):  # an asymmetric put and call spread
-        model, claim = scenarios.build(draw)
-        res, fields = study.value_pde(model, claim, 40, 10)
-        want, = cli.evaluate_point(model, claim, "pde", nx=40, nt=10)
-        assert (res.xva_seller.hex(), res.xva_buyer.hex()) == (
-            want.xva_seller.hex(), want.xva_buyer.hex())
-        assert fields["picard_iterations"] >= 10

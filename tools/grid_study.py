@@ -3,19 +3,18 @@
     python3 tools/grid_study.py [--grids 800x100,800x50] [--out BENCH_grid.json]
 
 For each grid, every draw of the benchmark's ``point-pde`` pool
-(``bench/scenarios.py``) is valued as ``cli.evaluate_point(engine="pde")``
-values it: one ``pde.solve_batch`` on ``PdeGrid.default_for``, read by
-``cli._pde_result``.  Each draw's row holds the error against the
-benchmark's oracle (``oracle`` in ``bench/run.py``: the closed forms for
-symmetric draws, the stored 1600 x 1600 PDE of ``bench/reference.json``
-otherwise) as a share of the strike and the Picard iterations of its march
-(``PdeSolution.picard_iterations`` summed over the steps, the larger of the
-two sides per step), or the error that stopped it, and which of its
-lend/borrow legs, repo and funding, are linear (``drivers.linear_legs``,
-read as the march reads it).  The 42 scenarios of
-``figure band-vs-collateral`` are marched the same way, as one
-``pde.solve_batch``, against the stored sweep reference.  Per grid the file
-also holds the time grading of the march (the exponent p of
+(``bench/scenarios.py``) is valued by ``cli.evaluate_point(engine="pde")``.
+Each draw's row holds the error against the benchmark's oracle (``oracle``
+in ``bench/run.py``: the closed forms for symmetric draws, the stored
+1600 x 1600 PDE of ``bench/reference.json`` otherwise) as a share of the
+strike and the Picard iterations of its march, read off the result's
+solution (``PdeSolution.picard_iterations`` summed over the steps, the
+larger of the two sides per step), or the error that stopped it, and which
+of its lend/borrow legs, repo and funding, are linear
+(``drivers.linear_legs``, read as the march reads it).  The 42 scenarios of
+``figure band-vs-collateral`` are valued as the figure values them, by
+``cli._batched`` in one march, against the stored sweep reference.  Per
+grid the file also holds the time grading of the march (the exponent p of
 tau_n = T (n / N)^p and its first and last steps, as shares of the
 maturity), the completed count, the worst and median errors and the count
 of draws with each leg linear, and both; the machine details come from
@@ -119,34 +118,29 @@ def leg_counts(rows: list[dict]) -> dict:
 def value_pde(model, claim, nx: int, nt: int):
     """The point result of ``cli.evaluate_point(engine="pde")``, the
     Picard iterations of its march and its linear legs."""
-    from xvaband import cli, pde
-    grid = pde.PdeGrid.default_for(model, claim, nx=nx, nt=nt)
-    sol, = pde.solve_batch([model], claim, grid)
-    return cli._pde_result(sol), {
-        "picard_iterations": int(sol.picard_iterations.sum()),
+    from xvaband import cli
+    res, = cli.evaluate_point(model, claim, "pde", nx=nx, nt=nt)
+    return res, {
+        "picard_iterations": int(res.solution.picard_iterations.sum()),
         "linear_legs": linear_legs([model])}
 
 
 def march_sweep(scenarios, reference, nx, nt) -> dict:
     """The 42 band-vs-collateral scenarios in one march: error, iterations
     and linear legs."""
-    from xvaband import cli, drivers, pde
+    from xvaband import cli
     base = cli.figure_config("band-vs-collateral")
     cells = scenarios.sweep_cells()
     models = [scenarios.with_alpha_borrow(base.model, a, rb) for a, rb in cells]
-    grid = pde.PdeGrid.default_for(models[0], base.claim, nx=nx, nt=nt)
-    solutions = pde.solve_batch(models, base.claim, grid)
+    results = cli._batched(models, base.claim, "pde", nx, nt,
+                           cli.DEFAULT_STEPS)
     stored = {(r["alpha"], r["fund_borrow"]): r for r in reference}
-    spot = base.model.equity.spot
-    worst = 0.0
-    for cell, sol in zip(cells, solutions):
-        want = stored[cell]
-        for side in drivers.SIDES:
-            got = pde.xva_at(sol, 0.0, spot, side)
-            worst = max(worst, abs(got - want[side]) / base.claim.strike)
+    worst = max(max(abs(res.xva_seller - stored[cell]["seller"]),
+                    abs(res.xva_buyer - stored[cell]["buyer"]))
+                for cell, res in zip(cells, results)) / base.claim.strike
     return {"scenarios": len(models), "error": worst,
-            "picard_iterations": int(sum(s.picard_iterations.sum()
-                                         for s in solutions)),
+            "picard_iterations": int(sum(res.solution.picard_iterations.sum()
+                                         for res in results)),
             "linear_legs": linear_legs(models)}
 
 

@@ -3,10 +3,9 @@
     python3 tools/lattice_study.py [--steps 500] [--out BENCH_lattice.json]
 
 Every draw of the benchmark's ``point-lattice`` pool (``bench/scenarios.py``)
-is valued as ``cli.evaluate_point(engine="lattice")`` values it: the
-lattices of ``--steps``, half and a quarter as many steps extrapolated
-(``lattice.solve_extrapolated``), read by ``cli._lattice_result``.  Each
-draw's row holds, as shares of the strike and the worse of the two sides,
+is valued by ``cli.evaluate_point(engine="lattice")``: the lattices of
+``--steps``, half and a quarter as many steps, extrapolated.  Each draw's
+row holds, as shares of the strike and the worse of the two sides,
 the error against the benchmark's oracle (``oracle`` in ``bench/run.py``:
 the closed forms for symmetric draws, the stored 1600 x 1600 PDE of
 ``bench/reference.json`` otherwise) and the converged error against
@@ -15,7 +14,7 @@ the default 500), or the error that stopped it; the worst root residual of
 the three lattices and both sides, in ulps of the node's scale
 (``lattice.ROOT_ULPS`` bounds it), and the worst over the levels whose
 scale was not widened, read off the ``root_residuals`` and ``root_widened``
-of the three lattices that the extrapolated solutions keep (their
+of the three lattices that the result's solutions keep (their
 ``lattices``); and the nodes the three lattices march within the
 band that ``lattice.band`` keeps.  The file also holds the completed count,
 the worst and median errors of both kinds, the kept nodes of all draws and
@@ -59,14 +58,13 @@ def value_lattice(model, claim, steps: int, converged_steps: int):
     """The point result of ``cli.evaluate_point(engine="lattice")``, the root
     residuals of its three lattices and its converged error."""
     from xvaband import cli, lattice
-    sides, = lattice.solve_extrapolated([model], claim, steps)
-    worst, plain = residuals([raw for s in sides for raw in s.lattices])
+    res, = cli.evaluate_point(model, claim, "lattice", steps=steps)
+    worst, plain = residuals([raw for s in res.solution for raw in s.lattices])
     converged, = lattice.solve_extrapolated([model], claim, converged_steps)
     error = max(abs(s.adjustment - c.adjustment)
-                for s, c in zip(sides, converged)) / claim.strike
-    return cli._lattice_result(model, claim, sides), {
-        "converged_error": error, "worst_residual_ulps": worst,
-        "worst_plain_residual_ulps": plain}
+                for s, c in zip(res.solution, converged)) / claim.strike
+    return res, {"converged_error": error, "worst_residual_ulps": worst,
+                 "worst_plain_residual_ulps": plain}
 
 
 def kept_nodes(n_steps: int, maturity: float, sigma: float) -> int:
