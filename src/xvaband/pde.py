@@ -22,10 +22,17 @@ equation, with a remainder that is zero, up to rounding, at equal lend and
 borrow rates.  Each of the first
 ``RANNACHER_STEPS`` steps is two half-steps with theta = 1 and fixed =
 u_start = the level the half-step starts from; every later step has theta =
-1/2 and fixed = u_old + dt/2 (B' u_old + g_old(u_old)), the remainder at
+1/2 and fixed = u_old + dt/2 (B' u_old + g'(u_last)), the explicit half at
 the old level, and starts at u_old + r (u_old - u_older), r = dtau_new /
-dtau_old, the linear extrapolation of the last two time levels.  A row has
-converged when the estimated error of its iterate is below ``PICARD_TOL``
+dtau_old, the linear extrapolation of the last two time levels.  The
+explicit half is read off the previous step's last solve, (I - c' B') u_old
+= fixed' + c' g'(u_last), in which c' = dtau_old / 2, g' is the old level's
+remainder and u_last the iterate that the solve took: it is r (u_old -
+fixed'), so a step takes no band product and no driver call beyond its
+Picard iterations.  Each row's equation is its own last solve's, also where
+:func:`settle` froze it early, and a custom claim's agent surface, a
+linear march, reads its explicit half off its own last solve alike.  A row
+has converged when the estimated error of its iterate is below ``PICARD_TOL``
 times the claim's strike, a test in units of the strike, so scaling spot
 and strike scales the test with the values.  The estimate is rho / (1 -
 rho) times the row's sup-norm change, with rho the ratio of its last two
@@ -64,13 +71,12 @@ its leg.  The march builds every pair once (:func:`_remainder`), a buyer
 row's swapped (:func:`drivers.sided`), since it takes the seller's branches
 at the reflected argument, and a level only the two fields
 (:func:`drivers.mark_fields`).
-The driver of one level is spent on the next step's explicit part, or
-dropped before a half-step, before the step builds its own, so one level of
-terms is alive at a time.  Each Picard iteration then makes one driver call
-on the whole block, ``base + repo_net(z) - rate(a) a - pull u`` with ``a =
-at_zero + slope u`` less the operator's part, from the two fields, the
-stock position and u, one selection per kink, and one banded solve of its
-transpose, each group's range of columns in place.  A repo leg whose lend
+The driver of one level is dropped at the end of its own step, so one
+level of terms is alive at a time.  Each Picard iteration makes one driver
+call on the whole block, ``base + repo_net(z) - rate(a) a - pull u`` with
+``a = at_zero + slope u`` less the operator's part, from the two fields,
+the stock position and u, one selection per kink, and one banded solve of
+its transpose, each group's range of columns in place.  A repo leg whose lend
 and borrow rates are equal in every row of the march
 (:func:`drivers.linear_legs`, read once per march) adds exactly 0 once
 kappa is in the operator, so the call skips it and the gradient of u.
@@ -243,14 +249,14 @@ def _spatial_operator(grid: PdeGrid, model: MarketModel, zeroth: float,
 
 
 class _Stepper:
-    """One theta-step of (d/d tau) u = B u + source, via banded solves.
+    """The implicit operators of theta steps of (d/d tau) u = B u + source.
 
-    ``u`` is one row of nodal values, shape (nx,), or a block of rows,
-    shape (k, nx).  Each of ``groups``, ranges of rows and their (rate,
-    kappa), has its own operator B - rate + kappa G (by default one group of
-    every row with B itself), whose (I - coef B) is LU-factored when coef
-    changes; only the last coefficient's factors are kept: every step of a
-    graded march has its own.
+    Each of ``groups``, ranges of rows and their (rate, kappa), has its own
+    operator B - rate + kappa G (by default one group of every row with B
+    itself), whose (I - coef B) is LU-factored when coef changes; only the
+    last coefficient's factors are kept: every step of a graded march has
+    its own.  A step's explicit part is read off the previous step's own
+    equation (:func:`_march`), so no band product is taken.
     """
 
     def __init__(self, grid: PdeGrid, model: MarketModel, zeroth: float,
@@ -260,16 +266,6 @@ class _Stepper:
         self.nx = grid.nx
         self._coef: float | None = None
         self._lu: list = []
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        out = np.empty_like(u)
-        for ranges, (lower, diag, upper) in self.groups:
-            for rows in ranges:
-                v, w = u[rows], out[rows]
-                np.multiply(diag, v, out=w)
-                w[..., :-1] += upper[:-1] * v[..., 1:]
-                w[..., 1:] += lower[1:] * v[..., :-1]
-        return out
 
     def factors(self, coef: float) -> list:
         """Per group, its ranges of rows and the LAPACK ``dgttrf`` LU
@@ -284,10 +280,6 @@ class _Stepper:
                 self._lu.append((ranges, tuple(lu)))
             self._coef = coef
         return self._lu
-
-    def step_linear(self, u: np.ndarray, dt: float, theta: float) -> np.ndarray:
-        rhs = u + (1.0 - theta) * dt * self.apply(u)
-        return solve_banded(self, theta * dt, rhs.T, overwrite=True).T
 
 
 def solve_banded(stepper: _Stepper, coef: float, b: np.ndarray,
@@ -561,14 +553,15 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
     rest = _remainder(params)
     exact = _linear_rows(params, rows.size)
 
-    def step(a_old, fixed, u_start, t, dt, theta):
-        """The theta step to t: the agent, the driver of level t, and
-        Picard's counts, residuals and block from u_start."""
+    def step(a_fixed, fixed, u_start, t, dt, theta):
+        """The theta step to t from the fixed parts of the agent's and the
+        block's equations: the agent, and Picard's counts, residuals and
+        block from u_start.  The level's driver is dropped on return."""
         if vanilla:
             a_new, delta = claims.agent_value_grid(first, claim, t, s)
             grad = s * delta
         else:
-            a_new = agent_step.step_linear(a_old, dt, theta)
+            a_new = solve_banded(agent_step, theta * dt, a_fixed)
             grad = np.gradient(a_new, dx)
         drift = _level_driver(rest, a_new, grad, dx)
         it, res, u, failed = _picard(adj_step, fixed, dt, theta, u_start,
@@ -580,11 +573,13 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
                 f"at t={t:.6g} within {PICARD_MAX_ITER} iterations: worst node "
                 f"{j} at s={s[j]:.6g}, |u|={abs(u[row, j]):.3g}, last residual "
                 f"{res[row]:.3g} (tolerance {tol:g})")
-        return a_new, drift, it, res, u
+        return a_new, it, res, u
 
-    # march tau = T - t from 0 to T; rows are stored by t-index.  One level
-    # of driver terms is alive at a time: the old level's driver is spent on
-    # the explicit part, or dropped, before the new level is built.
+    # march tau = T - t from 0 to T; rows are stored by t-index.  fixed and
+    # a_fixed hold the fixed parts of the last solves of the block and of
+    # the agent, whose coefficient c' is dt_old / 2 after a half-step and a
+    # Crank-Nicolson step alike, so the next explicit half, dt/2 (B' u_old
+    # + g'(u_last)), is r (u_old - fixed') with r = dt / dt_old.
     t_levels = grid.t_nodes()
     a_old = np.empty(nx)
     a_old[:] = claim.payoff(s)
@@ -599,32 +594,32 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
         t_new = t_levels[i_new]
         dt = t_old - t_new
         if n < RANNACHER_STEPS:
-            # two implicit-Euler half-steps, each started from its own level
-            drift = None
-            a_new, drift, it, res, u_new = step(
-                a_old, u_old, u_old, 0.5 * (t_old + t_new), 0.5 * dt, 1.0)
-            drift = None
-            a_new, drift, it2, res2, u_new = step(a_new, u_new, u_new, t_new,
-                                                  0.5 * dt, 1.0)
+            # two implicit-Euler half-steps, each started from its own
+            # level, which is its fixed part
+            a_fixed, it, res, fixed = step(a_old, u_old, u_old,
+                                           0.5 * (t_old + t_new), 0.5 * dt,
+                                           1.0)
+            a_new, it2, res2, u_new = step(a_fixed, fixed, fixed, t_new,
+                                           0.5 * dt, 1.0)
             it, res = np.maximum(it, it2), np.maximum(res, res2)
         else:
-            # fixed = (u_old + dt/2 B u_old) + dt/2 g_old, summed in place
-            explicit = drift(u_old)
-            drift = None
-            explicit *= 0.5 * dt
-            fixed = adj_step.apply(u_old)
-            fixed *= 0.5 * dt
+            r = dt / dt_old
+            # fixed = u_old + r (u_old - fixed'), in place of fixed'
+            fixed -= u_old
+            fixed *= -r
             fixed += u_old
-            fixed += explicit
-            del explicit
+            if not vanilla:
+                a_fixed -= a_old
+                a_fixed *= -r
+                a_fixed += a_old
             # start from the linear extrapolation of the last two levels
             u_start = u_old - u_older
             u_older = None
-            u_start *= dt / dt_old
+            u_start *= r
             u_start += u_old
-            a_new, drift, it, res, u_new = step(a_old, fixed, u_start, t_new,
-                                                dt, 0.5)
-            del fixed, u_start
+            a_new, it, res, u_new = step(a_fixed, fixed, u_start, t_new, dt,
+                                         0.5)
+            del u_start
         # a non-finite agent leaves only non-finite rows, which Picard stops
         # without raising: the agent is named first
         if not np.isfinite(a_new).all():

@@ -50,6 +50,24 @@ def test_files_beyond_tolerance_fail(tmp_path, capsys):
     assert compare(tmp_path / "last-bit", left, last_bit, 0.0) == 1
 
 
+def test_a_failing_file_names_its_largest_difference_of_the_cell(tmp_path,
+                                                                 capsys):
+    """Beyond the tolerance, a file also reports its largest difference
+    relative to the cell, the larger magnitude of the two, and where; an
+    error class against a number has none, and the exit status is 1."""
+    left = {"p.csv": ["0,0.1,200.0", "1,0.3,NumericsError"]}
+    right = {"p.csv": ["0,0.1000001,200.0001", "1,0.3,0.4"]}
+    assert compare(tmp_path, left, right, 1e-9) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("p.csv: 3 cell(s) beyond 1e-09: row 1 seller: ")
+    assert out.endswith(" (largest difference 1e-06 of the cell, "
+                        "at row 1 seller)\n")
+    errors = {"p.csv": ["0,NumericsError,0.2"]}
+    assert compare(tmp_path / "errors", errors, {"p.csv": ["0,0.1,0.2"]},
+                   1e-9) == 1
+    assert "of the cell" not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e300, math.inf])
 def test_value_against_error_class_fails_at_any_tolerance(tmp_path, tol):
     left = {"p.csv": ["0,0.1,0.2"]}

@@ -581,13 +581,13 @@ def test_batched_march_peak_memory():
     """One 42-scenario march (the band-vs-collateral models) at the default
     grid peaks, under tracemalloc, below 13 blocks of (84, nx) floats: it
     keeps one level of driver terms alive, two fields (base and at_zero)
-    and two buffers, builds the fields from the march's per-row
-    coefficients with no further block, and each iteration evaluates the
-    driver on the whole block (12.58 blocks measured at 800 x 50, where the
-    two funding borrow rates of the figure give the implicit operator two
-    groups of rows, each with its own bands and factors; 12.47 with one
-    operator for every row, and 13.45 building the fields from the mark's
-    reduced terms)."""
+    and two buffers, dropped at the end of the level's own step, and the
+    last solve's fixed part, which the next step's fixed part overwrites;
+    it builds the fields from the march's per-row coefficients with no
+    further block, and each iteration evaluates the driver on the whole
+    block (11.86 blocks measured at 800 x 50 with numpy 2.4, where the two
+    funding borrow rates of the figure give the implicit operator two
+    groups of rows, each with its own bands and factors)."""
     import tracemalloc
     cfg = cli.figure_config("band-vs-collateral")
     fig = cli.FIGURES["band-vs-collateral"]
@@ -611,8 +611,7 @@ def test_batched_march_peak_memory_with_many_operator_groups():
     """Each group of rows of equal (rate, kappa) keeps its own bands and LU
     factors, about 7.5 vectors of nx floats.  The 30-scenario xva-vs-repo
     march, whose repo rates make 24 groups, peaks at the default grid below
-    16.25 blocks of (60, nx) floats (15.74 measured; 12.85 with one
-    operator for every row)."""
+    16.25 blocks of (60, nx) floats (14.89 measured with numpy 2.4)."""
     import tracemalloc
     cfg = cli.figure_config("xva-vs-repo")
     fig = cli.FIGURES["xva-vs-repo"]
@@ -684,16 +683,17 @@ def test_solve_banded_in_place_gives_the_same_bits(rng):
 
 
 def test_linear_step_solves_in_place_with_the_same_bits(rng):
-    """The agent's theta step solves its fresh right-hand side in place:
-    the bits of the copying solve of that right-hand side, the step's
-    input left alone."""
+    """A linear theta step's fresh right-hand side, one row such as the
+    agent's or a block of rows, solves in place with the bits of the
+    copying solve of that right-hand side, the step's input left alone."""
     for spot, stepper, coef in operator_cases():
         for u in (spot * rng.standard_normal(stepper.nx),
                   spot * rng.standard_normal((3, stepper.nx))):
             kept = u.copy()
-            rhs = u + (1.0 - 0.5) * (2.0 * coef) * stepper.apply(u)
+            rhs = u + (1.0 - 0.5) * (2.0 * coef) * band_product(stepper, u)
             want = pde.solve_banded(stepper, coef, rhs.T).T
-            got = stepper.step_linear(u, 2.0 * coef, 0.5)
+            got = pde.solve_banded(stepper, coef, rhs.T, overwrite=True).T
+            assert np.shares_memory(got, rhs)
             assert got.tobytes() == want.tobytes()
             assert u.tobytes() == kept.tobytes()
 
@@ -866,8 +866,23 @@ def test_level_drift_matches_reduced_drift_on_drawn_models(scenarios, credit,
 SPLIT_ULPS = 8
 
 
+def band_product(stepper, u):
+    """B u for each group of the stepper's rows: the diagonal's product, then
+    the upper band's and the lower band's added, in that order.  The march
+    takes no band product; this is the reference of its explicit half."""
+    out = np.empty_like(u)
+    for ranges, (lower, diag, upper) in stepper.groups:
+        for rows in ranges:
+            v, w = u[rows], out[rows]
+            np.multiply(diag, v, out=w)
+            w[..., :-1] += upper[:-1] * v[..., 1:]
+            w[..., 1:] += lower[1:] * v[..., :-1]
+    return out
+
+
 def band_addends(stepper, u):
-    """Per node, the largest of the three band products of ``stepper.apply(u)``."""
+    """Per node, the largest of the three addends of ``band_product(stepper,
+    u)``."""
     out = np.empty_like(u)
     for ranges, bands in stepper.groups:
         lower, diag, upper = map(np.abs, bands)
@@ -893,9 +908,9 @@ def split_ulps(models, mark, grad, dx, u):
     rate, kappa = pde._operator_split(params)
     plain = pde._Stepper(grid, models[0], 0.0)
     split = pde._Stepper(grid, models[0], 0.0, groups=groups)
-    want = plain.apply(u) + pde._level_driver(
+    want = band_product(plain, u) + pde._level_driver(
         pde._remainder(params, split=False), mark, grad, grid.dx)(u)
-    got = split.apply(u) + pde._level_driver(
+    got = band_product(split, u) + pde._level_driver(
         pde._remainder(params), mark, grad, grid.dx)(u)
     _, scale = reference_drift(models, mark, grad, grid.dx, u)
     scale = functools.reduce(np.maximum, [
@@ -1103,6 +1118,178 @@ def test_batch_rows_match_solve_on_drawn_rates(scenarios, credit, discount,
     assert_batch_matches_solve(models, CALL, nx=30, nt=6)
 
 
+def drawn_asymmetric_batch(seed, count=4):
+    """``count`` models of drawn unequal lend and borrow rates, funding and
+    repo, with credit blocks, sharing the benchmark's equity and one
+    discount rate, each passing the necessary rate conditions."""
+    rng = np.random.default_rng(seed)
+    models = []
+    while len(models) < count:
+        sc = dict(fund_lend=rng.uniform(0.0, 0.1),
+                  spread=rng.uniform(0.01, 0.1),
+                  repo_lend=rng.uniform(0.0, 0.1),
+                  repo_borrow=rng.uniform(0.0, 0.1),
+                  coll_earn=rng.uniform(0.0, 0.05),
+                  coll_pay=rng.uniform(0.0, 0.05),
+                  mu_own=rng.uniform(0.2, 0.5), mu_cpty=rng.uniform(0.2, 0.5),
+                  loss_own=rng.uniform(0.0, 1.0),
+                  loss_cpty=rng.uniform(0.0, 1.0), alpha=rng.uniform(0.0, 1.0))
+        [model] = drawn_models([sc], True, 0.01)
+        if model.validate_necessary().passed:
+            models.append(model)
+    return models
+
+
+MARCH_CASES = {"benchmark": ([make_benchmark()], CALL),
+               "drawn batch": (drawn_asymmetric_batch(1), CALL),
+               "custom call": ([make_benchmark()], CUSTOM_CALL)}
+
+
+def recorded_march(models, claim, monkeypatch):
+    """``solve_batch`` at the default grid, recording per Picard solve its
+    stepper, coefficient, fixed part, driver, the iterate each row's last
+    solve took and the block it returned, and per agent solve its stepper,
+    coefficient, right-hand side and solution."""
+    picard, solve_banded = pde._picard, pde.solve_banded
+    block, agent = [], []
+
+    def recording_picard(stepper, fixed, dt, theta, u_start, driver,
+                         tol=pde.PICARD_TOL, exact=()):
+        seen = []
+
+        def g(u):
+            seen.append(u.copy())
+            return driver(u)
+
+        iters, resid, u, failed = picard(stepper, fixed, dt, theta, u_start,
+                                         g, tol, exact)
+        last = np.stack([seen[k - 1][row] for row, k in enumerate(iters)])
+        block.append((stepper, theta * dt, fixed.copy(), driver, last,
+                      u.copy()))
+        return iters, resid, u, failed
+
+    def recording_solve(stepper, coef, b, overwrite=False):
+        out = solve_banded(stepper, coef, b, overwrite)
+        if b.ndim == 1:  # the agent's row; the block's are (nx, 2K)
+            agent.append((stepper, coef, b.copy(), out.copy()))
+        return out
+
+    monkeypatch.setattr(pde, "_picard", recording_picard)
+    monkeypatch.setattr(pde, "solve_banded", recording_solve)
+    grid = PdeGrid.default_for(models[0], claim, nx=cli.DEFAULT_NX,
+                               nt=cli.DEFAULT_NT)
+    solve_batch(models, claim, grid)
+    return block, agent
+
+
+# twice the 3.9 ulps measured at most over the three MARCH_CASES
+EXPLICIT_ULPS = 8
+
+
+def explicit_half_ulps(solves):
+    """Per Crank-Nicolson step after the start-up, its fixed part against
+    ``u_old + dt/2 (B' u_old + g'(u_last))``, the explicit half evaluated
+    from the previous solve's operator B', driver g' and the iterate each
+    row's last solve took, in ulps of the row's largest term: u_old, that
+    solve's fixed part, dt/2 g' or dt/2 times a band product's addend.  The
+    last solve's LU backward error is bounded by the row's norm, not by
+    each node's, where the values fall by orders of magnitude toward an
+    edge."""
+    worst = []
+    for before, now in zip(solves[2 * pde.RANNACHER_STEPS - 1:],
+                           solves[2 * pde.RANNACHER_STEPS:]):
+        stepper, _, fixed_before, driver, last, u_old = before
+        half, fixed = now[1], now[2]
+        u_old = np.atleast_2d(u_old)
+        g = 0.0 if driver is None else driver(last)
+        want = u_old + half * (band_product(stepper, u_old) + g)
+        scale = functools.reduce(np.maximum, [
+            np.abs(u_old), np.abs(np.atleast_2d(fixed_before)),
+            half * band_addends(stepper, u_old), half * np.abs(g)])
+        worst.append((np.abs(fixed - want)
+                      / np.spacing(scale.max(axis=1, keepdims=True))).max())
+    return worst
+
+
+@pytest.mark.parametrize("case", list(MARCH_CASES))
+def test_explicit_half_is_the_last_solves_equation(case, monkeypatch):
+    """Each Crank-Nicolson step's fixed part, read off the previous step's
+    last solve, (I - c' B') u_old = fixed' + c' g'(u_last), as u_old + dt /
+    (2 c') (u_old - fixed'), is ``u_old + dt/2 (B' u_old + g'(u_last))``
+    to EXPLICIT_ULPS ulps of the row's largest term, for the block and a
+    custom claim's agent surface alike; g' taken at u_old instead of the
+    iterate that the solve took would miss it by 10^5 ulps and more."""
+    models, claim = MARCH_CASES[case]
+    block, agent = recorded_march(models, claim, monkeypatch)
+    steps = cli.DEFAULT_NT + pde.RANNACHER_STEPS
+    assert len(block) == steps
+    assert len(agent) == (steps if claim.kind == "custom" else 0)
+    ulps = explicit_half_ulps(block)
+    assert len(ulps) == cli.DEFAULT_NT - pde.RANNACHER_STEPS
+    assert max(ulps) <= EXPLICIT_ULPS
+    if agent:
+        assert max(explicit_half_ulps(
+            [(stepper, coef, b, None, None, a)
+             for stepper, coef, b, a in agent])) <= EXPLICIT_ULPS
+
+
+class ScaledBand(np.ndarray):
+    """A band of the operator that takes part in no product but with a
+    number: factoring (I - coef B) scales it, a band product would not."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if any(isinstance(x, np.ndarray) and not isinstance(x, ScaledBand)
+               and x.ndim for x in inputs):
+            raise AssertionError("a band product was taken")
+        inputs = [x.view(np.ndarray) if isinstance(x, ScaledBand) else x
+                  for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+@pytest.mark.parametrize("case", list(MARCH_CASES))
+def test_a_march_makes_one_driver_call_per_picard_iteration(case,
+                                                            monkeypatch):
+    """The explicit half of a Crank-Nicolson step costs no driver call and
+    no band product: a march makes exactly one driver call per Picard
+    iteration, one banded solve per Picard iteration and agent step, and
+    its bands only ever meet the coefficient that factors them."""
+    models, claim = MARCH_CASES[case]
+    level_driver, settle = pde._level_driver, pde.settle
+    spatial_operator, solve_banded = pde._spatial_operator, pde.solve_banded
+    counts = dict.fromkeys(["driver", "picard", "solve"], 0)
+
+    def counted_driver(*args):
+        g = level_driver(*args)
+
+        def h(u):
+            counts["driver"] += 1
+            return g(u)
+        return h
+
+    def counted_settle(step, u_start, tol, max_iter, exact=()):
+        out = settle(step, u_start, tol, max_iter, exact)
+        counts["picard"] += int(out[0].max())  # each iteration steps the block
+        return out
+
+    def counted_solve(stepper, coef, b, overwrite=False):
+        counts["solve"] += 1
+        return solve_banded(stepper, coef, b, overwrite)
+
+    monkeypatch.setattr(pde, "_level_driver", counted_driver)
+    monkeypatch.setattr(pde, "settle", counted_settle)
+    monkeypatch.setattr(pde, "solve_banded", counted_solve)
+    monkeypatch.setattr(pde, "_spatial_operator", lambda *args: tuple(
+        band.view(ScaledBand) for band in spatial_operator(*args)))
+    grid = PdeGrid.default_for(models[0], claim, nx=cli.DEFAULT_NX,
+                               nt=cli.DEFAULT_NT)
+    solve_batch(models, claim, grid)
+    agent_steps = (grid.nt + pde.RANNACHER_STEPS
+                   if claim.kind == "custom" else 0)
+    assert counts["picard"] > grid.nt + pde.RANNACHER_STEPS  # rows iterate
+    assert counts["driver"] == counts["picard"]
+    assert counts["solve"] == counts["picard"] + agent_steps
+
+
 def linear_driver(rates):
     """g(u) = rates * u per row, so rows converge at different speeds."""
     return lambda u: rates[:, None] * u
@@ -1251,17 +1438,18 @@ def test_non_finite_agent_step_names_the_agent_surface(claim, monkeypatch,
     also at a Crank-Nicolson step.  The 8th agent step is the one to
     t=0.835683: two half-steps for each of the two implicit-Euler steps,
     then one per step."""
-    step_linear = pde._Stepper.step_linear
+    solve_banded = pde.solve_banded
     calls = []
 
-    def poisoned(self, u, dt, theta):
-        out = step_linear(self, u, dt, theta)
-        calls.append(None)
-        if len(calls) == 8:
-            out[len(out) // 2] = np.nan
+    def poisoned(stepper, coef, b, overwrite=False):
+        out = solve_banded(stepper, coef, b, overwrite)
+        if b.ndim == 1:  # the agent's row; the block's are (nx, 2K)
+            calls.append(None)
+            if len(calls) == 8:
+                out[len(out) // 2] = np.nan
         return out
 
-    monkeypatch.setattr(pde._Stepper, "step_linear", poisoned)
+    monkeypatch.setattr(pde, "solve_banded", poisoned)
     grid = PdeGrid.default_for(benchmark_model, claim, nx=60, nt=20)
     with pytest.raises(NumericsError, match=r"^non-finite values in the agent "
                                             r"surface at t=0\.835683$"):
@@ -1271,10 +1459,14 @@ def test_non_finite_agent_step_names_the_agent_surface(claim, monkeypatch,
 def test_vanilla_march_makes_no_agent_step(monkeypatch, benchmark_model):
     """A call or put marches no agent surface: each row of its ``agent`` is
     the closed-form mark that its driver reads, to the bit."""
-    def no_step(self, u, dt, theta):
-        raise AssertionError("a vanilla march stepped the agent")
+    solve_banded = pde.solve_banded
 
-    monkeypatch.setattr(pde._Stepper, "step_linear", no_step)
+    def no_step(stepper, coef, b, overwrite=False):
+        if b.ndim == 1:  # the agent's row; the block's are (nx, 2K)
+            raise AssertionError("a vanilla march stepped the agent")
+        return solve_banded(stepper, coef, b, overwrite)
+
+    monkeypatch.setattr(pde, "solve_banded", no_step)
     for kind in ("call", "put"):
         claim = ClaimSpec(kind=kind, strike=1.0, maturity=1.0)
         grid = PdeGrid.default_for(benchmark_model, claim, nx=60, nt=20)

@@ -17,8 +17,10 @@ of the script placed in another checkout captures that checkout.
 
 ``compare`` checks that both directories hold the same files and, per file,
 that headers and row shapes are equal and that every numeric cell agrees
-within ``--tol`` (absolute; two NaNs agree).  It prints one line per file
-and exits 1 if any file is missing or differs beyond the tolerance.
+within ``--tol`` (absolute; two NaNs agree).  It prints one line per file,
+for a file that differs beyond the tolerance also its largest difference
+relative to the cell (the larger magnitude of the two), and exits 1 if any
+file is missing or differs beyond the tolerance.
 """
 
 from __future__ import annotations
@@ -133,6 +135,7 @@ def compare_file(a: Path, b: Path, tol: float) -> tuple[bool, str]:
     if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
         return False, "row counts or lengths differ"
     worst, bad = 0.0, []
+    relative = (0.0, "")  # the largest difference of the cell and where
     for i, (ra, rb) in enumerate(zip(rows_a[1:], rows_b[1:]), start=1):
         for j, (ca, cb) in enumerate(zip(ra, rb)):
             diff = _cell_difference(ca, cb)
@@ -140,8 +143,17 @@ def compare_file(a: Path, b: Path, tol: float) -> tuple[bool, str]:
                 bad.append(f"row {i} {rows_a[0][j]}: {ca} vs {cb}")
             else:
                 worst = max(worst, diff)
+            if diff and math.isfinite(diff):  # so neither number is 0
+                share = diff / max(abs(float(ca)), abs(float(cb)))
+                if share > relative[0]:
+                    relative = (share, f"row {i} {rows_a[0][j]}")
     if bad:
-        return False, f"{len(bad)} cell(s) beyond {tol:g}: " + "; ".join(bad[:10])
+        note = f"{len(bad)} cell(s) beyond {tol:g}: " + "; ".join(bad[:10])
+        share, where = relative
+        if where:
+            note += (f" (largest difference {share:.3g} of the cell, "
+                     f"at {where})")
+        return False, note
     return True, f"within {tol:g} (largest difference {worst:.3g})"
 
 
