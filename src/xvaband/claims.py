@@ -4,6 +4,10 @@ The agent values the claim by discounting its risk-neutral expectation at the
 public discount rate, with every asset growing at that same rate.  For vanilla
 calls and puts this is the Black-Scholes formula; for custom piecewise-smooth
 payoffs a Gauss-type quadrature over the lognormal terminal density is used.
+At maturity the mark is the payoff and the delta its right-derivative.
+:func:`agent_value_grid` computes both over stock levels at one time;
+:func:`agent_value` is its one stock level, and :func:`agent_value_levels`
+gives the levels of several times its bits at once.
 """
 
 from __future__ import annotations
@@ -92,18 +96,11 @@ def _check_time(claim: ClaimSpec, t: float) -> None:
 
 
 def agent_value(model: MarketModel, claim: ClaimSpec, t: float, s: float) -> AgentValuation:
-    """Agent's mark and delta at time ``t`` and stock level ``s``.
-
-    Vanilla claims use the closed form; custom claims fall back to quadrature
-    against the lognormal terminal density.  At maturity the payoff and its
-    right-derivative are returned.
-    """
+    """Agent's mark and delta at time ``t`` and stock level ``s``: the one
+    stock level of :func:`agent_value_grid`, which refuses a time outside
+    [0, T], after a check that ``s`` is positive and finite."""
     _check_stock(s)
-    _check_time(claim, t)
-    if claim.kind == "custom":
-        v, d = _quadrature_value(model, claim, t, s)
-        return AgentValuation(v, d)
-    v, d = _vanilla_value(model, claim, t, np.asarray([s], dtype=float))
+    v, d = agent_value_grid(model, claim, t, np.array([s], dtype=float))
     return AgentValuation(float(v[0]), float(d[0]))
 
 
@@ -111,12 +108,20 @@ def agent_value_grid(model: MarketModel, claim: ClaimSpec, t: float,
                      s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mark and delta over an array of stock levels: vectorized closed forms
     for a call or put, one quadrature per stock level for a custom claim.
-    Refuses a time outside [0, T] as :func:`agent_value` does."""
+    At maturity they are the payoff and its right-derivative.  Refuses a
+    time outside [0, T], NaN included."""
     _check_time(claim, t)
     if claim.kind == "custom":
         pairs = [_quadrature_value(model, claim, t, float(si)) for si in s]
         return (np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
-    return _vanilla_value(model, claim, t, np.asarray(s, dtype=float))
+    s = np.asarray(s, dtype=float)
+    tau = claim.maturity - t
+    if tau <= 0.0:
+        return claim.payoff(s).astype(float), claim.payoff_slope(s).astype(float)
+    r = model.rates.discount
+    sigma = model.equity.sigma
+    return _vanilla_closed(claim, r, sigma, tau, sigma * math.sqrt(tau),
+                           math.exp(-r * tau), s)
 
 
 def agent_value_levels(model: MarketModel, claim: ClaimSpec,
@@ -146,16 +151,6 @@ def agent_value_levels(model: MarketModel, claim: ClaimSpec,
     df = [math.exp(-r * tau) for tau in taus]
     return _vanilla_closed(claim, r, sigma, np.repeat(taus, counts),
                            np.repeat(st, counts), np.repeat(df, counts), s)
-
-
-def _vanilla_value(model, claim, t, s):
-    r = model.rates.discount
-    sigma = model.equity.sigma
-    tau = claim.maturity - t
-    if tau <= 0.0:
-        return claim.payoff(s).astype(float), claim.payoff_slope(s).astype(float)
-    return _vanilla_closed(claim, r, sigma, tau, sigma * math.sqrt(tau),
-                           math.exp(-r * tau), s)
 
 
 def _vanilla_closed(claim, r, sigma, tau, st, df, s):

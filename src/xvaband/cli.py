@@ -305,14 +305,14 @@ def cmd_value(cfg: RunConfig) -> int:
     for r in results:
         print(f"engine={r.engine:8s} xva_seller={_fmt(r.xva_seller):>15s} "
               f"xva_buyer={_fmt(r.xva_buyer):>15s} width={_fmt(r.width):>13s}")
-    if len(results) > 1:
+    # per pair of engines: the two results and their seller and buyer gaps
+    gaps = [(a, b, abs(a.xva_seller - b.xva_seller),
+             abs(a.xva_buyer - b.xva_buyer))
+            for i, a in enumerate(results) for b in results[i + 1:]]
+    if gaps:
         print("cross-engine deltas (seller / buyer):")
-        for i in range(len(results)):
-            for j in range(i + 1, len(results)):
-                a, b = results[i], results[j]
-                print(f"  |{a.engine}-{b.engine}|: "
-                      f"{_fmt(abs(a.xva_seller - b.xva_seller))} / "
-                      f"{_fmt(abs(a.xva_buyer - b.xva_buyer))}")
+    for a, b, seller, buyer in gaps:
+        print(f"  |{a.engine}-{b.engine}|: {_fmt(seller)} / {_fmt(buyer)}")
     if cfg.out:
         header = ["engine_idx", "xva_seller", "xva_buyer", "width",
                   "xi_stock", "xi_I", "xi_C", "funding_dollars"]
@@ -323,26 +323,26 @@ def cmd_value(cfg: RunConfig) -> int:
                          st.stock_shares, st.bond_own_shares,
                          st.bond_cpty_shares, st.funding_dollars])
         write_csv(header, rows, cfg.out)
-    for line in _value_warnings(results, cfg.claim.strike):
+    for line in _value_warnings(results, gaps, cfg.claim.strike):
         print(line, file=sys.stderr)
     return 0
 
 
-def _value_warnings(results: list[PointResult], strike: float) -> list[str]:
+def _value_warnings(results: list[PointResult], gaps: list[tuple],
+                    strike: float) -> list[str]:
     """What a valuation's output shows without comment: a band inverted
     (seller below buyer, which the model admits), and engines whose
-    adjustments differ by more than ``ENGINE_GAP`` of the strike."""
+    adjustments differ by more than ``ENGINE_GAP`` of the strike: the larger
+    of a pair's seller and buyer ``gaps``, as :func:`cmd_value` prints them."""
     lines = [f"warning: inverted band from the {r.engine} engine: seller "
              f"{_fmt(r.xva_seller)} < buyer {_fmt(r.xva_buyer)}"
              for r in results if r.xva_seller < r.xva_buyer]
-    for i, a in enumerate(results):
-        for b in results[i + 1:]:
-            gap = max(abs(a.xva_seller - b.xva_seller),
-                      abs(a.xva_buyer - b.xva_buyer))
-            if gap > ENGINE_GAP * strike:
-                lines.append(f"warning: the {a.engine} and {b.engine} engines "
-                             f"differ by {_fmt(gap)}, more than {ENGINE_GAP:g} "
-                             "of the strike")
+    for a, b, seller, buyer in gaps:
+        gap = max(seller, buyer)
+        if gap > ENGINE_GAP * strike:
+            lines.append(f"warning: the {a.engine} and {b.engine} engines "
+                         f"differ by {_fmt(gap)}, more than {ENGINE_GAP:g} "
+                         "of the strike")
     return lines
 
 

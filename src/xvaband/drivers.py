@@ -521,7 +521,7 @@ def reduced_step_scale(p: DriverParams, terms: DriverTerms, u):
     if terms.carry is not None:
         addends.append(np.abs(terms.carry))
     if p.intensity_own is not None:
-        pull = (2.0 * p.discount + p.intensity_own) + p.intensity_cpty
+        pull = affine_rates(p)[1]
         addends += [(top + p.discount + p.intensity_own) * np.abs(terms.own),
                     (top + p.discount + p.intensity_cpty) * np.abs(terms.cpty),
                     pull * np.abs(u)]

@@ -497,9 +497,13 @@ def _level_driver(rest: _Remainder, mark: np.ndarray, grad: np.ndarray,
 
 
 def _gradient(u: np.ndarray, dx: float, out: np.ndarray) -> np.ndarray:
-    """``np.gradient(u, dx, axis=-1)``, the same arithmetic written into
+    """numpy's ``gradient(u, dx, axis=-1)``, the same arithmetic written into
     ``out``: central differences inside, one-sided ones at the two edges.
-    ``out`` is C-contiguous, as ``np.empty_like`` makes it."""
+    ``u`` is one row, a block of rows or a surface of levels, and ``out`` a
+    C-contiguous array of its shape.  The one gradient of the engine: of
+    the block in each call of :func:`_level_driver`'s driver, of a custom
+    claim's agent row in :func:`_march` and of a kept surface in
+    :func:`strategies`."""
     # the central differences of the whole block in one pass over it read
     # flat; across a row boundary they span two rows, and the edges below
     # overwrite those cells
@@ -562,7 +566,7 @@ def _march(models: list[MarketModel], claim: claims.ClaimSpec, grid: PdeGrid,
             grad = s * delta
         else:
             a_new = solve_banded(agent_step, theta * dt, a_fixed)
-            grad = np.gradient(a_new, dx)
+            grad = _gradient(a_new, dx, np.empty(nx))
         drift = _level_driver(rest, a_new, grad, dx)
         it, res, u, failed = _picard(adj_step, fixed, dt, theta, u_start,
                                      drift, tol=tol, exact=exact)
@@ -807,7 +811,7 @@ def strategies(solution: PdeSolution, t: float, s: float,
     surf = solution.surface(side)
     claims._check_stock(s)
     x = math.log(s)
-    grad = np.gradient(surf, grid.dx, axis=1)
+    grad = _gradient(surf, grid.dx, np.empty(surf.shape))
     u = _bilinear(grid, surf, t, x)
     ux = _bilinear(grid, grad, t, x)
     mark = claims.agent_value(solution.model, solution.claim, t, s).value \

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from xvaband import ClaimSpec, EquityParams, MarketModel, RateSet, agent_value
+from xvaband import (AgentValuation, ClaimSpec, EquityParams, MarketModel,
+                     RateSet, agent_value)
 from xvaband.claims import agent_value_grid, agent_value_levels
 
 
@@ -242,3 +243,22 @@ def test_validation():
         ClaimSpec(kind="straddle", strike=1.0, maturity=1.0)
     with pytest.raises(ValueError):
         ClaimSpec(kind="custom", strike=1.0, maturity=1.0)
+
+
+@pytest.mark.parametrize("maturity", [0.0, -1.0, math.nan])
+def test_claim_refuses_a_maturity_that_is_not_positive(maturity):
+    with pytest.raises(ValueError, match="maturity must be positive"):
+        ClaimSpec(kind="call", strike=1.0, maturity=maturity)
+
+
+def test_custom_mark_at_maturity_is_the_payoff_and_its_right_slope():
+    """At t = T a custom claim's mark is its payoff, and its delta the
+    payoff's right slope: at each kink, the slope above it."""
+    spread = ClaimSpec(
+        kind="custom", strike=1.0, maturity=1.0,
+        payoff_fn=lambda s: np.clip(s - 1.0, 0.0, 0.25),
+        payoff_slope_fn=lambda s: np.where((s >= 1.0) & (s < 1.25), 1.0, 0.0))
+    model = flat_model(0.05, 0.2)
+    for s, value, slope in ((0.5, 0.0, 0.0), (1.0, 0.0, 1.0), (1.125, 0.125, 1.0),
+                            (1.25, 0.25, 0.0), (2.0, 0.25, 0.0)):
+        assert agent_value(model, spread, 1.0, s) == AgentValuation(value, slope)

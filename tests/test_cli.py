@@ -856,3 +856,9 @@ def test_figure_nodefault_honours_user_credit_block(tmp_path):
     with_credit = closed_form.piterbarg_defaults_xva(m, cfg.claim, 0.0, mark).total
     assert row[1] == cli._fmt(with_credit)
     assert with_credit != closed_form.piterbarg_xva(m, cfg.claim, 0.0, mark)
+
+
+def test_model_variant_refuses_an_unknown_parameter():
+    model = build_config(parse_config_text(BENCH_TEXT)).model
+    with pytest.raises(ValueError, match=r"unknown model parameters: \['spot', 'strike'\]"):
+        cli._model_with(model, fund_lend=0.06, strike=1.1, spot=2.0)

@@ -304,3 +304,11 @@ def test_strict_ordering_enforced():
         SymmetricRates(fund=0.04, repo=0.05, coll=0.01)
     with pytest.raises(ModelError):
         SymmetricRates(fund=0.08, repo=0.05, coll=0.06)
+
+
+def test_default_risk_forms_refuse_a_model_without_credit():
+    model = make_symmetric()
+    with pytest.raises(ModelError, match="decay_kernel requires credit"):
+        decay_kernel(model, 0.0, 1.0)
+    with pytest.raises(ModelError, match="closed form requires credit"):
+        piterbarg_defaults_xva(model, CALL, 0.0, 0.1)

@@ -89,3 +89,25 @@ def test_missing_file_exits_1(tmp_path, capsys):
 
 def test_empty_directories_fail(tmp_path):
     assert compare(tmp_path, {}, {}, 0.0) == 1
+
+
+@pytest.mark.parametrize("name", sorted(golden.POINT_POOLS))
+def test_a_point_pool_reports_its_largest_difference_of_the_strike(
+        tmp_path, capsys, name):
+    """A point pool's file also reports its largest difference as a share
+    of the draw's strike, which it reads by the row's id from the pool of
+    ``bench/scenarios.py``, within the tolerance and beyond it; the exit
+    status follows ``--tol`` alone, and any other file has no such share."""
+    strike = {d["id"]: d["strike"] for d in golden.pool_draws(name)}[12]
+    left = {name: ["0,0.1,0.2", "12,3.0,4.0"]}
+    right = {name: ["0,0.1,0.2", "12,3.0,4.000001"]}
+    share = f"{abs(4.000001 - 4.0) / strike:.3g} of the draw's strike, at row 2 buyer"
+    assert compare(tmp_path / "beyond", left, right, 1e-9) == 1
+    assert capsys.readouterr().out.endswith(
+        f" (largest difference 2.5e-07 of the cell, at row 2 buyer; {share})\n")
+    assert compare(tmp_path / "within", left, right, 1e-3) == 0
+    assert capsys.readouterr().out == (
+        f"{name}: within 0.001 (largest difference 1e-06; {share})\n")
+    other = {"p.csv": left[name]}
+    assert compare(tmp_path / "other", other, {"p.csv": right[name]}, 1e-3) == 0
+    assert "strike" not in capsys.readouterr().out

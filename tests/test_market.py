@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from xvaband import CreditParams, MarketModel, ModelError, RateSet
+from xvaband import CreditParams, EquityParams, MarketModel, ModelError, RateSet
 from conftest import BENCH_CREDIT, BENCH_RATES, EQUITY
 
 
@@ -129,3 +129,11 @@ def test_bond_price(benchmark_model):
 def test_model_is_frozen(benchmark_model):
     with pytest.raises(AttributeError):
         benchmark_model.alpha = 0.5
+
+
+@pytest.mark.parametrize("name", ["spot", "sigma"])
+@pytest.mark.parametrize("value", [0.0, -0.2, math.nan])
+def test_equity_refuses_a_spot_or_sigma_that_is_not_positive(name, value):
+    fields = {"spot": 1.0, "sigma": 0.2, name: value}
+    with pytest.raises(ModelError, match=f"{name} must be positive"):
+        EquityParams(**fields)

@@ -108,6 +108,37 @@ def test_buyer_is_exact_reflection_of_negated_claim():
     assert np.max(np.abs(a.agent + b.agent)) < 1e-12
 
 
+@settings(max_examples=40, derandomize=True, deadline=None)
+@example(scenario=dict(fund_lend=0.05, spread=0.03, repo_lend=0.03,
+                       repo_borrow=0.07, coll_earn=0.01, coll_pay=0.01,
+                       mu_own=0.21, mu_cpty=0.16, loss_own=0.5, loss_cpty=0.5,
+                       alpha=0.0), credit=True, discount=0.01, alpha=0.0)
+@example(scenario=dict(fund_lend=0.05, spread=0.03, repo_lend=0.03,
+                       repo_borrow=0.07, coll_earn=0.01, coll_pay=0.01,
+                       mu_own=0.21, mu_cpty=0.16, loss_own=0.5, loss_cpty=0.5,
+                       alpha=0.0), credit=False, discount=0.01, alpha=1.0)
+@given(scenario=SCENARIO, credit=st.booleans(),
+       discount=st.floats(min_value=0.0, max_value=0.1),
+       alpha=st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0,
+                                                     max_value=1.0))
+def test_negated_payoff_swaps_the_sides_on_drawn_models(scenario, credit,
+                                                       discount, alpha):
+    """The buyer's adjustment of a claim is the seller's of the negated
+    claim, negated: on a custom call-spread, whose agent surface and its
+    gradient the march computes, ``solve`` of -f gives -1 times the sides
+    of ``solve`` of f, swapped, and -1 times its agent surface.  Every
+    value is equal, so bit for bit up to the sign of a zero."""
+    [model] = drawn_models([scenario], credit, discount)
+    model = replace(model, alpha=alpha)
+    assume(model.validate_necessary().passed)
+    grid = PdeGrid.default_for(model, SPREAD, nx=60, nt=8)
+    plus = solve(model, SPREAD, grid)
+    minus = solve(model, NEGATED_SPREAD, grid)
+    assert np.array_equal(minus.seller, -plus.buyer)
+    assert np.array_equal(minus.buyer, -plus.seller)
+    assert np.array_equal(minus.agent, -plus.agent)
+
+
 def test_sides_collapse_under_full_symmetry():
     credit = CreditParams(mu_own=0.18, mu_cpty=0.18, loss_own=0.4, loss_cpty=0.4)
     model = make_symmetric(fund=0.08, repo=0.05, coll=0.01, alpha=0.3,
@@ -371,6 +402,8 @@ def test_convergence_zero_claim_zero_error():
 SPREAD = ClaimSpec(kind="custom", strike=1.0, maturity=1.0,
                    payoff_fn=lambda s: (np.maximum(s - 0.9, 0.0)
                                         - np.maximum(s - 1.2, 0.0)))
+NEGATED_SPREAD = ClaimSpec(kind="custom", strike=1.0, maturity=1.0,
+                           payoff_fn=lambda s: -SPREAD.payoff_fn(s))
 
 
 def batch_stack():
@@ -714,7 +747,13 @@ def test_solve_banded_solves_a_block_of_another_dtype(dtype, rng):
 
 
 def test_gradient_buffer_matches_numpy(rng):
-    for shape in ((400,), (400, 2), (400, 84), (3, 5)):
+    """``_gradient`` gives the bits of numpy's along the last axis, on what
+    its three callers pass: one row (a custom claim's agent), a (2K, nx)
+    block (the driver) and a (levels, nx) surface (``strategies``), down to
+    nx = 3, the smallest grid, whose one central difference sits between
+    the two one-sided ones."""
+    for shape in ((400,), (400, 2), (400, 84), (3, 5), (3,), (2, 3), (84, 3),
+                  (2, 800), (84, 800), (51, 800), (51, 3)):
         for dx in (0.0123, 1e-3, 0.5):
             u = np.exp(rng.standard_normal(shape)) * rng.choice([-1.0, 1.0], shape)
             got = pde._gradient(u, dx, np.empty_like(u))

@@ -20,7 +20,12 @@ that headers and row shapes are equal and that every numeric cell agrees
 within ``--tol`` (absolute; two NaNs agree).  It prints one line per file,
 for a file that differs beyond the tolerance also its largest difference
 relative to the cell (the larger magnitude of the two), and exits 1 if any
-file is missing or differs beyond the tolerance.
+file is missing or differs beyond the tolerance.  For ``points-pde.csv`` and
+``points-lattice.csv`` it also prints the largest difference as a share of
+the draw's strike, read by the row's id from the pools of the
+``bench/scenarios.py`` next to this script: their values scale with strikes
+from 1e-2 to 1e4, so an absolute difference alone does not tell a move
+within Picard's tolerance, 1e-10 of the strike, from a regression.
 """
 
 from __future__ import annotations
@@ -90,17 +95,32 @@ def capture(directory: Path) -> int:
     return 0
 
 
+# the file of each benchmark point pool: its engine, the name of its size in
+# bench/scenarios.py and whether it draws calls and puts alone
+POINT_POOLS = {"points-pde.csv": ("pde", "PDE_POOL", False),
+               "points-lattice.csv": ("lattice", "LATTICE_POOL", True)}
+
+
+def pool_draws(name: str) -> list[dict]:
+    """The draws of the point pool written to file ``name``, from the
+    ``bench/scenarios.py`` next to this script, read only."""
+    sys.path.insert(0, str(SRC))
+    sys.path.insert(0, str(BENCH))
+    import scenarios
+    _, size, vanilla_only = POINT_POOLS[name]
+    return scenarios.draw_points(scenarios.POOL_SEED, getattr(scenarios, size),
+                                 vanilla_only)
+
+
 def capture_points(directory: Path) -> None:
     """One row per draw of each benchmark point pool: id, seller, buyer."""
     sys.path.insert(0, str(BENCH))
     import scenarios
     from xvaband import ModelError, NumericsError, cli
-    pools = (("points-pde.csv", "pde", scenarios.PDE_POOL, False),
-             ("points-lattice.csv", "lattice", scenarios.LATTICE_POOL, True))
-    for name, engine, size, vanilla_only in pools:
+    for name, (engine, _, _) in POINT_POOLS.items():
         start = time.perf_counter()
         lines = ["id,seller,buyer"]
-        for draw in scenarios.draw_points(scenarios.POOL_SEED, size, vanilla_only):
+        for draw in pool_draws(name):
             model, claim = scenarios.build(draw)
             try:
                 res = cli.evaluate_point(model, claim, engine)[0]
@@ -126,6 +146,9 @@ def _cell_difference(a: str, b: str) -> float | None:
 
 
 def compare_file(a: Path, b: Path, tol: float) -> tuple[bool, str]:
+    """Whether two CSV files agree within ``tol``, and a note that says how.
+    A point pool's file (:data:`POINT_POOLS`) also reports its largest
+    difference as a share of the draw's strike, read by the row's id."""
     if a.read_bytes() == b.read_bytes():
         return True, "identical"
     rows_a = [line.split(",") for line in a.read_text().splitlines()]
@@ -134,8 +157,11 @@ def compare_file(a: Path, b: Path, tol: float) -> tuple[bool, str]:
         return False, "headers differ"
     if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
         return False, "row counts or lengths differ"
+    strikes = ({str(d["id"]): d["strike"] for d in pool_draws(a.name)}
+               if a.name in POINT_POOLS else None)
     worst, bad = 0.0, []
     relative = (0.0, "")  # the largest difference of the cell and where
+    of_strike = (0.0, "")  # the largest difference of the strike and where
     for i, (ra, rb) in enumerate(zip(rows_a[1:], rows_b[1:]), start=1):
         for j, (ca, cb) in enumerate(zip(ra, rb)):
             diff = _cell_difference(ca, cb)
@@ -147,14 +173,20 @@ def compare_file(a: Path, b: Path, tol: float) -> tuple[bool, str]:
                 share = diff / max(abs(float(ca)), abs(float(cb)))
                 if share > relative[0]:
                     relative = (share, f"row {i} {rows_a[0][j]}")
+                # nan, which no test passes, for an id that the pool lacks
+                share = diff / strikes.get(ra[0], math.nan) if strikes else 0.0
+                if share > of_strike[0]:
+                    of_strike = (share, f"row {i} {rows_a[0][j]}")
+    share, where = of_strike
+    strike_note = f"; {share:.3g} of the draw's strike, at {where}" if where else ""
     if bad:
         note = f"{len(bad)} cell(s) beyond {tol:g}: " + "; ".join(bad[:10])
         share, where = relative
         if where:
             note += (f" (largest difference {share:.3g} of the cell, "
-                     f"at {where})")
+                     f"at {where}{strike_note})")
         return False, note
-    return True, f"within {tol:g} (largest difference {worst:.3g})"
+    return True, f"within {tol:g} (largest difference {worst:.3g}{strike_note})"
 
 
 def compare(a: Path, b: Path, tol: float) -> int:
