@@ -2,9 +2,12 @@
 
 The agent values the claim by discounting its risk-neutral expectation at the
 public discount rate, with every asset growing at that same rate.  For vanilla
-calls and puts this is the Black-Scholes formula; for custom piecewise-smooth
-payoffs a Gauss-type quadrature over the lognormal terminal density is used.
-At maturity the mark is the payoff and the delta its right-derivative.
+calls and puts this is the Black-Scholes formula.  A custom payoff is
+integrated over the lognormal terminal density by adaptive quadrature, once
+for the mark and once, weighted by the normal draw, for the delta (the
+likelihood-ratio delta), so the payoff alone fixes both before maturity.  At
+maturity the mark is the payoff and the delta its slope
+(:meth:`ClaimSpec.payoff_slope`), the one place the slope is read.
 :func:`agent_value_grid` computes both over stock levels at one time;
 :func:`agent_value` is its one stock level, and :func:`agent_value_levels`
 gives the levels of several times its bits at once.
@@ -34,9 +37,11 @@ class ClaimSpec:
     """European claim: vanilla call/put or a custom terminal payoff.
 
     Custom payoffs must be piecewise continuously differentiable with at most
-    polynomial growth; supply the payoff and, optionally, its derivative
-    (central differences with a step of 1e-6 times the larger of s and the
-    strike are used otherwise).
+    polynomial growth.  Supply the payoff and, optionally, its derivative,
+    which is read only at maturity, as the delta there.  Without it the
+    slope is a central difference with a step of 1e-6 times the larger of s
+    and the strike, so within that step of a kink it is the mean of the two
+    slopes, not the slope above the kink.
     """
 
     kind: str  # "call" | "put" | "custom"
@@ -64,7 +69,8 @@ class ClaimSpec:
         return self.payoff_fn(np.asarray(s, dtype=float))
 
     def payoff_slope(self, s):
-        """Right-derivative of the payoff (deterministic convention at kinks)."""
+        """Slope of the payoff: of a call or put the slope above a kink, of
+        a custom claim ``payoff_slope_fn`` or a central difference."""
         if self.kind == "call":
             return np.where(np.asarray(s) >= self.strike, 1.0, 0.0)
         if self.kind == "put":
@@ -106,18 +112,19 @@ def agent_value(model: MarketModel, claim: ClaimSpec, t: float, s: float) -> Age
 
 def agent_value_grid(model: MarketModel, claim: ClaimSpec, t: float,
                      s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mark and delta over an array of stock levels: vectorized closed forms
-    for a call or put, one quadrature per stock level for a custom claim.
-    At maturity they are the payoff and its right-derivative.  Refuses a
-    time outside [0, T], NaN included."""
+    """Mark and delta over an array of stock levels: at maturity, of every
+    kind, the payoff and :meth:`ClaimSpec.payoff_slope`; before it the
+    vectorized closed forms for a call or put, and for a custom claim two
+    quadratures of the payoff per stock level (:func:`_quadrature_value`).
+    Refuses a time outside [0, T], NaN included."""
     _check_time(claim, t)
-    if claim.kind == "custom":
-        pairs = [_quadrature_value(model, claim, t, float(si)) for si in s]
-        return (np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
     s = np.asarray(s, dtype=float)
     tau = claim.maturity - t
     if tau <= 0.0:
         return claim.payoff(s).astype(float), claim.payoff_slope(s).astype(float)
+    if claim.kind == "custom":
+        pairs = [_quadrature_value(model, claim, t, float(si)) for si in s]
+        return (np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
     r = model.rates.discount
     sigma = model.equity.sigma
     return _vanilla_closed(claim, r, sigma, tau, sigma * math.sqrt(tau),
@@ -171,29 +178,31 @@ def _vanilla_closed(claim, r, sigma, tau, st, df, s):
 
 
 def _quadrature_value(model, claim, t, s):
+    """A custom claim's mark and delta before maturity: the discounted
+    E[payoff(S_T)] and its likelihood-ratio derivative in ``s`` (Broadie &
+    Glasserman, Management Science 42, 1996),
+    e^{-r tau} / (s sigma sqrt(tau)) E[payoff(S_T) xi], each one quadrature
+    of the payoff over the normal draw xi of
+    S_T = s e^{(r - sigma^2 / 2) tau + sigma sqrt(tau) xi}."""
     # imported here: only custom claims need it, and it is a large import
     from scipy import integrate
 
     r = model.rates.discount
     sigma = model.equity.sigma
     tau = claim.maturity - t
-    if tau <= 0.0:
-        return float(claim.payoff(s)), float(claim.payoff_slope(s))
     st = sigma * math.sqrt(tau)
     mean = math.log(s) + (r - 0.5 * sigma * sigma) * tau
     df = math.exp(-r * tau)
+    # in units of the strike, so quad's absolute tolerance scales with it
+    k = claim.strike
 
-    def density_weighted(fn):
+    def density_weighted(power):
+        """E[payoff(S_T) xi^power] / k; the factor xi^0 is exactly 1.0."""
         def integrand(x):
             sT = math.exp(mean + st * x)
-            return fn(sT) * math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+            return (float(claim.payoff(sT)) / k * x ** power
+                    * math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi))
         val, _ = integrate.quad(integrand, -12.0, 12.0, limit=200)
         return val
 
-    # in units of the strike, so quad's absolute tolerance scales with it
-    k = claim.strike
-    value = df * k * density_weighted(lambda sT: float(claim.payoff(sT)) / k)
-    # pathwise differentiation: d S_T / d s = S_T / s
-    delta = df * density_weighted(
-        lambda sT: float(claim.payoff_slope(sT)) * sT / s)
-    return value, delta
+    return df * k * density_weighted(0), df * k / (s * st) * density_weighted(1)

@@ -10,9 +10,11 @@ driver and the batch's rows (:class:`pde.Rows`, and the error
 
 The lattice solves one equation, the reduced adjustment equation: terminal
 data zero, the reduced adjustment driver, and the diffusion-gradient slot fed
-with the lattice estimate plus the agent's closed-form delta exposure (the
-driver prices repo/funding asymmetries on physical positions, which include
-the mark's hedge).  The adjustment is the root's value.
+with the lattice estimate plus the agent's delta exposure, sigma s delta
+(the driver prices repo/funding asymmetries on physical positions, which
+include the mark's hedge).  The delta is :func:`claims.agent_value_levels`':
+the closed form of a call or put, and the likelihood-ratio quadrature of a
+custom claim's payoff.  The adjustment is the root's value.
 
 The tree is pruned, as Hull & White truncate theirs (J. Derivatives 2(1),
 1994): level k keeps only the nodes j whose walk ``w = (2j - k) sqrt(dt)``

@@ -499,11 +499,11 @@ def _level_driver(rest: _Remainder, mark: np.ndarray, grad: np.ndarray,
 def _gradient(u: np.ndarray, dx: float, out: np.ndarray) -> np.ndarray:
     """numpy's ``gradient(u, dx, axis=-1)``, the same arithmetic written into
     ``out``: central differences inside, one-sided ones at the two edges.
-    ``u`` is one row, a block of rows or a surface of levels, and ``out`` a
-    C-contiguous array of its shape.  The one gradient of the engine: of
-    the block in each call of :func:`_level_driver`'s driver, of a custom
-    claim's agent row in :func:`_march` and of a kept surface in
-    :func:`strategies`."""
+    ``u`` is one row, a block of rows or the nodes around a cell of a
+    surface, and ``out`` a C-contiguous array of its shape.  The one
+    gradient of the engine: of the block in each call of
+    :func:`_level_driver`'s driver, of a custom claim's agent row in
+    :func:`_march` and of the nodes around a cell in :func:`strategies`."""
     # the central differences of the whole block in one pass over it read
     # flat; across a row boundary they span two rows, and the edges below
     # overwrite those cells
@@ -773,20 +773,26 @@ def settle(step, u_start: np.ndarray, tol: float, max_iter: int,
                                      change[live].argmax(axis=1).tolist()))
 
 
-def _bilinear(grid: PdeGrid, surf: np.ndarray, t: float, x: float) -> float:
+def _cell(grid: PdeGrid, rows: int, t: float, x: float):
+    """The cell of (t, x) among a surface's first ``rows`` time rows: its
+    lower corner (i0, j0) and the fractions (ft, fx) of the way across it."""
     if not (0.0 <= t <= grid.maturity + 1e-12):
         raise ValueError(f"t={t} outside [0, {grid.maturity}]")
     if not (grid.x_min - 1e-12 <= x <= grid.x_max + 1e-12):
         raise ValueError(f"x={x} outside the grid")
     levels = grid.t_nodes()
     i0 = min(int(np.searchsorted(levels, t, side="right")) - 1, grid.nt - 1)
-    if i0 + 1 >= surf.shape[0]:
-        raise ValueError(f"t={t} lies beyond the {surf.shape[0]} time rows "
+    if i0 + 1 >= rows:
+        raise ValueError(f"t={t} lies beyond the {rows} time rows "
                          "this solution keeps")
     xi = min(max((x - grid.x_min) / grid.dx, 0.0), grid.nx - 1)
     j0 = min(int(xi), grid.nx - 2)
     ft = min((t - levels[i0]) / (levels[i0 + 1] - levels[i0]), 1.0)
-    fx = xi - j0
+    return i0, j0, ft, xi - j0
+
+
+def _bilinear(surf: np.ndarray, i0: int, j0: int, ft: float, fx: float) -> float:
+    """Bilinear interpolation of ``surf`` in the cell at (i0, j0)."""
     return float((1 - ft) * (1 - fx) * surf[i0, j0]
                  + (1 - ft) * fx * surf[i0, j0 + 1]
                  + ft * (1 - fx) * surf[i0 + 1, j0]
@@ -796,7 +802,8 @@ def _bilinear(grid: PdeGrid, surf: np.ndarray, t: float, x: float) -> float:
 def xva_at(solution: PdeSolution, t: float, s: float, side: str) -> float:
     """Adjustment surface sampled at (t, s) by bilinear interpolation."""
     claims._check_stock(s)
-    return _bilinear(solution.grid, solution.surface(side), t, math.log(s))
+    surf = solution.surface(side)
+    return _bilinear(surf, *_cell(solution.grid, len(surf), t, math.log(s)))
 
 
 def strategies(solution: PdeSolution, t: float, s: float,
@@ -805,20 +812,25 @@ def strategies(solution: PdeSolution, t: float, s: float,
 
     The stock holding is the interpolated log-space gradient divided by the
     stock level; nodes on the spatial boundary use one-sided differences and
-    are flagged.
+    are flagged.  Only the cell's two levels are differentiated, at its
+    nodes and their neighbours: the whole surface's gradient there, to the
+    bit, at a cost that does not depend on how many levels the solution
+    keeps.
     """
     grid = solution.grid
     surf = solution.surface(side)
     claims._check_stock(s)
     x = math.log(s)
-    grad = _gradient(surf, grid.dx, np.empty(surf.shape))
-    u = _bilinear(grid, surf, t, x)
-    ux = _bilinear(grid, grad, t, x)
+    cell = i0, j0, ft, fx = _cell(grid, len(surf), t, x)
+    # nodes j0 and j0 + 1 with a neighbour each, short of a grid edge
+    near = surf[i0:i0 + 2, max(j0 - 1, 0):j0 + 3]
+    ux = _bilinear(_gradient(near, grid.dx, np.empty(near.shape)),
+                   0, min(j0, 1), ft, fx)
     mark = claims.agent_value(solution.model, solution.claim, t, s).value \
-        if solution.claim.kind in ("call", "put") else _bilinear(grid, solution.agent, t, x)
+        if solution.claim.kind in ("call", "put") else _bilinear(solution.agent, *cell)
     on_boundary = (x - grid.x_min < grid.dx) or (grid.x_max - x < grid.dx)
     return drivers.build_strategy(solution.model, solution.claim, side, t, s,
-                                  adjustment=u, mark=mark,
+                                  adjustment=_bilinear(surf, *cell), mark=mark,
                                   stock_shares=ux / s, boundary=on_boundary)
 
 

@@ -20,6 +20,15 @@ CUSTOM_CALL = ClaimSpec(kind="custom", strike=1.0, maturity=1.0,
                         payoff_fn=lambda s: np.maximum(s - 1.0, 0.0))
 
 
+def call_spread(lower, upper, maturity):
+    """A custom claim long the call struck at ``lower`` and short the one at
+    ``upper``, and those two calls."""
+    return (ClaimSpec(kind="custom", strike=lower, maturity=maturity,
+                      payoff_fn=lambda s: np.clip(s - lower, 0.0, upper - lower)),
+            ClaimSpec(kind="call", strike=lower, maturity=maturity),
+            ClaimSpec(kind="call", strike=upper, maturity=maturity))
+
+
 @pytest.fixture
 def atm_call():
     return ClaimSpec(kind="call", strike=1.0, maturity=1.0)

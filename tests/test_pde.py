@@ -259,6 +259,57 @@ def test_boundary_flagged(benchmark_model):
     assert st_.boundary
 
 
+def full_surface_strategy(sol, t, s, side):
+    """:func:`strategies` as it reads a whole kept surface: numpy's gradient
+    of every level and node, interpolated in the cell of (t, log s)."""
+    grid, surf, x = sol.grid, sol.surface(side), math.log(s)
+    levels = grid.t_nodes()
+    i0 = min(int(np.searchsorted(levels, t, side="right")) - 1, grid.nt - 1)
+    xi = min(max((x - grid.x_min) / grid.dx, 0.0), grid.nx - 1)
+    j0 = min(int(xi), grid.nx - 2)
+    ft = min((t - levels[i0]) / (levels[i0 + 1] - levels[i0]), 1.0)
+    fx = xi - j0
+
+    def read(f):
+        return float((1 - ft) * (1 - fx) * f[i0, j0]
+                     + (1 - ft) * fx * f[i0, j0 + 1]
+                     + ft * (1 - fx) * f[i0 + 1, j0]
+                     + ft * fx * f[i0 + 1, j0 + 1])
+
+    mark = (agent_value(sol.model, sol.claim, t, s).value
+            if sol.claim.kind in ("call", "put") else read(sol.agent))
+    boundary = (x - grid.x_min < grid.dx) or (grid.x_max - x < grid.dx)
+    return drivers.build_strategy(
+        sol.model, sol.claim, side, t, s, adjustment=read(surf), mark=mark,
+        stock_shares=read(np.gradient(surf, grid.dx, axis=-1)) / s,
+        boundary=boundary)
+
+
+@pytest.mark.parametrize("claim", [CALL, CUSTOM_CALL], ids=["call", "custom"])
+def test_strategies_read_the_full_surface_gradient_in_their_cell(
+        claim, benchmark_model):
+    """Differentiating only the cell's two levels at the nodes around it
+    gives every field of the strategy that the whole surface's gradient
+    gives, bit for bit: on a solution of :func:`solve` and of
+    :func:`solve_batch`, at an interior stock level and in the grid's first
+    and last cells, at t = 0 and, where the solution keeps it, a mid level."""
+    grid = PdeGrid.default_for(benchmark_model, claim, nx=60, nt=20)
+    full = solve(benchmark_model, claim, grid)
+    batch = solve_batch([benchmark_model, make_benchmark(alpha=0.3)], claim,
+                        grid)[0]
+    x = grid.x_nodes()
+    stocks = [1.07, math.exp(x[0] + 0.3 * grid.dx),
+              math.exp(x[-1] - 0.6 * grid.dx), math.exp(x[-1])]
+    mid = 0.5 * (grid.t_nodes()[9] + grid.t_nodes()[10])
+    for sol, times in ((full, (0.0, mid)), (batch, (0.0,))):
+        for t in times:
+            for s in stocks:
+                for side in (SELLER, BUYER):
+                    want = full_surface_strategy(sol, t, s, side)
+                    assert strategies(sol, t, s, side) == want
+                    assert want.boundary == (s != 1.07)
+
+
 def test_agent_at(benchmark_model):
     sol, grid = small_solution(benchmark_model, nx=300, nt=150,
                                claim=CUSTOM_CALL)
@@ -749,15 +800,19 @@ def test_solve_banded_solves_a_block_of_another_dtype(dtype, rng):
 def test_gradient_buffer_matches_numpy(rng):
     """``_gradient`` gives the bits of numpy's along the last axis, on what
     its three callers pass: one row (a custom claim's agent), a (2K, nx)
-    block (the driver) and a (levels, nx) surface (``strategies``), down to
-    nx = 3, the smallest grid, whose one central difference sits between
-    the two one-sided ones."""
+    block (the driver) and the (2, 3) or (2, 4) nodes around a cell of a
+    surface, a view into it (``strategies``), down to nx = 3, the smallest
+    grid, whose one central difference sits between the two one-sided
+    ones."""
     for shape in ((400,), (400, 2), (400, 84), (3, 5), (3,), (2, 3), (84, 3),
-                  (2, 800), (84, 800), (51, 800), (51, 3)):
+                  (2, 4), (2, 800), (84, 800), (51, 800), (51, 3)):
         for dx in (0.0123, 1e-3, 0.5):
             u = np.exp(rng.standard_normal(shape)) * rng.choice([-1.0, 1.0], shape)
             got = pde._gradient(u, dx, np.empty_like(u))
             assert got.tobytes() == np.gradient(u, dx, axis=-1).tobytes()
+    cell = np.exp(rng.standard_normal((51, 800)))[20:22, 300:304]
+    got = pde._gradient(cell, 0.0123, np.empty(cell.shape))
+    assert got.tobytes() == np.gradient(cell, 0.0123, axis=-1).tobytes()
 
 
 def reference_drift(models, mark, grad, dx, u):

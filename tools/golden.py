@@ -2,6 +2,7 @@
 
     python3 tools/golden.py capture <dir>
     python3 tools/golden.py compare <a> <b> [--tol 1e-9]
+    python3 tools/golden.py lines <dir>
 
 ``capture`` writes, at the CLI defaults (800 x 50 PDE grid; lattices of
 500, 250 and 125 steps, extrapolated), the CSV of ``value --engine all``, and of
@@ -17,25 +18,32 @@ of the script placed in another checkout captures that checkout.
 
 ``compare`` checks that both directories hold the same files and, per file,
 that headers and row shapes are equal and that every numeric cell agrees
-within ``--tol`` (absolute; two NaNs agree).  It prints one line per file,
-for a file that differs beyond the tolerance also its largest difference
-relative to the cell (the larger magnitude of the two), and exits 1 if any
-file is missing or differs beyond the tolerance.  For ``points-pde.csv`` and
-``points-lattice.csv`` it also prints the largest difference as a share of
+within ``--tol`` (two NaNs agree).  The tolerance is absolute, except in
+``points-pde.csv`` and ``points-lattice.csv``, where it is ``--tol`` times
 the draw's strike, read by the row's id from the pools of the
 ``bench/scenarios.py`` next to this script: their values scale with strikes
-from 1e-2 to 1e4, so an absolute difference alone does not tell a move
-within Picard's tolerance, 1e-10 of the strike, from a regression.
+from 1e-2 to 1e4, so an absolute difference does not tell a move within
+Picard's tolerance, 1e-10 of the strike, from a regression.  It prints one
+line per file, for a point pool also its largest difference as a share of
+the draw's strike, for a file that differs beyond the tolerance also its
+largest difference relative to the cell (the larger magnitude of the two),
+and exits 1 if any file is missing or differs beyond the tolerance.
+
+``lines`` prints the line count of the ``*.py`` files in <dir> and, after a
+slash, how many of those lines hold code: not blank, not only a comment, and
+not part of a docstring.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import io
 import math
 import sys
 import time
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -147,8 +155,9 @@ def _cell_difference(a: str, b: str) -> float | None:
 
 def compare_file(a: Path, b: Path, tol: float) -> tuple[bool, str]:
     """Whether two CSV files agree within ``tol``, and a note that says how.
-    A point pool's file (:data:`POINT_POOLS`) also reports its largest
-    difference as a share of the draw's strike, read by the row's id."""
+    In a point pool's file (:data:`POINT_POOLS`) a cell agrees within
+    ``tol`` times the draw's strike, read by the row's id, and the note also
+    gives the largest difference as a share of that strike."""
     if a.read_bytes() == b.read_bytes():
         return True, "identical"
     rows_a = [line.split(",") for line in a.read_text().splitlines()]
@@ -163,9 +172,11 @@ def compare_file(a: Path, b: Path, tol: float) -> tuple[bool, str]:
     relative = (0.0, "")  # the largest difference of the cell and where
     of_strike = (0.0, "")  # the largest difference of the strike and where
     for i, (ra, rb) in enumerate(zip(rows_a[1:], rows_b[1:]), start=1):
+        unit = strikes.get(ra[0]) if strikes else 1.0  # None: not in the pool
+        allowed = tol * unit if unit else 0.0
         for j, (ca, cb) in enumerate(zip(ra, rb)):
             diff = _cell_difference(ca, cb)
-            if diff is None or not diff <= tol:
+            if diff is None or not diff <= allowed:
                 bad.append(f"row {i} {rows_a[0][j]}: {ca} vs {cb}")
             else:
                 worst = max(worst, diff)
@@ -173,20 +184,20 @@ def compare_file(a: Path, b: Path, tol: float) -> tuple[bool, str]:
                 share = diff / max(abs(float(ca)), abs(float(cb)))
                 if share > relative[0]:
                     relative = (share, f"row {i} {rows_a[0][j]}")
-                # nan, which no test passes, for an id that the pool lacks
-                share = diff / strikes.get(ra[0], math.nan) if strikes else 0.0
-                if share > of_strike[0]:
+                share = diff / unit if unit else math.inf
+                if strikes and share > of_strike[0]:
                     of_strike = (share, f"row {i} {rows_a[0][j]}")
     share, where = of_strike
     strike_note = f"; {share:.3g} of the draw's strike, at {where}" if where else ""
+    bound = f"{tol:g} of the strike" if strikes else f"{tol:g}"
     if bad:
-        note = f"{len(bad)} cell(s) beyond {tol:g}: " + "; ".join(bad[:10])
+        note = f"{len(bad)} cell(s) beyond {bound}: " + "; ".join(bad[:10])
         share, where = relative
         if where:
             note += (f" (largest difference {share:.3g} of the cell, "
                      f"at {where}{strike_note})")
         return False, note
-    return True, f"within {tol:g} (largest difference {worst:.3g}{strike_note})"
+    return True, f"within {bound} (largest difference {worst:.3g}{strike_note})"
 
 
 def compare(a: Path, b: Path, tol: float) -> int:
@@ -207,6 +218,30 @@ def compare(a: Path, b: Path, tol: float) -> int:
     return 0 if ok else 1
 
 
+def code_lines(source: str) -> int:
+    """The lines of Python ``source`` that hold code: a token other than a
+    comment, and outside every docstring (a string that is a statement)."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+                and isinstance(node.value.value, str)):
+            docstrings.update(range(node.lineno, node.end_lineno + 1))
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+              tokenize.DEDENT, tokenize.ENDMARKER}
+    code = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in layout:
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    return len(code - docstrings)
+
+
+def lines(directory: Path) -> str:
+    """``all / code`` line counts of the ``*.py`` files in ``directory``."""
+    sources = [p.read_text() for p in sorted(directory.glob("*.py"))]
+    return (f"{sum(len(s.splitlines()) for s in sources)} / "
+            f"{sum(code_lines(s) for s in sources)}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -216,9 +251,15 @@ def main(argv=None) -> int:
     cmp_.add_argument("a", type=Path)
     cmp_.add_argument("b", type=Path)
     cmp_.add_argument("--tol", type=float, default=1e-9)
+    count = sub.add_parser("lines", help="count the lines and code lines of "
+                           "the Python files in a directory")
+    count.add_argument("directory", type=Path)
     args = parser.parse_args(argv)
     if args.command == "capture":
         return capture(args.directory)
+    if args.command == "lines":
+        print(lines(args.directory))
+        return 0
     return compare(args.a, args.b, args.tol)
 
 
